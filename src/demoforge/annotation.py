@@ -57,8 +57,6 @@ class DemoSummary:
 
     sampled_rows: list[tuple[int, str, dict[str, str]]]
     home_rotation: Rotation
-    first_image_ref: object | None = None
-    final_image_ref: object | None = None
 
     @property
     def timesteps(self) -> list[int]:

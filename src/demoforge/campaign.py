@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.stats import norm
@@ -38,7 +38,7 @@ from .bandit import (
 from .demos import Action, Demonstration, Observation, ObjectObservation
 from .ensemble import EnsembleState, ensemble_step
 from .gateway import GatewayError
-from .geometry import Pose, Rotation
+from .geometry import Pose, Rotation, check_rotation_matrices
 from .retargeting import (
     RetargetFailed,
     SceneObservation,
@@ -59,7 +59,7 @@ from .simworld import (
     step,
     success,
 )
-from .warping import TrajectorySegment, warp_trajectory_by_keyposes
+from .warping import TrajectorySegment, demo_actions, warp_trajectory_by_keyposes
 
 TASK_DESCRIPTIONS = {
     "pick_place": "Pick up the block and place it inside the goal region.",
@@ -111,10 +111,6 @@ def _pose_doc(pose: Pose) -> dict:
     return {"p": pose.position.tolist(), "R": pose.rotation.as_matrix().tolist()}
 
 
-def _pose_from_doc(doc: dict) -> Pose:
-    return Pose(np.asarray(doc["p"], dtype=float), Rotation.from_matrix(np.asarray(doc["R"], dtype=float)))
-
-
 def demo_to_doc(demo: Demonstration) -> dict:
     steps = []
     for obs, act in demo.steps:
@@ -141,20 +137,22 @@ def demo_to_doc(demo: Demonstration) -> dict:
 
 
 def demo_from_doc(doc: dict) -> Demonstration:
+    rows = doc["steps"]
+    if len(rows) < 2:
+        raise ValueError(f"demonstration needs at least 2 steps, got {len(rows)}")
+    # every pose of the demo in step order: robot, objects, action
+    pose_docs = [
+        d for row in rows for d in (row["obs"]["robot"], *(o["pose"] for o in row["obs"]["objects"]), row["act"]["pose"])
+    ]
+    matrices = np.asarray([d["R"] for d in pose_docs], dtype=float)
+    check_rotation_matrices(matrices)
+    poses = iter([Pose(np.asarray(d["p"], dtype=float), Rotation(m)) for d, m in zip(pose_docs, matrices)])
     steps = []
-    for row in doc["steps"]:
-        obs = Observation(
-            robot_pose=_pose_from_doc(row["obs"]["robot"]),
-            gripper=float(row["obs"]["gripper"]),
-            objects=[
-                ObjectObservation(o["name"], _pose_from_doc(o["pose"]), o["color"])
-                for o in row["obs"]["objects"]
-            ],
-        )
-        act = Action(_pose_from_doc(row["act"]["pose"]), float(row["act"]["gripper"]))
-        steps.append((obs, act))
-    if len(steps) < 2:
-        raise ValueError(f"demonstration needs at least 2 steps, got {len(steps)}")
+    for row in rows:
+        robot = next(poses)
+        objects = [ObjectObservation(o["name"], next(poses), o["color"]) for o in row["obs"]["objects"]]
+        act = Action(next(poses), float(row["act"]["gripper"]))
+        steps.append((Observation(robot, float(row["obs"]["gripper"]), objects), act))
     return Demonstration(
         task=doc["task"],
         steps=steps,
@@ -195,9 +193,7 @@ def replay_demo(demo: Demonstration) -> bool:
         raise ValueError(f"demo {demo.demo_id!r} has no recorded seed to replay from")
     spec = TaskSpec(demo.task)
     state, _ = reset(spec, demo.seed)
-    poses = [demo.action(t).pose for t in range(len(demo))]
-    grips = [demo.action(t).gripper for t in range(len(demo))]
-    return rollout(state, TrajectorySegment(poses, grips)).success
+    return rollout(state, demo_actions(demo)).success
 
 
 @dataclass
@@ -293,6 +289,20 @@ def scripted_runner(max_steps: int = 5000):
     return run
 
 
+def _warped_runner(execute, annotation, source_demo, noise_std, disturbance):
+    """Fresh scene, retarget and warp, optional disturbance, then
+    ``execute(state, traj, disturbances)``, whose outcome has ``.success``."""
+
+    def run(spec: TaskSpec, scene_seed: int) -> bool:
+        state, scene = reset(spec, scene_seed)
+        rng = _seeded(scene_seed, _TAG_NOISE, 0)
+        traj = _retarget_and_warp(annotation, source_demo, scene, noise_std, rng)
+        dist = disturbance(traj) if disturbance else None
+        return execute(state, traj, dist).success
+
+    return run
+
+
 def feedforward_runner(annotation, source_demo, noise_std: float = 0.0, disturbance=None):
     """Open-loop replay of the warped trajectory on a fresh scene.
 
@@ -300,28 +310,20 @@ def feedforward_runner(annotation, source_demo, noise_std: float = 0.0, disturba
     delta) triples, so perturbations can be placed relative to e.g. the
     grasp timestep of this particular trajectory.
     """
-
-    def run(spec: TaskSpec, scene_seed: int) -> bool:
-        state, scene = reset(spec, scene_seed)
-        rng = _seeded(scene_seed, _TAG_NOISE, 0)
-        traj = _retarget_and_warp(annotation, source_demo, scene, noise_std, rng)
-        dist = disturbance(traj) if disturbance else None
-        return rollout(state, traj, dist).success
-
-    return run
+    return _warped_runner(
+        lambda state, traj, dist: rollout(state, traj, dist), annotation, source_demo, noise_std, disturbance
+    )
 
 
 def ensemble_runner(annotation, source_demo, noise_std: float = 0.0, disturbance=None, max_steps=None):
     """Warped trajectory plus scripted feedback under the switching ensemble."""
-
-    def run(spec: TaskSpec, scene_seed: int) -> bool:
-        state, scene = reset(spec, scene_seed)
-        rng = _seeded(scene_seed, _TAG_NOISE, 0)
-        traj = _retarget_and_warp(annotation, source_demo, scene, noise_std, rng)
-        dist = disturbance(traj) if disturbance else None
-        return run_ensemble_episode(state, traj, disturbances=dist, max_steps=max_steps).success
-
-    return run
+    return _warped_runner(
+        lambda state, traj, dist: run_ensemble_episode(state, traj, disturbances=dist, max_steps=max_steps),
+        annotation,
+        source_demo,
+        noise_std,
+        disturbance,
+    )
 
 
 @dataclass
@@ -480,20 +482,7 @@ class CampaignReport:
             raise ValueError("successes cannot exceed total rollouts")
 
     def to_json(self) -> dict:
-        return {
-            "task": self.task,
-            "mode": self.mode,
-            "goal_successes": self.goal_successes,
-            "total_rollouts": self.total_rollouts,
-            "successes": self.successes,
-            "new_arm_attempts": self.new_arm_attempts,
-            "new_arm_successes": self.new_arm_successes,
-            "per_arm": self.per_arm,
-            "best_arm_rate": self.best_arm_rate,
-            "success_rate": self.success_rate,
-            "wall_time": self.wall_time,
-            "baseline_rate": self.baseline_rate,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "CampaignReport":
@@ -549,19 +538,14 @@ def _rollout_arm(cfg, meta: ArmMeta, source: Demonstration, scene_seed: int, rol
     spec = TaskSpec(cfg.task)
     state, scene = reset(spec, scene_seed)
     if cfg.retargeter == "scripted":
-        kps = scripted_retarget(
-            meta.annotation,
-            scene,
-            _scene_from_observation(source.observation(0)),
-            noise_std=meta.noise_std,
-            rng=_seeded(cfg.seed, _TAG_NOISE, rollout_idx),
-        )
+        rng = _seeded(cfg.seed, _TAG_NOISE, rollout_idx)
+        traj = _retarget_and_warp(meta.annotation, source, scene, meta.noise_std, rng)
     else:
         req = build_request(meta.annotation, TaskDescription(TASK_DESCRIPTIONS[cfg.task]), scene)
         kps = retarget(gateway, req, max_retries=cfg.max_retries)
-    traj = warp_trajectory_by_keyposes(
-        source, meta.annotation.keypose_pairs(), [(k.timestep, k.pose) for k in kps]
-    )
+        traj = warp_trajectory_by_keyposes(
+            source, meta.annotation.keypose_pairs(), [(k.timestep, k.pose) for k in kps]
+        )
     out = rollout(state, traj)
     if not out.success:
         return False, None
@@ -622,6 +606,26 @@ def _write_checkpoint(cfg, state, arms_meta, rollouts, elapsed) -> None:
     os.replace(tmp, cfg.checkpoint_path)
 
 
+def _truncate_dataset(path, keep: int) -> None:
+    """Cut the dataset back to its first ``keep`` complete demo lines.
+
+    A kill between append_demo and _write_checkpoint leaves the dataset one
+    demo ahead, possibly with a torn last line; the resumed campaign
+    regenerates what is cut, bit for bit. Fewer complete lines than the
+    checkpoint counts is a dataset that lost demos, and is refused.
+    """
+    with open(path, "rb+") as fh:
+        have, end = 0, 0
+        for line in fh:
+            if have == keep or not line.endswith(b"\n"):
+                break
+            end += len(line)
+            have += bool(line.strip())
+        if have < keep:
+            raise ConfigError(f"dataset has {have} demos but checkpoint says {keep}")
+        fh.truncate(end)
+
+
 def _load_checkpoint(cfg: CampaignConfig):
     with open(cfg.checkpoint_path) as fh:
         doc = json.load(fh)
@@ -650,11 +654,7 @@ def run_campaign(cfg: CampaignConfig, gateway=None, resume: bool = False) -> Cam
     if resuming:
         state, arms_meta, rollouts, elapsed_prior = _load_checkpoint(cfg)
         if cfg.dataset_path is not None:
-            have = sum(1 for line in open(cfg.dataset_path) if line.strip())
-            if have != state.current_successes:
-                raise ConfigError(
-                    f"dataset has {have} demos but checkpoint says {state.current_successes}"
-                )
+            _truncate_dataset(cfg.dataset_path, state.current_successes)
     else:
         state = BanditState(goal_successes=cfg.goal_successes, rng_seed=cfg.seed)
         arms_meta, rollouts, elapsed_prior = [], 0, 0.0

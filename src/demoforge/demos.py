@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, Rotation
+from .geometry import Pose
 
 GRIPPER_OPEN = 1.0
 GRIPPER_CLOSED = 0.0
@@ -35,12 +35,6 @@ class Observation:
     robot_pose: Pose
     gripper: float
     objects: list[ObjectObservation] = field(default_factory=list)
-
-    def object_named(self, name: str) -> ObjectObservation:
-        for obj in self.objects:
-            if obj.name == name:
-                return obj
-        raise KeyError(f"no object named {name!r} in observation")
 
     def copy(self) -> "Observation":
         return Observation(self.robot_pose.copy(), float(self.gripper), [o.copy() for o in self.objects])
@@ -88,13 +82,6 @@ class Demonstration:
 
     def action(self, t: int) -> Action:
         return self.steps[t][1]
-
-    def action_positions(self) -> np.ndarray:
-        """(T+1, 3) array of commanded positions."""
-        return np.stack([a.pose.position for _, a in self.steps])
-
-    def action_rotations(self) -> list[Rotation]:
-        return [a.pose.rotation for _, a in self.steps]
 
     def grippers(self) -> np.ndarray:
         return np.asarray([a.gripper for _, a in self.steps], dtype=float)

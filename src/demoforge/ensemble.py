@@ -23,8 +23,6 @@ TAU_REATTACH = 0.5
 STREAK_WINDOW = 3
 COOLDOWN = 5
 
-ACTION_DIM = 7  # position delta (3) + rotation vector delta (3) + gripper delta (1)
-
 
 class TrajectoryExhausted(RuntimeError):
     """Feedforward cursor ran off the end of the trajectory."""
@@ -51,20 +49,23 @@ class ActionStats:
 
     @classmethod
     def from_trajectory(cls, traj: TrajectorySegment) -> "ActionStats":
-        deltas = np.stack(
-            [
-                action_delta(traj.poses[i], traj.gripper[i], traj.poses[i + 1], traj.gripper[i + 1])
-                for i in range(len(traj) - 1)
-            ]
-        )
-        return cls(deltas.std(axis=0))
+        p, r, g = traj.positions, traj.rotations, traj.gripper
+        return cls(_row_deltas(p[:-1], r[:-1], g[:-1], p[1:], r[1:], g[1:]).std(axis=0))
 
 
 def action_delta(from_pose: Pose, from_grip: float, to_pose: Pose, to_grip: float) -> np.ndarray:
-    """Raw 7-vector between two (pose, gripper) states."""
+    """Raw 7-vector between two (pose, gripper) states: position delta (3),
+    rotation vector delta (3), gripper delta (1)."""
     dpos = to_pose.position - from_pose.position
     drot = (from_pose.rotation.inverse() @ to_pose.rotation).rotvec()
     return np.concatenate([dpos, drot, [float(to_grip) - float(from_grip)]])
+
+
+def _row_deltas(from_pos, from_rot, from_grip, to_pos, to_rot, to_grip) -> np.ndarray:
+    """action_delta row by row; a single from-state broadcasts over the to-rows."""
+    rel = np.matmul(np.swapaxes(from_rot, -1, -2), to_rot)
+    rotvecs = _SR.from_matrix(rel).as_rotvec().reshape(-1, 3)
+    return np.column_stack([to_pos - from_pos, rotvecs, to_grip - from_grip])
 
 
 def normalize(raw: np.ndarray, stats: ActionStats) -> NormalizedAction:
@@ -106,41 +107,6 @@ def _similarity_many(vectors: np.ndarray, single: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class _TrajectoryCache:
-    """Array views of a trajectory plus its normalized recovery actions.
-
-    The reattach scan runs every feedback step; precomputing these once per
-    episode keeps it out of the per-step hot path.
-    """
-
-    positions: np.ndarray  # (n, 3)
-    matrices: np.ndarray  # (n, 3, 3)
-    grippers: np.ndarray  # (n,)
-    rec_vectors: np.ndarray  # (n, 7), already divided by the stats scale
-
-    @classmethod
-    def build(cls, traj: TrajectorySegment, stats: ActionStats) -> "_TrajectoryCache":
-        n = len(traj)
-        rec = np.empty((n, ACTION_DIM))
-        for t in range(n):
-            lo, hi = (t, t + 1) if t + 1 < n else (t - 1, t)
-            rec[t] = action_delta(traj.poses[lo], traj.gripper[lo], traj.poses[hi], traj.gripper[hi])
-        return cls(
-            positions=np.stack([p.position for p in traj.poses]),
-            matrices=np.stack([p.rotation.as_matrix() for p in traj.poses]),
-            grippers=np.asarray(traj.gripper, dtype=float),
-            rec_vectors=rec / stats.scale,
-        )
-
-    def reattach_vectors(self, current_pose: Pose, current_gripper: float, start: int, stats: ActionStats) -> np.ndarray:
-        dpos = self.positions[start:] - current_pose.position
-        rel = np.matmul(current_pose.rotation.as_matrix().T, self.matrices[start:])
-        rotvecs = _SR.from_matrix(rel).as_rotvec().reshape(-1, 3)
-        dgrip = self.grippers[start:] - float(current_gripper)
-        return np.concatenate([dpos, rotvecs, dgrip[:, None]], axis=1) / stats.scale
-
-
 def select_reattach(
     traj: TrajectorySegment,
     current_pose: Pose,
@@ -149,7 +115,6 @@ def select_reattach(
     a_il: NormalizedAction,
     stats: ActionStats,
     tau: float = TAU_REATTACH,
-    cache: _TrajectoryCache | None = None,
 ) -> int | None:
     """Best future trajectory point to resume feedforward at, if any.
 
@@ -161,20 +126,23 @@ def select_reattach(
     start = t_now + 1
     if start >= len(traj):
         return None
-    if cache is None:
-        cache = _TrajectoryCache.build(traj, stats)
-    att = cache.reattach_vectors(current_pose, current_gripper, start, stats)
+    p, r, g = traj.positions, traj.rotations, traj.gripper
+    att = _row_deltas(
+        current_pose.position, current_pose.rotation.as_matrix(), float(current_gripper), p[start:], r[start:], g[start:]
+    ) / stats.scale
     if not np.all(np.isfinite(att)):
         raise ValueError("normalized action must be finite")
     att_sims = _similarity_many(att, a_il.vector)
-    rec_sims = _similarity_many(cache.rec_vectors[start:], a_il.vector)
-    feasible = (att_sims > tau) & (rec_sims > tau)
-    if not np.any(feasible):
+    cand = start + np.flatnonzero(att_sims > tau)
+    if not cand.size:
         return None
-    j = int(np.argmax(np.where(feasible, att_sims, -np.inf)))  # first max: earliest tie
-    # postcondition: both constraints hold for the returned point
-    assert att_sims[j] > tau and rec_sims[j] > tau
-    return start + j
+    # recorded action at each candidate; the last point repeats the final step
+    lo = np.minimum(cand, len(traj) - 2)
+    rec = _row_deltas(p[lo], r[lo], g[lo], p[lo + 1], r[lo + 1], g[lo + 1]) / stats.scale
+    feasible = cand[_similarity_many(rec, a_il.vector) > tau]
+    if not feasible.size:
+        return None
+    return int(feasible[np.argmax(att_sims[feasible - start])])  # first max: earliest tie
 
 
 @dataclass
@@ -187,12 +155,10 @@ class EnsembleState:
     disagreement_streak: int = 0
     step_index: int = 0
     trace: list[dict] = field(default_factory=list)
-    cache: _TrajectoryCache | None = None
 
     @classmethod
     def initial(cls, traj: TrajectorySegment, stats: ActionStats | None = None) -> "EnsembleState":
-        stats = stats or ActionStats.from_trajectory(traj)
-        return cls(ff_trajectory=traj, stats=stats, cache=_TrajectoryCache.build(traj, stats))
+        return cls(ff_trajectory=traj, stats=stats or ActionStats.from_trajectory(traj))
 
     def switch_steps(self) -> list[int]:
         return [e["step"] for e in self.trace if e["switched"]]
@@ -273,7 +239,6 @@ def ensemble_step(
                 a_il,
                 state.stats,
                 tau_reattach,
-                cache=state.cache,
             )
             if t_star is not None:
                 state.mode = "feedforward"
@@ -297,4 +262,4 @@ def ensemble_step(
 def _trajectory_action(traj: TrajectorySegment, cursor: int) -> Action:
     if cursor >= len(traj):
         raise TrajectoryExhausted(f"cursor {cursor} past trajectory end {len(traj) - 1}")
-    return Action(traj.poses[cursor].copy(), float(traj.gripper[cursor]))
+    return Action(traj.pose(cursor), float(traj.gripper[cursor]))

@@ -16,12 +16,11 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import requests
 
 DEFAULT_ANNOTATION_TEMPERATURE = 0.7  # stochastic: response variety feeds arm diversity
-DEFAULT_RETARGETING_TEMPERATURE = 0.2  # stable: pose arithmetic, not prose
 
 
 class GatewayError(RuntimeError):
@@ -56,15 +55,7 @@ class PromptExchange:
             raise ValueError("exchange request must be non-empty")
 
     def to_json(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "request": self.request,
-            "response": self.response,
-            "model": self.model,
-            "latency": self.latency,
-            "retries": self.retries,
-            "attachments": self.attachments,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "PromptExchange":

@@ -20,6 +20,16 @@ EULER_SEQ = "XYZ"  # intrinsic X-Y-Z
 _ORTHO_TOL = 1e-9
 
 
+def check_rotation_matrices(matrices: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of an (n, 3, 3) stack is a proper rotation."""
+    if matrices.ndim != 3 or matrices.shape[1:] != (3, 3):
+        raise ValueError(f"rotation matrices must stack as (n, 3, 3), got {matrices.shape}")
+    if np.any(np.abs(np.linalg.det(matrices) - 1.0) > _ORTHO_TOL):
+        raise ValueError("matrix determinant is not +1")
+    if not np.allclose(np.matmul(matrices, matrices.transpose(0, 2, 1)), np.eye(3), atol=_ORTHO_TOL):
+        raise ValueError("matrix is not orthonormal")
+
+
 class Rotation:
     """A proper rotation in SO(3), stored as a 3x3 matrix.
 
@@ -34,10 +44,7 @@ class Rotation:
         if m.shape != (3, 3):
             raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
         if check:
-            if abs(np.linalg.det(m) - 1.0) > _ORTHO_TOL:
-                raise ValueError("matrix determinant is not +1")
-            if not np.allclose(m @ m.T, np.eye(3), atol=_ORTHO_TOL):
-                raise ValueError("matrix is not orthonormal")
+            check_rotation_matrices(m[None])
         self._m = m
 
     @classmethod

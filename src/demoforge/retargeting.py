@@ -32,7 +32,6 @@ class SceneObservation:
 
     robot_pose: Pose
     objects: dict[str, Pose] = field(default_factory=dict)
-    image_refs: list | None = None
     task_metadata: dict = field(default_factory=dict)
 
     def text(self, home: Rotation | None = None) -> str:

@@ -257,8 +257,10 @@ def step(state: WorldState, action: Action) -> WorldState:
             new_x = float(np.clip(raw_x, closed_x - state.task_metadata["drawer_travel"], closed_x))
             old = state.objects["drawer"]
             dx = new_x - old.position[0]
+            # containment judged against the drawer pose before this step's slide
+            carries_mug = not _mug_is_held(state) and _mug_in_drawer(state)
             state.objects["drawer"] = Pose(old.position + np.array([dx, 0.0, 0.0]), old.rotation)
-            if not _mug_is_held(state) and _mug_in_drawer_xy_before(state, dx):
+            if carries_mug:
                 mug = state.objects["mug"]
                 state.objects["mug"] = Pose(mug.position + np.array([dx, 0.0, 0.0]), mug.rotation)
         else:
@@ -300,14 +302,6 @@ def step(state: WorldState, action: Action) -> WorldState:
 
 def _mug_is_held(state: WorldState) -> bool:
     return state.attached_object == "mug"
-
-
-def _mug_in_drawer_xy_before(state: WorldState, pending_dx: float) -> bool:
-    # containment judged against the drawer pose before this step's slide
-    interior = _drawer_interior_center(state)
-    interior[0] -= pending_dx
-    rel = state.objects["mug"].position - interior
-    return bool(abs(rel[0]) < 0.04 and abs(rel[1]) < 0.04)
 
 
 def _grabbable_object(state: WorldState) -> str | None:
@@ -394,8 +388,6 @@ def rollout(
     point executes. The executed (observation, action) pairs are returned
     as a trace suitable for building a dataset demonstration.
     """
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
     state = state.copy()
     by_point: dict[int, list[tuple[str, np.ndarray]]] = {}
     for idx, obj, delta in disturbances or []:
@@ -405,7 +397,7 @@ def rollout(
     for i in range(len(traj)):
         for obj, delta in by_point.get(i, []):
             inject_disturbance(state, obj, delta)
-        action = Action(traj.poses[i].copy(), traj.gripper[i])
+        action = Action(traj.pose(i), float(traj.gripper[i]))
         trace.append((observation(state), action.copy()))
         step(state, action)
         extra = 0

@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.transform import Rotation as _SR
 
 from .demos import Demonstration
-from .geometry import Pose, RigidTransform, Rotation, slerp
+from .geometry import Pose, RigidTransform, Rotation
 
 EPS_CHORD = 1e-6  # meters; chords shorter than this have no usable direction
 
@@ -35,22 +36,34 @@ class KeyposeMismatch(ValueError):
 
 @dataclass
 class TrajectorySegment:
-    """Aligned lists of poses and gripper commands; length >= 2."""
+    """Aligned arrays: positions (n, 3), rotation matrices (n, 3, 3) and
+    gripper commands (n,); n >= 2."""
 
-    poses: list[Pose]
-    gripper: list[float]
+    positions: np.ndarray
+    rotations: np.ndarray
+    gripper: np.ndarray
 
     def __post_init__(self):
-        if len(self.poses) < 2:
+        n = len(self.positions)
+        if n < 2:
             raise ValueError("segment needs at least 2 poses")
-        if len(self.gripper) != len(self.poses):
-            raise ValueError("gripper list must align 1:1 with poses")
+        if self.positions.shape != (n, 3) or self.rotations.shape != (n, 3, 3) or self.gripper.shape != (n,):
+            raise ValueError("positions, rotations and gripper must align as (n, 3), (n, 3, 3) and (n,)")
 
     def __len__(self) -> int:
-        return len(self.poses)
+        return len(self.positions)
 
-    def positions(self) -> np.ndarray:
-        return np.stack([p.position for p in self.poses])
+    def pose(self, i: int) -> Pose:
+        return Pose(self.positions[i].copy(), Rotation(self.rotations[i].copy()))
+
+
+def demo_actions(demo: Demonstration) -> TrajectorySegment:
+    """A demo's commanded actions as one trajectory."""
+    return TrajectorySegment(
+        np.stack([a.pose.position for _, a in demo.steps]),
+        np.stack([a.pose.rotation.as_matrix() for _, a in demo.steps]),
+        demo.grippers(),
+    )
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
@@ -132,8 +145,9 @@ def compute_warp(old_start: Pose, old_end: Pose, new_start: Pose, new_end: Pose)
 
 def warp_positions(seg: TrajectorySegment, tf: RigidTransform) -> TrajectorySegment:
     """Map every position through tf; rotations and gripper are untouched."""
-    poses = [Pose(tf.transform_point(p.position), p.rotation) for p in seg.poses]
-    return TrajectorySegment(poses, list(seg.gripper))
+    # one vector-matrix product per row: the bits of tf.transform_point on each point
+    rotated = np.matmul(seg.positions[:, None, :], tf.rotation.as_matrix().T)[:, 0]
+    return TrajectorySegment(tf.scale * rotated + tf.translation, seg.rotations, seg.gripper)
 
 
 def warp_rotations(seg: TrajectorySegment, new_start_rot: Rotation, new_end_rot: Rotation) -> TrajectorySegment:
@@ -144,13 +158,12 @@ def warp_rotations(seg: TrajectorySegment, new_start_rot: Rotation, new_end_rot:
     slerped with parameter t / T_seg and left-applied to the demo rotation.
     """
     n = len(seg)
-    delta_0 = new_start_rot @ seg.poses[0].rotation.inverse()
-    delta_t = new_end_rot @ seg.poses[-1].rotation.inverse()
-    poses = []
-    for t, p in enumerate(seg.poses):
-        delta = slerp(delta_0, delta_t, t / (n - 1))
-        poses.append(Pose(p.position.copy(), delta @ p.rotation))
-    return TrajectorySegment(poses, list(seg.gripper))
+    delta_0 = new_start_rot @ Rotation(seg.rotations[0]).inverse()
+    delta_t = new_end_rot @ Rotation(seg.rotations[-1]).inverse()
+    rotvec = (delta_0.inverse() @ delta_t).rotvec()
+    partial = _SR.from_rotvec((np.arange(n) / (n - 1))[:, None] * rotvec).as_matrix()
+    rotations = np.matmul(np.matmul(delta_0.as_matrix(), partial), seg.rotations)
+    return TrajectorySegment(seg.positions, rotations, seg.gripper)
 
 
 def _validate_keyposes(
@@ -187,22 +200,18 @@ def warp_trajectory_by_keyposes(
     new keypose values so adjacent spans agree bitwise at shared timesteps.
     """
     timesteps = _validate_keyposes(demo, old_keyposes, new_keyposes)
-
-    out_poses: list[Pose] = []
-    out_gripper: list[float] = []
+    src = demo_actions(demo)
+    out = TrajectorySegment(np.empty_like(src.positions), np.empty_like(src.rotations), src.gripper)
     for i in range(len(timesteps) - 1):
         t0, t1 = timesteps[i], timesteps[i + 1]
-        sub = TrajectorySegment(
-            [demo.action(t).pose.copy() for t in range(t0, t1 + 1)],
-            [demo.action(t).gripper for t in range(t0, t1 + 1)],
-        )
-        tf = compute_warp(old_keyposes[i][1], old_keyposes[i + 1][1], new_keyposes[i][1], new_keyposes[i + 1][1])
-        warped = warp_positions(sub, tf)
-        warped = warp_rotations(warped, new_keyposes[i][1].rotation, new_keyposes[i + 1][1].rotation)
+        new_0, new_1 = new_keyposes[i][1], new_keyposes[i + 1][1]
+        span = slice(t0, t1 + 1)
+        tf = compute_warp(old_keyposes[i][1], old_keyposes[i + 1][1], new_0, new_1)
+        sub = TrajectorySegment(src.positions[span], src.rotations[span], src.gripper[span])
+        warped = warp_rotations(warp_positions(sub, tf), new_0.rotation, new_1.rotation)
+        out.positions[span] = warped.positions
+        out.rotations[span] = warped.rotations
         # snap boundaries to the exact keypose values for bitwise continuity
-        warped.poses[0] = new_keyposes[i][1].copy()
-        warped.poses[-1] = new_keyposes[i + 1][1].copy()
-        start = 1 if out_poses else 0  # shared boundary already emitted
-        out_poses.extend(warped.poses[start:])
-        out_gripper.extend(warped.gripper[start:])
-    return TrajectorySegment(out_poses, out_gripper)
+        out.positions[[t0, t1]] = new_0.position, new_1.position
+        out.rotations[[t0, t1]] = new_0.rotation.as_matrix(), new_1.rotation.as_matrix()
+    return out

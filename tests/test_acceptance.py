@@ -51,6 +51,15 @@ from demoforge.warping import TrajectorySegment, compute_warp, warp_rotations
 from oracles import decide_oracle, grid_max_z_alignment
 
 
+def segment(poses, grips):
+    """A trajectory from Pose objects and gripper commands."""
+    return TrajectorySegment(
+        np.stack([q.position for q in poses]),
+        np.stack([q.rotation.as_matrix() for q in poses]),
+        np.asarray(grips, dtype=float),
+    )
+
+
 def random_pose(rng, span=1.0):
     return Pose(rng.uniform(-span, span, size=3), Rotation.from_rotvec(rng.normal(size=3)))
 
@@ -79,10 +88,10 @@ def test_warp_endpoints_rotations_and_free_dof_on_1000_instances():
         assert tf.rotation.as_matrix()[2, 2] >= best - 1e-5
 
         mid = Pose(0.5 * (old_start.position + old_end.position), Rotation.from_rotvec(rng.normal(size=3)))
-        seg = TrajectorySegment([old_start, mid, old_end], [1.0, 1.0, 1.0])
+        seg = segment([old_start, mid, old_end], [1.0, 1.0, 1.0])
         out = warp_rotations(seg, new_start.rotation, new_end.rotation)
-        assert np.max(np.abs(out.poses[0].rotation.as_matrix() - new_start.rotation.as_matrix())) < 1e-9
-        assert np.max(np.abs(out.poses[-1].rotation.as_matrix() - new_end.rotation.as_matrix())) < 1e-9
+        assert np.max(np.abs(out.pose(0).rotation.as_matrix() - new_start.rotation.as_matrix())) < 1e-9
+        assert np.max(np.abs(out.pose(-1).rotation.as_matrix() - new_end.rotation.as_matrix())) < 1e-9
         done += 1
     assert time.perf_counter() - t0 < 5.0
 
@@ -223,13 +232,13 @@ def test_reattach_satisfies_thresholds_and_cooldown_under_fuzz():
                     Rotation.from_rotvec(rng.normal(0.0, 0.05, 3)) @ poses[-1].rotation,
                 )
             )
-        traj = TrajectorySegment(poses, list(rng.choice([0.0, 1.0], size=n)))
+        traj = segment(poses, list(rng.choice([0.0, 1.0], size=n)))
         t_now = int(rng.integers(0, n - 1))
         current = Pose(poses[t_now].position + rng.normal(0.0, 0.01, 3), poses[t_now].rotation)
         grip = float(rng.choice([0.0, 1.0]))
         if rng.random() < 0.6:
             # feedback roughly follows the recorded motion: accepts likely
-            nxt = traj.poses[min(t_now + 1, n - 1)]
+            nxt = traj.pose(min(t_now + 1, n - 1))
             target = Pose(nxt.position + rng.normal(0.0, 0.002, 3), nxt.rotation)
             fb_grip = float(traj.gripper[min(t_now + 1, n - 1)])
         else:
@@ -242,9 +251,9 @@ def test_reattach_satisfies_thresholds_and_cooldown_under_fuzz():
         if t_star is None:
             continue
         accepted += 1
-        att = normalize(action_delta(current, grip, traj.poses[t_star], traj.gripper[t_star]), stats)
+        att = normalize(action_delta(current, grip, traj.pose(t_star), traj.gripper[t_star]), stats)
         lo, hi = (t_star, t_star + 1) if t_star + 1 < len(traj) else (t_star - 1, t_star)
-        rec = normalize(action_delta(traj.poses[lo], traj.gripper[lo], traj.poses[hi], traj.gripper[hi]), stats)
+        rec = normalize(action_delta(traj.pose(lo), traj.gripper[lo], traj.pose(hi), traj.gripper[hi]), stats)
         assert similarity(att, a_il) > tau
         assert similarity(rec, a_il) > tau
     assert accepted >= 30, accepted  # the accept path was actually exercised
@@ -257,7 +266,7 @@ def test_reattach_satisfies_thresholds_and_cooldown_under_fuzz():
         poses = [Pose(np.array([0.0, 0.0, 0.1]))]
         for _ in range(n - 1):
             poses.append(Pose(poses[-1].position + trng.normal(0.0, 0.008, 3)))
-        traj = TrajectorySegment(poses, list(trng.choice([0.0, 1.0], size=n)))
+        traj = segment(poses, list(trng.choice([0.0, 1.0], size=n)))
         state = EnsembleState.initial(traj)
         pose, grip = poses[0].copy(), 1.0
         for _ in range(1000):

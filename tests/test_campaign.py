@@ -134,6 +134,17 @@ class TestDataset:
             read_dataset(path)
         assert err.value.line == 1
 
+    def test_bad_late_object_rotation_reports_line_number(self, tmp_path):
+        rng = np.random.default_rng(8)
+        docs = [demo_to_doc(random_demo(rng, n_steps=8)) for _ in range(3)]
+        # unit determinant, but a shear: only the orthonormality test catches it
+        docs[1]["steps"][6]["obs"]["objects"][1]["pose"]["R"] = [[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        with pytest.raises(SchemaViolation, match="orthonormal") as err:
+            read_dataset(path)
+        assert err.value.line == 2
+
     def test_single_step_demo_rejected(self, tmp_path):
         rng = np.random.default_rng(4)
         doc = demo_to_doc(random_demo(rng, n_steps=3))
@@ -430,6 +441,19 @@ class TestCampaign:
             fh.writelines(lines[:-2])  # drop a real demo
         with pytest.raises(ConfigError, match="dataset"):
             run_campaign(self.cfg(tmp_path, tag="s", goal_successes=4), resume=True)
+
+    @pytest.mark.parametrize("tail", ["torn", "whole"])
+    def test_resume_cuts_dataset_back_to_checkpoint(self, tmp_path, tail):
+        # a kill between append_demo and the checkpoint write leaves the
+        # dataset ahead of the checkpoint, by a torn or a whole line
+        run_campaign(self.cfg(tmp_path, tag="full", goal_successes=5))
+        run_campaign(self.cfg(tmp_path, tag="part", goal_successes=5, max_rollouts=3))
+        part = tmp_path / "part.jsonl"
+        last = part.read_bytes().splitlines(keepends=True)[-1]
+        with open(part, "ab") as fh:
+            fh.write(last[: len(last) // 2] if tail == "torn" else last)
+        run_campaign(self.cfg(tmp_path, tag="part", goal_successes=5), resume=True)
+        assert part.read_bytes() == (tmp_path / "full.jsonl").read_bytes()
 
     def test_max_rollouts_caps_the_loop(self, tmp_path):
         rep = run_campaign(self.cfg(tmp_path, goal_successes=50, max_rollouts=4))

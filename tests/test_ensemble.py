@@ -17,13 +17,22 @@ from demoforge.geometry import Pose, Rotation
 from demoforge.warping import TrajectorySegment
 
 
+def segment(poses, grips):
+    """A trajectory from Pose objects and gripper commands."""
+    return TrajectorySegment(
+        np.stack([q.position for q in poses]),
+        np.stack([q.rotation.as_matrix() for q in poses]),
+        np.asarray(grips, dtype=float),
+    )
+
+
 def vec(*vals):
     return NormalizedAction(np.asarray(vals, dtype=float))
 
 
 def line_traj(n=10, step=0.01, grip=1.0):
     poses = [Pose(np.array([step * i, 0.0, 0.1])) for i in range(n)]
-    return TrajectorySegment(poses, [grip] * n)
+    return segment(poses, [grip] * n)
 
 
 UNIT_STATS = ActionStats(np.ones(7))
@@ -115,12 +124,25 @@ class TestNormalize:
         traj = line_traj(6)
         deltas = np.stack(
             [
-                action_delta(traj.poses[i], traj.gripper[i], traj.poses[i + 1], traj.gripper[i + 1])
+                action_delta(traj.pose(i), traj.gripper[i], traj.pose(i + 1), traj.gripper[i + 1])
                 for i in range(5)
             ]
         )
         want = np.maximum(deltas.std(axis=0), 1e-6)
         assert np.array_equal(ActionStats.from_trajectory(traj).scale, want)
+
+
+def test_stats_match_per_pose_loop_on_a_turning_trajectory():
+    rng = np.random.default_rng(13)
+    poses = [Pose(np.zeros(3), Rotation.from_rotvec(rng.normal(size=3)))]
+    for _ in range(59):
+        prev = poses[-1]
+        poses.append(Pose(prev.position + rng.normal(0, 0.01, 3), Rotation.from_rotvec(rng.normal(0, 0.1, 3)) @ prev.rotation))
+    traj = segment(poses, rng.choice([0.0, 1.0], size=60))
+    deltas = np.stack(
+        [action_delta(traj.pose(i), traj.gripper[i], traj.pose(i + 1), traj.gripper[i + 1]) for i in range(59)]
+    )
+    assert np.array_equal(ActionStats.from_trajectory(traj).scale, np.maximum(deltas.std(axis=0), 1e-6))
 
 
 class TestActionDelta:
@@ -142,9 +164,9 @@ class TestActionDelta:
 def brute_force_reattach(traj, current_pose, current_gripper, t_now, a_il, stats, tau):
     best_t, best = None, -np.inf
     for t in range(t_now + 1, len(traj)):
-        att = normalize(action_delta(current_pose, current_gripper, traj.poses[t], traj.gripper[t]), stats)
+        att = normalize(action_delta(current_pose, current_gripper, traj.pose(t), traj.gripper[t]), stats)
         lo, hi = (t, t + 1) if t + 1 < len(traj) else (t - 1, t)
-        rec = normalize(action_delta(traj.poses[lo], traj.gripper[lo], traj.poses[hi], traj.gripper[hi]), stats)
+        rec = normalize(action_delta(traj.pose(lo), traj.gripper[lo], traj.pose(hi), traj.gripper[hi]), stats)
         s_att, s_rec = similarity(att, a_il), similarity(rec, a_il)
         if s_att > tau and s_rec > tau and s_att > best:
             best_t, best = t, s_att
@@ -157,11 +179,11 @@ class TestSelectReattach:
 
     def test_on_trajectory_returns_next_point_with_similarity_one(self):
         traj = line_traj(10)
-        current = traj.poses[0].copy()
-        a_il = normalize(action_delta(current, 1.0, traj.poses[1], traj.gripper[1]), self.stats())
+        current = traj.pose(0).copy()
+        a_il = normalize(action_delta(current, 1.0, traj.pose(1), traj.gripper[1]), self.stats())
         t = select_reattach(traj, current, 1.0, 0, a_il, self.stats())
         assert t == 1
-        att = normalize(action_delta(current, 1.0, traj.poses[1], traj.gripper[1]), self.stats())
+        att = normalize(action_delta(current, 1.0, traj.pose(1), traj.gripper[1]), self.stats())
         assert similarity(att, a_il) == pytest.approx(1.0, abs=1e-12)
 
     def test_tie_goes_to_earliest(self):
@@ -174,14 +196,14 @@ class TestSelectReattach:
             Pose(np.array([0.01, 0.0, 0.1])),
             Pose(np.array([0.02, 0.0, 0.1])),
         ]
-        traj = TrajectorySegment(poses, [1.0] * 5)
+        traj = segment(poses, [1.0] * 5)
         current = poses[0].copy()
         a_il = normalize(action_delta(current, 1.0, poses[1], 1.0), self.stats())
         assert select_reattach(traj, current, 1.0, 0, a_il, self.stats()) == 1
 
     def test_orthogonal_feedback_returns_none(self):
         traj = line_traj(8)
-        current = traj.poses[0].copy()
+        current = traj.pose(0).copy()
         sideways = Pose(current.position + np.array([0.0, 0.01, 0.0]))
         a_il = normalize(action_delta(current, 1.0, sideways, 1.0), self.stats())
         assert select_reattach(traj, current, 1.0, 0, a_il, self.stats(), tau=0.5) is None
@@ -195,7 +217,7 @@ class TestSelectReattach:
             Pose(np.array([0.010, 0.004, 0.1])),
             Pose(np.array([0.013, 0.000, 0.1])),
         ]
-        traj = TrajectorySegment(poses, [1.0] * 3)
+        traj = segment(poses, [1.0] * 3)
         forward = Pose(current.position + np.array([0.01, 0.0, 0.0]))
         a_il = normalize(action_delta(current, 1.0, forward, 1.0), stats)
         tau = 0.3
@@ -212,7 +234,7 @@ class TestSelectReattach:
             for _ in range(n - 1):
                 poses.append(Pose(poses[-1].position + rng.normal(0, 0.01, 3)))
             grips = list(rng.choice([0.0, 1.0], size=n))
-            traj = TrajectorySegment(poses, grips)
+            traj = segment(poses, grips)
             current = Pose(rng.normal(0, 0.02, 3) + np.array([0, 0, 0.1]))
             goal = Pose(current.position + rng.normal(0, 0.01, 3))
             a_il = normalize(action_delta(current, 1.0, goal, float(rng.choice([0.0, 1.0]))), stats)
@@ -224,22 +246,22 @@ class TestSelectReattach:
 
     def test_no_candidates_past_end(self):
         traj = line_traj(4)
-        current = traj.poses[0].copy()
-        a_il = normalize(action_delta(current, 1.0, traj.poses[1], 1.0), self.stats())
+        current = traj.pose(0).copy()
+        a_il = normalize(action_delta(current, 1.0, traj.pose(1), 1.0), self.stats())
         assert select_reattach(traj, current, 1.0, 3, a_il, self.stats()) is None
 
 
 def perfect_feedback(traj, cursor):
     """The trajectory's own action: a feedback policy in exact agreement."""
     i = min(cursor, len(traj) - 1)
-    return Action(traj.poses[i].copy(), float(traj.gripper[i]))
+    return Action(traj.pose(i).copy(), float(traj.gripper[i]))
 
 
 class TestEnsembleStep:
     def test_perfect_agreement_replays_trajectory_verbatim(self):
         traj = line_traj(12)
         state = EnsembleState.initial(traj)
-        pose, grip = traj.poses[0].copy(), 1.0
+        pose, grip = traj.pose(0).copy(), 1.0
         executed = []
         for step in range(12):
             act, state = ensemble_step(state, perfect_feedback(traj, step), pose, grip)
@@ -248,12 +270,12 @@ class TestEnsembleStep:
         assert all(e["mode"] == "feedforward" for e in state.trace)
         assert state.switch_steps() == []
         for i, act in enumerate(executed):
-            assert np.array_equal(act.pose.position, traj.poses[i].position)
+            assert np.array_equal(act.pose.position, traj.pose(i).position)
 
     def test_disagreement_streak_switches_on_step_w(self):
         traj = line_traj(12)
         state = EnsembleState.initial(traj)
-        pose, grip = traj.poses[0].copy(), 1.0
+        pose, grip = traj.pose(0).copy(), 1.0
         backward = Action(Pose(pose.position - np.array([0.05, 0.0, 0.0])), 1.0)
         modes = []
         for _ in range(4):
@@ -265,7 +287,7 @@ class TestEnsembleStep:
     def test_agreement_resets_streak(self):
         traj = line_traj(20)
         state = EnsembleState.initial(traj)
-        pose, grip = traj.poses[0].copy(), 1.0
+        pose, grip = traj.pose(0).copy(), 1.0
         backward = Action(Pose(pose.position - np.array([0.05, 0.0, 0.0])), 1.0)
         for step in range(10):
             fb = backward if step % 2 == 0 else perfect_feedback(traj, state.ff_cursor)
@@ -276,7 +298,7 @@ class TestEnsembleStep:
     def test_reattach_waits_out_cooldown(self):
         traj = line_traj(40)
         state = EnsembleState.initial(traj)
-        pose, grip = traj.poses[0].copy(), 1.0
+        pose, grip = traj.pose(0).copy(), 1.0
         backward = Action(Pose(pose.position - np.array([0.05, 0.0, 0.0])), 1.0)
         # three disagreeing steps force the switch at step 2
         for _ in range(3):
@@ -298,7 +320,7 @@ class TestEnsembleStep:
     def test_exhaustion_flips_to_feedback_and_stays(self):
         traj = line_traj(2)
         state = EnsembleState.initial(traj)
-        pose, grip = traj.poses[0].copy(), 1.0
+        pose, grip = traj.pose(0).copy(), 1.0
         fb = Action(Pose(pose.position + np.array([0.01, 0.0, 0.0])), 1.0)
         for _ in range(2):
             act, state = ensemble_step(state, perfect_feedback(traj, state.ff_cursor), pose, grip)
@@ -318,7 +340,7 @@ class TestEnsembleStep:
             poses = [Pose(np.array([0.0, 0.0, 0.1]))]
             for _ in range(n - 1):
                 poses.append(Pose(poses[-1].position + rng.normal(0, 0.008, 3)))
-            traj = TrajectorySegment(poses, list(rng.choice([0.0, 1.0], size=n)))
+            traj = segment(poses, list(rng.choice([0.0, 1.0], size=n)))
             state = EnsembleState.initial(traj)
             pose, grip = poses[0].copy(), 1.0
             for _ in range(300):
@@ -332,7 +354,7 @@ class TestEnsembleStep:
     def test_trace_records_every_step(self):
         traj = line_traj(5)
         state = EnsembleState.initial(traj)
-        pose = traj.poses[0].copy()
+        pose = traj.pose(0).copy()
         for step in range(8):
             _, state = ensemble_step(state, perfect_feedback(traj, min(step, 4)), pose, 1.0)
         assert [e["step"] for e in state.trace] == list(range(8))

@@ -8,13 +8,22 @@ from demoforge.geometry import Pose, Rotation
 from demoforge.warping import TrajectorySegment
 
 
+def segment(poses, grips):
+    """A trajectory from Pose objects and gripper commands."""
+    return TrajectorySegment(
+        np.stack([q.position for q in poses]),
+        np.stack([q.rotation.as_matrix() for q in poses]),
+        np.asarray(grips, dtype=float),
+    )
+
+
 def hold_action(state, gripper=None):
     g = state.gripper if gripper is None else gripper
     return Action(state.robot_pose.copy(), g)
 
 
 def demo_segment(demo):
-    return TrajectorySegment([a.pose for _, a in demo.steps], [a.gripper for _, a in demo.steps])
+    return segment([a.pose for _, a in demo.steps], [a.gripper for _, a in demo.steps])
 
 
 class TestReset:
@@ -259,14 +268,14 @@ class TestRollout:
 
     def test_empty_motion_trajectory_fails(self):
         state, _ = sw.reset(sw.TaskSpec("pick_place"), 6)
-        traj = TrajectorySegment([state.robot_pose.copy(), state.robot_pose.copy()], [1.0, 1.0])
+        traj = segment([state.robot_pose.copy(), state.robot_pose.copy()], [1.0, 1.0])
         out = sw.rollout(state, traj)
         assert not out.success
 
     def test_far_point_converges_over_extra_steps(self):
         state, _ = sw.reset(sw.TaskSpec("pick_place"), 6)
         far = Pose(state.robot_pose.position + np.array([0.3, 0.0, 0.0]))
-        traj = TrajectorySegment([far, far], [1.0, 1.0])
+        traj = segment([far, far], [1.0, 1.0])
         out = sw.rollout(state, traj)
         assert np.allclose(out.final_state.robot_pose.position, far.position, atol=1e-9)
         assert out.steps > 15  # 0.3 m at 0.02 m per step

@@ -2,18 +2,29 @@ import numpy as np
 import pytest
 
 from demoforge.demos import Action, Demonstration, Observation
-from demoforge.geometry import Pose, Rotation
+from demoforge.geometry import Pose, Rotation, slerp
+from demoforge.simworld import TaskSpec, record_demo
 from demoforge.warping import (
     DegenerateChord,
     KeyposeMismatch,
     TrajectorySegment,
     compute_warp,
+    demo_actions,
     warp_positions,
     warp_rotations,
     warp_trajectory_by_keyposes,
 )
 
 from oracles import grid_max_z_alignment, quat_slerp_matrix
+
+
+def segment(poses, grips):
+    """A trajectory from Pose objects and gripper commands."""
+    return TrajectorySegment(
+        np.stack([q.position for q in poses]),
+        np.stack([q.rotation.as_matrix() for q in poses]),
+        np.asarray(grips, dtype=float),
+    )
 
 
 def p(x, y, z, rot=None):
@@ -119,29 +130,29 @@ class TestComputeWarp:
 class TestWarpPositions:
     def _seg(self):
         poses = [p(0, 0, 0), p(0.3, 0, 0), p(1, 0, 0)]
-        return TrajectorySegment(poses, [1.0, 1.0, 0.0])
+        return segment(poses, [1.0, 1.0, 0.0])
 
     def test_identity(self):
         from demoforge.geometry import RigidTransform
 
         seg = self._seg()
         out = warp_positions(seg, RigidTransform.identity())
-        assert np.allclose(out.positions(), seg.positions())
-        assert out.gripper == seg.gripper
+        assert np.allclose(out.positions, seg.positions)
+        assert out.gripper.tolist() == seg.gripper.tolist()
 
     def test_pure_translation(self):
         from demoforge.geometry import RigidTransform
 
         seg = self._seg()
         out = warp_positions(seg, RigidTransform.from_translation([0.1, -0.2, 0.3]))
-        assert np.allclose(out.positions(), seg.positions() + np.array([0.1, -0.2, 0.3]))
+        assert np.allclose(out.positions, seg.positions + np.array([0.1, -0.2, 0.3]))
 
     def test_collinear_ratios_preserved(self):
         # frozen affine-invariance oracle: images of (0,0,0),(0.3,0,0),(1,0,0)
         # under the 90-about-z warp stay collinear with ratio 0.3
         seg = self._seg()
         tf = compute_warp(p(0, 0, 0), p(1, 0, 0), p(0, 0, 0), p(0, 1, 0))
-        out = warp_positions(seg, tf).positions()
+        out = warp_positions(seg, tf).positions
         v1, v2 = out[1] - out[0], out[2] - out[0]
         assert np.linalg.norm(np.cross(v1, v2)) < 1e-12
         assert np.linalg.norm(v1) / np.linalg.norm(v2) == pytest.approx(0.3, abs=1e-12)
@@ -150,34 +161,34 @@ class TestWarpPositions:
         from demoforge.geometry import RigidTransform
 
         rot = Rotation.about_z_deg(33.0)
-        seg = TrajectorySegment([p(0, 0, 0, rot), p(1, 0, 0, rot)], [0.0, 0.0])
+        seg = segment([p(0, 0, 0, rot), p(1, 0, 0, rot)], [0.0, 0.0])
         out = warp_positions(seg, RigidTransform(Rotation.about_z_deg(90.0), np.zeros(3)))
-        for q in out.poses:
+        for q in map(out.pose, range(len(out))):
             assert q.rotation.allclose(rot, atol=1e-12)
 
 
 class TestWarpRotations:
     def _seg(self, rots):
-        return TrajectorySegment([p(float(i), 0, 0, r) for i, r in enumerate(rots)], [0.0] * len(rots))
+        return segment([p(float(i), 0, 0, r) for i, r in enumerate(rots)], [0.0] * len(rots))
 
     def test_unchanged_when_endpoints_match(self):
         rots = [Rotation.about_z_deg(a) for a in (0.0, 20.0, 50.0)]
         out = warp_rotations(self._seg(rots), rots[0], rots[-1])
-        for got, want in zip(out.poses, rots):
+        for got, want in zip(map(out.pose, range(len(out))), rots):
             assert got.rotation.allclose(want, atol=1e-9)
 
     def test_constant_delta(self):
         rots = [Rotation.about_z_deg(a) for a in (0.0, 20.0, 50.0)]
         dz = Rotation.about_z_deg(90.0)
         out = warp_rotations(self._seg(rots), dz @ rots[0], dz @ rots[-1])
-        for got, base in zip(out.poses, rots):
+        for got, base in zip(map(out.pose, range(len(out))), rots):
             assert got.rotation.allclose(dz @ base, atol=1e-9)
 
     def test_midpoint_delta_is_half_turn(self):
         # frozen quaternion-slerp oracle: midpoint of I -> Rz(90) is Rz(45)
         rots = [Rotation.identity()] * 3
         out = warp_rotations(self._seg(rots), Rotation.identity(), Rotation.about_z_deg(90.0))
-        assert out.poses[1].rotation.allclose(Rotation.about_z_deg(45.0), atol=1e-6)
+        assert out.pose(1).rotation.allclose(Rotation.about_z_deg(45.0), atol=1e-6)
 
     def test_midpoint_matches_quaternion_oracle_random(self):
         rng = np.random.default_rng(23)
@@ -189,7 +200,7 @@ class TestWarpRotations:
             d0 = new0.as_matrix() @ rots[0].as_matrix().T
             d2 = new2.as_matrix() @ rots[2].as_matrix().T
             want = quat_slerp_matrix(d0, d2, 0.5) @ rots[1].as_matrix()
-            assert np.linalg.norm(out.poses[1].rotation.as_matrix() - want) < 1e-9
+            assert np.linalg.norm(out.pose(1).rotation.as_matrix() - want) < 1e-9
 
     def test_endpoint_rotations_exact(self):
         rng = np.random.default_rng(29)
@@ -198,8 +209,25 @@ class TestWarpRotations:
             new0 = Rotation.from_rotvec(rng.normal(size=3))
             new4 = Rotation.from_rotvec(rng.normal(size=3))
             out = warp_rotations(self._seg(rots), new0, new4)
-            assert np.linalg.norm(out.poses[0].rotation.as_matrix() - new0.as_matrix()) < 1e-9
-            assert np.linalg.norm(out.poses[-1].rotation.as_matrix() - new4.as_matrix()) < 1e-9
+            assert np.linalg.norm(out.pose(0).rotation.as_matrix() - new0.as_matrix()) < 1e-9
+            assert np.linalg.norm(out.pose(-1).rotation.as_matrix() - new4.as_matrix()) < 1e-9
+
+
+def test_span_warp_matches_per_pose_loop_bitwise():
+    # the span maths must give the bits of warping one pose at a time, as
+    # the same config and seed must keep giving the same dataset bytes
+    seg = demo_actions(record_demo(TaskSpec("stack"), 1001))
+    rng = np.random.default_rng(31)
+    tf = compute_warp(seg.pose(0), seg.pose(-1), random_pose(rng), random_pose(rng))
+    new0, new1 = Rotation.from_rotvec(rng.normal(size=3)), Rotation.from_rotvec(rng.normal(size=3))
+    out = warp_rotations(warp_positions(seg, tf), new0, new1)
+    n = len(seg)
+    d0 = new0 @ seg.pose(0).rotation.inverse()
+    d1 = new1 @ seg.pose(-1).rotation.inverse()
+    for t in range(n - 1):  # the last point is snapped to its keypose by the caller
+        q = seg.pose(t)
+        assert np.array_equal(out.positions[t], tf.transform_point(q.position))
+        assert np.array_equal(out.rotations[t], (slerp(d0, d1, t / (n - 1)) @ q.rotation).as_matrix())
 
 
 def make_demo(positions, rots=None, grippers=None, task="pick_place"):
@@ -229,8 +257,8 @@ class TestWarpTrajectoryByKeyposes:
         out = warp_trajectory_by_keyposes(demo, kp, self._kp(demo, [0, 5, 10]))
         assert len(out) == len(demo)
         for t in range(len(demo)):
-            assert np.allclose(out.poses[t].position, demo.action(t).pose.position, atol=1e-9)
-            assert out.poses[t].rotation.allclose(demo.action(t).pose.rotation, atol=1e-9)
+            assert np.allclose(out.pose(t).position, demo.action(t).pose.position, atol=1e-9)
+            assert out.pose(t).rotation.allclose(demo.action(t).pose.rotation, atol=1e-9)
             assert out.gripper[t] == demo.action(t).gripper
 
     def test_single_segment_end_shift(self):
@@ -239,8 +267,8 @@ class TestWarpTrajectoryByKeyposes:
         new = self._kp(demo, [0, 10])
         new[1] = (10, Pose(old[1][1].position + np.array([0.1, 0.0, 0.0]), old[1][1].rotation))
         out = warp_trajectory_by_keyposes(demo, old, new)
-        assert np.allclose(out.poses[-1].position, demo.action(10).pose.position + [0.1, 0, 0], atol=1e-9)
-        assert np.allclose(out.poses[0].position, demo.action(0).pose.position, atol=1e-12)
+        assert np.allclose(out.pose(-1).position, demo.action(10).pose.position + [0.1, 0, 0], atol=1e-9)
+        assert np.allclose(out.pose(0).position, demo.action(0).pose.position, atol=1e-12)
 
     def test_middle_keypose_moved_segments_align(self):
         demo = self._demo()
@@ -250,10 +278,10 @@ class TestWarpTrajectoryByKeyposes:
         new[1] = (5, moved)
         out = warp_trajectory_by_keyposes(demo, old, new)
         # each segment independently lands on its keypose endpoints
-        assert np.allclose(out.poses[0].position, new[0][1].position, atol=1e-9)
-        assert np.allclose(out.poses[5].position, moved.position, atol=1e-9)
-        assert np.allclose(out.poses[10].position, new[2][1].position, atol=1e-9)
-        assert out.poses[5].rotation.allclose(moved.rotation, atol=1e-9)
+        assert np.allclose(out.pose(0).position, new[0][1].position, atol=1e-9)
+        assert np.allclose(out.pose(5).position, moved.position, atol=1e-9)
+        assert np.allclose(out.pose(10).position, new[2][1].position, atol=1e-9)
+        assert out.pose(5).rotation.allclose(moved.rotation, atol=1e-9)
 
     def test_boundary_is_bitwise_shared(self):
         demo = self._demo()
@@ -275,8 +303,8 @@ class TestWarpTrajectoryByKeyposes:
             [(0, old[1][1]), (5, old[2][1])],
             [(0, new[1][1]), (5, new[2][1])],
         )
-        assert np.array_equal(left.poses[-1].position, right.poses[0].position)
-        assert np.array_equal(left.poses[-1].rotation.as_matrix(), right.poses[0].rotation.as_matrix())
+        assert np.array_equal(left.pose(-1).position, right.pose(0).position)
+        assert np.array_equal(left.pose(-1).rotation.as_matrix(), right.pose(0).rotation.as_matrix())
 
     def test_gripper_copied_verbatim(self):
         demo = self._demo()
@@ -284,7 +312,7 @@ class TestWarpTrajectoryByKeyposes:
         new = self._kp(demo, [0, 5, 10])
         new[2] = (10, Pose(np.array([2.0, 1.0, 0.3]), Rotation.identity()))
         out = warp_trajectory_by_keyposes(demo, old, new)
-        assert out.gripper == [demo.action(t).gripper for t in range(len(demo))]
+        assert out.gripper.tolist() == [demo.action(t).gripper for t in range(len(demo))]
 
     def test_mismatch_errors(self):
         demo = self._demo()
@@ -305,6 +333,8 @@ class TestWarpTrajectoryByKeyposes:
 
 def test_segment_validation():
     with pytest.raises(ValueError):
-        TrajectorySegment([p(0, 0, 0)], [1.0])
+        segment([p(0, 0, 0)], [1.0])
     with pytest.raises(ValueError):
-        TrajectorySegment([p(0, 0, 0), p(1, 0, 0)], [1.0])
+        segment([p(0, 0, 0), p(1, 0, 0)], [1.0])
+    with pytest.raises(ValueError):
+        TrajectorySegment(np.zeros((2, 3)), np.zeros((2, 3)), np.ones(2))
