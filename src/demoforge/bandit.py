@@ -153,8 +153,14 @@ def estimate_rollout_value(probability_sets: np.ndarray, arms: list[tuple[int, i
     of randomness (posterior draws via the inverse regularized incomplete
     beta on pre-drawn uniforms), so with the same seed a T-step run is a
     bitwise prefix of a (T+1)-step run and raising any ground-truth p only
-    flips failures into successes.
+    flips failures into successes. evaluate_add_decision relies on the
+    prefix property to read E_{T-1} off the E_T pass.
     """
+    return _simulate_thompson(probability_sets, arms, T, rng)[1]
+
+
+def _simulate_thompson(probability_sets, arms, T: int, rng) -> tuple[float, float]:
+    """(mean total after T-1 pulls, mean total after T pulls) of one run."""
     probability_sets = np.asarray(probability_sets, dtype=float)
     if probability_sets.ndim == 1:  # k samples of a single arm
         probability_sets = probability_sets[:, None]
@@ -162,24 +168,23 @@ def estimate_rollout_value(probability_sets: np.ndarray, arms: list[tuple[int, i
     if len(arms) != n:
         raise ValueError(f"{len(arms)} arms but probability sets have {n} columns")
     if T <= 0:
-        return 0.0
+        return 0.0, 0.0
     rng = np.random.default_rng(rng)
 
-    suc = np.tile(np.asarray([a[0] for a in arms], dtype=float), (k, 1))
-    fail = np.tile(np.asarray([a[1] for a in arms], dtype=float), (k, 1))
+    # Beta posterior parameters, counts + 1 (exact: the counts are integers)
+    a, b = (np.tile(c, (k, 1)) for c in np.asarray(arms, dtype=float).reshape(n, 2).T + 1.0)
     total = np.zeros(k)
     rows = np.arange(k)
-    for _ in range(T):
-        u_theta = rng.random((k, n))
-        u_out = rng.random(k)
-        theta = betaincinv(suc + 1.0, fail + 1.0, u_theta)
-        choice = np.argmax(theta, axis=1)
-        p_true = probability_sets[rows, choice]
-        won = u_out < p_true
-        suc[rows, choice] += won
-        fail[rows, choice] += ~won
+    before_last = 0.0
+    for step in range(T):
+        if step == T - 1:
+            before_last = float(np.mean(total))
+        choice = np.argmax(betaincinv(a, b, rng.random((k, n))), axis=1)
+        won = rng.random(k) < probability_sets[rows, choice]
+        a[rows, choice] += won
+        b[rows, choice] += ~won
         total += won
-    return float(np.mean(total))
+    return before_last, float(np.mean(total))
 
 
 @dataclass
@@ -201,8 +206,10 @@ def evaluate_add_decision(state: BanditState, T: int, prior: PriorFit, k: int = 
 
     E_add = P_add * (1 + E_{T-1}(P + {p_new})) + (1 - P_add) * E_{T-1}(P),
     compared against E_T(P). The k ground-truth probability sets are drawn
-    once and shared by all three estimates, which also share one eval seed.
-    The virtual new arm starts at 1 success / 0 failures.
+    once and shared by all three estimates, which also share one eval seed,
+    in two simulations: E_{T-1}(P) is the bitwise (T-1)-step prefix of the
+    T-step E_T(P) pass, and one (T-1)-step pass adds the virtual new arm,
+    which starts at 1 success / 0 failures.
     """
     rng = np.random.default_rng(rng)
     counts = [(a.n_suc, a.n_fail) for a in state.arms]
@@ -213,8 +220,7 @@ def evaluate_add_decision(state: BanditState, T: int, prior: PriorFit, k: int = 
     p_new = rng.beta(prior.alpha_hat, prior.beta_hat, size=k)
     eval_seed = int(rng.integers(2**63))
 
-    e_stay = estimate_rollout_value(prob_sets, counts, T, eval_seed)
-    e_keep = estimate_rollout_value(prob_sets, counts, T - 1, eval_seed)
+    e_keep, e_stay = _simulate_thompson(prob_sets, counts, T, eval_seed)
     e_with_new = estimate_rollout_value(
         np.column_stack([prob_sets, p_new]), counts + [(1, 0)], T - 1, eval_seed
     )

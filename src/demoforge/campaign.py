@@ -365,6 +365,13 @@ def run_ensemble_episode(state, traj: TrajectorySegment, disturbances=None, max_
 # The campaign itself.
 
 
+def _check_int(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass
 class CampaignConfig:
     task: str
@@ -388,20 +395,28 @@ class CampaignConfig:
     def validate(self) -> None:
         if self.task not in BUNDLED_TASKS:
             raise ConfigError(f"unknown task {self.task!r}; pick one of {BUNDLED_TASKS}")
-        if self.goal_successes < 1:
-            raise ConfigError("goal_successes must be >= 1")
         if self.mode not in self.MODES:
             raise ConfigError(f"mode must be one of {self.MODES}, got {self.mode!r}")
         if self.annotator not in ("scripted", "llm"):
             raise ConfigError(f"annotator must be scripted or llm, got {self.annotator!r}")
         if self.retargeter not in ("scripted", "llm"):
             raise ConfigError(f"retargeter must be scripted or llm, got {self.retargeter!r}")
+        for name in ("noise_min", "noise_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not (0.0 <= self.noise_min <= self.noise_max):
             raise ConfigError("need 0 <= noise_min <= noise_max")
-        if self.decision_samples < 1 or self.prior_samples < 1:
-            raise ConfigError("decision_samples and prior_samples must be >= 1")
+        for name, least in (
+            ("goal_successes", 1), ("seed", 0), ("decision_samples", 1), ("prior_samples", 1), ("max_retries", 1)
+        ):
+            _check_int(name, getattr(self, name), least)
+        if self.max_rollouts is not None:
+            _check_int("max_rollouts", self.max_rollouts, 0)
         if not self.source_demo_seeds:
             raise ConfigError("need at least one source demo seed")
+        for demo_seed in self.source_demo_seeds:
+            _check_int("source_demo_seeds", demo_seed, 0)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CampaignConfig":
@@ -415,9 +430,9 @@ class CampaignConfig:
         if missing:
             raise ConfigError(f"missing required config keys: {sorted(missing)}")
         doc = dict(doc)
-        if "source_demo_seeds" in doc:
-            doc["source_demo_seeds"] = tuple(doc["source_demo_seeds"])
         try:
+            if "source_demo_seeds" in doc:
+                doc["source_demo_seeds"] = tuple(doc["source_demo_seeds"])
             cfg = cls(**doc)
         except TypeError as err:
             raise ConfigError(str(err)) from err

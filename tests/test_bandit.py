@@ -197,6 +197,27 @@ class TestDecideNewArm:
         )
         assert (d.e_stay, d.e_keep, d.e_with_new) == (again_stay, again_keep, again_new)
 
+    def test_two_passes_match_separate_estimates_bitwise(self):
+        # e_keep is read off the T-step e_stay pass; it must equal a separate
+        # (T-1)-step run bit for bit, including T = 1 where it is 0.0
+        rng = np.random.default_rng(2024)
+        for trial in range(30):
+            n = int(rng.integers(1, 7))
+            arms = [Arm(str(i), int(rng.integers(0, 10)), int(rng.integers(0, 10))) for i in range(n)]
+            attempts = int(rng.integers(0, 8))
+            st = BanditState(arms=arms, new_arm_attempts=attempts, new_arm_successes=int(rng.integers(0, attempts + 1)))
+            T = 1 if trial < 3 else int(rng.integers(1, 61))
+            prior = PriorFit(float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.5, 4.0)), 1000)
+            d = evaluate_add_decision(st, T, prior, k=100, rng=int(rng.integers(2**32)))
+            counts = [(a.n_suc, a.n_fail) for a in arms]
+            assert d.e_stay == estimate_rollout_value(d.probability_sets, counts, T, d.eval_seed)
+            assert d.e_keep == estimate_rollout_value(d.probability_sets, counts, T - 1, d.eval_seed)
+            assert d.e_with_new == estimate_rollout_value(
+                np.column_stack([d.probability_sets, d.p_new]), counts + [(1, 0)], T - 1, d.eval_seed
+            )
+            if T == 1:
+                assert d.e_keep == 0.0 and d.e_with_new == 0.0
+
 
 class TestEstimatePAdd:
     def test_zero_attempts(self):

@@ -332,6 +332,39 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CampaignConfig.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"seed": -1},
+            {"seed": "7"},
+            {"seed": 7.0},
+            {"goal_successes": 2.5},
+            {"goal_successes": True},
+            {"decision_samples": 2.5},
+            {"prior_samples": 1.5},
+            {"max_retries": 0},
+            {"max_retries": -1},
+            {"max_rollouts": -3},
+            {"max_rollouts": 2.0},
+            {"source_demo_seeds": ["a"]},
+            {"source_demo_seeds": [1001, -5]},
+            {"source_demo_seeds": 1001},
+            {"noise_max": "0.02"},
+            {"noise_max": float("inf")},
+        ],
+    )
+    def test_values_that_would_break_the_campaign_rejected(self, patch):
+        # each of these would crash run_campaign later or silently change
+        # what it does, so loading the config must refuse it
+        doc = {"task": "pick_place", "goal_successes": 2, "max_rollouts": 6, **patch}
+        with pytest.raises(ConfigError):
+            CampaignConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("patch", [{"seed": 0, "max_rollouts": 0}, {"max_rollouts": None, "max_retries": 1}])
+    def test_boundary_values_accepted(self, patch):
+        cfg = CampaignConfig.from_dict({"task": "pick_place", "goal_successes": 1, **patch})
+        assert all(getattr(cfg, key) == value for key, value in patch.items())
+
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):
             CampaignConfig.from_dict([1, 2])
