@@ -51,11 +51,9 @@ from .simworld import (
     ScriptedPolicy,
     TaskSpec,
     inject_disturbance,
-    observation,
     record_demo,
     reset,
     rollout,
-    scene_observation,
     step,
     success,
 )
@@ -137,6 +135,10 @@ def demo_to_doc(demo: Demonstration) -> dict:
 
 
 def demo_from_doc(doc: dict) -> Demonstration:
+    # replay resets the world from these two, so they are checked where they enter
+    if doc["task"] not in BUNDLED_TASKS:
+        raise ValueError(f"unknown task {doc['task']!r}")
+    _check_int("seed", doc["seed"], 0)
     rows = doc["steps"]
     if len(rows) < 2:
         raise ValueError(f"demonstration needs at least 2 steps, got {len(rows)}")
@@ -146,7 +148,7 @@ def demo_from_doc(doc: dict) -> Demonstration:
     ]
     matrices = np.asarray([d["R"] for d in pose_docs], dtype=float)
     check_rotation_matrices(matrices)
-    poses = iter([Pose(np.asarray(d["p"], dtype=float), Rotation(m)) for d, m in zip(pose_docs, matrices)])
+    poses = iter([Pose(d["p"], Rotation(m)) for d, m in zip(pose_docs, matrices)])
     steps = []
     for row in rows:
         robot = next(poses)
@@ -255,16 +257,8 @@ def evaluate_policy(policy, spec: TaskSpec, n_trials: int, seed: int = 0) -> Eva
     return EvalReport(n_trials, wins, wins / n_trials, lo, hi)
 
 
-def _scene_from_observation(obs: Observation) -> SceneObservation:
-    return SceneObservation(
-        robot_pose=obs.robot_pose.copy(),
-        objects={o.name: o.pose.copy() for o in obs.objects},
-        task_metadata={},
-    )
-
-
 def _retarget_and_warp(annotation, source_demo, scene, noise_std=0.0, rng=None):
-    old_scene = _scene_from_observation(source_demo.observation(0))
+    old_scene = SceneObservation.from_observation(source_demo.observation(0), {})
     kps = scripted_retarget(annotation, scene, old_scene, noise_std=noise_std, rng=rng)
     return warp_trajectory_by_keyposes(
         source_demo, annotation.keypose_pairs(), [(k.timestep, k.pose) for k in kps]
@@ -354,7 +348,7 @@ def run_ensemble_episode(state, traj: TrajectorySegment, disturbances=None, max_
             break
         for obj, delta in by_step.get(i, []):
             inject_disturbance(state, obj, delta)
-        fb = policy.action(state) or Action(state.robot_pose.copy(), state.gripper)
+        fb = policy.action(state) or Action(state.robot_pose, state.gripper)
         act, es = ensemble_step(es, fb, state.robot_pose, state.gripper)
         step(state, act)
         steps += 1
@@ -629,26 +623,34 @@ def _truncate_dataset(path, keep: int) -> None:
     regenerates what is cut, bit for bit. Fewer complete lines than the
     checkpoint counts is a dataset that lost demos, and is refused.
     """
-    with open(path, "rb+") as fh:
-        have, end = 0, 0
-        for line in fh:
-            if have == keep or not line.endswith(b"\n"):
-                break
-            end += len(line)
-            have += bool(line.strip())
-        if have < keep:
-            raise ConfigError(f"dataset has {have} demos but checkpoint says {keep}")
-        fh.truncate(end)
+    try:
+        with open(path, "rb+") as fh:
+            have, end = 0, 0
+            for line in fh:
+                if have == keep or not line.endswith(b"\n"):
+                    break
+                end += len(line)
+                have += bool(line.strip())
+            if have < keep:
+                raise ConfigError(f"dataset has {have} demos but checkpoint says {keep}")
+            fh.truncate(end)
+    except OSError as err:
+        raise ConfigError(f"cannot resume into dataset {path}: {err}") from err
 
 
 def _load_checkpoint(cfg: CampaignConfig):
-    with open(cfg.checkpoint_path) as fh:
-        doc = json.load(fh)
-    if doc["fingerprint"] != cfg.fingerprint():
+    try:
+        with open(cfg.checkpoint_path) as fh:
+            doc = json.load(fh)
+        fingerprint = doc["fingerprint"]
+        state = BanditState.from_json(doc["bandit"])
+        arms_meta = [ArmMeta.from_json(m) for m in doc["arms"]]
+        rollouts, elapsed = doc["rollouts"], doc["elapsed"]
+    except (OSError, KeyError, TypeError, ValueError) as err:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"unreadable checkpoint {cfg.checkpoint_path}: {err}") from err
+    if fingerprint != cfg.fingerprint():
         raise ConfigError("checkpoint was produced by a different campaign configuration")
-    state = BanditState.from_json(doc["bandit"])
-    arms_meta = [ArmMeta.from_json(m) for m in doc["arms"]]
-    return state, arms_meta, doc["rollouts"], doc["elapsed"]
+    return state, arms_meta, rollouts, elapsed
 
 
 def run_campaign(cfg: CampaignConfig, gateway=None, resume: bool = False) -> CampaignReport:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 
 import click
@@ -118,8 +119,8 @@ def evaluate(task: str, policy: str, trials: int, seed: int, source_seed: int, n
     """Measure a policy's success rate over seeded fresh scenes."""
     if trials < 1:
         raise ConfigError("--trials must be >= 1")
-    if noise_std < 0:
-        raise ConfigError("--noise-std must be >= 0")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ConfigError("--noise-std must be a finite number >= 0")
     spec = TaskSpec(task)
     if policy == "scripted":
         runner = scripted_runner()

@@ -2,7 +2,8 @@
 
 A demonstration is the unit everything else consumes: the summarizer reads
 it, the warper reshapes it, the dataset writer serializes it. Timesteps are
-integers 0..T; poses are meters/radians internally.
+integers 0..T; poses are meters/radians internally. Poses are immutable
+values, so observations and actions share them rather than copy them.
 """
 from __future__ import annotations
 
@@ -24,9 +25,6 @@ class ObjectObservation:
     pose: Pose
     color: str | None = None
 
-    def copy(self) -> "ObjectObservation":
-        return ObjectObservation(self.name, self.pose.copy(), self.color)
-
 
 @dataclass
 class Observation:
@@ -36,9 +34,6 @@ class Observation:
     gripper: float
     objects: list[ObjectObservation] = field(default_factory=list)
 
-    def copy(self) -> "Observation":
-        return Observation(self.robot_pose.copy(), float(self.gripper), [o.copy() for o in self.objects])
-
 
 @dataclass
 class Action:
@@ -46,9 +41,6 @@ class Action:
 
     pose: Pose
     gripper: float
-
-    def copy(self) -> "Action":
-        return Action(self.pose.copy(), float(self.gripper))
 
 
 @dataclass

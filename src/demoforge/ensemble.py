@@ -194,7 +194,7 @@ def ensemble_step(
         try:
             executed = _trajectory_action(traj, state.ff_cursor)
         except TrajectoryExhausted:
-            executed = feedback_action.copy()
+            executed = feedback_action
             if state.cooldown_remaining == 0:
                 state.mode = "feedback"
                 state.cooldown_remaining = cooldown
@@ -223,7 +223,7 @@ def ensemble_step(
                 state.disagreement_streak = 0
                 switched = True
     else:
-        executed = feedback_action.copy()
+        executed = feedback_action
         if state.cooldown_remaining == 0:
             a_il = normalize(
                 action_delta(

@@ -9,6 +9,7 @@ in degrees, at every serialization boundary.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -140,20 +141,24 @@ def relative_rotation_from_home(r: Rotation, home: Rotation) -> Rotation:
     return home.inverse() @ r
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pose:
-    """Position (meters) plus rotation of a rigid body or end-effector."""
+    """Position (meters) plus rotation of a rigid body or end-effector.
+
+    A value: the position is the pose's own read-only copy and the rotation
+    is never written, so holders share a pose instead of copying it.
+    """
 
     position: np.ndarray
     rotation: Rotation = field(default_factory=Rotation.identity)
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-        if not np.all(np.isfinite(self.position)):
+        position = np.array(self.position, dtype=float).reshape(3)
+        # math.isfinite over three floats costs a fraction of a numpy ufunc call
+        if not all(map(math.isfinite, position.tolist())):
             raise ValueError("pose position must be finite")
-
-    def copy(self) -> "Pose":
-        return Pose(self.position.copy(), Rotation(self.rotation.as_matrix()))
+        position.setflags(write=False)
+        object.__setattr__(self, "position", position)
 
     def allclose(self, other: "Pose", atol: float = 1e-9) -> bool:
         return bool(np.allclose(self.position, other.position, atol=atol)) and self.rotation.allclose(

@@ -62,14 +62,15 @@ class TaskSpec:
             raise ValueError("tolerances must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Region:
-    center: np.ndarray
+    pose: Pose  # center, identity rotation
     extents: tuple[float, float]
     color: str
 
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float).reshape(3)
+    @property
+    def center(self) -> np.ndarray:
+        return self.pose.position
 
 
 @dataclass
@@ -89,10 +90,10 @@ class WorldState:
     def copy(self) -> "WorldState":
         return WorldState(
             spec=self.spec,
-            robot_pose=self.robot_pose.copy(),
+            robot_pose=self.robot_pose,
             gripper=self.gripper,
-            objects={k: v.copy() for k, v in self.objects.items()},
-            goal_regions={k: Region(r.center.copy(), r.extents, r.color) for k, r in self.goal_regions.items()},
+            objects=dict(self.objects),
+            goal_regions=dict(self.goal_regions),
             rng=self._copy_rng(),
             attached_object=self.attached_object,
             attach_offset=self.attach_offset,
@@ -130,7 +131,7 @@ def reset(spec: TaskSpec, seed) -> tuple[WorldState, SceneObservation]:
         center = _sample_in_region(rng, spec.region_extents) + np.array([0.0, 0.0, BLOCK_HALF])
         while np.linalg.norm(center[:2] - objects["block"].position[:2]) < 0.06:
             center = _sample_in_region(rng, spec.region_extents) + np.array([0.0, 0.0, BLOCK_HALF])
-        regions["target_region"] = Region(center, (0.04, 0.04), "target")
+        regions["target_region"] = Region(Pose(center), (0.04, 0.04), "target")
     elif spec.kind in ("stack", "stack_flipped", "stack_walking"):
         objects["blue_block"] = block_pose()
         objects["green_block"] = block_pose()
@@ -145,7 +146,7 @@ def reset(spec: TaskSpec, seed) -> tuple[WorldState, SceneObservation]:
         if spec.kind == "stack_flipped" and rng.random() < 0.5:
             order = order[::-1]
         color = ",".join(order)
-        regions["goal_region"] = Region(center, (0.05, 0.05), color)
+        regions["goal_region"] = Region(Pose(center), (0.05, 0.05), color)
         metadata["goal_colors"] = {"goal_region": color}
     elif spec.kind == "drawer_mug":
         handle = np.array([0.20, rng.uniform(-0.10, 0.10), 0.05])
@@ -157,7 +158,7 @@ def reset(spec: TaskSpec, seed) -> tuple[WorldState, SceneObservation]:
 
     state = WorldState(
         spec=spec,
-        robot_pose=HOME_POSE.copy(),
+        robot_pose=HOME_POSE,
         gripper=GRIPPER_OPEN,
         objects=objects,
         goal_regions=regions,
@@ -168,38 +169,26 @@ def reset(spec: TaskSpec, seed) -> tuple[WorldState, SceneObservation]:
 
 
 def scene_observation(state: WorldState) -> SceneObservation:
-    """Retargeting-facing view: regions first (they win nearest-entity ties),
-    then movable objects."""
-    objs: dict[str, Pose] = {}
-    for rid, region in state.goal_regions.items():
-        objs[rid] = Pose(region.center.copy(), Rotation.identity())
-    for name in state.objects:
-        objs[name] = state.objects[name].copy()
-    return SceneObservation(
-        robot_pose=state.robot_pose.copy(),
-        objects=objs,
-        task_metadata=dict(state.task_metadata),
-    )
+    """Retargeting-facing view of the current state."""
+    return SceneObservation.from_observation(observation(state), state.task_metadata)
 
 
 def observation(state: WorldState) -> Observation:
-    """Per-timestep view recorded into demonstrations."""
-    entities = [
-        ObjectObservation(rid, Pose(r.center.copy(), Rotation.identity()), r.color)
-        for rid, r in state.goal_regions.items()
-    ]
-    entities += [ObjectObservation(name, state.objects[name].copy(), None) for name in state.objects]
-    return Observation(state.robot_pose.copy(), state.gripper, entities)
+    """Per-timestep view recorded into demonstrations: regions first (they
+    win nearest-entity ties), then movable objects."""
+    entities = [ObjectObservation(rid, r.pose, r.color) for rid, r in state.goal_regions.items()]
+    entities += [ObjectObservation(name, pose, None) for name, pose in state.objects.items()]
+    return Observation(state.robot_pose, state.gripper, entities)
 
 
 def _step_pose_toward(current: Pose, goal: Pose, max_step: float, max_angular: float) -> Pose:
     delta = goal.position - current.position
     dist = float(np.linalg.norm(delta))
-    new_pos = goal.position.copy() if dist <= max_step else current.position + delta * (max_step / dist)
+    new_pos = goal.position if dist <= max_step else current.position + delta * (max_step / dist)
     rel = current.rotation.inverse() @ goal.rotation
     angle = rel.angle_rad()
     if angle <= max_angular:
-        new_rot = Rotation(goal.rotation.as_matrix())
+        new_rot = goal.rotation
     else:
         new_rot = current.rotation @ rel.power(max_angular / angle)
     return Pose(new_pos, new_rot)
@@ -244,7 +233,7 @@ def step(state: WorldState, action: Action) -> WorldState:
     tolerance does grab - there is no collision model to say otherwise.
     """
     spec = state.spec
-    if not (np.all(np.isfinite(action.pose.position)) and np.isfinite(action.gripper)):
+    if not np.isfinite(action.gripper):  # a Pose's position is finite by construction
         raise ValueError("action must be finite")
 
     state.robot_pose = _step_pose_toward(state.robot_pose, action.pose, spec.max_step, spec.max_angular_step)
@@ -398,11 +387,12 @@ def rollout(
         for obj, delta in by_point.get(i, []):
             inject_disturbance(state, obj, delta)
         action = Action(traj.pose(i), float(traj.gripper[i]))
-        trace.append((observation(state), action.copy()))
+        trace.append((observation(state), action))
         step(state, action)
         extra = 0
         while extra < state.spec.convergence_cap and not _converged(state.robot_pose, action.pose):
-            trace.append((observation(state), action.copy()))
+            action = Action(action.pose, action.gripper)  # one Action per trace entry, one shared Pose
+            trace.append((observation(state), action))
             step(state, action)
             extra += 1
     return RolloutOutcome(success=success(state), steps=len(trace), final_state=state, trace=trace)
@@ -512,7 +502,7 @@ class ScriptedPolicy:
             else:
                 target_x = meta["drawer_closed_x"] - meta["drawer_travel"]
             if abs(handle[0] - target_x) < 1e-6:
-                return Pose(state.robot_pose.position.copy(), state.robot_pose.rotation), GRIPPER_OPEN
+                return state.robot_pose, GRIPPER_OPEN
             return Pose(np.array([target_x, handle[1], handle[2]])), GRIPPER_CLOSED
         if _mug_is_held(state):
             interior = _drawer_interior_center(state)
@@ -534,7 +524,7 @@ class ScriptedPolicy:
         yaw = np.degrees(np.arctan2(obj.rotation.as_matrix()[1, 0], obj.rotation.as_matrix()[0, 0]))
         rot = Rotation.about_z_deg(float(yaw)) if name != "drawer" else Rotation.identity()
         above = Pose(np.array([obj.position[0], obj.position[1], obj.position[2] + APPROACH_HEIGHT]), rot)
-        grasp = Pose(obj.position.copy(), rot)
+        grasp = Pose(obj.position, rot)
         d_xy = float(np.linalg.norm(state.robot_pose.position[:2] - obj.position[:2]))
         d = float(np.linalg.norm(state.robot_pose.position - obj.position))
         if d <= 0.008:
@@ -548,9 +538,9 @@ class ScriptedPolicy:
         ee = state.robot_pose.position
         d_xy = float(np.linalg.norm(ee[:2] - place[:2]))
         if d_xy <= 1e-9 and abs(ee[2] - place[2]) <= 1e-9:
-            return Pose(place.copy(), state.robot_pose.rotation), GRIPPER_OPEN
+            return Pose(place, state.robot_pose.rotation), GRIPPER_OPEN
         if d_xy <= 0.003:
-            return Pose(place.copy(), state.robot_pose.rotation), GRIPPER_CLOSED
+            return Pose(place, state.robot_pose.rotation), GRIPPER_CLOSED
         if ee[2] < CARRY_HEIGHT - 1e-6:
             return Pose(np.array([ee[0], ee[1], CARRY_HEIGHT]), state.robot_pose.rotation), GRIPPER_CLOSED
         return (
@@ -573,7 +563,7 @@ def record_demo(spec: TaskSpec, seed, demo_id: str = "", max_steps: int = 3000) 
         act = policy.action(state)
         if act is None:
             break
-        steps.append((observation(state), act.copy()))
+        steps.append((observation(state), act))
         step(state, act)
     else:
         raise RuntimeError(f"scripted policy did not finish {spec.kind} within {max_steps} steps")

@@ -54,7 +54,7 @@ class TrajectorySegment:
         return len(self.positions)
 
     def pose(self, i: int) -> Pose:
-        return Pose(self.positions[i].copy(), Rotation(self.rotations[i].copy()))
+        return Pose(self.positions[i], Rotation(self.rotations[i].copy()))
 
 
 def demo_actions(demo: Demonstration) -> TrajectorySegment:

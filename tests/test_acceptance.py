@@ -268,7 +268,7 @@ def test_reattach_satisfies_thresholds_and_cooldown_under_fuzz():
             poses.append(Pose(poses[-1].position + trng.normal(0.0, 0.008, 3)))
         traj = segment(poses, list(trng.choice([0.0, 1.0], size=n)))
         state = EnsembleState.initial(traj)
-        pose, grip = poses[0].copy(), 1.0
+        pose, grip = poses[0], 1.0
         for _ in range(1000):
             fb = Action(Pose(pose.position + trng.normal(0.0, 0.01, 3)), float(trng.choice([0.0, 1.0])))
             act, state = ensemble_step(state, fb, pose, grip)

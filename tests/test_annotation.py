@@ -33,7 +33,7 @@ def synthetic_demo(horizon=100, yaw_per_step=0.3):
     for t in range(horizon + 1):
         pose = Pose(np.array([0.001 * t, 0.0, 0.1]), Rotation.about_z_deg(yaw_per_step * t))
         grip = 0.0 if horizon // 3 <= t < 2 * horizon // 3 else 1.0
-        steps.append((Observation(pose.copy(), grip, []), Action(pose, grip)))
+        steps.append((Observation(pose, grip, []), Action(pose, grip)))
     return Demonstration(task="pick_place", steps=steps, demo_id="synthetic", seed=0)
 
 

@@ -145,6 +145,19 @@ class TestDataset:
             read_dataset(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "field, value", [("task", "nope"), ("task", 7), ("seed", "abc"), ("seed", -5), ("seed", None)]
+    )
+    def test_unreplayable_task_or_seed_reports_line_number(self, tmp_path, field, value):
+        rng = np.random.default_rng(9)
+        docs = [demo_to_doc(random_demo(rng)) for _ in range(2)]
+        docs[1][field] = value
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        with pytest.raises(SchemaViolation, match=field) as err:
+            read_dataset(path)
+        assert err.value.line == 2
+
     def test_single_step_demo_rejected(self, tmp_path):
         rng = np.random.default_rng(4)
         doc = demo_to_doc(random_demo(rng, n_steps=3))

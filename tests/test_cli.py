@@ -116,6 +116,18 @@ class TestGenerate:
         assert result.exit_code == 3
         assert "DEMOFORGE_TEST_KEY" in result.output
 
+    @pytest.mark.parametrize("damage", ["dataset deleted", "checkpoint torn", "checkpoint not a mapping"])
+    def test_resume_from_damaged_files_exits_2(self, runner, tmp_path, damage):
+        cfg = write_config(tmp_path / "c.yaml", tiny_campaign(tmp_path, goal_successes=1))
+        assert runner.invoke(main, ["generate", "-c", cfg]).exit_code == 0
+        if damage == "dataset deleted":
+            (tmp_path / "data.jsonl").unlink()
+        else:
+            (tmp_path / "ckpt.json").write_text('{"fingerprint": ' if damage == "checkpoint torn" else "[]")
+        result = runner.invoke(main, ["generate", "-c", cfg, "--resume"])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output
+
 
 class TestEvaluate:
     def test_scripted_policy(self, runner):
@@ -135,6 +147,15 @@ class TestEvaluate:
     def test_bad_trial_count_exits_2(self, runner):
         result = runner.invoke(main, ["evaluate", "--task", "pick_place", "--trials", "0"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_exits_2(self, runner, noise):
+        result = runner.invoke(
+            main,
+            ["evaluate", "--task", "pick_place", "--policy", "feedforward", "--trials", "1", "--noise-std", noise],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--noise-std" in result.output
 
     def test_unknown_task_rejected_by_click(self, runner):
         result = runner.invoke(main, ["evaluate", "--task", "juggle"])

@@ -179,7 +179,7 @@ class TestSelectReattach:
 
     def test_on_trajectory_returns_next_point_with_similarity_one(self):
         traj = line_traj(10)
-        current = traj.pose(0).copy()
+        current = traj.pose(0)
         a_il = normalize(action_delta(current, 1.0, traj.pose(1), traj.gripper[1]), self.stats())
         t = select_reattach(traj, current, 1.0, 0, a_il, self.stats())
         assert t == 1
@@ -197,13 +197,13 @@ class TestSelectReattach:
             Pose(np.array([0.02, 0.0, 0.1])),
         ]
         traj = segment(poses, [1.0] * 5)
-        current = poses[0].copy()
+        current = poses[0]
         a_il = normalize(action_delta(current, 1.0, poses[1], 1.0), self.stats())
         assert select_reattach(traj, current, 1.0, 0, a_il, self.stats()) == 1
 
     def test_orthogonal_feedback_returns_none(self):
         traj = line_traj(8)
-        current = traj.pose(0).copy()
+        current = traj.pose(0)
         sideways = Pose(current.position + np.array([0.0, 0.01, 0.0]))
         a_il = normalize(action_delta(current, 1.0, sideways, 1.0), self.stats())
         assert select_reattach(traj, current, 1.0, 0, a_il, self.stats(), tau=0.5) is None
@@ -213,7 +213,7 @@ class TestSelectReattach:
         stats = ActionStats(np.concatenate([np.full(3, 0.01), np.full(3, 0.05), [0.5]]))
         current = Pose(np.array([0.0, 0.0, 0.1]))
         poses = [
-            current.copy(),
+            current,
             Pose(np.array([0.010, 0.004, 0.1])),
             Pose(np.array([0.013, 0.000, 0.1])),
         ]
@@ -246,7 +246,7 @@ class TestSelectReattach:
 
     def test_no_candidates_past_end(self):
         traj = line_traj(4)
-        current = traj.pose(0).copy()
+        current = traj.pose(0)
         a_il = normalize(action_delta(current, 1.0, traj.pose(1), 1.0), self.stats())
         assert select_reattach(traj, current, 1.0, 3, a_il, self.stats()) is None
 
@@ -254,14 +254,14 @@ class TestSelectReattach:
 def perfect_feedback(traj, cursor):
     """The trajectory's own action: a feedback policy in exact agreement."""
     i = min(cursor, len(traj) - 1)
-    return Action(traj.pose(i).copy(), float(traj.gripper[i]))
+    return Action(traj.pose(i), float(traj.gripper[i]))
 
 
 class TestEnsembleStep:
     def test_perfect_agreement_replays_trajectory_verbatim(self):
         traj = line_traj(12)
         state = EnsembleState.initial(traj)
-        pose, grip = traj.pose(0).copy(), 1.0
+        pose, grip = traj.pose(0), 1.0
         executed = []
         for step in range(12):
             act, state = ensemble_step(state, perfect_feedback(traj, step), pose, grip)
@@ -275,7 +275,7 @@ class TestEnsembleStep:
     def test_disagreement_streak_switches_on_step_w(self):
         traj = line_traj(12)
         state = EnsembleState.initial(traj)
-        pose, grip = traj.pose(0).copy(), 1.0
+        pose, grip = traj.pose(0), 1.0
         backward = Action(Pose(pose.position - np.array([0.05, 0.0, 0.0])), 1.0)
         modes = []
         for _ in range(4):
@@ -287,7 +287,7 @@ class TestEnsembleStep:
     def test_agreement_resets_streak(self):
         traj = line_traj(20)
         state = EnsembleState.initial(traj)
-        pose, grip = traj.pose(0).copy(), 1.0
+        pose, grip = traj.pose(0), 1.0
         backward = Action(Pose(pose.position - np.array([0.05, 0.0, 0.0])), 1.0)
         for step in range(10):
             fb = backward if step % 2 == 0 else perfect_feedback(traj, state.ff_cursor)
@@ -298,7 +298,7 @@ class TestEnsembleStep:
     def test_reattach_waits_out_cooldown(self):
         traj = line_traj(40)
         state = EnsembleState.initial(traj)
-        pose, grip = traj.pose(0).copy(), 1.0
+        pose, grip = traj.pose(0), 1.0
         backward = Action(Pose(pose.position - np.array([0.05, 0.0, 0.0])), 1.0)
         # three disagreeing steps force the switch at step 2
         for _ in range(3):
@@ -320,7 +320,7 @@ class TestEnsembleStep:
     def test_exhaustion_flips_to_feedback_and_stays(self):
         traj = line_traj(2)
         state = EnsembleState.initial(traj)
-        pose, grip = traj.pose(0).copy(), 1.0
+        pose, grip = traj.pose(0), 1.0
         fb = Action(Pose(pose.position + np.array([0.01, 0.0, 0.0])), 1.0)
         for _ in range(2):
             act, state = ensemble_step(state, perfect_feedback(traj, state.ff_cursor), pose, grip)
@@ -342,7 +342,7 @@ class TestEnsembleStep:
                 poses.append(Pose(poses[-1].position + rng.normal(0, 0.008, 3)))
             traj = segment(poses, list(rng.choice([0.0, 1.0], size=n)))
             state = EnsembleState.initial(traj)
-            pose, grip = poses[0].copy(), 1.0
+            pose, grip = poses[0], 1.0
             for _ in range(300):
                 fb = Action(Pose(pose.position + rng.normal(0, 0.01, 3)), float(rng.choice([0.0, 1.0])))
                 act, state = ensemble_step(state, fb, pose, grip)
@@ -354,7 +354,7 @@ class TestEnsembleStep:
     def test_trace_records_every_step(self):
         traj = line_traj(5)
         state = EnsembleState.initial(traj)
-        pose = traj.pose(0).copy()
+        pose = traj.pose(0)
         for step in range(8):
             _, state = ensemble_step(state, perfect_feedback(traj, min(step, 4)), pose, 1.0)
         assert [e["step"] for e in state.trace] == list(range(8))

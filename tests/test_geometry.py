@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,18 @@ def test_pose_text_units_and_relative_rotation():
 def test_pose_requires_finite_position():
     with pytest.raises(ValueError):
         Pose(np.array([np.nan, 0.0, 0.0]))
+
+
+def test_pose_keeps_its_own_copy_of_the_position():
+    source = np.array([0.1, 0.2, 0.3])
+    pose = Pose(source)
+    source[0] = 9.0
+    assert pose.position.tolist() == [0.1, 0.2, 0.3]
+
+
+def test_pose_is_immutable():
+    pose = Pose(np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(ValueError):
+        pose.position[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pose.position = np.zeros(3)

@@ -19,7 +19,7 @@ def segment(poses, grips):
 
 def hold_action(state, gripper=None):
     g = state.gripper if gripper is None else gripper
-    return Action(state.robot_pose.copy(), g)
+    return Action(state.robot_pose, g)
 
 
 def demo_segment(demo):
@@ -121,9 +121,10 @@ class TestStep:
     def test_non_finite_action_rejected(self):
         state, _ = sw.reset(sw.TaskSpec("pick_place"), 3)
         bad = Action(Pose(np.zeros(3)), GRIPPER_OPEN)
-        bad.pose.position[0] = np.nan
         with pytest.raises(ValueError):
-            sw.step(state, bad)
+            bad.pose.position[0] = np.nan
+        with pytest.raises(ValueError):
+            sw.step(state, Action(Pose(np.zeros(3)), np.nan))
 
 
 class TestAttachment:
@@ -268,7 +269,7 @@ class TestRollout:
 
     def test_empty_motion_trajectory_fails(self):
         state, _ = sw.reset(sw.TaskSpec("pick_place"), 6)
-        traj = segment([state.robot_pose.copy(), state.robot_pose.copy()], [1.0, 1.0])
+        traj = segment([state.robot_pose, state.robot_pose], [1.0, 1.0])
         out = sw.rollout(state, traj)
         assert not out.success
 

@@ -237,7 +237,7 @@ def make_demo(positions, rots=None, grippers=None, task="pick_place"):
     steps = []
     for i in range(n):
         pose = Pose(np.asarray(positions[i], dtype=float), rots[i])
-        obs = Observation(pose.copy(), grippers[i], [])
+        obs = Observation(pose, grippers[i], [])
         steps.append((obs, Action(pose, grippers[i])))
     return Demonstration(task=task, steps=steps, demo_id="d0")
 
@@ -249,7 +249,7 @@ class TestWarpTrajectoryByKeyposes:
         return make_demo([[x, 0.0, 0.1] for x in xs], rots, [1.0] * 5 + [0.0] * 6)
 
     def _kp(self, demo, ts):
-        return [(t, demo.action(t).pose.copy()) for t in ts]
+        return [(t, demo.action(t).pose) for t in ts]
 
     def test_identity_warp(self):
         demo = self._demo()
@@ -324,7 +324,7 @@ class TestWarpTrajectoryByKeyposes:
         dup = self._kp(demo, [0, 10])
         dup[1] = (0, dup[1][1])  # timesteps [0, 0]: not strictly increasing
         with pytest.raises(KeyposeMismatch):
-            warp_trajectory_by_keyposes(demo, dup, [(t, q.copy()) for t, q in dup])
+            warp_trajectory_by_keyposes(demo, dup, [(t, q) for t, q in dup])
         with pytest.raises(KeyposeMismatch):
             warp_trajectory_by_keyposes(demo, self._kp(demo, [1, 10]), self._kp(demo, [1, 10]))
         with pytest.raises(KeyposeMismatch):
