@@ -650,6 +650,14 @@ def _load_checkpoint(cfg: CampaignConfig):
         raise ConfigError(f"unreadable checkpoint {cfg.checkpoint_path}: {err}") from err
     if fingerprint != cfg.fingerprint():
         raise ConfigError("checkpoint was produced by a different campaign configuration")
+    bandit = doc["bandit"]
+    counts = [("rollouts", rollouts)]
+    counts += [(f"bandit {k}", bandit[k]) for k in ("new_arm_attempts", "new_arm_successes", "goal", "current", "seed")]
+    counts += [(f"bandit arm {k}", arm[k]) for arm in bandit["arms"] for k in ("n_suc", "n_fail")]
+    for name, value in counts:
+        _check_int(f"checkpoint {name}", value, 0)
+    if isinstance(elapsed, bool) or not isinstance(elapsed, (int, float)) or not math.isfinite(elapsed) or elapsed < 0:
+        raise ConfigError(f"checkpoint elapsed must be a finite number >= 0, got {elapsed!r}")
     return state, arms_meta, rollouts, elapsed
 
 

@@ -49,8 +49,7 @@ class ActionStats:
 
     @classmethod
     def from_trajectory(cls, traj: TrajectorySegment) -> "ActionStats":
-        p, r, g = traj.positions, traj.rotations, traj.gripper
-        return cls(_row_deltas(p[:-1], r[:-1], g[:-1], p[1:], r[1:], g[1:]).std(axis=0))
+        return cls(_step_deltas(traj).std(axis=0))
 
 
 def action_delta(from_pose: Pose, from_grip: float, to_pose: Pose, to_grip: float) -> np.ndarray:
@@ -66,6 +65,12 @@ def _row_deltas(from_pos, from_rot, from_grip, to_pos, to_rot, to_grip) -> np.nd
     rel = np.matmul(np.swapaxes(from_rot, -1, -2), to_rot)
     rotvecs = _SR.from_matrix(rel).as_rotvec().reshape(-1, 3)
     return np.column_stack([to_pos - from_pos, rotvecs, to_grip - from_grip])
+
+
+def _step_deltas(traj: TrajectorySegment) -> np.ndarray:
+    """Raw action recorded along the trajectory: row t steps from point t to t + 1."""
+    p, r, g = traj.positions, traj.rotations, traj.gripper
+    return _row_deltas(p[:-1], r[:-1], g[:-1], p[1:], r[1:], g[1:])
 
 
 def normalize(raw: np.ndarray, stats: ActionStats) -> NormalizedAction:
@@ -90,65 +95,69 @@ def similarity(a: NormalizedAction, b: NormalizedAction) -> float:
     return magnitude * max(-1.0, min(1.0, cosine))
 
 
-def _similarity_many(vectors: np.ndarray, single: np.ndarray) -> np.ndarray:
-    """similarity() between each row of ``vectors`` and one vector."""
-    nb1 = float(np.abs(single).sum())
-    na1 = np.abs(vectors).sum(axis=1)
-    if nb1 == 0.0:
-        return np.where(na1 == 0.0, 1.0, 0.0)
-    out = np.zeros(len(vectors))  # rows with zero L1 norm score 0 against a mover
-    live = na1 > 0.0
-    if np.any(live):
-        v = vectors[live]
-        n1 = na1[live]
+@dataclass(frozen=True)
+class ActionRows:
+    """Normalized action rows with their L1 and L2 norms, checked finite once."""
+
+    rows: np.ndarray
+    l1: np.ndarray
+    l2: np.ndarray
+
+    @classmethod
+    def of(cls, rows: np.ndarray) -> "ActionRows":
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("normalized action must be finite")
+        return cls(rows, np.abs(rows).sum(axis=1), np.linalg.norm(rows, axis=1))
+
+    def __getitem__(self, index) -> "ActionRows":
+        return ActionRows(self.rows[index], self.l1[index], self.l2[index])
+
+    def similarity(self, single: np.ndarray) -> np.ndarray:
+        """similarity() between each row and one vector."""
+        nb1 = float(np.abs(single).sum())
+        if nb1 == 0.0:
+            return np.where(self.l1 == 0.0, 1.0, 0.0)
+        out = np.zeros(len(self.rows))  # rows with zero L1 norm score 0 against a mover
+        live = self.l1 > 0.0
+        n1 = self.l1[live]
         magnitude = 2.0 * np.minimum(n1, nb1) / (n1 + nb1)
-        cosine = (v @ single) / (np.linalg.norm(v, axis=1) * float(np.linalg.norm(single)))
+        cosine = (self.rows[live] @ single) / (self.l2[live] * float(np.linalg.norm(single)))
         out[live] = magnitude * np.clip(cosine, -1.0, 1.0)
-    return out
+        return out
 
 
 def select_reattach(
-    traj: TrajectorySegment,
-    current_pose: Pose,
-    current_gripper: float,
-    t_now: int,
-    a_il: NormalizedAction,
-    stats: ActionStats,
-    tau: float = TAU_REATTACH,
+    state: EnsembleState, current_pose: Pose, current_gripper: float, a_il: NormalizedAction, tau: float = TAU_REATTACH
 ) -> int | None:
     """Best future trajectory point to resume feedforward at, if any.
 
-    A candidate t > t_now is feasible when both the reattach action (from
-    here to the trajectory pose at t) and the recorded action along the
-    trajectory at t agree with the feedback action above tau. Returns the
-    feasible t with the highest reattach similarity, earliest on ties.
+    A candidate t past the state's cursor is feasible when both the recorded
+    action along the trajectory at t and the reattach action (from here to
+    the trajectory pose at t) agree with the feedback action above tau.
+    Returns the feasible t with the highest reattach similarity, earliest on
+    ties. The recorded filter reads the state's per-trajectory table, so
+    reattach actions are built only for the points that pass it.
     """
-    start = t_now + 1
+    traj, start = state.ff_trajectory, state.ff_cursor + 1
     if start >= len(traj):
         return None
-    p, r, g = traj.positions, traj.rotations, traj.gripper
-    att = _row_deltas(
-        current_pose.position, current_pose.rotation.as_matrix(), float(current_gripper), p[start:], r[start:], g[start:]
-    ) / stats.scale
-    if not np.all(np.isfinite(att)):
-        raise ValueError("normalized action must be finite")
-    att_sims = _similarity_many(att, a_il.vector)
-    cand = start + np.flatnonzero(att_sims > tau)
+    cand = start + np.flatnonzero(state.recorded[start:].similarity(a_il.vector) > tau)
     if not cand.size:
         return None
-    # recorded action at each candidate; the last point repeats the final step
-    lo = np.minimum(cand, len(traj) - 2)
-    rec = _row_deltas(p[lo], r[lo], g[lo], p[lo + 1], r[lo + 1], g[lo + 1]) / stats.scale
-    feasible = cand[_similarity_many(rec, a_il.vector) > tau]
-    if not feasible.size:
+    p, r, g = traj.positions[cand], traj.rotations[cand], traj.gripper[cand]
+    att = _row_deltas(current_pose.position, current_pose.rotation.as_matrix(), float(current_gripper), p, r, g)
+    att_sims = ActionRows.of(att / state.stats.scale).similarity(a_il.vector)
+    feasible = att_sims > tau
+    if not feasible.any():
         return None
-    return int(feasible[np.argmax(att_sims[feasible - start])])  # first max: earliest tie
+    return int(cand[feasible][np.argmax(att_sims[feasible])])  # first max: earliest tie
 
 
 @dataclass
 class EnsembleState:
     ff_trajectory: TrajectorySegment
     stats: ActionStats
+    recorded: ActionRows  # the trajectory's own action at each point; the last repeats the final step
     mode: str = "feedforward"
     ff_cursor: int = 0
     cooldown_remaining: int = 0
@@ -158,7 +167,9 @@ class EnsembleState:
 
     @classmethod
     def initial(cls, traj: TrajectorySegment, stats: ActionStats | None = None) -> "EnsembleState":
-        return cls(ff_trajectory=traj, stats=stats or ActionStats.from_trajectory(traj))
+        raw = _step_deltas(traj)
+        stats = stats or ActionStats(raw.std(axis=0))
+        return cls(traj, stats, ActionRows.of(np.concatenate([raw, raw[-1:]]) / stats.scale))
 
     def switch_steps(self) -> list[int]:
         return [e["step"] for e in self.trace if e["switched"]]
@@ -201,15 +212,9 @@ def ensemble_step(
                 state.disagreement_streak = 0
                 switched = True
         else:
-            a_ff = normalize(
-                action_delta(current_pose, current_gripper, executed.pose, executed.gripper),
-                state.stats,
-            )
+            a_ff = normalize(action_delta(current_pose, current_gripper, executed.pose, executed.gripper), state.stats)
             a_fb = normalize(
-                action_delta(
-                    current_pose, current_gripper, feedback_action.pose, feedback_action.gripper
-                ),
-                state.stats,
+                action_delta(current_pose, current_gripper, feedback_action.pose, feedback_action.gripper), state.stats
             )
             sim = similarity(a_ff, a_fb)
             if sim < tau_switch:
@@ -226,20 +231,9 @@ def ensemble_step(
         executed = feedback_action
         if state.cooldown_remaining == 0:
             a_il = normalize(
-                action_delta(
-                    current_pose, current_gripper, feedback_action.pose, feedback_action.gripper
-                ),
-                state.stats,
+                action_delta(current_pose, current_gripper, feedback_action.pose, feedback_action.gripper), state.stats
             )
-            t_star = select_reattach(
-                traj,
-                current_pose,
-                current_gripper,
-                state.ff_cursor,
-                a_il,
-                state.stats,
-                tau_reattach,
-            )
+            t_star = select_reattach(state, current_pose, current_gripper, a_il, tau_reattach)
             if t_star is not None:
                 state.mode = "feedforward"
                 state.ff_cursor = t_star

@@ -150,6 +150,62 @@ def decide_oracle(prob_sets, counts, p_new, T, p_add, eval_seed):
     return e_add > e_stay, e_stay, e_add
 
 
+def select_reattach_oracle(traj, current_pose, current_gripper, t_now, a_il, stats, tau):
+    """The reattach scan as first shipped: attach rows over the whole rest of
+    the trajectory, then the recorded action gathered for each candidate.
+
+    ``traj`` needs ``positions``, ``rotations``, ``gripper`` and ``len``;
+    ``current_pose`` a ``position`` and ``rotation.as_matrix()``; ``a_il`` a
+    ``vector``; ``stats`` a ``scale``.
+    """
+    start = t_now + 1
+    if start >= len(traj):
+        return None
+    p, r, g = traj.positions, traj.rotations, traj.gripper
+    att = reattach_row_deltas(
+        current_pose.position, current_pose.rotation.as_matrix(), float(current_gripper), p[start:], r[start:], g[start:]
+    ) / stats.scale
+    if not np.all(np.isfinite(att)):
+        raise ValueError("normalized action must be finite")
+    att_sims = reattach_similarities(att, a_il.vector)
+    cand = start + np.flatnonzero(att_sims > tau)
+    if not cand.size:
+        return None
+    # recorded action at each candidate; the last point repeats the final step
+    lo = np.minimum(cand, len(traj) - 2)
+    rec = reattach_row_deltas(p[lo], r[lo], g[lo], p[lo + 1], r[lo + 1], g[lo + 1]) / stats.scale
+    feasible = cand[reattach_similarities(rec, a_il.vector) > tau]
+    if not feasible.size:
+        return None
+    return int(feasible[np.argmax(att_sims[feasible - start])])  # first max: earliest tie
+
+
+def reattach_row_deltas(from_pos, from_rot, from_grip, to_pos, to_rot, to_grip):
+    """Raw 7-vector actions row by row: position, relative rotation vector, gripper."""
+    from scipy.spatial.transform import Rotation
+
+    rel = np.matmul(np.swapaxes(from_rot, -1, -2), to_rot)
+    rotvecs = Rotation.from_matrix(rel).as_rotvec().reshape(-1, 3)
+    return np.column_stack([to_pos - from_pos, rotvecs, to_grip - from_grip])
+
+
+def reattach_similarities(vectors, single):
+    """Magnitude-aware cosine of each row against one vector."""
+    nb1 = float(np.abs(single).sum())
+    na1 = np.abs(vectors).sum(axis=1)
+    if nb1 == 0.0:
+        return np.where(na1 == 0.0, 1.0, 0.0)
+    out = np.zeros(len(vectors))
+    live = na1 > 0.0
+    if np.any(live):
+        v = vectors[live]
+        n1 = na1[live]
+        magnitude = 2.0 * np.minimum(n1, nb1) / (n1 + nb1)
+        cosine = (v @ single) / (np.linalg.norm(v, axis=1) * float(np.linalg.norm(single)))
+        out[live] = magnitude * np.clip(cosine, -1.0, 1.0)
+    return out
+
+
 def beta_loglik(alpha, beta, samples):
     from scipy.special import betaln
 

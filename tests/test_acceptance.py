@@ -41,7 +41,6 @@ from demoforge.ensemble import (
     action_delta,
     ensemble_step,
     normalize,
-    select_reattach,
     similarity,
 )
 from demoforge.gateway import MockGateway
@@ -49,6 +48,7 @@ from demoforge.geometry import Pose, Rotation
 from demoforge.simworld import TaskSpec, record_demo
 from demoforge.warping import TrajectorySegment, compute_warp, warp_rotations
 from oracles import decide_oracle, grid_max_z_alignment
+from test_ensemble import reattach_at
 
 
 def segment(poses, grips):
@@ -247,7 +247,7 @@ def test_reattach_satisfies_thresholds_and_cooldown_under_fuzz():
             fb_grip = float(rng.choice([0.0, 1.0]))
         a_il = normalize(action_delta(current, grip, target, fb_grip), stats)
         tau = float(rng.uniform(0.2, 0.8))
-        t_star = select_reattach(traj, current, grip, t_now, a_il, stats, tau=tau)
+        t_star = reattach_at(traj, current, grip, t_now, a_il, stats, tau=tau)
         if t_star is None:
             continue
         accepted += 1

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from demoforge import ensemble
 from demoforge.annotation import scripted_annotate
 from demoforge.campaign import (
     CampaignConfig,
@@ -31,7 +32,7 @@ from demoforge.demos import Action, Demonstration, Observation, ObjectObservatio
 from demoforge.gateway import GatewayError, MockGateway, TransientFailure
 from demoforge.geometry import Pose, Rotation
 from demoforge.simworld import ObjectAttached, TaskSpec, record_demo, reset
-from oracles import wilson_interval as wilson_oracle
+from oracles import select_reattach_oracle, wilson_interval as wilson_oracle
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -303,6 +304,30 @@ class TestEnsembleEpisode:
         out = run_ensemble_episode(state, traj, max_steps=10)
         assert not out.success
         assert out.steps == 10
+
+    def test_traces_match_the_oracle_scan(self, monkeypatch):
+        # disturbed episodes step for step as under the scan as first shipped,
+        # which sees the trajectory, not the state's recorded-action table
+        def traces():
+            out = []
+            for noise_std in (0.0, 0.01):
+                for seed in range(10):
+                    state, scene = reset(self.spec, 700 + seed)
+                    traj = _retarget_and_warp(self.ann, self.src, scene, noise_std, np.random.default_rng(seed))
+                    out.append(run_ensemble_episode(state, traj, disturbances=grasp_disturbance(traj)).ensemble.trace)
+            return out
+
+        picks = []
+
+        def oracle(state, pose, grip, a_il, tau):
+            picks.append(select_reattach_oracle(state.ff_trajectory, pose, grip, state.ff_cursor, a_il, state.stats, tau))
+            return picks[-1]
+
+        shipped = traces()
+        monkeypatch.setattr(ensemble, "select_reattach", oracle)
+        assert traces() == shipped
+        assert len(picks) >= 2000, len(picks)
+        assert sum(p is not None for p in picks) >= 2, picks
 
     def test_disturbing_held_object_rejected(self):
         state, scene = reset(self.spec, 5)

@@ -116,12 +116,27 @@ class TestGenerate:
         assert result.exit_code == 3
         assert "DEMOFORGE_TEST_KEY" in result.output
 
-    @pytest.mark.parametrize("damage", ["dataset deleted", "checkpoint torn", "checkpoint not a mapping"])
+    # checkpoint field edits: (inside "bandit"?, key, value)
+    FIELD_DAMAGE = {
+        "rollouts not a count": (False, "rollouts", "x"),
+        "rollouts negative": (False, "rollouts", -3),
+        "elapsed not a number": (False, "elapsed", "x"),
+        "bandit current a string": (True, "current", "2"),
+    }
+
+    @pytest.mark.parametrize(
+        "damage", ["dataset deleted", "checkpoint torn", "checkpoint not a mapping", *FIELD_DAMAGE]
+    )
     def test_resume_from_damaged_files_exits_2(self, runner, tmp_path, damage):
         cfg = write_config(tmp_path / "c.yaml", tiny_campaign(tmp_path, goal_successes=1))
         assert runner.invoke(main, ["generate", "-c", cfg]).exit_code == 0
         if damage == "dataset deleted":
             (tmp_path / "data.jsonl").unlink()
+        elif damage in self.FIELD_DAMAGE:
+            in_bandit, key, value = self.FIELD_DAMAGE[damage]
+            doc = json.loads((tmp_path / "ckpt.json").read_text())
+            (doc["bandit"] if in_bandit else doc)[key] = value
+            (tmp_path / "ckpt.json").write_text(json.dumps(doc))
         else:
             (tmp_path / "ckpt.json").write_text('{"fingerprint": ' if damage == "checkpoint torn" else "[]")
         result = runner.invoke(main, ["generate", "-c", cfg, "--resume"])

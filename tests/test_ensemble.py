@@ -4,6 +4,7 @@ import pytest
 
 from demoforge.demos import Action
 from demoforge.ensemble import (
+    TAU_REATTACH,
     ActionStats,
     EnsembleState,
     NormalizedAction,
@@ -15,6 +16,7 @@ from demoforge.ensemble import (
 )
 from demoforge.geometry import Pose, Rotation
 from demoforge.warping import TrajectorySegment
+from oracles import reattach_row_deltas, reattach_similarities, select_reattach_oracle
 
 
 def segment(poses, grips):
@@ -36,6 +38,13 @@ def line_traj(n=10, step=0.01, grip=1.0):
 
 
 UNIT_STATS = ActionStats(np.ones(7))
+
+
+def reattach_at(traj, current_pose, current_gripper, t_now, a_il, stats, tau=TAU_REATTACH):
+    """select_reattach from a fresh state over traj whose cursor sits at t_now."""
+    state = EnsembleState.initial(traj, stats)
+    state.ff_cursor = t_now
+    return select_reattach(state, current_pose, current_gripper, a_il, tau)
 
 
 class TestSimilarity:
@@ -181,7 +190,7 @@ class TestSelectReattach:
         traj = line_traj(10)
         current = traj.pose(0)
         a_il = normalize(action_delta(current, 1.0, traj.pose(1), traj.gripper[1]), self.stats())
-        t = select_reattach(traj, current, 1.0, 0, a_il, self.stats())
+        t = reattach_at(traj, current, 1.0, 0, a_il, self.stats())
         assert t == 1
         att = normalize(action_delta(current, 1.0, traj.pose(1), traj.gripper[1]), self.stats())
         assert similarity(att, a_il) == pytest.approx(1.0, abs=1e-12)
@@ -199,14 +208,14 @@ class TestSelectReattach:
         traj = segment(poses, [1.0] * 5)
         current = poses[0]
         a_il = normalize(action_delta(current, 1.0, poses[1], 1.0), self.stats())
-        assert select_reattach(traj, current, 1.0, 0, a_il, self.stats()) == 1
+        assert reattach_at(traj, current, 1.0, 0, a_il, self.stats()) == 1
 
     def test_orthogonal_feedback_returns_none(self):
         traj = line_traj(8)
         current = traj.pose(0)
         sideways = Pose(current.position + np.array([0.0, 0.01, 0.0]))
         a_il = normalize(action_delta(current, 1.0, sideways, 1.0), self.stats())
-        assert select_reattach(traj, current, 1.0, 0, a_il, self.stats(), tau=0.5) is None
+        assert reattach_at(traj, current, 1.0, 0, a_il, self.stats(), tau=0.5) is None
 
     def test_argmax_prefers_later_higher_similarity(self):
         # two feasible candidates; the later one matches the feedback better
@@ -221,7 +230,7 @@ class TestSelectReattach:
         forward = Pose(current.position + np.array([0.01, 0.0, 0.0]))
         a_il = normalize(action_delta(current, 1.0, forward, 1.0), stats)
         tau = 0.3
-        got = select_reattach(traj, current, 1.0, 0, a_il, stats, tau=tau)
+        got = reattach_at(traj, current, 1.0, 0, a_il, stats, tau=tau)
         assert got == 2
         assert got == brute_force_reattach(traj, current, 1.0, 0, a_il, stats, tau)
 
@@ -240,7 +249,7 @@ class TestSelectReattach:
             a_il = normalize(action_delta(current, 1.0, goal, float(rng.choice([0.0, 1.0]))), stats)
             t_now = int(rng.integers(0, n - 1))
             tau = float(rng.uniform(0.0, 0.9))
-            assert select_reattach(traj, current, 1.0, t_now, a_il, stats, tau=tau) == brute_force_reattach(
+            assert reattach_at(traj, current, 1.0, t_now, a_il, stats, tau=tau) == brute_force_reattach(
                 traj, current, 1.0, t_now, a_il, stats, tau
             )
 
@@ -248,7 +257,86 @@ class TestSelectReattach:
         traj = line_traj(4)
         current = traj.pose(0)
         a_il = normalize(action_delta(current, 1.0, traj.pose(1), 1.0), self.stats())
-        assert select_reattach(traj, current, 1.0, 3, a_il, self.stats()) is None
+        assert reattach_at(traj, current, 1.0, 3, a_il, self.stats()) is None
+
+
+def fuzz_reattach_instance(rng, t_choice):
+    """A turning trajectory, a nearby state and a feedback action; t_choice
+    0-3 puts the cursor at 0, n-3, n-2 or n-1."""
+    n = int(rng.integers(3, 40))
+    turn = float(rng.choice([0.05, 0.3]))
+    poses = [Pose(rng.uniform(-0.2, 0.2, 3), Rotation.from_rotvec(rng.normal(0.0, 1.0, 3)))]
+    for _ in range(n - 1):
+        step = Rotation.from_rotvec(rng.normal(0.0, turn, 3))
+        poses.append(Pose(poses[-1].position + rng.normal(0.0, 0.01, 3), step @ poses[-1].rotation))
+    grips = list(rng.choice([0.0, 1.0], size=n))
+    if n >= 6 and rng.random() < 0.4:
+        # revisit an earlier stretch: its attach and recorded rows repeat
+        # bit for bit, so their scores tie exactly
+        k = int(rng.integers(2, n // 2 + 1))
+        i = int(rng.integers(0, n - 2 * k + 1))
+        j = int(rng.integers(i + k, n - k + 1))
+        poses[j : j + k], grips[j : j + k] = poses[i : i + k], grips[i : i + k]
+    traj = segment(poses, grips)
+    t_now = [0, n - 3, n - 2, n - 1][t_choice]
+    if rng.random() < 0.5:
+        stats = ActionStats.from_trajectory(traj)
+    else:
+        stats = ActionStats(rng.uniform(0.005, 0.5, 7))
+    if rng.random() < 0.6:
+        # feedback roughly follows the recorded motion from near the cursor
+        here = poses[t_now]
+        current = Pose(here.position + rng.normal(0.0, 0.01, 3), here.rotation)
+        nxt = poses[min(t_now + 1, n - 1)]
+        target = Pose(nxt.position + rng.normal(0.0, 0.003, 3), nxt.rotation)
+        grip = fb_grip = float(grips[min(t_now + 1, n - 1)])
+    else:
+        current, target = poses[int(rng.integers(0, n))], poses[int(rng.integers(0, n))]
+        grip, fb_grip = float(rng.choice([0.0, 1.0])), float(rng.choice([0.0, 1.0]))
+    a_il = normalize(action_delta(current, grip, target, fb_grip), stats)
+    return traj, current, grip, t_now, a_il, stats
+
+
+class TestReattachMatchesOracle:
+    """The table-first scan picks what the scan as first shipped picks.
+
+    BLAS may round a row's dot product differently with the batch it sits
+    in, so a similarity can move by an ulp between the two scans; tau is
+    drawn next to the similarity values, but outside that rounding band.
+    """
+
+    def test_fuzzed_instances(self):
+        rng = np.random.default_rng(2024)
+        picks = {"none": 0, "last": 0, "other": 0}
+        ties = 0
+        for trial in range(2400):
+            traj, current, grip, t_now, a_il, stats = fuzz_reattach_instance(rng, trial % 4)
+            n, start = len(traj), t_now + 1
+            state = EnsembleState.initial(traj, stats)
+            state.ff_cursor = t_now
+            taus = [TAU_REATTACH, float(rng.uniform(-0.2, 0.95))]
+            if start < n:
+                p, r, g = traj.positions, traj.rotations, traj.gripper
+                att = reattach_row_deltas(
+                    current.position, current.rotation.as_matrix(), grip, p[start:], r[start:], g[start:]
+                ) / stats.scale
+                lo = np.minimum(np.arange(start, n), n - 2)
+                rec = reattach_row_deltas(p[lo], r[lo], g[lo], p[lo + 1], r[lo + 1], g[lo + 1]) / stats.scale
+                # the table holds the recorded rows the first scan gathered, bit for bit
+                assert np.array_equal(state.recorded.rows[start:], rec)
+                att_sims = reattach_similarities(att, a_il.vector)
+                rec_sims = reattach_similarities(rec, a_il.vector)
+                near = float(rng.choice(np.concatenate([att_sims, rec_sims])))
+                taus.append(near + float(rng.choice([-1e-12, 1e-12])))
+            for tau in taus:
+                want = select_reattach_oracle(traj, current, grip, t_now, a_il, stats, tau)
+                assert select_reattach(state, current, grip, a_il, tau) == want, (trial, tau)
+                picks["none" if want is None else "last" if want == n - 1 else "other"] += 1
+                if want is not None:
+                    feasible = (att_sims > tau) & (rec_sims > tau)
+                    ties += int(np.sum(att_sims[feasible] == att_sims[want - start]) > 1)
+        assert min(picks.values()) >= 300, picks
+        assert ties >= 30, ties
 
 
 def perfect_feedback(traj, cursor):
