@@ -351,27 +351,14 @@ def repair_annotation(raw: Annotation, demo: Demonstration) -> Annotation:
     """
     by_t: dict[int, Keypose] = {}
     for kp in sorted(raw.keyposes, key=lambda k: k.timestep):
-        if kp.timestep in by_t:
-            continue
-        by_t[kp.timestep] = kp
+        by_t.setdefault(kp.timestep, kp)
     for t in (0, demo.horizon):
-        if t not in by_t:
-            by_t[t] = Keypose(t, np.zeros(3), np.zeros(3), 0.0)
+        by_t.setdefault(t, Keypose(t, np.zeros(3), np.zeros(3), 0.0))
 
     repaired = []
-    for t in sorted(by_t):
-        kp = by_t[t]
+    for t, kp in sorted(by_t.items()):
         action = demo.action(t)
-        repaired.append(
-            Keypose(
-                timestep=t,
-                pos_mm=action.pose.position * 1000.0,
-                euler_deg=action.pose.rotation.euler_deg(),
-                gripper=action.gripper,
-                relevant_objects=list(kp.relevant_objects),
-                relation_note=kp.relation_note,
-            )
-        )
+        repaired.append(Keypose.from_pose(t, action.pose, action.gripper, kp.relevant_objects, kp.relation_note))
 
     body = _KEYPOSE_BLOCK.sub("", raw.description_text).rstrip()
     description = (body + "\n\n" if body else "") + _keypose_block(repaired)

@@ -35,10 +35,10 @@ from .bandit import (
     record_outcome,
     thompson_select,
 )
-from .demos import Action, Demonstration, Observation, ObjectObservation
+from .demos import Action, Demonstration, TrajectorySegment
 from .ensemble import EnsembleState, ensemble_step
 from .gateway import GatewayError
-from .geometry import Pose, Rotation, check_rotation_matrices
+from .geometry import check_rotation_matrices
 from .retargeting import (
     RetargetFailed,
     SceneObservation,
@@ -57,7 +57,7 @@ from .simworld import (
     step,
     success,
 )
-from .warping import TrajectorySegment, demo_actions, warp_trajectory_by_keyposes
+from .warping import warp_trajectory_by_keyposes
 
 TASK_DESCRIPTIONS = {
     "pick_place": "Pick up the block and place it inside the goal region.",
@@ -105,33 +105,29 @@ def _scene_seed(seed: int, n: int) -> int:
 # written with repr precision, so read(write(demos)) is identical bit for bit.
 
 
-def _pose_doc(pose: Pose) -> dict:
-    return {"p": pose.position.tolist(), "R": pose.rotation.as_matrix().tolist()}
+def _pose_docs(positions: np.ndarray, rotations: np.ndarray) -> list[dict]:
+    return [{"p": p, "R": r} for p, r in zip(positions.tolist(), rotations.tolist())]
 
 
 def demo_to_doc(demo: Demonstration) -> dict:
-    steps = []
-    for obs, act in demo.steps:
-        steps.append(
-            {
-                "obs": {
-                    "robot": _pose_doc(obs.robot_pose),
-                    "gripper": obs.gripper,
-                    "objects": [
-                        {"name": o.name, "pose": _pose_doc(o.pose), "color": o.color} for o in obs.objects
-                    ],
-                },
-                "act": {"pose": _pose_doc(act.pose), "gripper": act.gripper},
-            }
-        )
-    return {
-        "id": demo.demo_id,
-        "task": demo.task,
-        "seed": demo.seed,
-        "success": demo.success,
-        "provenance": demo.provenance,
-        "steps": steps,
-    }
+    robot = _pose_docs(demo.robot.positions, demo.robot.rotations)
+    act = _pose_docs(demo.actions.positions, demo.actions.rotations)
+    entity_poses = _pose_docs(demo.entity_positions.reshape(-1, 3), demo.entity_rotations.reshape(-1, 3, 3))
+    entities = list(enumerate(zip(demo.entity_names, demo.entity_colors)))
+    m = len(entities)
+    steps = [
+        {
+            "obs": {
+                "robot": robot[t],
+                "gripper": g_obs,
+                "objects": [{"name": n, "pose": entity_poses[t * m + j], "color": c} for j, (n, c) in entities],
+            },
+            "act": {"pose": act[t], "gripper": g_act},
+        }
+        for t, (g_obs, g_act) in enumerate(zip(demo.robot.gripper.tolist(), demo.actions.gripper.tolist()))
+    ]
+    meta = {"id": demo.demo_id, "task": demo.task, "seed": demo.seed, "success": demo.success}
+    return {**meta, "provenance": demo.provenance, "steps": steps}
 
 
 def demo_from_doc(doc: dict) -> Demonstration:
@@ -139,25 +135,32 @@ def demo_from_doc(doc: dict) -> Demonstration:
     if doc["task"] not in BUNDLED_TASKS:
         raise ValueError(f"unknown task {doc['task']!r}")
     _check_int("seed", doc["seed"], 0)
-    rows = doc["steps"]
-    if len(rows) < 2:
-        raise ValueError(f"demonstration needs at least 2 steps, got {len(rows)}")
-    # every pose of the demo in step order: robot, objects, action
-    pose_docs = [
-        d for row in rows for d in (row["obs"]["robot"], *(o["pose"] for o in row["obs"]["objects"]), row["act"]["pose"])
-    ]
-    matrices = np.asarray([d["R"] for d in pose_docs], dtype=float)
-    check_rotation_matrices(matrices)
-    poses = iter([Pose(d["p"], Rotation(m)) for d, m in zip(pose_docs, matrices)])
-    steps = []
-    for row in rows:
-        robot = next(poses)
-        objects = [ObjectObservation(o["name"], next(poses), o["color"]) for o in row["obs"]["objects"]]
-        act = Action(next(poses), float(row["act"]["gripper"]))
-        steps.append((Observation(robot, float(row["obs"]["gripper"]), objects), act))
+    obs = [row["obs"] for row in doc["steps"]]
+    acts = [row["act"] for row in doc["steps"]]
+    n = len(obs)
+    if n < 2:
+        raise ValueError(f"demonstration needs at least 2 steps, got {n}")
+    entities = [(o["name"], o["color"]) for o in obs[0]["objects"]]
+    for t, o in enumerate(obs):
+        if [(e["name"], e["color"]) for e in o["objects"]] != entities:
+            raise ValueError(f"step {t}: entity names, colours or count differ from step 0")
+    # every pose of the demo as one column: robot track, actions, then entities
+    pose_docs = [o["robot"] for o in obs] + [a["pose"] for a in acts] + [e["pose"] for o in obs for e in o["objects"]]
+    positions = np.asarray([d["p"] for d in pose_docs], dtype=float).reshape(len(pose_docs), 3)
+    rotations = np.asarray([d["R"] for d in pose_docs], dtype=float)
+    check_rotation_matrices(rotations)
+    grippers = np.asarray([[o["gripper"] for o in obs], [a["gripper"] for a in acts]], dtype=float)
+    if not (np.isfinite(positions).all() and np.isfinite(grippers).all()):
+        raise ValueError("positions and grippers must be finite")
+    m = len(entities)
     return Demonstration(
         task=doc["task"],
-        steps=steps,
+        actions=TrajectorySegment(positions[n : 2 * n], rotations[n : 2 * n], grippers[1]),
+        robot=TrajectorySegment(positions[:n], rotations[:n], grippers[0]),
+        entity_names=tuple(name for name, _ in entities),
+        entity_colors=tuple(color for _, color in entities),
+        entity_positions=positions[2 * n :].reshape(n, m, 3),
+        entity_rotations=rotations[2 * n :].reshape(n, m, 3, 3),
         demo_id=doc["id"],
         seed=doc["seed"],
         success=bool(doc["success"]),
@@ -195,7 +198,7 @@ def replay_demo(demo: Demonstration) -> bool:
         raise ValueError(f"demo {demo.demo_id!r} has no recorded seed to replay from")
     spec = TaskSpec(demo.task)
     state, _ = reset(spec, demo.seed)
-    return rollout(state, demo_actions(demo)).success
+    return rollout(state, demo.actions).success
 
 
 @dataclass
@@ -258,7 +261,8 @@ def evaluate_policy(policy, spec: TaskSpec, n_trials: int, seed: int = 0) -> Eva
 
 
 def _retarget_and_warp(annotation, source_demo, scene, noise_std=0.0, rng=None):
-    old_scene = SceneObservation.from_observation(source_demo.observation(0), {})
+    first = source_demo.observation(0)
+    old_scene = SceneObservation(first.robot_pose, {o.name: o.pose for o in first.objects})
     kps = scripted_retarget(annotation, scene, old_scene, noise_std=noise_std, rng=rng)
     return warp_trajectory_by_keyposes(
         source_demo, annotation.keypose_pairs(), [(k.timestep, k.pose) for k in kps]
@@ -433,21 +437,15 @@ class CampaignConfig:
         cfg.validate()
         return cfg
 
+    STREAM_FIELDS = (
+        "task", "goal_successes", "seed", "mode", "annotator", "retargeter",
+        "noise_min", "noise_max", "decision_samples", "prior_samples",
+    )
+
     def fingerprint(self) -> dict:
         """The fields that determine the campaign's random stream."""
-        return {
-            "task": self.task,
-            "goal_successes": self.goal_successes,
-            "seed": self.seed,
-            "mode": self.mode,
-            "annotator": self.annotator,
-            "retargeter": self.retargeter,
-            "noise_min": self.noise_min,
-            "noise_max": self.noise_max,
-            "decision_samples": self.decision_samples,
-            "prior_samples": self.prior_samples,
-            "source_demo_seeds": list(self.source_demo_seeds),
-        }
+        doc = {name: getattr(self, name) for name in self.STREAM_FIELDS}
+        return doc | {"source_demo_seeds": list(self.source_demo_seeds)}
 
 
 @dataclass
@@ -558,12 +556,10 @@ def _rollout_arm(cfg, meta: ArmMeta, source: Demonstration, scene_seed: int, rol
     out = rollout(state, traj)
     if not out.success:
         return False, None
-    demo = Demonstration(
-        task=cfg.task,
-        steps=out.trace,
+    demo = out.recording.demonstration(
+        cfg.task,
         demo_id=f"{cfg.task}-gen{scene_seed:010d}",
         seed=scene_seed,
-        success=True,
         provenance={
             "kind": "generated",
             "annotation_id": meta.annotation.id,
@@ -638,7 +634,7 @@ def _truncate_dataset(path, keep: int) -> None:
         raise ConfigError(f"cannot resume into dataset {path}: {err}") from err
 
 
-def _load_checkpoint(cfg: CampaignConfig):
+def _load_checkpoint(cfg: CampaignConfig, sources: dict):
     try:
         with open(cfg.checkpoint_path) as fh:
             doc = json.load(fh)
@@ -656,8 +652,14 @@ def _load_checkpoint(cfg: CampaignConfig):
     counts += [(f"bandit arm {k}", arm[k]) for arm in bandit["arms"] for k in ("n_suc", "n_fail")]
     for name, value in counts:
         _check_int(f"checkpoint {name}", value, 0)
-    if isinstance(elapsed, bool) or not isinstance(elapsed, (int, float)) or not math.isfinite(elapsed) or elapsed < 0:
-        raise ConfigError(f"checkpoint elapsed must be a finite number >= 0, got {elapsed!r}")
+    for name, value in [("elapsed", elapsed)] + [("arm noise_std", m.noise_std) for m in arms_meta]:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
+            raise ConfigError(f"checkpoint {name} must be a finite number >= 0, got {value!r}")
+    for m in arms_meta:
+        if not isinstance(m.source_demo_id, str) or m.source_demo_id not in sources:
+            raise ConfigError(f"checkpoint arm names unknown source demo {m.source_demo_id!r}")
+    if len(arms_meta) != len(state.arms):
+        raise ConfigError(f"checkpoint has {len(arms_meta)} arm records for {len(state.arms)} bandit arms")
     return state, arms_meta, rollouts, elapsed
 
 
@@ -677,7 +679,7 @@ def run_campaign(cfg: CampaignConfig, gateway=None, resume: bool = False) -> Cam
     sources = _record_source_demos(cfg)
     resuming = resume and cfg.checkpoint_path is not None and os.path.exists(cfg.checkpoint_path)
     if resuming:
-        state, arms_meta, rollouts, elapsed_prior = _load_checkpoint(cfg)
+        state, arms_meta, rollouts, elapsed_prior = _load_checkpoint(cfg, sources)
         if cfg.dataset_path is not None:
             _truncate_dataset(cfg.dataset_path, state.current_successes)
     else:

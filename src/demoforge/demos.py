@@ -1,17 +1,19 @@
 """Demonstration containers: dense robot trajectories plus scene snapshots.
 
 A demonstration is the unit everything else consumes: the summarizer reads
-it, the warper reshapes it, the dataset writer serializes it. Timesteps are
-integers 0..T; poses are meters/radians internally. Poses are immutable
-values, so observations and actions share them rather than copy them.
+it, the warper reshapes it, the dataset writer serializes it. It is held as
+aligned columns, one row per timestep 0..T; poses are meters/radians
+internally. ``Observation`` and ``Action`` are the per-step edge views the
+annotators read, built from the columns on demand.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import Pose
+from .geometry import Pose, Rotation
 
 GRIPPER_OPEN = 1.0
 GRIPPER_CLOSED = 0.0
@@ -44,16 +46,45 @@ class Action:
 
 
 @dataclass
-class Demonstration:
-    """A dense trajectory: per-timestep observation and commanded action.
+class TrajectorySegment:
+    """Aligned arrays: positions (n, 3), rotation matrices (n, 3, 3) and
+    gripper commands (n,); n >= 2."""
 
-    ``steps[t]`` is the (observation, action) pair at integer timestep t.
-    The commanded poses (actions) are what gets warped and replayed; the
-    observations feed the summarizer.
-    """
+    positions: np.ndarray
+    rotations: np.ndarray
+    gripper: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.positions)
+        if n < 2:
+            raise ValueError("segment needs at least 2 poses")
+        if self.positions.shape != (n, 3) or self.rotations.shape != (n, 3, 3) or self.gripper.shape != (n,):
+            raise ValueError("positions, rotations and gripper must align as (n, 3), (n, 3, 3) and (n,)")
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def pose(self, i: int) -> Pose:
+        return Pose(self.positions[i], Rotation(self.rotations[i].copy()))
+
+    def action(self, i: int) -> Action:
+        return Action(self.pose(i), float(self.gripper[i]))
+
+
+@dataclass
+class Demonstration:
+    """Aligned columns, one row per timestep: the commanded ``actions`` (what
+    gets warped and replayed), the observed ``robot`` track, and the poses of
+    m scene entities, goal regions first, whose names and colour tags hold
+    for the whole demo: positions (n, m, 3) and rotations (n, m, 3, 3)."""
 
     task: str
-    steps: list[tuple[Observation, Action]]
+    actions: TrajectorySegment
+    robot: TrajectorySegment
+    entity_names: tuple[str, ...]
+    entity_colors: tuple[str | None, ...]
+    entity_positions: np.ndarray
+    entity_rotations: np.ndarray
     demo_id: str = ""
     seed: int | None = None
     success: bool = True
@@ -61,24 +92,34 @@ class Demonstration:
     # {"kind": "generated", "annotation_id": ..., "seed": ...}
     provenance: dict = field(default_factory=lambda: {"kind": "human_scripted"})
 
+    def __post_init__(self):
+        n, m = len(self.actions), len(self.entity_names)
+        shapes = (len(self.robot), len(self.entity_colors), self.entity_positions.shape, self.entity_rotations.shape)
+        if shapes != (n, m, (n, m, 3), (n, m, 3, 3)):
+            raise ValueError(f"demonstration columns must align on {n} steps and {m} entities")
+
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.actions)
 
     @property
     def horizon(self) -> int:
         """Last timestep index T (length - 1)."""
-        return len(self.steps) - 1
+        return len(self) - 1
 
     def observation(self, t: int) -> Observation:
-        return self.steps[t][0]
+        poses = [Pose(p, Rotation(r.copy())) for p, r in zip(self.entity_positions[t], self.entity_rotations[t])]
+        objects = [ObjectObservation(*entity) for entity in zip(self.entity_names, poses, self.entity_colors)]
+        return Observation(self.robot.pose(t), float(self.robot.gripper[t]), objects)
 
     def action(self, t: int) -> Action:
-        return self.steps[t][1]
+        return self.actions.action(t)
 
-    def grippers(self) -> np.ndarray:
-        return np.asarray([a.gripper for _, a in self.steps], dtype=float)
+    @cached_property
+    def steps(self) -> tuple[tuple[Observation, Action], ...]:
+        """(observation, action) view of the columns, built on first read."""
+        return tuple((self.observation(t), self.action(t)) for t in range(len(self)))
 
     def gripper_transition_timesteps(self) -> list[int]:
         """Timesteps where the commanded gripper changes from the previous step."""
-        g = self.grippers()
-        return [t for t in range(1, len(g)) if g[t] != g[t - 1]]
+        g = self.actions.gripper
+        return (np.flatnonzero(g[1:] != g[:-1]) + 1).tolist()

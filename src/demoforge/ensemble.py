@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.transform import Rotation as _SR
 
-from .demos import Action
+from .demos import Action, TrajectorySegment
 from .geometry import Pose
-from .warping import TrajectorySegment
 
 TAU_SWITCH = 0.5
 TAU_REATTACH = 0.5
@@ -256,4 +255,4 @@ def ensemble_step(
 def _trajectory_action(traj: TrajectorySegment, cursor: int) -> Action:
     if cursor >= len(traj):
         raise TrajectoryExhausted(f"cursor {cursor} past trajectory end {len(traj) - 1}")
-    return Action(traj.pose(cursor), float(traj.gripper[cursor]))
+    return traj.action(cursor)

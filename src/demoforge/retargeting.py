@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .annotation import Keypose, MalformedResponse, TaskDescription, _strip_code_fences, render_prompt
-from .demos import Observation
 from .geometry import Pose, Rotation, pose_text
 
 
@@ -34,12 +33,6 @@ class SceneObservation:
     robot_pose: Pose
     objects: dict[str, Pose] = field(default_factory=dict)
     task_metadata: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_observation(cls, obs: Observation, task_metadata: dict) -> "SceneObservation":
-        """The scene one observation shows, entities in the observation's
-        order (regions first, then movable objects)."""
-        return cls(obs.robot_pose, {o.name: o.pose for o in obs.objects}, dict(task_metadata))
 
     def text(self, home: Rotation | None = None) -> str:
         home = home if home is not None else self.robot_pose.rotation

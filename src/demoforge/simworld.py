@@ -18,14 +18,13 @@ demo solver and as the recovering feedback policy for ensembles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .demos import Action, Demonstration, GRIPPER_CLOSED, GRIPPER_OPEN, Observation, ObjectObservation
+from .demos import Action, Demonstration, GRIPPER_CLOSED, GRIPPER_OPEN, TrajectorySegment
 from .geometry import Pose, RigidTransform, Rotation
 from .retargeting import SceneObservation
-from .warping import TrajectorySegment
 
 BUNDLED_TASKS = ("pick_place", "stack", "stack_flipped", "stack_walking", "drawer_mug")
 
@@ -88,24 +87,12 @@ class WorldState:
     t: int = 0
 
     def copy(self) -> "WorldState":
-        return WorldState(
-            spec=self.spec,
-            robot_pose=self.robot_pose,
-            gripper=self.gripper,
-            objects=dict(self.objects),
-            goal_regions=dict(self.goal_regions),
-            rng=self._copy_rng(),
-            attached_object=self.attached_object,
-            attach_offset=self.attach_offset,
-            frozen=set(self.frozen),
-            task_metadata=dict(self.task_metadata),
-            t=self.t,
+        rng = np.random.default_rng()
+        rng.bit_generator.state = self.rng.bit_generator.state
+        return replace(
+            self, objects=dict(self.objects), goal_regions=dict(self.goal_regions), rng=rng,
+            frozen=set(self.frozen), task_metadata=dict(self.task_metadata),
         )
-
-    def _copy_rng(self) -> np.random.Generator:
-        g = np.random.default_rng()
-        g.bit_generator.state = self.rng.bit_generator.state
-        return g
 
 
 def _sample_in_region(rng, extents) -> np.ndarray:
@@ -169,16 +156,10 @@ def reset(spec: TaskSpec, seed) -> tuple[WorldState, SceneObservation]:
 
 
 def scene_observation(state: WorldState) -> SceneObservation:
-    """Retargeting-facing view of the current state."""
-    return SceneObservation.from_observation(observation(state), state.task_metadata)
-
-
-def observation(state: WorldState) -> Observation:
-    """Per-timestep view recorded into demonstrations: regions first (they
+    """Retargeting-facing view of the current state: regions first (they
     win nearest-entity ties), then movable objects."""
-    entities = [ObjectObservation(rid, r.pose, r.color) for rid, r in state.goal_regions.items()]
-    entities += [ObjectObservation(name, pose, None) for name, pose in state.objects.items()]
-    return Observation(state.robot_pose, state.gripper, entities)
+    entities = {**{rid: r.pose for rid, r in state.goal_regions.items()}, **state.objects}
+    return SceneObservation(state.robot_pose, entities, dict(state.task_metadata))
 
 
 def _step_pose_toward(current: Pose, goal: Pose, max_step: float, max_angular: float) -> Pose:
@@ -356,12 +337,48 @@ def drawer_mug_stage(state: WorldState) -> int:
     return 0
 
 
+class Recording:
+    """One row per env step, taken just before it, of references to the
+    world's immutable poses. ``demonstration`` builds the columns, once, for
+    a caller that keeps the episode."""
+
+    def __init__(self, state: WorldState):
+        self.state, self.rows = state, []
+
+    def record(self, action: Action) -> None:
+        s = self.state
+        self.rows.append((s.robot_pose, s.gripper, action.pose, action.gripper, tuple(s.objects.values())))
+
+    def demonstration(self, task: str, **meta) -> Demonstration:
+        # goal regions never move, and no entity comes or goes mid-episode
+        regions, objects = self.state.goal_regions.values(), self.state.objects
+        robot, grip, act, act_grip, moving = zip(*self.rows)
+        positions, rotations = _stack([p for row in moving for p in (*(r.pose for r in regions), *row)])
+        n, m = len(self.rows), len(regions) + len(objects)
+        return Demonstration(
+            task,
+            actions=TrajectorySegment(*_stack(act), np.array(act_grip, dtype=float)),
+            robot=TrajectorySegment(*_stack(robot), np.array(grip, dtype=float)),
+            entity_names=(*self.state.goal_regions, *objects),
+            entity_colors=(*(r.color for r in regions), *(None for _ in objects)),
+            entity_positions=positions.reshape(n, m, 3),
+            entity_rotations=rotations.reshape(n, m, 3, 3),
+            **meta,
+        )
+
+
+def _stack(poses) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (k, 3) and rotation matrices (k, 3, 3) of k poses."""
+    positions = np.array([p.position for p in poses]).reshape(-1, 3)
+    return positions, np.array([p.rotation.as_matrix() for p in poses]).reshape(-1, 3, 3)
+
+
 @dataclass
 class RolloutOutcome:
     success: bool
     steps: int
     final_state: WorldState
-    trace: list[tuple[Observation, Action]]
+    recording: Recording
 
 
 def rollout(
@@ -374,28 +391,25 @@ def rollout(
     Each point gets one env step, then up to convergence_cap extra steps of
     the same action until the end-effector lands on it. ``disturbances`` is
     a list of (point_index, object_id, delta) applied just before that
-    point executes. The executed (observation, action) pairs are returned
-    as a trace suitable for building a dataset demonstration.
+    point executes. Every env step is recorded; ``recording.demonstration``
+    turns the run into a dataset demonstration.
     """
     state = state.copy()
     by_point: dict[int, list[tuple[str, np.ndarray]]] = {}
     for idx, obj, delta in disturbances or []:
         by_point.setdefault(idx, []).append((obj, delta))
 
-    trace: list[tuple[Observation, Action]] = []
+    rec = Recording(state)
     for i in range(len(traj)):
         for obj, delta in by_point.get(i, []):
             inject_disturbance(state, obj, delta)
-        action = Action(traj.pose(i), float(traj.gripper[i]))
-        trace.append((observation(state), action))
-        step(state, action)
-        extra = 0
-        while extra < state.spec.convergence_cap and not _converged(state.robot_pose, action.pose):
-            action = Action(action.pose, action.gripper)  # one Action per trace entry, one shared Pose
-            trace.append((observation(state), action))
+        action = traj.action(i)
+        for _ in range(1 + state.spec.convergence_cap):
+            rec.record(action)
             step(state, action)
-            extra += 1
-    return RolloutOutcome(success=success(state), steps=len(trace), final_state=state, trace=trace)
+            if _converged(state.robot_pose, action.pose):
+                break
+    return RolloutOutcome(success=success(state), steps=len(rec.rows), final_state=state, recording=rec)
 
 
 # angular tolerance sits above arccos round-off for bitwise-equal matrices
@@ -552,27 +566,21 @@ class ScriptedPolicy:
 def record_demo(spec: TaskSpec, seed, demo_id: str = "", max_steps: int = 3000) -> Demonstration:
     """Run the scripted controller from a fresh reset, recording every step.
 
-    The recorded (observation, action) pairs form the demonstration that
-    the annotation pipeline consumes; replaying the actions from the same
-    seed reproduces the run bit for bit.
+    The recorded steps form the demonstration that the annotation pipeline
+    consumes; replaying the actions from the same seed reproduces the run
+    bit for bit.
     """
     state, _ = reset(spec, seed)
     policy = ScriptedPolicy(spec)
-    steps: list[tuple[Observation, Action]] = []
+    rec = Recording(state)
     for _ in range(max_steps):
         act = policy.action(state)
         if act is None:
             break
-        steps.append((observation(state), act))
+        rec.record(act)
         step(state, act)
     else:
         raise RuntimeError(f"scripted policy did not finish {spec.kind} within {max_steps} steps")
     if not success(state):
         raise RuntimeError(f"scripted policy failed {spec.kind} on seed {seed}")
-    return Demonstration(
-        task=spec.kind,
-        steps=steps,
-        demo_id=demo_id or f"{spec.kind}-{seed}",
-        seed=int(seed),
-        success=True,
-    )
+    return rec.demonstration(spec.kind, demo_id=demo_id or f"{spec.kind}-{seed}", seed=int(seed))

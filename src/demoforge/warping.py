@@ -13,12 +13,10 @@ equal length.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial.transform import Rotation as _SR
 
-from .demos import Demonstration
+from .demos import Demonstration, TrajectorySegment
 from .geometry import Pose, RigidTransform, Rotation
 
 EPS_CHORD = 1e-6  # meters; chords shorter than this have no usable direction
@@ -32,38 +30,6 @@ class DegenerateChord(ValueError):
 
 class KeyposeMismatch(ValueError):
     """Old/new keypose lists disagree in length, order, or timesteps."""
-
-
-@dataclass
-class TrajectorySegment:
-    """Aligned arrays: positions (n, 3), rotation matrices (n, 3, 3) and
-    gripper commands (n,); n >= 2."""
-
-    positions: np.ndarray
-    rotations: np.ndarray
-    gripper: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.positions)
-        if n < 2:
-            raise ValueError("segment needs at least 2 poses")
-        if self.positions.shape != (n, 3) or self.rotations.shape != (n, 3, 3) or self.gripper.shape != (n,):
-            raise ValueError("positions, rotations and gripper must align as (n, 3), (n, 3, 3) and (n,)")
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def pose(self, i: int) -> Pose:
-        return Pose(self.positions[i], Rotation(self.rotations[i].copy()))
-
-
-def demo_actions(demo: Demonstration) -> TrajectorySegment:
-    """A demo's commanded actions as one trajectory."""
-    return TrajectorySegment(
-        np.stack([a.pose.position for _, a in demo.steps]),
-        np.stack([a.pose.rotation.as_matrix() for _, a in demo.steps]),
-        demo.grippers(),
-    )
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
@@ -200,7 +166,7 @@ def warp_trajectory_by_keyposes(
     new keypose values so adjacent spans agree bitwise at shared timesteps.
     """
     timesteps = _validate_keyposes(demo, old_keyposes, new_keyposes)
-    src = demo_actions(demo)
+    src = demo.actions
     out = TrajectorySegment(np.empty_like(src.positions), np.empty_like(src.rotations), src.gripper)
     for i in range(len(timesteps) - 1):
         t0, t1 = timesteps[i], timesteps[i + 1]

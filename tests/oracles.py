@@ -233,3 +233,85 @@ def beta_mle_grid(samples, lo=-4.0, hi=6.0, steps=241):
                     best = (ll, a, b)
         _, a0, b0 = best
     return best[1], best[2], best[0]
+
+
+# -- demonstrations ----------------------------------------------------------
+# The world's own step, reset and controller drive these; what they check is
+# the recording: one observation object per env step, taken before the step.
+
+
+def observation_oracle(state):
+    """Per-step observation as first shipped: regions first, then movable objects."""
+    from demoforge.demos import ObjectObservation, Observation
+
+    entities = [ObjectObservation(rid, r.pose, r.color) for rid, r in state.goal_regions.items()]
+    entities += [ObjectObservation(name, pose, None) for name, pose in state.objects.items()]
+    return Observation(state.robot_pose, state.gripper, entities)
+
+
+def record_demo_steps_oracle(spec, seed, max_steps=3000):
+    """(observation, action) pairs of the scripted controller from a fresh reset."""
+    from demoforge import simworld as sw
+
+    state, _ = sw.reset(spec, seed)
+    policy = sw.ScriptedPolicy(spec)
+    steps = []
+    for _ in range(max_steps):
+        act = policy.action(state)
+        if act is None:
+            break
+        steps.append((observation_oracle(state), act))
+        sw.step(state, act)
+    return steps
+
+
+def rollout_steps_oracle(state, traj, disturbances=None):
+    """(observation, action) pairs of every env step a rollout of ``traj`` takes."""
+    from demoforge import simworld as sw
+    from demoforge.demos import Action
+
+    state = state.copy()
+    by_point = {}
+    for idx, obj, delta in disturbances or []:
+        by_point.setdefault(idx, []).append((obj, delta))
+    steps = []
+    for i in range(len(traj)):
+        for obj, delta in by_point.get(i, []):
+            sw.inject_disturbance(state, obj, delta)
+        action = Action(traj.pose(i), float(traj.gripper[i]))
+        steps.append((observation_oracle(state), action))
+        sw.step(state, action)
+        extra = 0
+        while extra < state.spec.convergence_cap and not sw._converged(state.robot_pose, action.pose):
+            steps.append((observation_oracle(state), action))
+            sw.step(state, action)
+            extra += 1
+    return steps
+
+
+def demo_from_steps(steps, task="pick_place", **meta):
+    """A Demonstration whose columns stack (observation, action) pairs; every
+    observation lists the same entities as the first."""
+    from demoforge.demos import Demonstration, TrajectorySegment
+
+    def track(poses, grippers):
+        return TrajectorySegment(
+            np.array([p.position for p in poses]),
+            np.array([p.rotation.as_matrix() for p in poses]),
+            np.array(grippers, dtype=float),
+        )
+
+    obs = [o for o, _ in steps]
+    acts = [a for _, a in steps]
+    n, m = len(steps), len(obs[0].objects)
+    entities = [e.pose for o in obs for e in o.objects]
+    return Demonstration(
+        task,
+        actions=track([a.pose for a in acts], [a.gripper for a in acts]),
+        robot=track([o.robot_pose for o in obs], [o.gripper for o in obs]),
+        entity_names=tuple(e.name for e in obs[0].objects),
+        entity_colors=tuple(e.color for e in obs[0].objects),
+        entity_positions=np.array([p.position for p in entities]).reshape(n, m, 3),
+        entity_rotations=np.array([p.rotation.as_matrix() for p in entities]).reshape(n, m, 3, 3),
+        **meta,
+    )

@@ -20,9 +20,10 @@ from demoforge.annotation import (
     select_viewframes,
     summarize_demo,
 )
-from demoforge.demos import Action, Demonstration, Observation
+from demoforge.demos import Action, Observation
 from demoforge.gateway import MockGateway
 from demoforge.geometry import Pose, Rotation
+from oracles import demo_from_steps
 
 TASK = TaskDescription("Pick up the block and place it on the target region.")
 
@@ -34,7 +35,16 @@ def synthetic_demo(horizon=100, yaw_per_step=0.3):
         pose = Pose(np.array([0.001 * t, 0.0, 0.1]), Rotation.about_z_deg(yaw_per_step * t))
         grip = 0.0 if horizon // 3 <= t < 2 * horizon // 3 else 1.0
         steps.append((Observation(pose, grip, []), Action(pose, grip)))
-    return Demonstration(task="pick_place", steps=steps, demo_id="synthetic", seed=0)
+    return demo_from_steps(steps, task="pick_place", demo_id="synthetic", seed=0)
+
+
+def cut(demo, n):
+    """The demo's columns cut to their first n rows, past the n >= 2 rule
+    that constructing them enforces."""
+    for seg in (demo.actions, demo.robot):
+        seg.positions, seg.rotations, seg.gripper = seg.positions[:n], seg.rotations[:n], seg.gripper[:n]
+    demo.entity_positions, demo.entity_rotations = demo.entity_positions[:n], demo.entity_rotations[:n]
+    return demo
 
 
 def good_response(demo, timesteps=(10, 50)):
@@ -99,7 +109,7 @@ class TestSummarize:
 
     def test_empty_demo_rejected(self):
         with pytest.raises(EmptyDemo):
-            summarize_demo(Demonstration(task="x", steps=[]))
+            summarize_demo(cut(synthetic_demo(1), 0))
 
     def test_bad_cadence_rejected(self):
         with pytest.raises(ValueError):
@@ -303,9 +313,8 @@ class TestScriptedAnnotate:
 
     def test_no_transition_demo_gets_endpoints_only(self):
         demo = synthetic_demo(40)
-        for t in range(len(demo.steps)):  # force constant gripper
-            demo.steps[t][1].gripper = 1.0
-            demo.steps[t][0].gripper = 1.0
+        demo.actions.gripper[:] = 1.0  # force constant gripper
+        demo.robot.gripper[:] = 1.0
         ann = scripted_annotate(demo, "pick_place")
         assert [k.timestep for k in ann.keyposes] == [0, 40]
 
@@ -314,8 +323,7 @@ class TestScriptedAnnotate:
             scripted_annotate(synthetic_demo(10), "unknown_task")
 
     def test_short_demo_rejected(self):
-        demo = synthetic_demo(10)
-        demo.steps = demo.steps[:1]
+        demo = cut(synthetic_demo(10), 1)
         with pytest.raises(EmptyDemo):
             scripted_annotate(demo, "pick_place")
 

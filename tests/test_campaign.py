@@ -32,7 +32,7 @@ from demoforge.demos import Action, Demonstration, Observation, ObjectObservatio
 from demoforge.gateway import GatewayError, MockGateway, TransientFailure
 from demoforge.geometry import Pose, Rotation
 from demoforge.simworld import ObjectAttached, TaskSpec, record_demo, reset
-from oracles import select_reattach_oracle, wilson_interval as wilson_oracle
+from oracles import demo_from_steps, select_reattach_oracle, wilson_interval as wilson_oracle
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -55,9 +55,9 @@ def random_demo(rng, n_steps=None, task="pick_place"):
             float(rng.choice([0.0, 1.0])),
         )
         steps.append((obs, act))
-    return Demonstration(
+    return demo_from_steps(
+        steps,
         task=task,
-        steps=steps,
         demo_id=f"d{rng.integers(1e9)}",
         seed=int(rng.integers(1e6)),
         success=True,
@@ -158,6 +158,35 @@ class TestDataset:
         with pytest.raises(SchemaViolation, match=field) as err:
             read_dataset(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("column", ["obs", "act"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_gripper_reports_line_number(self, tmp_path, column, value):
+        rng = np.random.default_rng(10)
+        docs = [demo_to_doc(random_demo(rng, n_steps=4)) for _ in range(2)]
+        docs[1]["steps"][2][column]["gripper"] = value
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        with pytest.raises(SchemaViolation, match="finite") as err:
+            read_dataset(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("change", ["renamed", "recoloured", "dropped"])
+    def test_entities_changing_mid_demo_report_line_number(self, tmp_path, change):
+        rng = np.random.default_rng(11)
+        docs = [demo_to_doc(random_demo(rng, n_steps=5)) for _ in range(3)]
+        objects = docs[2]["steps"][3]["obs"]["objects"]
+        if change == "renamed":
+            objects[1]["name"] = "other_block"
+        elif change == "recoloured":
+            objects[0]["color"] = "red"
+        else:
+            del objects[1]
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        with pytest.raises(SchemaViolation, match="step 3") as err:
+            read_dataset(path)
+        assert err.value.line == 3
 
     def test_single_step_demo_rejected(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -116,12 +116,16 @@ class TestGenerate:
         assert result.exit_code == 3
         assert "DEMOFORGE_TEST_KEY" in result.output
 
-    # checkpoint field edits: (inside "bandit"?, key, value)
+    # checkpoint field edits: (path to the field, value)
     FIELD_DAMAGE = {
-        "rollouts not a count": (False, "rollouts", "x"),
-        "rollouts negative": (False, "rollouts", -3),
-        "elapsed not a number": (False, "elapsed", "x"),
-        "bandit current a string": (True, "current", "2"),
+        "rollouts not a count": (("rollouts",), "x"),
+        "rollouts negative": (("rollouts",), -3),
+        "elapsed not a number": (("elapsed",), "x"),
+        "bandit current a string": (("bandit", "current"), "2"),
+        "arm noise not a number": (("arms", 0, "noise_std"), "x"),
+        "arm noise NaN": (("arms", 0, "noise_std"), float("nan")),
+        "arm source demo unknown": (("arms", 0, "source_demo_id"), "nope"),
+        "arm records missing": (("arms",), []),
     }
 
     @pytest.mark.parametrize(
@@ -133,9 +137,12 @@ class TestGenerate:
         if damage == "dataset deleted":
             (tmp_path / "data.jsonl").unlink()
         elif damage in self.FIELD_DAMAGE:
-            in_bandit, key, value = self.FIELD_DAMAGE[damage]
+            path, value = self.FIELD_DAMAGE[damage]
             doc = json.loads((tmp_path / "ckpt.json").read_text())
-            (doc["bandit"] if in_bandit else doc)[key] = value
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
             (tmp_path / "ckpt.json").write_text(json.dumps(doc))
         else:
             (tmp_path / "ckpt.json").write_text('{"fingerprint": ' if damage == "checkpoint torn" else "[]")
@@ -196,6 +203,21 @@ class TestReplay:
         result = runner.invoke(main, ["replay", str(dataset)])
         assert result.exit_code == 2
         assert "line 4" in result.output
+
+    @pytest.mark.parametrize("damage", ["gripper NaN", "entity renamed"])
+    def test_unreplayable_line_exits_2(self, runner, tmp_path, damage):
+        dataset = self.generate(runner, tmp_path)
+        lines = dataset.read_text().splitlines()
+        doc = json.loads(lines[1])
+        if damage == "gripper NaN":
+            doc["steps"][5]["act"]["gripper"] = float("nan")
+        else:
+            doc["steps"][5]["obs"]["objects"][-1]["name"] = "mug"
+        lines[1] = json.dumps(doc)
+        dataset.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["replay", str(dataset)])
+        assert result.exit_code == 2, result.output
+        assert "line 2" in result.output
 
     def test_failing_demo_exits_1(self, runner, tmp_path):
         dataset = self.generate(runner, tmp_path)

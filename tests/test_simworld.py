@@ -6,6 +6,7 @@ from demoforge import simworld as sw
 from demoforge.demos import Action, GRIPPER_CLOSED, GRIPPER_OPEN
 from demoforge.geometry import Pose, Rotation
 from demoforge.warping import TrajectorySegment
+from oracles import demo_from_steps, record_demo_steps_oracle, rollout_steps_oracle
 
 
 def segment(poses, grips):
@@ -286,8 +287,9 @@ class TestRollout:
         demo = sw.record_demo(spec, 4)
         state, _ = sw.reset(spec, 4)
         out = sw.rollout(state, demo_segment(demo))
-        assert len(out.trace) == out.steps
-        assert all(isinstance(a.gripper, float) for _, a in out.trace)
+        trace = out.recording.demonstration(spec.kind).steps
+        assert len(trace) == out.steps
+        assert all(isinstance(a.gripper, float) for _, a in trace)
 
     def test_rollout_does_not_mutate_input_state(self):
         spec = sw.TaskSpec("pick_place")
@@ -311,6 +313,44 @@ class TestRollout:
         assert not sw.success(state)
 
 
+def assert_columns_bitwise(demo, steps):
+    """The demo's columns hold the bits of the per-step recording ``steps``."""
+    want = demo_from_steps(steps, task=demo.task)
+    assert (demo.entity_names, demo.entity_colors) == (want.entity_names, want.entity_colors)
+    pairs = [(demo.entity_positions, want.entity_positions), (demo.entity_rotations, want.entity_rotations)]
+    for got, exp in [(demo.actions, want.actions), (demo.robot, want.robot)]:
+        pairs += [(got.positions, exp.positions), (got.rotations, exp.rotations), (got.gripper, exp.gripper)]
+    for got, exp in pairs:
+        assert got.dtype == exp.dtype and got.shape == exp.shape
+        assert got.tobytes() == exp.tobytes()
+
+
+class TestRecordingMatchesPerStepOracle:
+    """The recorder keeps pose references and builds columns once; the oracle
+    builds one observation object per env step. Their bits must agree."""
+
+    @pytest.mark.parametrize("kind", sw.BUNDLED_TASKS)
+    def test_record_demo(self, kind):
+        spec = sw.TaskSpec(kind)
+        assert_columns_bitwise(sw.record_demo(spec, 4), record_demo_steps_oracle(spec, 4))
+
+    @pytest.mark.parametrize("mode", ["replay", "disturbed", "sparse"])
+    @pytest.mark.parametrize("kind", sw.BUNDLED_TASKS)
+    def test_rollout(self, kind, mode):
+        spec = sw.TaskSpec(kind)
+        traj = sw.record_demo(spec, 4).actions
+        disturbances = None
+        if mode == "disturbed":
+            state, _ = sw.reset(spec, 4)
+            disturbances = [(5, list(state.objects)[-1], np.array([0.01, -0.01, 0.0]))]
+        elif mode == "sparse":  # 9x the stride: points take extra env steps to converge
+            keep = np.r_[0 : len(traj) : 9, len(traj) - 1]
+            traj = TrajectorySegment(traj.positions[keep], traj.rotations[keep], traj.gripper[keep])
+        state, _ = sw.reset(spec, 4)
+        out = sw.rollout(state, traj, disturbances)
+        assert_columns_bitwise(out.recording.demonstration(kind), rollout_steps_oracle(state, traj, disturbances))
+
+
 class TestDeterminism:
     def test_demo_recording_bit_identical(self):
         for kind in ("pick_place", "stack_walking"):
@@ -330,7 +370,8 @@ class TestDeterminism:
         o1 = sw.rollout(sw.reset(spec, 12)[0], seg)
         o2 = sw.rollout(sw.reset(spec, 12)[0], seg)
         assert o1.steps == o2.steps
-        for (ob1, _), (ob2, _) in zip(o1.trace, o2.trace):
+        traces = [o.recording.demonstration(spec.kind).steps for o in (o1, o2)]
+        for (ob1, _), (ob2, _) in zip(*traces):
             assert np.array_equal(ob1.robot_pose.position, ob2.robot_pose.position)
             for e1, e2 in zip(ob1.objects, ob2.objects):
                 assert e1.name == e2.name

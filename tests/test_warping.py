@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from demoforge.demos import Action, Demonstration, Observation
+from demoforge.demos import Action, Observation
 from demoforge.geometry import Pose, Rotation, slerp
 from demoforge.simworld import TaskSpec, record_demo
 from demoforge.warping import (
@@ -9,13 +9,12 @@ from demoforge.warping import (
     KeyposeMismatch,
     TrajectorySegment,
     compute_warp,
-    demo_actions,
     warp_positions,
     warp_rotations,
     warp_trajectory_by_keyposes,
 )
 
-from oracles import grid_max_z_alignment, quat_slerp_matrix
+from oracles import demo_from_steps, grid_max_z_alignment, quat_slerp_matrix
 
 
 def segment(poses, grips):
@@ -216,7 +215,7 @@ class TestWarpRotations:
 def test_span_warp_matches_per_pose_loop_bitwise():
     # the span maths must give the bits of warping one pose at a time, as
     # the same config and seed must keep giving the same dataset bytes
-    seg = demo_actions(record_demo(TaskSpec("stack"), 1001))
+    seg = record_demo(TaskSpec("stack"), 1001).actions
     rng = np.random.default_rng(31)
     tf = compute_warp(seg.pose(0), seg.pose(-1), random_pose(rng), random_pose(rng))
     new0, new1 = Rotation.from_rotvec(rng.normal(size=3)), Rotation.from_rotvec(rng.normal(size=3))
@@ -239,7 +238,7 @@ def make_demo(positions, rots=None, grippers=None, task="pick_place"):
         pose = Pose(np.asarray(positions[i], dtype=float), rots[i])
         obs = Observation(pose, grippers[i], [])
         steps.append((obs, Action(pose, grippers[i])))
-    return Demonstration(task=task, steps=steps, demo_id="d0")
+    return demo_from_steps(steps, task=task, demo_id="d0")
 
 
 class TestWarpTrajectoryByKeyposes:
