@@ -56,7 +56,6 @@ class DemoSummary:
     """Text digest of a demo: sampled rows of robot/object poses."""
 
     sampled_rows: list[tuple[int, str, dict[str, str]]]
-    home_rotation: Rotation
 
     @property
     def timesteps(self) -> list[int]:
@@ -152,7 +151,7 @@ class Annotation:
     keyposes: list[Keypose]
     description_text: str
     source_demo_id: str
-    created_by: str  # "scripted" or "llm(<model tag>)"
+    created_by: str  # "scripted" or "llm()"
 
     def to_json(self) -> dict:
         return {
@@ -214,7 +213,7 @@ def summarize_demo(demo: Demonstration, cadence: int = 5, jitter: int = 2, rng_s
         robot = f"{pose_text(obs.robot_pose, home=home)} gripper {_gripper_word(obs.gripper)}"
         objs = {o.name: pose_text(o.pose) for o in obs.objects}
         rows.append((t, robot, objs))
-    return DemoSummary(sampled_rows=rows, home_rotation=home)
+    return DemoSummary(sampled_rows=rows)
 
 
 def _gripper_word(g: float) -> str:
@@ -224,13 +223,13 @@ def _gripper_word(g: float) -> str:
 _INT_TOKEN = re.compile(r"-?\d+")
 
 
-def select_viewframes(gateway, summary: DemoSummary, task: TaskDescription, cap: int = VIEWFRAME_CAP) -> list[int]:
+def select_viewframes(gateway, summary: DemoSummary, task: TaskDescription) -> list[int]:
     """Ask which sampled timesteps deserve a closer look.
 
     The response is read as a list of integers; anything outside the demo
     range is a MalformedResponse (callers restart with a fresh session).
-    Deduplication keeps first mention, the cap keeps the first ``cap``
-    distinct frames, and the result is sorted.
+    Deduplication keeps first mention, the cap keeps the first
+    VIEWFRAME_CAP distinct frames, and the result is sorted.
     """
     if not summary.sampled_rows:
         raise ValueError("summary has no rows")
@@ -239,7 +238,7 @@ def select_viewframes(gateway, summary: DemoSummary, task: TaskDescription, cap:
         task=task.text,
         rows=summary.rows_text(),
         horizon=summary.horizon,
-        cap=cap,
+        cap=VIEWFRAME_CAP,
     )
     text = gateway.fresh_session().complete(prompt, temperature=0.2)
     tokens = [int(tok) for tok in _INT_TOKEN.findall(text)]
@@ -251,7 +250,7 @@ def select_viewframes(gateway, summary: DemoSummary, task: TaskDescription, cap:
             raise MalformedResponse(f"timestep {t} outside [0, {summary.horizon}]")
         if t not in seen:
             seen.append(t)
-    return sorted(seen[:cap])
+    return sorted(seen[:VIEWFRAME_CAP])
 
 
 def _strip_code_fences(text: str) -> str:
@@ -288,7 +287,6 @@ def annotate(
     task: TaskDescription,
     summary: DemoSummary | None = None,
     max_retries: int = MAX_RETRIES,
-    model_tag: str = "",
 ) -> Annotation:
     """Full annotation query with the restart-on-malformed rule.
 
@@ -319,7 +317,7 @@ def annotate(
             keyposes=keyposes,
             description_text=description,
             source_demo_id=demo.demo_id,
-            created_by=f"llm({model_tag})" if model_tag else "llm()",
+            created_by="llm()",
         )
         return repair_annotation(raw, demo)
     raise AnnotationFailed(f"no usable annotation after {max_retries} attempts: {last_error}")
@@ -427,13 +425,13 @@ def scripted_annotate(demo: Demonstration, task_kind: str) -> Annotation:
     return repair_annotation(raw, demo)
 
 
-def _held_candidates(obs: Observation, held_radius: float = 0.015) -> set[str]:
+def _held_candidates(obs: Observation) -> set[str]:
     """Movable entities close enough to the gripper to be the thing it holds."""
     return {
         o.name
         for o in obs.objects
         if o.color is None
-        and float(np.linalg.norm(o.pose.position - obs.robot_pose.position)) < held_radius
+        and float(np.linalg.norm(o.pose.position - obs.robot_pose.position)) < 0.015
     }
 
 
@@ -450,22 +448,13 @@ def _nearest_object(obs: Observation, exclude: set[str] = frozenset()):
     return best
 
 
-def create_annotation(
-    gateway,
-    demo: Demonstration,
-    task: TaskDescription,
-    cadence: int = 5,
-    jitter: int = 2,
-    rng_seed=0,
-    max_retries: int = MAX_RETRIES,
-    model_tag: str = "",
-) -> Annotation:
+def create_annotation(gateway, demo: Demonstration, task: TaskDescription, max_retries: int = MAX_RETRIES) -> Annotation:
     """Summarize, pick viewframes, then annotate: the whole query pipeline.
 
     Viewframe selection and annotation use separate fresh sessions; a
     malformed frame selection restarts that stage up to max_retries.
     """
-    summary = summarize_demo(demo, cadence=cadence, jitter=jitter, rng_seed=rng_seed)
+    summary = summarize_demo(demo)
     last_error: Exception | None = None
     for _ in range(max_retries):
         try:
@@ -475,9 +464,7 @@ def create_annotation(
             last_error = err
     else:
         raise AnnotationFailed(f"viewframe selection failed {max_retries} times: {last_error}")
-    return annotate(
-        gateway, demo, frames, task, summary=summary, max_retries=max_retries, model_tag=model_tag
-    )
+    return annotate(gateway, demo, frames, task, summary=summary, max_retries=max_retries)
 
 
 def render_prompt(name: str, **fields) -> str:

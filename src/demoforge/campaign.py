@@ -68,6 +68,7 @@ TASK_DESCRIPTIONS = {
 }
 
 _Z95 = float(norm.ppf(0.975))
+SCRIPTED_MAX_STEPS = 5000  # env steps a scripted_runner trial gets
 
 # seed-stream tags: every random decision derives from (campaign seed, tag,
 # counter), so a resumed campaign replays the identical stream
@@ -223,12 +224,12 @@ def audit_dataset(path) -> AuditResult:
 # Policy evaluation.
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    phat = successes / trials
+    phat, z = successes / trials, _Z95
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
@@ -269,13 +270,13 @@ def _retarget_and_warp(annotation, source_demo, scene, noise_std=0.0, rng=None):
     )
 
 
-def scripted_runner(max_steps: int = 5000):
+def scripted_runner():
     """The oracle controller run closed-loop: succeeds unless the task can't."""
 
     def run(spec: TaskSpec, scene_seed: int) -> bool:
         state, _ = reset(spec, scene_seed)
         policy = ScriptedPolicy(spec)
-        for _ in range(max_steps):
+        for _ in range(SCRIPTED_MAX_STEPS):
             if success(state):
                 return True
             act = policy.action(state)
@@ -313,10 +314,10 @@ def feedforward_runner(annotation, source_demo, noise_std: float = 0.0, disturba
     )
 
 
-def ensemble_runner(annotation, source_demo, noise_std: float = 0.0, disturbance=None, max_steps=None):
+def ensemble_runner(annotation, source_demo, noise_std: float = 0.0, disturbance=None):
     """Warped trajectory plus scripted feedback under the switching ensemble."""
     return _warped_runner(
-        lambda state, traj, dist: run_ensemble_episode(state, traj, disturbances=dist, max_steps=max_steps),
+        lambda state, traj, dist: run_ensemble_episode(state, traj, disturbances=dist),
         annotation,
         source_demo,
         noise_std,
@@ -658,6 +659,10 @@ def _load_checkpoint(cfg: CampaignConfig, sources: dict):
     for m in arms_meta:
         if not isinstance(m.source_demo_id, str) or m.source_demo_id not in sources:
             raise ConfigError(f"checkpoint arm names unknown source demo {m.source_demo_id!r}")
+        # the warp indexes the source demo at these; repair_annotation leaves them rising from 0 to T
+        ts, horizon = [k.timestep for k in m.annotation.keyposes], sources[m.source_demo_id].horizon
+        if not ts or ts[0] != 0 or ts[-1] != horizon or any(b <= a for a, b in zip(ts, ts[1:])):
+            raise ConfigError(f"checkpoint arm keypose timesteps {ts} do not rise strictly from 0 to {horizon}")
     if len(arms_meta) != len(state.arms):
         raise ConfigError(f"checkpoint has {len(arms_meta)} arm records for {len(state.arms)} bandit arms")
     return state, arms_meta, rollouts, elapsed

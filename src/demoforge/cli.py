@@ -20,6 +20,7 @@ from .campaign import (
     CampaignReport,
     ConfigError,
     SchemaViolation,
+    _check_int,
     audit_dataset,
     ensemble_runner,
     evaluate_policy,
@@ -121,6 +122,8 @@ def evaluate(task: str, policy: str, trials: int, seed: int, source_seed: int, n
         raise ConfigError("--trials must be >= 1")
     if not (math.isfinite(noise_std) and noise_std >= 0):
         raise ConfigError("--noise-std must be a finite number >= 0")
+    for name, value in (("--seed", seed), ("--source-seed", source_seed)):
+        _check_int(name, value, 0)
     spec = TaskSpec(task)
     if policy == "scripted":
         runner = scripted_runner()
@@ -160,10 +163,10 @@ def report(report_json: str) -> None:
     try:
         with open(report_json) as fh:
             doc = json.load(fh)
-        rep = CampaignReport.from_json(doc)
-    except (OSError, json.JSONDecodeError, TypeError, ValueError) as err:
+        table = CampaignReport.from_json(doc).render_table()
+    except (OSError, KeyError, TypeError, ValueError) as err:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read report {report_json}: {err}") from err
-    click.echo(rep.render_table())
+    click.echo(table)
 
 
 if __name__ == "__main__":

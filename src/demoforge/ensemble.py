@@ -175,24 +175,18 @@ class EnsembleState:
 
 
 def ensemble_step(
-    state: EnsembleState,
-    feedback_action: Action,
-    current_pose: Pose,
-    current_gripper: float,
-    tau_switch: float = TAU_SWITCH,
-    streak_window: int = STREAK_WINDOW,
-    cooldown: int = COOLDOWN,
-    tau_reattach: float = TAU_REATTACH,
+    state: EnsembleState, feedback_action: Action, current_pose: Pose, current_gripper: float
 ) -> tuple[Action, EnsembleState]:
     """Advance the switching machine one control step.
 
     Feedforward executes the cursor's trajectory action while scoring it
-    against the feedback action; a sub-threshold streak of length
-    streak_window flips to feedback once the cooldown since the last flip
+    against the feedback action; a streak of STREAK_WINDOW similarities
+    below TAU_SWITCH flips to feedback once the COOLDOWN since the last flip
     has elapsed. Feedback executes the feedback action and scans for a
-    reattach point, resuming feedforward there. Cursor exhaustion makes
-    feedback permanent: the flip label waits out any live cooldown (acting
-    as fallback in the meantime) so flips always sit >= cooldown apart.
+    reattach point (select_reattach at TAU_REATTACH), resuming feedforward
+    there. Cursor exhaustion makes feedback permanent: the flip label waits
+    out any live cooldown (acting as fallback in the meantime) so flips
+    always sit >= COOLDOWN apart.
     """
     traj = state.ff_trajectory
     if state.cooldown_remaining > 0:
@@ -207,7 +201,7 @@ def ensemble_step(
             executed = feedback_action
             if state.cooldown_remaining == 0:
                 state.mode = "feedback"
-                state.cooldown_remaining = cooldown
+                state.cooldown_remaining = COOLDOWN
                 state.disagreement_streak = 0
                 switched = True
         else:
@@ -216,14 +210,14 @@ def ensemble_step(
                 action_delta(current_pose, current_gripper, feedback_action.pose, feedback_action.gripper), state.stats
             )
             sim = similarity(a_ff, a_fb)
-            if sim < tau_switch:
+            if sim < TAU_SWITCH:
                 state.disagreement_streak += 1
             else:
                 state.disagreement_streak = 0
             state.ff_cursor += 1
-            if state.disagreement_streak >= streak_window and state.cooldown_remaining == 0:
+            if state.disagreement_streak >= STREAK_WINDOW and state.cooldown_remaining == 0:
                 state.mode = "feedback"
-                state.cooldown_remaining = cooldown
+                state.cooldown_remaining = COOLDOWN
                 state.disagreement_streak = 0
                 switched = True
     else:
@@ -232,11 +226,11 @@ def ensemble_step(
             a_il = normalize(
                 action_delta(current_pose, current_gripper, feedback_action.pose, feedback_action.gripper), state.stats
             )
-            t_star = select_reattach(state, current_pose, current_gripper, a_il, tau_reattach)
+            t_star = select_reattach(state, current_pose, current_gripper, a_il, TAU_REATTACH)
             if t_star is not None:
                 state.mode = "feedforward"
                 state.ff_cursor = t_star
-                state.cooldown_remaining = cooldown
+                state.cooldown_remaining = COOLDOWN
                 switched = True
 
     state.trace.append(

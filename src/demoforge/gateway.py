@@ -123,7 +123,7 @@ class Gateway:
                 session_id=session_id,
                 request=prompt,
                 response=text,
-                model=str(params.get("model", self._model_tag())),
+                model=str(self._model_tag()),
                 latency=time.monotonic() - start,
                 retries=retries,
                 attachments=[{"media_type": a.media_type, "bytes": len(a.data)} for a in attachments],
@@ -224,10 +224,10 @@ class HttpGateway(Gateway):
         else:
             content = prompt
         body = {
-            "model": params.get("model", self.config.model),
+            "model": self.config.model,
             "messages": [{"role": "user", "content": content}],
             "temperature": params.get("temperature", DEFAULT_ANNOTATION_TEMPERATURE),
-            "max_tokens": params.get("max_tokens", 4096),
+            "max_tokens": 4096,
         }
         last_err: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
@@ -238,7 +238,7 @@ class HttpGateway(Gateway):
                     self.config.endpoint,
                     json=body,
                     headers={"Authorization": f"Bearer {key}"},
-                    timeout=params.get("timeout", self.config.timeout),
+                    timeout=self.config.timeout,
                 )
             except requests.Timeout as err:
                 last_err = GatewayError(f"timeout: {err}", kind="timeout")

@@ -50,7 +50,6 @@ class RetargetRequest:
     task: TaskDescription
     observation: SceneObservation
     keyposes: list[Keypose]
-    home_rotation: Rotation | None = None
 
     def render(self) -> str:
         """Canonical prompt body; stored in campaign logs alongside replies."""
@@ -60,17 +59,16 @@ class RetargetRequest:
             task=self.task.text,
             description=self.description_text,
             keyposes=kp_lines,
-            observation=self.observation.text(home=self.home_rotation),
+            observation=self.observation.text(),
         )
 
 
-def build_request(ann, task: TaskDescription, obs: SceneObservation, home_rotation: Rotation | None = None) -> RetargetRequest:
+def build_request(ann, task: TaskDescription, obs: SceneObservation) -> RetargetRequest:
     return RetargetRequest(
         description_text=ann.description_text,
         task=task,
         observation=obs,
         keyposes=[k.copy() for k in ann.keyposes],
-        home_rotation=home_rotation,
     )
 
 

@@ -36,6 +36,16 @@ HOME_POSE = Pose(np.array([0.0, 0.0, 0.25]), Rotation.identity())
 DRAWER_TRAVEL = 0.12
 DRAWER_INTERIOR_DX = 0.10  # interior center sits this far behind the handle
 
+REGION_EXTENTS = (0.20, 0.30)  # scene randomization area, x by y
+YAW_RANGE_DEG = 45.0
+POSITION_TOLERANCE = 0.02
+GRASP_TOLERANCE = 0.01
+MAX_STEP = 0.02  # per env step
+MAX_ANGULAR_STEP = 0.1
+WALK_STEP = 4e-4  # stack_walking drift per env step
+CONVERGENCE_CAP = 50  # extra env steps a rollout grants one trajectory point
+RECORD_MAX_STEPS = 3000
+
 
 class ObjectAttached(ValueError):
     """Disturbances may not touch an object while the gripper holds it."""
@@ -44,27 +54,15 @@ class ObjectAttached(ValueError):
 @dataclass
 class TaskSpec:
     kind: str
-    region_extents: tuple[float, float] = (0.20, 0.30)  # randomization area, x by y
-    yaw_range_deg: float = 45.0
-    position_tolerance: float = 0.02
-    stack_height: float = BLOCK_SIZE
-    grasp_tolerance: float = 0.01
-    max_step: float = 0.02
-    max_angular_step: float = 0.1
-    walk_step: float = 4e-4
-    convergence_cap: int = 50
 
     def __post_init__(self):
         if self.kind not in BUNDLED_TASKS:
             raise ValueError(f"unknown task kind {self.kind!r}")
-        if self.position_tolerance <= 0 or self.grasp_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
 class Region:
     pose: Pose  # center, identity rotation
-    extents: tuple[float, float]
     color: str
 
     @property
@@ -109,31 +107,31 @@ def reset(spec: TaskSpec, seed) -> tuple[WorldState, SceneObservation]:
     metadata: dict = {}
 
     def block_pose():
-        pos = _sample_in_region(rng, spec.region_extents) + np.array([0.0, 0.0, BLOCK_HALF])
-        yaw = rng.uniform(-spec.yaw_range_deg, spec.yaw_range_deg)
+        pos = _sample_in_region(rng, REGION_EXTENTS) + np.array([0.0, 0.0, BLOCK_HALF])
+        yaw = rng.uniform(-YAW_RANGE_DEG, YAW_RANGE_DEG)
         return Pose(pos, Rotation.about_z_deg(yaw))
 
     if spec.kind == "pick_place":
         objects["block"] = block_pose()
-        center = _sample_in_region(rng, spec.region_extents) + np.array([0.0, 0.0, BLOCK_HALF])
+        center = _sample_in_region(rng, REGION_EXTENTS) + np.array([0.0, 0.0, BLOCK_HALF])
         while np.linalg.norm(center[:2] - objects["block"].position[:2]) < 0.06:
-            center = _sample_in_region(rng, spec.region_extents) + np.array([0.0, 0.0, BLOCK_HALF])
-        regions["target_region"] = Region(Pose(center), (0.04, 0.04), "target")
+            center = _sample_in_region(rng, REGION_EXTENTS) + np.array([0.0, 0.0, BLOCK_HALF])
+        regions["target_region"] = Region(Pose(center), "target")
     elif spec.kind in ("stack", "stack_flipped", "stack_walking"):
         objects["blue_block"] = block_pose()
         objects["green_block"] = block_pose()
         while np.linalg.norm(objects["green_block"].position[:2] - objects["blue_block"].position[:2]) < 0.06:
             objects["green_block"] = block_pose()
-        center = _sample_in_region(rng, spec.region_extents) + np.array([0.0, 0.0, BLOCK_HALF])
+        center = _sample_in_region(rng, REGION_EXTENTS) + np.array([0.0, 0.0, BLOCK_HALF])
         while min(
             np.linalg.norm(center[:2] - objects[n].position[:2]) for n in ("blue_block", "green_block")
         ) < 0.06:
-            center = _sample_in_region(rng, spec.region_extents) + np.array([0.0, 0.0, BLOCK_HALF])
+            center = _sample_in_region(rng, REGION_EXTENTS) + np.array([0.0, 0.0, BLOCK_HALF])
         order = ["blue_block", "green_block"]
         if spec.kind == "stack_flipped" and rng.random() < 0.5:
             order = order[::-1]
         color = ",".join(order)
-        regions["goal_region"] = Region(Pose(center), (0.05, 0.05), color)
+        regions["goal_region"] = Region(Pose(center), color)
         metadata["goal_colors"] = {"goal_region": color}
     elif spec.kind == "drawer_mug":
         handle = np.array([0.20, rng.uniform(-0.10, 0.10), 0.05])
@@ -141,7 +139,7 @@ def reset(spec: TaskSpec, seed) -> tuple[WorldState, SceneObservation]:
         metadata["drawer_closed_x"] = float(handle[0])
         metadata["drawer_travel"] = DRAWER_TRAVEL
         mug = _sample_in_region(rng, (0.12, 0.20)) + np.array([-0.08, 0.0, MUG_HALF])
-        objects["mug"] = Pose(mug, Rotation.about_z_deg(rng.uniform(-spec.yaw_range_deg, spec.yaw_range_deg)))
+        objects["mug"] = Pose(mug, Rotation.about_z_deg(rng.uniform(-YAW_RANGE_DEG, YAW_RANGE_DEG)))
 
     state = WorldState(
         spec=spec,
@@ -213,11 +211,10 @@ def step(state: WorldState, action: Action) -> WorldState:
     is "close" and nothing is held, so a closed gripper passing within grasp
     tolerance does grab - there is no collision model to say otherwise.
     """
-    spec = state.spec
     if not np.isfinite(action.gripper):  # a Pose's position is finite by construction
         raise ValueError("action must be finite")
 
-    state.robot_pose = _step_pose_toward(state.robot_pose, action.pose, spec.max_step, spec.max_angular_step)
+    state.robot_pose = _step_pose_toward(state.robot_pose, action.pose, MAX_STEP, MAX_ANGULAR_STEP)
 
     if state.attached_object is not None:
         name = state.attached_object
@@ -257,12 +254,12 @@ def step(state: WorldState, action: Action) -> WorldState:
             state.objects[name] = Pose(rest, pose.rotation)
     state.gripper = action.gripper
 
-    if spec.kind == "stack_walking":
+    if state.spec.kind == "stack_walking":
         for name in sorted(state.objects):
             if name in state.frozen or name == state.attached_object:
                 continue
             theta = state.rng.uniform(0.0, 2.0 * np.pi)
-            drift = spec.walk_step * np.array([np.cos(theta), np.sin(theta), 0.0])
+            drift = WALK_STEP * np.array([np.cos(theta), np.sin(theta), 0.0])
             pose = state.objects[name]
             state.objects[name] = Pose(pose.position + drift, pose.rotation)
 
@@ -275,7 +272,7 @@ def _mug_is_held(state: WorldState) -> bool:
 
 
 def _grabbable_object(state: WorldState) -> str | None:
-    best, best_d = None, state.spec.grasp_tolerance
+    best, best_d = None, GRASP_TOLERANCE
     for name in sorted(state.objects):
         d = float(np.linalg.norm(state.objects[name].position - state.robot_pose.position))
         if d < best_d:
@@ -295,14 +292,13 @@ def inject_disturbance(state: WorldState, object_id: str, delta) -> WorldState:
 
 def success(state: WorldState) -> bool:
     """Pure predicate on the world state."""
-    spec = state.spec
-    tol = spec.position_tolerance
-    if spec.kind == "pick_place":
+    kind, tol = state.spec.kind, POSITION_TOLERANCE
+    if kind == "pick_place":
         if state.attached_object is not None or state.gripper < 0.5:
             return False
         block = state.objects["block"].position
         return bool(np.linalg.norm(block - state.goal_regions["target_region"].center) <= tol)
-    if spec.kind in ("stack", "stack_flipped", "stack_walking"):
+    if kind in ("stack", "stack_flipped", "stack_walking"):
         if state.attached_object is not None or state.gripper < 0.5:
             return False
         order = state.goal_regions["goal_region"].color.split(",")
@@ -311,11 +307,11 @@ def success(state: WorldState) -> bool:
         top = state.objects[order[1]].position
         return bool(
             np.linalg.norm(bottom - base) <= tol
-            and np.linalg.norm(top - (base + np.array([0.0, 0.0, spec.stack_height]))) <= tol
+            and np.linalg.norm(top - (base + np.array([0.0, 0.0, BLOCK_SIZE]))) <= tol
         )
-    if spec.kind == "drawer_mug":
+    if kind == "drawer_mug":
         return drawer_mug_stage(state) == 4
-    raise ValueError(spec.kind)
+    raise ValueError(kind)
 
 
 def drawer_mug_stage(state: WorldState) -> int:
@@ -388,7 +384,7 @@ def rollout(
 ) -> RolloutOutcome:
     """Execute a trajectory point-by-point as goal actions.
 
-    Each point gets one env step, then up to convergence_cap extra steps of
+    Each point gets one env step, then up to CONVERGENCE_CAP extra steps of
     the same action until the end-effector lands on it. ``disturbances`` is
     a list of (point_index, object_id, delta) applied just before that
     point executes. Every env step is recorded; ``recording.demonstration``
@@ -404,7 +400,7 @@ def rollout(
         for obj, delta in by_point.get(i, []):
             inject_disturbance(state, obj, delta)
         action = traj.action(i)
-        for _ in range(1 + state.spec.convergence_cap):
+        for _ in range(1 + CONVERGENCE_CAP):
             rec.record(action)
             step(state, action)
             if _converged(state.robot_pose, action.pose):
@@ -483,14 +479,14 @@ class ScriptedPolicy:
         base = state.goal_regions["goal_region"].center
         targets = {
             order[0]: np.array([base[0], base[1], BLOCK_HALF + 0.001]),
-            order[1]: np.array([base[0], base[1], BLOCK_HALF + self.spec.stack_height + 0.001]),
+            order[1]: np.array([base[0], base[1], BLOCK_HALF + BLOCK_SIZE + 0.001]),
         }
         if state.attached_object in targets:
             return self._carry_to(state, targets[state.attached_object])
         for name in order:
             placed = np.linalg.norm(
                 state.objects[name].position - (targets[name] - np.array([0.0, 0.0, 0.001]))
-            ) <= self.spec.position_tolerance / 2.0
+            ) <= POSITION_TOLERANCE / 2.0
             if not placed:
                 return self._fetch(state, name)
         return self._home_or_done(state)
@@ -563,7 +559,7 @@ class ScriptedPolicy:
         )
 
 
-def record_demo(spec: TaskSpec, seed, demo_id: str = "", max_steps: int = 3000) -> Demonstration:
+def record_demo(spec: TaskSpec, seed, demo_id: str = "") -> Demonstration:
     """Run the scripted controller from a fresh reset, recording every step.
 
     The recorded steps form the demonstration that the annotation pipeline
@@ -573,14 +569,14 @@ def record_demo(spec: TaskSpec, seed, demo_id: str = "", max_steps: int = 3000) 
     state, _ = reset(spec, seed)
     policy = ScriptedPolicy(spec)
     rec = Recording(state)
-    for _ in range(max_steps):
+    for _ in range(RECORD_MAX_STEPS):
         act = policy.action(state)
         if act is None:
             break
         rec.record(act)
         step(state, act)
     else:
-        raise RuntimeError(f"scripted policy did not finish {spec.kind} within {max_steps} steps")
+        raise RuntimeError(f"scripted policy did not finish {spec.kind} within {RECORD_MAX_STEPS} steps")
     if not success(state):
         raise RuntimeError(f"scripted policy failed {spec.kind} on seed {seed}")
     return rec.demonstration(spec.kind, demo_id=demo_id or f"{spec.kind}-{seed}", seed=int(seed))

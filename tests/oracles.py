@@ -282,7 +282,7 @@ def rollout_steps_oracle(state, traj, disturbances=None):
         steps.append((observation_oracle(state), action))
         sw.step(state, action)
         extra = 0
-        while extra < state.spec.convergence_cap and not sw._converged(state.robot_pose, action.pose):
+        while extra < sw.CONVERGENCE_CAP and not sw._converged(state.robot_pose, action.pose):
             steps.append((observation_oracle(state), action))
             sw.step(state, action)
             extra += 1

@@ -127,9 +127,14 @@ class TestGenerate:
         "arm source demo unknown": (("arms", 0, "source_demo_id"), "nope"),
         "arm records missing": (("arms",), []),
     }
+    # edits of the one arm's keypose list
+    KEYPOSE_DAMAGE = {
+        "keypose past the horizon": lambda kps: kps[-1].update(t=99999),
+        "two keyposes swapped": lambda kps: kps.insert(1, kps.pop(2)),
+    }
 
     @pytest.mark.parametrize(
-        "damage", ["dataset deleted", "checkpoint torn", "checkpoint not a mapping", *FIELD_DAMAGE]
+        "damage", ["dataset deleted", "checkpoint torn", "checkpoint not a mapping", *FIELD_DAMAGE, *KEYPOSE_DAMAGE]
     )
     def test_resume_from_damaged_files_exits_2(self, runner, tmp_path, damage):
         cfg = write_config(tmp_path / "c.yaml", tiny_campaign(tmp_path, goal_successes=1))
@@ -143,6 +148,10 @@ class TestGenerate:
             for key in path[:-1]:
                 parent = parent[key]
             parent[path[-1]] = value
+            (tmp_path / "ckpt.json").write_text(json.dumps(doc))
+        elif damage in self.KEYPOSE_DAMAGE:
+            doc = json.loads((tmp_path / "ckpt.json").read_text())
+            self.KEYPOSE_DAMAGE[damage](doc["arms"][0]["annotation"]["keyposes"])
             (tmp_path / "ckpt.json").write_text(json.dumps(doc))
         else:
             (tmp_path / "ckpt.json").write_text('{"fingerprint": ' if damage == "checkpoint torn" else "[]")
@@ -178,6 +187,14 @@ class TestEvaluate:
         )
         assert result.exit_code == 2, result.output
         assert "--noise-std" in result.output
+
+    @pytest.mark.parametrize(
+        "option", [["--seed", "-1"], ["--policy", "feedforward", "--source-seed", "-1"]], ids=["seed", "source-seed"]
+    )
+    def test_negative_seed_exits_2(self, runner, option):
+        result = runner.invoke(main, ["evaluate", "--task", "pick_place", "--trials", "1", *option])
+        assert result.exit_code == 2, result.output
+        assert option[-2] in result.output
 
     def test_unknown_task_rejected_by_click(self, runner):
         result = runner.invoke(main, ["evaluate", "--task", "juggle"])
@@ -246,6 +263,29 @@ class TestReport:
         path.write_text("{]")
         result = runner.invoke(main, ["report", str(path)])
         assert result.exit_code == 2
+
+    # a report as generate writes it, and edits that break only the rendering
+    GOOD_REPORT = {
+        "task": "pick_place", "mode": "bandit", "goal_successes": 1, "total_rollouts": 1, "successes": 1,
+        "new_arm_attempts": 1, "new_arm_successes": 1,
+        "per_arm": [{"annotation_id": "pick_place-arm000", "n_suc": 1, "n_fail": 0, "noise_std": 0.0}],
+        "best_arm_rate": 1.0, "success_rate": 1.0, "wall_time": 0.5,
+    }
+    RENDER_DAMAGE = {
+        "arm row without noise_std": {"per_arm": [{"annotation_id": "a", "n_suc": 1, "n_fail": 0}]},
+        "success rate a string": {"success_rate": "x"},
+        "per_arm a string": {"per_arm": "x"},
+    }
+
+    @pytest.mark.parametrize("damage", RENDER_DAMAGE)
+    def test_unrenderable_report_exits_2(self, runner, tmp_path, damage):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(self.GOOD_REPORT))
+        assert runner.invoke(main, ["report", str(path)]).exit_code == 0
+        path.write_text(json.dumps(self.GOOD_REPORT | self.RENDER_DAMAGE[damage]))
+        result = runner.invoke(main, ["report", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output
 
     def test_wrong_shape_exits_2(self, runner, tmp_path):
         path = tmp_path / "r.json"

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is read somewhere."""
+"""Source hygiene: every module-level import in the package is read by its
+module, and every module-level private name is read somewhere in the package."""
 import ast
 from pathlib import Path
 
@@ -30,3 +31,43 @@ def test_checker_flags_only_unread_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``_``-prefixed functions, classes and assignments at module level
+    (dunders aside) that no module of ``sources`` (name -> text) reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defined = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                stores = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [n.id for t in stores for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in targets:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[f"{module}.{name}"] = (name, node.lineno)
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{key} (line {line})" for key, (name, line) in sorted(defined.items()) if name not in read]
+
+
+def test_private_checker_flags_only_unread_names():
+    sources = {
+        "a": "_used = 1\n_unused = 2\n__all__ = []\n_p, _q = 3, 4\n"
+        "def _f():\n    return _used + _p\nclass _C:\n    pass\n",
+        "b": "import a\nfrom a import _f\nx = _f() + a._q\n",
+    }
+    assert unread_private_names(sources) == ["a._C (line 7)", "a._unused (line 2)"]
+
+
+def test_no_unread_module_level_private_name():
+    assert unread_private_names({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
