@@ -371,6 +371,13 @@ def _check_int(name: str, value, least: int) -> None:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
+def _check_number(name: str, value, least: float) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass
 class CampaignConfig:
     task: str
@@ -401,11 +408,9 @@ class CampaignConfig:
         if self.retargeter not in ("scripted", "llm"):
             raise ConfigError(f"retargeter must be scripted or llm, got {self.retargeter!r}")
         for name in ("noise_min", "noise_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if not (0.0 <= self.noise_min <= self.noise_max):
-            raise ConfigError("need 0 <= noise_min <= noise_max")
+            _check_number(name, getattr(self, name), 0.0)
+        if self.noise_min > self.noise_max:
+            raise ConfigError("need noise_min <= noise_max")
         for name, least in (
             ("goal_successes", 1), ("seed", 0), ("decision_samples", 1), ("prior_samples", 1), ("max_retries", 1)
         ):
@@ -542,7 +547,7 @@ def _mint_arm(cfg: CampaignConfig, state: BanditState, sources: dict, gateway) -
 
 
 def _rollout_arm(cfg, meta: ArmMeta, source: Demonstration, scene_seed: int, rollout_idx: int, gateway):
-    """One pull of an arm: fresh scene, retarget, warp, roll out."""
+    """One pull of an arm: fresh scene, retarget, warp, roll out; the demo to keep, or None."""
     spec = TaskSpec(cfg.task)
     state, scene = reset(spec, scene_seed)
     if cfg.retargeter == "scripted":
@@ -556,8 +561,8 @@ def _rollout_arm(cfg, meta: ArmMeta, source: Demonstration, scene_seed: int, rol
         )
     out = rollout(state, traj)
     if not out.success:
-        return False, None
-    demo = out.recording.demonstration(
+        return None
+    return out.recording.demonstration(
         cfg.task,
         demo_id=f"{cfg.task}-gen{scene_seed:010d}",
         seed=scene_seed,
@@ -568,7 +573,6 @@ def _rollout_arm(cfg, meta: ArmMeta, source: Demonstration, scene_seed: int, rol
             "noise_std": meta.noise_std,
         },
     )
-    return True, demo
 
 
 def _cached_prior(cfg: CampaignConfig, state: BanditState, cache: dict) -> PriorFit:
@@ -654,8 +658,7 @@ def _load_checkpoint(cfg: CampaignConfig, sources: dict):
     for name, value in counts:
         _check_int(f"checkpoint {name}", value, 0)
     for name, value in [("elapsed", elapsed)] + [("arm noise_std", m.noise_std) for m in arms_meta]:
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
-            raise ConfigError(f"checkpoint {name} must be a finite number >= 0, got {value!r}")
+        _check_number(f"checkpoint {name}", value, 0.0)
     for m in arms_meta:
         if not isinstance(m.source_demo_id, str) or m.source_demo_id not in sources:
             raise ConfigError(f"checkpoint arm names unknown source demo {m.source_demo_id!r}")
@@ -665,6 +668,10 @@ def _load_checkpoint(cfg: CampaignConfig, sources: dict):
             raise ConfigError(f"checkpoint arm keypose timesteps {ts} do not rise strictly from 0 to {horizon}")
     if len(arms_meta) != len(state.arms):
         raise ConfigError(f"checkpoint has {len(arms_meta)} arm records for {len(state.arms)} bandit arms")
+    for arm, m in zip(state.arms, arms_meta):
+        # the report prints the bandit's id; the arm record's is the one the demos carry
+        if not isinstance(arm.annotation_id, str) or arm.annotation_id != m.annotation.id:
+            raise ConfigError(f"checkpoint bandit arm {arm.annotation_id!r} is not its record's {m.annotation.id!r}")
     return state, arms_meta, rollouts, elapsed
 
 
@@ -701,34 +708,28 @@ def run_campaign(cfg: CampaignConfig, gateway=None, resume: bool = False) -> Cam
             break
         minted = _should_mint(cfg, state, rollouts, prior_cache)
         scene_seed = _scene_seed(cfg.seed, rollouts)
-        succ, demo = False, None
-        pull_idx = None
         try:
             if minted:
                 meta = _mint_arm(cfg, state, sources, gateway)
-                succ, demo = _rollout_arm(cfg, meta, sources[meta.source_demo_id], scene_seed, rollouts, gateway)
-                state.new_arm_attempts += 1
-                if succ:
-                    state.new_arm_successes += 1
-                    state.arms.append(Arm(meta.annotation.id, 1, 0))
-                    arms_meta.append(meta)
             else:
                 pull_idx = thompson_select(state, _seeded(cfg.seed, _TAG_THOMPSON, rollouts))
                 meta = arms_meta[pull_idx]
-                succ, demo = _rollout_arm(cfg, meta, sources[meta.source_demo_id], scene_seed, rollouts, gateway)
-                record_outcome(state, pull_idx, succ)
-        except AnnotationFailed:
-            state.new_arm_attempts += 1
-        except RetargetFailed:
-            if minted:
-                state.new_arm_attempts += 1
-            else:
-                record_outcome(state, pull_idx, False)
+            demo = _rollout_arm(cfg, meta, sources[meta.source_demo_id], scene_seed, rollouts, gateway)
+        except (AnnotationFailed, RetargetFailed):
+            demo = None
         except GatewayError:
             _write_checkpoint(cfg, state, arms_meta, rollouts, elapsed_prior + time.monotonic() - t0)
             raise
 
-        if succ:
+        if minted:
+            state.new_arm_attempts += 1
+            if demo is not None:
+                state.new_arm_successes += 1
+                state.arms.append(Arm(meta.annotation.id, 1, 0))
+                arms_meta.append(meta)
+        else:
+            record_outcome(state, pull_idx, demo is not None)
+        if demo is not None:
             state.current_successes += 1
             if cfg.dataset_path is not None:
                 append_demo(cfg.dataset_path, demo)

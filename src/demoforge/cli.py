@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import sys
 
 import click
@@ -21,6 +20,7 @@ from .campaign import (
     ConfigError,
     SchemaViolation,
     _check_int,
+    _check_number,
     audit_dataset,
     ensemble_runner,
     evaluate_policy,
@@ -120,8 +120,7 @@ def evaluate(task: str, policy: str, trials: int, seed: int, source_seed: int, n
     """Measure a policy's success rate over seeded fresh scenes."""
     if trials < 1:
         raise ConfigError("--trials must be >= 1")
-    if not (math.isfinite(noise_std) and noise_std >= 0):
-        raise ConfigError("--noise-std must be a finite number >= 0")
+    _check_number("--noise-std", noise_std, 0.0)
     for name, value in (("--seed", seed), ("--source-seed", source_seed)):
         _check_int(name, value, 0)
     spec = TaskSpec(task)

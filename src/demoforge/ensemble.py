@@ -23,10 +23,6 @@ STREAK_WINDOW = 3
 COOLDOWN = 5
 
 
-class TrajectoryExhausted(RuntimeError):
-    """Feedforward cursor ran off the end of the trajectory."""
-
-
 @dataclass
 class NormalizedAction:
     vector: np.ndarray
@@ -191,47 +187,41 @@ def ensemble_step(
     traj = state.ff_trajectory
     if state.cooldown_remaining > 0:
         state.cooldown_remaining -= 1
-    switched = False
     sim = None
 
-    if state.mode == "feedforward":
-        try:
-            executed = _trajectory_action(traj, state.ff_cursor)
-        except TrajectoryExhausted:
-            executed = feedback_action
-            if state.cooldown_remaining == 0:
-                state.mode = "feedback"
-                state.cooldown_remaining = COOLDOWN
-                state.disagreement_streak = 0
-                switched = True
-        else:
-            a_ff = normalize(action_delta(current_pose, current_gripper, executed.pose, executed.gripper), state.stats)
-            a_fb = normalize(
-                action_delta(current_pose, current_gripper, feedback_action.pose, feedback_action.gripper), state.stats
-            )
-            sim = similarity(a_ff, a_fb)
-            if sim < TAU_SWITCH:
-                state.disagreement_streak += 1
-            else:
-                state.disagreement_streak = 0
-            state.ff_cursor += 1
-            if state.disagreement_streak >= STREAK_WINDOW and state.cooldown_remaining == 0:
-                state.mode = "feedback"
-                state.cooldown_remaining = COOLDOWN
-                state.disagreement_streak = 0
-                switched = True
-    else:
+    if state.mode == "feedback":
         executed = feedback_action
+        flip = False
         if state.cooldown_remaining == 0:
             a_il = normalize(
                 action_delta(current_pose, current_gripper, feedback_action.pose, feedback_action.gripper), state.stats
             )
             t_star = select_reattach(state, current_pose, current_gripper, a_il, TAU_REATTACH)
             if t_star is not None:
-                state.mode = "feedforward"
-                state.ff_cursor = t_star
-                state.cooldown_remaining = COOLDOWN
-                switched = True
+                state.ff_cursor, flip = t_star, True
+    elif state.ff_cursor < len(traj):
+        executed = traj.action(state.ff_cursor)
+        a_ff = normalize(action_delta(current_pose, current_gripper, executed.pose, executed.gripper), state.stats)
+        a_fb = normalize(
+            action_delta(current_pose, current_gripper, feedback_action.pose, feedback_action.gripper), state.stats
+        )
+        sim = similarity(a_ff, a_fb)
+        if sim < TAU_SWITCH:
+            state.disagreement_streak += 1
+        else:
+            state.disagreement_streak = 0
+        state.ff_cursor += 1
+        flip = state.disagreement_streak >= STREAK_WINDOW
+    else:  # cursor exhausted: feedback for good
+        executed = feedback_action
+        flip = True
+
+    # in feedback mode the streak is already 0: every flip into it resets it
+    switched = flip and state.cooldown_remaining == 0
+    if switched:
+        state.mode = "feedforward" if state.mode == "feedback" else "feedback"
+        state.cooldown_remaining = COOLDOWN
+        state.disagreement_streak = 0
 
     state.trace.append(
         {
@@ -245,8 +235,3 @@ def ensemble_step(
     state.step_index += 1
     return executed, state
 
-
-def _trajectory_action(traj: TrajectorySegment, cursor: int) -> Action:
-    if cursor >= len(traj):
-        raise TrajectoryExhausted(f"cursor {cursor} past trajectory end {len(traj) - 1}")
-    return traj.action(cursor)

@@ -206,6 +206,88 @@ def reattach_similarities(vectors, single):
     return out
 
 
+class TrajectoryExhausted(RuntimeError):
+    """Feedforward cursor ran off the end of the trajectory."""
+
+
+def ensemble_step_oracle(state, feedback_action, current_pose, current_gripper):
+    """The switching machine as it stood before its mode flips were written
+    once: each branch sets mode, cooldown and streak itself, and the end of
+    the trajectory is found by raising and catching TrajectoryExhausted."""
+    from demoforge.ensemble import (
+        COOLDOWN,
+        STREAK_WINDOW,
+        TAU_REATTACH,
+        TAU_SWITCH,
+        action_delta,
+        normalize,
+        select_reattach,
+        similarity,
+    )
+
+    def trajectory_action(traj, cursor):
+        if cursor >= len(traj):
+            raise TrajectoryExhausted(f"cursor {cursor} past trajectory end {len(traj) - 1}")
+        return traj.action(cursor)
+
+    traj = state.ff_trajectory
+    if state.cooldown_remaining > 0:
+        state.cooldown_remaining -= 1
+    switched = False
+    sim = None
+
+    if state.mode == "feedforward":
+        try:
+            executed = trajectory_action(traj, state.ff_cursor)
+        except TrajectoryExhausted:
+            executed = feedback_action
+            if state.cooldown_remaining == 0:
+                state.mode = "feedback"
+                state.cooldown_remaining = COOLDOWN
+                state.disagreement_streak = 0
+                switched = True
+        else:
+            a_ff = normalize(action_delta(current_pose, current_gripper, executed.pose, executed.gripper), state.stats)
+            a_fb = normalize(
+                action_delta(current_pose, current_gripper, feedback_action.pose, feedback_action.gripper), state.stats
+            )
+            sim = similarity(a_ff, a_fb)
+            if sim < TAU_SWITCH:
+                state.disagreement_streak += 1
+            else:
+                state.disagreement_streak = 0
+            state.ff_cursor += 1
+            if state.disagreement_streak >= STREAK_WINDOW and state.cooldown_remaining == 0:
+                state.mode = "feedback"
+                state.cooldown_remaining = COOLDOWN
+                state.disagreement_streak = 0
+                switched = True
+    else:
+        executed = feedback_action
+        if state.cooldown_remaining == 0:
+            a_il = normalize(
+                action_delta(current_pose, current_gripper, feedback_action.pose, feedback_action.gripper), state.stats
+            )
+            t_star = select_reattach(state, current_pose, current_gripper, a_il, TAU_REATTACH)
+            if t_star is not None:
+                state.mode = "feedforward"
+                state.ff_cursor = t_star
+                state.cooldown_remaining = COOLDOWN
+                switched = True
+
+    state.trace.append(
+        {
+            "step": state.step_index,
+            "mode": state.mode,
+            "similarity": sim,
+            "switched": switched,
+            "ff_cursor": state.ff_cursor,
+        }
+    )
+    state.step_index += 1
+    return executed, state
+
+
 def beta_loglik(alpha, beta, samples):
     from scipy.special import betaln
 

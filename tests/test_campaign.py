@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from demoforge import ensemble
+from demoforge import campaign, ensemble
 from demoforge.annotation import scripted_annotate
 from demoforge.campaign import (
     CampaignConfig,
@@ -31,6 +31,7 @@ from demoforge.campaign import (
 from demoforge.demos import Action, Demonstration, Observation, ObjectObservation
 from demoforge.gateway import GatewayError, MockGateway, TransientFailure
 from demoforge.geometry import Pose, Rotation
+from demoforge.retargeting import RetargetFailed, SceneObservation, scripted_retarget
 from demoforge.simworld import ObjectAttached, TaskSpec, record_demo, reset
 from oracles import demo_from_steps, select_reattach_oracle, wilson_interval as wilson_oracle
 
@@ -613,6 +614,47 @@ class TestCampaign:
         assert rep.successes == 0
         assert rep.new_arm_attempts == 3
         assert rep.new_arm_successes == 0
+
+    @staticmethod
+    def assert_rollouts_add_up(rep):
+        pulled = sum(r["n_suc"] + r["n_fail"] for r in rep.per_arm)
+        assert pulled + rep.new_arm_attempts - rep.new_arm_successes == rep.total_rollouts
+
+    def test_llm_retarget_failure_is_a_failed_pull_of_the_chosen_arm(self, tmp_path, monkeypatch):
+        # the first retarget works, so the minted arm is kept; each later one
+        # fails, and every such pull is a failure of that one arm
+        source = record_demo(TaskSpec("pick_place"), 1001, demo_id="pick_place-src00")
+        first = source.observation(0)
+        old_scene = SceneObservation(first.robot_pose, {o.name: o.pose for o in first.objects})
+        calls = []
+
+        def retarget_once(gateway, req, max_retries):
+            calls.append(req)
+            if len(calls) > 1:
+                raise RetargetFailed("no usable retarget")
+            return scripted_retarget(scripted_annotate(source, "pick_place"), req.observation, old_scene)
+
+        monkeypatch.setattr(campaign, "retarget", retarget_once)
+        cfg = self.cfg(
+            tmp_path, goal_successes=3, mode="fixed_first", retargeter="llm", max_rollouts=5, source_demo_seeds=(1001,)
+        )
+        rep = run_campaign(cfg, gateway=MockGateway(responder=lambda prompt: "unused"))
+        assert len(calls) == rep.total_rollouts == 5
+        assert rep.successes == 1
+        assert (rep.new_arm_attempts, rep.new_arm_successes) == (1, 1)
+        assert [(r["n_suc"], r["n_fail"]) for r in rep.per_arm] == [(1, 4)]
+        self.assert_rollouts_add_up(rep)
+
+    def test_llm_annotation_failures_are_discarded_attempts(self, tmp_path):
+        # a gateway with no usable answer: every mint fails, so every
+        # rollout is an attempt that adds no arm
+        cfg = self.cfg(tmp_path, goal_successes=2, annotator="llm", max_rollouts=3, source_demo_seeds=(1001,))
+        rep = run_campaign(cfg, gateway=MockGateway(responder=lambda prompt: "no frames here"))
+        assert (rep.total_rollouts, rep.successes) == (3, 0)
+        assert (rep.new_arm_attempts, rep.new_arm_successes) == (3, 0)
+        assert rep.per_arm == []
+        assert read_dataset(cfg.dataset_path) == []
+        self.assert_rollouts_add_up(rep)
 
 
 class TestReport:

@@ -126,6 +126,8 @@ class TestGenerate:
         "arm noise NaN": (("arms", 0, "noise_std"), float("nan")),
         "arm source demo unknown": (("arms", 0, "source_demo_id"), "nope"),
         "arm records missing": (("arms",), []),
+        "bandit arm id a list": (("bandit", "arms", 0, "annotation_id"), [1]),
+        "bandit arm id not its record's": (("bandit", "arms", 0, "annotation_id"), "pick_place-arm999"),
     }
     # edits of the one arm's keypose list
     KEYPOSE_DAMAGE = {

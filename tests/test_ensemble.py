@@ -16,7 +16,7 @@ from demoforge.ensemble import (
 )
 from demoforge.geometry import Pose, Rotation
 from demoforge.warping import TrajectorySegment
-from oracles import reattach_row_deltas, reattach_similarities, select_reattach_oracle
+from oracles import ensemble_step_oracle, reattach_row_deltas, reattach_similarities, select_reattach_oracle
 
 
 def segment(poses, grips):
@@ -447,3 +447,55 @@ class TestEnsembleStep:
             _, state = ensemble_step(state, perfect_feedback(traj, min(step, 4)), pose, 1.0)
         assert [e["step"] for e in state.trace] == list(range(8))
         assert all(e["mode"] in ("feedforward", "feedback") for e in state.trace)
+
+
+class TestEnsembleStepMatchesOracle:
+    """One flip block and a bounds check on the cursor do what three flip
+    blocks and a raised TrajectoryExhausted did, bit for bit."""
+
+    @staticmethod
+    def feedback(rng, traj, state, pose, grip):
+        """On the trajectory (its pose just past the cursor, sometimes nudged),
+        off it (a random move), or idle."""
+        u, n = rng.random(), len(traj)
+        if u < 0.5:
+            i = min(state.ff_cursor + int(rng.integers(0, 3)), n - 1)
+            target = traj.pose(i)
+            if rng.random() < 0.3:
+                target = Pose(target.position + rng.normal(0.0, 0.003, 3), target.rotation)
+            return Action(target, float(traj.gripper[i]))
+        if u < 0.85:
+            turn = Rotation.from_rotvec(rng.normal(0.0, 0.2, 3))
+            moved = Pose(pose.position + rng.normal(0.0, 0.02, 3), turn @ pose.rotation)
+            return Action(moved, float(rng.choice([0.0, 1.0])))
+        return Action(pose, grip)
+
+    def test_fuzzed_episodes(self):
+        rng = np.random.default_rng(909)
+        flips = exhausted = fallbacks = 0
+        for episode in range(150):
+            n = int(rng.integers(2, 41))
+            poses = [Pose(rng.uniform(-0.2, 0.2, 3), Rotation.from_rotvec(rng.normal(0.0, 1.0, 3)))]
+            for _ in range(n - 1):
+                step = Rotation.from_rotvec(rng.normal(0.0, 0.1, 3))
+                poses.append(Pose(poses[-1].position + rng.normal(0.0, 0.01, 3), step @ poses[-1].rotation))
+            traj = segment(poses, list(rng.choice([0.0, 1.0], size=n)))
+            got, want = EnsembleState.initial(traj), EnsembleState.initial(traj)
+            pose, grip = poses[0], float(traj.gripper[0])
+            for t in range(int(rng.integers(20, 80))):
+                fb = self.feedback(rng, traj, got, pose, grip)
+                exhausted += got.ff_cursor >= n
+                # feedforward past the end while the cooldown holds the flip back
+                fallbacks += got.mode == "feedforward" and got.ff_cursor >= n and got.cooldown_remaining > 1
+                act, got = ensemble_step(got, fb, pose, grip)
+                ref, want = ensemble_step_oracle(want, fb, pose, grip)
+                where = (episode, t)
+                assert np.array_equal(act.pose.position, ref.pose.position), where
+                assert np.array_equal(act.pose.rotation.as_matrix(), ref.pose.rotation.as_matrix()), where
+                assert act.gripper == ref.gripper, where
+                for name in ("mode", "ff_cursor", "cooldown_remaining", "disagreement_streak", "step_index"):
+                    assert getattr(got, name) == getattr(want, name), (where, name)
+                assert got.trace == want.trace, where
+                flips += got.trace[-1]["switched"]
+                pose, grip = act.pose, float(act.gripper)
+        assert flips >= 250 and exhausted >= 1500 and fallbacks >= 30, (flips, exhausted, fallbacks)

@@ -1,11 +1,17 @@
 """Source hygiene: every module-level import in the package is read by its
-module, and every module-level private name is read somewhere in the package."""
+module, every module-level private name is read somewhere in the package, and
+the names the benchmark rebinds in ``demoforge.campaign`` still exist."""
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "demoforge"
+import demoforge.campaign as campaign
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "demoforge"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -71,3 +77,14 @@ def test_private_checker_flags_only_unread_names():
 
 def test_no_unread_module_level_private_name():
     assert unread_private_names({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+def test_bench_rebinding_targets_exist(monkeypatch):
+    # the benchmark wraps these names in the campaign module and reads these
+    # arguments by name; a rename would silently drop its spans
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    for name in tracing.TRACE_TARGETS:
+        assert callable(getattr(campaign, name, None)), name
+    assert {"state", "T", "prior", "k", "rng"} <= set(inspect.signature(campaign.decide_new_arm).parameters)
+    assert "path" in inspect.signature(campaign.read_dataset).parameters
