@@ -672,6 +672,19 @@ def _load_checkpoint(cfg: CampaignConfig, sources: dict):
         # the report prints the bandit's id; the arm record's is the one the demos carry
         if not isinstance(arm.annotation_id, str) or arm.annotation_id != m.annotation.id:
             raise ConfigError(f"checkpoint bandit arm {arm.annotation_id!r} is not its record's {m.annotation.id!r}")
+    # every kept mint is an arm that starts with its one success; run_campaign asserts the rollouts add up
+    kept, suc = state.new_arm_successes, sum(arm.n_suc for arm in state.arms)
+    pulls = sum(arm.n_suc + arm.n_fail for arm in state.arms)
+    if not (
+        kept == len(state.arms) <= state.new_arm_attempts
+        and state.current_successes == suc
+        and pulls + state.new_arm_attempts - kept == rollouts
+    ):
+        raise ConfigError(
+            f"checkpoint counts do not add up: {rollouts} rollouts, {state.new_arm_attempts} new-arm attempts, "
+            f"{kept} kept, {len(state.arms)} arms with {pulls} pulls and {suc} successes, "
+            f"{state.current_successes} current successes"
+        )
     return state, arms_meta, rollouts, elapsed
 
 

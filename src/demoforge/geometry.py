@@ -113,11 +113,13 @@ class Rotation:
 
     def angle_rad(self) -> float:
         """Total rotation angle in [0, pi]."""
-        c = np.clip((np.trace(self._m) - 1.0) / 2.0, -1.0, 1.0)
-        return float(np.arccos(c))
+        # np.trace's left-to-right sum and np.clip (NaN stays NaN) on Python floats; not math.acos: its bits differ
+        m = self._m
+        c = ((m.item(0) + m.item(4)) + m.item(8) - 1.0) / 2.0
+        return float(np.arccos(min(max(c, -1.0), 1.0)))
 
     def angle_to(self, other: "Rotation") -> float:
-        return (self.inverse() @ other).angle_rad()
+        return Rotation(self._m.T @ other._m).angle_rad()  # the matmul of inverse() @ other
 
     def allclose(self, other: "Rotation", atol: float = 1e-9) -> bool:
         return bool(np.allclose(self._m, other._m, atol=atol))

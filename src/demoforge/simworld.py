@@ -18,6 +18,7 @@ demo solver and as the recovering feedback policy for ensembles.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -99,6 +100,11 @@ def _sample_in_region(rng, extents) -> np.ndarray:
     return np.array([x, y, 0.0])
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a vector, bit for bit: it too takes the root of v.v."""
+    return math.sqrt(v.dot(v))
+
+
 def reset(spec: TaskSpec, seed) -> tuple[WorldState, SceneObservation]:
     """Deterministic scene randomization: same seed, same state, always."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xD35C]))
@@ -114,17 +120,17 @@ def reset(spec: TaskSpec, seed) -> tuple[WorldState, SceneObservation]:
     if spec.kind == "pick_place":
         objects["block"] = block_pose()
         center = _sample_in_region(rng, REGION_EXTENTS) + np.array([0.0, 0.0, BLOCK_HALF])
-        while np.linalg.norm(center[:2] - objects["block"].position[:2]) < 0.06:
+        while _norm(center[:2] - objects["block"].position[:2]) < 0.06:
             center = _sample_in_region(rng, REGION_EXTENTS) + np.array([0.0, 0.0, BLOCK_HALF])
         regions["target_region"] = Region(Pose(center), "target")
     elif spec.kind in ("stack", "stack_flipped", "stack_walking"):
         objects["blue_block"] = block_pose()
         objects["green_block"] = block_pose()
-        while np.linalg.norm(objects["green_block"].position[:2] - objects["blue_block"].position[:2]) < 0.06:
+        while _norm(objects["green_block"].position[:2] - objects["blue_block"].position[:2]) < 0.06:
             objects["green_block"] = block_pose()
         center = _sample_in_region(rng, REGION_EXTENTS) + np.array([0.0, 0.0, BLOCK_HALF])
         while min(
-            np.linalg.norm(center[:2] - objects[n].position[:2]) for n in ("blue_block", "green_block")
+            _norm(center[:2] - objects[n].position[:2]) for n in ("blue_block", "green_block")
         ) < 0.06:
             center = _sample_in_region(rng, REGION_EXTENTS) + np.array([0.0, 0.0, BLOCK_HALF])
         order = ["blue_block", "green_block"]
@@ -162,14 +168,13 @@ def scene_observation(state: WorldState) -> SceneObservation:
 
 def _step_pose_toward(current: Pose, goal: Pose, max_step: float, max_angular: float) -> Pose:
     delta = goal.position - current.position
-    dist = float(np.linalg.norm(delta))
-    new_pos = goal.position if dist <= max_step else current.position + delta * (max_step / dist)
-    rel = current.rotation.inverse() @ goal.rotation
+    dist = _norm(delta)
+    rel = Rotation(current.rotation._m.T @ goal.rotation._m)  # inverse() @ goal.rotation, unwrapped
     angle = rel.angle_rad()
-    if angle <= max_angular:
-        new_rot = goal.rotation
-    else:
-        new_rot = current.rotation @ rel.power(max_angular / angle)
+    if dist <= max_step and angle <= max_angular:
+        return goal
+    new_pos = goal.position if dist <= max_step else current.position + delta * (max_step / dist)
+    new_rot = goal.rotation if angle <= max_angular else current.rotation @ rel.power(max_angular / angle)
     return Pose(new_pos, new_rot)
 
 
@@ -178,11 +183,9 @@ def _rest_z(state: WorldState, name: str, xy: np.ndarray) -> float:
     half = MUG_HALF if name == "mug" else BLOCK_HALF
     top = half
     for other, pose in state.objects.items():
-        if other == name or other in ("drawer",):
+        if other in (name, "drawer", state.attached_object):
             continue
-        if other == state.attached_object:
-            continue
-        if np.linalg.norm(pose.position[:2] - xy) < 0.03:
+        if _norm(pose.position[:2] - xy) < 0.03:
             other_half = MUG_HALF if other == "mug" else BLOCK_HALF
             top = max(top, pose.position[2] + other_half + half)
     return top
@@ -211,7 +214,7 @@ def step(state: WorldState, action: Action) -> WorldState:
     is "close" and nothing is held, so a closed gripper passing within grasp
     tolerance does grab - there is no collision model to say otherwise.
     """
-    if not np.isfinite(action.gripper):  # a Pose's position is finite by construction
+    if not math.isfinite(action.gripper):  # a Pose's position is finite by construction
         raise ValueError("action must be finite")
 
     state.robot_pose = _step_pose_toward(state.robot_pose, action.pose, MAX_STEP, MAX_ANGULAR_STEP)
@@ -225,7 +228,7 @@ def step(state: WorldState, action: Action) -> WorldState:
             old = state.objects["drawer"]
             dx = new_x - old.position[0]
             # containment judged against the drawer pose before this step's slide
-            carries_mug = not _mug_is_held(state) and _mug_in_drawer(state)
+            carries_mug = state.attached_object != "mug" and _mug_in_drawer(state)
             state.objects["drawer"] = Pose(old.position + np.array([dx, 0.0, 0.0]), old.rotation)
             if carries_mug:
                 mug = state.objects["mug"]
@@ -267,14 +270,10 @@ def step(state: WorldState, action: Action) -> WorldState:
     return state
 
 
-def _mug_is_held(state: WorldState) -> bool:
-    return state.attached_object == "mug"
-
-
 def _grabbable_object(state: WorldState) -> str | None:
     best, best_d = None, GRASP_TOLERANCE
     for name in sorted(state.objects):
-        d = float(np.linalg.norm(state.objects[name].position - state.robot_pose.position))
+        d = _norm(state.objects[name].position - state.robot_pose.position)
         if d < best_d:
             best, best_d = name, d
     return best
@@ -297,7 +296,7 @@ def success(state: WorldState) -> bool:
         if state.attached_object is not None or state.gripper < 0.5:
             return False
         block = state.objects["block"].position
-        return bool(np.linalg.norm(block - state.goal_regions["target_region"].center) <= tol)
+        return _norm(block - state.goal_regions["target_region"].center) <= tol
     if kind in ("stack", "stack_flipped", "stack_walking"):
         if state.attached_object is not None or state.gripper < 0.5:
             return False
@@ -305,9 +304,9 @@ def success(state: WorldState) -> bool:
         base = state.goal_regions["goal_region"].center
         bottom = state.objects[order[0]].position
         top = state.objects[order[1]].position
-        return bool(
-            np.linalg.norm(bottom - base) <= tol
-            and np.linalg.norm(top - (base + np.array([0.0, 0.0, BLOCK_SIZE]))) <= tol
+        return (
+            _norm(bottom - base) <= tol
+            and _norm(top - (base + np.array([0.0, 0.0, BLOCK_SIZE]))) <= tol
         )
     if kind == "drawer_mug":
         return drawer_mug_stage(state) == 4
@@ -326,7 +325,7 @@ def drawer_mug_stage(state: WorldState) -> int:
         return 4
     if inside and state.attached_object is None:
         return 3
-    if _mug_is_held(state):
+    if state.attached_object == "mug":
         return 2
     if open_enough:
         return 1
@@ -411,9 +410,8 @@ def rollout(
 # angular tolerance sits above arccos round-off for bitwise-equal matrices
 def _converged(current: Pose, goal: Pose, pos_tol: float = 1e-9, ang_tol: float = 1e-7) -> bool:
     return (
-        float(np.linalg.norm(current.position - goal.position)) <= pos_tol
-        and current.rotation.angle_to(goal.rotation) <= ang_tol
-    )
+        current.position is goal.position or _norm(current.position - goal.position) <= pos_tol
+    ) and current.rotation.angle_to(goal.rotation) <= ang_tol
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +482,7 @@ class ScriptedPolicy:
         if state.attached_object in targets:
             return self._carry_to(state, targets[state.attached_object])
         for name in order:
-            placed = np.linalg.norm(
+            placed = _norm(
                 state.objects[name].position - (targets[name] - np.array([0.0, 0.0, 0.001]))
             ) <= POSITION_TOLERANCE / 2.0
             if not placed:
@@ -499,12 +497,11 @@ class ScriptedPolicy:
             return self._home_or_done(state)
         if _mug_in_drawer(state) and state.attached_object is None:
             # close the drawer: grab the handle and push it back in
-            if state.attached_object != "drawer":
-                if opening <= 0.02:
-                    return self._home_or_done(state)
-                grabbed = self._fetch(state, "drawer", grasp_only=True)
-                if grabbed is not None:
-                    return grabbed
+            if opening <= 0.02:
+                return self._home_or_done(state)
+            grabbed = self._fetch(state, "drawer", grasp_only=True)
+            if grabbed is not None:
+                return grabbed
             return Pose(np.array([meta["drawer_closed_x"], handle[1], handle[2]])), GRIPPER_CLOSED
         if state.attached_object == "drawer":
             if _mug_in_drawer(state):
@@ -514,7 +511,7 @@ class ScriptedPolicy:
             if abs(handle[0] - target_x) < 1e-6:
                 return state.robot_pose, GRIPPER_OPEN
             return Pose(np.array([target_x, handle[1], handle[2]])), GRIPPER_CLOSED
-        if _mug_is_held(state):
+        if state.attached_object == "mug":
             interior = _drawer_interior_center(state)
             return self._carry_to(state, np.array([interior[0], interior[1], MUG_HALF + 0.001]))
         if opening < 0.8 * meta["drawer_travel"]:
@@ -531,12 +528,13 @@ class ScriptedPolicy:
         if state.attached_object == name:
             return None if grasp_only else self._carry_to(state, state.objects[name].position)
         obj = state.objects[name]
-        yaw = np.degrees(np.arctan2(obj.rotation.as_matrix()[1, 0], obj.rotation.as_matrix()[0, 0]))
+        m = obj.rotation._m
+        yaw = np.degrees(np.arctan2(m[1, 0], m[0, 0]))
         rot = Rotation.about_z_deg(float(yaw)) if name != "drawer" else Rotation.identity()
         above = Pose(np.array([obj.position[0], obj.position[1], obj.position[2] + APPROACH_HEIGHT]), rot)
         grasp = Pose(obj.position, rot)
-        d_xy = float(np.linalg.norm(state.robot_pose.position[:2] - obj.position[:2]))
-        d = float(np.linalg.norm(state.robot_pose.position - obj.position))
+        d_xy = _norm(state.robot_pose.position[:2] - obj.position[:2])
+        d = _norm(state.robot_pose.position - obj.position)
         if d <= 0.008:
             return grasp, GRIPPER_CLOSED
         if d_xy <= 0.003 and state.robot_pose.position[2] <= obj.position[2] + APPROACH_HEIGHT + 1e-6:
@@ -546,7 +544,7 @@ class ScriptedPolicy:
     def _carry_to(self, state: WorldState, place: np.ndarray):
         """Lift, traverse at carry height, descend, release on arrival."""
         ee = state.robot_pose.position
-        d_xy = float(np.linalg.norm(ee[:2] - place[:2]))
+        d_xy = _norm(ee[:2] - place[:2])
         if d_xy <= 1e-9 and abs(ee[2] - place[2]) <= 1e-9:
             return Pose(place, state.robot_pose.rotation), GRIPPER_OPEN
         if d_xy <= 0.003:

@@ -397,3 +397,38 @@ def demo_from_steps(steps, task="pick_place", **meta):
         entity_rotations=np.array([p.rotation.as_matrix() for p in entities]).reshape(n, m, 3, 3),
         **meta,
     )
+
+
+# -- world step --------------------------------------------------------------
+# The env step's maths as it stood before it ran on Python floats: numpy calls
+# on single values, and a Rotation wrapper for every inverse and product.
+
+
+def angle_rad_oracle(matrix):
+    """Rotation.angle_rad as first shipped, on a 3x3 matrix."""
+    c = np.clip((np.trace(matrix) - 1.0) / 2.0, -1.0, 1.0)
+    return float(np.arccos(c))
+
+
+def step_pose_toward_oracle(current, goal, max_step, max_angular):
+    """simworld._step_pose_toward as first shipped."""
+    from demoforge.geometry import Pose
+
+    delta = goal.position - current.position
+    dist = float(np.linalg.norm(delta))
+    new_pos = goal.position if dist <= max_step else current.position + delta * (max_step / dist)
+    rel = current.rotation.inverse() @ goal.rotation
+    angle = angle_rad_oracle(rel.as_matrix())
+    if angle <= max_angular:
+        new_rot = goal.rotation
+    else:
+        new_rot = current.rotation @ rel.power(max_angular / angle)
+    return Pose(new_pos, new_rot)
+
+
+def converged_oracle(current, goal, pos_tol=1e-9, ang_tol=1e-7):
+    """simworld._converged as first shipped."""
+    return (
+        float(np.linalg.norm(current.position - goal.position)) <= pos_tol
+        and angle_rad_oracle((current.rotation.inverse() @ goal.rotation).as_matrix()) <= ang_tol
+    )

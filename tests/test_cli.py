@@ -128,6 +128,8 @@ class TestGenerate:
         "arm records missing": (("arms",), []),
         "bandit arm id a list": (("bandit", "arms", 0, "annotation_id"), [1]),
         "bandit arm id not its record's": (("bandit", "arms", 0, "annotation_id"), "pick_place-arm999"),
+        "attempts inflated": (("bandit", "new_arm_attempts"), 3),
+        "current off by one": (("bandit", "current"), 0),
     }
     # edits of the one arm's keypose list
     KEYPOSE_DAMAGE = {

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation as SciRotation
 
 from demoforge.geometry import (
     Pose,
@@ -11,6 +12,7 @@ from demoforge.geometry import (
     relative_rotation_from_home,
     slerp,
 )
+from oracles import angle_rad_oracle
 
 
 def _rx(deg):
@@ -84,6 +86,55 @@ class TestRotation:
         r0 = Rotation.about_z_deg(10.0)
         r1 = Rotation.about_z_deg(55.0)
         assert r0.angle_to(r1) == pytest.approx(np.radians(45.0), abs=1e-12)
+
+
+class TestAngleMatchesOracle:
+    """angle_rad runs on Python floats; it must return the bits of the numpy
+    version it replaced, kept in tests/oracles.py."""
+
+    @staticmethod
+    def matrices(rng):
+        n = 40_000
+        a = SciRotation.random(n, random_state=rng).as_matrix()
+        b = SciRotation.random(n, random_state=rng).as_matrix()
+        # rotvecs of length 1e-12..1e-3 and pi minus that: traces round to just past 3 and -1
+        axis = rng.normal(size=(n, 3))
+        tiny = axis * (10.0 ** rng.uniform(-12, -3, n) / np.linalg.norm(axis, axis=1))[:, None]
+        half = axis * ((np.pi - 10.0 ** rng.uniform(-12, -3, n)) / np.linalg.norm(axis, axis=1))[:, None]
+        products = [
+            np.matmul(a.transpose(0, 2, 1), b),
+            np.matmul(a.transpose(0, 2, 1), a @ SciRotation.from_rotvec(tiny).as_matrix()),
+            np.matmul(a.transpose(0, 2, 1), a @ SciRotation.from_rotvec(half).as_matrix()),
+        ]
+        up, down = np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)
+        made = [np.eye(3), np.diag([up, 1.0, 1.0]), np.diag([up, up, up]), np.diag([-1.0, -1.0, 1.0])]
+        made += [np.diag([down, -1.0, 1.0]), np.diag([down, down, 1.0]), np.full((3, 3), np.nan)]
+        made += [np.diag([np.inf, 1.0, 1.0]), np.diag([-np.inf, 1.0, 1.0])]
+        return [*np.concatenate(products), *made]
+
+    def test_bits_equal_on_products_past_the_clamp_and_nan(self):
+        rng = np.random.default_rng(29)
+        matrices = self.matrices(rng)
+        assert len(matrices) >= 100_000
+        past_one = past_minus_one = 0
+        for i, m in enumerate(matrices):
+            if i % 2:  # the other memory layout of the same values
+                m = np.asfortranarray(m)
+            with np.errstate(invalid="ignore"):
+                want = angle_rad_oracle(m)
+                c = (np.trace(m) - 1.0) / 2.0
+            past_one += bool(c > 1.0)
+            past_minus_one += bool(c < -1.0)
+            assert np.float64(Rotation(m).angle_rad()).tobytes() == np.float64(want).tobytes(), m
+        assert past_one > 100 and past_minus_one > 100
+        assert np.isnan(Rotation(np.full((3, 3), np.nan)).angle_rad())
+
+    def test_angle_to_bits_equal(self):
+        rng = np.random.default_rng(31)
+        for m0, m1 in zip(*(SciRotation.random(5000, random_state=rng).as_matrix() for _ in range(2))):
+            r0, r1 = Rotation(m0), Rotation(m1)
+            assert r0.angle_to(r1) == angle_rad_oracle((r0.inverse() @ r1).as_matrix())
+            assert r0.angle_to(r0) == angle_rad_oracle((r0.inverse() @ r0).as_matrix())
 
 
 def test_slerp_midpoint_about_z():

@@ -1,12 +1,19 @@
 """World mechanics: resets, step caps, attachment, walking, rollouts."""
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation as SciRotation
 
 from demoforge import simworld as sw
 from demoforge.demos import Action, GRIPPER_CLOSED, GRIPPER_OPEN
 from demoforge.geometry import Pose, Rotation
 from demoforge.warping import TrajectorySegment
-from oracles import demo_from_steps, record_demo_steps_oracle, rollout_steps_oracle
+from oracles import (
+    converged_oracle,
+    demo_from_steps,
+    record_demo_steps_oracle,
+    rollout_steps_oracle,
+    step_pose_toward_oracle,
+)
 
 
 def segment(poses, grips):
@@ -325,30 +332,182 @@ def assert_columns_bitwise(demo, steps):
         assert got.tobytes() == exp.tobytes()
 
 
+def under_oracle(monkeypatch, fn, *args):
+    """fn(*args) with the world's step maths swapped for their oracles."""
+    with monkeypatch.context() as m:
+        m.setattr(sw, "_step_pose_toward", step_pose_toward_oracle)
+        m.setattr(sw, "_converged", converged_oracle)
+        return fn(*args)
+
+
+def pose_bits(pose):
+    return pose.position.tobytes() + pose.rotation.as_matrix().tobytes()
+
+
+def pose_pairs(rng, n):
+    """(current, goal) pairs whose distances (1e-13..1 m) and angles (1e-12..3
+    rad) fall on both sides of every cap and tolerance: the same pose, a shared
+    rotation, equal positions, and both moved, in either matrix memory layout."""
+    rot = SciRotation.random(n, random_state=rng).as_matrix()
+    pos = rng.uniform(-0.5, 0.5, (n, 3))
+    unit = rng.normal(size=(2, n, 3))
+    unit /= np.linalg.norm(unit, axis=2)[..., None]
+    goal_pos = pos + unit[0] * 10.0 ** rng.uniform(-13, 0, n)[:, None]
+    turn = unit[1] * 10.0 ** rng.uniform(-12, 0.5, n)[:, None]
+    goal_rot = rot @ SciRotation.from_rotvec(turn).as_matrix()
+    pairs = []
+    for i in range(n):
+        current = Pose(pos[i], Rotation(rot[i]))
+        shape = i % 5
+        if shape == 0:
+            goal = current
+        elif shape == 1:
+            goal = Pose(goal_pos[i], current.rotation)
+        elif shape == 2:
+            goal = Pose(pos[i], Rotation(goal_rot[i]))
+        elif shape == 3:
+            goal = Pose(goal_pos[i], Rotation(goal_rot[i]))
+        else:
+            current = Pose(pos[i], Rotation(np.asfortranarray(rot[i])))
+            goal = Pose(goal_pos[i], Rotation(np.asfortranarray(goal_rot[i])))
+        pairs.append((current, goal))
+    return pairs
+
+
+def fuzzed_trajectory(rng, traj):
+    """A recorded action track with some points nudged, some thrown across the
+    workspace, some repeated, some gripper commands flipped, and a third of the
+    points dropped so that the rest take extra env steps to reach."""
+    positions, rotations, gripper = traj.positions.copy(), traj.rotations.copy(), traj.gripper.copy()
+    n = len(gripper)
+    roll = rng.random(n)
+    nudge = roll < 0.5
+    positions[nudge] += rng.normal(scale=1e-3, size=(nudge.sum(), 3))
+    turn = SciRotation.from_rotvec(rng.normal(scale=0.05, size=(nudge.sum(), 3)))
+    rotations[nudge] = rotations[nudge] @ turn.as_matrix()
+    far = (roll >= 0.5) & (roll < 0.6)
+    positions[far] = rng.uniform([-0.2, -0.2, 0.0], [0.2, 0.2, 0.3], (far.sum(), 3))
+    rotations[far] = SciRotation.random(far.sum(), random_state=rng).as_matrix()
+    again = np.flatnonzero((roll >= 0.6) & (roll < 0.7))
+    again = again[again > 0]
+    positions[again], rotations[again] = positions[again - 1], rotations[again - 1]
+    flip = (roll >= 0.7) & (roll < 0.75)
+    gripper[flip] = 1.0 - gripper[flip]
+    keep = np.sort(np.r_[0, rng.choice(np.arange(1, n), size=2 * (n - 1) // 3, replace=False)])
+    return TrajectorySegment(positions[keep], rotations[keep], gripper[keep])
+
+
+def assert_states_bitwise(got, want):
+    assert pose_bits(got.robot_pose) == pose_bits(want.robot_pose)
+    for field in ("gripper", "attached_object", "frozen", "t"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert [(k, pose_bits(p)) for k, p in got.objects.items()] == [(k, pose_bits(p)) for k, p in want.objects.items()]
+    offsets = [
+        None if o is None else o.rotation.as_matrix().tobytes() + o.translation.tobytes()
+        for o in (got.attach_offset, want.attach_offset)
+    ]
+    assert offsets[0] == offsets[1]
+    assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+
 class TestRecordingMatchesPerStepOracle:
     """The recorder keeps pose references and builds columns once; the oracle
-    builds one observation object per env step. Their bits must agree."""
+    builds one observation object per env step and runs the step maths as
+    first shipped (tests/oracles.py). Their bits must agree."""
 
     @pytest.mark.parametrize("kind", sw.BUNDLED_TASKS)
-    def test_record_demo(self, kind):
+    def test_record_demo(self, kind, monkeypatch):
         spec = sw.TaskSpec(kind)
-        assert_columns_bitwise(sw.record_demo(spec, 4), record_demo_steps_oracle(spec, 4))
+        want = under_oracle(monkeypatch, record_demo_steps_oracle, spec, 4)
+        assert_columns_bitwise(sw.record_demo(spec, 4), want)
 
-    @pytest.mark.parametrize("mode", ["replay", "disturbed", "sparse"])
+    @pytest.mark.parametrize("mode", ["replay", "disturbed", "sparse", "fuzzed"])
     @pytest.mark.parametrize("kind", sw.BUNDLED_TASKS)
-    def test_rollout(self, kind, mode):
+    def test_rollout(self, kind, mode, monkeypatch):
         spec = sw.TaskSpec(kind)
         traj = sw.record_demo(spec, 4).actions
+        state, _ = sw.reset(spec, 4)
         disturbances = None
         if mode == "disturbed":
-            state, _ = sw.reset(spec, 4)
             disturbances = [(5, list(state.objects)[-1], np.array([0.01, -0.01, 0.0]))]
         elif mode == "sparse":  # 9x the stride: points take extra env steps to converge
             keep = np.r_[0 : len(traj) : 9, len(traj) - 1]
             traj = TrajectorySegment(traj.positions[keep], traj.rotations[keep], traj.gripper[keep])
-        state, _ = sw.reset(spec, 4)
+        elif mode == "fuzzed":
+            rng = np.random.default_rng(sw.BUNDLED_TASKS.index(kind))
+            traj = fuzzed_trajectory(rng, traj)
+            # nothing is held until the first close executes, so disturbing up to it cannot raise
+            first_close, names = int(np.argmax(traj.gripper < 0.5)), sorted(state.objects)
+            disturbances = [
+                (int(rng.integers(first_close + 1)), names[rng.integers(len(names))], [*rng.normal(0, 0.02, 2), 0.0])
+                for _ in range(3)
+            ]
         out = sw.rollout(state, traj, disturbances)
-        assert_columns_bitwise(out.recording.demonstration(kind), rollout_steps_oracle(state, traj, disturbances))
+        want = under_oracle(monkeypatch, rollout_steps_oracle, state, traj, disturbances)
+        assert_columns_bitwise(out.recording.demonstration(kind), want)
+
+
+class TestStepMatchesOracle:
+    """The env step's maths run on Python floats and one relative rotation per
+    step; every bit must be that of the numpy version kept in tests/oracles.py."""
+
+    @pytest.mark.parametrize(
+        "caps", [(sw.MAX_STEP, sw.MAX_ANGULAR_STEP), (sw.POLICY_STEP, sw.POLICY_ANGULAR_STEP), "random"]
+    )
+    def test_step_pose_toward(self, caps):
+        rng = np.random.default_rng(41)
+        branches = {}
+        for current, goal in pose_pairs(rng, 15_000):
+            max_step, max_angular = 10.0 ** rng.uniform(-13, 0, 2) if caps == "random" else caps
+            want = step_pose_toward_oracle(current, goal, max_step, max_angular)
+            got = sw._step_pose_toward(current, goal, max_step, max_angular)
+            assert pose_bits(got) == pose_bits(want)
+            reached = tuple(
+                w.tobytes() == g.tobytes()
+                for w, g in [(want.position, goal.position), (want.rotation.as_matrix(), goal.rotation.as_matrix())]
+            )
+            branches[reached] = branches.get(reached, 0) + 1
+        # capped translation and rotation, each alone, and landing on the goal
+        assert len(branches) == 4 and min(branches.values()) > 100, branches
+
+    @pytest.mark.parametrize("tols", [(1e-9, 1e-7), (1e-9, 1e-9)])
+    def test_converged(self, tols):
+        rng = np.random.default_rng(43)
+        outcomes = []
+        for current, goal in pose_pairs(rng, 15_000):
+            want = converged_oracle(current, goal, *tols)
+            assert sw._converged(current, goal, *tols) == want
+            outcomes.append(want)
+        assert 1000 < sum(outcomes) < len(outcomes) - 1000
+
+    @pytest.mark.parametrize("kind", sw.BUNDLED_TASKS)
+    def test_step_on_random_actions(self, kind, monkeypatch):
+        rng = np.random.default_rng(sw.BUNDLED_TASKS.index(kind))
+        state, _ = sw.reset(sw.TaskSpec(kind), 31)
+        twin = state.copy()
+        grip = GRIPPER_OPEN
+        for _ in range(600):
+            if rng.random() < 0.15:
+                grip = 1.0 - grip
+            roll = rng.random()
+            if roll < 0.5:  # at or near an object, so that a close grabs it
+                obj = state.objects[sorted(state.objects)[rng.integers(len(state.objects))]]
+                pose = Pose(obj.position + rng.normal(scale=4e-3, size=3), obj.rotation)
+            elif roll < 0.8:
+                turn = SciRotation.random(random_state=rng).as_matrix()
+                pose = Pose(rng.uniform([-0.2, -0.2, 0.0], [0.2, 0.2, 0.3]), Rotation(turn))
+            else:
+                pose = state.robot_pose
+            action = Action(pose, grip)
+            sw.step(state, action)
+            under_oracle(monkeypatch, sw.step, twin, action)
+            assert_states_bitwise(state, twin)
+
+    def test_norm_is_linalg_norm(self):
+        rng = np.random.default_rng(47)
+        for v in rng.normal(size=(50_000, 3)) * 10.0 ** rng.uniform(-12, 1, (50_000, 1)):
+            for part in (v, v[:2]):
+                assert np.float64(sw._norm(part)).tobytes() == np.float64(np.linalg.norm(part)).tobytes()
 
 
 class TestDeterminism:

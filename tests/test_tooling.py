@@ -1,9 +1,13 @@
 """Source hygiene: every module-level import in the package is read by its
-module, every module-level private name is read somewhere in the package, and
-the names the benchmark rebinds in ``demoforge.campaign`` still exist."""
+module, every module-level private name is read somewhere in the package, the
+names the benchmark rebinds in ``demoforge.campaign`` still exist, and the
+benchmark's own self-tests pass against the package."""
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,3 +92,13 @@ def test_bench_rebinding_targets_exist(monkeypatch):
         assert callable(getattr(campaign, name, None)), name
     assert {"state", "T", "prior", "k", "rng"} <= set(inspect.signature(campaign.decide_new_arm).parameters)
     assert "path" in inspect.signature(campaign.read_dataset).parameters
+
+
+def test_bench_selftest_passes():
+    # each of the benchmark's output checks must still reject a broken output
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "selftest.py")], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
