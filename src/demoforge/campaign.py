@@ -666,6 +666,11 @@ def _load_checkpoint(cfg: CampaignConfig, sources: dict):
         ts, horizon = [k.timestep for k in m.annotation.keyposes], sources[m.source_demo_id].horizon
         if not ts or ts[0] != 0 or ts[-1] != horizon or any(b <= a for a, b in zip(ts, ts[1:])):
             raise ConfigError(f"checkpoint arm keypose timesteps {ts} do not rise strictly from 0 to {horizon}")
+        # scripted retargeting anchors a keypose on its first relevant object, looked up in the source scene
+        anchors = [k.relevant_objects[0] for k in m.annotation.keyposes if k.relevant_objects]
+        unknown = [name for name in anchors if name not in sources[m.source_demo_id].entity_names]
+        if cfg.retargeter == "scripted" and unknown:
+            raise ConfigError(f"checkpoint arm keyposes anchor on {unknown}, absent from source demo {m.source_demo_id!r}")
     if len(arms_meta) != len(state.arms):
         raise ConfigError(f"checkpoint has {len(arms_meta)} arm records for {len(state.arms)} bandit arms")
     for arm, m in zip(state.arms, arms_meta):

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.transform import Rotation as _SR
 
 from .demos import Action, TrajectorySegment
-from .geometry import Pose
+from .geometry import Pose, scipy_rotation
 
 TAU_SWITCH = 0.5
 TAU_REATTACH = 0.5
@@ -42,10 +41,6 @@ class ActionStats:
     def __post_init__(self):
         self.scale = np.maximum(np.asarray(self.scale, dtype=float).reshape(-1), 1e-6)
 
-    @classmethod
-    def from_trajectory(cls, traj: TrajectorySegment) -> "ActionStats":
-        return cls(_step_deltas(traj).std(axis=0))
-
 
 def action_delta(from_pose: Pose, from_grip: float, to_pose: Pose, to_grip: float) -> np.ndarray:
     """Raw 7-vector between two (pose, gripper) states: position delta (3),
@@ -58,7 +53,7 @@ def action_delta(from_pose: Pose, from_grip: float, to_pose: Pose, to_grip: floa
 def _row_deltas(from_pos, from_rot, from_grip, to_pos, to_rot, to_grip) -> np.ndarray:
     """action_delta row by row; a single from-state broadcasts over the to-rows."""
     rel = np.matmul(np.swapaxes(from_rot, -1, -2), to_rot)
-    rotvecs = _SR.from_matrix(rel).as_rotvec().reshape(-1, 3)
+    rotvecs = scipy_rotation(rel).as_rotvec().reshape(-1, 3)
     return np.column_stack([to_pos - from_pos, rotvecs, to_grip - from_grip])
 
 

@@ -19,6 +19,32 @@ from scipy.spatial.transform import Rotation as _SR
 EULER_SEQ = "XYZ"  # intrinsic X-Y-Z
 
 _ORTHO_TOL = 1e-9
+_TRUSTED_GRAM_TOL = 1e-13  # a tenth of scipy's 1e-12: no rounding gap between two gramians straddles both
+
+
+def scipy_rotation(matrix: np.ndarray) -> _SR:
+    """scipy rotation of a 3x3 matrix or an (n, 3, 3) stack; the package's one call of scipy's from_matrix.
+
+    scipy raises on det <= 0 and SVD-projects any matrix whose gramian is not within 1e-12 of I. Every
+    matrix here with max|M M^T - I| <= _TRUSTED_GRAM_TOL and det > 0 passes that check unprojected, so
+    scipy skips it at no change in bits; any other matrix, NaN included, takes scipy's checked path.
+    """
+    tol = _TRUSTED_GRAM_TOL
+    if matrix.ndim == 2:  # on Python floats; with the gramian this near I, det is +/-1, so its sign is enough
+        (a, b, c), (d, e, f), (g, h, i) = matrix.tolist()
+        trusted = (
+            abs(a * a + b * b + c * c - 1.0) <= tol
+            and abs(d * d + e * e + f * f - 1.0) <= tol
+            and abs(g * g + h * h + i * i - 1.0) <= tol
+            and abs(a * d + b * e + c * f) <= tol
+            and abs(a * g + b * h + c * i) <= tol
+            and abs(d * g + e * h + f * i) <= tol
+            and a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) > 0.0
+        )
+    else:
+        gram = np.matmul(matrix, np.swapaxes(matrix, -1, -2))
+        trusted = bool(np.all(np.abs(gram - np.eye(3)) <= tol) and np.all(np.linalg.det(matrix) > 0.0))
+    return _SR.from_matrix(matrix, assume_valid=trusted)
 
 
 def check_rotation_matrices(matrices: np.ndarray) -> None:
@@ -53,11 +79,6 @@ class Rotation:
         return cls(np.eye(3))
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "Rotation":
-        """Build from a 3x3 matrix, validating orthonormality and det=+1."""
-        return cls(matrix, check=True)
-
-    @classmethod
     def from_euler_deg(cls, roll: float, pitch: float, yaw: float) -> "Rotation":
         """Intrinsic X-Y-Z Euler angles in degrees -> rotation.
 
@@ -85,13 +106,13 @@ class Rotation:
         """
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message="Gimbal lock")
-            return _SR.from_matrix(self._m).as_euler(EULER_SEQ, degrees=True)
+            return scipy_rotation(self._m).as_euler(EULER_SEQ, degrees=True)
 
     def as_matrix(self) -> np.ndarray:
         return self._m.copy()
 
     def rotvec(self) -> np.ndarray:
-        return _SR.from_matrix(self._m).as_rotvec()
+        return scipy_rotation(self._m).as_rotvec()
 
     def inverse(self) -> "Rotation":
         return Rotation(self._m.T)
@@ -109,7 +130,7 @@ class Rotation:
         """Fractional rotation exp(fraction * log R); power(0) is identity."""
         if fraction == 0.0:
             return Rotation.identity()
-        return Rotation((_SR.from_matrix(self._m) ** float(fraction)).as_matrix())
+        return Rotation((scipy_rotation(self._m) ** float(fraction)).as_matrix())
 
     def angle_rad(self) -> float:
         """Total rotation angle in [0, pi]."""
@@ -127,11 +148,6 @@ class Rotation:
     def __repr__(self) -> str:
         e = self.euler_deg()
         return f"Rotation(euler_deg=[{e[0]:.3f}, {e[1]:.3f}, {e[2]:.3f}])"
-
-
-def slerp(r0: Rotation, r1: Rotation, fraction: float) -> Rotation:
-    """Constant-angular-velocity interpolation from r0 (fraction 0) to r1 (1)."""
-    return r0 @ (r0.inverse() @ r1).power(fraction)
 
 
 def relative_rotation_from_home(r: Rotation, home: Rotation) -> Rotation:
@@ -162,11 +178,6 @@ class Pose:
         position.setflags(write=False)
         object.__setattr__(self, "position", position)
 
-    def allclose(self, other: "Pose", atol: float = 1e-9) -> bool:
-        return bool(np.allclose(self.position, other.position, atol=atol)) and self.rotation.allclose(
-            other.rotation, atol=atol
-        )
-
 
 @dataclass
 class RigidTransform:
@@ -187,14 +198,6 @@ class RigidTransform:
         if not self.scale > 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls()
-
-    @classmethod
-    def from_translation(cls, t: np.ndarray) -> "RigidTransform":
-        return cls(Rotation.identity(), np.asarray(t, dtype=float))
-
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """Transform applying ``other`` first, then ``self``."""
         return RigidTransform(
@@ -202,11 +205,6 @@ class RigidTransform:
             translation=self.scale * self.rotation.apply(other.translation) + self.translation,
             scale=self.scale * other.scale,
         )
-
-    def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
-        if not isinstance(other, RigidTransform):
-            return NotImplemented
-        return self.compose(other)
 
     def inverse(self) -> "RigidTransform":
         inv_rot = self.rotation.inverse()

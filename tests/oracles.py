@@ -67,6 +67,13 @@ def quat_slerp_matrix(m0, m1, u):
     return _quat_to_mat(q / np.linalg.norm(q))
 
 
+def slerp_matrix(m0, m1, u):
+    """m0 @ (m0^T m1)^u by plain scipy: constant angular velocity from m0 (u = 0) to m1 (u = 1)."""
+    from scipy.spatial.transform import Rotation
+
+    return m0 @ (Rotation.from_matrix(m0.T @ m1) ** u).as_matrix()
+
+
 def _mat_to_quat(m):
     # Shepperd's method, (w, x, y, z)
     t = np.trace(m)

@@ -135,6 +135,7 @@ class TestGenerate:
     KEYPOSE_DAMAGE = {
         "keypose past the horizon": lambda kps: kps[-1].update(t=99999),
         "two keyposes swapped": lambda kps: kps.insert(1, kps.pop(2)),
+        "keypose anchored on an absent object": lambda kps: kps[1].update(objects=["mug"]),
     }
 
     @pytest.mark.parametrize(

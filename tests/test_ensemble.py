@@ -1,10 +1,12 @@
 """Similarity algebra, reattachment selection, and the switching machine."""
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation as SciRotation
 
 from demoforge.demos import Action
 from demoforge.ensemble import (
     TAU_REATTACH,
+    _row_deltas,
     ActionStats,
     EnsembleState,
     NormalizedAction,
@@ -138,7 +140,7 @@ class TestNormalize:
             ]
         )
         want = np.maximum(deltas.std(axis=0), 1e-6)
-        assert np.array_equal(ActionStats.from_trajectory(traj).scale, want)
+        assert np.array_equal(EnsembleState.initial(traj).stats.scale, want)
 
 
 def test_stats_match_per_pose_loop_on_a_turning_trajectory():
@@ -151,7 +153,24 @@ def test_stats_match_per_pose_loop_on_a_turning_trajectory():
     deltas = np.stack(
         [action_delta(traj.pose(i), traj.gripper[i], traj.pose(i + 1), traj.gripper[i + 1]) for i in range(59)]
     )
-    assert np.array_equal(ActionStats.from_trajectory(traj).scale, np.maximum(deltas.std(axis=0), 1e-6))
+    assert np.array_equal(EnsembleState.initial(traj).stats.scale, np.maximum(deltas.std(axis=0), 1e-6))
+
+
+def test_row_deltas_match_plain_scipy_and_single_deltas_bit_for_bit():
+    rng = np.random.default_rng(17)
+    n = 400
+    p, g = rng.normal(0.0, 0.3, (n, 3)), rng.choice([0.0, 1.0], n)
+    r = Rotation.from_rotvec(rng.normal(size=3)).as_matrix() @ SciRotation.random(n, random_state=rng).as_matrix()
+    rows = _row_deltas(p[:-1], r[:-1], g[:-1], p[1:], r[1:], g[1:])
+    assert np.array_equal(rows, reattach_row_deltas(p[:-1], r[:-1], g[:-1], p[1:], r[1:], g[1:]))
+    here = Pose(p[0], Rotation(r[0]))
+    fanned = _row_deltas(here.position, r[0], float(g[0]), p, r, g)
+    assert np.array_equal(fanned, reattach_row_deltas(p[0], r[0], float(g[0]), p, r, g))
+    for k in range(0, n, 3):
+        assert np.array_equal(fanned[k], action_delta(here, g[0], Pose(p[k], Rotation(r[k])), g[k]))
+        if k < n - 1:
+            step = action_delta(Pose(p[k], Rotation(r[k])), g[k], Pose(p[k + 1], Rotation(r[k + 1])), g[k + 1])
+            assert np.array_equal(rows[k], step)
 
 
 class TestActionDelta:
@@ -280,7 +299,7 @@ def fuzz_reattach_instance(rng, t_choice):
     traj = segment(poses, grips)
     t_now = [0, n - 3, n - 2, n - 1][t_choice]
     if rng.random() < 0.5:
-        stats = ActionStats.from_trajectory(traj)
+        stats = EnsembleState.initial(traj).stats
     else:
         stats = ActionStats(rng.uniform(0.005, 0.5, 7))
     if rng.random() < 0.6:

@@ -1,16 +1,20 @@
 import dataclasses
+import warnings
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation as SciRotation
 
+from demoforge import geometry
 from demoforge.geometry import (
     Pose,
     RigidTransform,
     Rotation,
     pose_text,
     relative_rotation_from_home,
-    slerp,
+    scipy_rotation,
 )
 from oracles import angle_rad_oracle
 
@@ -60,9 +64,9 @@ class TestRotation:
 
     def test_from_matrix_rejects_non_rotation(self):
         with pytest.raises(ValueError):
-            Rotation.from_matrix(np.eye(3) * 2.0)
+            Rotation(np.eye(3) * 2.0, check=True)
         with pytest.raises(ValueError):
-            Rotation.from_matrix(np.diag([1.0, 1.0, -1.0]))  # det = -1
+            Rotation(np.diag([1.0, 1.0, -1.0]), check=True)  # det = -1
 
     def test_inverse_and_compose(self):
         rng = np.random.default_rng(11)
@@ -137,6 +141,11 @@ class TestAngleMatchesOracle:
             assert r0.angle_to(r0) == angle_rad_oracle((r0.inverse() @ r0).as_matrix())
 
 
+def slerp(r0, r1, fraction):
+    """Constant-angular-velocity interpolation from r0 (fraction 0) to r1 (1), through Rotation.power."""
+    return r0 @ (r0.inverse() @ r1).power(fraction)
+
+
 def test_slerp_midpoint_about_z():
     # halfway between identity and Rz(90 deg) is Rz(45 deg)
     mid = slerp(Rotation.identity(), Rotation.about_z_deg(90.0), 0.5)
@@ -168,7 +177,7 @@ def test_relative_rotation_from_home():
 class TestRigidTransform:
     def test_identity(self):
         p = np.array([0.1, -0.2, 0.3])
-        assert np.allclose(RigidTransform.identity().transform_point(p), p)
+        assert np.allclose(RigidTransform().transform_point(p), p)
 
     def test_compose_matches_sequential_application(self):
         rng = np.random.default_rng(23)
@@ -176,7 +185,7 @@ class TestRigidTransform:
             a = RigidTransform(random_rotation(rng), rng.normal(size=3), rng.uniform(0.5, 2.0))
             b = RigidTransform(random_rotation(rng), rng.normal(size=3), rng.uniform(0.5, 2.0))
             p = rng.normal(size=3)
-            assert np.allclose((a @ b).transform_point(p), a.transform_point(b.transform_point(p)), atol=1e-9)
+            assert np.allclose(a.compose(b).transform_point(p), a.transform_point(b.transform_point(p)), atol=1e-9)
 
     def test_inverse(self):
         rng = np.random.default_rng(29)
@@ -235,3 +244,124 @@ def test_pose_is_immutable():
         pose.position[0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         pose.position = np.zeros(3)
+
+
+def conversions(convert, matrix):
+    """Rotation vectors and intrinsic XYZ Euler degrees of convert(matrix), or the type it raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # gimbal lock, and NaN/inf arithmetic inside scipy
+            r = convert(matrix)
+            return r.as_rotvec(), r.as_euler("XYZ", degrees=True)
+    except (ValueError, np.linalg.LinAlgError) as err:
+        return type(err)
+
+
+def assert_same_as_plain_scipy(matrix):
+    got, want = conversions(scipy_rotation, matrix), conversions(SciRotation.from_matrix, matrix)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+    else:
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+
+
+def trusted(matrix):
+    """The assume_valid flag scipy_rotation hands scipy for matrix; scipy itself is not called."""
+    flags = []
+    stub = SimpleNamespace(from_matrix=lambda m, assume_valid: flags.append(assume_valid))
+    with mock.patch.object(geometry, "_SR", stub):
+        scipy_rotation(matrix)
+    return flags == [True]
+
+
+def unit_off_diagonal(i, j, x):
+    """The identity with x at (i, j): its gramian differs from I by exactly |x| at (i, j) and (j, i),
+    and by x * x (lost to rounding at these sizes) at (i, i)."""
+    m = np.eye(3)
+    m[i, j] = x
+    return m
+
+
+OFF_DIAGONAL = [(i, j) for i in range(3) for j in range(3) if i != j]
+
+
+class TestScipyRotation:
+    """The guarded helper against a plain scipy from_matrix call, bit for bit."""
+
+    def test_random_products_single_and_stacked(self):
+        rng = np.random.default_rng(41)
+        a, b = (SciRotation.random(3000, random_state=rng).as_matrix() for _ in range(2))
+        products = np.matmul(np.swapaxes(a, -1, -2), b)
+        assert trusted(products)
+        assert_same_as_plain_scipy(products)
+        for m in products[:600]:
+            assert trusted(m)
+            assert_same_as_plain_scipy(m)
+        for m, u in zip(products[:300], rng.uniform(0.0, 1.0, 300)):
+            assert np.array_equal(Rotation(m).power(u).as_matrix(), (SciRotation.from_matrix(m) ** u).as_matrix())
+
+    def test_stacked_rows_match_single_calls(self):
+        rng = np.random.default_rng(43)
+        stack = SciRotation.random(2000, random_state=rng).as_matrix() @ SciRotation.random(random_state=rng).as_matrix()
+        rotvecs = scipy_rotation(stack).as_rotvec()
+        eulers = scipy_rotation(stack).as_euler("XYZ", degrees=True)
+        for k in range(0, 2000, 7):
+            assert np.array_equal(rotvecs[k], scipy_rotation(stack[k]).as_rotvec())
+            assert np.array_equal(eulers[k], scipy_rotation(stack[k]).as_euler("XYZ", degrees=True))
+
+    @pytest.mark.parametrize("i, j", OFF_DIAGONAL)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_ulp_either_side_of_the_guard(self, i, j, sign):
+        inside = unit_off_diagonal(i, j, sign * 1e-13)
+        outside = unit_off_diagonal(i, j, sign * np.nextafter(1e-13, 1.0))
+        assert trusted(inside) and trusted(inside[None])
+        assert not trusted(outside) and not trusted(outside[None])
+        for m in (inside, outside, np.stack([inside, outside])):
+            assert_same_as_plain_scipy(m)
+
+    @pytest.mark.parametrize("x", [5e-13, 1e-12, np.nextafter(1e-12, 1.0), 2e-12, 1e-9])
+    def test_drift_up_to_and_past_scipys_bound_takes_the_checked_path(self, x):
+        rng = np.random.default_rng(47)
+        base = SciRotation.random(random_state=rng).as_matrix()
+        for i, j in OFF_DIAGONAL:
+            drifted = unit_off_diagonal(i, j, x)
+            for m in (drifted, base @ drifted, np.stack([base, base @ drifted])):
+                assert not trusted(m)
+                assert_same_as_plain_scipy(m)
+        # past 1e-12 scipy projects: its bits are not those of the trusted conversion
+        if x >= 2e-12:
+            m = unit_off_diagonal(0, 1, x)
+            projected = SciRotation.from_matrix(m).as_quat()
+            assert not np.array_equal(projected, SciRotation.from_matrix(m, assume_valid=True).as_quat())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_take_the_checked_path(self, bad):
+        base = SciRotation.from_rotvec([0.3, -0.2, 0.9]).as_matrix()
+        cases = [np.full((3, 3), bad)]
+        for k in range(9):
+            m = base.copy()
+            m.flat[k] = bad
+            cases += [m, np.stack([base, m])]
+        for m in cases:
+            assert not trusted(m)
+        # scipy's checked path itself never returns on some matrices with an
+        # inf entry (its SVD spins), so only the NaN cases run through scipy
+        if bad != bad:
+            for m in cases:
+                assert_same_as_plain_scipy(m)
+
+    def test_reflections_still_raise(self):
+        rng = np.random.default_rng(53)
+        rotations = SciRotation.random(50, random_state=rng).as_matrix()
+        for m in [np.diag([1.0, 1.0, -1.0]), -np.eye(3), *(-rotations[:20])]:
+            assert not trusted(m)  # orthonormal to the guard's tolerance, but det = -1
+            with pytest.raises(ValueError):
+                scipy_rotation(m)
+        stack = rotations.copy()
+        stack[17] = -stack[17]
+        assert not trusted(stack)
+        with pytest.raises(ValueError):
+            scipy_rotation(stack)
+        with pytest.raises(ValueError):
+            Rotation(np.diag([1.0, -1.0, 1.0])).rotvec()

@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package is read by its
-module, every module-level private name is read somewhere in the package, the
-names the benchmark rebinds in ``demoforge.campaign`` still exist, and the
-benchmark's own self-tests pass against the package."""
+module, every module-level private name is read somewhere in the package,
+scipy's checked ``Rotation.from_matrix`` is reached only through the one
+guarded helper, the names the benchmark rebinds in ``demoforge.campaign``
+still exist, and the benchmark's own self-tests pass against the package."""
 import ast
 import importlib
 import inspect
@@ -81,6 +82,52 @@ def test_private_checker_flags_only_unread_names():
 
 def test_no_unread_module_level_private_name():
     assert unread_private_names({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+def scipy_from_matrix_reads(source: str) -> list[str]:
+    """The enclosing def or class path of each ``from_matrix`` read on a name
+    the module binds to scipy's ``Rotation``."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.spatial.transform"
+        for alias in node.names
+        if alias.name == "Rotation"
+    }
+    reads = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "from_matrix"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            reads.append(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return reads
+
+
+def test_from_matrix_checker_flags_reads_on_scipy_rotation_only():
+    source = (
+        "from scipy.spatial.transform import Rotation as _SR\nfrom mine import Rotation\n"
+        "x = _SR.from_matrix\nclass C:\n    def f(self, m):\n        return _SR.from_matrix(m, assume_valid=True)\n"
+        "def g(m):\n    return Rotation.from_matrix(m)\n"
+    )
+    assert scipy_from_matrix_reads(source) == ["<module>", "C.f"]
+
+
+def test_only_the_guarded_helper_calls_scipy_from_matrix():
+    # scipy re-checks every matrix it is given; the helper skips that check
+    # only where it provably passes, so no other module may pay it again
+    reads = {p.stem: scipy_from_matrix_reads(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {module: found for module, found in reads.items() if found} == {"geometry": ["scipy_rotation"]}
 
 
 def test_bench_rebinding_targets_exist(monkeypatch):

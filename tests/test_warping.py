@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from demoforge.demos import Action, Observation
-from demoforge.geometry import Pose, Rotation, slerp
+from demoforge.geometry import Pose, RigidTransform, Rotation
 from demoforge.simworld import TaskSpec, record_demo
 from demoforge.warping import (
     DegenerateChord,
@@ -14,7 +14,7 @@ from demoforge.warping import (
     warp_trajectory_by_keyposes,
 )
 
-from oracles import demo_from_steps, grid_max_z_alignment, quat_slerp_matrix
+from oracles import demo_from_steps, grid_max_z_alignment, quat_slerp_matrix, slerp_matrix
 
 
 def segment(poses, grips):
@@ -132,18 +132,14 @@ class TestWarpPositions:
         return segment(poses, [1.0, 1.0, 0.0])
 
     def test_identity(self):
-        from demoforge.geometry import RigidTransform
-
         seg = self._seg()
-        out = warp_positions(seg, RigidTransform.identity())
+        out = warp_positions(seg, RigidTransform())
         assert np.allclose(out.positions, seg.positions)
         assert out.gripper.tolist() == seg.gripper.tolist()
 
     def test_pure_translation(self):
-        from demoforge.geometry import RigidTransform
-
         seg = self._seg()
-        out = warp_positions(seg, RigidTransform.from_translation([0.1, -0.2, 0.3]))
+        out = warp_positions(seg, RigidTransform(translation=[0.1, -0.2, 0.3]))
         assert np.allclose(out.positions, seg.positions + np.array([0.1, -0.2, 0.3]))
 
     def test_collinear_ratios_preserved(self):
@@ -221,12 +217,12 @@ def test_span_warp_matches_per_pose_loop_bitwise():
     new0, new1 = Rotation.from_rotvec(rng.normal(size=3)), Rotation.from_rotvec(rng.normal(size=3))
     out = warp_rotations(warp_positions(seg, tf), new0, new1)
     n = len(seg)
-    d0 = new0 @ seg.pose(0).rotation.inverse()
-    d1 = new1 @ seg.pose(-1).rotation.inverse()
+    d0 = (new0 @ seg.pose(0).rotation.inverse()).as_matrix()
+    d1 = (new1 @ seg.pose(-1).rotation.inverse()).as_matrix()
     for t in range(n - 1):  # the last point is snapped to its keypose by the caller
         q = seg.pose(t)
         assert np.array_equal(out.positions[t], tf.transform_point(q.position))
-        assert np.array_equal(out.rotations[t], (slerp(d0, d1, t / (n - 1)) @ q.rotation).as_matrix())
+        assert np.array_equal(out.rotations[t], slerp_matrix(d0, d1, t / (n - 1)) @ q.rotation.as_matrix())
 
 
 def make_demo(positions, rots=None, grippers=None, task="pick_place"):
