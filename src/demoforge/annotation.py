@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .demos import Demonstration, Observation
+from .gateway import MalformedResponse, query
 from .geometry import Pose, Rotation, pose_text
 
 VIEWFRAME_CAP = 8
@@ -32,10 +33,6 @@ MAX_RETRIES = 3
 
 class EmptyDemo(ValueError):
     pass
-
-
-class MalformedResponse(ValueError):
-    """Gateway answered, but not in a usable shape; caller may restart."""
 
 
 class AnnotationFailed(RuntimeError):
@@ -135,12 +132,15 @@ class Keypose:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Keypose":
+        objects = doc.get("objects", [])
+        if not isinstance(objects, list) or not all(isinstance(name, str) for name in objects):
+            raise ValueError(f"keypose objects must be a list of names, got {objects!r}")
         return cls(
             timestep=int(doc["t"]),
             pos_mm=doc["pos_mm"],
             euler_deg=doc["euler_deg"],
             gripper=float(doc["gripper"]),
-            relevant_objects=list(doc.get("objects", [])),
+            relevant_objects=list(objects),
             relation_note=str(doc.get("note", "")),
         )
 
@@ -223,61 +223,53 @@ def _gripper_word(g: float) -> str:
 _INT_TOKEN = re.compile(r"-?\d+")
 
 
-def select_viewframes(gateway, summary: DemoSummary, task: TaskDescription) -> list[int]:
-    """Ask which sampled timesteps deserve a closer look.
+def parse_viewframes(text: str, horizon: int) -> list[int]:
+    """The reply to the viewframes prompt, read as a list of integers.
 
-    The response is read as a list of integers; anything outside the demo
-    range is a MalformedResponse (callers restart with a fresh session).
-    Deduplication keeps first mention, the cap keeps the first
-    VIEWFRAME_CAP distinct frames, and the result is sorted.
+    Anything outside [0, horizon] is a MalformedResponse. Deduplication
+    keeps first mention, the cap keeps the first VIEWFRAME_CAP distinct
+    frames, and the result is sorted.
     """
-    if not summary.sampled_rows:
-        raise ValueError("summary has no rows")
-    prompt = render_prompt(
-        "viewframes",
-        task=task.text,
-        rows=summary.rows_text(),
-        horizon=summary.horizon,
-        cap=VIEWFRAME_CAP,
-    )
-    text = gateway.fresh_session().complete(prompt, temperature=0.2)
     tokens = [int(tok) for tok in _INT_TOKEN.findall(text)]
     if not tokens:
         raise MalformedResponse(f"no timesteps in response: {text!r}")
     seen: list[int] = []
     for t in tokens:
-        if t < 0 or t > summary.horizon:
-            raise MalformedResponse(f"timestep {t} outside [0, {summary.horizon}]")
+        if t < 0 or t > horizon:
+            raise MalformedResponse(f"timestep {t} outside [0, {horizon}]")
         if t not in seen:
             seen.append(t)
     return sorted(seen[:VIEWFRAME_CAP])
 
 
-def _strip_code_fences(text: str) -> str:
+def reply_keyposes(text: str) -> tuple[dict, list]:
+    """A keypose reply's JSON object, code fences allowed, and its
+    "keyposes" list."""
     m = re.search(r"```(?:json)?\s*(.*?)```", text, flags=re.DOTALL)
-    return m.group(1) if m else text
-
-
-def _parse_annotation_response(text: str, demo: Demonstration) -> tuple[str, list[Keypose]]:
     try:
-        doc = json.loads(_strip_code_fences(text))
+        doc = json.loads(m.group(1) if m else text)
     except json.JSONDecodeError as err:
         raise MalformedResponse(f"response is not JSON: {err}") from None
-    if not isinstance(doc, dict) or "keyposes" not in doc:
-        raise MalformedResponse("response missing 'keyposes'")
-    description = str(doc.get("description", ""))
+    items = doc.get("keyposes") if isinstance(doc, dict) else None
+    if not isinstance(items, list):
+        raise MalformedResponse(f"response has no 'keyposes' list: {items!r}")
+    return doc, items
+
+
+def _parse_annotation_response(text: str, horizon: int) -> tuple[str, list[Keypose]]:
+    doc, items = reply_keyposes(text)
     keyposes = []
-    for item in doc["keyposes"]:
+    for item in items:
         try:
             kp = Keypose.from_json(item)
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise MalformedResponse(f"bad keypose entry {item!r}: {err}") from None
-        if kp.timestep > demo.horizon:
+        if kp.timestep > horizon:
             raise MalformedResponse(f"keypose timestep {kp.timestep} outside demo range")
         keyposes.append(kp)
     if not keyposes:
         raise MalformedResponse("empty keypose list")
-    return description, keyposes
+    return str(doc.get("description", "")), keyposes
 
 
 def annotate(
@@ -288,11 +280,10 @@ def annotate(
     summary: DemoSummary | None = None,
     max_retries: int = MAX_RETRIES,
 ) -> Annotation:
-    """Full annotation query with the restart-on-malformed rule.
+    """The annotation query, then repair_annotation on its keyposes.
 
-    Each attempt runs against a fresh session; a parse failure or range
-    violation discards the response and restarts, up to max_retries total
-    attempts.
+    A reply that does not parse or lists a timestep past the horizon is
+    discarded and the query restarts on a fresh session (see ``query``).
     """
     if any(t < 0 or t > demo.horizon for t in frames):
         raise ValueError("frames outside demo range")
@@ -304,23 +295,18 @@ def annotate(
         frames=", ".join(str(t) for t in frames),
         horizon=demo.horizon,
     )
-    last_error: Exception | None = None
-    for _ in range(max_retries):
-        text = gateway.fresh_session().complete(prompt, temperature=0.7)
-        try:
-            description, keyposes = _parse_annotation_response(text, demo)
-        except MalformedResponse as err:
-            last_error = err
-            continue
-        raw = Annotation(
-            id=f"ann-{uuid.uuid4().hex[:12]}",
-            keyposes=keyposes,
-            description_text=description,
-            source_demo_id=demo.demo_id,
-            created_by="llm()",
-        )
-        return repair_annotation(raw, demo)
-    raise AnnotationFailed(f"no usable annotation after {max_retries} attempts: {last_error}")
+    description, keyposes = query(
+        gateway, prompt, lambda text: _parse_annotation_response(text, demo.horizon),
+        temperature=0.7, failure=AnnotationFailed, max_retries=max_retries,
+    )
+    raw = Annotation(
+        id=f"ann-{uuid.uuid4().hex[:12]}",
+        keyposes=keyposes,
+        description_text=description,
+        source_demo_id=demo.demo_id,
+        created_by="llm()",
+    )
+    return repair_annotation(raw, demo)
 
 
 _KEYPOSE_BLOCK = re.compile(r"\n*Key poses:\n(?:.*\n?)*", flags=re.MULTILINE)
@@ -451,19 +437,17 @@ def _nearest_object(obs: Observation, exclude: set[str] = frozenset()):
 def create_annotation(gateway, demo: Demonstration, task: TaskDescription, max_retries: int = MAX_RETRIES) -> Annotation:
     """Summarize, pick viewframes, then annotate: the whole query pipeline.
 
-    Viewframe selection and annotation use separate fresh sessions; a
-    malformed frame selection restarts that stage up to max_retries.
+    Viewframe selection and annotation are separate queries; a malformed
+    frame selection restarts only its own stage.
     """
     summary = summarize_demo(demo)
-    last_error: Exception | None = None
-    for _ in range(max_retries):
-        try:
-            frames = select_viewframes(gateway, summary, task)
-            break
-        except MalformedResponse as err:
-            last_error = err
-    else:
-        raise AnnotationFailed(f"viewframe selection failed {max_retries} times: {last_error}")
+    prompt = render_prompt(
+        "viewframes", task=task.text, rows=summary.rows_text(), horizon=summary.horizon, cap=VIEWFRAME_CAP
+    )
+    frames = query(
+        gateway, prompt, lambda text: parse_viewframes(text, summary.horizon),
+        temperature=0.2, failure=AnnotationFailed, max_retries=max_retries,
+    )
     return annotate(gateway, demo, frames, task, summary=summary, max_retries=max_retries)
 
 

@@ -39,13 +39,7 @@ from .demos import Action, Demonstration, TrajectorySegment
 from .ensemble import EnsembleState, ensemble_step
 from .gateway import GatewayError
 from .geometry import check_rotation_matrices
-from .retargeting import (
-    RetargetFailed,
-    SceneObservation,
-    build_request,
-    retarget,
-    scripted_retarget,
-)
+from .retargeting import RetargetFailed, SceneObservation, retarget, scripted_retarget
 from .simworld import (
     BUNDLED_TASKS,
     ScriptedPolicy,
@@ -261,13 +255,15 @@ def evaluate_policy(policy, spec: TaskSpec, n_trials: int, seed: int = 0) -> Eva
     return EvalReport(n_trials, wins, wins / n_trials, lo, hi)
 
 
-def _retarget_and_warp(annotation, source_demo, scene, noise_std=0.0, rng=None):
+def _scripted_keyposes(annotation, source_demo, scene, noise_std, rng):
     first = source_demo.observation(0)
     old_scene = SceneObservation(first.robot_pose, {o.name: o.pose for o in first.objects})
-    kps = scripted_retarget(annotation, scene, old_scene, noise_std=noise_std, rng=rng)
-    return warp_trajectory_by_keyposes(
-        source_demo, annotation.keypose_pairs(), [(k.timestep, k.pose) for k in kps]
-    )
+    return scripted_retarget(annotation, scene, old_scene, noise_std=noise_std, rng=rng)
+
+
+def _warp(annotation, source_demo, keyposes):
+    targets = [(k.timestep, k.pose) for k in keyposes]
+    return warp_trajectory_by_keyposes(source_demo, annotation.keypose_pairs(), targets)
 
 
 def scripted_runner():
@@ -295,7 +291,7 @@ def _warped_runner(execute, annotation, source_demo, noise_std, disturbance):
     def run(spec: TaskSpec, scene_seed: int) -> bool:
         state, scene = reset(spec, scene_seed)
         rng = _seeded(scene_seed, _TAG_NOISE, 0)
-        traj = _retarget_and_warp(annotation, source_demo, scene, noise_std, rng)
+        traj = _warp(annotation, source_demo, _scripted_keyposes(annotation, source_demo, scene, noise_std, rng))
         dist = disturbance(traj) if disturbance else None
         return execute(state, traj, dist).success
 
@@ -421,6 +417,9 @@ class CampaignConfig:
             raise ConfigError("need at least one source demo seed")
         for demo_seed in self.source_demo_seeds:
             _check_int("source_demo_seeds", demo_seed, 0)
+        for name in ("dataset_path", "checkpoint_path"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a path string, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CampaignConfig":
@@ -552,14 +551,10 @@ def _rollout_arm(cfg, meta: ArmMeta, source: Demonstration, scene_seed: int, rol
     state, scene = reset(spec, scene_seed)
     if cfg.retargeter == "scripted":
         rng = _seeded(cfg.seed, _TAG_NOISE, rollout_idx)
-        traj = _retarget_and_warp(meta.annotation, source, scene, meta.noise_std, rng)
+        kps = _scripted_keyposes(meta.annotation, source, scene, meta.noise_std, rng)
     else:
-        req = build_request(meta.annotation, TaskDescription(TASK_DESCRIPTIONS[cfg.task]), scene)
-        kps = retarget(gateway, req, max_retries=cfg.max_retries)
-        traj = warp_trajectory_by_keyposes(
-            source, meta.annotation.keypose_pairs(), [(k.timestep, k.pose) for k in kps]
-        )
-    out = rollout(state, traj)
+        kps = retarget(gateway, meta.annotation, TaskDescription(TASK_DESCRIPTIONS[cfg.task]), scene, cfg.max_retries)
+    out = rollout(state, _warp(meta.annotation, source, kps))
     if not out.success:
         return None
     return out.recording.demonstration(
@@ -647,7 +642,7 @@ def _load_checkpoint(cfg: CampaignConfig, sources: dict):
         state = BanditState.from_json(doc["bandit"])
         arms_meta = [ArmMeta.from_json(m) for m in doc["arms"]]
         rollouts, elapsed = doc["rollouts"], doc["elapsed"]
-    except (OSError, KeyError, TypeError, ValueError) as err:  # JSONDecodeError is a ValueError
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as err:  # JSONDecodeError is a ValueError
         raise ConfigError(f"unreadable checkpoint {cfg.checkpoint_path}: {err}") from err
     if fingerprint != cfg.fingerprint():
         raise ConfigError("checkpoint was produced by a different campaign configuration")

@@ -7,12 +7,14 @@ driven (endpoint, model, credential env var).
 
 Sessions are deliberately heavyweight in the API: the summarization pipeline
 requires that each query hit "a fresh instance" with no shared conversational
-state, so callers must mint a session per logical query.
+state, so every LLM call in the package goes through ``query``, which mints a
+session per attempt.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import threading
 import time
@@ -30,6 +32,25 @@ class GatewayError(RuntimeError):
     def __init__(self, message: str, kind: str):
         super().__init__(message)
         self.kind = kind
+
+
+class MalformedResponse(ValueError):
+    """Gateway answered, but not in a usable shape; caller may restart."""
+
+
+def query(gateway, prompt: str, parse, *, temperature: float, failure: type[Exception], max_retries: int):
+    """One LLM call: complete ``prompt`` on a fresh session and return
+    ``parse(text)``. A MalformedResponse discards the reply and restarts on a
+    new session; after ``max_retries`` attempts ``failure`` is raised.
+    GatewayError is never retried here."""
+    last_error: Exception | None = None
+    for _ in range(max_retries):
+        text = gateway.fresh_session().complete(prompt, temperature=temperature)
+        try:
+            return parse(text)
+        except MalformedResponse as err:
+            last_error = err
+    raise failure(f"no usable reply after {max_retries} attempts: {last_error}")
 
 
 @dataclass
@@ -187,10 +208,25 @@ class GatewayConfig:
     max_retries: int = 3
     backoff_base: float = 1.0  # seconds; doubles per retry, 0 disables sleeping
 
+    def __post_init__(self):
+        for name in ("endpoint", "model", "credential_env"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if isinstance(self.max_retries, bool) or not isinstance(self.max_retries, int) or self.max_retries < 0:
+            raise ValueError(f"max_retries must be an integer >= 0, got {self.max_retries!r}")
+        for name in ("timeout", "backoff_base"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        if self.timeout == 0:
+            raise ValueError("timeout must be > 0")
+
     @classmethod
     def from_dict(cls, doc: dict) -> "GatewayConfig":
-        known = {k: v for k, v in doc.items() if k in cls.__dataclass_fields__}
-        return cls(**known)
+        unknown = set(doc) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown gateway keys: {sorted(unknown)}")
+        return cls(**doc)
 
 
 class HttpGateway(Gateway):

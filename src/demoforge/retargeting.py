@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annotation import Keypose, MalformedResponse, TaskDescription, _strip_code_fences, render_prompt
+from .annotation import MAX_RETRIES, Keypose, TaskDescription, render_prompt, reply_keyposes
+from .gateway import MalformedResponse, query
 from .geometry import Pose, Rotation, pose_text
 
 
@@ -44,84 +45,45 @@ class SceneObservation:
         return "\n".join(lines)
 
 
-@dataclass
-class RetargetRequest:
-    description_text: str
-    task: TaskDescription
-    observation: SceneObservation
-    keyposes: list[Keypose]
-
-    def render(self) -> str:
-        """Canonical prompt body; stored in campaign logs alongside replies."""
-        kp_lines = "\n".join(json.dumps(k.to_json()) for k in self.keyposes)
-        return render_prompt(
-            "retarget",
-            task=self.task.text,
-            description=self.description_text,
-            keyposes=kp_lines,
-            observation=self.observation.text(),
-        )
-
-
-def build_request(ann, task: TaskDescription, obs: SceneObservation) -> RetargetRequest:
-    return RetargetRequest(
-        description_text=ann.description_text,
-        task=task,
-        observation=obs,
-        keyposes=[k.copy() for k in ann.keyposes],
-    )
-
-
 def _parse_retarget_response(text: str, original: list[Keypose]) -> list[Keypose]:
-    try:
-        doc = json.loads(_strip_code_fences(text))
-    except json.JSONDecodeError as err:
-        raise MalformedResponse(f"response is not JSON: {err}") from None
-    items = doc.get("keyposes") if isinstance(doc, dict) else None
-    if not isinstance(items, list) or len(items) != len(original):
-        got = len(items) if isinstance(items, list) else "no"
-        raise MalformedResponse(f"expected {len(original)} keyposes, got {got}")
+    _, items = reply_keyposes(text)
+    if len(items) != len(original):
+        raise MalformedResponse(f"expected {len(original)} keyposes, got {len(items)}")
     out = []
     for item, orig in zip(items, original):
-        try:
-            t = int(item["t"])
-            pos_mm = np.asarray(item["pos_mm"], dtype=float).reshape(3)
-            euler_deg = np.asarray(item["euler_deg"], dtype=float).reshape(3)
-        except (KeyError, TypeError, ValueError) as err:
-            raise MalformedResponse(f"bad keypose entry {item!r}: {err}") from None
-        if t != orig.timestep:
-            raise MalformedResponse(f"timestep drift: got {t}, want {orig.timestep}")
-        if not (np.all(np.isfinite(pos_mm)) and np.all(np.isfinite(euler_deg))):
-            raise MalformedResponse(f"non-finite pose in {item!r}")
         # only poses are trusted from the response; everything else inherits
-        out.append(
-            Keypose(
-                timestep=orig.timestep,
-                pos_mm=pos_mm,
-                euler_deg=euler_deg,
-                gripper=orig.gripper,
-                relevant_objects=list(orig.relevant_objects),
-                relation_note=orig.relation_note,
+        try:
+            kp = Keypose(
+                int(item["t"]), item["pos_mm"], item["euler_deg"], orig.gripper,
+                list(orig.relevant_objects), orig.relation_note,
             )
-        )
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
+            raise MalformedResponse(f"bad keypose entry {item!r}: {err}") from None
+        if kp.timestep != orig.timestep:
+            raise MalformedResponse(f"timestep drift: got {kp.timestep}, want {orig.timestep}")
+        out.append(kp)
     return out
 
 
-def retarget(gateway, req: RetargetRequest, max_retries: int = 3) -> list[Keypose]:
-    """LLM retargeting with fixed keypose cardinality and timesteps.
+def retarget(
+    gateway, annotation, task: TaskDescription, scene: SceneObservation, max_retries: int = MAX_RETRIES
+) -> list[Keypose]:
+    """LLM retargeting of the annotation's keyposes to ``scene``.
 
-    A reply that changes the count or the timesteps is malformed: discarded
-    and retried on a fresh session, then RetargetFailed.
+    A reply that changes the keypose count or a timestep is malformed, and
+    the query restarts on a fresh session (see ``query``).
     """
-    prompt = req.render()
-    last_error: Exception | None = None
-    for _ in range(max_retries):
-        text = gateway.fresh_session().complete(prompt, temperature=0.2)
-        try:
-            return _parse_retarget_response(text, req.keyposes)
-        except MalformedResponse as err:
-            last_error = err
-    raise RetargetFailed(f"no usable retarget after {max_retries} attempts: {last_error}")
+    prompt = render_prompt(
+        "retarget",
+        task=task.text,
+        description=annotation.description_text,
+        keyposes="\n".join(json.dumps(k.to_json()) for k in annotation.keyposes),
+        observation=scene.text(),
+    )
+    return query(
+        gateway, prompt, lambda text: _parse_retarget_response(text, annotation.keyposes),
+        temperature=0.2, failure=RetargetFailed, max_retries=max_retries,
+    )
 
 
 def _yaw_deg(rot: Rotation) -> float:

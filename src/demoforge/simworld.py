@@ -372,7 +372,6 @@ def _stack(poses) -> tuple[np.ndarray, np.ndarray]:
 class RolloutOutcome:
     success: bool
     steps: int
-    final_state: WorldState
     recording: Recording
 
 
@@ -404,7 +403,7 @@ def rollout(
             step(state, action)
             if _converged(state.robot_pose, action.pose):
                 break
-    return RolloutOutcome(success=success(state), steps=len(rec.rows), final_state=state, recording=rec)
+    return RolloutOutcome(success=success(state), steps=len(rec.rows), recording=rec)
 
 
 # angular tolerance sits above arccos round-off for bitwise-equal matrices

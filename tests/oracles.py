@@ -4,6 +4,10 @@ Everything here is written from first principles (Rodrigues formula,
 textbook quaternion slerp, brute-force grids) and deliberately avoids
 importing the package's own math, so a shared bug cannot hide.
 """
+import json
+import re
+import uuid
+
 import numpy as np
 
 
@@ -439,3 +443,186 @@ def converged_oracle(current, goal, pos_tol=1e-9, ang_tol=1e-7):
         float(np.linalg.norm(current.position - goal.position)) <= pos_tol
         and angle_rad_oracle((current.rotation.inverse() @ goal.rotation).as_matrix()) <= ang_tol
     )
+
+
+# -- LLM queries -------------------------------------------------------------
+# annotate, create_annotation and retarget as they stood before every LLM call
+# went through one query function: each stage keeps its own copy of the
+# fresh-session, complete, parse, restart loop, and retarget renders its
+# prompt from a request that holds copies of the keyposes.
+
+_INT_TOKEN_ORACLE = re.compile(r"-?\d+")
+
+
+def _strip_code_fences_oracle(text):
+    m = re.search(r"```(?:json)?\s*(.*?)```", text, flags=re.DOTALL)
+    return m.group(1) if m else text
+
+
+def _keypose_from_json_oracle(doc):
+    from demoforge.annotation import Keypose
+
+    return Keypose(
+        timestep=int(doc["t"]),
+        pos_mm=doc["pos_mm"],
+        euler_deg=doc["euler_deg"],
+        gripper=float(doc["gripper"]),
+        relevant_objects=list(doc.get("objects", [])),
+        relation_note=str(doc.get("note", "")),
+    )
+
+
+def select_viewframes_oracle(gateway, summary, task):
+    from demoforge.annotation import VIEWFRAME_CAP, render_prompt
+    from demoforge.gateway import MalformedResponse
+
+    if not summary.sampled_rows:
+        raise ValueError("summary has no rows")
+    prompt = render_prompt(
+        "viewframes", task=task.text, rows=summary.rows_text(), horizon=summary.horizon, cap=VIEWFRAME_CAP
+    )
+    text = gateway.fresh_session().complete(prompt, temperature=0.2)
+    tokens = [int(tok) for tok in _INT_TOKEN_ORACLE.findall(text)]
+    if not tokens:
+        raise MalformedResponse(f"no timesteps in response: {text!r}")
+    seen = []
+    for t in tokens:
+        if t < 0 or t > summary.horizon:
+            raise MalformedResponse(f"timestep {t} outside [0, {summary.horizon}]")
+        if t not in seen:
+            seen.append(t)
+    return sorted(seen[:VIEWFRAME_CAP])
+
+
+def parse_annotation_response_oracle(text, demo):
+    from demoforge.gateway import MalformedResponse
+
+    try:
+        doc = json.loads(_strip_code_fences_oracle(text))
+    except json.JSONDecodeError as err:
+        raise MalformedResponse(f"response is not JSON: {err}") from None
+    if not isinstance(doc, dict) or "keyposes" not in doc:
+        raise MalformedResponse("response missing 'keyposes'")
+    description = str(doc.get("description", ""))
+    keyposes = []
+    for item in doc["keyposes"]:
+        try:
+            kp = _keypose_from_json_oracle(item)
+        except (KeyError, TypeError, ValueError) as err:
+            raise MalformedResponse(f"bad keypose entry {item!r}: {err}") from None
+        if kp.timestep > demo.horizon:
+            raise MalformedResponse(f"keypose timestep {kp.timestep} outside demo range")
+        keyposes.append(kp)
+    if not keyposes:
+        raise MalformedResponse("empty keypose list")
+    return description, keyposes
+
+
+def annotate_oracle(gateway, demo, frames, task, summary=None, max_retries=3):
+    from demoforge.annotation import Annotation, AnnotationFailed, render_prompt, repair_annotation, summarize_demo
+    from demoforge.gateway import MalformedResponse
+
+    if any(t < 0 or t > demo.horizon for t in frames):
+        raise ValueError("frames outside demo range")
+    summary = summary if summary is not None else summarize_demo(demo)
+    prompt = render_prompt(
+        "annotate",
+        task=task.text,
+        rows=summary.rows_text(),
+        frames=", ".join(str(t) for t in frames),
+        horizon=demo.horizon,
+    )
+    last_error = None
+    for _ in range(max_retries):
+        text = gateway.fresh_session().complete(prompt, temperature=0.7)
+        try:
+            description, keyposes = parse_annotation_response_oracle(text, demo)
+        except MalformedResponse as err:
+            last_error = err
+            continue
+        raw = Annotation(
+            id=f"ann-{uuid.uuid4().hex[:12]}",
+            keyposes=keyposes,
+            description_text=description,
+            source_demo_id=demo.demo_id,
+            created_by="llm()",
+        )
+        return repair_annotation(raw, demo)
+    raise AnnotationFailed(f"no usable annotation after {max_retries} attempts: {last_error}")
+
+
+def create_annotation_oracle(gateway, demo, task, max_retries=3):
+    from demoforge.annotation import AnnotationFailed, summarize_demo
+    from demoforge.gateway import MalformedResponse
+
+    summary = summarize_demo(demo)
+    last_error = None
+    for _ in range(max_retries):
+        try:
+            frames = select_viewframes_oracle(gateway, summary, task)
+            break
+        except MalformedResponse as err:
+            last_error = err
+    else:
+        raise AnnotationFailed(f"viewframe selection failed {max_retries} times: {last_error}")
+    return annotate_oracle(gateway, demo, frames, task, summary=summary, max_retries=max_retries)
+
+
+def parse_retarget_response_oracle(text, original):
+    from demoforge.annotation import Keypose
+    from demoforge.gateway import MalformedResponse
+
+    try:
+        doc = json.loads(_strip_code_fences_oracle(text))
+    except json.JSONDecodeError as err:
+        raise MalformedResponse(f"response is not JSON: {err}") from None
+    items = doc.get("keyposes") if isinstance(doc, dict) else None
+    if not isinstance(items, list) or len(items) != len(original):
+        got = len(items) if isinstance(items, list) else "no"
+        raise MalformedResponse(f"expected {len(original)} keyposes, got {got}")
+    out = []
+    for item, orig in zip(items, original):
+        try:
+            t = int(item["t"])
+            pos_mm = np.asarray(item["pos_mm"], dtype=float).reshape(3)
+            euler_deg = np.asarray(item["euler_deg"], dtype=float).reshape(3)
+        except (KeyError, TypeError, ValueError) as err:
+            raise MalformedResponse(f"bad keypose entry {item!r}: {err}") from None
+        if t != orig.timestep:
+            raise MalformedResponse(f"timestep drift: got {t}, want {orig.timestep}")
+        if not (np.all(np.isfinite(pos_mm)) and np.all(np.isfinite(euler_deg))):
+            raise MalformedResponse(f"non-finite pose in {item!r}")
+        out.append(
+            Keypose(
+                timestep=orig.timestep,
+                pos_mm=pos_mm,
+                euler_deg=euler_deg,
+                gripper=orig.gripper,
+                relevant_objects=list(orig.relevant_objects),
+                relation_note=orig.relation_note,
+            )
+        )
+    return out
+
+
+def retarget_oracle(gateway, annotation, task, scene, max_retries=3):
+    from demoforge.annotation import render_prompt
+    from demoforge.gateway import MalformedResponse
+    from demoforge.retargeting import RetargetFailed
+
+    keyposes = [k.copy() for k in annotation.keyposes]
+    prompt = render_prompt(
+        "retarget",
+        task=task.text,
+        description=annotation.description_text,
+        keyposes="\n".join(json.dumps(k.to_json()) for k in keyposes),
+        observation=scene.text(),
+    )
+    last_error = None
+    for _ in range(max_retries):
+        text = gateway.fresh_session().complete(prompt, temperature=0.2)
+        try:
+            return parse_retarget_response_oracle(text, keyposes)
+        except MalformedResponse as err:
+            last_error = err
+    raise RetargetFailed(f"no usable retarget after {max_retries} attempts: {last_error}")

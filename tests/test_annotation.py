@@ -14,10 +14,10 @@ from demoforge.annotation import (
     TaskDescription,
     annotate,
     create_annotation,
+    parse_viewframes,
     render_prompt,
     repair_annotation,
     scripted_annotate,
-    select_viewframes,
     summarize_demo,
 )
 from demoforge.demos import Action, Observation
@@ -120,9 +120,8 @@ class TestSummarize:
 
 class TestSelectViewframes:
     def run(self, response, horizon=100):
-        gw = MockGateway(responses=[response])
         summary = summarize_demo(synthetic_demo(horizon), cadence=5, jitter=0)
-        return select_viewframes(gw, summary, TASK)
+        return parse_viewframes(response, summary.horizon)
 
     def test_plain_list(self):
         assert self.run("0, 25, 50") == [0, 25, 50]
@@ -186,6 +185,27 @@ class TestAnnotate:
         gw = MockGateway(responses=[bad, good_response(demo)])
         ann = annotate(gw, demo, [10, 50], TASK)
         assert [k.timestep for k in ann.keyposes] == [0, 10, 50, 100]
+
+    @pytest.mark.parametrize(
+        "patch",
+        [{"keyposes": 5}, {"keyposes": None}, {"objects": [1]}, {"objects": "block"}, {"objects": {"block": 1}},
+         {"t": float("inf")}],
+        ids=repr,
+    )
+    def test_bad_reply_shape_is_retried(self, patch):
+        # each of these once escaped annotate (TypeError, OverflowError), broke
+        # repair_annotation, split "block" into letters or took a mapping's keys
+        demo = synthetic_demo(100)
+        doc = json.loads(good_response(demo))
+        if "keyposes" in patch:
+            doc.update(patch)
+        else:
+            doc["keyposes"][0].update(patch)
+        gw = MockGateway(responses=[json.dumps(doc), good_response(demo)])
+        ann = annotate(gw, demo, [10, 50], TASK)
+        assert [k.timestep for k in ann.keyposes] == [0, 10, 50, 100]
+        assert all(k.relevant_objects in ([], ["block"]) for k in ann.keyposes)
+        assert len(gw.audit_log.entries()) == 2
 
     def test_code_fenced_json_accepted(self):
         demo = synthetic_demo(100)
@@ -361,6 +381,12 @@ class TestSerialization:
     def test_keypose_json_keys_exact(self):
         kp = Keypose(3, np.ones(3), np.zeros(3), 1.0, ["a"], "x")
         assert set(kp.to_json()) == {"t", "pos_mm", "euler_deg", "gripper", "objects", "note"}
+
+    @pytest.mark.parametrize("objects", ["block", [1], {"block": 1}, None], ids=repr)
+    def test_keypose_objects_must_be_a_list_of_names(self, objects):
+        doc = {"t": 3, "pos_mm": [0, 0, 0], "euler_deg": [0, 0, 0], "gripper": 1.0, "objects": objects}
+        with pytest.raises(ValueError, match="objects"):
+            Keypose.from_json(doc)
 
     def test_non_finite_keypose_rejected(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,8 @@ from demoforge.campaign import (
     CampaignReport,
     ConfigError,
     SchemaViolation,
-    _retarget_and_warp,
+    _scripted_keyposes,
+    _warp,
     append_demo,
     audit_dataset,
     demo_from_doc,
@@ -36,6 +37,11 @@ from demoforge.simworld import ObjectAttached, TaskSpec, record_demo, reset
 from oracles import demo_from_steps, select_reattach_oracle, wilson_interval as wilson_oracle
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def scripted_warp(ann, src, scene, noise_std=0.0, rng=None):
+    """The source demo warped onto the scripted retarget of ``ann`` to ``scene``."""
+    return _warp(ann, src, _scripted_keyposes(ann, src, scene, noise_std, rng))
 
 
 def random_demo(rng, n_steps=None, task="pick_place"):
@@ -323,14 +329,14 @@ class TestEnsembleEpisode:
 
     def test_switch_recorded_in_episode_outcome(self):
         state, scene = reset(self.spec, 12345)
-        traj = _retarget_and_warp(self.ann, self.src, scene)
+        traj = scripted_warp(self.ann, self.src, scene)
         out = run_ensemble_episode(state, traj, disturbances=grasp_disturbance(traj))
         assert out.success
         assert len(out.ensemble.switch_steps()) >= 1
 
     def test_max_steps_caps_episode(self):
         state, scene = reset(self.spec, 5)
-        traj = _retarget_and_warp(self.ann, self.src, scene)
+        traj = scripted_warp(self.ann, self.src, scene)
         out = run_ensemble_episode(state, traj, max_steps=10)
         assert not out.success
         assert out.steps == 10
@@ -343,7 +349,7 @@ class TestEnsembleEpisode:
             for noise_std in (0.0, 0.01):
                 for seed in range(10):
                     state, scene = reset(self.spec, 700 + seed)
-                    traj = _retarget_and_warp(self.ann, self.src, scene, noise_std, np.random.default_rng(seed))
+                    traj = scripted_warp(self.ann, self.src, scene, noise_std, np.random.default_rng(seed))
                     out.append(run_ensemble_episode(state, traj, disturbances=grasp_disturbance(traj)).ensemble.trace)
             return out
 
@@ -361,7 +367,7 @@ class TestEnsembleEpisode:
 
     def test_disturbing_held_object_rejected(self):
         state, scene = reset(self.spec, 5)
-        traj = _retarget_and_warp(self.ann, self.src, scene)
+        traj = scripted_warp(self.ann, self.src, scene)
         g = next(i for i in range(1, len(traj)) if traj.gripper[i] < traj.gripper[i - 1])
         with pytest.raises(ObjectAttached):
             run_ensemble_episode(state, traj, disturbances=[(g + 40, "block", np.array([0.05, 0.0, 0.0]))])
@@ -427,6 +433,14 @@ class TestConfig:
         doc = {"task": "pick_place", "goal_successes": 2, "max_rollouts": 6, **patch}
         with pytest.raises(ConfigError):
             CampaignConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "patch", [{"dataset_path": 1}, {"checkpoint_path": ["c.json"]}, {"dataset_path": True}], ids=repr
+    )
+    def test_non_string_paths_rejected(self, patch):
+        # run_campaign would open(1, "w") and close standard output
+        with pytest.raises(ConfigError, match="path"):
+            CampaignConfig.from_dict({"task": "pick_place", "goal_successes": 1, **patch})
 
     @pytest.mark.parametrize("patch", [{"seed": 0, "max_rollouts": 0}, {"max_rollouts": None, "max_retries": 1}])
     def test_boundary_values_accepted(self, patch):
@@ -628,11 +642,11 @@ class TestCampaign:
         old_scene = SceneObservation(first.robot_pose, {o.name: o.pose for o in first.objects})
         calls = []
 
-        def retarget_once(gateway, req, max_retries):
-            calls.append(req)
+        def retarget_once(gateway, annotation, task, scene, max_retries):
+            calls.append(scene)
             if len(calls) > 1:
                 raise RetargetFailed("no usable retarget")
-            return scripted_retarget(scripted_annotate(source, "pick_place"), req.observation, old_scene)
+            return scripted_retarget(scripted_annotate(source, "pick_place"), scene, old_scene)
 
         monkeypatch.setattr(campaign, "retarget", retarget_once)
         cfg = self.cfg(

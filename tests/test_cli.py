@@ -3,6 +3,7 @@
 import json
 
 import pytest
+import requests
 import yaml
 from click.testing import CliRunner
 
@@ -103,6 +104,26 @@ class TestGenerate:
         assert result.exit_code == 2
         assert "endpoint" in result.output
 
+    @pytest.mark.parametrize(
+        "patch",
+        [{"modle": "m"}, {"model": 5}, {"max_retries": "3"}, {"max_retries": -1}, {"timeout": 0}, {"backoff_base": -1}],
+        ids=repr,
+    )
+    def test_bad_gateway_value_exits_2(self, runner, tmp_path, monkeypatch, patch):
+        def no_network(*args, **kwargs):
+            raise AssertionError("a bad gateway section must be refused before any request")
+
+        monkeypatch.setattr(requests, "post", no_network)
+        monkeypatch.setenv("DEMOFORGE_TEST_KEY", "k")
+        cfg = write_config(
+            tmp_path / "c.yaml",
+            tiny_campaign(tmp_path, annotator="llm"),
+            gateway={"endpoint": "http://localhost:1", "credential_env": "DEMOFORGE_TEST_KEY", **patch},
+        )
+        result = runner.invoke(main, ["generate", "-c", cfg])
+        assert result.exit_code == 2, result.output
+        assert "bad gateway section" in result.output
+
     def test_missing_credential_exits_3(self, runner, tmp_path, monkeypatch):
         # Credential lookup happens before any network traffic, so this
         # exercises the gateway failure path without ever opening a socket.
@@ -136,6 +157,9 @@ class TestGenerate:
         "keypose past the horizon": lambda kps: kps[-1].update(t=99999),
         "two keyposes swapped": lambda kps: kps.insert(1, kps.pop(2)),
         "keypose anchored on an absent object": lambda kps: kps[1].update(objects=["mug"]),
+        "keypose objects not all names": lambda kps: kps[1].update(objects=["block", 5]),
+        "keypose objects a mapping": lambda kps: kps[1].update(objects={"block": 1}),
+        "keypose timestep infinite": lambda kps: kps[1].update(t=float("inf")),
     }
 
     @pytest.mark.parametrize(

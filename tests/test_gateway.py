@@ -183,8 +183,42 @@ class TestHttpGateway:
             HttpGateway(GatewayConfig())
 
 
-def test_config_from_dict_ignores_unknown_keys():
-    cfg = GatewayConfig.from_dict({"endpoint": "https://x", "model": "m", "bogus": 1})
+def test_config_from_dict_rejects_unknown_keys():
+    # a misspelt key would otherwise leave its field at the default
+    with pytest.raises(ValueError, match="unknown gateway keys"):
+        GatewayConfig.from_dict({"endpoint": "https://x", "modle": "m"})
+    cfg = GatewayConfig.from_dict({"endpoint": "https://x", "model": "m"})
     assert cfg.endpoint == "https://x"
     assert cfg.model == "m"
     assert cfg.credential_env == "DEMOFORGE_API_KEY"
+
+
+BAD_GATEWAY_VALUES = [
+    {"endpoint": 5},
+    {"model": None},
+    {"credential_env": ["KEY"]},
+    {"max_retries": "3"},
+    {"max_retries": -1},
+    {"max_retries": 2.0},
+    {"max_retries": True},
+    {"timeout": 0},
+    {"timeout": -1.0},
+    {"timeout": float("inf")},
+    {"timeout": float("nan")},
+    {"timeout": "60"},
+    {"backoff_base": -0.5},
+    {"backoff_base": float("nan")},
+    {"backoff_base": float("inf")},
+    {"backoff_base": "1"},
+]
+
+
+@pytest.mark.parametrize("patch", BAD_GATEWAY_VALUES, ids=repr)
+def test_config_values_that_would_break_a_completion_rejected(patch):
+    with pytest.raises(ValueError):
+        GatewayConfig.from_dict({"endpoint": "https://x", "model": "m", **patch})
+
+
+def test_config_boundary_values_accepted():
+    cfg = GatewayConfig.from_dict({"endpoint": "https://x", "max_retries": 0, "timeout": 0.5, "backoff_base": 0})
+    assert (cfg.max_retries, cfg.timeout, cfg.backoff_base) == (0, 0.5, 0)

@@ -12,7 +12,6 @@ from demoforge.retargeting import (
     RetargetFailed,
     SceneObservation,
     UnknownObject,
-    build_request,
     retarget,
     scripted_retarget,
 )
@@ -91,16 +90,11 @@ class TestSceneObservation:
 
 
 class TestRequest:
-    def test_request_copies_keyposes(self):
-        ann = simple_annotation()
-        req = build_request(ann, TASK, scene())
-        req.keyposes[1].pos_mm[0] = 999.0
-        assert ann.keyposes[1].pos_mm[0] == 50.0
-
     def test_render_carries_description_keyposes_observation(self):
         ann = simple_annotation()
-        req = build_request(ann, TASK, scene())
-        text = req.render()
+        gw = MockGateway(responder=echo_responder)
+        retarget(gw, ann, TASK, scene())
+        text = gw.audit_log.entries()[0].request
         assert TASK.text in text
         assert ann.description_text in text
         for kp in ann.keyposes:
@@ -112,12 +106,14 @@ class TestRetarget:
     def test_echo_identity_bitwise(self):
         ann = simple_annotation()
         gw = MockGateway(responder=echo_responder)
-        out = retarget(gw, build_request(ann, TASK, scene()))
+        out = retarget(gw, ann, TASK, scene())
         assert len(out) == len(ann.keyposes)
         for a, b in zip(ann.keyposes, out):
             assert b.timestep == a.timestep
             assert np.array_equal(b.pos_mm, a.pos_mm)
             assert np.array_equal(b.euler_deg, a.euler_deg)
+            # the result shares no mutable state with the annotation
+            assert b.pos_mm is not a.pos_mm and b.relevant_objects is not a.relevant_objects
 
     def test_moved_poses_taken_non_pose_fields_inherited(self):
         ann = simple_annotation()
@@ -132,7 +128,7 @@ class TestRetarget:
             return json.dumps({"keyposes": kps})
 
         gw = MockGateway(responder=shift)
-        out = retarget(gw, build_request(ann, TASK, scene()))
+        out = retarget(gw, ann, TASK, scene())
         for a, b in zip(ann.keyposes, out):
             assert b.pos_mm[0] == a.pos_mm[0] + 70.0
             assert b.gripper == a.gripper
@@ -144,7 +140,7 @@ class TestRetarget:
         short = json.dumps({"keyposes": [ann.keyposes[0].to_json()]})
         gw = MockGateway(responses=[short, short, short, "unused"])
         with pytest.raises(RetargetFailed):
-            retarget(gw, build_request(ann, TASK, scene()))
+            retarget(gw, ann, TASK, scene())
         assert len(gw.audit_log.entries()) == 3
 
     def test_wrong_timestep_is_malformed(self):
@@ -157,7 +153,7 @@ class TestRetarget:
 
         gw = MockGateway(responder=drift)
         with pytest.raises(RetargetFailed):
-            retarget(gw, build_request(ann, TASK, scene()))
+            retarget(gw, ann, TASK, scene())
 
     def test_non_finite_pose_is_malformed(self):
         ann = simple_annotation()
@@ -169,13 +165,13 @@ class TestRetarget:
 
         gw = MockGateway(responder=poison)
         with pytest.raises(RetargetFailed):
-            retarget(gw, build_request(ann, TASK, scene()))
+            retarget(gw, ann, TASK, scene())
 
     def test_retry_then_success_uses_fresh_sessions(self):
         ann = simple_annotation()
         good = json.dumps({"keyposes": [k.to_json() for k in ann.keyposes]})
         gw = MockGateway(responses=["garbage", good])
-        out = retarget(gw, build_request(ann, TASK, scene()))
+        out = retarget(gw, ann, TASK, scene())
         assert len(out) == 4
         entries = gw.audit_log.entries()
         assert len(entries) == 2

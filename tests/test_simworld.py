@@ -286,7 +286,7 @@ class TestRollout:
         far = Pose(state.robot_pose.position + np.array([0.3, 0.0, 0.0]))
         traj = segment([far, far], [1.0, 1.0])
         out = sw.rollout(state, traj)
-        assert np.allclose(out.final_state.robot_pose.position, far.position, atol=1e-9)
+        assert np.allclose(out.recording.state.robot_pose.position, far.position, atol=1e-9)
         assert out.steps > 15  # 0.3 m at 0.02 m per step
 
     def test_trace_records_every_env_step(self):

@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import in the package is read by its
 module, every module-level private name is read somewhere in the package,
 scipy's checked ``Rotation.from_matrix`` is reached only through the one
-guarded helper, the names the benchmark rebinds in ``demoforge.campaign``
-still exist, and the benchmark's own self-tests pass against the package."""
+guarded helper, only the one query function opens gateway sessions, the
+names the benchmark rebinds in ``demoforge.campaign`` still exist, and the
+benchmark's own self-tests pass against the package."""
 import ast
 import importlib
 import inspect
@@ -84,6 +85,27 @@ def test_no_unread_module_level_private_name():
     assert unread_private_names({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
 
 
+def attribute_reads(tree: ast.AST, attr: str, on=None) -> list[str]:
+    """The enclosing def or class path of each read of ``.attr``, on any
+    object or, given the set ``on``, only on a bare name in it."""
+    reads = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == attr
+            and (on is None or isinstance(node.value, ast.Name) and node.value.id in on)
+        ):
+            reads.append(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return reads
+
+
 def scipy_from_matrix_reads(source: str) -> list[str]:
     """The enclosing def or class path of each ``from_matrix`` read on a name
     the module binds to scipy's ``Rotation``."""
@@ -95,23 +117,7 @@ def scipy_from_matrix_reads(source: str) -> list[str]:
         for alias in node.names
         if alias.name == "Rotation"
     }
-    reads = []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr == "from_matrix"
-            and isinstance(node.value, ast.Name)
-            and node.value.id in aliases
-        ):
-            reads.append(scope or "<module>")
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, "")
-    return reads
+    return attribute_reads(tree, "from_matrix", aliases)
 
 
 def test_from_matrix_checker_flags_reads_on_scipy_rotation_only():
@@ -128,6 +134,22 @@ def test_only_the_guarded_helper_calls_scipy_from_matrix():
     # only where it provably passes, so no other module may pay it again
     reads = {p.stem: scipy_from_matrix_reads(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert {module: found for module, found in reads.items() if found} == {"geometry": ["scipy_rotation"]}
+
+
+def test_fresh_session_checker_flags_every_read():
+    source = (
+        "def query(gateway):\n    return gateway.fresh_session().complete('p')\n"
+        "class Stage:\n    def run(self):\n        make = self.gateway.fresh_session\n        return make()\n"
+        "def fresh_session():\n    return None\n"
+    )
+    assert attribute_reads(ast.parse(source), "fresh_session") == ["query", "Stage.run"]
+
+
+def test_only_the_query_function_opens_sessions():
+    # every LLM call restarts, gives up and fails the same way, because
+    # only the one query loop mints sessions
+    reads = {p.stem: attribute_reads(ast.parse(p.read_text()), "fresh_session") for p in sorted(PACKAGE.glob("*.py"))}
+    assert {module: found for module, found in reads.items() if found} == {"gateway": ["query"]}
 
 
 def test_bench_rebinding_targets_exist(monkeypatch):
