@@ -132,6 +132,8 @@ class Keypose:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Keypose":
+        if not isinstance(doc, dict):
+            raise TypeError(f"keypose entry must be an object, got {doc!r}")
         objects = doc.get("objects", [])
         if not isinstance(objects, list) or not all(isinstance(name, str) for name in objects):
             raise ValueError(f"keypose objects must be a list of names, got {objects!r}")

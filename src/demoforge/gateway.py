@@ -199,6 +199,10 @@ class MockGateway(Gateway):
             return str(item), retries
 
 
+def _finite_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
 @dataclass
 class GatewayConfig:
     endpoint: str = ""
@@ -214,12 +218,10 @@ class GatewayConfig:
                 raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         if isinstance(self.max_retries, bool) or not isinstance(self.max_retries, int) or self.max_retries < 0:
             raise ValueError(f"max_retries must be an integer >= 0, got {self.max_retries!r}")
-        for name in ("timeout", "backoff_base"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-        if self.timeout == 0:
-            raise ValueError("timeout must be > 0")
+        if not (_finite_number(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be a finite number > 0, got {self.timeout!r}")
+        if not (_finite_number(self.backoff_base) and self.backoff_base >= 0):
+            raise ValueError(f"backoff_base must be a finite number >= 0, got {self.backoff_base!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GatewayConfig":

@@ -188,13 +188,15 @@ class TestAnnotate:
 
     @pytest.mark.parametrize(
         "patch",
-        [{"keyposes": 5}, {"keyposes": None}, {"objects": [1]}, {"objects": "block"}, {"objects": {"block": 1}},
+        [{"keyposes": 5}, {"keyposes": None}, {"keyposes": [1]}, {"keyposes": ["x"]}, {"keyposes": [[]]},
+         {"objects": [1]}, {"objects": "block"}, {"objects": {"block": 1}},
          {"t": float("inf")}],
         ids=repr,
     )
     def test_bad_reply_shape_is_retried(self, patch):
         # each of these once escaped annotate (TypeError, OverflowError), broke
-        # repair_annotation, split "block" into letters or took a mapping's keys
+        # repair_annotation, split "block" into letters or took a mapping's keys;
+        # a keypose entry that is not an object must not escape as AttributeError
         demo = synthetic_demo(100)
         doc = json.loads(good_response(demo))
         if "keyposes" in patch:

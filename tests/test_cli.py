@@ -160,6 +160,7 @@ class TestGenerate:
         "keypose objects not all names": lambda kps: kps[1].update(objects=["block", 5]),
         "keypose objects a mapping": lambda kps: kps[1].update(objects={"block": 1}),
         "keypose timestep infinite": lambda kps: kps[1].update(t=float("inf")),
+        "keypose not an object": lambda kps: kps.__setitem__(1, 1),
     }
 
     @pytest.mark.parametrize(

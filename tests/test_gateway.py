@@ -215,8 +215,16 @@ BAD_GATEWAY_VALUES = [
 
 @pytest.mark.parametrize("patch", BAD_GATEWAY_VALUES, ids=repr)
 def test_config_values_that_would_break_a_completion_rejected(patch):
-    with pytest.raises(ValueError):
+    (name,) = patch
+    with pytest.raises(ValueError, match=f"^{name} must be"):
         GatewayConfig.from_dict({"endpoint": "https://x", "model": "m", **patch})
+
+
+def test_config_timeout_message_states_its_bound():
+    with pytest.raises(ValueError, match="timeout must be a finite number > 0"):
+        GatewayConfig.from_dict({"timeout": -1.0})
+    with pytest.raises(ValueError, match="backoff_base must be a finite number >= 0"):
+        GatewayConfig.from_dict({"backoff_base": -1.0})
 
 
 def test_config_boundary_values_accepted():

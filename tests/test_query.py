@@ -82,8 +82,12 @@ def viewframe_reply(rng):
     return "the grasp, I think"  # no integers
 
 
+# keypose entries that are not JSON objects
+NOT_AN_OBJECT = [1, "x", [], None]
+
+
 def annotation_reply(rng):
-    kind = rng.integers(12)  # 9-11 are good replies too
+    kind = rng.integers(13)  # 9-11 are good replies too
     items = [keypose_doc(rng, int(t)) for t in rng.integers(0, HORIZON + 1, rng.integers(1, 5))]
     doc = {"description": "Carry the block.\n\nKey poses:\nt=0: stale", "keyposes": items}
     if kind == 1:
@@ -102,11 +106,13 @@ def annotation_reply(rng):
         doc["keyposes"] = []
     elif kind == 8:
         items[0]["pos_mm"] = items[0]["pos_mm"][:2]  # the wrong shape
+    elif kind == 12:
+        items[int(rng.integers(len(items)))] = NOT_AN_OBJECT[int(rng.integers(len(NOT_AN_OBJECT)))]
     return json.dumps(doc)
 
 
 def retarget_reply(rng, annotation):
-    kind = rng.integers(8)
+    kind = rng.integers(9)
     items = [keypose_doc(rng, k.timestep, objects=["bogus"]) for k in annotation.keyposes]
     if kind == 1:
         return "```\n" + json.dumps({"keyposes": items}) + "\n```"
@@ -122,6 +128,8 @@ def retarget_reply(rng, annotation):
         items[int(rng.integers(len(items)))]["euler_deg"][0] = float(rng.choice([np.inf, np.nan]))
     elif kind == 7:
         del items[0]["pos_mm"]
+    elif kind == 8:
+        items[int(rng.integers(len(items)))] = NOT_AN_OBJECT[int(rng.integers(len(NOT_AN_OBJECT)))]
     return json.dumps({"keyposes": items})
 
 
