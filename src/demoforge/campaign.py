@@ -96,33 +96,47 @@ def _scene_seed(seed: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dataset persistence: JSON lines, one demonstration per line. Floats are
-# written with repr precision, so read(write(demos)) is identical bit for bit.
+# Dataset persistence: JSON lines, one demonstration per line. Each line is, byte
+# for byte, what json.dumps(doc, separators=(",", ":")) writes for the document
+# {"id", "task", "seed", "success", "provenance", "steps"}, keys in that order:
+# a step is {"obs":{"robot":P,"gripper":g,"objects":[{"name","pose":P,"color"},..]},
+# "act":{"pose":P,"gripper":g}} and a pose P is {"p":[x,y,z],"R":[[..],[..],[..]]}.
+# Floats are float.__repr__, NaN and Infinity as json writes them, so
+# read(write(demos)) is identical bit for bit. Pose rows repeat (entities at rest,
+# a held grasp), so each distinct row of a line is formatted once, keyed on its
+# bytes: -0.0 == 0.0, but the two print apart.
+
+_JSON = json.JSONEncoder(separators=(",", ":")).encode
+_POSE = '{"p":[%r,%r,%r],"R":[[%r,%r,%r],[%r,%r,%r],[%r,%r,%r]]}'
+_STEP = '{"obs":{"robot":%s,"gripper":%s,"objects":[%s]},"act":{"pose":%s,"gripper":%s}}'
 
 
-def _pose_docs(positions: np.ndarray, rotations: np.ndarray) -> list[dict]:
-    return [{"p": p, "R": r} for p, r in zip(positions.tolist(), rotations.tolist())]
-
-
-def demo_to_doc(demo: Demonstration) -> dict:
-    robot = _pose_docs(demo.robot.positions, demo.robot.rotations)
-    act = _pose_docs(demo.actions.positions, demo.actions.rotations)
-    entity_poses = _pose_docs(demo.entity_positions.reshape(-1, 3), demo.entity_rotations.reshape(-1, 3, 3))
-    entities = list(enumerate(zip(demo.entity_names, demo.entity_colors)))
-    m = len(entities)
-    steps = [
-        {
-            "obs": {
-                "robot": robot[t],
-                "gripper": g_obs,
-                "objects": [{"name": n, "pose": entity_poses[t * m + j], "color": c} for j, (n, c) in entities],
-            },
-            "act": {"pose": act[t], "gripper": g_act},
-        }
-        for t, (g_obs, g_act) in enumerate(zip(demo.robot.gripper.tolist(), demo.actions.gripper.tolist()))
+def _pose_texts(positions: np.ndarray, rotations: np.ndarray) -> list[str]:
+    rows = np.concatenate([positions, rotations.reshape(-1, 9)], axis=1, dtype=float)
+    ids: dict[bytes, int] = {}
+    index = [ids.setdefault(key, len(ids)) for key in rows.view(np.dtype((np.void, 96))).ravel().tolist()]
+    distinct = np.frombuffer(b"".join(ids), dtype=float).reshape(-1, 12)
+    texts = [
+        _POSE % tuple(r) if finite else '{"p":%s,"R":%s}' % (_JSON(r[:3]), _JSON([r[3:6], r[6:9], r[9:]]))
+        for r, finite in zip(distinct.tolist(), np.isfinite(distinct).all(axis=1).tolist())
     ]
-    meta = {"id": demo.demo_id, "task": demo.task, "seed": demo.seed, "success": demo.success}
-    return {**meta, "provenance": demo.provenance, "steps": steps}
+    return [texts[i] for i in index]
+
+
+def demo_line(demo: Demonstration) -> str:
+    """The dataset line of one demo, without its newline."""
+    n, m = len(demo), len(demo.entity_names)
+    poses = _pose_texts(
+        np.concatenate([demo.robot.positions, demo.actions.positions, demo.entity_positions.reshape(-1, 3)]),
+        np.concatenate([demo.robot.rotations, demo.actions.rotations, demo.entity_rotations.reshape(-1, 3, 3)]),
+    )
+    grippers = _JSON(demo.robot.gripper.tolist() + demo.actions.gripper.tolist())[1:-1].split(",")
+    names, colors = [_JSON(name) for name in demo.entity_names], [_JSON(color) for color in demo.entity_colors]
+    objects = ['{"name":%s,"pose":%s,"color":%s}' % row for row in zip(names * n, poses[2 * n :], colors * n)]
+    objects = [",".join(objects[t * m : t * m + m]) for t in range(n)]
+    steps = ",".join(map(_STEP.__mod__, zip(poses[:n], grippers[:n], objects, poses[n : 2 * n], grippers[n:])))
+    meta = map(_JSON, (demo.demo_id, demo.task, demo.seed, demo.success, demo.provenance))
+    return '{"id":%s,"task":%s,"seed":%s,"success":%s,"provenance":%s,"steps":[%s]}' % (*meta, steps)
 
 
 def demo_from_doc(doc: dict) -> Demonstration:
@@ -130,6 +144,9 @@ def demo_from_doc(doc: dict) -> Demonstration:
     if doc["task"] not in BUNDLED_TASKS:
         raise ValueError(f"unknown task {doc['task']!r}")
     _check_int("seed", doc["seed"], 0)
+    for name, kind, what in (("id", str, "a string"), ("success", bool, "a bool"), ("provenance", dict, "an object")):
+        if not isinstance(doc[name], kind):
+            raise ValueError(f"{name} must be {what}, got {doc[name]!r}")
     obs = [row["obs"] for row in doc["steps"]]
     acts = [row["act"] for row in doc["steps"]]
     n = len(obs)
@@ -158,20 +175,19 @@ def demo_from_doc(doc: dict) -> Demonstration:
         entity_rotations=rotations[2 * n :].reshape(n, m, 3, 3),
         demo_id=doc["id"],
         seed=doc["seed"],
-        success=bool(doc["success"]),
+        success=doc["success"],
         provenance=dict(doc["provenance"]),
     )
 
 
 def write_dataset(demos: list[Demonstration], path) -> None:
     with open(path, "w") as fh:
-        for demo in demos:
-            fh.write(json.dumps(demo_to_doc(demo), separators=(",", ":")) + "\n")
+        fh.writelines(demo_line(demo) + "\n" for demo in demos)
 
 
 def append_demo(path, demo: Demonstration) -> None:
     with open(path, "a") as fh:
-        fh.write(json.dumps(demo_to_doc(demo), separators=(",", ":")) + "\n")
+        fh.write(demo_line(demo) + "\n")
 
 
 def read_dataset(path) -> list[Demonstration]:
@@ -285,8 +301,8 @@ def scripted_runner():
 
 
 def _warped_runner(execute, annotation, source_demo, noise_std, disturbance):
-    """Fresh scene, retarget and warp, optional disturbance, then
-    ``execute(state, traj, disturbances)``, whose outcome has ``.success``."""
+    """Fresh scene, retarget and warp, optional disturbance, then ``execute(state, traj, disturbances)``,
+    whose outcome has ``.success``; a lambda as ``execute`` reads the module's name at each call."""
 
     def run(spec: TaskSpec, scene_seed: int) -> bool:
         state, scene = reset(spec, scene_seed)
@@ -305,20 +321,12 @@ def feedforward_runner(annotation, source_demo, noise_std: float = 0.0, disturba
     delta) triples, so perturbations can be placed relative to e.g. the
     grasp timestep of this particular trajectory.
     """
-    return _warped_runner(
-        lambda state, traj, dist: rollout(state, traj, dist), annotation, source_demo, noise_std, disturbance
-    )
+    return _warped_runner(lambda *args: rollout(*args), annotation, source_demo, noise_std, disturbance)
 
 
 def ensemble_runner(annotation, source_demo, noise_std: float = 0.0, disturbance=None):
     """Warped trajectory plus scripted feedback under the switching ensemble."""
-    return _warped_runner(
-        lambda state, traj, dist: run_ensemble_episode(state, traj, disturbances=dist),
-        annotation,
-        source_demo,
-        noise_std,
-        disturbance,
-    )
+    return _warped_runner(lambda *args: run_ensemble_episode(*args), annotation, source_demo, noise_std, disturbance)
 
 
 @dataclass
@@ -510,24 +518,18 @@ class CampaignReport:
         ]
         if self.baseline_rate is not None:
             lines.append(f"no-optimization baseline rate: {self.baseline_rate:.3f}")
-        lines.append(f"wall time: {self.wall_time:.1f} s")
-        lines.append("")
+        lines += [f"wall time: {self.wall_time:.1f} s", ""]
         lines.append(f"{'arm':<24}{'successes':>10}{'failures':>10}{'noise mm':>10}")
         for row in self.per_arm:
             noise_mm = row["noise_std"] * 1000.0
-            lines.append(
-                f"{row['annotation_id']:<24}{row['n_suc']:>10}{row['n_fail']:>10}{noise_mm:>10.1f}"
-            )
+            lines.append(f"{row['annotation_id']:<24}{row['n_suc']:>10}{row['n_fail']:>10}{noise_mm:>10.1f}")
         return "\n".join(lines)
 
 
 def _record_source_demos(cfg: CampaignConfig) -> dict[str, Demonstration]:
     spec = TaskSpec(cfg.task)
-    demos = {}
-    for j, s in enumerate(cfg.source_demo_seeds):
-        demo = record_demo(spec, s, demo_id=f"{cfg.task}-src{j:02d}")
-        demos[demo.demo_id] = demo
-    return demos
+    demos = (record_demo(spec, s, demo_id=f"{cfg.task}-src{j:02d}") for j, s in enumerate(cfg.source_demo_seeds))
+    return {demo.demo_id: demo for demo in demos}
 
 
 def _mint_arm(cfg: CampaignConfig, state: BanditState, sources: dict, gateway) -> ArmMeta:
@@ -557,17 +559,9 @@ def _rollout_arm(cfg, meta: ArmMeta, source: Demonstration, scene_seed: int, rol
     out = rollout(state, _warp(meta.annotation, source, kps))
     if not out.success:
         return None
-    return out.recording.demonstration(
-        cfg.task,
-        demo_id=f"{cfg.task}-gen{scene_seed:010d}",
-        seed=scene_seed,
-        provenance={
-            "kind": "generated",
-            "annotation_id": meta.annotation.id,
-            "seed": scene_seed,
-            "noise_std": meta.noise_std,
-        },
-    )
+    provenance = dict(kind="generated", annotation_id=meta.annotation.id, seed=scene_seed, noise_std=meta.noise_std)
+    demo_id = f"{cfg.task}-gen{scene_seed:010d}"
+    return out.recording.demonstration(cfg.task, demo_id=demo_id, seed=scene_seed, provenance=provenance)
 
 
 def _cached_prior(cfg: CampaignConfig, state: BanditState, cache: dict) -> PriorFit:
@@ -582,9 +576,7 @@ def _cached_prior(cfg: CampaignConfig, state: BanditState, cache: dict) -> Prior
 
 
 def _should_mint(cfg: CampaignConfig, state: BanditState, rollout_idx: int, prior_cache: dict) -> bool:
-    if not state.arms:
-        return True
-    if cfg.mode == "no_optimization":
+    if not state.arms or cfg.mode == "no_optimization":
         return True
     if cfg.mode == "fixed_first":
         return False
@@ -755,12 +747,7 @@ def run_campaign(cfg: CampaignConfig, gateway=None, resume: bool = False) -> Cam
     assert pulls_on_arms + discarded == rollouts, "rollout conservation violated"
 
     per_arm = [
-        {
-            "annotation_id": arm.annotation_id,
-            "n_suc": arm.n_suc,
-            "n_fail": arm.n_fail,
-            "noise_std": meta.noise_std,
-        }
+        {"annotation_id": arm.annotation_id, "n_suc": arm.n_suc, "n_fail": arm.n_fail, "noise_std": meta.noise_std}
         for arm, meta in zip(state.arms, arms_meta)
     ]
     if state.arms:

@@ -291,6 +291,11 @@ class HttpGateway(Gateway):
                 continue
             if resp.status_code != 200:
                 raise GatewayError(f"unexpected status {resp.status_code}", kind="transport")
-            doc = resp.json()
-            return str(doc["choices"][0]["message"]["content"]), attempt
+            try:  # a 200 whose body is not a chat completion is a broken transport, not a reply
+                text = resp.json()["choices"][0]["message"]["content"]
+                if not isinstance(text, str):
+                    raise TypeError(f"content is {text!r}, not a string")
+            except (ValueError, LookupError, TypeError) as err:  # JSONDecodeError is a ValueError
+                raise GatewayError(f"malformed completion body: {err!r}", kind="transport") from err
+            return text, attempt
         raise GatewayError(f"retries exhausted: {last_err}", kind="exhausted")

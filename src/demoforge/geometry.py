@@ -27,7 +27,7 @@ def scipy_rotation(matrix: np.ndarray) -> _SR:
 
     scipy raises on det <= 0 and SVD-projects any matrix whose gramian is not within 1e-12 of I. Every
     matrix here with max|M M^T - I| <= _TRUSTED_GRAM_TOL and det > 0 passes that check unprojected, so
-    scipy skips it at no change in bits; any other matrix, NaN included, takes scipy's checked path.
+    scipy skips it at no change in bits; any other finite matrix takes scipy's checked path.
     """
     tol = _TRUSTED_GRAM_TOL
     if matrix.ndim == 2:  # on Python floats; with the gramian this near I, det is +/-1, so its sign is enough
@@ -44,6 +44,8 @@ def scipy_rotation(matrix: np.ndarray) -> _SR:
     else:
         gram = np.matmul(matrix, np.swapaxes(matrix, -1, -2))
         trusted = bool(np.all(np.abs(gram - np.eye(3)) <= tol) and np.all(np.linalg.det(matrix) > 0.0))
+    if not trusted and not np.isfinite(matrix).all():  # scipy's SVD never returns on some +inf entries
+        raise ValueError("rotation matrix has non-finite entries")
     return _SR.from_matrix(matrix, assume_valid=trusted)
 
 

@@ -410,6 +410,37 @@ def demo_from_steps(steps, task="pick_place", **meta):
     )
 
 
+# -- dataset line ------------------------------------------------------------
+# The dataset line as it was built before the encoder formatted each distinct
+# pose row once: a dict per pose, and json.dumps over the whole document.
+
+
+def _pose_docs(positions, rotations):
+    return [{"p": p, "R": r} for p, r in zip(positions.tolist(), rotations.tolist())]
+
+
+def demo_to_doc(demo):
+    """The JSON document of one demo; json.dumps(doc, separators=(",", ":")) is its dataset line."""
+    robot = _pose_docs(demo.robot.positions, demo.robot.rotations)
+    act = _pose_docs(demo.actions.positions, demo.actions.rotations)
+    entity_poses = _pose_docs(demo.entity_positions.reshape(-1, 3), demo.entity_rotations.reshape(-1, 3, 3))
+    entities = list(enumerate(zip(demo.entity_names, demo.entity_colors)))
+    m = len(entities)
+    steps = [
+        {
+            "obs": {
+                "robot": robot[t],
+                "gripper": g_obs,
+                "objects": [{"name": n, "pose": entity_poses[t * m + j], "color": c} for j, (n, c) in entities],
+            },
+            "act": {"pose": act[t], "gripper": g_act},
+        }
+        for t, (g_obs, g_act) in enumerate(zip(demo.robot.gripper.tolist(), demo.actions.gripper.tolist()))
+    ]
+    meta = {"id": demo.demo_id, "task": demo.task, "seed": demo.seed, "success": demo.success}
+    return {**meta, "provenance": demo.provenance, "steps": steps}
+
+
 # -- world step --------------------------------------------------------------
 # The env step's maths as it stood before it ran on Python floats: numpy calls
 # on single values, and a Rotation wrapper for every inverse and product.

@@ -17,7 +17,7 @@ from demoforge.campaign import (
     append_demo,
     audit_dataset,
     demo_from_doc,
-    demo_to_doc,
+    demo_line,
     ensemble_runner,
     evaluate_policy,
     feedforward_runner,
@@ -29,12 +29,12 @@ from demoforge.campaign import (
     wilson_interval,
     write_dataset,
 )
-from demoforge.demos import Action, Demonstration, Observation, ObjectObservation
+from demoforge.demos import Action, Demonstration, Observation, ObjectObservation, TrajectorySegment
 from demoforge.gateway import GatewayError, MockGateway, TransientFailure
 from demoforge.geometry import Pose, Rotation
 from demoforge.retargeting import RetargetFailed, SceneObservation, scripted_retarget
 from demoforge.simworld import ObjectAttached, TaskSpec, record_demo, reset
-from oracles import demo_from_steps, select_reattach_oracle, wilson_interval as wilson_oracle
+from oracles import demo_from_steps, demo_to_doc, select_reattach_oracle, wilson_interval as wilson_oracle
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -166,6 +166,21 @@ class TestDataset:
             read_dataset(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("success", "false"), ("success", 1), ("id", 17), ("id", None), ("provenance", [["kind", "generated"]])],
+    )
+    def test_mistyped_id_success_or_provenance_reports_line_number(self, tmp_path, field, value):
+        # "false" would read as a successful demo through bool(), and pairs as an object through dict()
+        rng = np.random.default_rng(12)
+        docs = [demo_to_doc(random_demo(rng)) for _ in range(2)]
+        docs[1][field] = value
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        with pytest.raises(SchemaViolation, match=field) as err:
+            read_dataset(path)
+        assert err.value.line == 2
+
     @pytest.mark.parametrize("column", ["obs", "act"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_gripper_reports_line_number(self, tmp_path, column, value):
@@ -243,6 +258,96 @@ class TestDataset:
         assert result.replayed_ok == 1
         assert result.failed_ids == ["bad"]
         assert not result.all_ok
+
+
+# floats whose text is easy to get wrong: signed zeros, subnormals, both
+# exponent forms, shortest round-trip digits, and the non-finite values
+ODD_FLOATS = [
+    0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e-05, 1.1e-05, 1e16, -1.5e16, 1e300, 0.1, 1 / 3, 123456789.0,
+    float("nan"), float("inf"), float("-inf"),
+]
+ODD_NAMES = ["block", "tasse à café", "ブロック", "\U0001f375 mug", 'quote " and \\ backslash', "tab\tnew\nline", ""]
+ODD_PROVENANCE = [
+    {"kind": "human_scripted"},
+    {},
+    {"kind": "generated", "annotation_id": "pick_place-arm000", "seed": 3, "noise_std": 0.012345678901234567},
+    {"nested": {"list": [1, -0.0, None, True, "é"], "deep": {"x": [float("nan"), float("-inf"), 1e-05]}}, "ü": "✓"},
+    {"1e-05": 1e-05, "big": 10**30, "neg": -7, "empty": [], "none": None},
+]
+
+
+def odd_demo(rng) -> Demonstration:
+    """A demo whose pose rows repeat, including two rows apart only in the sign of a zero, with odd floats,
+    names, colours and provenance; the columns need not be valid poses, as only the encoder reads them."""
+    n, m = int(rng.integers(2, 7)), int(rng.integers(0, 4))
+    pool = rng.normal(0.0, 1.0, (6, 12)) * 10.0 ** rng.integers(-30, 30, (6, 12))
+    odd = rng.random(pool.shape) < 0.4
+    pool[odd] = rng.choice(ODD_FLOATS, int(odd.sum()))
+    pool = np.concatenate([pool, pool[:1]])
+    pool[0, 0], pool[-1, 0] = 0.0, -0.0
+    rows = pool[rng.integers(0, len(pool), (2 + m) * n)]
+    grippers = rng.choice([0.0, -0.0, 1.0, 0.5, 1e-05, float("nan"), float("inf")], 2 * n)
+
+    def segment(k):
+        part = rows[k * n : k * n + n]
+        return TrajectorySegment(part[:, :3], part[:, 3:].reshape(n, 3, 3), grippers[k * n : k * n + n])
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    return Demonstration(
+        "pick_place",
+        actions=segment(1),
+        robot=segment(0),
+        entity_names=tuple(pick(ODD_NAMES) for _ in range(m)),
+        entity_colors=tuple(pick([None, "green", "rouge foncé", "紅"]) for _ in range(m)),
+        entity_positions=rows[2 * n :, :3].reshape(n, m, 3),
+        entity_rotations=rows[2 * n :, 3:].reshape(n, m, 3, 3),
+        demo_id=pick(["", "d1", "démo-ü"]) + str(int(rng.integers(1000))),
+        seed=pick([None, 0, int(rng.integers(2**62))]),
+        success=bool(rng.random() < 0.5),
+        provenance=pick(ODD_PROVENANCE),
+    )
+
+
+def dumped_line(demo: Demonstration) -> str:
+    return json.dumps(demo_to_doc(demo), separators=(",", ":"))
+
+
+class TestDatasetLine:
+    """The encoder against json.dumps of the whole document, byte for byte."""
+
+    def test_matches_json_dumps_on_odd_demos(self):
+        rng = np.random.default_rng(61)
+        for _ in range(400):
+            demo = odd_demo(rng)
+            assert demo_line(demo) == dumped_line(demo)
+
+    @pytest.mark.parametrize("task", ["pick_place", "stack", "drawer_mug"])
+    def test_matches_json_dumps_on_recorded_demos(self, task):
+        demo = record_demo(TaskSpec(task), 1001, demo_id=f"{task}-src00")
+        assert demo_line(demo) == dumped_line(demo)
+
+    def test_signed_zero_survives_a_repeated_row(self, tmp_path):
+        demo = record_demo(TaskSpec("pick_place"), 77, demo_id="d77")
+        demo.robot.positions[1] = demo.robot.positions[0]
+        demo.robot.positions[0, 2], demo.robot.positions[1, 2] = 0.0, -0.0
+        line = demo_line(demo)
+        assert line == dumped_line(demo)
+        path = tmp_path / "d.jsonl"
+        path.write_text(line + "\n")
+        z = read_dataset(path)[0].robot.positions[:2, 2]
+        assert z.tolist() == [0.0, 0.0] and np.signbit(z).tolist() == [False, True]
+
+    def test_append_and_write_give_the_same_lines(self, tmp_path):
+        rng = np.random.default_rng(62)
+        demos = [odd_demo(rng) for _ in range(30)]
+        written, appended = tmp_path / "w.jsonl", tmp_path / "a.jsonl"
+        write_dataset(demos, written)
+        for demo in demos:
+            append_demo(appended, demo)
+        expected = "".join(dumped_line(demo) + "\n" for demo in demos)
+        assert written.read_text() == appended.read_text() == expected
 
 
 class TestWilson:

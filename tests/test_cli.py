@@ -137,6 +137,24 @@ class TestGenerate:
         assert result.exit_code == 3
         assert "DEMOFORGE_TEST_KEY" in result.output
 
+    def test_malformed_reply_body_exits_3_after_checkpoint(self, runner, tmp_path, monkeypatch):
+        class NotJson:
+            status_code = 200
+
+            def json(self):
+                raise requests.exceptions.JSONDecodeError("Expecting value", "<html>", 0)
+
+        monkeypatch.setattr(requests, "post", lambda *args, **kwargs: NotJson())
+        monkeypatch.setenv("DEMOFORGE_TEST_KEY", "k")
+        cfg = write_config(
+            tmp_path / "c.yaml",
+            tiny_campaign(tmp_path, annotator="llm"),
+            gateway={"endpoint": "http://localhost:1", "credential_env": "DEMOFORGE_TEST_KEY"},
+        )
+        result = runner.invoke(main, ["generate", "-c", cfg])
+        assert result.exit_code == 3, result.output
+        assert json.loads((tmp_path / "ckpt.json").read_text())["rollouts"] == 0
+
     # checkpoint field edits: (path to the field, value)
     FIELD_DAMAGE = {
         "rollouts not a count": (("rollouts",), "x"),
@@ -251,15 +269,23 @@ class TestReplay:
         assert result.exit_code == 2
         assert "line 4" in result.output
 
-    @pytest.mark.parametrize("damage", ["gripper NaN", "entity renamed"])
+    @pytest.mark.parametrize(
+        "damage", ["gripper NaN", "entity renamed", "success as text", "numeric id", "provenance as pairs"]
+    )
     def test_unreplayable_line_exits_2(self, runner, tmp_path, damage):
         dataset = self.generate(runner, tmp_path)
         lines = dataset.read_text().splitlines()
         doc = json.loads(lines[1])
         if damage == "gripper NaN":
             doc["steps"][5]["act"]["gripper"] = float("nan")
-        else:
+        elif damage == "entity renamed":
             doc["steps"][5]["obs"]["objects"][-1]["name"] = "mug"
+        elif damage == "success as text":
+            doc["success"] = "false"
+        elif damage == "numeric id":
+            doc["id"] = 17
+        else:
+            doc["provenance"] = list(doc["provenance"].items())
         lines[1] = json.dumps(doc)
         dataset.write_text("\n".join(lines) + "\n")
         result = runner.invoke(main, ["replay", str(dataset)])

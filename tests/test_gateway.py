@@ -106,19 +106,34 @@ class _FakeResponse:
         return {"choices": [{"message": {"content": self._content}}]}
 
 
+class _BodyResponse:
+    """A 200 reply with a raw text body, decoded the way requests decodes it."""
+
+    status_code = 200
+
+    def __init__(self, text):
+        self.text = text
+
+    def json(self):
+        try:
+            return json.loads(self.text)
+        except json.JSONDecodeError as err:
+            raise requests.exceptions.JSONDecodeError(err.msg, err.doc, err.pos) from err
+
+
 @pytest.fixture
 def http_env(monkeypatch):
     monkeypatch.setenv("DEMOFORGE_API_KEY", "sk-test")
     calls = []
 
     def install(script):
-        # script: list of status codes or exceptions, consumed per call
+        # script: list of status codes, exceptions or raw 200 replies, consumed per call
         def fake_post(url, json=None, headers=None, timeout=None):
             calls.append({"url": url, "json": json, "headers": headers})
             item = script.pop(0)
             if isinstance(item, Exception):
                 raise item
-            return _FakeResponse(item, content="answer")
+            return item if isinstance(item, _BodyResponse) else _FakeResponse(item, content="answer")
 
         monkeypatch.setattr(requests, "post", fake_post)
         return calls
@@ -177,6 +192,26 @@ class TestHttpGateway:
         assert content[0] == {"type": "text", "text": "look"}
         assert content[1]["media_type"] == "image/jpeg"
         assert content[1]["data"] == "0102"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "<html>502 bad gateway</html>",
+            '{"id": "cmpl-1"}',
+            '{"choices": []}',
+            "[1, 2]",
+            '{"choices": [{"message": "hi"}]}',
+            '{"choices": [{"message": {"content": null}}]}',
+            '{"choices": [{"message": {"content": 5}}]}',
+        ],
+    )
+    def test_malformed_200_body_is_a_transport_failure(self, http_env, body):
+        # not a reply to parse and restart on: the campaign checkpoints and the CLI exits 3
+        calls = http_env([_BodyResponse(body), 200])
+        with pytest.raises(GatewayError) as err:
+            _gw().fresh_session().complete("hello", [])
+        assert err.value.kind == "transport"
+        assert len(calls) == 1
 
     def test_endpoint_required(self):
         with pytest.raises(ValueError):

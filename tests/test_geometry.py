@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -17,6 +21,8 @@ from demoforge.geometry import (
     scipy_rotation,
 )
 from oracles import angle_rad_oracle
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _rx(deg):
@@ -250,7 +256,7 @@ def conversions(convert, matrix):
     """Rotation vectors and intrinsic XYZ Euler degrees of convert(matrix), or the type it raises."""
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # gimbal lock, and NaN/inf arithmetic inside scipy
+            warnings.simplefilter("ignore")  # gimbal lock
             r = convert(matrix)
             return r.as_rotvec(), r.as_euler("XYZ", degrees=True)
     except (ValueError, np.linalg.LinAlgError) as err:
@@ -284,6 +290,31 @@ def unit_off_diagonal(i, j, x):
 
 
 OFF_DIAGONAL = [(i, j) for i in range(3) for j in range(3) if i != j]
+
+
+def non_finite_cases(bad):
+    """A rotation with bad in each entry in turn, alone and stacked after a clean one, and a matrix of bad."""
+    base = SciRotation.from_rotvec([0.3, -0.2, 0.9]).as_matrix()
+    cases = [np.full((3, 3), bad)]
+    for k in range(9):
+        m = base.copy()
+        m.flat[k] = bad
+        cases += [m, np.stack([base, m])]
+    return cases
+
+
+NON_FINITE_PROBE = """
+import sys
+import test_geometry as t
+
+for m in t.non_finite_cases(float(sys.argv[1])):
+    try:
+        t.scipy_rotation(m)
+    except ValueError as err:
+        assert "non-finite" in str(err), err
+    else:
+        raise AssertionError(m)
+"""
 
 
 class TestScipyRotation:
@@ -337,19 +368,19 @@ class TestScipyRotation:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_take_the_checked_path(self, bad):
-        base = SciRotation.from_rotvec([0.3, -0.2, 0.9]).as_matrix()
-        cases = [np.full((3, 3), bad)]
-        for k in range(9):
-            m = base.copy()
-            m.flat[k] = bad
-            cases += [m, np.stack([base, m])]
-        for m in cases:
-            assert not trusted(m)
-        # scipy's checked path itself never returns on some matrices with an
-        # inf entry (its SVD spins), so only the NaN cases run through scipy
-        if bad != bad:
-            for m in cases:
-                assert_same_as_plain_scipy(m)
+        for m in non_finite_cases(bad):  # refused before scipy is called
+            stub = SimpleNamespace(from_matrix=mock.Mock())
+            with mock.patch.object(geometry, "_SR", stub), pytest.raises(ValueError, match="non-finite"):
+                scipy_rotation(m)
+            stub.from_matrix.assert_not_called()
+        # scipy's checked path never returns on some matrices with a +inf entry
+        # (its SVD spins), so the real calls run in a child under a timeout
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
+        result = subprocess.run(
+            [sys.executable, "-c", NON_FINITE_PROBE, repr(float(bad))], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_reflections_still_raise(self):
         rng = np.random.default_rng(53)

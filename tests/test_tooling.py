@@ -2,8 +2,8 @@
 module, every module-level private name is read somewhere in the package,
 scipy's checked ``Rotation.from_matrix`` is reached only through the one
 guarded helper, only the one query function opens gateway sessions, the
-names the benchmark rebinds in ``demoforge.campaign`` still exist, and the
-benchmark's own self-tests pass against the package."""
+names the benchmark rebinds in ``demoforge.campaign`` still exist and are
+read there, and the benchmark's own self-tests pass against the package."""
 import ast
 import importlib
 import inspect
@@ -154,11 +154,15 @@ def test_only_the_query_function_opens_sessions():
 
 def test_bench_rebinding_targets_exist(monkeypatch):
     # the benchmark wraps these names in the campaign module and reads these
-    # arguments by name; a rename would silently drop its spans
+    # arguments by name; a rename would silently drop its spans, and so would
+    # a name that campaign.py no longer calls through its module global
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     tracing = importlib.import_module("tracing")
+    tree = ast.parse((PACKAGE / "campaign.py").read_text())
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     for name in tracing.TRACE_TARGETS:
         assert callable(getattr(campaign, name, None)), name
+        assert name in loaded, f"campaign.py never reads {name}"
     assert {"state", "T", "prior", "k", "rng"} <= set(inspect.signature(campaign.decide_new_arm).parameters)
     assert "path" in inspect.signature(campaign.read_dataset).parameters
 
