@@ -25,7 +25,7 @@ import numpy as np
 
 from .demos import Demonstration, Observation
 from .gateway import MalformedResponse, query
-from .geometry import Pose, Rotation, pose_text
+from .geometry import Pose, Rotation, euler_degrees, pose_rows_text, pose_text
 
 VIEWFRAME_CAP = 8
 MAX_RETRIES = 3
@@ -208,13 +208,15 @@ def summarize_demo(demo: Demonstration, cadence: int = 5, jitter: int = 2, rng_s
         gap = int(rng.choice(allowed)) if allowed else min(rem, hi)
         timesteps.append(timesteps[-1] + gap)
 
-    home = demo.observation(0).robot_pose.rotation
-    rows = []
-    for t in timesteps:
-        obs = demo.observation(t)
-        robot = f"{pose_text(obs.robot_pose, home=home)} gripper {_gripper_word(obs.gripper)}"
-        objs = {o.name: pose_text(o.pose) for o in obs.objects}
-        rows.append((t, robot, objs))
+    ts, n, m = timesteps, len(timesteps), len(demo.entity_names)
+    positions = np.concatenate([demo.robot.positions[ts], demo.entity_positions[ts].reshape(-1, 3)])
+    # robot rotations relative to home (home^-1 @ r, as relative_rotation_from_home), then the entities'
+    robot = np.matmul(demo.robot.rotations[0].T, demo.robot.rotations[ts])
+    rotations = np.concatenate([robot, demo.entity_rotations[ts].reshape(-1, 3, 3)])
+    texts = pose_rows_text(positions, euler_degrees(rotations))
+    grippers = demo.robot.gripper[ts].tolist()
+    objects = [dict(zip(demo.entity_names, texts[n + i * m : n + i * m + m])) for i in range(n)]
+    rows = [(t, f"{texts[i]} gripper {_gripper_word(grippers[i])}", objects[i]) for i, t in enumerate(ts)]
     return DemoSummary(sampled_rows=rows)
 
 
@@ -436,13 +438,16 @@ def _nearest_object(obs: Observation, exclude: set[str] = frozenset()):
     return best
 
 
-def create_annotation(gateway, demo: Demonstration, task: TaskDescription, max_retries: int = MAX_RETRIES) -> Annotation:
-    """Summarize, pick viewframes, then annotate: the whole query pipeline.
+def create_annotation(
+    gateway, demo: Demonstration, task: TaskDescription, summary: DemoSummary | None = None, max_retries: int = MAX_RETRIES
+) -> Annotation:
+    """Summarize (unless given the demo's ``summary``), pick viewframes, then
+    annotate: the whole query pipeline.
 
     Viewframe selection and annotation are separate queries; a malformed
     frame selection restarts only its own stage.
     """
-    summary = summarize_demo(demo)
+    summary = summary if summary is not None else summarize_demo(demo)
     prompt = render_prompt(
         "viewframes", task=task.text, rows=summary.rows_text(), horizon=summary.horizon, cap=VIEWFRAME_CAP
     )

@@ -24,6 +24,7 @@ from .annotation import (
     TaskDescription,
     create_annotation,
     scripted_annotate,
+    summarize_demo,
 )
 from .bandit import (
     Arm,
@@ -532,7 +533,7 @@ def _record_source_demos(cfg: CampaignConfig) -> dict[str, Demonstration]:
     return {demo.demo_id: demo for demo in demos}
 
 
-def _mint_arm(cfg: CampaignConfig, state: BanditState, sources: dict, gateway) -> ArmMeta:
+def _mint_arm(cfg: CampaignConfig, state: BanditState, sources: dict, summaries: dict, gateway) -> ArmMeta:
     mint_idx = state.new_arm_attempts
     rng = _seeded(cfg.seed, _TAG_MINT, mint_idx)
     source = sources[sorted(sources)[int(rng.integers(len(sources)))]]
@@ -540,9 +541,10 @@ def _mint_arm(cfg: CampaignConfig, state: BanditState, sources: dict, gateway) -
     if cfg.annotator == "scripted":
         ann = scripted_annotate(source, cfg.task)
     else:
-        ann = create_annotation(
-            gateway, source, TaskDescription(TASK_DESCRIPTIONS[cfg.task]), max_retries=cfg.max_retries
-        )
+        if source.demo_id not in summaries:  # a summary depends on the demo alone: one per source per campaign
+            summaries[source.demo_id] = summarize_demo(source)
+        task = TaskDescription(TASK_DESCRIPTIONS[cfg.task])
+        ann = create_annotation(gateway, source, task, summaries[source.demo_id], max_retries=cfg.max_retries)
     ann.id = f"{cfg.task}-arm{mint_idx:03d}"
     return ArmMeta(annotation=ann, noise_std=noise, source_demo_id=source.demo_id)
 
@@ -599,7 +601,7 @@ def _write_checkpoint(cfg, state, arms_meta, rollouts, elapsed) -> None:
     }
     tmp = str(cfg.checkpoint_path) + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # json.dump's bytes, from json's C encoder
     os.replace(tmp, cfg.checkpoint_path)
 
 
@@ -692,6 +694,10 @@ def run_campaign(cfg: CampaignConfig, gateway=None, resume: bool = False) -> Cam
     cfg.validate()
     if (cfg.annotator == "llm" or cfg.retargeter == "llm") and gateway is None:
         raise ConfigError("llm annotator/retargeter needs a gateway")
+    for name in ("dataset_path", "checkpoint_path"):
+        path = getattr(cfg, name)
+        if path is not None and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
+            raise ConfigError(f"{name} {path!r} must name a file in an existing directory")
 
     sources = _record_source_demos(cfg)
     resuming = resume and cfg.checkpoint_path is not None and os.path.exists(cfg.checkpoint_path)
@@ -706,6 +712,7 @@ def run_campaign(cfg: CampaignConfig, gateway=None, resume: bool = False) -> Cam
             open(cfg.dataset_path, "w").close()
 
     prior_cache: dict = {}
+    summaries: dict = {}
     t0 = time.monotonic()
 
     while state.current_successes < cfg.goal_successes:
@@ -715,7 +722,7 @@ def run_campaign(cfg: CampaignConfig, gateway=None, resume: bool = False) -> Cam
         scene_seed = _scene_seed(cfg.seed, rollouts)
         try:
             if minted:
-                meta = _mint_arm(cfg, state, sources, gateway)
+                meta = _mint_arm(cfg, state, sources, summaries, gateway)
             else:
                 pull_idx = thompson_select(state, _seeded(cfg.seed, _TAG_THOMPSON, rollouts))
                 meta = arms_meta[pull_idx]

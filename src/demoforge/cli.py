@@ -97,10 +97,13 @@ def generate(config_path: str, resume: bool, report_out: str | None) -> None:
     """Run a data-generation campaign until it hits its success goal."""
     cfg, gateway = _parse_config(config_path)
     report = run_campaign(cfg, gateway=gateway, resume=resume)
-    if report_out:
-        with open(report_out, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2)
     click.echo(report.render_table())
+    if report_out:
+        try:
+            with open(report_out, "w") as fh:
+                json.dump(report.to_json(), fh, indent=2)
+        except OSError as err:
+            raise ConfigError(f"cannot write report {report_out}: {err}") from err
 
 
 @main.command()

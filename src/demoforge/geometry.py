@@ -49,6 +49,13 @@ def scipy_rotation(matrix: np.ndarray) -> _SR:
     return _SR.from_matrix(matrix, assume_valid=trusted)
 
 
+def euler_degrees(matrix: np.ndarray) -> np.ndarray:
+    """Intrinsic X-Y-Z Euler angles in degrees of a 3x3 matrix or an (n, 3, 3) stack, in one scipy call."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="Gimbal lock")
+        return scipy_rotation(matrix).as_euler(EULER_SEQ, degrees=True)
+
+
 def check_rotation_matrices(matrices: np.ndarray) -> None:
     """Raise ValueError unless every matrix of an (n, 3, 3) stack is a proper rotation."""
     if matrices.ndim != 3 or matrices.shape[1:] != (3, 3):
@@ -106,9 +113,7 @@ class Rotation:
         is not unique; the canonical representative with a zero third angle is
         returned. It still reconstructs the same rotation matrix.
         """
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="Gimbal lock")
-            return scipy_rotation(self._m).as_euler(EULER_SEQ, degrees=True)
+        return euler_degrees(self._m)
 
     def as_matrix(self) -> np.ndarray:
         return self._m.copy()
@@ -223,17 +228,21 @@ class RigidTransform:
         return Pose(self.transform_point(pose.position), self.rotation @ pose.rotation)
 
 
+def pose_rows_text(positions: np.ndarray, euler_deg: np.ndarray) -> list[str]:
+    """pose_text of n poses given as (n, 3) positions in meters and (n, 3) Euler angles in degrees."""
+    # round first, then add 0.0 so values like -1e-15 print as 0.000 not -0.000
+    mm, e = (np.round(positions * 1000.0, 3) + 0.0).tolist(), (np.round(euler_deg, 2) + 0.0).tolist()
+    return [
+        f"position_mm [{x:.3f}, {y:.3f}, {z:.3f}] rotation_deg [{r:.2f}, {p:.2f}, {w:.2f}]"
+        for (x, y, z), (r, p, w) in zip(mm, e)
+    ]
+
+
 def pose_text(pose: Pose, home: Rotation | None = None) -> str:
     """Render a pose as millimeters (3 decimals) / Euler degrees (2 decimals).
 
-    If ``home`` is given, the rotation is reported relative to it. This is
-    the single formatting used by all prompts and human-facing text.
+    If ``home`` is given, the rotation is reported relative to it. This and
+    pose_rows_text are the one formatting of all prompts and human-facing text.
     """
     rot = pose.rotation if home is None else relative_rotation_from_home(pose.rotation, home)
-    # round first, then add 0.0 so values like -1e-15 print as 0.000 not -0.000
-    mm = np.round(pose.position * 1000.0, 3) + 0.0
-    e = np.round(rot.euler_deg(), 2) + 0.0
-    return (
-        f"position_mm [{mm[0]:.3f}, {mm[1]:.3f}, {mm[2]:.3f}] "
-        f"rotation_deg [{e[0]:.2f}, {e[1]:.2f}, {e[2]:.2f}]"
-    )
+    return pose_rows_text(pose.position[None], rot.euler_deg()[None])[0]

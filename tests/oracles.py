@@ -657,3 +657,42 @@ def retarget_oracle(gateway, annotation, task, scene, max_retries=3):
         except MalformedResponse as err:
             last_error = err
     raise RetargetFailed(f"no usable retarget after {max_retries} attempts: {last_error}")
+
+
+# -- Demo summary ------------------------------------------------------------
+# summarize_demo and pose_text as they stood before the summary converted all
+# of its sampled rotations in one scipy call: one Observation per sampled
+# timestep and one Euler conversion and format per pose.
+
+
+def _pose_text_oracle(pose, home=None):
+    rot = pose.rotation if home is None else home.inverse() @ pose.rotation
+    mm = np.round(pose.position * 1000.0, 3) + 0.0
+    e = np.round(rot.euler_deg(), 2) + 0.0
+    return (
+        f"position_mm [{mm[0]:.3f}, {mm[1]:.3f}, {mm[2]:.3f}] "
+        f"rotation_deg [{e[0]:.2f}, {e[1]:.2f}, {e[2]:.2f}]"
+    )
+
+
+def summarize_demo_oracle(demo, cadence=5, jitter=2, rng_seed=0):
+    from demoforge.annotation import DemoSummary
+
+    rng = np.random.default_rng(rng_seed)
+    horizon = demo.horizon
+    lo, hi = max(1, cadence - jitter), cadence + jitter
+    timesteps = [0]
+    while timesteps[-1] < horizon:
+        rem = horizon - timesteps[-1]
+        allowed = [g for g in range(lo, min(hi, rem) + 1) if rem - g == 0 or rem - g >= lo]
+        gap = int(rng.choice(allowed)) if allowed else min(rem, hi)
+        timesteps.append(timesteps[-1] + gap)
+
+    home = demo.observation(0).robot_pose.rotation
+    rows = []
+    for t in timesteps:
+        obs = demo.observation(t)
+        robot = f"{_pose_text_oracle(obs.robot_pose, home=home)} gripper {'open' if obs.gripper >= 0.5 else 'closed'}"
+        objs = {o.name: _pose_text_oracle(o.pose) for o in obs.objects}
+        rows.append((t, robot, objs))
+    return DemoSummary(sampled_rows=rows)

@@ -20,10 +20,12 @@ from demoforge.annotation import (
     scripted_annotate,
     summarize_demo,
 )
-from demoforge.demos import Action, Observation
+from scipy.spatial.transform import Rotation as SR
+
+from demoforge.demos import Action, Demonstration, Observation, TrajectorySegment
 from demoforge.gateway import MockGateway
 from demoforge.geometry import Pose, Rotation
-from oracles import demo_from_steps
+from oracles import demo_from_steps, summarize_demo_oracle
 
 TASK = TaskDescription("Pick up the block and place it on the target region.")
 
@@ -116,6 +118,93 @@ class TestSummarize:
             summarize_demo(synthetic_demo(10), cadence=0)
         with pytest.raises(ValueError):
             summarize_demo(synthetic_demo(10), cadence=3, jitter=3)
+
+
+def posed_demo(robot_rot, robot_pos, entity_rot, entity_pos):
+    """A demo built straight from (n, 3, 3) / (n, 3) robot and (n, m, 3, 3) /
+    (n, m, 3) entity columns; the gripper closes on every third step."""
+    n, m = entity_pos.shape[:2]
+    track = TrajectorySegment(robot_pos, robot_rot, np.where(np.arange(n) % 3 == 1, 0.0, 1.0))
+    return Demonstration(
+        "pick_place", actions=track, robot=track, entity_names=tuple(f"obj{j}" for j in range(m)),
+        entity_colors=(None,) * m, entity_positions=entity_pos, entity_rotations=entity_rot, demo_id="posed",
+    )
+
+
+def awkward_rotations(rng, size):
+    """(size, 3, 3) rotations that stress the Euler text: gimbal lock at pitch
+    +/-90, angles that round to -0.00, the identity, drift past scipy's
+    orthogonality bound (it projects those), and uniform draws."""
+    kind = rng.integers(6, size=size)
+    euler = rng.uniform(-180.0, 180.0, size=(size, 3))
+    euler[:, 1] = np.where(kind == 0, rng.choice([-90.0, 90.0], size=size), euler[:, 1] / 2.0)
+    euler[kind == 1] = rng.choice([-0.004, -1e-9, 0.0, 0.004], size=(int(np.sum(kind == 1)), 3))
+    euler[kind == 2] = 0.0
+    matrices = SR.from_euler("XYZ", euler, degrees=True).as_matrix()
+    matrices[kind == 3] += rng.normal(scale=1e-11, size=(int(np.sum(kind == 3)), 3, 3))
+    return matrices
+
+
+def awkward_positions(rng, size):
+    """(size, 3) positions in meters: uniform, a hair below zero (-0.000 mm
+    before the + 0.0), and on the half-micrometre rounding boundaries."""
+    pos = rng.uniform(-0.5, 0.5, size=(size, 3))
+    kind = rng.integers(3, size=size)
+    pos[kind == 1] = -rng.uniform(0.0, 4e-7, size=(int(np.sum(kind == 1)), 3))
+    pos[kind == 2] = rng.integers(-2000, 2000, size=(int(np.sum(kind == 2)), 3)) * 1e-6 + 5e-7
+    return pos
+
+
+class TestSummaryOracle:
+    """summarize_demo's one batched Euler conversion writes, byte for byte,
+    the rows of the per-pose summariser it replaced."""
+
+    @staticmethod
+    def assert_same_rows(demo, **kw):
+        assert summarize_demo(demo, **kw).rows_text() == summarize_demo_oracle(demo, **kw).rows_text()
+
+    @pytest.mark.parametrize("task", sw.BUNDLED_TASKS)
+    def test_recorded_demos(self, task):
+        for seed in (1001, 1002):
+            self.assert_same_rows(sw.record_demo(sw.TaskSpec(task), seed, demo_id="src"))
+
+    def test_gimbal_lock_and_negative_zero(self):
+        n = 12
+        euler = [[0.0, 0.0, 0.0], [10.0, 90.0, 20.0], [-30.0, -90.0, 5.0], [0.0, 0.0, -0.004], [-0.001, 0.0, 0.0]]
+        robot = SR.from_euler("XYZ", (euler * 3)[:n], degrees=True).as_matrix()
+        entity = SR.from_euler("XYZ", ((euler[::-1] * 6)[: 2 * n]), degrees=True).as_matrix().reshape(n, 2, 3, 3)
+        robot_pos = np.tile([-1e-7, 0.0, -4e-7], (n, 1))
+        demo = posed_demo(robot, robot_pos, entity, np.tile([[-2e-7, 1e-3, 0.0]], (n, 2, 1)))
+        self.assert_same_rows(demo, cadence=1, jitter=0)
+        rows = summarize_demo(demo, cadence=1, jitter=0).rows_text()
+        assert "-0.00 " not in rows and "-0.00]" not in rows and "-0.000" not in rows
+
+    def test_non_identity_home(self):
+        rng = np.random.default_rng(3)
+        n = 30
+        robot = SR.random(n, random_state=rng).as_matrix()
+        robot[0] = SR.from_euler("XYZ", [35.0, -60.0, 120.0], degrees=True).as_matrix()
+        demo = posed_demo(robot, awkward_positions(rng, n), awkward_rotations(rng, n).reshape(n, 1, 3, 3),
+                          awkward_positions(rng, n).reshape(n, 1, 3))
+        self.assert_same_rows(demo)
+        assert "rotation_deg [0.00, 0.00, 0.00]" in summarize_demo(demo).sampled_rows[0][1]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_and_two_step_demos(self, n):
+        rng = np.random.default_rng(n)
+        demo = posed_demo(awkward_rotations(rng, 2), awkward_positions(rng, 2),
+                          awkward_rotations(rng, 4).reshape(2, 2, 3, 3), awkward_positions(rng, 4).reshape(2, 2, 3))
+        self.assert_same_rows(cut(demo, n))
+
+    def test_fuzz(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            n, m = int(rng.integers(2, 60)), int(rng.integers(0, 4))
+            demo = posed_demo(
+                awkward_rotations(rng, n), awkward_positions(rng, n),
+                awkward_rotations(rng, n * m).reshape(n, m, 3, 3), awkward_positions(rng, n * m).reshape(n, m, 3),
+            )
+            self.assert_same_rows(demo, rng_seed=int(rng.integers(100)))
 
 
 class TestSelectViewframes:

@@ -1,12 +1,14 @@
 """Dataset persistence, policy evaluation, and the generation campaign."""
+import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from demoforge import campaign, ensemble
-from demoforge.annotation import scripted_annotate
+from demoforge import annotation, campaign, ensemble
+from demoforge.annotation import create_annotation, scripted_annotate, summarize_demo
 from demoforge.campaign import (
     CampaignConfig,
     CampaignReport,
@@ -34,7 +36,13 @@ from demoforge.gateway import GatewayError, MockGateway, TransientFailure
 from demoforge.geometry import Pose, Rotation
 from demoforge.retargeting import RetargetFailed, SceneObservation, scripted_retarget
 from demoforge.simworld import ObjectAttached, TaskSpec, record_demo, reset
-from oracles import demo_from_steps, demo_to_doc, select_reattach_oracle, wilson_interval as wilson_oracle
+from oracles import (
+    demo_from_steps,
+    demo_to_doc,
+    select_reattach_oracle,
+    summarize_demo_oracle,
+    wilson_interval as wilson_oracle,
+)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -774,6 +782,84 @@ class TestCampaign:
         assert rep.per_arm == []
         assert read_dataset(cfg.dataset_path) == []
         self.assert_rollouts_add_up(rep)
+
+    def test_checkpoint_is_json_dump_bytes(self, tmp_path):
+        # the checkpoint goes through json's C encoder; its bytes are what json.dump writes
+        cfg = self.cfg(tmp_path, goal_successes=4, mode="no_optimization", noise_min=0.0005, noise_max=0.001)
+        rep = run_campaign(cfg)
+        assert len(rep.per_arm) >= 3
+        with open(cfg.checkpoint_path) as fh:
+            written = fh.read()
+        buf = io.StringIO()
+        json.dump(json.loads(written), buf)
+        assert written == buf.getvalue()
+
+    def test_output_paths_checked_before_any_rollout(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(campaign, "record_demo", lambda *a, **kw: pytest.fail("recorded a demo"))
+        for name in ("dataset_path", "checkpoint_path"):
+            for path in (tmp_path / "missing" / "out.json", tmp_path):
+                cfg = self.cfg(tmp_path, **{name: str(path)})
+                with pytest.raises(ConfigError, match=f"{name} .* must name a file in an existing directory"):
+                    run_campaign(cfg)
+        assert os.listdir(tmp_path) == []
+
+
+class TestSummaryOncePerSource:
+    """An LLM-annotated campaign summarises each source demo it mints from once."""
+
+    SEEDS = (1001, 1002)
+
+    @pytest.fixture(scope="class")
+    def responder(self):
+        spec = TaskSpec("pick_place")
+        sources = [record_demo(spec, s, demo_id=f"pick_place-src{j:02d}") for j, s in enumerate(self.SEEDS)]
+        assert len({d.horizon for d in sources}) == len(sources)
+        keyposes = {d.horizon: scripted_annotate(d, "pick_place").keyposes for d in sources}
+
+        def respond(prompt):
+            kps = keyposes[int(re.search(r"runs from timestep 0 to (\d+)", prompt).group(1))]
+            if prompt.startswith("You are assisting with analysis"):
+                return ", ".join(str(k.timestep) for k in kps)
+            return json.dumps({"description": "pick and place", "keyposes": [k.to_json() for k in kps]})
+
+        return respond
+
+    def run(self, tmp_path, responder, tag):
+        cfg = CampaignConfig(
+            task="pick_place", goal_successes=6, seed=3, mode="no_optimization", annotator="llm",
+            noise_min=0.0, noise_max=0.002, source_demo_seeds=self.SEEDS,
+            dataset_path=str(tmp_path / f"{tag}.jsonl"), checkpoint_path=str(tmp_path / f"{tag}.ckpt.json"),
+        )
+        gateway = MockGateway(responder=responder)
+        rep = run_campaign(cfg, gateway=gateway)
+        with open(cfg.dataset_path, "rb") as fh:
+            dataset = fh.read()
+        return rep, [e.request for e in gateway.audit_log.entries()], dataset
+
+    def test_once_per_source_and_same_requests(self, tmp_path, monkeypatch, responder):
+        summarised = []
+
+        def counting(demo, *args, **kwargs):
+            summarised.append(demo.demo_id)
+            return summarize_demo(demo, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(campaign, "summarize_demo", counting)
+            patch.setattr(annotation, "summarize_demo", counting)
+            rep, requests, dataset = self.run(tmp_path, responder, "once")
+        assert rep.new_arm_attempts == rep.total_rollouts >= 6
+        assert sorted(summarised) == ["pick_place-src00", "pick_place-src01"]
+
+        def per_mint(gateway, demo, task, summary=None, max_retries=3):
+            # the summary rebuilt on every mint, by the per-pose summariser
+            return create_annotation(gateway, demo, task, summary=summarize_demo_oracle(demo), max_retries=max_retries)
+
+        monkeypatch.setattr(campaign, "create_annotation", per_mint)
+        old_rep, old_requests, old_dataset = self.run(tmp_path, responder, "every")
+        assert len(requests) == 2 * rep.new_arm_attempts
+        assert requests == old_requests
+        assert dataset == old_dataset
+        assert rep.per_arm == old_rep.per_arm
 
 
 class TestReport:

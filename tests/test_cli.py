@@ -1,6 +1,7 @@
 """CLI surface: verbs, config parsing, exit codes."""
 
 import json
+import os
 
 import pytest
 import requests
@@ -87,6 +88,27 @@ class TestGenerate:
     def test_config_file_missing_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["generate", "-c", str(tmp_path / "absent.yaml")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("where", ["missing directory", "a directory"])
+    @pytest.mark.parametrize("name", ["dataset_path", "checkpoint_path"])
+    def test_bad_output_path_exits_2_before_any_rollout(self, runner, tmp_path, name, where):
+        out = tmp_path / "missing" / "out.json" if where == "missing directory" else tmp_path / "out"
+        if where == "a directory":
+            out.mkdir()
+        cfg = write_config(tmp_path / "c.yaml", tiny_campaign(tmp_path, **{name: str(out)}))
+        result = runner.invoke(main, ["generate", "-c", cfg])
+        assert result.exit_code == 2, result.output
+        assert f"error: {name}" in result.output
+        assert sorted(os.listdir(tmp_path)) == sorted(["c.yaml"] + (["out"] if where == "a directory" else []))
+
+    def test_unwritable_report_out_prints_table_then_exits_2(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "c.yaml", tiny_campaign(tmp_path))
+        result = runner.invoke(main, ["generate", "-c", cfg, "--report-out", str(tmp_path / "missing" / "r.json")])
+        assert result.exit_code == 2, result.output
+        assert "successes: 3/3" in result.output
+        assert "error: cannot write report" in result.output
+        assert result.output.index("successes: 3/3") < result.output.index("error:")
+        assert len((tmp_path / "data.jsonl").read_text().splitlines()) == 3
 
     def test_llm_mode_without_gateway_section_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", tiny_campaign(tmp_path, annotator="llm"))
