@@ -210,7 +210,7 @@ def summarize_demo(demo: Demonstration, cadence: int = 5, jitter: int = 2, rng_s
 
     ts, n, m = timesteps, len(timesteps), len(demo.entity_names)
     positions = np.concatenate([demo.robot.positions[ts], demo.entity_positions[ts].reshape(-1, 3)])
-    # robot rotations relative to home (home^-1 @ r, as relative_rotation_from_home), then the entities'
+    # robot rotations relative to home (home^-1 @ r), then the entities'
     robot = np.matmul(demo.robot.rotations[0].T, demo.robot.rotations[ts])
     rotations = np.concatenate([robot, demo.entity_rotations[ts].reshape(-1, 3, 3)])
     texts = pose_rows_text(positions, euler_degrees(rotations))

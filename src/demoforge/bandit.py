@@ -47,28 +47,6 @@ class BanditState:
     new_arm_successes: int = 0
     goal_successes: int = 0
     current_successes: int = 0
-    rng_seed: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "arms": [{"annotation_id": a.annotation_id, "n_suc": a.n_suc, "n_fail": a.n_fail} for a in self.arms],
-            "new_arm_attempts": self.new_arm_attempts,
-            "new_arm_successes": self.new_arm_successes,
-            "goal": self.goal_successes,
-            "current": self.current_successes,
-            "seed": self.rng_seed,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "BanditState":
-        return cls(
-            arms=[Arm(a["annotation_id"], a["n_suc"], a["n_fail"]) for a in doc["arms"]],
-            new_arm_attempts=doc["new_arm_attempts"],
-            new_arm_successes=doc["new_arm_successes"],
-            goal_successes=doc["goal"],
-            current_successes=doc["current"],
-            rng_seed=doc["seed"],
-        )
 
 
 @dataclass

@@ -464,23 +464,11 @@ class CampaignConfig:
 
 @dataclass
 class ArmMeta:
-    """Everything needed to roll an arm out again: its annotation, the noise
-    level it was minted with, and which source demo its keyposes index."""
+    """Everything needed to roll an arm out again: its annotation, whose source_demo_id
+    names the demo its keyposes index, and the noise level it was minted with."""
 
     annotation: Annotation
     noise_std: float
-    source_demo_id: str
-
-    def to_json(self) -> dict:
-        return {
-            "annotation": self.annotation.to_json(),
-            "noise_std": self.noise_std,
-            "source_demo_id": self.source_demo_id,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ArmMeta":
-        return cls(Annotation.from_json(doc["annotation"]), doc["noise_std"], doc["source_demo_id"])
 
 
 @dataclass
@@ -546,7 +534,7 @@ def _mint_arm(cfg: CampaignConfig, state: BanditState, sources: dict, summaries:
         task = TaskDescription(TASK_DESCRIPTIONS[cfg.task])
         ann = create_annotation(gateway, source, task, summaries[source.demo_id], max_retries=cfg.max_retries)
     ann.id = f"{cfg.task}-arm{mint_idx:03d}"
-    return ArmMeta(annotation=ann, noise_std=noise, source_demo_id=source.demo_id)
+    return ArmMeta(annotation=ann, noise_std=noise)
 
 
 def _rollout_arm(cfg, meta: ArmMeta, source: Demonstration, scene_seed: int, rollout_idx: int, gateway):
@@ -594,8 +582,12 @@ def _write_checkpoint(cfg, state, arms_meta, rollouts, elapsed) -> None:
         return
     doc = {
         "fingerprint": cfg.fingerprint(),
-        "bandit": state.to_json(),
-        "arms": [m.to_json() for m in arms_meta],
+        "arms": [
+            {"annotation": m.annotation.to_json(), "noise_std": m.noise_std, "n_suc": arm.n_suc, "n_fail": arm.n_fail}
+            for arm, m in zip(state.arms, arms_meta)
+        ],
+        "new_arm_attempts": state.new_arm_attempts,
+        "successes": state.current_successes,
         "rollouts": rollouts,
         "elapsed": elapsed,
     }
@@ -632,53 +624,44 @@ def _load_checkpoint(cfg: CampaignConfig, sources: dict):
     try:
         with open(cfg.checkpoint_path) as fh:
             doc = json.load(fh)
-        fingerprint = doc["fingerprint"]
-        state = BanditState.from_json(doc["bandit"])
-        arms_meta = [ArmMeta.from_json(m) for m in doc["arms"]]
-        rollouts, elapsed = doc["rollouts"], doc["elapsed"]
+        fingerprint, records, rollouts, elapsed = doc["fingerprint"], doc["arms"], doc["rollouts"], doc["elapsed"]
+        arms_meta = [ArmMeta(Annotation.from_json(r["annotation"]), r["noise_std"]) for r in records]
+        # every kept mint is an arm that starts with its one success
+        counts = [(k, doc[k], 0) for k in ("rollouts", "new_arm_attempts", "successes")]
+        counts += [(f"arm {k}", r[k], least) for r in records for k, least in (("n_suc", 1), ("n_fail", 0))]
     except (OSError, KeyError, TypeError, ValueError, OverflowError) as err:  # JSONDecodeError is a ValueError
         raise ConfigError(f"unreadable checkpoint {cfg.checkpoint_path}: {err}") from err
     if fingerprint != cfg.fingerprint():
         raise ConfigError("checkpoint was produced by a different campaign configuration")
-    bandit = doc["bandit"]
-    counts = [("rollouts", rollouts)]
-    counts += [(f"bandit {k}", bandit[k]) for k in ("new_arm_attempts", "new_arm_successes", "goal", "current", "seed")]
-    counts += [(f"bandit arm {k}", arm[k]) for arm in bandit["arms"] for k in ("n_suc", "n_fail")]
-    for name, value in counts:
-        _check_int(f"checkpoint {name}", value, 0)
+    for name, value, least in counts:
+        _check_int(f"checkpoint {name}", value, least)
     for name, value in [("elapsed", elapsed)] + [("arm noise_std", m.noise_std) for m in arms_meta]:
         _check_number(f"checkpoint {name}", value, 0.0)
-    for m in arms_meta:
-        if not isinstance(m.source_demo_id, str) or m.source_demo_id not in sources:
-            raise ConfigError(f"checkpoint arm names unknown source demo {m.source_demo_id!r}")
+    for ann in [m.annotation for m in arms_meta]:
+        if not isinstance(ann.id, str):
+            raise ConfigError(f"checkpoint arm id {ann.id!r} is not a string")
+        if not isinstance(ann.source_demo_id, str) or ann.source_demo_id not in sources:
+            raise ConfigError(f"checkpoint arm names unknown source demo {ann.source_demo_id!r}")
         # the warp indexes the source demo at these; repair_annotation leaves them rising from 0 to T
-        ts, horizon = [k.timestep for k in m.annotation.keyposes], sources[m.source_demo_id].horizon
+        ts, horizon = [k.timestep for k in ann.keyposes], sources[ann.source_demo_id].horizon
         if not ts or ts[0] != 0 or ts[-1] != horizon or any(b <= a for a, b in zip(ts, ts[1:])):
             raise ConfigError(f"checkpoint arm keypose timesteps {ts} do not rise strictly from 0 to {horizon}")
         # scripted retargeting anchors a keypose on its first relevant object, looked up in the source scene
-        anchors = [k.relevant_objects[0] for k in m.annotation.keyposes if k.relevant_objects]
-        unknown = [name for name in anchors if name not in sources[m.source_demo_id].entity_names]
+        anchors = [k.relevant_objects[0] for k in ann.keyposes if k.relevant_objects]
+        unknown = [name for name in anchors if name not in sources[ann.source_demo_id].entity_names]
         if cfg.retargeter == "scripted" and unknown:
-            raise ConfigError(f"checkpoint arm keyposes anchor on {unknown}, absent from source demo {m.source_demo_id!r}")
-    if len(arms_meta) != len(state.arms):
-        raise ConfigError(f"checkpoint has {len(arms_meta)} arm records for {len(state.arms)} bandit arms")
-    for arm, m in zip(state.arms, arms_meta):
-        # the report prints the bandit's id; the arm record's is the one the demos carry
-        if not isinstance(arm.annotation_id, str) or arm.annotation_id != m.annotation.id:
-            raise ConfigError(f"checkpoint bandit arm {arm.annotation_id!r} is not its record's {m.annotation.id!r}")
-    # every kept mint is an arm that starts with its one success; run_campaign asserts the rollouts add up
-    kept, suc = state.new_arm_successes, sum(arm.n_suc for arm in state.arms)
-    pulls = sum(arm.n_suc + arm.n_fail for arm in state.arms)
-    if not (
-        kept == len(state.arms) <= state.new_arm_attempts
-        and state.current_successes == suc
-        and pulls + state.new_arm_attempts - kept == rollouts
-    ):
+            raise ConfigError(f"checkpoint arm keyposes anchor on {unknown}, not in source demo {ann.source_demo_id!r}")
+    # derived, not stored: the goal from cfg (the fingerprint pins it), the kept-mint count and each arm's id
+    arms = [Arm(m.annotation.id, r["n_suc"], r["n_fail"]) for m, r in zip(arms_meta, records)]
+    kept, attempts, successes = len(arms), doc["new_arm_attempts"], doc["successes"]
+    pulls, suc = sum(a.n_suc + a.n_fail for a in arms), sum(a.n_suc for a in arms)
+    # run_campaign asserts the rollouts add up
+    if not (kept <= attempts and successes == suc and pulls + attempts - kept == rollouts):
         raise ConfigError(
-            f"checkpoint counts do not add up: {rollouts} rollouts, {state.new_arm_attempts} new-arm attempts, "
-            f"{kept} kept, {len(state.arms)} arms with {pulls} pulls and {suc} successes, "
-            f"{state.current_successes} current successes"
+            f"checkpoint counts do not add up: {rollouts} rollouts, {attempts} new-arm attempts, "
+            f"{kept} arms with {pulls} pulls and {suc} successes, {successes} successes recorded"
         )
+    state = BanditState(arms, attempts, kept, goal_successes=cfg.goal_successes, current_successes=successes)
     return state, arms_meta, rollouts, elapsed
 
 
@@ -698,6 +681,11 @@ def run_campaign(cfg: CampaignConfig, gateway=None, resume: bool = False) -> Cam
         path = getattr(cfg, name)
         if path is not None and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
             raise ConfigError(f"{name} {path!r} must name a file in an existing directory")
+    # each checkpoint write replaces its path and removes its temp file: neither may be the dataset
+    if cfg.dataset_path is not None and cfg.checkpoint_path is not None:
+        checkpoint_files = (os.path.realpath(cfg.checkpoint_path), os.path.realpath(cfg.checkpoint_path + ".tmp"))
+        if os.path.realpath(cfg.dataset_path) in checkpoint_files:
+            raise ConfigError(f"dataset_path {cfg.dataset_path!r} is the checkpoint file or its temp file")
 
     sources = _record_source_demos(cfg)
     resuming = resume and cfg.checkpoint_path is not None and os.path.exists(cfg.checkpoint_path)
@@ -706,7 +694,7 @@ def run_campaign(cfg: CampaignConfig, gateway=None, resume: bool = False) -> Cam
         if cfg.dataset_path is not None:
             _truncate_dataset(cfg.dataset_path, state.current_successes)
     else:
-        state = BanditState(goal_successes=cfg.goal_successes, rng_seed=cfg.seed)
+        state = BanditState(goal_successes=cfg.goal_successes)
         arms_meta, rollouts, elapsed_prior = [], 0, 0.0
         if cfg.dataset_path is not None:
             open(cfg.dataset_path, "w").close()
@@ -726,7 +714,7 @@ def run_campaign(cfg: CampaignConfig, gateway=None, resume: bool = False) -> Cam
             else:
                 pull_idx = thompson_select(state, _seeded(cfg.seed, _TAG_THOMPSON, rollouts))
                 meta = arms_meta[pull_idx]
-            demo = _rollout_arm(cfg, meta, sources[meta.source_demo_id], scene_seed, rollouts, gateway)
+            demo = _rollout_arm(cfg, meta, sources[meta.annotation.source_demo_id], scene_seed, rollouts, gateway)
         except (AnnotationFailed, RetargetFailed):
             demo = None
         except GatewayError:

@@ -157,15 +157,6 @@ class Rotation:
         return f"Rotation(euler_deg=[{e[0]:.3f}, {e[1]:.3f}, {e[2]:.3f}])"
 
 
-def relative_rotation_from_home(r: Rotation, home: Rotation) -> Rotation:
-    """Rotation of ``r`` relative to the home rotation: home^-1 @ r.
-
-    This is the form the end-effector rotation takes in every prompt; with
-    r == home it is the identity, i.e. Euler (0, 0, 0).
-    """
-    return home.inverse() @ r
-
-
 @dataclass(frozen=True)
 class Pose:
     """Position (meters) plus rotation of a rigid body or end-effector.
@@ -238,11 +229,9 @@ def pose_rows_text(positions: np.ndarray, euler_deg: np.ndarray) -> list[str]:
     ]
 
 
-def pose_text(pose: Pose, home: Rotation | None = None) -> str:
+def pose_text(pose: Pose) -> str:
     """Render a pose as millimeters (3 decimals) / Euler degrees (2 decimals).
 
-    If ``home`` is given, the rotation is reported relative to it. This and
-    pose_rows_text are the one formatting of all prompts and human-facing text.
+    This and pose_rows_text are the one formatting of all prompts and human-facing text.
     """
-    rot = pose.rotation if home is None else relative_rotation_from_home(pose.rotation, home)
-    return pose_rows_text(pose.position[None], rot.euler_deg()[None])[0]
+    return pose_rows_text(pose.position[None], pose.rotation.euler_deg()[None])[0]

@@ -35,9 +35,9 @@ class SceneObservation:
     objects: dict[str, Pose] = field(default_factory=dict)
     task_metadata: dict = field(default_factory=dict)
 
-    def text(self, home: Rotation | None = None) -> str:
-        home = home if home is not None else self.robot_pose.rotation
-        lines = [f"robot {pose_text(self.robot_pose, home=home)}"]
+    def text(self) -> str:
+        # the robot's rotation relative to its own home rotation: always zero
+        lines = [f"robot {pose_text(Pose(self.robot_pose.position))}"]
         for name in self.objects:
             lines.append(f"{name} {pose_text(self.objects[name])}")
         for key, value in self.task_metadata.items():

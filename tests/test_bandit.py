@@ -271,21 +271,6 @@ def test_regret_sanity():
     assert float(np.mean(shares)) >= 0.80
 
 
-def test_state_json_round_trip():
-    st = BanditState(
-        arms=[Arm("ann-1", 3, 1), Arm("ann-2", 0, 4)],
-        new_arm_attempts=6,
-        new_arm_successes=2,
-        goal_successes=50,
-        current_successes=12,
-        rng_seed=987,
-    )
-    doc = st.to_json()
-    assert set(doc) == {"arms", "new_arm_attempts", "new_arm_successes", "goal", "current", "seed"}
-    back = BanditState.from_json(doc)
-    assert back == st
-
-
 def test_arm_rejects_negative_counts():
     with pytest.raises(ValueError):
         Arm("a", -1, 0)

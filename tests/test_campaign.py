@@ -9,6 +9,7 @@ import pytest
 
 from demoforge import annotation, campaign, ensemble
 from demoforge.annotation import create_annotation, scripted_annotate, summarize_demo
+from demoforge.bandit import BanditState
 from demoforge.campaign import (
     CampaignConfig,
     CampaignReport,
@@ -802,6 +803,147 @@ class TestCampaign:
                 with pytest.raises(ConfigError, match=f"{name} .* must name a file in an existing directory"):
                     run_campaign(cfg)
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("spelling", ["same path", "temp file", "dotted path", "symlink"])
+    def test_dataset_on_a_checkpoint_file_rejected_before_any_rollout(self, tmp_path, monkeypatch, spelling):
+        # every checkpoint write replaces the checkpoint and removes its temp file
+        monkeypatch.setattr(campaign, "record_demo", lambda *a, **kw: pytest.fail("recorded a demo"))
+        ckpt = str(tmp_path / "c.ckpt.json")
+        dataset = {
+            "same path": ckpt,
+            "temp file": ckpt + ".tmp",
+            "dotted path": str(tmp_path / "sub" / ".." / "c.ckpt.json"),
+            "symlink": str(tmp_path / "link.jsonl"),
+        }[spelling]
+        if spelling == "symlink":
+            os.symlink(ckpt, dataset)
+        with pytest.raises(ConfigError, match="dataset_path .* is the checkpoint file or its temp file"):
+            run_campaign(self.cfg(tmp_path, dataset_path=dataset, checkpoint_path=ckpt))
+        assert os.listdir(tmp_path) == (["link.jsonl"] if spelling == "symlink" else [])
+
+
+class Killed(BaseException):
+    """A kill at a persistence boundary: no handler in the campaign catches it."""
+
+
+class TornWriter:
+    """A file whose first write stops halfway, as a kill in the middle of writing it leaves it."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise Killed("torn write")
+
+
+class TestCheckpoint:
+    """A bandit campaign that discards mints and fails pulls, killed and resumed."""
+
+    BOUNDARIES = ("append_demo before writing", "append_demo torn line", "checkpoint temp write", "checkpoint replace")
+
+    def cfg(self, tmp_path, tag):
+        return CampaignConfig(
+            task="pick_place", goal_successes=6, seed=5, noise_min=0.004, noise_max=0.018, decision_samples=100,
+            prior_samples=150, max_rollouts=60,
+            dataset_path=str(tmp_path / f"{tag}.jsonl"), checkpoint_path=str(tmp_path / f"{tag}.ckpt.json"),
+        )
+
+    @staticmethod
+    def fail_once(monkeypatch, boundary, at):
+        """Make the at-th call at ``boundary`` (0-based) die; the calls made so far are returned."""
+        calls = []
+
+        def due():
+            calls.append(None)
+            return len(calls) == at + 1
+
+        if boundary.startswith("append_demo"):
+            real_append = campaign.append_demo
+
+            def append(path, demo):
+                if due():
+                    if boundary == "append_demo torn line":
+                        with TornWriter(open(path, "a")) as fh:
+                            fh.write(demo_line(demo) + "\n")
+                    raise Killed(boundary)
+                real_append(path, demo)
+
+            monkeypatch.setattr(campaign, "append_demo", append)
+        elif boundary == "checkpoint temp write":
+
+            def opener(path, *args, **kwargs):
+                fh = open(path, *args, **kwargs)
+                return TornWriter(fh) if str(path).endswith(".tmp") and due() else fh
+
+            monkeypatch.setattr(campaign, "open", opener, raising=False)
+        else:
+            real_replace = os.replace
+
+            def replace(src, dst):
+                if due():
+                    raise Killed(boundary)
+                real_replace(src, dst)
+
+            monkeypatch.setattr(campaign.os, "replace", replace)
+        return calls
+
+    # at 0 no checkpoint exists yet; the third checkpoint write follows the first kept demo, so a kill
+    # there leaves the dataset one demo ahead of the checkpoint
+    @pytest.mark.parametrize("at", [0, 2])
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    def test_kill_at_a_persistence_boundary_then_resume(self, tmp_path, monkeypatch, boundary, at):
+        full = run_campaign(self.cfg(tmp_path, "full"))
+        cfg = self.cfg(tmp_path, "part")
+        with monkeypatch.context() as patch:
+            calls = self.fail_once(patch, boundary, at)
+            with pytest.raises(Killed):
+                run_campaign(cfg)
+        assert len(calls) == at + 1
+        if boundary == "append_demo torn line":
+            assert not (tmp_path / "part.jsonl").read_bytes().endswith(b"\n")
+        if boundary == "checkpoint temp write":
+            assert (tmp_path / "part.ckpt.json.tmp").exists()
+        resumed = run_campaign(cfg, resume=True)
+        assert (tmp_path / "part.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+        a, b = full.to_json(), resumed.to_json()
+        a.pop("wall_time")
+        b.pop("wall_time")
+        assert a == b
+
+    def test_every_checkpoint_rebuilds_the_live_state(self, tmp_path, monkeypatch):
+        cfg = self.cfg(tmp_path, "rt")
+        sources = campaign._record_source_demos(cfg)
+        write = campaign._write_checkpoint
+        written = []
+
+        def write_then_load(cfg, state, arms_meta, rollouts, elapsed):
+            write(cfg, state, arms_meta, rollouts, elapsed)
+            loaded, loaded_meta, loaded_rollouts, loaded_elapsed = campaign._load_checkpoint(cfg, sources)
+            assert loaded == state  # every BanditState field
+            assert [(m.annotation.to_json(), m.noise_std) for m in loaded_meta] == [
+                (m.annotation.to_json(), m.noise_std) for m in arms_meta
+            ]
+            assert (loaded_rollouts, loaded_elapsed) == (rollouts, elapsed)
+            written.append(rollouts)
+
+        # k = 0: what a gateway error before the first rollout leaves
+        write_then_load(cfg, BanditState(goal_successes=cfg.goal_successes), [], 0, 0.0)
+        monkeypatch.setattr(campaign, "_write_checkpoint", write_then_load)
+        rep = run_campaign(cfg)
+        assert written == list(range(rep.total_rollouts + 1))
+        assert rep.new_arm_attempts > rep.new_arm_successes >= 2
+        assert any(row["n_fail"] for row in rep.per_arm)
+        with open(cfg.checkpoint_path) as fh:
+            doc = json.load(fh)
+        assert list(doc) == ["fingerprint", "arms", "new_arm_attempts", "successes", "rollouts", "elapsed"]
+        assert all(list(arm) == ["annotation", "noise_std", "n_suc", "n_fail"] for arm in doc["arms"])
 
 
 class TestSummaryOncePerSource:

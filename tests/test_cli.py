@@ -101,6 +101,16 @@ class TestGenerate:
         assert f"error: {name}" in result.output
         assert sorted(os.listdir(tmp_path)) == sorted(["c.yaml"] + (["out"] if where == "a directory" else []))
 
+    @pytest.mark.parametrize("suffix", ["", ".tmp"])
+    def test_dataset_on_a_checkpoint_file_exits_2(self, runner, tmp_path, suffix):
+        cfg = write_config(
+            tmp_path / "c.yaml", tiny_campaign(tmp_path, dataset_path=str(tmp_path / "ckpt.json") + suffix)
+        )
+        result = runner.invoke(main, ["generate", "-c", cfg])
+        assert result.exit_code == 2, result.output
+        assert "error: dataset_path" in result.output
+        assert os.listdir(tmp_path) == ["c.yaml"]
+
     def test_unwritable_report_out_prints_table_then_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", tiny_campaign(tmp_path))
         result = runner.invoke(main, ["generate", "-c", cfg, "--report-out", str(tmp_path / "missing" / "r.json")])
@@ -177,20 +187,22 @@ class TestGenerate:
         assert result.exit_code == 3, result.output
         assert json.loads((tmp_path / "ckpt.json").read_text())["rollouts"] == 0
 
-    # checkpoint field edits: (path to the field, value)
+    # checkpoint field edits: (path to the field, value). The bandit's current successes load from
+    # "successes", and a bandit arm's id from its annotation's id
     FIELD_DAMAGE = {
         "rollouts not a count": (("rollouts",), "x"),
         "rollouts negative": (("rollouts",), -3),
         "elapsed not a number": (("elapsed",), "x"),
-        "bandit current a string": (("bandit", "current"), "2"),
+        "bandit current a string": (("successes",), "2"),
         "arm noise not a number": (("arms", 0, "noise_std"), "x"),
         "arm noise NaN": (("arms", 0, "noise_std"), float("nan")),
-        "arm source demo unknown": (("arms", 0, "source_demo_id"), "nope"),
+        "arm source demo unknown": (("arms", 0, "annotation", "source_demo_id"), "nope"),
+        "arm source demo a list": (("arms", 0, "annotation", "source_demo_id"), ["pick_place-src00"]),
         "arm records missing": (("arms",), []),
-        "bandit arm id a list": (("bandit", "arms", 0, "annotation_id"), [1]),
-        "bandit arm id not its record's": (("bandit", "arms", 0, "annotation_id"), "pick_place-arm999"),
-        "attempts inflated": (("bandit", "new_arm_attempts"), 3),
-        "current off by one": (("bandit", "current"), 0),
+        "bandit arm id a list": (("arms", 0, "annotation", "id"), [1]),
+        "arm n_suc zero": (("arms", 0, "n_suc"), 0),
+        "attempts inflated": (("new_arm_attempts",), 3),
+        "current off by one": (("successes",), 0),
     }
     # edits of the one arm's keypose list
     KEYPOSE_DAMAGE = {
@@ -228,6 +240,29 @@ class TestGenerate:
         result = runner.invoke(main, ["generate", "-c", cfg, "--resume"])
         assert result.exit_code == 2, result.output
         assert "error:" in result.output
+
+
+    def test_resume_from_pre_change_checkpoint_exits_2(self, runner, tmp_path):
+        # the format before arms carried their counts: a "bandit" block beside a parallel "arms" list
+        cfg = write_config(tmp_path / "c.yaml", tiny_campaign(tmp_path, goal_successes=1))
+        assert runner.invoke(main, ["generate", "-c", cfg]).exit_code == 0
+        doc = json.loads((tmp_path / "ckpt.json").read_text())
+        arm = doc["arms"][0]
+        bandit_arm = {"annotation_id": arm["annotation"]["id"], "n_suc": arm["n_suc"], "n_fail": arm["n_fail"]}
+        old = {
+            "fingerprint": doc["fingerprint"],
+            "bandit": {
+                "arms": [bandit_arm], "new_arm_attempts": doc["new_arm_attempts"], "new_arm_successes": 1,
+                "goal": 1, "current": doc["successes"], "seed": 9,
+            },
+            "arms": [{k: arm[k] for k in ("annotation", "noise_std")} | {"source_demo_id": "pick_place-src00"}],
+            "rollouts": doc["rollouts"],
+            "elapsed": doc["elapsed"],
+        }
+        (tmp_path / "ckpt.json").write_text(json.dumps(old))
+        result = runner.invoke(main, ["generate", "-c", cfg, "--resume"])
+        assert result.exit_code == 2, result.output
+        assert "error: unreadable checkpoint" in result.output
 
 
 class TestEvaluate:

@@ -17,7 +17,6 @@ from demoforge.geometry import (
     RigidTransform,
     Rotation,
     pose_text,
-    relative_rotation_from_home,
     scipy_rotation,
 )
 from oracles import angle_rad_oracle
@@ -169,17 +168,6 @@ def test_slerp_endpoints_and_constant_speed():
         assert r0.angle_to(slerp(r0, r1, u)) == pytest.approx(u * total, abs=1e-7)
 
 
-def test_relative_rotation_from_home():
-    home = Rotation.from_euler_deg(5.0, -10.0, 120.0)
-    # home relative to itself is the identity -> euler (0, 0, 0)
-    rel = relative_rotation_from_home(home, home)
-    assert np.allclose(rel.euler_deg(), [0.0, 0.0, 0.0], atol=1e-9)
-    # and composing home with the relative rotation recovers the original
-    r = Rotation.from_euler_deg(40.0, 20.0, -30.0)
-    rel = relative_rotation_from_home(r, home)
-    assert (home @ rel).allclose(r, atol=1e-12)
-
-
 class TestRigidTransform:
     def test_identity(self):
         p = np.array([0.1, -0.2, 0.3])
@@ -227,9 +215,6 @@ def test_pose_text_units_and_relative_rotation():
     txt = pose_text(pose)
     assert "position_mm [123.457, -50.000, 200.000]" in txt
     assert "rotation_deg [0.00, 0.00, 30.00]" in txt
-    # relative to a home at the same yaw the reported rotation is zero
-    txt_rel = pose_text(pose, home=Rotation.about_z_deg(30.0))
-    assert "rotation_deg [0.00, 0.00, 0.00]" in txt_rel
 
 
 def test_pose_requires_finite_position():

@@ -85,8 +85,6 @@ class TestSceneObservation:
         obs = SceneObservation(robot_pose=Pose(np.zeros(3), Rotation.about_z_deg(30.0)))
         # against its own rotation as home, the report reads zero
         assert "rotation_deg [0.00, 0.00, 0.00]" in obs.text()
-        # against an explicit home, the offset shows
-        assert "[0.00, 0.00, 30.00]" in obs.text(home=Rotation.identity())
 
 
 class TestRequest:

@@ -175,3 +175,25 @@ def test_bench_selftest_passes():
         timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_bench_traced_gateway_spans_a_completion(monkeypatch):
+    # under --trace 1 the benchmark wraps each session's complete and passes
+    # attachments by position: a change to that signature must fail here, not
+    # in a traced benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    from demoforge.gateway import MockGateway, query
+
+    class Clock:
+        ticks = iter(range(1000))
+
+        def now(self):
+            return float(next(self.ticks))
+
+    recorder = tracing.Recorder(Clock(), trace=True)
+    gateway = MockGateway(responder=lambda prompt: "reply")
+    recorder.instrument_gateway(gateway)
+    assert query(gateway, "prompt", str.upper, temperature=0.0, failure=RuntimeError, max_retries=1) == "REPLY"
+    assert [(span.name, span.t0 < span.t1) for span in recorder.spans] == [("gateway.complete", True)]
+    assert [e.request for e in gateway.audit_log.entries()] == ["prompt"]
