@@ -5,7 +5,8 @@ arm means running one rollout from that annotation. The interesting part is
 deciding when minting a brand-new annotation beats milking the arms we have:
 the expected value of adding an arm is estimated by brute-force simulation
 over k sampled ground-truth probability vectors and compared against staying
-put, using common random numbers so the comparison is noise-free.
+put, using common random numbers so the comparison is noise-free. Each pull's
+argmax is read off certified quantile guesses, bit-equal to betaincinv's.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import betaincinv, betaln
+from scipy.special import betainc, betaincinv, betaln, ndtri
 
 
 class NoArms(ValueError):
@@ -125,16 +126,52 @@ def fit_arm_prior(arms: list[Arm], m: int = 1000, rng=None) -> PriorFit:
 def estimate_rollout_value(probability_sets: np.ndarray, arms: list[tuple[int, int]], T: int, rng) -> float:
     """Mean total successes of T Thompson pulls, averaged over k ground truths.
 
-    probability_sets is (k, n): row j is one sampled ground-truth success
-    probability per arm. arms gives the (n_suc, n_fail) starting counts of
-    the matching virtual arms. Every simulated step consumes a fixed amount
-    of randomness (posterior draws via the inverse regularized incomplete
-    beta on pre-drawn uniforms), so with the same seed a T-step run is a
-    bitwise prefix of a (T+1)-step run and raising any ground-truth p only
-    flips failures into successes. evaluate_add_decision relies on the
-    prefix property to read E_{T-1} off the E_T pass.
+    probability_sets is (k, n): row j is one sampled ground-truth success probability
+    in [0, 1] per arm; arms gives the finite, nonnegative (n_suc, n_fail) starting
+    counts of the matching virtual arms; other input raises ValueError. Every step
+    draws a (k, n) block of uniforms, pulls each row's argmax of posterior quantiles
+    at them (certified, bit-equal to the betaincinv argmax), then draws k outcome
+    uniforms. So with the same seed a T-step run is a bitwise prefix of a (T+1)-step
+    run and raising any ground-truth p only flips failures into successes.
+    evaluate_add_decision relies on the prefix property to read E_{T-1} off the E_T pass.
     """
     return _simulate_thompson(probability_sets, arms, T, rng)[1]
+
+
+def _quantile_guess(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Guessed Beta(a, b) quantiles at u: A&S 26.5.22 (ibeta_inv's start), exact if a or b is 1."""
+    y = -ndtri(u)
+    lam = (y * y - 3.0) / 6.0
+    ra, rb = 1.0 / (2.0 * a - 1.0), 1.0 / (2.0 * b - 1.0)
+    h = 2.0 / (ra + rb)
+    w = y * np.sqrt(h + lam) / h - (rb - ra) * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h))
+    x = a / (a + b * np.exp(2.0 * w))
+    exact = b == 1.0
+    x[exact] = u[exact] ** (1.0 / a[exact])
+    exact = a == 1.0
+    x[exact] = -np.expm1(np.log1p(-u[exact]) / b[exact])
+    return x
+
+
+def _posterior_argmax(a: np.ndarray, b: np.ndarray, rng) -> np.ndarray:
+    """np.argmax(betaincinv(a, b, u), axis=0) bit for bit, for (n, k) a, b >= 1 and u drawn as
+    one (k, n) block. A column is certified, not inverted, when betainc puts its top guess above
+    x + 1e-9 and every other arm below x - 1e-9 (x midway between the top two guesses) by 1e-12
+    in u, far beyond the few hundred ulp betainc and betaincinv may be off; ties never certify."""
+    n, k = a.shape
+    u = np.ascontiguousarray(rng.random((k, n)).T)
+    if n == 1:
+        return np.zeros(k, dtype=np.intp)
+    with np.errstate(all="ignore"):
+        x = _quantile_guess(a, b, u)
+        top = np.argmax(x, axis=0)
+        is_top = np.arange(n)[:, None] == top
+        mid = 0.5 * (x.max(axis=0) + np.where(is_top, -np.inf, x).max(axis=0))
+        cdf = betainc(a, b, np.where(is_top, mid + 1e-9, mid - 1e-9))
+        doubt = ~np.where(is_top, cdf < u - 1e-12, cdf > u + 1e-12).all(axis=0)
+    if doubt.any():
+        top[doubt] = np.argmax(betaincinv(a[:, doubt], b[:, doubt], u[:, doubt]), axis=0)
+    return top
 
 
 def _simulate_thompson(probability_sets, arms, T: int, rng) -> tuple[float, float]:
@@ -145,22 +182,25 @@ def _simulate_thompson(probability_sets, arms, T: int, rng) -> tuple[float, floa
     k, n = probability_sets.shape
     if len(arms) != n:
         raise ValueError(f"{len(arms)} arms but probability sets have {n} columns")
+    counts = np.asarray(arms, dtype=float).reshape(n, 2)
+    if not (np.all((counts >= 0) & (counts < np.inf)) and np.all((probability_sets >= 0) & (probability_sets <= 1))):
+        raise ValueError("arm counts must be finite and nonnegative, probability sets in [0, 1]")
     if T <= 0:
         return 0.0, 0.0
     rng = np.random.default_rng(rng)
 
-    # Beta posterior parameters, counts + 1 (exact: the counts are integers)
-    a, b = (np.tile(c, (k, 1)) for c in np.asarray(arms, dtype=float).reshape(n, 2).T + 1.0)
+    # Beta posterior parameters, counts + 1, one column per ground truth
+    a, b = (np.repeat(c[:, None], k, axis=1) for c in counts.T + 1.0)
     total = np.zeros(k)
     rows = np.arange(k)
     before_last = 0.0
     for step in range(T):
         if step == T - 1:
             before_last = float(np.mean(total))
-        choice = np.argmax(betaincinv(a, b, rng.random((k, n))), axis=1)
+        choice = _posterior_argmax(a, b, rng)
         won = rng.random(k) < probability_sets[rows, choice]
-        a[rows, choice] += won
-        b[rows, choice] += ~won
+        a[choice, rows] += won
+        b[choice, rows] += ~won
         total += won
     return before_last, float(np.mean(total))
 

@@ -151,6 +151,32 @@ def simulate_thompson_total(prob_sets, counts, T, eval_seed):
     return sum(totals) / k
 
 
+def simulate_thompson_passes(prob_sets, counts, T, eval_seed):
+    """The vectorised simulator that inverts every posterior draw with
+    betaincinv: (mean total after T-1 pulls, mean total after T pulls),
+    consuming randomness in the package's order."""
+    from scipy.special import betaincinv
+
+    prob_sets = np.asarray(prob_sets, dtype=float)
+    k, n = prob_sets.shape
+    if T <= 0:
+        return 0.0, 0.0
+    rng = np.random.default_rng(eval_seed)
+    a, b = (np.tile(c, (k, 1)) for c in np.asarray(counts, dtype=float).reshape(n, 2).T + 1.0)
+    total = np.zeros(k)
+    rows = np.arange(k)
+    before_last = 0.0
+    for step in range(T):
+        if step == T - 1:
+            before_last = float(np.mean(total))
+        choice = np.argmax(betaincinv(a, b, rng.random((k, n))), axis=1)
+        won = rng.random(k) < prob_sets[rows, choice]
+        a[rows, choice] += won
+        b[rows, choice] += ~won
+        total += won
+    return before_last, float(np.mean(total))
+
+
 def decide_oracle(prob_sets, counts, p_new, T, p_add, eval_seed):
     """Brute-force version of the add-a-new-arm decision."""
     e_stay = simulate_thompson_total(prob_sets, counts, T, eval_seed)

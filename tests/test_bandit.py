@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.special import betaincinv
 
+from demoforge import bandit
 from demoforge.bandit import (
     AddDecision,
     Arm,
@@ -18,7 +20,7 @@ from demoforge.bandit import (
     thompson_select,
 )
 
-from oracles import beta_loglik, beta_mle_grid, decide_oracle
+from oracles import beta_loglik, beta_mle_grid, decide_oracle, simulate_thompson_passes
 
 
 class TestThompsonSelect:
@@ -150,6 +152,138 @@ class TestEstimateRolloutValue:
         got = estimate_rollout_value(sets, arms, 12, 4242)
         want = simulate_thompson_total(sets, arms, 12, 4242)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "sets, arms",
+        [
+            (np.full((4, 1), 7.0), [(0, 0)]),
+            (np.full((4, 1), -0.1), [(0, 0)]),
+            (np.full((4, 1), np.nan), [(0, 0)]),
+            (np.full((4, 1), np.inf), [(0, 0)]),
+            (np.full((4, 1), 0.5), [(-3, 0)]),
+            (np.full((4, 2), 0.5), [(1, 1), (0, np.inf)]),
+            (np.full((4, 2), 0.5), [(1, 1), (np.nan, 0)]),
+        ],
+    )
+    def test_invalid_input_raises(self, sets, arms):
+        # probabilities outside [0, 1] or counts that are negative or not
+        # finite used to come back as numbers (7.0 gave 10.0, NaN 0.0)
+        for T in (0, 10):
+            with pytest.raises(ValueError):
+                estimate_rollout_value(sets, arms, T, 0)
+
+
+class SameDraws(np.random.Generator):
+    """A generator whose every beta call returns the same draws, so each arm's
+    ground-truth column, and the new arm's, are equal."""
+
+    def beta(self, a, b, size=None):
+        return np.random.default_rng(0).beta(2.0, 3.0, size)
+
+
+def oracle_values(d: AddDecision, counts, T):
+    """(e_stay, e_keep, e_with_new) from the simulator that inverts every draw."""
+    e_keep, e_stay = simulate_thompson_passes(d.probability_sets, counts, T, d.eval_seed)
+    augmented = np.column_stack([d.probability_sets, d.p_new])
+    return e_stay, e_keep, simulate_thompson_passes(augmented, counts + [(1, 0)], T - 1, d.eval_seed)[1]
+
+
+class FixedUniforms:
+    """Stands in for a generator: hands out one crafted uniform block."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u.copy()
+
+
+ULP_HALF = np.nextafter(0.5, 1.0)
+BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+class TestCertifiedArgmax:
+    def test_fuzz_matches_inverting_simulator_bitwise(self):
+        # n = 1-6 arms, T = 1-60, equal counts and equal probability columns
+        rng = np.random.default_rng(1616)
+        for trial in range(120):
+            n = 1 + trial % 6
+            T = (1, 60)[trial % 2] if trial < 12 else int(rng.integers(1, 61))
+            if trial % 3 == 0:
+                counts = [(int(rng.integers(0, 12)), int(rng.integers(0, 12)))] * n
+            else:
+                counts = [(int(rng.integers(0, 30)), int(rng.integers(0, 30))) for _ in range(n)]
+            st = BanditState(arms=[Arm(str(i), s, f) for i, (s, f) in enumerate(counts)])
+            prior = PriorFit(float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.5, 4.0)), 1000)
+            seed = int(rng.integers(2**32))
+            gen = SameDraws(np.random.PCG64(seed)) if trial % 4 == 1 else np.random.default_rng(seed)
+            d = evaluate_add_decision(st, T, prior, k=50, rng=gen)
+            if trial % 4 == 1:
+                assert np.all(d.probability_sets == d.p_new[:, None])
+            assert (d.e_stay, d.e_keep, d.e_with_new) == oracle_values(d, counts, T), (trial, n, T, counts)
+
+    @pytest.mark.parametrize(
+        "a, b, u",
+        [
+            ([3, 3, 3], [5, 5, 5], [0.4, 0.4, 0.4]),  # exact three-way tie
+            ([2, 4, 4], [3, 6, 6], [0.3, 0.7, 0.7]),  # tie between the last two
+            ([7, 7], [2, 2], [0.5, ULP_HALF]),  # u one ulp apart
+            ([7, 7], [2, 2], [ULP_HALF, 0.5]),
+            ([1, 1, 1], [1, 1, 1], [0.5, ULP_HALF, 0.25]),  # uniform posteriors, u is the quantile
+            ([4, 9], [6, 3], [0.0, 0.0]),  # u = 0 gives quantile 0 for every arm
+            ([4, 9], [6, 3], [0.0, 0.2]),
+            ([4, 9], [6, 3], [BELOW_ONE, BELOW_ONE]),
+            ([1, 30], [30, 1], [BELOW_ONE, 0.5]),
+            ([1, 5, 2], [4, 1, 1], [0.9, 0.6, 0.8]),  # a = 1 and b = 1 closed forms
+            ([1, 1], [3, 3], [0.7, np.nextafter(0.7, 0.0)]),
+            ([6, 6], [1, 1], [np.nextafter(0.3, 1.0), 0.3]),
+        ],
+    )
+    def test_crafted_rows_match_betaincinv_argmax(self, a, b, u):
+        a, b, u = (np.asarray(v, dtype=float) for v in (a, b, u))
+        want = int(np.argmax(betaincinv(a, b, u)))
+        got = bandit._posterior_argmax(a[:, None], b[:, None], FixedUniforms(u[None, :]))
+        assert got.tolist() == [want]
+
+    def test_crafted_block_matches_row_by_row(self):
+        # the same rows side by side: one call, one column each
+        rng = np.random.default_rng(77)
+        a = rng.integers(1, 6, size=(300, 4)).astype(float)
+        b = rng.integers(1, 6, size=(300, 4)).astype(float)
+        u = rng.choice([0.0, 0.25, 0.5, ULP_HALF, BELOW_ONE], size=(300, 4))
+        got = bandit._posterior_argmax(a.T.copy(), b.T.copy(), FixedUniforms(u))
+        assert np.array_equal(got, np.argmax(betaincinv(a, b, u), axis=1))
+
+    def test_single_arm_draws_its_uniforms_without_inverting(self, monkeypatch):
+        monkeypatch.setattr(bandit, "betaincinv", None)
+        monkeypatch.setattr(bandit, "betainc", None)
+        rng = np.random.default_rng(5)
+        assert bandit._posterior_argmax(np.full((1, 8), 3.0), np.full((1, 8), 2.0), rng).tolist() == [0] * 8
+        twin = np.random.default_rng(5)
+        twin.random((8, 1))
+        assert rng.random() == twin.random()
+
+    def test_fallback_alone_is_exact(self, monkeypatch):
+        # a guess that ranks every column backwards certifies nothing, so
+        # every multi-arm column is inverted, and the results still match
+        monkeypatch.setattr(bandit, "_quantile_guess", lambda a, b, u: 1.0 - betaincinv(a, b, u))
+        inverted = []
+
+        def counting(a, b, u):
+            inverted.append(a.shape[1])
+            return betaincinv(a, b, u)
+
+        monkeypatch.setattr(bandit, "betaincinv", counting)
+        rng = np.random.default_rng(808)
+        for n in (1, 2, 4):
+            counts = [(int(rng.integers(0, 9)), int(rng.integers(0, 9))) for _ in range(n)]
+            st = BanditState(arms=[Arm(str(i), s, f) for i, (s, f) in enumerate(counts)])
+            inverted.clear()
+            d = evaluate_add_decision(st, 20, PriorFit(2.0, 2.0, 1000), k=40, rng=int(rng.integers(2**32)))
+            assert (d.e_stay, d.e_keep, d.e_with_new) == oracle_values(d, counts, 20)
+            assert inverted == [40] * ((20 if n > 1 else 0) + 19)
 
 
 class TestDecideNewArm:

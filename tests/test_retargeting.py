@@ -206,6 +206,21 @@ class TestScriptedRetarget:
             assert np.array_equal(out[idx].pos_mm, ann.keyposes[idx].pos_mm)
             assert np.array_equal(out[idx].euler_deg, ann.keyposes[idx].euler_deg)
 
+    def test_unanchored_keyposes_are_independent_copies(self):
+        # the output is the caller's to edit: mutating an unanchored keypose,
+        # its arrays or its object list must leave the annotation untouched
+        ann = simple_annotation()
+        before = [k.to_json() for k in ann.keyposes]
+        out = scripted_retarget(ann, scene(), scene())
+        for idx in (0, 3):
+            kp = out[idx]
+            assert kp is not ann.keyposes[idx]
+            kp.pos_mm[:] = -1.0
+            kp.euler_deg[:] = 45.0
+            kp.relevant_objects.append("block")
+            kp.gripper = 0.5
+        assert [k.to_json() for k in ann.keyposes] == before
+
     def test_yaw_delta_rotates_orientation_not_position(self):
         ann = simple_annotation()
         old = scene(block_yaw=0.0)

@@ -1,9 +1,10 @@
 """Source hygiene: every module-level import in the package is read by its
 module, every module-level private name is read somewhere in the package,
 scipy's checked ``Rotation.from_matrix`` is reached only through the one
-guarded helper, only the one query function opens gateway sessions, the
-names the benchmark rebinds in ``demoforge.campaign`` still exist and are
-read there, and the benchmark's own self-tests pass against the package."""
+guarded helper and ``betaincinv`` only through the certified argmax's
+fallback, only the one query function opens gateway sessions, the names the
+benchmark rebinds in ``demoforge.campaign`` still exist and are read there,
+and the benchmark's own self-tests pass against the package."""
 import ast
 import importlib
 import inspect
@@ -85,25 +86,31 @@ def test_no_unread_module_level_private_name():
     assert unread_private_names({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
 
 
-def attribute_reads(tree: ast.AST, attr: str, on=None) -> list[str]:
-    """The enclosing def or class path of each read of ``.attr``, on any
-    object or, given the set ``on``, only on a bare name in it."""
+def scoped_reads(tree: ast.AST, matches) -> list[str]:
+    """The enclosing def or class path of each node that ``matches``."""
     reads = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr == attr
-            and (on is None or isinstance(node.value, ast.Name) and node.value.id in on)
-        ):
+        if matches(node):
             reads.append(scope or "<module>")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(tree, "")
     return reads
+
+
+def attribute_reads(tree: ast.AST, attr: str, on=None) -> list[str]:
+    """The enclosing def or class path of each read of ``.attr``, on any
+    object or, given the set ``on``, only on a bare name in it."""
+    return scoped_reads(
+        tree,
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == attr
+        and (on is None or isinstance(node.value, ast.Name) and node.value.id in on),
+    )
 
 
 def scipy_from_matrix_reads(source: str) -> list[str]:
@@ -134,6 +141,43 @@ def test_only_the_guarded_helper_calls_scipy_from_matrix():
     # only where it provably passes, so no other module may pay it again
     reads = {p.stem: scipy_from_matrix_reads(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert {module: found for module, found in reads.items() if found} == {"geometry": ["scipy_rotation"]}
+
+
+def betaincinv_reads(source: str) -> list[str]:
+    """The enclosing def or class path of each read of scipy's ``betaincinv``:
+    a name bound by ``from scipy.special import``, or any ``.betaincinv``."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.special"
+        for alias in node.names
+        if alias.name == "betaincinv"
+    }
+    return scoped_reads(
+        tree,
+        lambda node: isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in aliases
+        or isinstance(node, ast.Attribute) and node.attr == "betaincinv",
+    )
+
+
+def test_betaincinv_checker_flags_bound_names_and_attributes():
+    source = (
+        "from scipy.special import betaincinv as inv, betainc\nimport scipy.special\n"
+        "def guess(a, b, u):\n    return betainc(a, b, u)\n"
+        "class C:\n    def f(self, a, b, u):\n        return inv(a, b, u)\n"
+        "def g(a, b, u):\n    return scipy.special.betaincinv(a, b, u)\n"
+        "def betaincinv(a, b, u):\n    return None\n"
+    )
+    assert betaincinv_reads(source) == ["C.f", "g"]
+
+
+def test_only_the_certified_argmax_fallback_inverts_posteriors():
+    # the add-arm simulation inverts a posterior draw only where betainc
+    # cannot certify the cheap guess's argmax; a second call site would pay
+    # the full inversion cost again without that proof
+    reads = {p.stem: betaincinv_reads(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {module: found for module, found in reads.items() if found} == {"bandit": ["_posterior_argmax"]}
 
 
 def test_fresh_session_checker_flags_every_read():
