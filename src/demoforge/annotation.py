@@ -29,10 +29,8 @@ from .geometry import Pose, Rotation, euler_degrees, pose_rows_text, pose_text
 
 VIEWFRAME_CAP = 8
 MAX_RETRIES = 3
-
-
-class EmptyDemo(ValueError):
-    pass
+SUMMARY_CADENCE = 5  # the summary samples every SUMMARY_CADENCE +/- SUMMARY_JITTER timesteps
+SUMMARY_JITTER = 2
 
 
 class AnnotationFailed(RuntimeError):
@@ -46,29 +44,6 @@ class TaskDescription:
     def __post_init__(self):
         if not self.text.strip():
             raise ValueError("task description must be non-empty")
-
-
-@dataclass
-class DemoSummary:
-    """Text digest of a demo: sampled rows of robot/object poses."""
-
-    sampled_rows: list[tuple[int, str, dict[str, str]]]
-
-    @property
-    def timesteps(self) -> list[int]:
-        return [t for t, _, _ in self.sampled_rows]
-
-    @property
-    def horizon(self) -> int:
-        return self.sampled_rows[-1][0]
-
-    def rows_text(self) -> str:
-        lines = []
-        for t, robot, objs in self.sampled_rows:
-            lines.append(f"t={t}: robot {robot}")
-            for name, text in objs.items():
-                lines.append(f"       {name} {text}")
-        return "\n".join(lines)
 
 
 @dataclass
@@ -132,19 +107,23 @@ class Keypose:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Keypose":
+        """A keypose entry as JSON reads it: t an integer, pos_mm and euler_deg lists of
+        numbers, gripper a number (bools are neither), objects a list of names."""
         if not isinstance(doc, dict):
             raise TypeError(f"keypose entry must be an object, got {doc!r}")
+        t, pos_mm, euler_deg, gripper = doc["t"], doc["pos_mm"], doc["euler_deg"], doc["gripper"]
+        if isinstance(t, bool) or not isinstance(t, int):
+            raise TypeError(f"keypose t must be an integer, got {t!r}")
+        if not _number(gripper) or not all(isinstance(p, list) and all(map(_number, p)) for p in (pos_mm, euler_deg)):
+            raise TypeError(f"keypose poses must be lists of numbers and its gripper a number, got {doc!r}")
         objects = doc.get("objects", [])
         if not isinstance(objects, list) or not all(isinstance(name, str) for name in objects):
             raise ValueError(f"keypose objects must be a list of names, got {objects!r}")
-        return cls(
-            timestep=int(doc["t"]),
-            pos_mm=doc["pos_mm"],
-            euler_deg=doc["euler_deg"],
-            gripper=float(doc["gripper"]),
-            relevant_objects=list(objects),
-            relation_note=str(doc.get("note", "")),
-        )
+        return cls(t, pos_mm, euler_deg, float(gripper), list(objects), str(doc.get("note", "")))
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -179,27 +158,22 @@ class Annotation:
         return [(k.timestep, k.pose) for k in self.keyposes]
 
 
-def summarize_demo(demo: Demonstration, cadence: int = 5, jitter: int = 2, rng_seed=0) -> DemoSummary:
-    """Sample the demo roughly every ``cadence`` timesteps into text rows.
+def summarize_demo(demo: Demonstration) -> str:
+    """The demo as prompt text: a row of robot and object poses about every SUMMARY_CADENCE timesteps.
 
-    Gaps are drawn uniformly from [cadence - jitter, cadence + jitter] while
-    always landing exactly on t = 0 and t = T; the jitter keeps downstream
-    consumers from anchoring to exact timestep arithmetic. When the horizon
-    forces it (tiny demos, indivisible remainders) the final gap may fall
-    below the lower bound, never above the upper one.
+    Gaps are drawn uniformly from [SUMMARY_CADENCE - SUMMARY_JITTER,
+    SUMMARY_CADENCE + SUMMARY_JITTER] from a fixed seed while always landing
+    exactly on t = 0 and t = T; the jitter keeps downstream consumers from
+    anchoring to exact timestep arithmetic. When the horizon forces it (tiny
+    demos, indivisible remainders) the final gap may fall below the lower
+    bound, never above the upper one.
 
     Robot rotations are reported relative to the home rotation (the first
     observation's rotation); object rotations are absolute.
     """
-    if len(demo) == 0:
-        raise EmptyDemo("cannot summarize an empty demo")
-    if cadence < 1:
-        raise ValueError("cadence must be >= 1")
-    if jitter >= cadence:
-        raise ValueError("jitter must be < cadence")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     horizon = demo.horizon
-    lo, hi = max(1, cadence - jitter), cadence + jitter
+    lo, hi = SUMMARY_CADENCE - SUMMARY_JITTER, SUMMARY_CADENCE + SUMMARY_JITTER
 
     timesteps = [0]
     while timesteps[-1] < horizon:
@@ -215,9 +189,12 @@ def summarize_demo(demo: Demonstration, cadence: int = 5, jitter: int = 2, rng_s
     rotations = np.concatenate([robot, demo.entity_rotations[ts].reshape(-1, 3, 3)])
     texts = pose_rows_text(positions, euler_degrees(rotations))
     grippers = demo.robot.gripper[ts].tolist()
-    objects = [dict(zip(demo.entity_names, texts[n + i * m : n + i * m + m])) for i in range(n)]
-    rows = [(t, f"{texts[i]} gripper {_gripper_word(grippers[i])}", objects[i]) for i, t in enumerate(ts)]
-    return DemoSummary(sampled_rows=rows)
+    lines = []
+    for i, t in enumerate(ts):
+        objects = dict(zip(demo.entity_names, texts[n + i * m : n + i * m + m]))  # a repeated name: one row, last pose
+        lines += [f"t={t}: robot {texts[i]} gripper {_gripper_word(grippers[i])}"]
+        lines += [f"       {name} {text}" for name, text in objects.items()]
+    return "\n".join(lines)
 
 
 def _gripper_word(g: float) -> str:
@@ -281,7 +258,7 @@ def annotate(
     demo: Demonstration,
     frames: list[int],
     task: TaskDescription,
-    summary: DemoSummary | None = None,
+    summary: str | None = None,
     max_retries: int = MAX_RETRIES,
 ) -> Annotation:
     """The annotation query, then repair_annotation on its keyposes.
@@ -291,11 +268,10 @@ def annotate(
     """
     if any(t < 0 or t > demo.horizon for t in frames):
         raise ValueError("frames outside demo range")
-    summary = summary if summary is not None else summarize_demo(demo)
     prompt = render_prompt(
         "annotate",
         task=task.text,
-        rows=summary.rows_text(),
+        rows=summary if summary is not None else summarize_demo(demo),
         frames=", ".join(str(t) for t in frames),
         horizon=demo.horizon,
     )
@@ -380,8 +356,6 @@ def scripted_annotate(demo: Demonstration, task_kind: str) -> Annotation:
 
     if task_kind not in BUNDLED_TASKS:
         raise ValueError(f"unknown task kind {task_kind!r}; bundled: {sorted(BUNDLED_TASKS)}")
-    if len(demo) < 2:
-        raise EmptyDemo("scripted annotator needs at least 2 steps")
 
     timesteps = sorted(set([0, demo.horizon] + demo.gripper_transition_timesteps()))
     keyposes = []
@@ -439,7 +413,7 @@ def _nearest_object(obs: Observation, exclude: set[str] = frozenset()):
 
 
 def create_annotation(
-    gateway, demo: Demonstration, task: TaskDescription, summary: DemoSummary | None = None, max_retries: int = MAX_RETRIES
+    gateway, demo: Demonstration, task: TaskDescription, summary: str | None = None, max_retries: int = MAX_RETRIES
 ) -> Annotation:
     """Summarize (unless given the demo's ``summary``), pick viewframes, then
     annotate: the whole query pipeline.
@@ -448,11 +422,9 @@ def create_annotation(
     frame selection restarts only its own stage.
     """
     summary = summary if summary is not None else summarize_demo(demo)
-    prompt = render_prompt(
-        "viewframes", task=task.text, rows=summary.rows_text(), horizon=summary.horizon, cap=VIEWFRAME_CAP
-    )
+    prompt = render_prompt("viewframes", task=task.text, rows=summary, horizon=demo.horizon, cap=VIEWFRAME_CAP)
     frames = query(
-        gateway, prompt, lambda text: parse_viewframes(text, summary.horizon),
+        gateway, prompt, lambda text: parse_viewframes(text, demo.horizon),
         temperature=0.2, failure=AnnotationFailed, max_retries=max_retries,
     )
     return annotate(gateway, demo, frames, task, summary=summary, max_retries=max_retries)

@@ -128,9 +128,10 @@ def estimate_rollout_value(probability_sets: np.ndarray, arms: list[tuple[int, i
 
     probability_sets is (k, n): row j is one sampled ground-truth success probability
     in [0, 1] per arm; arms gives the finite, nonnegative (n_suc, n_fail) starting
-    counts of the matching virtual arms; other input raises ValueError. Every step
-    draws a (k, n) block of uniforms, pulls each row's argmax of posterior quantiles
-    at them (certified, bit-equal to the betaincinv argmax), then draws k outcome
+    counts of the matching virtual arms; no arms raises NoArms and other input
+    ValueError. Every step draws a (k, n) block of uniforms, pulls each row's
+    argmax of posterior quantiles at them (certified, bit-equal to the betaincinv
+    argmax), then draws k outcome
     uniforms. So with the same seed a T-step run is a bitwise prefix of a (T+1)-step
     run and raising any ground-truth p only flips failures into successes.
     evaluate_add_decision relies on the prefix property to read E_{T-1} off the E_T pass.
@@ -182,6 +183,8 @@ def _simulate_thompson(probability_sets, arms, T: int, rng) -> tuple[float, floa
     k, n = probability_sets.shape
     if len(arms) != n:
         raise ValueError(f"{len(arms)} arms but probability sets have {n} columns")
+    if n == 0:
+        raise NoArms("a Thompson simulation needs at least one arm")
     counts = np.asarray(arms, dtype=float).reshape(n, 2)
     if not (np.all((counts >= 0) & (counts < np.inf)) and np.all((probability_sets >= 0) & (probability_sets <= 1))):
         raise ValueError("arm counts must be finite and nonnegative, probability sets in [0, 1]")
@@ -229,6 +232,8 @@ def evaluate_add_decision(state: BanditState, T: int, prior: PriorFit, k: int = 
     T-step E_T(P) pass, and one (T-1)-step pass adds the virtual new arm,
     which starts at 1 success / 0 failures.
     """
+    if not state.arms:
+        raise NoArms("evaluate_add_decision needs at least one arm")
     rng = np.random.default_rng(rng)
     counts = [(a.n_suc, a.n_fail) for a in state.arms]
     n = len(counts)

@@ -337,7 +337,7 @@ class EpisodeOutcome:
     ensemble: EnsembleState
 
 
-def run_ensemble_episode(state, traj: TrajectorySegment, disturbances=None, max_steps=None) -> EpisodeOutcome:
+def run_ensemble_episode(state, traj: TrajectorySegment, disturbances=None) -> EpisodeOutcome:
     """Step the world under the feedforward/feedback switching machine.
 
     The scripted controller provides the feedback action each step; when it
@@ -350,10 +350,9 @@ def run_ensemble_episode(state, traj: TrajectorySegment, disturbances=None, max_
     by_step: dict[int, list[tuple[str, np.ndarray]]] = {}
     for idx, obj, delta in disturbances or []:
         by_step.setdefault(idx, []).append((obj, delta))
-    limit = max_steps if max_steps is not None else 2 * len(traj) + 400
 
     steps = 0
-    for i in range(limit):
+    for i in range(2 * len(traj) + 400):
         if success(state):
             break
         for obj, delta in by_step.get(i, []):
@@ -679,7 +678,9 @@ def run_campaign(cfg: CampaignConfig, gateway=None, resume: bool = False) -> Cam
         raise ConfigError("llm annotator/retargeter needs a gateway")
     for name in ("dataset_path", "checkpoint_path"):
         path = getattr(cfg, name)
-        if path is not None and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
+        if path is not None and (
+            path == "" or os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path)))
+        ):
             raise ConfigError(f"{name} {path!r} must name a file in an existing directory")
     # each checkpoint write replaces its path and removes its temp file: neither may be the dataset
     if cfg.dataset_path is not None and cfg.checkpoint_path is not None:

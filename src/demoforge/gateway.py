@@ -22,8 +22,6 @@ from dataclasses import asdict, dataclass, field
 
 import requests
 
-DEFAULT_ANNOTATION_TEMPERATURE = 0.7  # stochastic: response variety feeds arm diversity
-
 
 class GatewayError(RuntimeError):
     """Completion failed. ``kind`` is one of 'auth', 'timeout', 'transport',
@@ -120,10 +118,10 @@ class Session:
         self._gateway = gateway
         self.session_id = session_id
 
-    def complete(self, prompt: str, attachments: list[Attachment] | None = None, **params) -> str:
+    def complete(self, prompt: str, attachments: list[Attachment] | None = None, *, temperature: float) -> str:
         if not prompt:
             raise ValueError("prompt must be non-empty")
-        return self._gateway._complete(self.session_id, prompt, attachments or [], params)
+        return self._gateway._complete(self.session_id, prompt, attachments or [], temperature)
 
 
 class Gateway:
@@ -136,9 +134,9 @@ class Gateway:
     def fresh_session(self) -> Session:
         return Session(self, f"s{next(self._session_counter):06d}")
 
-    def _complete(self, session_id: str, prompt: str, attachments: list[Attachment], params: dict) -> str:
+    def _complete(self, session_id: str, prompt: str, attachments: list[Attachment], temperature: float) -> str:
         start = time.monotonic()
-        text, retries = self._transport(prompt, attachments, params)
+        text, retries = self._transport(prompt, attachments, temperature)
         self.audit_log.append(
             PromptExchange(
                 session_id=session_id,
@@ -155,7 +153,7 @@ class Gateway:
     def _model_tag(self) -> str:
         return "unknown"
 
-    def _transport(self, prompt: str, attachments: list[Attachment], params: dict) -> tuple[str, int]:
+    def _transport(self, prompt: str, attachments: list[Attachment], temperature: float) -> tuple[str, int]:
         raise NotImplementedError
 
 
@@ -182,7 +180,7 @@ class MockGateway(Gateway):
     def _model_tag(self) -> str:
         return "mock"
 
-    def _transport(self, prompt: str, attachments, params) -> tuple[str, int]:
+    def _transport(self, prompt: str, attachments, temperature) -> tuple[str, int]:
         retries = 0
         while True:
             with self._lock:
@@ -252,7 +250,7 @@ class HttpGateway(Gateway):
             )
         return key
 
-    def _transport(self, prompt: str, attachments, params) -> tuple[str, int]:
+    def _transport(self, prompt: str, attachments, temperature) -> tuple[str, int]:
         key = self._credential()  # before any network traffic
         content: list[dict] | str
         if attachments:
@@ -264,7 +262,7 @@ class HttpGateway(Gateway):
         body = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": content}],
-            "temperature": params.get("temperature", DEFAULT_ANNOTATION_TEMPERATURE),
+            "temperature": temperature,
             "max_tokens": 4096,
         }
         last_err: Exception | None = None

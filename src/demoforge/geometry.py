@@ -69,18 +69,15 @@ def check_rotation_matrices(matrices: np.ndarray) -> None:
 class Rotation:
     """A proper rotation in SO(3), stored as a 3x3 matrix.
 
-    Construct via the classmethods; the raw constructor trusts its input
-    unless ``check=True``.
+    Construct via the classmethods; the raw constructor trusts its input.
     """
 
     __slots__ = ("_m",)
 
-    def __init__(self, matrix: np.ndarray, *, check: bool = False):
+    def __init__(self, matrix: np.ndarray):
         m = np.asarray(matrix, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
-        if check:
-            check_rotation_matrices(m[None])
         self._m = m
 
     @classmethod
@@ -148,9 +145,6 @@ class Rotation:
 
     def angle_to(self, other: "Rotation") -> float:
         return Rotation(self._m.T @ other._m).angle_rad()  # the matmul of inverse() @ other
-
-    def allclose(self, other: "Rotation", atol: float = 1e-9) -> bool:
-        return bool(np.allclose(self._m, other._m, atol=atol))
 
     def __repr__(self) -> str:
         e = self.euler_deg()

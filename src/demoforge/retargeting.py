@@ -53,9 +53,8 @@ def _parse_retarget_response(text: str, original: list[Keypose]) -> list[Keypose
     for item, orig in zip(items, original):
         # only poses are trusted from the response; everything else inherits
         try:
-            kp = Keypose(
-                int(item["t"]), item["pos_mm"], item["euler_deg"], orig.gripper,
-                list(orig.relevant_objects), orig.relation_note,
+            kp = Keypose.from_json(
+                {**item, "gripper": orig.gripper, "objects": orig.relevant_objects, "note": orig.relation_note}
             )
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise MalformedResponse(f"bad keypose entry {item!r}: {err}") from None

@@ -83,7 +83,6 @@ class WorldState:
     attach_offset: RigidTransform | None = None
     frozen: set[str] = field(default_factory=set)
     task_metadata: dict = field(default_factory=dict)
-    t: int = 0
 
     def copy(self) -> "WorldState":
         rng = np.random.default_rng()
@@ -266,7 +265,6 @@ def step(state: WorldState, action: Action) -> WorldState:
             pose = state.objects[name]
             state.objects[name] = Pose(pose.position + drift, pose.rotation)
 
-    state.t += 1
     return state
 
 

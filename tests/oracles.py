@@ -529,23 +529,19 @@ def _keypose_from_json_oracle(doc):
     )
 
 
-def select_viewframes_oracle(gateway, summary, task):
+def select_viewframes_oracle(gateway, summary, horizon, task):
     from demoforge.annotation import VIEWFRAME_CAP, render_prompt
     from demoforge.gateway import MalformedResponse
 
-    if not summary.sampled_rows:
-        raise ValueError("summary has no rows")
-    prompt = render_prompt(
-        "viewframes", task=task.text, rows=summary.rows_text(), horizon=summary.horizon, cap=VIEWFRAME_CAP
-    )
+    prompt = render_prompt("viewframes", task=task.text, rows=summary, horizon=horizon, cap=VIEWFRAME_CAP)
     text = gateway.fresh_session().complete(prompt, temperature=0.2)
     tokens = [int(tok) for tok in _INT_TOKEN_ORACLE.findall(text)]
     if not tokens:
         raise MalformedResponse(f"no timesteps in response: {text!r}")
     seen = []
     for t in tokens:
-        if t < 0 or t > summary.horizon:
-            raise MalformedResponse(f"timestep {t} outside [0, {summary.horizon}]")
+        if t < 0 or t > horizon:
+            raise MalformedResponse(f"timestep {t} outside [0, {horizon}]")
         if t not in seen:
             seen.append(t)
     return sorted(seen[:VIEWFRAME_CAP])
@@ -585,7 +581,7 @@ def annotate_oracle(gateway, demo, frames, task, summary=None, max_retries=3):
     prompt = render_prompt(
         "annotate",
         task=task.text,
-        rows=summary.rows_text(),
+        rows=summary,
         frames=", ".join(str(t) for t in frames),
         horizon=demo.horizon,
     )
@@ -616,7 +612,7 @@ def create_annotation_oracle(gateway, demo, task, max_retries=3):
     last_error = None
     for _ in range(max_retries):
         try:
-            frames = select_viewframes_oracle(gateway, summary, task)
+            frames = select_viewframes_oracle(gateway, summary, demo.horizon, task)
             break
         except MalformedResponse as err:
             last_error = err
@@ -702,8 +698,6 @@ def _pose_text_oracle(pose, home=None):
 
 
 def summarize_demo_oracle(demo, cadence=5, jitter=2, rng_seed=0):
-    from demoforge.annotation import DemoSummary
-
     rng = np.random.default_rng(rng_seed)
     horizon = demo.horizon
     lo, hi = max(1, cadence - jitter), cadence + jitter
@@ -715,10 +709,11 @@ def summarize_demo_oracle(demo, cadence=5, jitter=2, rng_seed=0):
         timesteps.append(timesteps[-1] + gap)
 
     home = demo.observation(0).robot_pose.rotation
-    rows = []
+    lines = []
     for t in timesteps:
         obs = demo.observation(t)
         robot = f"{_pose_text_oracle(obs.robot_pose, home=home)} gripper {'open' if obs.gripper >= 0.5 else 'closed'}"
         objs = {o.name: _pose_text_oracle(o.pose) for o in obs.objects}
-        rows.append((t, robot, objs))
-    return DemoSummary(sampled_rows=rows)
+        lines.append(f"t={t}: robot {robot}")
+        lines += [f"       {name} {text}" for name, text in objs.items()]
+    return "\n".join(lines)

@@ -290,6 +290,16 @@ class TestDecideNewArm:
     def test_zero_arms_always_true(self):
         assert decide_new_arm(BanditState(), 10, PriorFit(1.0, 1.0, 1000), rng=0) is True
 
+    @pytest.mark.parametrize("T", [0, 5])
+    def test_estimates_without_arms_raise_no_arms(self, T):
+        # once numpy's bare "argmax of an empty sequence" for T > 0, and 0.0 for T = 0
+        rng = np.random.default_rng(0)
+        with pytest.raises(NoArms):
+            evaluate_add_decision(BanditState(), T, PriorFit(1, 1, 10), k=10, rng=rng)
+        assert rng.random() == np.random.default_rng(0).random()  # raised before any draw
+        with pytest.raises(NoArms):
+            estimate_rollout_value(np.empty((10, 0)), [], T, 0)
+
     def test_dominant_arm_declines(self):
         st = BanditState(arms=[Arm("a", 95, 5)], new_arm_attempts=8, new_arm_successes=2)
         prior = PriorFit(3.0, 7.0, 1000)  # mean 0.3

@@ -448,12 +448,13 @@ class TestEnsembleEpisode:
         assert out.success
         assert len(out.ensemble.switch_steps()) >= 1
 
-    def test_max_steps_caps_episode(self):
+    def test_step_cap_ends_an_episode_that_never_succeeds(self, monkeypatch):
         state, scene = reset(self.spec, 5)
         traj = scripted_warp(self.ann, self.src, scene)
-        out = run_ensemble_episode(state, traj, max_steps=10)
+        monkeypatch.setattr(campaign, "success", lambda state: False)
+        out = run_ensemble_episode(state, traj)
         assert not out.success
-        assert out.steps == 10
+        assert out.steps == 2 * len(traj) + 400
 
     def test_traces_match_the_oracle_scan(self, monkeypatch):
         # disturbed episodes step for step as under the scan as first shipped,
@@ -797,8 +798,9 @@ class TestCampaign:
 
     def test_output_paths_checked_before_any_rollout(self, tmp_path, monkeypatch):
         monkeypatch.setattr(campaign, "record_demo", lambda *a, **kw: pytest.fail("recorded a demo"))
+        monkeypatch.chdir(tmp_path)
         for name in ("dataset_path", "checkpoint_path"):
-            for path in (tmp_path / "missing" / "out.json", tmp_path):
+            for path in (tmp_path / "missing" / "out.json", tmp_path, ""):
                 cfg = self.cfg(tmp_path, **{name: str(path)})
                 with pytest.raises(ConfigError, match=f"{name} .* must name a file in an existing directory"):
                     run_campaign(cfg)

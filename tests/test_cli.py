@@ -89,10 +89,11 @@ class TestGenerate:
         result = runner.invoke(main, ["generate", "-c", str(tmp_path / "absent.yaml")])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("where", ["missing directory", "a directory"])
+    @pytest.mark.parametrize("where", ["missing directory", "a directory", "empty"])
     @pytest.mark.parametrize("name", ["dataset_path", "checkpoint_path"])
-    def test_bad_output_path_exits_2_before_any_rollout(self, runner, tmp_path, name, where):
-        out = tmp_path / "missing" / "out.json" if where == "missing directory" else tmp_path / "out"
+    def test_bad_output_path_exits_2_before_any_rollout(self, runner, tmp_path, monkeypatch, name, where):
+        monkeypatch.chdir(tmp_path)  # where an empty path would leave its files
+        out = {"missing directory": tmp_path / "missing" / "out.json", "a directory": tmp_path / "out"}.get(where, "")
         if where == "a directory":
             out.mkdir()
         cfg = write_config(tmp_path / "c.yaml", tiny_campaign(tmp_path, **{name: str(out)}))
@@ -213,6 +214,11 @@ class TestGenerate:
         "keypose objects a mapping": lambda kps: kps[1].update(objects={"block": 1}),
         "keypose timestep infinite": lambda kps: kps[1].update(t=float("inf")),
         "keypose not an object": lambda kps: kps.__setitem__(1, 1),
+        "keypose timestep fractional": lambda kps: kps[1].update(t=kps[1]["t"] + 0.7),
+        "keypose timestep a string": lambda kps: kps[1].update(t=str(kps[1]["t"])),
+        "keypose timestep a bool": lambda kps: kps[0].update(t=False),
+        "keypose position strings": lambda kps: kps[1].update(pos_mm=[str(v) for v in kps[1]["pos_mm"]]),
+        "keypose gripper a bool": lambda kps: kps[1].update(gripper=kps[1]["gripper"] >= 0.5),
     }
 
     @pytest.mark.parametrize(

@@ -18,40 +18,40 @@ from demoforge.gateway import (
 class TestMockGateway:
     def test_canned_response_zero_retries(self):
         gw = MockGateway(responses=["A"])
-        assert gw.fresh_session().complete("hello") == "A"
+        assert gw.fresh_session().complete("hello", temperature=0.0) == "A"
         [entry] = gw.audit_log.entries()
         assert entry.retries == 0
         assert entry.response == "A"
 
     def test_fail_twice_then_answer(self):
         gw = MockGateway(responses=[TransientFailure(), TransientFailure(), "ok"])
-        assert gw.fresh_session().complete("hello") == "ok"
+        assert gw.fresh_session().complete("hello", temperature=0.0) == "ok"
         [entry] = gw.audit_log.entries()
         assert entry.retries == 2
 
     def test_persistent_failure_exhausts(self):
         gw = MockGateway(responses=[TransientFailure()] * 5)
         with pytest.raises(GatewayError) as err:
-            gw.fresh_session().complete("hello")
+            gw.fresh_session().complete("hello", temperature=0.0)
         assert err.value.kind == "exhausted"
 
     def test_script_exhaustion(self):
         gw = MockGateway(responses=["only one"])
-        gw.fresh_session().complete("a")
+        gw.fresh_session().complete("a", temperature=0.0)
         with pytest.raises(GatewayError) as err:
-            gw.fresh_session().complete("b")
+            gw.fresh_session().complete("b", temperature=0.0)
         assert err.value.kind == "script"
 
     def test_sessions_are_stateless(self):
         gw = MockGateway(responder=lambda prompt: f"echo:{prompt}")
         s1, s2 = gw.fresh_session(), gw.fresh_session()
-        assert s1.complete("same") == s2.complete("same") == "echo:same"
+        assert s1.complete("same", temperature=0.0) == s2.complete("same", temperature=0.0) == "echo:same"
 
     def test_session_ids_distinct_and_logged(self):
         gw = MockGateway(responses=["x", "y"])
         s1, s2 = gw.fresh_session(), gw.fresh_session()
-        s1.complete("p1")
-        s2.complete("p2")
+        s1.complete("p1", temperature=0.0)
+        s2.complete("p2", temperature=0.0)
         ids = [e.session_id for e in gw.audit_log.entries()]
         assert len(set(ids)) == 2
         assert ids[0] == s1.session_id and ids[1] == s2.session_id
@@ -61,13 +61,21 @@ class TestMockGateway:
         for _ in range(2):
             gw = MockGateway(responses=["r1", "r2"])
             s = gw.fresh_session()
-            outs.append((s.complete("a"), s.complete("b")))
+            outs.append((s.complete("a", temperature=0.0), s.complete("b", temperature=0.0)))
         assert outs[0] == outs[1]
 
     def test_empty_prompt_rejected(self):
         gw = MockGateway(responses=["x"])
         with pytest.raises(ValueError):
-            gw.fresh_session().complete("")
+            gw.fresh_session().complete("", temperature=0.0)
+
+    def test_temperature_is_required(self):
+        gw = MockGateway(responses=["x"])
+        with pytest.raises(TypeError, match="temperature"):
+            gw.fresh_session().complete("hello")
+        with pytest.raises(TypeError):
+            gw.fresh_session().complete("hello", top_p=0.9, temperature=0.0)
+        assert gw.audit_log.entries() == []
 
     def test_requires_exactly_one_source(self):
         with pytest.raises(ValueError):
@@ -80,8 +88,8 @@ def test_audit_log_file_round_trip(tmp_path):
     path = tmp_path / "audit.jsonl"
     gw = MockGateway(responses=["first", "second"], audit_log=AuditLog(path))
     s = gw.fresh_session()
-    s.complete("p1", attachments=[Attachment(b"\x89PNG", "image/png")])
-    gw.fresh_session().complete("p2")
+    s.complete("p1", attachments=[Attachment(b"\x89PNG", "image/png")], temperature=0.0)
+    gw.fresh_session().complete("p2", temperature=0.0)
     back = AuditLog.read(path)
     assert [e.to_json() for e in back] == [e.to_json() for e in gw.audit_log.entries()]
     assert back[0].attachments == [{"media_type": "image/png", "bytes": 4}]
@@ -159,7 +167,7 @@ class TestHttpGateway:
     def test_transient_then_success(self, http_env):
         calls = http_env([500, 429, 200])
         gw = _gw()
-        assert gw.fresh_session().complete("hello") == "answer"
+        assert gw.fresh_session().complete("hello", temperature=0.0) == "answer"
         assert len(calls) == 3
         assert gw.audit_log.entries()[0].retries == 2
 
@@ -167,27 +175,27 @@ class TestHttpGateway:
         calls = http_env([200])
         monkeypatch.delenv("DEMOFORGE_API_KEY")
         with pytest.raises(GatewayError) as err:
-            _gw().fresh_session().complete("hello")
+            _gw().fresh_session().complete("hello", temperature=0.0)
         assert err.value.kind == "auth"
         assert calls == []  # never touched the wire
 
     def test_auth_rejection_no_retry(self, http_env):
         calls = http_env([401, 200])
         with pytest.raises(GatewayError) as err:
-            _gw().fresh_session().complete("hello")
+            _gw().fresh_session().complete("hello", temperature=0.0)
         assert err.value.kind == "auth"
         assert len(calls) == 1
 
     def test_timeout_exhausts_distinguishably(self, http_env):
         http_env([requests.Timeout("slow")] * 4)
         with pytest.raises(GatewayError) as err:
-            _gw().fresh_session().complete("hello")
+            _gw().fresh_session().complete("hello", temperature=0.0)
         assert err.value.kind == "exhausted"
         assert "timeout" in str(err.value)
 
     def test_attachments_serialized(self, http_env):
         calls = http_env([200])
-        _gw().fresh_session().complete("look", attachments=[Attachment(b"\x01\x02", "image/jpeg")])
+        _gw().fresh_session().complete("look", attachments=[Attachment(b"\x01\x02", "image/jpeg")], temperature=0.0)
         content = calls[0]["json"]["messages"][0]["content"]
         assert content[0] == {"type": "text", "text": "look"}
         assert content[1]["media_type"] == "image/jpeg"
@@ -209,7 +217,7 @@ class TestHttpGateway:
         # not a reply to parse and restart on: the campaign checkpoints and the CLI exits 3
         calls = http_env([_BodyResponse(body), 200])
         with pytest.raises(GatewayError) as err:
-            _gw().fresh_session().complete("hello", [])
+            _gw().fresh_session().complete("hello", [], temperature=0.0)
         assert err.value.kind == "transport"
         assert len(calls) == 1
 

@@ -25,9 +25,9 @@ class TemperatureGateway(MockGateway):
         super().__init__(responses=responses)
         self.temperatures = []
 
-    def _transport(self, prompt, attachments, params):
-        self.temperatures.append(params["temperature"])
-        return super()._transport(prompt, attachments, params)
+    def _transport(self, prompt, attachments, temperature):
+        self.temperatures.append(temperature)
+        return super()._transport(prompt, attachments, temperature)
 
 
 def small_demo():

@@ -153,6 +153,20 @@ class TestRetarget:
         with pytest.raises(RetargetFailed):
             retarget(gw, ann, TASK, scene())
 
+    @pytest.mark.parametrize(
+        "patch", [{"t": 0.0}, {"t": "0"}, {"t": False}, {"pos_mm": ["0", "0", "250"]}, {"euler_deg": [0, True, 0]}],
+        ids=repr,
+    )
+    def test_mistyped_keypose_field_is_retried(self, patch):
+        # once coerced by int() and np.asarray: a float or bool t, number strings in a pose
+        ann = simple_annotation()
+        good = [k.to_json() for k in ann.keyposes]
+        bad = [{**good[0], **patch}] + good[1:]
+        gw = MockGateway(responses=[json.dumps({"keyposes": bad}), json.dumps({"keyposes": good})])
+        out = retarget(gw, ann, TASK, scene())
+        assert [k.timestep for k in out] == [0, 10, 20, 30]
+        assert len(gw.audit_log.entries()) == 2
+
     def test_non_finite_pose_is_malformed(self):
         ann = simple_annotation()
 
@@ -183,7 +197,7 @@ class TestScriptedRetarget:
         out = scripted_retarget(ann, obs, obs)
         for a, b in zip(ann.keyposes, out):
             assert np.array_equal(b.position, a.position)
-            assert b.rotation.allclose(a.rotation, atol=1e-12)
+            assert np.allclose(b.rotation.as_matrix(), a.rotation.as_matrix(), atol=1e-12)
             assert b.timestep == a.timestep
             assert b.gripper == a.gripper
 
@@ -227,7 +241,7 @@ class TestScriptedRetarget:
         new = scene(block_yaw=25.0)
         out = scripted_retarget(ann, new, old)
         want = Rotation.about_z_deg(25.0) @ ann.keyposes[1].rotation
-        assert out[1].rotation.allclose(want, atol=1e-12)
+        assert np.allclose(out[1].rotation.as_matrix(), want.as_matrix(), atol=1e-12)
         assert np.allclose(out[1].position, ann.keyposes[1].position, atol=1e-15)
 
     def test_noise_statistics_match_request(self):

@@ -101,7 +101,6 @@ class TestStep:
         before = state.objects["block"].position.copy()
         rp = state.robot_pose.position.copy()
         sw.step(state, hold_action(state))
-        assert state.t == 1
         assert np.array_equal(state.robot_pose.position, rp)
         assert np.array_equal(state.objects["block"].position, before)
 
@@ -171,7 +170,7 @@ class TestAttachment:
             want = ee.compose(offset)
             got = state.objects["block"]
             assert np.allclose(got.position, want.translation, atol=1e-12)
-            assert got.rotation.allclose(Rotation(want.rotation.as_matrix()), atol=1e-12)
+            assert np.allclose(got.rotation.as_matrix(), want.rotation.as_matrix(), atol=1e-12)
 
     def test_open_detaches_and_rests(self):
         state = self.grab_block()
@@ -305,7 +304,6 @@ class TestRollout:
         before = state.robot_pose.position.copy()
         sw.rollout(state, demo_segment(demo))
         assert np.array_equal(state.robot_pose.position, before)
-        assert state.t == 0
 
     def test_pick_place_predicate_hand_constructed(self):
         state, _ = sw.reset(sw.TaskSpec("pick_place"), 8)
@@ -399,7 +397,7 @@ def fuzzed_trajectory(rng, traj):
 
 def assert_states_bitwise(got, want):
     assert pose_bits(got.robot_pose) == pose_bits(want.robot_pose)
-    for field in ("gripper", "attached_object", "frozen", "t"):
+    for field in ("gripper", "attached_object", "frozen"):
         assert getattr(got, field) == getattr(want, field), field
     assert [(k, pose_bits(p)) for k, p in got.objects.items()] == [(k, pose_bits(p)) for k, p in want.objects.items()]
     offsets = [
@@ -540,7 +538,6 @@ class TestDeterminism:
         state, _ = sw.reset(sw.TaskSpec("stack_walking"), 13)
         clone = state.copy()
         sw.step(state, hold_action(state))
-        assert clone.t == 0
         assert not np.array_equal(
             state.objects["blue_block"].position, clone.objects["blue_block"].position
         )

@@ -2,9 +2,10 @@
 module, every module-level private name is read somewhere in the package,
 scipy's checked ``Rotation.from_matrix`` is reached only through the one
 guarded helper and ``betaincinv`` only through the certified argmax's
-fallback, only the one query function opens gateway sessions, the names the
-benchmark rebinds in ``demoforge.campaign`` still exist and are read there,
-and the benchmark's own self-tests pass against the package."""
+fallback, only the one query function opens gateway sessions, every name the
+benchmark imports from the package resolves, the names the benchmark rebinds
+in ``demoforge.campaign`` still exist and are read there, and the benchmark's
+own self-tests pass against the package."""
 import ast
 import importlib
 import inspect
@@ -194,6 +195,43 @@ def test_only_the_query_function_opens_sessions():
     # only the one query loop mints sessions
     reads = {p.stem: attribute_reads(ast.parse(p.read_text()), "fresh_session") for p in sorted(PACKAGE.glob("*.py"))}
     assert {module: found for module, found in reads.items() if found} == {"gateway": ["query"]}
+
+
+def package_imports(source: str) -> list[tuple[str, str | None]]:
+    """(module, name) for each name of a ``from demoforge... import`` and
+    (module, None) for each ``import demoforge...``, at any depth of ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "demoforge":
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names if alias.name.split(".")[0] == "demoforge"]
+    return found
+
+
+def test_package_import_checker_finds_nested_imports():
+    source = (
+        "import os\nimport demoforge.campaign as c\nfrom demoforgery import x\n"
+        "def f():\n    from demoforge.annotation import a, b as c\n    from demoforge import bandit\n"
+    )
+    assert package_imports(source) == [
+        ("demoforge.campaign", None), ("demoforge.annotation", "a"), ("demoforge.annotation", "b"), ("demoforge", "bandit"),
+    ]
+
+
+def test_bench_package_imports_resolve():
+    # the benchmark imports some names inside functions (session.py's fault
+    # exceptions among them): deleting one must fail here, not in a benchmark run
+    imports = [(p.name, *found) for p in sorted((ROOT / "bench").glob("*.py")) for found in package_imports(p.read_text())]
+    missing = []
+    for file, module, name in imports:
+        try:
+            target = importlib.import_module(module)
+            if name is not None and not hasattr(target, name):
+                importlib.import_module(f"{module}.{name}")  # a submodule not yet imported
+        except ImportError:
+            missing.append(f"{file}: {module}" + (f".{name}" if name else ""))
+    assert imports and missing == []
 
 
 def test_bench_rebinding_targets_exist(monkeypatch):

@@ -39,14 +39,14 @@ class TestComputeWarp:
         a, b = p(0.1, 0.2, 0.3), p(0.4, 0.5, 0.6)
         tf = compute_warp(a, b, a, b)
         assert tf.scale == pytest.approx(1.0, abs=1e-12)
-        assert tf.rotation.allclose(Rotation.identity(), atol=1e-9)
+        assert np.allclose(tf.rotation.as_matrix(), np.eye(3), atol=1e-9)
         assert np.allclose(tf.translation, 0.0, atol=1e-9)
 
     def test_x_chord_to_y_chord_is_90_about_z(self):
         # frozen grid-search oracle (1e-4 resolution): max z.R.z = 1.0 at phi = 0,
         # which lands on exactly Rz(90 deg)
         tf = compute_warp(p(0, 0, 0), p(1, 0, 0), p(0, 0, 0), p(0, 1, 0))
-        assert tf.rotation.allclose(Rotation.about_z_deg(90.0), atol=1e-9)
+        assert np.allclose(tf.rotation.as_matrix(), Rotation.about_z_deg(90.0).as_matrix(), atol=1e-9)
         m = tf.rotation.as_matrix()
         assert m[2, 2] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(tf.translation, 0.0, atol=1e-12)
@@ -57,7 +57,7 @@ class TestComputeWarp:
     def test_collinear_stretch(self):
         tf = compute_warp(p(0, 0, 0), p(1, 0, 0), p(0, 0, 0), p(2, 0, 0))
         assert tf.scale == pytest.approx(2.0, abs=1e-12)
-        assert tf.rotation.allclose(Rotation.identity(), atol=1e-9)
+        assert np.allclose(tf.rotation.as_matrix(), np.eye(3), atol=1e-9)
 
     def test_endpoint_exactness_random(self):
         rng = np.random.default_rng(42)
@@ -109,7 +109,7 @@ class TestComputeWarp:
         # new chord parallel to z: objective is flat, tie-break must pick the
         # smallest total rotation; mapping z-chord onto itself needs none at all
         tf = compute_warp(p(0, 0, 0), p(0, 0, 1), p(0.2, 0, 0), p(0.2, 0, 1))
-        assert tf.rotation.allclose(Rotation.identity(), atol=1e-9)
+        assert np.allclose(tf.rotation.as_matrix(), np.eye(3), atol=1e-9)
         tf2 = compute_warp(p(0, 0, 0), p(0, 0, 1), p(0.2, 0, 0), p(0.2, 0, 1))
         assert np.array_equal(tf.rotation.as_matrix(), tf2.rotation.as_matrix())
 
@@ -117,7 +117,7 @@ class TestComputeWarp:
         a = p(0.1, 0.1, 0.1)
         tf = compute_warp(a, a, p(0.5, 0, 0), p(0.5, 0, 0))
         assert tf.scale == 1.0
-        assert tf.rotation.allclose(Rotation.identity(), atol=1e-12)
+        assert np.allclose(tf.rotation.as_matrix(), np.eye(3), atol=1e-12)
         assert np.allclose(tf.transform_point(a.position), [0.5, 0, 0], atol=1e-12)
 
     def test_degenerate_old_chord_raises(self):
@@ -159,7 +159,7 @@ class TestWarpPositions:
         seg = segment([p(0, 0, 0, rot), p(1, 0, 0, rot)], [0.0, 0.0])
         out = warp_positions(seg, RigidTransform(Rotation.about_z_deg(90.0), np.zeros(3)))
         for q in map(out.pose, range(len(out))):
-            assert q.rotation.allclose(rot, atol=1e-12)
+            assert np.allclose(q.rotation.as_matrix(), rot.as_matrix(), atol=1e-12)
 
 
 class TestWarpRotations:
@@ -170,20 +170,20 @@ class TestWarpRotations:
         rots = [Rotation.about_z_deg(a) for a in (0.0, 20.0, 50.0)]
         out = warp_rotations(self._seg(rots), rots[0], rots[-1])
         for got, want in zip(map(out.pose, range(len(out))), rots):
-            assert got.rotation.allclose(want, atol=1e-9)
+            assert np.allclose(got.rotation.as_matrix(), want.as_matrix(), atol=1e-9)
 
     def test_constant_delta(self):
         rots = [Rotation.about_z_deg(a) for a in (0.0, 20.0, 50.0)]
         dz = Rotation.about_z_deg(90.0)
         out = warp_rotations(self._seg(rots), dz @ rots[0], dz @ rots[-1])
         for got, base in zip(map(out.pose, range(len(out))), rots):
-            assert got.rotation.allclose(dz @ base, atol=1e-9)
+            assert np.allclose(got.rotation.as_matrix(), (dz @ base).as_matrix(), atol=1e-9)
 
     def test_midpoint_delta_is_half_turn(self):
         # frozen quaternion-slerp oracle: midpoint of I -> Rz(90) is Rz(45)
         rots = [Rotation.identity()] * 3
         out = warp_rotations(self._seg(rots), Rotation.identity(), Rotation.about_z_deg(90.0))
-        assert out.pose(1).rotation.allclose(Rotation.about_z_deg(45.0), atol=1e-6)
+        assert np.allclose(out.pose(1).rotation.as_matrix(), Rotation.about_z_deg(45.0).as_matrix(), atol=1e-6)
 
     def test_midpoint_matches_quaternion_oracle_random(self):
         rng = np.random.default_rng(23)
@@ -253,7 +253,7 @@ class TestWarpTrajectoryByKeyposes:
         assert len(out) == len(demo)
         for t in range(len(demo)):
             assert np.allclose(out.pose(t).position, demo.action(t).pose.position, atol=1e-9)
-            assert out.pose(t).rotation.allclose(demo.action(t).pose.rotation, atol=1e-9)
+            assert np.allclose(out.pose(t).rotation.as_matrix(), demo.action(t).pose.rotation.as_matrix(), atol=1e-9)
             assert out.gripper[t] == demo.action(t).gripper
 
     def test_single_segment_end_shift(self):
@@ -276,7 +276,7 @@ class TestWarpTrajectoryByKeyposes:
         assert np.allclose(out.pose(0).position, new[0][1].position, atol=1e-9)
         assert np.allclose(out.pose(5).position, moved.position, atol=1e-9)
         assert np.allclose(out.pose(10).position, new[2][1].position, atol=1e-9)
-        assert out.pose(5).rotation.allclose(moved.rotation, atol=1e-9)
+        assert np.allclose(out.pose(5).rotation.as_matrix(), moved.rotation.as_matrix(), atol=1e-9)
 
     def test_boundary_is_bitwise_shared(self):
         demo = self._demo()
