@@ -26,6 +26,7 @@ import numpy as np
 from .demos import Demonstration, Observation
 from .gateway import MalformedResponse, query
 from .geometry import Pose, Rotation, euler_degrees, pose_rows_text, pose_text
+from .simworld import BUNDLED_TASKS
 
 VIEWFRAME_CAP = 8
 MAX_RETRIES = 3
@@ -211,7 +212,10 @@ def parse_viewframes(text: str, horizon: int) -> list[int]:
     keeps first mention, the cap keeps the first VIEWFRAME_CAP distinct
     frames, and the result is sorted.
     """
-    tokens = [int(tok) for tok in _INT_TOKEN.findall(text)]
+    try:
+        tokens = [int(tok) for tok in _INT_TOKEN.findall(text)]
+    except ValueError as err:  # a token past int()'s digit limit
+        raise MalformedResponse(f"unreadable timestep: {err}") from None
     if not tokens:
         raise MalformedResponse(f"no timesteps in response: {text!r}")
     seen: list[int] = []
@@ -229,7 +233,7 @@ def reply_keyposes(text: str) -> tuple[dict, list]:
     m = re.search(r"```(?:json)?\s*(.*?)```", text, flags=re.DOTALL)
     try:
         doc = json.loads(m.group(1) if m else text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an integer past int()'s digit limit
         raise MalformedResponse(f"response is not JSON: {err}") from None
     items = doc.get("keyposes") if isinstance(doc, dict) else None
     if not isinstance(items, list):
@@ -352,8 +356,6 @@ def scripted_annotate(demo: Demonstration, task_kind: str) -> Annotation:
     tag) within 15 mm of the gripper; goal markers are never held, so they
     stay eligible and win the anchor at a release right on top of them.
     """
-    from .simworld import BUNDLED_TASKS
-
     if task_kind not in BUNDLED_TASKS:
         raise ValueError(f"unknown task kind {task_kind!r}; bundled: {sorted(BUNDLED_TASKS)}")
 

@@ -36,19 +36,19 @@ from .bandit import (
     record_outcome,
     thompson_select,
 )
-from .demos import Action, Demonstration, TrajectorySegment
+from .demos import Action, Demonstration, SceneObservation, TrajectorySegment
 from .ensemble import EnsembleState, ensemble_step
 from .gateway import GatewayError
 from .geometry import check_rotation_matrices
-from .retargeting import RetargetFailed, SceneObservation, retarget, scripted_retarget
+from .retargeting import RetargetFailed, retarget, scripted_retarget
 from .simworld import (
     BUNDLED_TASKS,
-    ScriptedPolicy,
     TaskSpec,
     inject_disturbance,
     record_demo,
     reset,
     rollout,
+    scripted_action,
     step,
     success,
 )
@@ -92,8 +92,8 @@ def _seeded(seed: int, tag: int, n: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag, int(n)]))
 
 
-def _scene_seed(seed: int, n: int) -> int:
-    return int(np.random.SeedSequence([int(seed), _TAG_SCENE, int(n)]).generate_state(1)[0])
+def _derived_seed(seed: int, tag: int, n: int) -> int:
+    return int(np.random.SeedSequence([int(seed), tag, int(n)]).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +266,7 @@ def evaluate_policy(policy, spec: TaskSpec, n_trials: int, seed: int = 0) -> Eva
         raise ValueError("n_trials must be >= 1")
     wins = 0
     for i in range(n_trials):
-        trial_seed = int(np.random.SeedSequence([int(seed), _TAG_EVAL, i]).generate_state(1)[0])
-        wins += bool(policy(spec, trial_seed))
+        wins += bool(policy(spec, _derived_seed(seed, _TAG_EVAL, i)))
     lo, hi = wilson_interval(wins, n_trials)
     return EvalReport(n_trials, wins, wins / n_trials, lo, hi)
 
@@ -288,11 +287,10 @@ def scripted_runner():
 
     def run(spec: TaskSpec, scene_seed: int) -> bool:
         state, _ = reset(spec, scene_seed)
-        policy = ScriptedPolicy(spec)
         for _ in range(SCRIPTED_MAX_STEPS):
             if success(state):
                 return True
-            act = policy.action(state)
+            act = scripted_action(state)
             if act is None:
                 break
             step(state, act)
@@ -345,7 +343,6 @@ def run_ensemble_episode(state, traj: TrajectorySegment, disturbances=None) -> E
     hold-position action. ``disturbances`` are (env step, object, delta).
     """
     state = state.copy()
-    policy = ScriptedPolicy(state.spec)
     es = EnsembleState.initial(traj)
     by_step: dict[int, list[tuple[str, np.ndarray]]] = {}
     for idx, obj, delta in disturbances or []:
@@ -357,7 +354,7 @@ def run_ensemble_episode(state, traj: TrajectorySegment, disturbances=None) -> E
             break
         for obj, delta in by_step.get(i, []):
             inject_disturbance(state, obj, delta)
-        fb = policy.action(state) or Action(state.robot_pose, state.gripper)
+        fb = scripted_action(state) or Action(state.robot_pose, state.gripper)
         act, es = ensemble_step(es, fb, state.robot_pose, state.gripper)
         step(state, act)
         steps += 1
@@ -708,7 +705,7 @@ def run_campaign(cfg: CampaignConfig, gateway=None, resume: bool = False) -> Cam
         if cfg.max_rollouts is not None and rollouts >= cfg.max_rollouts:
             break
         minted = _should_mint(cfg, state, rollouts, prior_cache)
-        scene_seed = _scene_seed(cfg.seed, rollouts)
+        scene_seed = _derived_seed(cfg.seed, _TAG_SCENE, rollouts)
         try:
             if minted:
                 meta = _mint_arm(cfg, state, sources, summaries, gateway)

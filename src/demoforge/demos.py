@@ -4,7 +4,9 @@ A demonstration is the unit everything else consumes: the summarizer reads
 it, the warper reshapes it, the dataset writer serializes it. It is held as
 aligned columns, one row per timestep 0..T; poses are meters/radians
 internally. ``Observation`` and ``Action`` are the per-step edge views the
-annotators read, built from the columns on demand.
+annotators read, built from the columns on demand. ``SceneObservation`` is
+a scene's initial snapshot, as the world's reset returns it and the
+retargeters read it.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Pose, Rotation
+from .geometry import Pose, Rotation, pose_text
 
 GRIPPER_OPEN = 1.0
 GRIPPER_CLOSED = 0.0
@@ -123,3 +125,21 @@ class Demonstration:
         """Timesteps where the commanded gripper changes from the previous step."""
         g = self.actions.gripper
         return (np.flatnonzero(g[1:] != g[:-1]) + 1).tolist()
+
+
+@dataclass
+class SceneObservation:
+    """Initial observation of a scene: robot pose plus an object pose map."""
+
+    robot_pose: Pose
+    objects: dict[str, Pose] = field(default_factory=dict)
+    task_metadata: dict = field(default_factory=dict)
+
+    def text(self) -> str:
+        # the robot's rotation relative to its own home rotation: always zero
+        lines = [f"robot {pose_text(Pose(self.robot_pose.position))}"]
+        for name in self.objects:
+            lines.append(f"{name} {pose_text(self.objects[name])}")
+        for key, value in self.task_metadata.items():
+            lines.append(f"{key}: {value}")
+        return "\n".join(lines)

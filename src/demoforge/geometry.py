@@ -121,6 +121,10 @@ class Rotation:
     def inverse(self) -> "Rotation":
         return Rotation(self._m.T)
 
+    def yaw_deg(self) -> float:
+        """Heading about z in degrees: the angle of the rotated x axis in the xy-plane."""
+        return float(np.degrees(np.arctan2(self._m[1, 0], self._m[0, 0])))
+
     def __matmul__(self, other: "Rotation") -> "Rotation":
         if not isinstance(other, Rotation):
             return NotImplemented
@@ -173,11 +177,11 @@ class Pose:
 
 @dataclass
 class RigidTransform:
-    """Similarity transform p -> scale * R p + t.
+    """The warp's similarity transform p -> scale * R p + t, as compute_warp
+    in the warping module returns it.
 
-    scale == 1.0 is a true rigid transform; compute_warp in the warping
-    module returns scale != 1 only when the two chords it aligns have
-    different lengths.
+    scale == 1.0 is a true rigid transform; compute_warp returns scale != 1
+    only when the two chords it aligns have different lengths.
     """
 
     rotation: Rotation = field(default_factory=Rotation.identity)
@@ -190,27 +194,8 @@ class RigidTransform:
         if not self.scale > 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Transform applying ``other`` first, then ``self``."""
-        return RigidTransform(
-            rotation=self.rotation @ other.rotation,
-            translation=self.scale * self.rotation.apply(other.translation) + self.translation,
-            scale=self.scale * other.scale,
-        )
-
-    def inverse(self) -> "RigidTransform":
-        inv_rot = self.rotation.inverse()
-        return RigidTransform(
-            rotation=inv_rot,
-            translation=-inv_rot.apply(self.translation) / self.scale,
-            scale=1.0 / self.scale,
-        )
-
     def transform_point(self, p: np.ndarray) -> np.ndarray:
         return self.scale * self.rotation.apply(p) + self.translation
-
-    def transform_pose(self, pose: Pose) -> Pose:
-        return Pose(self.transform_point(pose.position), self.rotation @ pose.rotation)
 
 
 def pose_rows_text(positions: np.ndarray, euler_deg: np.ndarray) -> list[str]:

@@ -10,13 +10,13 @@ retargeters of varying quality for the bandit to sort out).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .annotation import MAX_RETRIES, Keypose, TaskDescription, render_prompt, reply_keyposes
+from .demos import SceneObservation
 from .gateway import MalformedResponse, query
-from .geometry import Pose, Rotation, pose_text
+from .geometry import Pose, Rotation
 
 
 class RetargetFailed(RuntimeError):
@@ -25,24 +25,6 @@ class RetargetFailed(RuntimeError):
 
 class UnknownObject(KeyError):
     """A keypose references an object absent from an observation."""
-
-
-@dataclass
-class SceneObservation:
-    """Initial observation of a scene: robot pose plus an object pose map."""
-
-    robot_pose: Pose
-    objects: dict[str, Pose] = field(default_factory=dict)
-    task_metadata: dict = field(default_factory=dict)
-
-    def text(self) -> str:
-        # the robot's rotation relative to its own home rotation: always zero
-        lines = [f"robot {pose_text(Pose(self.robot_pose.position))}"]
-        for name in self.objects:
-            lines.append(f"{name} {pose_text(self.objects[name])}")
-        for key, value in self.task_metadata.items():
-            lines.append(f"{key}: {value}")
-        return "\n".join(lines)
 
 
 def _parse_retarget_response(text: str, original: list[Keypose]) -> list[Keypose]:
@@ -85,11 +67,6 @@ def retarget(
     )
 
 
-def _yaw_deg(rot: Rotation) -> float:
-    m = rot.as_matrix()
-    return float(np.degrees(np.arctan2(m[1, 0], m[0, 0])))
-
-
 def scripted_retarget(
     ann,
     obs: SceneObservation,
@@ -114,7 +91,7 @@ def scripted_retarget(
         if name not in obs.objects or name not in old_obs.objects:
             raise UnknownObject(f"{name!r} missing from observation")
         delta = obs.objects[name].position - old_obs.objects[name].position
-        dyaw = _yaw_deg(obs.objects[name].rotation) - _yaw_deg(old_obs.objects[name].rotation)
+        dyaw = obs.objects[name].rotation.yaw_deg() - old_obs.objects[name].rotation.yaw_deg()
         new_pos = kp.position + delta
         if noise_std > 0.0:
             new_pos = new_pos + rng.normal(0.0, noise_std, size=3)

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .demos import Action, Demonstration, GRIPPER_CLOSED, GRIPPER_OPEN, TrajectorySegment
-from .geometry import Pose, RigidTransform, Rotation
-from .retargeting import SceneObservation
+from .demos import Action, Demonstration, GRIPPER_CLOSED, GRIPPER_OPEN, SceneObservation, TrajectorySegment
+from .geometry import Pose, Rotation
 
 BUNDLED_TASKS = ("pick_place", "stack", "stack_flipped", "stack_walking", "drawer_mug")
 
@@ -80,7 +79,7 @@ class WorldState:
     goal_regions: dict[str, Region]
     rng: np.random.Generator
     attached_object: str | None = None
-    attach_offset: RigidTransform | None = None
+    attach_offset: Pose | None = None  # the held object's pose in the gripper frame
     frozen: set[str] = field(default_factory=set)
     task_metadata: dict = field(default_factory=dict)
 
@@ -222,7 +221,7 @@ def step(state: WorldState, action: Action) -> WorldState:
         name = state.attached_object
         if name == "drawer":
             closed_x = state.task_metadata["drawer_closed_x"]
-            raw_x = state.robot_pose.position[0] - state.attach_offset.translation[0]
+            raw_x = state.robot_pose.position[0] - state.attach_offset.position[0]
             new_x = float(np.clip(raw_x, closed_x - state.task_metadata["drawer_travel"], closed_x))
             old = state.objects["drawer"]
             dx = new_x - old.position[0]
@@ -233,17 +232,17 @@ def step(state: WorldState, action: Action) -> WorldState:
                 mug = state.objects["mug"]
                 state.objects["mug"] = Pose(mug.position + np.array([dx, 0.0, 0.0]), mug.rotation)
         else:
-            ee = RigidTransform(state.robot_pose.rotation, state.robot_pose.position)
-            state.objects[name] = ee.compose(state.attach_offset).transform_pose(Pose(np.zeros(3)))
+            ee, off = state.robot_pose, state.attach_offset
+            state.objects[name] = Pose(ee.rotation.apply(off.position) + ee.position, ee.rotation @ off.rotation)
 
     closing = action.gripper < 0.5
     if closing and state.attached_object is None:
         name = _grabbable_object(state)
         if name is not None:
             state.frozen.add(name)
-            ee = RigidTransform(state.robot_pose.rotation, state.robot_pose.position)
-            obj = state.objects[name]
-            state.attach_offset = ee.inverse().compose(RigidTransform(obj.rotation, obj.position))
+            ee, obj = state.robot_pose, state.objects[name]
+            inv = ee.rotation.inverse()
+            state.attach_offset = Pose(inv.apply(obj.position) - inv.apply(ee.position), inv @ obj.rotation)
             state.attached_object = name
     elif not closing and state.attached_object is not None:
         name = state.attached_object
@@ -424,134 +423,132 @@ POLICY_STEP = 0.004
 POLICY_ANGULAR_STEP = 0.09
 
 
-class ScriptedPolicy:
-    """Closed-loop solver for the bundled tasks.
+def scripted_action(state: WorldState) -> Action | None:
+    """The closed-loop solver's next action for ``state.spec``'s task.
 
-    ``action(state)`` looks at the current state only; no internal memory.
+    Reads the current state only; nothing is remembered between calls.
     Returns None when the task is done and the arm is back at home hover.
     """
-
-    def __init__(self, spec: TaskSpec):
-        self.spec = spec
-
-    def action(self, state: WorldState) -> Action | None:
-        goal = self._goal(state)
-        if goal is None:
-            return None
-        goal_pose, grip = goal
-        inter = _step_pose_toward(state.robot_pose, goal_pose, POLICY_STEP, POLICY_ANGULAR_STEP)
-        return Action(inter, grip)
-
-    # -- task trees ---------------------------------------------------------
-
-    def _goal(self, state: WorldState) -> tuple[Pose, float] | None:
-        kind = self.spec.kind
-        if kind == "pick_place":
-            return self._pick_place(state)
-        if kind in ("stack", "stack_flipped", "stack_walking"):
-            return self._stack(state)
-        if kind == "drawer_mug":
-            return self._drawer_mug(state)
+    kind = state.spec.kind
+    if kind == "pick_place":
+        goal = _pick_place_goal(state)
+    elif kind in ("stack", "stack_flipped", "stack_walking"):
+        goal = _stack_goal(state)
+    elif kind == "drawer_mug":
+        goal = _drawer_mug_goal(state)
+    else:
         raise ValueError(kind)
+    if goal is None:
+        return None
+    goal_pose, grip = goal
+    return Action(_step_pose_toward(state.robot_pose, goal_pose, POLICY_STEP, POLICY_ANGULAR_STEP), grip)
 
-    def _home_or_done(self, state: WorldState) -> tuple[Pose, float] | None:
-        if _converged(state.robot_pose, HOME_POSE, 1e-9, 1e-9) and state.gripper >= 0.5:
-            return None
-        return HOME_POSE, GRIPPER_OPEN
 
-    def _pick_place(self, state: WorldState):
-        target = state.goal_regions["target_region"].center
-        if success(state):
-            return self._home_or_done(state)
-        if state.attached_object == "block":
-            return self._carry_to(state, np.array([target[0], target[1], BLOCK_HALF + 0.001]))
-        return self._fetch(state, "block")
+# -- task trees -------------------------------------------------------------
 
-    def _stack(self, state: WorldState):
-        if success(state):
-            return self._home_or_done(state)
-        order = state.goal_regions["goal_region"].color.split(",")
-        base = state.goal_regions["goal_region"].center
-        targets = {
-            order[0]: np.array([base[0], base[1], BLOCK_HALF + 0.001]),
-            order[1]: np.array([base[0], base[1], BLOCK_HALF + BLOCK_SIZE + 0.001]),
-        }
-        if state.attached_object in targets:
-            return self._carry_to(state, targets[state.attached_object])
-        for name in order:
-            placed = _norm(
-                state.objects[name].position - (targets[name] - np.array([0.0, 0.0, 0.001]))
-            ) <= POSITION_TOLERANCE / 2.0
-            if not placed:
-                return self._fetch(state, name)
-        return self._home_or_done(state)
 
-    def _drawer_mug(self, state: WorldState):
-        meta = state.task_metadata
-        opening = _drawer_opening(state)
-        handle = state.objects["drawer"].position
-        if drawer_mug_stage(state) == 4:
-            return self._home_or_done(state)
-        if _mug_in_drawer(state) and state.attached_object is None:
-            # close the drawer: grab the handle and push it back in
-            if opening <= 0.02:
-                return self._home_or_done(state)
-            grabbed = self._fetch(state, "drawer", grasp_only=True)
-            if grabbed is not None:
-                return grabbed
-            return Pose(np.array([meta["drawer_closed_x"], handle[1], handle[2]])), GRIPPER_CLOSED
-        if state.attached_object == "drawer":
-            if _mug_in_drawer(state):
-                target_x = meta["drawer_closed_x"]
-            else:
-                target_x = meta["drawer_closed_x"] - meta["drawer_travel"]
-            if abs(handle[0] - target_x) < 1e-6:
-                return state.robot_pose, GRIPPER_OPEN
-            return Pose(np.array([target_x, handle[1], handle[2]])), GRIPPER_CLOSED
-        if state.attached_object == "mug":
-            interior = _drawer_interior_center(state)
-            return self._carry_to(state, np.array([interior[0], interior[1], MUG_HALF + 0.001]))
-        if opening < 0.8 * meta["drawer_travel"]:
-            return self._fetch(state, "drawer", grasp_only=True) or (
-                Pose(np.array([meta["drawer_closed_x"] - meta["drawer_travel"], handle[1], handle[2]])),
-                GRIPPER_CLOSED,
-            )
-        return self._fetch(state, "mug")
+def _home_or_done(state: WorldState) -> tuple[Pose, float] | None:
+    if _converged(state.robot_pose, HOME_POSE, 1e-9, 1e-9) and state.gripper >= 0.5:
+        return None
+    return HOME_POSE, GRIPPER_OPEN
 
-    # -- shared motion primitives -------------------------------------------
 
-    def _fetch(self, state: WorldState, name: str, grasp_only: bool = False):
-        """Approach above, descend, close. Returns None (grasp_only) once held."""
-        if state.attached_object == name:
-            return None if grasp_only else self._carry_to(state, state.objects[name].position)
-        obj = state.objects[name]
-        m = obj.rotation._m
-        yaw = np.degrees(np.arctan2(m[1, 0], m[0, 0]))
-        rot = Rotation.about_z_deg(float(yaw)) if name != "drawer" else Rotation.identity()
-        above = Pose(np.array([obj.position[0], obj.position[1], obj.position[2] + APPROACH_HEIGHT]), rot)
-        grasp = Pose(obj.position, rot)
-        d_xy = _norm(state.robot_pose.position[:2] - obj.position[:2])
-        d = _norm(state.robot_pose.position - obj.position)
-        if d <= 0.008:
-            return grasp, GRIPPER_CLOSED
-        if d_xy <= 0.003 and state.robot_pose.position[2] <= obj.position[2] + APPROACH_HEIGHT + 1e-6:
-            return grasp, GRIPPER_OPEN
-        return above, GRIPPER_OPEN
+def _pick_place_goal(state: WorldState):
+    target = state.goal_regions["target_region"].center
+    if success(state):
+        return _home_or_done(state)
+    if state.attached_object == "block":
+        return _carry_to(state, np.array([target[0], target[1], BLOCK_HALF + 0.001]))
+    return _fetch(state, "block")
 
-    def _carry_to(self, state: WorldState, place: np.ndarray):
-        """Lift, traverse at carry height, descend, release on arrival."""
-        ee = state.robot_pose.position
-        d_xy = _norm(ee[:2] - place[:2])
-        if d_xy <= 1e-9 and abs(ee[2] - place[2]) <= 1e-9:
-            return Pose(place, state.robot_pose.rotation), GRIPPER_OPEN
-        if d_xy <= 0.003:
-            return Pose(place, state.robot_pose.rotation), GRIPPER_CLOSED
-        if ee[2] < CARRY_HEIGHT - 1e-6:
-            return Pose(np.array([ee[0], ee[1], CARRY_HEIGHT]), state.robot_pose.rotation), GRIPPER_CLOSED
-        return (
-            Pose(np.array([place[0], place[1], CARRY_HEIGHT]), state.robot_pose.rotation),
+
+def _stack_goal(state: WorldState):
+    if success(state):
+        return _home_or_done(state)
+    order = state.goal_regions["goal_region"].color.split(",")
+    base = state.goal_regions["goal_region"].center
+    targets = {
+        order[0]: np.array([base[0], base[1], BLOCK_HALF + 0.001]),
+        order[1]: np.array([base[0], base[1], BLOCK_HALF + BLOCK_SIZE + 0.001]),
+    }
+    if state.attached_object in targets:
+        return _carry_to(state, targets[state.attached_object])
+    for name in order:
+        placed = _norm(
+            state.objects[name].position - (targets[name] - np.array([0.0, 0.0, 0.001]))
+        ) <= POSITION_TOLERANCE / 2.0
+        if not placed:
+            return _fetch(state, name)
+    return _home_or_done(state)
+
+
+def _drawer_mug_goal(state: WorldState):
+    meta = state.task_metadata
+    opening = _drawer_opening(state)
+    handle = state.objects["drawer"].position
+    if drawer_mug_stage(state) == 4:
+        return _home_or_done(state)
+    if _mug_in_drawer(state) and state.attached_object is None:
+        # close the drawer: grab the handle and push it back in
+        if opening <= 0.02:
+            return _home_or_done(state)
+        grabbed = _fetch(state, "drawer", grasp_only=True)
+        if grabbed is not None:
+            return grabbed
+        return Pose(np.array([meta["drawer_closed_x"], handle[1], handle[2]])), GRIPPER_CLOSED
+    if state.attached_object == "drawer":
+        if _mug_in_drawer(state):
+            target_x = meta["drawer_closed_x"]
+        else:
+            target_x = meta["drawer_closed_x"] - meta["drawer_travel"]
+        if abs(handle[0] - target_x) < 1e-6:
+            return state.robot_pose, GRIPPER_OPEN
+        return Pose(np.array([target_x, handle[1], handle[2]])), GRIPPER_CLOSED
+    if state.attached_object == "mug":
+        interior = _drawer_interior_center(state)
+        return _carry_to(state, np.array([interior[0], interior[1], MUG_HALF + 0.001]))
+    if opening < 0.8 * meta["drawer_travel"]:
+        return _fetch(state, "drawer", grasp_only=True) or (
+            Pose(np.array([meta["drawer_closed_x"] - meta["drawer_travel"], handle[1], handle[2]])),
             GRIPPER_CLOSED,
         )
+    return _fetch(state, "mug")
+
+
+# -- shared motion primitives -----------------------------------------------
+
+
+def _fetch(state: WorldState, name: str, grasp_only: bool = False):
+    """Approach above, descend, close. Returns None (grasp_only) once held."""
+    if state.attached_object == name:
+        return None if grasp_only else _carry_to(state, state.objects[name].position)
+    obj = state.objects[name]
+    rot = Rotation.about_z_deg(obj.rotation.yaw_deg()) if name != "drawer" else Rotation.identity()
+    above = Pose(np.array([obj.position[0], obj.position[1], obj.position[2] + APPROACH_HEIGHT]), rot)
+    grasp = Pose(obj.position, rot)
+    d_xy = _norm(state.robot_pose.position[:2] - obj.position[:2])
+    d = _norm(state.robot_pose.position - obj.position)
+    if d <= 0.008:
+        return grasp, GRIPPER_CLOSED
+    if d_xy <= 0.003 and state.robot_pose.position[2] <= obj.position[2] + APPROACH_HEIGHT + 1e-6:
+        return grasp, GRIPPER_OPEN
+    return above, GRIPPER_OPEN
+
+
+def _carry_to(state: WorldState, place: np.ndarray):
+    """Lift, traverse at carry height, descend, release on arrival."""
+    ee = state.robot_pose.position
+    d_xy = _norm(ee[:2] - place[:2])
+    if d_xy <= 1e-9 and abs(ee[2] - place[2]) <= 1e-9:
+        return Pose(place, state.robot_pose.rotation), GRIPPER_OPEN
+    if d_xy <= 0.003:
+        return Pose(place, state.robot_pose.rotation), GRIPPER_CLOSED
+    if ee[2] < CARRY_HEIGHT - 1e-6:
+        return Pose(np.array([ee[0], ee[1], CARRY_HEIGHT]), state.robot_pose.rotation), GRIPPER_CLOSED
+    return (
+        Pose(np.array([place[0], place[1], CARRY_HEIGHT]), state.robot_pose.rotation),
+        GRIPPER_CLOSED,
+    )
 
 
 def record_demo(spec: TaskSpec, seed, demo_id: str = "") -> Demonstration:
@@ -562,10 +559,9 @@ def record_demo(spec: TaskSpec, seed, demo_id: str = "") -> Demonstration:
     bit for bit.
     """
     state, _ = reset(spec, seed)
-    policy = ScriptedPolicy(spec)
     rec = Recording(state)
     for _ in range(RECORD_MAX_STEPS):
-        act = policy.action(state)
+        act = scripted_action(state)
         if act is None:
             break
         rec.record(act)

@@ -373,10 +373,9 @@ def record_demo_steps_oracle(spec, seed, max_steps=3000):
     from demoforge import simworld as sw
 
     state, _ = sw.reset(spec, seed)
-    policy = sw.ScriptedPolicy(spec)
     steps = []
     for _ in range(max_steps):
-        act = policy.action(state)
+        act = sw.scripted_action(state)
         if act is None:
             break
         steps.append((observation_oracle(state), act))
@@ -406,6 +405,28 @@ def rollout_steps_oracle(state, traj, disturbances=None):
             sw.step(state, action)
             extra += 1
     return steps
+
+
+# -- grasp -------------------------------------------------------------------
+# The world's grasp maths as first shipped, through a unit-scale rigid
+# transform's compose, inverse and transform_pose, unrolled into numpy on the
+# same 3x3 matrices and in the same order of operations.
+
+
+def grasp_offset_oracle(ee_position, ee_rotation, obj_position, obj_rotation):
+    """(position, rotation matrix) of a grasped object in the gripper frame:
+    ee.inverse().compose(obj)."""
+    inv = ee_rotation.T
+    inv_translation = -(ee_position @ inv.T) / 1.0
+    return 1.0 * (obj_position @ inv.T) + inv_translation, inv @ obj_rotation
+
+
+def held_pose_oracle(ee_position, ee_rotation, offset_position, offset_rotation):
+    """(position, rotation matrix) of the held object:
+    ee.compose(offset).transform_pose(Pose(origin))."""
+    rotation = ee_rotation @ offset_rotation
+    translation = 1.0 * (offset_position @ ee_rotation.T) + ee_position
+    return 1.0 * (np.zeros(3) @ rotation.T) + translation, rotation @ np.eye(3)
 
 
 def demo_from_steps(steps, task="pick_place", **meta):

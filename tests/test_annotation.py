@@ -30,6 +30,7 @@ from demoforge.geometry import Pose, Rotation
 from oracles import demo_from_steps, summarize_demo_oracle
 
 TASK = TaskDescription("Pick up the block and place it on the target region.")
+LONG_INTEGER = "7" * 5000  # past int()'s default limit of 4300 digits
 
 
 def synthetic_demo(horizon=100, yaw_per_step=0.3):
@@ -239,6 +240,13 @@ class TestSelectViewframes:
     def test_prose_with_numbers_accepted(self):
         assert self.run("Frames 10 and 35 look key; maybe 90 too.") == [10, 35, 90]
 
+    def test_overlong_integer_restarts_then_fails(self):
+        # int() refuses more than 4300 digits with a bare ValueError, which once escaped the campaign
+        gw = MockGateway(responses=[f"frames 10 and {LONG_INTEGER}"] * 3 + ["unused"])
+        with pytest.raises(AnnotationFailed):
+            create_annotation(gw, synthetic_demo(100), TASK, max_retries=3)
+        assert len(gw.audit_log.entries()) == 3
+
 
 class TestAnnotate:
     def test_good_response_round_trip(self):
@@ -303,6 +311,14 @@ class TestAnnotate:
         assert [k.timestep for k in ann.keyposes] == [0, 10, 50, 100]
         assert all(k.relevant_objects in ([], ["block"]) for k in ann.keyposes)
         assert len(gw.audit_log.entries()) == 2
+
+    def test_overlong_integer_restarts_then_fails(self):
+        # json.loads raises a bare ValueError, not a JSONDecodeError, past int()'s 4300 digits
+        reply = '{"keyposes": [{"t": %s, "pos_mm": [0, 0, 0], "euler_deg": [0, 0, 0], "gripper": 1.0}]}' % LONG_INTEGER
+        gw = MockGateway(responses=[reply] * 3 + ["unused"])
+        with pytest.raises(AnnotationFailed):
+            annotate(gw, synthetic_demo(100), [10], TASK)
+        assert len(gw.audit_log.entries()) == 3
 
     def test_code_fenced_json_accepted(self):
         demo = synthetic_demo(100)

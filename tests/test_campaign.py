@@ -32,10 +32,10 @@ from demoforge.campaign import (
     wilson_interval,
     write_dataset,
 )
-from demoforge.demos import Action, Demonstration, Observation, ObjectObservation, TrajectorySegment
+from demoforge.demos import Action, Demonstration, Observation, ObjectObservation, SceneObservation, TrajectorySegment
 from demoforge.gateway import GatewayError, MockGateway, TransientFailure
 from demoforge.geometry import Pose, Rotation
-from demoforge.retargeting import RetargetFailed, SceneObservation, scripted_retarget
+from demoforge.retargeting import RetargetFailed, scripted_retarget
 from demoforge.simworld import ObjectAttached, TaskSpec, record_demo, reset
 from oracles import (
     demo_from_steps,
@@ -394,6 +394,14 @@ class TestEvaluate:
     def test_needs_at_least_one_trial(self):
         with pytest.raises(ValueError):
             evaluate_policy(scripted_runner(), TaskSpec("pick_place"), 0)
+
+    def test_scene_and_trial_seeds_are_pinned(self):
+        # datasets and evaluations replay from these: the seed derivation may not drift
+        scene_seeds = [campaign._derived_seed(s, campaign._TAG_SCENE, n) for s, n in ((0, 0), (0, 1), (1, 5), (7, 123))]
+        assert scene_seeds == [2218153353, 1729027044, 1393054867, 3324756085]
+        trial_seeds = []
+        evaluate_policy(lambda spec, s: trial_seeds.append(s) or True, TaskSpec("pick_place"), 3, seed=4)
+        assert trial_seeds == [3546456798, 1907355930, 3162882458]
 
     def test_clean_feedforward_is_perfect(self):
         src = record_demo(TaskSpec("pick_place"), 1001, demo_id="src")

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from demoforge.annotation import Annotation, Keypose, TaskDescription, annotate, create_annotation
-from demoforge.demos import Action, ObjectObservation, Observation
+from demoforge.demos import Action, ObjectObservation, Observation, SceneObservation
 from demoforge.gateway import GatewayError, MockGateway, TransientFailure
 from demoforge.geometry import Pose, Rotation
-from demoforge.retargeting import SceneObservation, retarget
+from demoforge.retargeting import retarget
 from oracles import annotate_oracle, create_annotation_oracle, demo_from_steps, retarget_oracle
 
 TASK = TaskDescription("Pick up the block and place it inside the goal region.")

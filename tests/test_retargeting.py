@@ -6,11 +6,11 @@ import pytest
 
 from demoforge import simworld as sw
 from demoforge.annotation import Annotation, Keypose, TaskDescription, scripted_annotate
+from demoforge.demos import SceneObservation
 from demoforge.gateway import MockGateway
 from demoforge.geometry import Pose, Rotation
 from demoforge.retargeting import (
     RetargetFailed,
-    SceneObservation,
     UnknownObject,
     retarget,
     scripted_retarget,
@@ -166,6 +166,16 @@ class TestRetarget:
         out = retarget(gw, ann, TASK, scene())
         assert [k.timestep for k in out] == [0, 10, 20, 30]
         assert len(gw.audit_log.entries()) == 2
+
+    def test_overlong_integer_restarts_then_fails(self):
+        # json.loads raises a bare ValueError, not a JSONDecodeError, past int()'s 4300 digits
+        ann = simple_annotation()
+        kps = [k.to_json() for k in ann.keyposes]
+        reply = json.dumps({"keyposes": kps}).replace('"t": 0', '"t": ' + "7" * 5000, 1)
+        gw = MockGateway(responses=[reply] * 3 + ["unused"])
+        with pytest.raises(RetargetFailed):
+            retarget(gw, ann, TASK, scene())
+        assert len(gw.audit_log.entries()) == 3
 
     def test_non_finite_pose_is_malformed(self):
         ann = simple_annotation()

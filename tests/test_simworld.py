@@ -10,6 +10,8 @@ from demoforge.warping import TrajectorySegment
 from oracles import (
     converged_oracle,
     demo_from_steps,
+    grasp_offset_oracle,
+    held_pose_oracle,
     record_demo_steps_oracle,
     rollout_steps_oracle,
     step_pose_toward_oracle,
@@ -164,13 +166,10 @@ class TestAttachment:
                 Rotation.about_z_deg(rng.uniform(-30, 30)),
             )
             sw.step(state, Action(goal, GRIPPER_CLOSED))
-            from demoforge.geometry import RigidTransform
-
-            ee = RigidTransform(state.robot_pose.rotation, state.robot_pose.position)
-            want = ee.compose(offset)
-            got = state.objects["block"]
-            assert np.allclose(got.position, want.translation, atol=1e-12)
-            assert np.allclose(got.rotation.as_matrix(), want.rotation.as_matrix(), atol=1e-12)
+            # the block's pose in the gripper frame stays the grasp offset
+            inv, got = state.robot_pose.rotation.inverse(), state.objects["block"]
+            assert np.allclose(inv.apply(got.position - state.robot_pose.position), offset.position, atol=1e-12)
+            assert np.allclose((inv @ got.rotation).as_matrix(), offset.rotation.as_matrix(), atol=1e-12)
 
     def test_open_detaches_and_rests(self):
         state = self.grab_block()
@@ -187,11 +186,9 @@ class TestAttachment:
             state.objects["blue_block"].position + np.array([0.0, 0.0, 0.1])
         )
         state.attached_object = "green_block"
-        from demoforge.geometry import RigidTransform
-
-        ee = RigidTransform(state.robot_pose.rotation, state.robot_pose.position)
-        obj = state.objects["green_block"]
-        state.attach_offset = ee.inverse().compose(RigidTransform(obj.rotation, obj.position))
+        ee, obj = state.robot_pose, state.objects["green_block"]
+        inv = ee.rotation.inverse()
+        state.attach_offset = Pose(inv.apply(obj.position - ee.position), inv @ obj.rotation)
         sw.step(state, hold_action(state, GRIPPER_OPEN))
         assert state.objects["green_block"].position[2] == pytest.approx(
             state.objects["blue_block"].position[2] + sw.BLOCK_SIZE, abs=1e-12
@@ -400,12 +397,71 @@ def assert_states_bitwise(got, want):
     for field in ("gripper", "attached_object", "frozen"):
         assert getattr(got, field) == getattr(want, field), field
     assert [(k, pose_bits(p)) for k, p in got.objects.items()] == [(k, pose_bits(p)) for k, p in want.objects.items()]
-    offsets = [
-        None if o is None else o.rotation.as_matrix().tobytes() + o.translation.tobytes()
-        for o in (got.attach_offset, want.attach_offset)
-    ]
+    offsets = [None if o is None else pose_bits(o) for o in (got.attach_offset, want.attach_offset)]
     assert offsets[0] == offsets[1]
     assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+
+def assert_grasp_matches_oracle(held_before, state):
+    """After one step: the offset of a grasp it made, or the pose it moved a
+    held object to, bit for bit that of the first-shipped rigid-transform
+    maths (tests/oracles.py). Says which it checked: "grasp", "held" or None."""
+    name, ee, offset = state.attached_object, state.robot_pose, state.attach_offset
+    if name is None or held_before == name == "drawer":  # a drawer slides; only its offset's x is read
+        return None
+    ee_matrices = (ee.position, ee.rotation.as_matrix())
+    if held_before != name:
+        got, obj = offset, state.objects[name]
+        want = grasp_offset_oracle(*ee_matrices, obj.position, obj.rotation.as_matrix())
+    else:
+        got = state.objects[name]
+        want = held_pose_oracle(*ee_matrices, offset.position, offset.rotation.as_matrix())
+    assert pose_bits(got) == want[0].tobytes() + want[1].tobytes()
+    return "grasp" if held_before != name else "held"
+
+
+def yaw_only_matrix(c, s, zero):
+    """A rotation about z built entry by entry, with ``zero`` (0.0 or -0.0)
+    and its negation in the z row and column."""
+    return np.array([[c, -s, zero], [s, c, -zero], [-zero, zero, 1.0]])
+
+
+class TestGraspMatchesOracle:
+    @pytest.mark.parametrize("kind", sw.BUNDLED_TASKS)
+    def test_record_demo(self, kind, monkeypatch):
+        step, seen = sw.step, set()
+
+        def checked_step(state, action):
+            held = state.attached_object
+            step(state, action)
+            seen.add(assert_grasp_matches_oracle(held, state))
+            return state
+
+        monkeypatch.setattr(sw, "step", checked_step)
+        sw.record_demo(sw.TaskSpec(kind), 4)
+        assert {"grasp", "held"} <= seen
+
+    def test_yaw_only_grasps_with_signed_zeros(self):
+        # quarter turns give exact 0.0 and -0.0 products; neither the grasp
+        # nor a held step may flip the sign of an exact-zero entry
+        turns = [(1.0, 0.0), (0.0, 1.0), (-1.0, -0.0), (-0.0, -1.0), (np.cos(0.5), np.sin(0.5))]
+        rotations = [yaw_only_matrix(c, s, zero) for c, s in turns for zero in (0.0, -0.0)]
+        places = [
+            (np.array([0.0, -0.0, 0.05]), np.array([-0.0, 0.0, 0.054])),
+            (np.array([-0.0, 0.0, -0.0]), np.array([0.0, -0.0, 0.0])),
+        ]
+        for ee_position, obj_position in places:
+            for ee_rotation in rotations:
+                for obj_rotation in rotations:
+                    state, _ = sw.reset(sw.TaskSpec("pick_place"), 5)
+                    state.robot_pose = Pose(ee_position, Rotation(ee_rotation.copy()))
+                    state.objects["block"] = Pose(obj_position, Rotation(obj_rotation.copy()))
+                    sw.step(state, hold_action(state, GRIPPER_CLOSED))
+                    assert assert_grasp_matches_oracle(None, state) == "grasp"
+                    for turn in rotations:
+                        state.robot_pose = Pose(ee_position, Rotation(turn.copy()))
+                        sw.step(state, hold_action(state, GRIPPER_CLOSED))
+                        assert assert_grasp_matches_oracle("block", state) == "held"
 
 
 class TestRecordingMatchesPerStepOracle:
@@ -484,6 +540,7 @@ class TestStepMatchesOracle:
         state, _ = sw.reset(sw.TaskSpec(kind), 31)
         twin = state.copy()
         grip = GRIPPER_OPEN
+        seen = set()
         for _ in range(600):
             if rng.random() < 0.15:
                 grip = 1.0 - grip
@@ -497,9 +554,12 @@ class TestStepMatchesOracle:
             else:
                 pose = state.robot_pose
             action = Action(pose, grip)
+            held = state.attached_object
             sw.step(state, action)
             under_oracle(monkeypatch, sw.step, twin, action)
             assert_states_bitwise(state, twin)
+            seen.add(assert_grasp_matches_oracle(held, state))
+        assert {"grasp", "held"} <= seen
 
     def test_norm_is_linalg_norm(self):
         rng = np.random.default_rng(47)
@@ -608,10 +668,9 @@ class TestDrawer:
     def test_stage_progression_in_scripted_demo(self):
         spec = sw.TaskSpec("drawer_mug")
         state, _ = sw.reset(spec, 1)
-        policy = sw.ScriptedPolicy(spec)
         stages = [sw.drawer_mug_stage(state)]
         for _ in range(5000):
-            act = policy.action(state)
+            act = sw.scripted_action(state)
             if act is None:
                 break
             sw.step(state, act)
@@ -645,12 +704,11 @@ class TestScriptedDemos:
     def test_policy_recovers_from_teleport(self):
         spec = sw.TaskSpec("pick_place")
         state, _ = sw.reset(spec, 21)
-        policy = sw.ScriptedPolicy(spec)
         for _ in range(40):
-            sw.step(state, policy.action(state))
+            sw.step(state, sw.scripted_action(state))
         sw.inject_disturbance(state, "block", np.array([0.05, -0.04, 0.0]))
         for _ in range(3000):
-            act = policy.action(state)
+            act = sw.scripted_action(state)
             if act is None:
                 break
             sw.step(state, act)

@@ -1,11 +1,12 @@
 """Source hygiene: every module-level import in the package is read by its
-module, every module-level private name is read somewhere in the package,
-scipy's checked ``Rotation.from_matrix`` is reached only through the one
-guarded helper and ``betaincinv`` only through the certified argmax's
-fallback, only the one query function opens gateway sessions, every name the
-benchmark imports from the package resolves, the names the benchmark rebinds
-in ``demoforge.campaign`` still exist and are read there, and the benchmark's
-own self-tests pass against the package."""
+module, no package module is imported below module level (where it would
+hide an import cycle), every module-level private name is read somewhere in
+the package, scipy's checked ``Rotation.from_matrix`` is reached only
+through the one guarded helper and ``betaincinv`` only through the certified
+argmax's fallback, only the one query function opens gateway sessions, every
+name the benchmark imports from the package resolves, the names the
+benchmark rebinds in ``demoforge.campaign`` still exist and are read there,
+and the benchmark's own self-tests pass against the package."""
 import ast
 import importlib
 import inspect
@@ -217,6 +218,34 @@ def test_package_import_checker_finds_nested_imports():
     assert package_imports(source) == [
         ("demoforge.campaign", None), ("demoforge.annotation", "a"), ("demoforge.annotation", "b"), ("demoforge", "bandit"),
     ]
+
+
+def nested_package_imports(source: str) -> list[str]:
+    """The enclosing def or class path of each import of a ``demoforge``
+    module, relative or absolute, made below module level."""
+
+    def imports_package(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.level > 0 or node.module.split(".")[0] == "demoforge"
+        return isinstance(node, ast.Import) and any(a.name.split(".")[0] == "demoforge" for a in node.names)
+
+    return [scope for scope in scoped_reads(ast.parse(source), imports_package) if scope != "<module>"]
+
+
+def test_nested_import_checker_flags_package_modules_only():
+    source = (
+        "from .geometry import Pose\nimport demoforge.bandit\n"
+        "def f():\n    from .simworld import BUNDLED_TASKS\n    from importlib import resources\n"
+        "class C:\n    def m(self):\n        import demoforge.campaign\n        from demoforgery import x\n"
+        "def g():\n    from . import demos\n"
+    )
+    assert nested_package_imports(source) == ["f", "C.m", "g"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_level_package_import(path):
+    # a package import deferred into a function hides an import cycle
+    assert nested_package_imports(path.read_text()) == []
 
 
 def test_bench_package_imports_resolve():
