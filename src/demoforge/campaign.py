@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import time
 from dataclasses import asdict, dataclass
 
@@ -109,7 +110,9 @@ def _derived_seed(seed: int, tag: int, n: int) -> int:
 
 _JSON = json.JSONEncoder(separators=(",", ":")).encode
 _POSE = '{"p":[%r,%r,%r],"R":[[%r,%r,%r],[%r,%r,%r],[%r,%r,%r]]}'
+_OBJECT = '{"name":%s,"pose":%s,"color":%s}'
 _STEP = '{"obs":{"robot":%s,"gripper":%s,"objects":[%s]},"act":{"pose":%s,"gripper":%s}}'
+_LINE = '{"id":%s,"task":%s,"seed":%s,"success":%s,"provenance":%s,"steps":[%s]}'
 
 
 def _pose_texts(positions: np.ndarray, rotations: np.ndarray) -> list[str]:
@@ -133,14 +136,70 @@ def demo_line(demo: Demonstration) -> str:
     )
     grippers = _JSON(demo.robot.gripper.tolist() + demo.actions.gripper.tolist())[1:-1].split(",")
     names, colors = [_JSON(name) for name in demo.entity_names], [_JSON(color) for color in demo.entity_colors]
-    objects = ['{"name":%s,"pose":%s,"color":%s}' % row for row in zip(names * n, poses[2 * n :], colors * n)]
+    objects = [_OBJECT % row for row in zip(names * n, poses[2 * n :], colors * n)]
     objects = [",".join(objects[t * m : t * m + m]) for t in range(n)]
     steps = ",".join(map(_STEP.__mod__, zip(poses[:n], grippers[:n], objects, poses[n : 2 * n], grippers[n:])))
     meta = map(_JSON, (demo.demo_id, demo.task, demo.seed, demo.success, demo.provenance))
-    return '{"id":%s,"task":%s,"seed":%s,"success":%s,"provenance":%s,"steps":[%s]}' % (*meta, steps)
+    return _LINE % (*meta, steps)
 
 
-def demo_from_doc(doc: dict) -> Demonstration:
+# Reading mirrors demo_line. A line in exactly its form splits, around each pose
+# text and the gripper after it, into a header, the same glue at every step and a
+# tail. Each distinct pose and gripper text is parsed once with float, as json
+# parses a number with a fraction or an exponent. Any other line (NaN, Infinity,
+# whitespace, other key orders, each malformed line) goes through json.loads and
+# demo_from_doc, so both paths read a document the same way. _POSE_SPLIT finds a
+# pose as four runs of text between "]"s, far quicker than [^{}]* would.
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+_STRING = r'"(?:[^"\\\x00-\x1f]|\\["\\/bfnrt]|\\u[0-9a-fA-F]{4})*"'
+_POSE_SPLIT = re.compile(r'\{"p":\[([^]]*\][^]]*\][^]]*\][^]]*)\]\]\}(?:,"gripper":([^,}]*))?')
+_POSE_BODY = re.compile(re.escape(_POSE[6:-3]).replace("%r", f"({_NUMBER})"))
+_OBJECT_TOKENS = re.compile(re.escape(_OBJECT) % (f"({_STRING})", "0", f"({_STRING}|null)"))
+_STEP_OPEN, _STEP_CLOSE = _STEP[: _STEP.index("%s")], _STEP[_STEP.rindex("%s") + 2 :]
+_NEXT_STEP, _HEAD_END, _TAIL = _STEP_CLOSE + "," + _STEP_OPEN, ',"steps":[' + _STEP_OPEN, _STEP_CLOSE + "]}"
+
+
+def _canonical_demo(line: str) -> Demonstration | None:
+    """The demo of a line in demo_line's form, checked as demo_from_doc checks it; None for any other line."""
+    parts = _POSE_SPLIT.split(line.rstrip("\r\n"))
+    glue, bodies, grippers = parts[0::3], parts[1::3], parts[2::3]
+    # step 0's poses: the robot's, one per entity, the action's (a line of one step fails every check below)
+    s = glue.index(_NEXT_STEP, 1) if _NEXT_STEP in glue[1:] else len(glue)
+    n, m, cycle = len(bodies) // s, s - 2, glue[1 : s + 1]
+    step = _STEP_OPEN + "".join(
+        "0" + ',"gripper":0' * (g is not None) + text for g, text in zip(grippers, cycle[:-1] + [_STEP_CLOSE])
+    )
+    entities = _OBJECT_TOKENS.findall(step)
+    objects = ",".join(_OBJECT % (name, 0, color) for name, color in entities)
+    robot, act = grippers[0::s], grippers[s - 1 :: s]
+    if len(bodies) != n * s or step != _STEP % (0, 0, objects, 0, 0) or not glue[0].endswith(_HEAD_END):
+        return None
+    if glue[1:] != cycle * (n - 1) + cycle[:-1] + [_TAIL] or grippers.count(None) != n * m or None in robot + act:
+        return None
+    ids: dict[str, int] = {}
+    index = [ids.setdefault(body, len(ids)) for body in bodies]
+    poses = [_POSE_BODY.fullmatch(body) for body in ids]
+    values = {g: re.fullmatch(_NUMBER, g) and float(g) for g in set(robot + act)}
+    if None in poses or None in values.values():
+        return None
+    try:
+        header = json.loads(glue[0][: -len(_HEAD_END)] + "}")
+    except ValueError:
+        return None
+    if list(header) != ["id", "task", "seed", "success", "provenance"]:
+        return None
+    _check_header(header)
+    table = np.array([list(map(float, pose.groups())) for pose in poses])
+    order = np.array(index).reshape(n, s)
+    order = np.concatenate([order[:, 0], order[:, -1], order[:, 1:-1].ravel()])  # robot track, actions, entities
+    rotations = table[order, 3:].reshape(-1, 3, 3)
+    check_rotation_matrices(rotations)
+    grippers = np.array([[values[g] for g in robot], [values[g] for g in act]])
+    entities = [(json.loads(name), json.loads(color)) for name, color in entities]
+    return _demo(header, entities, table[order, :3], rotations, grippers)
+
+
+def _check_header(doc: dict) -> None:
     # replay resets the world from these two, so they are checked where they enter
     if doc["task"] not in BUNDLED_TASKS:
         raise ValueError(f"unknown task {doc['task']!r}")
@@ -148,24 +207,20 @@ def demo_from_doc(doc: dict) -> Demonstration:
     for name, kind, what in (("id", str, "a string"), ("success", bool, "a bool"), ("provenance", dict, "an object")):
         if not isinstance(doc[name], kind):
             raise ValueError(f"{name} must be {what}, got {doc[name]!r}")
-    obs = [row["obs"] for row in doc["steps"]]
-    acts = [row["act"] for row in doc["steps"]]
-    n = len(obs)
-    if n < 2:
-        raise ValueError(f"demonstration needs at least 2 steps, got {n}")
-    entities = [(o["name"], o["color"]) for o in obs[0]["objects"]]
-    for t, o in enumerate(obs):
-        if [(e["name"], e["color"]) for e in o["objects"]] != entities:
-            raise ValueError(f"step {t}: entity names, colours or count differ from step 0")
-    # every pose of the demo as one column: robot track, actions, then entities
-    pose_docs = [o["robot"] for o in obs] + [a["pose"] for a in acts] + [e["pose"] for o in obs for e in o["objects"]]
-    positions = np.asarray([d["p"] for d in pose_docs], dtype=float).reshape(len(pose_docs), 3)
-    rotations = np.asarray([d["R"] for d in pose_docs], dtype=float)
-    check_rotation_matrices(rotations)
-    grippers = np.asarray([[o["gripper"] for o in obs], [a["gripper"] for a in acts]], dtype=float)
+
+
+def _check_json_numbers(*columns) -> None:
+    # np.asarray(column, dtype=float) takes "0.25", True and None as well
+    for value in (v for column in columns for v in np.asarray(column, dtype=object).flat):
+        if type(value) not in (int, float):
+            raise ValueError(f"pose entries and grippers must be JSON numbers, got {value!r}")
+
+
+def _demo(doc: dict, entities: list, positions, rotations, grippers) -> Demonstration:
+    """The demo of a checked header and its pose columns: robot track, actions, then entities."""
     if not (np.isfinite(positions).all() and np.isfinite(grippers).all()):
         raise ValueError("positions and grippers must be finite")
-    m = len(entities)
+    n, m = grippers.shape[1], len(entities)
     return Demonstration(
         task=doc["task"],
         actions=TrajectorySegment(positions[n : 2 * n], rotations[n : 2 * n], grippers[1]),
@@ -181,6 +236,32 @@ def demo_from_doc(doc: dict) -> Demonstration:
     )
 
 
+def demo_from_doc(doc: dict) -> Demonstration:
+    _check_header(doc)
+    obs = [row["obs"] for row in doc["steps"]]
+    acts = [row["act"] for row in doc["steps"]]
+    n = len(obs)
+    if n < 2:
+        raise ValueError(f"demonstration needs at least 2 steps, got {n}")
+    entities = [(o["name"], o["color"]) for o in obs[0]["objects"]]
+    if not all(isinstance(name, str) and (color is None or isinstance(color, str)) for name, color in entities):
+        raise ValueError(f"entity names must be strings and colours strings or null, got {entities!r}")
+    for t, o in enumerate(obs):
+        if [(e["name"], e["color"]) for e in o["objects"]] != entities:
+            raise ValueError(f"step {t}: entity names, colours or count differ from step 0")
+    # every pose of the demo as one column: robot track, actions, then entities
+    pose_docs = [o["robot"] for o in obs] + [a["pose"] for a in acts] + [e["pose"] for o in obs for e in o["objects"]]
+    position_docs, rotation_docs = [d["p"] for d in pose_docs], [d["R"] for d in pose_docs]
+    positions = np.asarray(position_docs, dtype=float).reshape(len(pose_docs), 3)
+    rotations = np.asarray(rotation_docs, dtype=float)
+    _check_json_numbers(position_docs, rotation_docs)
+    check_rotation_matrices(rotations)
+    gripper_docs = [[o["gripper"] for o in obs], [a["gripper"] for a in acts]]
+    grippers = np.asarray(gripper_docs, dtype=float)
+    _check_json_numbers(gripper_docs)
+    return _demo(doc, entities, positions, rotations, grippers)
+
+
 def write_dataset(demos: list[Demonstration], path) -> None:
     with open(path, "w") as fh:
         fh.writelines(demo_line(demo) + "\n" for demo in demos)
@@ -193,13 +274,14 @@ def append_demo(path, demo: Demonstration) -> None:
 
 def read_dataset(path) -> list[Demonstration]:
     demos = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
-                demos.append(demo_from_doc(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
+                line = raw.decode()  # a UnicodeDecodeError is a ValueError, and names its line
+                if line.strip():
+                    demo = _canonical_demo(line)
+                    demos.append(demo if demo is not None else demo_from_doc(json.loads(line)))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as err:
                 raise SchemaViolation(line_no, str(err)) from err
     return demos
 

@@ -54,7 +54,7 @@ def _load_yaml(path: str) -> dict:
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read {path}: {err}") from err
     except yaml.YAMLError as err:
         raise ConfigError(f"malformed config {path}: {err}") from err

@@ -488,6 +488,23 @@ def demo_to_doc(demo):
     return {**meta, "provenance": demo.provenance, "steps": steps}
 
 
+def read_dataset_oracle(path):
+    """read_dataset with every line through demo_from_doc(json.loads(line)), the path a line takes
+    when it is not in the writer's exact form."""
+    from demoforge.campaign import SchemaViolation, demo_from_doc
+
+    demos = []
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode()
+                if line.strip():
+                    demos.append(demo_from_doc(json.loads(line)))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as err:
+                raise SchemaViolation(line_no, str(err)) from err
+    return demos
+
+
 # -- world step --------------------------------------------------------------
 # The env step's maths as it stood before it ran on Python floats: numpy calls
 # on single values, and a Rotation wrapper for every inverse and product.

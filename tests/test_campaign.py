@@ -1,4 +1,5 @@
 """Dataset persistence, policy evaluation, and the generation campaign."""
+import dataclasses
 import io
 import json
 import os
@@ -36,10 +37,11 @@ from demoforge.demos import Action, Demonstration, Observation, ObjectObservatio
 from demoforge.gateway import GatewayError, MockGateway, TransientFailure
 from demoforge.geometry import Pose, Rotation
 from demoforge.retargeting import RetargetFailed, scripted_retarget
-from demoforge.simworld import ObjectAttached, TaskSpec, record_demo, reset
+from demoforge.simworld import BUNDLED_TASKS, ObjectAttached, TaskSpec, record_demo, reset
 from oracles import (
     demo_from_steps,
     demo_to_doc,
+    read_dataset_oracle,
     select_reattach_oracle,
     summarize_demo_oracle,
     wilson_interval as wilson_oracle,
@@ -357,6 +359,271 @@ class TestDatasetLine:
             append_demo(appended, demo)
         expected = "".join(dumped_line(demo) + "\n" for demo in demos)
         assert written.read_text() == appended.read_text() == expected
+
+
+def demo_bits(demo: Demonstration):
+    columns = [demo.robot, demo.actions]
+    arrays = [a for c in columns for a in (c.positions, c.rotations, c.gripper)]
+    arrays += [demo.entity_positions, demo.entity_rotations]
+    meta = (demo.task, demo.demo_id, demo.seed, type(demo.seed), demo.success, type(demo.success))
+    # json.dumps tells 1 from 1.0 and -0.0 from 0.0, and reads NaN as equal to itself
+    entities = (demo.entity_names, demo.entity_colors)
+    return [(a.shape, a.dtype, a.tobytes()) for a in arrays], meta, json.dumps(demo.provenance), entities
+
+
+def read_outcome(read, path):
+    try:
+        return read(path)
+    except SchemaViolation as err:
+        return err
+
+
+def assert_reads_like_the_oracle(path):
+    """read_dataset gives what json.loads + demo_from_doc give on every line: the same column bits,
+    metadata, names and colours, or the same SchemaViolation at the same line. Returns the oracle's outcome."""
+    got, want = read_outcome(read_dataset, path), read_outcome(read_dataset_oracle, path)
+    if isinstance(want, SchemaViolation):
+        assert isinstance(got, SchemaViolation), f"read {len(got)} demos, oracle raised {want}"
+        assert (got.line, str(got)) == (want.line, str(want))
+    else:
+        assert not isinstance(got, SchemaViolation), f"raised {got}, oracle read {len(want)} demos"
+        assert [demo_bits(d) for d in got] == [demo_bits(d) for d in want]
+    return want
+
+
+def path_taken(line: str) -> str:
+    try:
+        return "fallback" if campaign._canonical_demo(line) is None else "canonical"
+    except ValueError:
+        return "canonical error"
+
+
+def finite_variant(demo: Demonstration, rng, valid_rotations: bool) -> Demonstration:
+    """demo with NaN and infinities swapped for 0.0 and the largest floats and, if asked, its rotations drawn from a
+    small pool of proper ones (so rows still repeat) and an integer seed: a line in the canonical form that reads
+    back, or else fails the rotation check."""
+    pool = np.array([Rotation.about_z_deg(a).as_matrix() for a in (0.0, 90.0, -33.0, 180.0)])
+    n, m = len(demo), len(demo.entity_names)
+
+    def rotations(current, shape):
+        return pool[rng.integers(0, len(pool), shape[0] * shape[1])].reshape(shape) if valid_rotations else current
+
+    def segment(track):
+        rots = rotations(track.rotations, (n, 1, 3, 3)).reshape(n, 3, 3)
+        return TrajectorySegment(np.nan_to_num(track.positions), np.nan_to_num(rots), np.nan_to_num(track.gripper))
+
+    return dataclasses.replace(
+        demo,
+        robot=segment(demo.robot),
+        actions=segment(demo.actions),
+        entity_positions=np.nan_to_num(demo.entity_positions),
+        entity_rotations=np.nan_to_num(rotations(demo.entity_rotations, (n, m, 3, 3))),
+        seed=7 if valid_rotations else demo.seed,
+    )
+
+
+def canonical_dump(doc) -> str:
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def _set(*keys, value):
+    def damage(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+
+    return damage
+
+
+SHEAR = [[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+# the malformed-line cases of TestDataset, and the type checks, as (damage to line 2's document, error text)
+DOC_DAMAGES = {
+    "missing act": (lambda doc: doc["steps"][0].pop("act"), "act"),
+    "late shear": (_set("steps", 3, "obs", "objects", 1, "pose", "R", value=SHEAR), "orthonormal"),
+    "task nope": (_set("task", value="nope"), "task"),
+    "task 7": (_set("task", value=7), "task"),
+    "seed text": (_set("seed", value="abc"), "seed"),
+    "seed negative": (_set("seed", value=-5), "seed"),
+    "seed null": (_set("seed", value=None), "seed"),
+    "success text": (_set("success", value="false"), "success"),
+    "success 1": (_set("success", value=1), "success"),
+    "id 17": (_set("id", value=17), "id"),
+    "id null": (_set("id", value=None), "id"),
+    "provenance pairs": (_set("provenance", value=[["kind", "generated"]]), "provenance"),
+    "obs gripper NaN": (_set("steps", 2, "obs", "gripper", value=float("nan")), "finite"),
+    "act gripper inf": (_set("steps", 2, "act", "gripper", value=float("inf")), "finite"),
+    "renamed": (_set("steps", 3, "obs", "objects", 1, "name", value="other_block"), "step 3"),
+    "recoloured": (_set("steps", 3, "obs", "objects", 0, "color", value="red"), "step 3"),
+    "dropped": (lambda doc: doc["steps"][3]["obs"]["objects"].pop(1), "step 3"),
+    "single step": (lambda doc: doc.update(steps=doc["steps"][:1]), "at least 2 steps"),
+    "position as text": (_set("steps", 1, "obs", "robot", "p", 0, value="0.25"), "JSON numbers, got '0.25'"),
+    "rotation entry true": (_set("steps", 4, "act", "pose", "R", 0, 0, value=True), "JSON numbers, got True"),
+    "gripper as text": (_set("steps", 0, "act", "gripper", value="1.0"), "JSON numbers, got '1.0'"),
+    "gripper true": (_set("steps", 3, "obs", "gripper", value=True), "JSON numbers, got True"),
+    "gripper null": (_set("steps", 3, "obs", "gripper", value=None), "JSON numbers, got None"),
+    "name 5": (lambda doc: [_set("obs", "objects", 0, "name", value=5)(row) for row in doc["steps"]], "names"),
+    "colour 7": (lambda doc: [_set("obs", "objects", 1, "color", value=7)(row) for row in doc["steps"]], "colours"),
+    "position beyond float": (_set("steps", 1, "act", "pose", "p", 2, value=10**400), "too large"),
+}
+def in_step(t, pattern, repl):
+    """An edit of a canonical line: the first match of pattern in step t replaced."""
+
+    def edit(line):
+        steps = line.split('{"obs":')
+        steps[t + 1] = re.sub(pattern, repl, steps[t + 1], count=1)
+        return '{"obs":'.join(steps)
+
+    return edit
+
+
+# edits of line 2's text, as (edit, error text)
+TEXT_DAMAGES = {
+    "truncated": (lambda line: line[: len(line) // 2], None),
+    "position 1e999": (in_step(2, r'\{"p":\[[^,]*', '{"p":[1e999'), "finite"),
+    "rotation entry 1e999": (in_step(2, r'"R":\[\[[^,]*', '"R":[[1e999'), "matrix"),
+    "robot gripper dropped": (in_step(3, r',"gripper":[^,]*(?=,"objects")', ""), "gripper"),
+    "gripper after an entity pose": (in_step(3, r'(?=,"color")', ',"gripper":x'), "Expecting value"),
+}
+
+
+def damaged_dataset(path, demos, line, dump=canonical_dump):
+    docs = [demo_to_doc(d) for d in demos]
+    lines = [dump(doc) for doc in docs]
+    if isinstance(line, str):
+        lines[1] = line
+    else:
+        line(docs[1])
+        lines[1] = dump(docs[1])
+    path.write_bytes("".join(text + "\n" for text in lines).encode())
+
+
+class TestCanonicalRead:
+    """read_dataset decodes a line in demo_line's exact form without json.loads; each result must be what
+    read_dataset_oracle, json.loads and demo_from_doc on every line, gives."""
+
+    def demos(self, seed, n_steps=5):
+        rng = np.random.default_rng(seed)
+        return [random_demo(rng, n_steps=n_steps) for _ in range(3)]
+
+    def test_fuzzed_lines_read_like_the_oracle(self, tmp_path):
+        rng = np.random.default_rng(63)
+        path = tmp_path / "d.jsonl"
+        taken = {"canonical": 0, "canonical error": 0, "fallback": 0}
+        for _ in range(400):
+            demo = odd_demo(rng)
+            for variant in (demo, finite_variant(demo, rng, False), finite_variant(demo, rng, True)):
+                line = demo_line(variant)
+                path.write_text(line + "\n")
+                with np.errstate(all="ignore"):  # both readers' det overflows and divides by zero on odd floats
+                    assert_reads_like_the_oracle(path)
+                    taken[path_taken(line)] += 1
+        assert min(taken.values()) > 50, taken
+
+    @pytest.mark.parametrize("task", BUNDLED_TASKS)
+    def test_recorded_demos_read_like_the_oracle(self, tmp_path, task):
+        demos = [record_demo(TaskSpec(task), seed, demo_id=f"{task}-{seed}") for seed in (1001, 1002)]
+        path = tmp_path / "d.jsonl"
+        write_dataset(demos, path)
+        assert [path_taken(line) for line in path.read_text().splitlines()] == ["canonical"] * 2
+        assert len(assert_reads_like_the_oracle(path)) == 2
+
+    @pytest.mark.parametrize("case", sorted(DOC_DAMAGES))
+    @pytest.mark.parametrize("dump", [canonical_dump, json.dumps], ids=["canonical", "spaced"])
+    def test_damaged_document_reads_like_the_oracle(self, tmp_path, case, dump):
+        damage, why = DOC_DAMAGES[case]
+        path = tmp_path / "d.jsonl"
+        damaged_dataset(path, self.demos(13), damage, dump)
+        want = assert_reads_like_the_oracle(path)
+        assert isinstance(want, SchemaViolation) and want.line == 2 and why in str(want)
+
+    @pytest.mark.parametrize("case", sorted(TEXT_DAMAGES))
+    def test_damaged_canonical_text_reads_like_the_oracle(self, tmp_path, case):
+        edit, why = TEXT_DAMAGES[case]
+        demos = self.demos(14)
+        path = tmp_path / "d.jsonl"
+        damaged_dataset(path, demos, edit(demo_line(demos[1])))
+        want = assert_reads_like_the_oracle(path)
+        assert isinstance(want, SchemaViolation) and want.line == 2 and (why is None or why in str(want))
+
+    @pytest.mark.parametrize(
+        "provenance",
+        [{"p": [1.0, 2.0]}, json.loads('{"p":[0.0,0.0,0.0],"R":[[1.0,0.0,0.0],[0.0,1.0,0.0],[0.0,0.0,1.0]]}')],
+        ids=["a p key", "a whole pose"],
+    )
+    def test_pose_text_inside_provenance(self, tmp_path, provenance):
+        demos = self.demos(15)
+        demos[1].provenance = provenance
+        path = tmp_path / "d.jsonl"
+        write_dataset(demos, path)
+        assert assert_reads_like_the_oracle(path)[1].provenance == provenance
+
+    @pytest.mark.parametrize("ascii_only", [True, False], ids=["escaped", "raw utf-8"])
+    def test_escaped_and_non_ascii_names(self, tmp_path, ascii_only):
+        names = ('quote " and \\ backslash', "tab\tnew\nline ブロック")
+        demo = dataclasses.replace(self.demos(16)[0], entity_names=names, entity_colors=("紅", None))
+        line = json.dumps(demo_to_doc(demo), separators=(",", ":"), ensure_ascii=ascii_only)
+        assert path_taken(line) == "canonical"
+        path = tmp_path / "d.jsonl"
+        path.write_bytes((line + "\n").encode())
+        back = assert_reads_like_the_oracle(path)[0]
+        assert (back.entity_names, back.entity_colors) == (demo.entity_names, demo.entity_colors)
+
+    def test_zero_entity_demo(self, tmp_path):
+        demo = self.demos(17)[0]
+        n = len(demo)
+        demo = dataclasses.replace(
+            demo,
+            entity_names=(),
+            entity_colors=(),
+            entity_positions=np.empty((n, 0, 3)),
+            entity_rotations=np.empty((n, 0, 3, 3)),
+        )
+        path = tmp_path / "d.jsonl"
+        write_dataset([demo], path)
+        assert path_taken(demo_line(demo)) == "canonical"
+        assert assert_reads_like_the_oracle(path)[0].entity_positions.shape == (n, 0, 3)
+
+    def test_crlf_endings_and_no_final_newline(self, tmp_path):
+        demos = self.demos(18)
+        path = tmp_path / "d.jsonl"
+        path.write_bytes("\r\n".join(demo_line(d) for d in demos).encode())
+        assert len(assert_reads_like_the_oracle(path)) == 3
+        assert path_taken(demo_line(demos[0]) + "\r\n") == "canonical"
+
+    @pytest.mark.parametrize("where", [1, 2])
+    def test_undecodable_bytes_name_their_line(self, tmp_path, where):
+        path = tmp_path / "d.jsonl"
+        write_dataset(self.demos(19), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[where - 1] = lines[where - 1][:100] + b"\xff" + lines[where - 1][100:]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(SchemaViolation, match="utf-8") as err:
+            read_dataset(path)
+        assert err.value.line == where
+        assert_reads_like_the_oracle(path)
+
+    def test_every_written_line_takes_the_canonical_path(self, tmp_path, monkeypatch):
+        cfg = CampaignConfig(
+            task="stack",
+            goal_successes=3,
+            mode="fixed_first",
+            seed=4,
+            noise_min=0.0,
+            noise_max=0.0,
+            dataset_path=str(tmp_path / "c.jsonl"),
+            checkpoint_path=str(tmp_path / "c.ckpt.json"),
+        )
+        run_campaign(cfg)
+        recorded = tmp_path / "recorded.jsonl"
+        write_dataset([record_demo(TaskSpec(task), 1001, demo_id=task) for task in BUNDLED_TASKS], recorded)
+
+        def no_fallback(doc):
+            raise AssertionError("a line demo_line wrote was decoded through json.loads")
+
+        monkeypatch.setattr(campaign, "demo_from_doc", no_fallback)
+        assert [d.demo_id for d in read_dataset(recorded)] == list(BUNDLED_TASKS)
+        assert all(d.provenance["kind"] == "generated" for d in read_dataset(cfg.dataset_path))
+        assert len(read_dataset(cfg.dataset_path)) == 3
 
 
 class TestWilson:

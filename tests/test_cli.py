@@ -89,6 +89,13 @@ class TestGenerate:
         result = runner.invoke(main, ["generate", "-c", str(tmp_path / "absent.yaml")])
         assert result.exit_code == 2
 
+    def test_config_with_invalid_utf8_exits_2(self, runner, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_bytes(yaml.safe_dump({"campaign": tiny_campaign(tmp_path)}).encode() + b"# \xff\n")
+        result = runner.invoke(main, ["generate", "-c", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "cannot read" in result.output and "utf-8" in result.output
+
     @pytest.mark.parametrize("where", ["missing directory", "a directory", "empty"])
     @pytest.mark.parametrize("name", ["dataset_path", "checkpoint_path"])
     def test_bad_output_path_exits_2_before_any_rollout(self, runner, tmp_path, monkeypatch, name, where):
@@ -354,6 +361,16 @@ class TestReplay:
         result = runner.invoke(main, ["replay", str(dataset)])
         assert result.exit_code == 2, result.output
         assert "line 2" in result.output
+
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_undecodable_bytes_exit_2(self, runner, tmp_path, line):
+        dataset = self.generate(runner, tmp_path)
+        lines = dataset.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        dataset.write_bytes(b"".join(lines))
+        result = runner.invoke(main, ["replay", str(dataset)])
+        assert result.exit_code == 2, result.output
+        assert f"line {line}:" in result.output and "utf-8" in result.output
 
     def test_failing_demo_exits_1(self, runner, tmp_path):
         dataset = self.generate(runner, tmp_path)
