@@ -252,7 +252,9 @@ def demo_from_doc(doc: dict) -> Demonstration:
     # every pose of the demo as one column: robot track, actions, then entities
     pose_docs = [o["robot"] for o in obs] + [a["pose"] for a in acts] + [e["pose"] for o in obs for e in o["objects"]]
     position_docs, rotation_docs = [d["p"] for d in pose_docs], [d["R"] for d in pose_docs]
-    positions = np.asarray(position_docs, dtype=float).reshape(len(pose_docs), 3)
+    positions = np.asarray(position_docs, dtype=float)
+    if positions.shape != (len(pose_docs), 3):
+        raise ValueError(f"positions must stack as ({len(pose_docs)}, 3), got {positions.shape}")
     rotations = np.asarray(rotation_docs, dtype=float)
     _check_json_numbers(position_docs, rotation_docs)
     check_rotation_matrices(rotations)
@@ -281,7 +283,7 @@ def read_dataset(path) -> list[Demonstration]:
                 if line.strip():
                     demo = _canonical_demo(line)
                     demos.append(demo if demo is not None else demo_from_doc(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as err:
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as err:  # deep nesting recurses
                 raise SchemaViolation(line_no, str(err)) from err
     return demos
 

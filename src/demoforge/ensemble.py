@@ -14,12 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .demos import Action, TrajectorySegment
-from .geometry import Pose, scipy_rotation
+from .geometry import Pose, check_rotation_matrices, scipy_rotation, trusted_rotation
 
 TAU_SWITCH = 0.5
 TAU_REATTACH = 0.5
 STREAK_WINDOW = 3
 COOLDOWN = 5
+# check_rotation_matrices lets a gramian's diagonal stray 1e-5 from 1, so a trajectory rotation lies within
+# 9e-6 (Frobenius) of the rotation scipy projects it to: its chord to a trusted rotation shrinks by less
+_CHORD_SLACK = 1e-5
 
 
 @dataclass
@@ -126,7 +129,10 @@ def select_reattach(
     the trajectory pose at t) agree with the feedback action above tau.
     Returns the feasible t with the highest reattach similarity, earliest on
     ties. The recorded filter reads the state's per-trajectory table, so
-    reattach actions are built only for the points that pass it.
+    reattach actions are built only for the points that pass it, and only
+    once no bound without rotations proves them all infeasible. Such a
+    proof never drops single points: a row's similarity bits can depend on
+    the batch it is scored in.
     """
     traj, start = state.ff_trajectory, state.ff_cursor + 1
     if start >= len(traj):
@@ -135,8 +141,19 @@ def select_reattach(
     if not cand.size:
         return None
     p, r, g = traj.positions[cand], traj.rotations[cand], traj.gripper[cand]
-    att = _row_deltas(current_pose.position, current_pose.rotation.as_matrix(), float(current_gripper), p, r, g)
-    att_sims = ActionRows.of(att / state.stats.scale).similarity(a_il.vector)
+    here, grip, scale = current_pose.rotation.as_matrix(), float(current_gripper), state.stats.scale
+    nb1 = float(np.abs(a_il.vector).sum())
+    if tau > 0.0 and nb1 > 0.0 and trusted_rotation(here):
+        # a row scoring above tau has L1 < nb1 (2 - tau) / tau; the 1e-9 covers rounding. An attach row's L1 is
+        # at least its position and gripper terms plus |rotvec| / max rotation scale, and |rotvec| is the
+        # angle theta >= the chord 2 sin(theta / 2)
+        chord = np.sqrt(np.square(r - here).sum(axis=(1, 2)) / 2.0) - _CHORD_SLACK
+        low = (np.abs(p - current_pose.position) / scale[:3]).sum(axis=1) + np.abs(g - grip) / scale[6]
+        low += chord / scale[3:6].max()
+        if np.isfinite(low).all() and low.min() >= nb1 * (2.0 - tau) / tau * (1.0 + 1e-9):
+            return None  # a non-finite row raises below instead
+    att = _row_deltas(current_pose.position, here, grip, p, r, g)
+    att_sims = ActionRows.of(att / scale).similarity(a_il.vector)
     feasible = att_sims > tau
     if not feasible.any():
         return None
@@ -157,6 +174,7 @@ class EnsembleState:
 
     @classmethod
     def initial(cls, traj: TrajectorySegment, stats: ActionStats | None = None) -> "EnsembleState":
+        check_rotation_matrices(traj.rotations)  # the reattach scan's chord bound holds for proper rotations
         raw = _step_deltas(traj)
         stats = stats or ActionStats(raw.std(axis=0))
         return cls(traj, stats, ActionRows.of(np.concatenate([raw, raw[-1:]]) / stats.scale))

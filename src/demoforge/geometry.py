@@ -22,17 +22,13 @@ _ORTHO_TOL = 1e-9
 _TRUSTED_GRAM_TOL = 1e-13  # a tenth of scipy's 1e-12: no rounding gap between two gramians straddles both
 
 
-def scipy_rotation(matrix: np.ndarray) -> _SR:
-    """scipy rotation of a 3x3 matrix or an (n, 3, 3) stack; the package's one call of scipy's from_matrix.
-
-    scipy raises on det <= 0 and SVD-projects any matrix whose gramian is not within 1e-12 of I. Every
-    matrix here with max|M M^T - I| <= _TRUSTED_GRAM_TOL and det > 0 passes that check unprojected, so
-    scipy skips it at no change in bits; any other finite matrix takes scipy's checked path.
-    """
+def trusted_rotation(matrix: np.ndarray) -> bool:
+    """True when a 3x3 matrix, or every matrix of an (n, 3, 3) stack, has max|M M^T - I| <= _TRUSTED_GRAM_TOL
+    and det > 0: a proper rotation scipy's from_matrix takes as it is."""
     tol = _TRUSTED_GRAM_TOL
     if matrix.ndim == 2:  # on Python floats; with the gramian this near I, det is +/-1, so its sign is enough
         (a, b, c), (d, e, f), (g, h, i) = matrix.tolist()
-        trusted = (
+        return (
             abs(a * a + b * b + c * c - 1.0) <= tol
             and abs(d * d + e * e + f * f - 1.0) <= tol
             and abs(g * g + h * h + i * i - 1.0) <= tol
@@ -41,9 +37,18 @@ def scipy_rotation(matrix: np.ndarray) -> _SR:
             and abs(d * g + e * h + f * i) <= tol
             and a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) > 0.0
         )
-    else:
-        gram = np.matmul(matrix, np.swapaxes(matrix, -1, -2))
-        trusted = bool(np.all(np.abs(gram - np.eye(3)) <= tol) and np.all(np.linalg.det(matrix) > 0.0))
+    gram = np.matmul(matrix, np.swapaxes(matrix, -1, -2))
+    return bool(np.all(np.abs(gram - np.eye(3)) <= tol) and np.all(np.linalg.det(matrix) > 0.0))
+
+
+def scipy_rotation(matrix: np.ndarray) -> _SR:
+    """scipy rotation of a 3x3 matrix or an (n, 3, 3) stack; the package's one call of scipy's from_matrix.
+
+    scipy raises on det <= 0 and SVD-projects any matrix whose gramian is not within 1e-12 of I. Every
+    trusted_rotation matrix passes that check unprojected, so scipy skips it at no change in bits; any
+    other finite matrix takes scipy's checked path.
+    """
+    trusted = trusted_rotation(matrix)
     if not trusted and not np.isfinite(matrix).all():  # scipy's SVD never returns on some +inf entries
         raise ValueError("rotation matrix has non-finite entries")
     return _SR.from_matrix(matrix, assume_valid=trusted)

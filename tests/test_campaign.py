@@ -536,6 +536,19 @@ class TestCanonicalRead:
         want = assert_reads_like_the_oracle(path)
         assert isinstance(want, SchemaViolation) and want.line == 2 and why in str(want)
 
+    def test_nested_positions_rejected(self, tmp_path):
+        # [[x], [y], [z]] stacks as (poses, 3, 1), which a reshape would flatten into [x, y, z]
+        doc = demo_to_doc(record_demo(TaskSpec("pick_place"), 1001, demo_id="src"))
+        for row in doc["steps"]:
+            for pose in [row["obs"]["robot"], row["act"]["pose"]] + [e["pose"] for e in row["obs"]["objects"]]:
+                pose["p"] = [[x] for x in pose["p"]]
+        line = canonical_dump(doc)
+        assert path_taken(line) == "fallback"
+        path = tmp_path / "d.jsonl"
+        path.write_text(line + "\n")
+        want = assert_reads_like_the_oracle(path)
+        assert isinstance(want, SchemaViolation) and want.line == 1 and "positions must stack as" in str(want)
+
     @pytest.mark.parametrize("case", sorted(TEXT_DAMAGES))
     def test_damaged_canonical_text_reads_like_the_oracle(self, tmp_path, case):
         edit, why = TEXT_DAMAGES[case]
@@ -743,17 +756,28 @@ class TestEnsembleEpisode:
                     out.append(run_ensemble_episode(state, traj, disturbances=grasp_disturbance(traj)).ensemble.trace)
             return out
 
-        picks = []
+        picks, built, scans = [], [], []  # scans: whether each shipped scan built attach rows
+        real_scan, real_rows = ensemble.select_reattach, ensemble._row_deltas
 
         def oracle(state, pose, grip, a_il, tau):
             picks.append(select_reattach_oracle(state.ff_trajectory, pose, grip, state.ff_cursor, a_il, state.stats, tau))
             return picks[-1]
 
+        def counted(*args):
+            before = len(built)
+            pick = real_scan(*args)
+            scans.append(len(built) > before)
+            return pick
+
+        monkeypatch.setattr(ensemble, "_row_deltas", lambda *args: built.append(1) or real_rows(*args))
+        monkeypatch.setattr(ensemble, "select_reattach", counted)
         shipped = traces()
         monkeypatch.setattr(ensemble, "select_reattach", oracle)
         assert traces() == shipped
-        assert len(picks) >= 2000, len(picks)
+        assert len(picks) >= 2000 and len(scans) == len(picks), (len(picks), len(scans))
         assert sum(p is not None for p in picks) >= 2, picks
+        # the emptiness certificate spares most scans their rotations
+        assert sum(scans) < 0.2 * len(scans), (sum(scans), len(scans))
 
     def test_disturbing_held_object_rejected(self):
         state, scene = reset(self.spec, 5)

@@ -362,6 +362,16 @@ class TestReplay:
         assert result.exit_code == 2, result.output
         assert "line 2" in result.output
 
+    def test_deeply_nested_key_exits_2(self, runner, tmp_path):
+        # json.loads recurses once per nesting level and raises RecursionError
+        dataset = self.generate(runner, tmp_path)
+        lines = dataset.read_text().splitlines()
+        lines[1] = lines[1][:-1] + ', "x": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        dataset.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["replay", str(dataset)])
+        assert result.exit_code == 2, result.output
+        assert "line 2:" in result.output and "recursion" in result.output
+
     @pytest.mark.parametrize("line", [1, 2])
     def test_undecodable_bytes_exit_2(self, runner, tmp_path, line):
         dataset = self.generate(runner, tmp_path)

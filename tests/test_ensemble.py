@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation as SciRotation
 
+from demoforge import ensemble
 from demoforge.demos import Action
 from demoforge.ensemble import (
+    _CHORD_SLACK,
     TAU_REATTACH,
     _row_deltas,
     ActionStats,
@@ -356,6 +358,150 @@ class TestReattachMatchesOracle:
                     ties += int(np.sum(att_sims[feasible] == att_sims[want - start]) > 1)
         assert min(picks.values()) >= 300, picks
         assert ties >= 30, ties
+
+
+def candidates(state, a_il, tau):
+    """The points past the cursor whose recorded action agrees with a_il above tau."""
+    start = state.ff_cursor + 1
+    return start + np.flatnonzero(state.recorded[start:].similarity(a_il.vector) > tau)
+
+
+def attach_l1_floor(state, cand, current, grip):
+    """The smallest lower bound select_reattach's certificate puts on a candidate's normalized attach L1."""
+    traj, scale = state.ff_trajectory, state.stats.scale
+    chord = np.sqrt(np.square(traj.rotations[cand] - current.rotation.as_matrix()).sum(axis=(1, 2)) / 2.0)
+    low = (np.abs(traj.positions[cand] - current.position) / scale[:3]).sum(axis=1)
+    low += np.abs(traj.gripper[cand] - grip) / scale[6] + (chord - _CHORD_SLACK) / scale[3:6].max()
+    return float(low.min())
+
+
+def cutoff(a_il, tau):
+    """The attach L1 at or past which a row scores no more than tau against a_il, with the certificate's margin."""
+    return float(np.abs(a_il.vector).sum()) * (2.0 - tau) / tau * (1.0 + 1e-9)
+
+
+class TestReattachCertificate:
+    """select_reattach proves a scan empty from positions, grippers and rotation chords before it builds any
+    attach row; fired or not, it picks what the scan as first shipped picks, and raises where that scan raises."""
+
+    TAUS = (-0.2, 0.0, 0.1, 0.5, 0.95)
+
+    @staticmethod
+    def scan(monkeypatch, state, current, grip, a_il, tau):
+        """select_reattach's pick and whether it built attach rows."""
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _row_deltas(*args)
+
+        monkeypatch.setattr(ensemble, "_row_deltas", counted)
+        pick = select_reattach(state, current, grip, a_il, tau)
+        monkeypatch.setattr(ensemble, "_row_deltas", _row_deltas)
+        return pick, bool(calls)
+
+    @staticmethod
+    def far_instance(rng, traj, state, t_now):
+        """A state well off the trajectory, fed an action like one recorded past the cursor."""
+        turn = Rotation.from_rotvec(rng.normal(0.0, 1.0, 3))
+        current = Pose(traj.positions[t_now] + rng.normal(0.0, float(rng.choice([0.3, 1.0])), 3), turn)
+        j = int(rng.integers(min(t_now + 1, len(traj) - 1), len(traj)))
+        row = state.recorded.rows[j] * float(rng.uniform(0.9, 1.1)) + rng.normal(0.0, 0.005, 7)
+        return current, float(rng.choice([0.0, 1.0])), NormalizedAction(row)
+
+    def test_fuzzed_far_near_and_zero_feedback(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        fired = picked = 0
+        for trial in range(600):
+            traj, current, grip, t_now, a_il, stats = fuzz_reattach_instance(rng, trial % 4)
+            state = EnsembleState.initial(traj, stats)
+            state.ff_cursor = t_now
+            # the current rotation tripled: scipy projects it back, and its chord to the trajectory means nothing
+            tripled = Pose(current.position, Rotation(3.0 * current.rotation.as_matrix()))
+            cases = [(current, grip, a_il), self.far_instance(rng, traj, state, t_now), (tripled, grip, a_il)]
+            cases.append((current, grip, NormalizedAction(np.zeros(7))))
+            for current, grip, a_il in cases:
+                for tau in self.TAUS:
+                    want = select_reattach_oracle(traj, current, grip, t_now, a_il, stats, tau)
+                    got, built = self.scan(monkeypatch, state, current, grip, a_il, tau)
+                    assert got == want, (trial, tau)
+                    fired += bool(candidates(state, a_il, tau).size) and not built
+                    picked += want is not None
+        assert fired >= 600 and picked >= 800, (fired, picked)
+
+    def test_bound_within_1e12_of_the_cutoff(self, monkeypatch):
+        # a state near the trajectory moved off along a ray until the certificate's bound sits 1e-12
+        # (relative) either side of its cutoff: below it the scan must build attach rows, at or above it it
+        # may not; a_il, and with it the recorded filter's candidates, stays as it is
+        rng = np.random.default_rng(78)
+        sides = {-1.0: 0, 1.0: 0}
+        for trial in range(300):
+            traj, current, grip, t_now, _, stats = fuzz_reattach_instance(rng, trial % 3)
+            state = EnsembleState.initial(traj, stats)
+            state.ff_cursor = t_now
+            a_il = self.far_instance(rng, traj, state, t_now)[2]
+            tau, side = float(rng.choice([0.1, 0.5, 0.95])), float(rng.choice([-1.0, 1.0]))
+            cand, target = candidates(state, a_il, tau), cutoff(a_il, tau) * (1.0 + side * 1e-12)
+            ray = rng.normal(0.0, 0.1, 3)
+
+            def moved(lam):
+                return Pose(current.position + lam * ray, current.rotation)
+
+            def floor_at(lam):
+                return attach_l1_floor(state, cand, moved(lam), grip)
+
+            if not cand.size or not target > 0.0 or floor_at(0.0) >= target:
+                continue
+            lo, hi = 0.0, 1.0
+            while floor_at(hi) < target:
+                hi *= 2.0
+            while lo < (mid := (lo + hi) / 2.0) < hi:  # the floor is continuous in lam: bisect to adjacent floats
+                lo, hi = (mid, hi) if floor_at(mid) < target else (lo, mid)
+            lam = hi if side > 0.0 else lo  # at or past the cutoff, or short of it
+            assert abs(floor_at(lam) / cutoff(a_il, tau) - 1.0) < 2e-12
+            want = select_reattach_oracle(traj, moved(lam), grip, t_now, a_il, stats, tau)
+            got, built = self.scan(monkeypatch, state, moved(lam), grip, a_il, tau)
+            assert got == want, (trial, tau, side)
+            assert built == (side < 0.0), (trial, tau, side)
+            sides[side] += 1
+        assert min(sides.values()) >= 80, sides
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("where", ["position", "rotation", "gripper", "current gripper"])
+    def test_non_finite_attach_row_still_raises(self, monkeypatch, bad, where):
+        # the trajectory goes bad after its recorded table is built, in a far scan the certificate proves
+        # empty while the trajectory is finite
+        rng = np.random.default_rng(79)
+        raised = 0
+        for trial in range(40):
+            traj, _, _, t_now, _, stats = fuzz_reattach_instance(rng, 0)
+            state = EnsembleState.initial(traj, stats)
+            current, grip, a_il = self.far_instance(rng, traj, state, t_now)
+            cand = candidates(state, a_il, TAU_REATTACH)
+            if not cand.size or self.scan(monkeypatch, state, current, grip, a_il, TAU_REATTACH)[1]:
+                continue
+            k = int(rng.choice(cand))
+            if where == "position":
+                traj.positions[k, 1] = bad
+            elif where == "rotation":
+                traj.rotations[k, 1, 2] = bad  # scipy spins on +inf in column 0
+            elif where == "gripper":
+                traj.gripper[k] = bad
+            else:
+                grip = bad
+            with np.errstate(invalid="ignore"):  # inf - inf in the matmuls and dets
+                with pytest.raises(ValueError):
+                    select_reattach_oracle(traj, current, grip, t_now, a_il, stats, TAU_REATTACH)
+                with pytest.raises(ValueError):
+                    select_reattach(state, current, grip, a_il, TAU_REATTACH)
+            raised += 1
+        assert raised >= 10, raised
+
+    def test_trajectory_rotations_must_be_proper(self):
+        traj = line_traj(5)
+        traj.rotations[2] *= 1.001  # scipy would project it; the chord bound would not hold
+        with pytest.raises(ValueError, match="determinant"):
+            EnsembleState.initial(traj)
 
 
 def perfect_feedback(traj, cursor):
