@@ -1,9 +1,10 @@
-"""Uniform client for text-completion services, plus scripted doubles.
+"""Uniform client for text-completion services, plus an in-process double.
 
-All LLM traffic in the package flows through a Gateway. The mock variant is
-bit-deterministic given its script, which is what the test suite runs on;
-the HTTP variant speaks the common chat-completion JSON shape and is config
-driven (endpoint, model, credential env var).
+All LLM traffic in the package flows through a Gateway. The mock variant
+answers through a caller's responder function, which is what the test suite
+runs on; the HTTP variant speaks the common chat-completion JSON shape, is
+config driven (endpoint, model, credential env var) and is the only one that
+retries, since only its transport can fail.
 
 Sessions are deliberately heavyweight in the API: the summarization pipeline
 requires that each query hit "a fresh instance" with no shared conversational
@@ -25,7 +26,7 @@ import requests
 
 class GatewayError(RuntimeError):
     """Completion failed. ``kind`` is one of 'auth', 'timeout', 'transport',
-    'exhausted', 'script'."""
+    'exhausted'."""
 
     def __init__(self, message: str, kind: str):
         super().__init__(message)
@@ -127,7 +128,8 @@ class Session:
 class Gateway:
     """Base class: session bookkeeping and audit logging."""
 
-    def __init__(self, audit_log: AuditLog | None = None):
+    def __init__(self, model: str, audit_log: AuditLog | None = None):
+        self.model = model
         self.audit_log = audit_log if audit_log is not None else AuditLog()
         self._session_counter = itertools.count()
 
@@ -142,7 +144,7 @@ class Gateway:
                 session_id=session_id,
                 request=prompt,
                 response=text,
-                model=str(self._model_tag()),
+                model=self.model,
                 latency=time.monotonic() - start,
                 retries=retries,
                 attachments=[{"media_type": a.media_type, "bytes": len(a.data)} for a in attachments],
@@ -150,51 +152,21 @@ class Gateway:
         )
         return text
 
-    def _model_tag(self) -> str:
-        return "unknown"
-
     def _transport(self, prompt: str, attachments: list[Attachment], temperature: float) -> tuple[str, int]:
         raise NotImplementedError
 
 
-class TransientFailure:
-    """Place one of these in a mock script to simulate a flaky transport."""
-
-
 class MockGateway(Gateway):
-    """Deterministic scripted double.
+    """In-process double: ``responder`` maps the prompt text to the reply.
+    Its transport cannot fail, so it never retries; a responder raises
+    GatewayError to stand for a dead transport."""
 
-    Accepts either a fixed response list (consumed in order; TransientFailure
-    entries raise once, costing a retry) or a responder callable mapping the
-    prompt text to a response.
-    """
-
-    def __init__(self, responses=None, responder=None, audit_log: AuditLog | None = None):
-        super().__init__(audit_log)
-        if (responses is None) == (responder is None):
-            raise ValueError("provide exactly one of responses or responder")
-        self._responses = list(responses) if responses is not None else None
+    def __init__(self, responder, audit_log: AuditLog | None = None):
+        super().__init__("mock", audit_log)
         self._responder = responder
-        self._lock = threading.Lock()
-
-    def _model_tag(self) -> str:
-        return "mock"
 
     def _transport(self, prompt: str, attachments, temperature) -> tuple[str, int]:
-        retries = 0
-        while True:
-            with self._lock:
-                if self._responder is not None:
-                    return str(self._responder(prompt)), retries
-                if not self._responses:
-                    raise GatewayError("mock script exhausted", kind="script")
-                item = self._responses.pop(0)
-            if isinstance(item, TransientFailure) or item is TransientFailure:
-                if retries >= 3:
-                    raise GatewayError("mock transport failed 3 retries", kind="exhausted")
-                retries += 1
-                continue
-            return str(item), retries
+        return str(self._responder(prompt)), 0
 
 
 def _finite_number(value) -> bool:
@@ -234,13 +206,10 @@ class HttpGateway(Gateway):
     retried with exponential backoff; auth problems fail immediately."""
 
     def __init__(self, config: GatewayConfig, audit_log: AuditLog | None = None):
-        super().__init__(audit_log)
+        super().__init__(config.model, audit_log)
         if not config.endpoint:
             raise ValueError("endpoint must be configured for live mode")
         self.config = config
-
-    def _model_tag(self) -> str:
-        return self.config.model
 
     def _credential(self) -> str:
         key = os.environ.get(self.config.credential_env, "")

@@ -2,7 +2,8 @@
 
 Everything here is written from first principles (Rodrigues formula,
 textbook quaternion slerp, brute-force grids) and deliberately avoids
-importing the package's own math, so a shared bug cannot hide.
+importing the package's own math, so a shared bug cannot hide. ``replies``
+scripts the in-process gateway for the LLM tests.
 """
 import json
 import re
@@ -538,6 +539,29 @@ def converged_oracle(current, goal, pos_tol=1e-9, ang_tol=1e-7):
         float(np.linalg.norm(current.position - goal.position)) <= pos_tol
         and angle_rad_oracle((current.rotation.inverse() @ goal.rotation).as_matrix()) <= ang_tol
     )
+
+
+# -- LLM replies -------------------------------------------------------------
+
+
+def replies(script):
+    """A ``MockGateway`` responder that answers each completion with the next
+    entry of ``script``. An entry that is an exception is raised instead, the
+    way a dead transport raises ``GatewayError``; past the end of the script
+    the transport is dead."""
+    from demoforge.gateway import GatewayError
+
+    queue = list(script)
+
+    def responder(prompt):
+        if not queue:
+            raise GatewayError("no scripted reply left", kind="exhausted")
+        item = queue.pop(0)
+        if isinstance(item, Exception):
+            raise item
+        return item
+
+    return responder
 
 
 # -- LLM queries -------------------------------------------------------------

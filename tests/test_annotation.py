@@ -27,7 +27,7 @@ from scipy.spatial.transform import Rotation as SR
 from demoforge.demos import Action, Demonstration, Observation, TrajectorySegment
 from demoforge.gateway import MockGateway
 from demoforge.geometry import Pose, Rotation
-from oracles import demo_from_steps, summarize_demo_oracle
+from oracles import demo_from_steps, replies, summarize_demo_oracle
 
 TASK = TaskDescription("Pick up the block and place it on the target region.")
 LONG_INTEGER = "7" * 5000  # past int()'s default limit of 4300 digits
@@ -242,7 +242,7 @@ class TestSelectViewframes:
 
     def test_overlong_integer_restarts_then_fails(self):
         # int() refuses more than 4300 digits with a bare ValueError, which once escaped the campaign
-        gw = MockGateway(responses=[f"frames 10 and {LONG_INTEGER}"] * 3 + ["unused"])
+        gw = MockGateway(replies([f"frames 10 and {LONG_INTEGER}"] * 3 + ["unused"]))
         with pytest.raises(AnnotationFailed):
             create_annotation(gw, synthetic_demo(100), TASK, max_retries=3)
         assert len(gw.audit_log.entries()) == 3
@@ -251,7 +251,7 @@ class TestSelectViewframes:
 class TestAnnotate:
     def test_good_response_round_trip(self):
         demo = synthetic_demo(100)
-        gw = MockGateway(responses=[good_response(demo)])
+        gw = MockGateway(replies([good_response(demo)]))
         ann = annotate(gw, demo, [10, 50], TASK)
         ts = [k.timestep for k in ann.keyposes]
         assert ts == [0, 10, 50, 100]  # endpoints inserted, response frames kept
@@ -264,7 +264,7 @@ class TestAnnotate:
 
     def test_malformed_then_good_retries_on_fresh_session(self):
         demo = synthetic_demo(100)
-        gw = MockGateway(responses=["not json at all", good_response(demo)])
+        gw = MockGateway(replies(["not json at all", good_response(demo)]))
         ann = annotate(gw, demo, [10, 50], TASK)
         assert len(ann.keyposes) == 4
         entries = gw.audit_log.entries()
@@ -273,7 +273,7 @@ class TestAnnotate:
 
     def test_exhaustion_after_three_attempts(self):
         demo = synthetic_demo(100)
-        gw = MockGateway(responses=["nope", "{}", '{"keyposes": []}', "unused"])
+        gw = MockGateway(replies(["nope", "{}", '{"keyposes": []}', "unused"]))
         with pytest.raises(AnnotationFailed):
             annotate(gw, demo, [10], TASK)
         assert len(gw.audit_log.entries()) == 3
@@ -283,7 +283,7 @@ class TestAnnotate:
         bad = json.dumps(
             {"description": "", "keyposes": [{"t": 999, "pos_mm": [0, 0, 0], "euler_deg": [0, 0, 0], "gripper": 1.0}]}
         )
-        gw = MockGateway(responses=[bad, good_response(demo)])
+        gw = MockGateway(replies([bad, good_response(demo)]))
         ann = annotate(gw, demo, [10, 50], TASK)
         assert [k.timestep for k in ann.keyposes] == [0, 10, 50, 100]
 
@@ -306,7 +306,7 @@ class TestAnnotate:
             doc.update(patch)
         else:
             doc["keyposes"][0].update(patch)
-        gw = MockGateway(responses=[json.dumps(doc), good_response(demo)])
+        gw = MockGateway(replies([json.dumps(doc), good_response(demo)]))
         ann = annotate(gw, demo, [10, 50], TASK)
         assert [k.timestep for k in ann.keyposes] == [0, 10, 50, 100]
         assert all(k.relevant_objects in ([], ["block"]) for k in ann.keyposes)
@@ -315,7 +315,7 @@ class TestAnnotate:
     def test_overlong_integer_restarts_then_fails(self):
         # json.loads raises a bare ValueError, not a JSONDecodeError, past int()'s 4300 digits
         reply = '{"keyposes": [{"t": %s, "pos_mm": [0, 0, 0], "euler_deg": [0, 0, 0], "gripper": 1.0}]}' % LONG_INTEGER
-        gw = MockGateway(responses=[reply] * 3 + ["unused"])
+        gw = MockGateway(replies([reply] * 3 + ["unused"]))
         with pytest.raises(AnnotationFailed):
             annotate(gw, synthetic_demo(100), [10], TASK)
         assert len(gw.audit_log.entries()) == 3
@@ -323,13 +323,13 @@ class TestAnnotate:
     def test_code_fenced_json_accepted(self):
         demo = synthetic_demo(100)
         fenced = "```json\n" + good_response(demo) + "\n```"
-        gw = MockGateway(responses=[fenced])
+        gw = MockGateway(replies([fenced]))
         ann = annotate(gw, demo, [10, 50], TASK)
         assert len(ann.keyposes) == 4
 
     def test_frames_outside_range_rejected_before_any_call(self):
         demo = synthetic_demo(100)
-        gw = MockGateway(responses=["never used"])
+        gw = MockGateway(replies(["never used"]))
         with pytest.raises(ValueError):
             annotate(gw, demo, [500], TASK)
         assert gw.audit_log.entries() == []
@@ -506,21 +506,21 @@ class TestSerialization:
 class TestCreateAnnotation:
     def test_end_to_end_with_scripted_responses(self):
         demo = synthetic_demo(100)
-        gw = MockGateway(responses=["10, 50", good_response(demo)])
+        gw = MockGateway(replies(["10, 50", good_response(demo)]))
         ann = create_annotation(gw, demo, TASK)
         assert [k.timestep for k in ann.keyposes] == [0, 10, 50, 100]
         assert len(gw.audit_log.entries()) == 2
 
     def test_viewframe_retry_then_success(self):
         demo = synthetic_demo(100)
-        gw = MockGateway(responses=["no frames here", "10, 50", good_response(demo)])
+        gw = MockGateway(replies(["no frames here", "10, 50", good_response(demo)]))
         ann = create_annotation(gw, demo, TASK)
         assert len(ann.keyposes) == 4
         assert len(gw.audit_log.entries()) == 3
 
     def test_viewframe_exhaustion(self):
         demo = synthetic_demo(100)
-        gw = MockGateway(responses=["nope", "still nope", "none at all", "unused"])
+        gw = MockGateway(replies(["nope", "still nope", "none at all", "unused"]))
         with pytest.raises(AnnotationFailed):
             create_annotation(gw, demo, TASK)
 

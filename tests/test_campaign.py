@@ -34,7 +34,7 @@ from demoforge.campaign import (
     write_dataset,
 )
 from demoforge.demos import Action, Demonstration, Observation, ObjectObservation, SceneObservation, TrajectorySegment
-from demoforge.gateway import GatewayError, MockGateway, TransientFailure
+from demoforge.gateway import GatewayError, MockGateway
 from demoforge.geometry import Pose, Rotation
 from demoforge.retargeting import RetargetFailed, scripted_retarget
 from demoforge.simworld import BUNDLED_TASKS, ObjectAttached, TaskSpec, record_demo, reset
@@ -42,6 +42,7 @@ from oracles import (
     demo_from_steps,
     demo_to_doc,
     read_dataset_oracle,
+    replies,
     select_reattach_oracle,
     summarize_demo_oracle,
     wilson_interval as wilson_oracle,
@@ -1019,7 +1020,7 @@ class TestCampaign:
             annotator="llm",
             source_demo_seeds=(1001,),
         )
-        broken = MockGateway(responses=[TransientFailure()] * 8)
+        broken = MockGateway(replies([]))  # no reply left: a dead transport
         with pytest.raises(GatewayError):
             run_campaign(cfg, gateway=broken)
         assert os.path.exists(cfg.checkpoint_path)

@@ -11,36 +11,33 @@ from demoforge.gateway import (
     HttpGateway,
     MockGateway,
     PromptExchange,
-    TransientFailure,
 )
+from oracles import replies
 
 
 class TestMockGateway:
     def test_canned_response_zero_retries(self):
-        gw = MockGateway(responses=["A"])
+        gw = MockGateway(replies(["A"]))
         assert gw.fresh_session().complete("hello", temperature=0.0) == "A"
         [entry] = gw.audit_log.entries()
         assert entry.retries == 0
         assert entry.response == "A"
+        assert entry.model == "mock"
 
-    def test_fail_twice_then_answer(self):
-        gw = MockGateway(responses=[TransientFailure(), TransientFailure(), "ok"])
-        assert gw.fresh_session().complete("hello", temperature=0.0) == "ok"
-        [entry] = gw.audit_log.entries()
-        assert entry.retries == 2
+    def test_dead_transport_is_not_retried(self):
+        # only HttpGateway retries: a responder's GatewayError passes straight out
+        calls = []
 
-    def test_persistent_failure_exhausts(self):
-        gw = MockGateway(responses=[TransientFailure()] * 5)
+        def dead(prompt):
+            calls.append(prompt)
+            raise GatewayError("connection refused", kind="transport")
+
+        gw = MockGateway(dead)
         with pytest.raises(GatewayError) as err:
             gw.fresh_session().complete("hello", temperature=0.0)
-        assert err.value.kind == "exhausted"
-
-    def test_script_exhaustion(self):
-        gw = MockGateway(responses=["only one"])
-        gw.fresh_session().complete("a", temperature=0.0)
-        with pytest.raises(GatewayError) as err:
-            gw.fresh_session().complete("b", temperature=0.0)
-        assert err.value.kind == "script"
+        assert err.value.kind == "transport"
+        assert calls == ["hello"]
+        assert gw.audit_log.entries() == []
 
     def test_sessions_are_stateless(self):
         gw = MockGateway(responder=lambda prompt: f"echo:{prompt}")
@@ -48,7 +45,7 @@ class TestMockGateway:
         assert s1.complete("same", temperature=0.0) == s2.complete("same", temperature=0.0) == "echo:same"
 
     def test_session_ids_distinct_and_logged(self):
-        gw = MockGateway(responses=["x", "y"])
+        gw = MockGateway(replies(["x", "y"]))
         s1, s2 = gw.fresh_session(), gw.fresh_session()
         s1.complete("p1", temperature=0.0)
         s2.complete("p2", temperature=0.0)
@@ -59,34 +56,28 @@ class TestMockGateway:
     def test_deterministic_given_script(self):
         outs = []
         for _ in range(2):
-            gw = MockGateway(responses=["r1", "r2"])
+            gw = MockGateway(replies(["r1", "r2"]))
             s = gw.fresh_session()
             outs.append((s.complete("a", temperature=0.0), s.complete("b", temperature=0.0)))
         assert outs[0] == outs[1]
 
     def test_empty_prompt_rejected(self):
-        gw = MockGateway(responses=["x"])
+        gw = MockGateway(replies(["x"]))
         with pytest.raises(ValueError):
             gw.fresh_session().complete("", temperature=0.0)
 
     def test_temperature_is_required(self):
-        gw = MockGateway(responses=["x"])
+        gw = MockGateway(replies(["x"]))
         with pytest.raises(TypeError, match="temperature"):
             gw.fresh_session().complete("hello")
         with pytest.raises(TypeError):
             gw.fresh_session().complete("hello", top_p=0.9, temperature=0.0)
         assert gw.audit_log.entries() == []
 
-    def test_requires_exactly_one_source(self):
-        with pytest.raises(ValueError):
-            MockGateway()
-        with pytest.raises(ValueError):
-            MockGateway(responses=["a"], responder=lambda p: p)
-
 
 def test_audit_log_file_round_trip(tmp_path):
     path = tmp_path / "audit.jsonl"
-    gw = MockGateway(responses=["first", "second"], audit_log=AuditLog(path))
+    gw = MockGateway(replies(["first", "second"]), audit_log=AuditLog(path))
     s = gw.fresh_session()
     s.complete("p1", attachments=[Attachment(b"\x89PNG", "image/png")], temperature=0.0)
     gw.fresh_session().complete("p2", temperature=0.0)
@@ -163,6 +154,7 @@ class TestHttpGateway:
         assert calls[0]["json"]["temperature"] == 0.2
         assert calls[0]["json"]["model"] == "m-test"
         assert gw.audit_log.entries()[0].retries == 0
+        assert gw.audit_log.entries()[0].model == "m-test"
 
     def test_transient_then_success(self, http_env):
         calls = http_env([500, 429, 200])

@@ -9,10 +9,10 @@ import pytest
 
 from demoforge.annotation import Annotation, Keypose, TaskDescription, annotate, create_annotation
 from demoforge.demos import Action, ObjectObservation, Observation, SceneObservation
-from demoforge.gateway import GatewayError, MockGateway, TransientFailure
+from demoforge.gateway import GatewayError, MockGateway
 from demoforge.geometry import Pose, Rotation
 from demoforge.retargeting import retarget
-from oracles import annotate_oracle, create_annotation_oracle, demo_from_steps, retarget_oracle
+from oracles import annotate_oracle, create_annotation_oracle, demo_from_steps, replies, retarget_oracle
 
 TASK = TaskDescription("Pick up the block and place it inside the goal region.")
 HORIZON = 40
@@ -22,7 +22,7 @@ class TemperatureGateway(MockGateway):
     """A scripted gateway that also records each completion's temperature."""
 
     def __init__(self, responses):
-        super().__init__(responses=responses)
+        super().__init__(replies(responses))
         self.temperatures = []
 
     def _transport(self, prompt, attachments, temperature):
@@ -134,10 +134,11 @@ def retarget_reply(rng, annotation):
 
 
 def script(rng, reply, most=6):
-    """Up to ``most`` replies, with runs of transient transport failures."""
+    """Up to ``most`` replies; before each, the transport may die."""
     out = []
     for _ in range(rng.integers(1, most + 1)):
-        out += [TransientFailure] * int(rng.choice([0, 0, 0, 0, 0, 0, 0, 1, 2, 4]))
+        if rng.random() < 0.1:
+            out.append(GatewayError("connection reset", kind="transport"))
         out.append(reply(rng))
     return out
 

@@ -15,6 +15,7 @@ from demoforge.retargeting import (
     retarget,
     scripted_retarget,
 )
+from oracles import replies
 
 TASK = TaskDescription("Stack the blocks on the goal region.")
 
@@ -136,7 +137,7 @@ class TestRetarget:
     def test_wrong_count_retries_then_fails(self):
         ann = simple_annotation()
         short = json.dumps({"keyposes": [ann.keyposes[0].to_json()]})
-        gw = MockGateway(responses=[short, short, short, "unused"])
+        gw = MockGateway(replies([short, short, short, "unused"]))
         with pytest.raises(RetargetFailed):
             retarget(gw, ann, TASK, scene())
         assert len(gw.audit_log.entries()) == 3
@@ -162,7 +163,7 @@ class TestRetarget:
         ann = simple_annotation()
         good = [k.to_json() for k in ann.keyposes]
         bad = [{**good[0], **patch}] + good[1:]
-        gw = MockGateway(responses=[json.dumps({"keyposes": bad}), json.dumps({"keyposes": good})])
+        gw = MockGateway(replies([json.dumps({"keyposes": bad}), json.dumps({"keyposes": good})]))
         out = retarget(gw, ann, TASK, scene())
         assert [k.timestep for k in out] == [0, 10, 20, 30]
         assert len(gw.audit_log.entries()) == 2
@@ -172,7 +173,7 @@ class TestRetarget:
         ann = simple_annotation()
         kps = [k.to_json() for k in ann.keyposes]
         reply = json.dumps({"keyposes": kps}).replace('"t": 0', '"t": ' + "7" * 5000, 1)
-        gw = MockGateway(responses=[reply] * 3 + ["unused"])
+        gw = MockGateway(replies([reply] * 3 + ["unused"]))
         with pytest.raises(RetargetFailed):
             retarget(gw, ann, TASK, scene())
         assert len(gw.audit_log.entries()) == 3
@@ -192,7 +193,7 @@ class TestRetarget:
     def test_retry_then_success_uses_fresh_sessions(self):
         ann = simple_annotation()
         good = json.dumps({"keyposes": [k.to_json() for k in ann.keyposes]})
-        gw = MockGateway(responses=["garbage", good])
+        gw = MockGateway(replies(["garbage", good]))
         out = retarget(gw, ann, TASK, scene())
         assert len(out) == 4
         entries = gw.audit_log.entries()
