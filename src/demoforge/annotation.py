@@ -109,7 +109,7 @@ class Keypose:
     @classmethod
     def from_json(cls, doc: dict) -> "Keypose":
         """A keypose entry as JSON reads it: t an integer, pos_mm and euler_deg lists of
-        numbers, gripper a number (bools are neither), objects a list of names."""
+        numbers, gripper a number (bools are neither), objects a list of names, note a string."""
         if not isinstance(doc, dict):
             raise TypeError(f"keypose entry must be an object, got {doc!r}")
         t, pos_mm, euler_deg, gripper = doc["t"], doc["pos_mm"], doc["euler_deg"], doc["gripper"]
@@ -120,7 +120,10 @@ class Keypose:
         objects = doc.get("objects", [])
         if not isinstance(objects, list) or not all(isinstance(name, str) for name in objects):
             raise ValueError(f"keypose objects must be a list of names, got {objects!r}")
-        return cls(t, pos_mm, euler_deg, float(gripper), list(objects), str(doc.get("note", "")))
+        note = doc.get("note", "")
+        if not isinstance(note, str):
+            raise TypeError(f"keypose note must be a string, got {note!r}")
+        return cls(t, pos_mm, euler_deg, float(gripper), list(objects), note)
 
 
 def _number(value) -> bool:
@@ -146,13 +149,11 @@ class Annotation:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Annotation":
-        return cls(
-            id=doc["id"],
-            keyposes=[Keypose.from_json(k) for k in doc["keyposes"]],
-            description_text=doc["description_text"],
-            source_demo_id=doc["source_demo_id"],
-            created_by=doc["created_by"],
-        )
+        texts = {name: doc[name] for name in ("id", "description_text", "source_demo_id", "created_by")}
+        wrong = {name: value for name, value in texts.items() if not isinstance(value, str)}
+        if wrong:
+            raise TypeError(f"annotation fields must be strings, got {wrong!r}")
+        return cls(keyposes=[Keypose.from_json(k) for k in doc["keyposes"]], **texts)
 
     def keypose_pairs(self) -> list[tuple[int, Pose]]:
         """(timestep, Pose) pairs in the shape the warper wants."""
@@ -233,7 +234,7 @@ def reply_keyposes(text: str) -> tuple[dict, list]:
     m = re.search(r"```(?:json)?\s*(.*?)```", text, flags=re.DOTALL)
     try:
         doc = json.loads(m.group(1) if m else text)
-    except ValueError as err:  # JSONDecodeError, or an integer past int()'s digit limit
+    except (ValueError, RecursionError) as err:  # JSONDecodeError, an integer past int()'s digit limit, deep nesting
         raise MalformedResponse(f"response is not JSON: {err}") from None
     items = doc.get("keyposes") if isinstance(doc, dict) else None
     if not isinstance(items, list):
@@ -254,7 +255,10 @@ def _parse_annotation_response(text: str, horizon: int) -> tuple[str, list[Keypo
         keyposes.append(kp)
     if not keyposes:
         raise MalformedResponse("empty keypose list")
-    return str(doc.get("description", "")), keyposes
+    description = doc.get("description", "")
+    if not isinstance(description, str):
+        raise MalformedResponse(f"description must be a string, got {description!r}")
+    return description, keyposes
 
 
 def annotate(

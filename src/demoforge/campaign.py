@@ -709,7 +709,7 @@ def _load_checkpoint(cfg: CampaignConfig, sources: dict):
         # every kept mint is an arm that starts with its one success
         counts = [(k, doc[k], 0) for k in ("rollouts", "new_arm_attempts", "successes")]
         counts += [(f"arm {k}", r[k], least) for r in records for k, least in (("n_suc", 1), ("n_fail", 0))]
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as err:  # JSONDecodeError is a ValueError
+    except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as err:  # RecursionError: deep nesting
         raise ConfigError(f"unreadable checkpoint {cfg.checkpoint_path}: {err}") from err
     if fingerprint != cfg.fingerprint():
         raise ConfigError("checkpoint was produced by a different campaign configuration")
@@ -718,9 +718,7 @@ def _load_checkpoint(cfg: CampaignConfig, sources: dict):
     for name, value in [("elapsed", elapsed)] + [("arm noise_std", m.noise_std) for m in arms_meta]:
         _check_number(f"checkpoint {name}", value, 0.0)
     for ann in [m.annotation for m in arms_meta]:
-        if not isinstance(ann.id, str):
-            raise ConfigError(f"checkpoint arm id {ann.id!r} is not a string")
-        if not isinstance(ann.source_demo_id, str) or ann.source_demo_id not in sources:
+        if ann.source_demo_id not in sources:
             raise ConfigError(f"checkpoint arm names unknown source demo {ann.source_demo_id!r}")
         # the warp indexes the source demo at these; repair_annotation leaves them rising from 0 to T
         ts, horizon = [k.timestep for k in ann.keyposes], sources[ann.source_demo_id].horizon

@@ -56,7 +56,7 @@ def _load_yaml(path: str) -> dict:
             doc = yaml.safe_load(fh)
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read {path}: {err}") from err
-    except yaml.YAMLError as err:
+    except (yaml.YAMLError, RecursionError) as err:
         raise ConfigError(f"malformed config {path}: {err}") from err
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be a mapping, got {type(doc).__name__}")
@@ -166,7 +166,7 @@ def report(report_json: str) -> None:
         with open(report_json) as fh:
             doc = json.load(fh)
         table = CampaignReport.from_json(doc).render_table()
-    except (OSError, KeyError, TypeError, ValueError) as err:  # JSONDecodeError is a ValueError
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as err:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read report {report_json}: {err}") from err
     click.echo(table)
 

@@ -292,17 +292,19 @@ class TestAnnotate:
         [{"keyposes": 5}, {"keyposes": None}, {"keyposes": [1]}, {"keyposes": ["x"]}, {"keyposes": [[]]},
          {"objects": [1]}, {"objects": "block"}, {"objects": {"block": 1}},
          {"t": float("inf")}, {"t": 10.7}, {"t": "10"}, {"t": True}, {"pos_mm": ["1", "2", "3"]},
-         {"euler_deg": [0, False, 0]}, {"gripper": "1.0"}, {"gripper": True}],
+         {"euler_deg": [0, False, 0]}, {"gripper": "1.0"}, {"gripper": True}, {"note": None}, {"note": 5},
+         {"description": None}, {"description": ["pick"]}],
         ids=repr,
     )
     def test_bad_reply_shape_is_retried(self, patch):
         # each of these once escaped annotate (TypeError, OverflowError), broke
         # repair_annotation, split "block" into letters, took a mapping's keys or
         # was coerced (10.7 and "10" to 10, True to 1); a keypose entry that is
-        # not an object must not escape as AttributeError
+        # not an object must not escape as AttributeError; a null note or description
+        # once became the text "None" in the annotation's description
         demo = synthetic_demo(100)
         doc = json.loads(good_response(demo))
-        if "keyposes" in patch:
+        if "keyposes" in patch or "description" in patch:
             doc.update(patch)
         else:
             doc["keyposes"][0].update(patch)
@@ -316,6 +318,13 @@ class TestAnnotate:
         # json.loads raises a bare ValueError, not a JSONDecodeError, past int()'s 4300 digits
         reply = '{"keyposes": [{"t": %s, "pos_mm": [0, 0, 0], "euler_deg": [0, 0, 0], "gripper": 1.0}]}' % LONG_INTEGER
         gw = MockGateway(replies([reply] * 3 + ["unused"]))
+        with pytest.raises(AnnotationFailed):
+            annotate(gw, synthetic_demo(100), [10], TASK)
+        assert len(gw.audit_log.entries()) == 3
+
+    def test_deeply_nested_reply_restarts_then_fails(self):
+        # json.loads recurses once per nesting level: a RecursionError once escaped the campaign
+        gw = MockGateway(replies(["[" * 100_000] * 3 + ["unused"]))
         with pytest.raises(AnnotationFailed):
             annotate(gw, synthetic_demo(100), [10], TASK)
         assert len(gw.audit_log.entries()) == 3

@@ -85,6 +85,14 @@ class TestGenerate:
         result = runner.invoke(main, ["generate", "-c", str(path)])
         assert result.exit_code == 2
 
+    def test_deeply_nested_config_exits_2(self, runner, tmp_path):
+        # the YAML composer recurses once per nesting level and raises RecursionError
+        path = tmp_path / "c.yaml"
+        path.write_text("campaign: " + "[" * 100_000 + "]" * 100_000 + "\n")
+        result = runner.invoke(main, ["generate", "-c", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "malformed config" in result.output
+
     def test_config_file_missing_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["generate", "-c", str(tmp_path / "absent.yaml")])
         assert result.exit_code == 2
@@ -208,6 +216,8 @@ class TestGenerate:
         "arm source demo a list": (("arms", 0, "annotation", "source_demo_id"), ["pick_place-src00"]),
         "arm records missing": (("arms",), []),
         "bandit arm id a list": (("arms", 0, "annotation", "id"), [1]),
+        "arm description null": (("arms", 0, "annotation", "description_text"), None),
+        "arm creator a number": (("arms", 0, "annotation", "created_by"), 5),
         "arm n_suc zero": (("arms", 0, "n_suc"), 0),
         "attempts inflated": (("new_arm_attempts",), 3),
         "current off by one": (("successes",), 0),
@@ -226,10 +236,13 @@ class TestGenerate:
         "keypose timestep a bool": lambda kps: kps[0].update(t=False),
         "keypose position strings": lambda kps: kps[1].update(pos_mm=[str(v) for v in kps[1]["pos_mm"]]),
         "keypose gripper a bool": lambda kps: kps[1].update(gripper=kps[1]["gripper"] >= 0.5),
+        "keypose note null": lambda kps: kps[1].update(note=None),
     }
 
     @pytest.mark.parametrize(
-        "damage", ["dataset deleted", "checkpoint torn", "checkpoint not a mapping", *FIELD_DAMAGE, *KEYPOSE_DAMAGE]
+        "damage",
+        ["dataset deleted", "checkpoint torn", "checkpoint not a mapping", "checkpoint nested too deep",
+         *FIELD_DAMAGE, *KEYPOSE_DAMAGE],
     )
     def test_resume_from_damaged_files_exits_2(self, runner, tmp_path, damage):
         cfg = write_config(tmp_path / "c.yaml", tiny_campaign(tmp_path, goal_successes=1))
@@ -248,6 +261,8 @@ class TestGenerate:
             doc = json.loads((tmp_path / "ckpt.json").read_text())
             self.KEYPOSE_DAMAGE[damage](doc["arms"][0]["annotation"]["keyposes"])
             (tmp_path / "ckpt.json").write_text(json.dumps(doc))
+        elif damage == "checkpoint nested too deep":
+            (tmp_path / "ckpt.json").write_text('{"fingerprint": ' + "[" * 100_000 + "]" * 100_000 + "}")
         else:
             (tmp_path / "ckpt.json").write_text('{"fingerprint": ' if damage == "checkpoint torn" else "[]")
         result = runner.invoke(main, ["generate", "-c", cfg, "--resume"])
@@ -409,6 +424,13 @@ class TestReport:
         path.write_text("{]")
         result = runner.invoke(main, ["report", str(path)])
         assert result.exit_code == 2
+
+    def test_deeply_nested_json_exits_2(self, runner, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text('{"task": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        result = runner.invoke(main, ["report", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "cannot read report" in result.output
 
     # a report as generate writes it, and edits that break only the rendering
     GOOD_REPORT = {

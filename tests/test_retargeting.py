@@ -178,6 +178,12 @@ class TestRetarget:
             retarget(gw, ann, TASK, scene())
         assert len(gw.audit_log.entries()) == 3
 
+    def test_deeply_nested_reply_restarts_then_fails(self):
+        gw = MockGateway(replies(['{"keyposes": ' + "[" * 100_000] * 3 + ["unused"]))
+        with pytest.raises(RetargetFailed):
+            retarget(gw, simple_annotation(), TASK, scene())
+        assert len(gw.audit_log.entries()) == 3
+
     def test_non_finite_pose_is_malformed(self):
         ann = simple_annotation()
 
