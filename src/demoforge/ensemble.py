@@ -14,15 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .demos import Action, TrajectorySegment
-from .geometry import Pose, check_rotation_matrices, scipy_rotation, trusted_rotation
+from .geometry import _ORTHO_TOL, Pose, check_rotation_matrices, scipy_rotation, trusted_rotation
 
 TAU_SWITCH = 0.5
 TAU_REATTACH = 0.5
 STREAK_WINDOW = 3
 COOLDOWN = 5
-# check_rotation_matrices lets a gramian's diagonal stray 1e-5 from 1, so a trajectory rotation lies within
-# 9e-6 (Frobenius) of the rotation scipy projects it to: its chord to a trusted rotation shrinks by less
-_CHORD_SLACK = 1e-5
+# check_rotation_matrices keeps every gramian entry within _ORTHO_TOL of I's, so a trajectory rotation's singular
+# values lie within 1.5 _ORTHO_TOL of 1 and its chord to the nearest rotation is under 1.9 _ORTHO_TOL; to the one
+# scipy projects it to, at most 1.04 _ORTHO_TOL was measured. Its chord to a trusted rotation shrinks by less
+_CHORD_SLACK = 4.0 * _ORTHO_TOL
 
 
 @dataclass

@@ -62,12 +62,13 @@ def euler_degrees(matrix: np.ndarray) -> np.ndarray:
 
 
 def check_rotation_matrices(matrices: np.ndarray) -> None:
-    """Raise ValueError unless every matrix of an (n, 3, 3) stack is a proper rotation."""
+    """Raise ValueError unless every matrix of an (n, 3, 3) stack is a proper rotation: det within _ORTHO_TOL
+    of 1 and every entry of M M^T within _ORTHO_TOL of I's."""
     if matrices.ndim != 3 or matrices.shape[1:] != (3, 3):
         raise ValueError(f"rotation matrices must stack as (n, 3, 3), got {matrices.shape}")
     if np.any(np.abs(np.linalg.det(matrices) - 1.0) > _ORTHO_TOL):
         raise ValueError("matrix determinant is not +1")
-    if not np.allclose(np.matmul(matrices, matrices.transpose(0, 2, 1)), np.eye(3), atol=_ORTHO_TOL):
+    if not np.all(np.abs(np.matmul(matrices, matrices.transpose(0, 2, 1)) - np.eye(3)) <= _ORTHO_TOL):
         raise ValueError("matrix is not orthonormal")
 
 

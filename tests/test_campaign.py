@@ -437,10 +437,13 @@ def _set(*keys, value):
 
 
 SHEAR = [[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+# det 1 - 1.6e-11, and a gramian diagonal 8e-6 from 1: inside np.allclose's default rtol, outside the 1e-9 bound
+STRETCH = [[1.0 + 4e-6, 0.0, 0.0], [0.0, 1.0 - 4e-6, 0.0], [0.0, 0.0, 1.0]]
 # the malformed-line cases of TestDataset, and the type checks, as (damage to line 2's document, error text)
 DOC_DAMAGES = {
     "missing act": (lambda doc: doc["steps"][0].pop("act"), "act"),
     "late shear": (_set("steps", 3, "obs", "objects", 1, "pose", "R", value=SHEAR), "orthonormal"),
+    "stretch": (_set("steps", 3, "act", "pose", "R", value=STRETCH), "orthonormal"),
     "task nope": (_set("task", value="nope"), "task"),
     "task 7": (_set("task", value=7), "task"),
     "seed text": (_set("seed", value="abc"), "seed"),

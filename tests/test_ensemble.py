@@ -503,6 +503,17 @@ class TestReattachCertificate:
         with pytest.raises(ValueError, match="determinant"):
             EnsembleState.initial(traj)
 
+    @pytest.mark.parametrize("stretch, proper", [(4e-10, True), (4e-6, False)])
+    def test_trajectory_rotations_orthonormal_to_1e9(self, stretch, proper):
+        # a gramian diagonal 2 * stretch from 1; np.allclose's default rtol once let 8e-6 through
+        traj = line_traj(5)
+        traj.rotations[2] = np.diag([1.0 + stretch, 1.0 - stretch, 1.0])
+        if proper:
+            EnsembleState.initial(traj)
+        else:
+            with pytest.raises(ValueError, match="orthonormal"):
+                EnsembleState.initial(traj)
+
 
 def perfect_feedback(traj, cursor):
     """The trajectory's own action: a feedback policy in exact agreement."""
