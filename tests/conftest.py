@@ -1,7 +1,9 @@
 """Suite-wide guard: no test may open a network connection.
 
-All gateway traffic in tests goes through the in-process mock; an attempted
-AF_INET/AF_INET6 connect anywhere in the run is a bug and fails loudly.
+Gateway traffic in tests goes through the in-process MockGateway, which
+answers through a responder (``oracles.replies`` scripts one), or through
+HttpGateway over a stubbed ``requests.post``; an attempted AF_INET/AF_INET6
+connect anywhere in the run is a bug and fails loudly.
 """
 
 import socket
