@@ -6,7 +6,8 @@ output checks, and asserts the SHA-256 of what it wrote: the datasets, the
 bandit's decide/pull sequence, and for the mock-LLM workload the gateway's
 request texts and the ensemble episodes of the evaluation. A change that
 moves one bit of a warped pose, a world step, a Thompson pick or a reattach
-pick fails here.
+pick fails here. A separate test hashes the full switching-ensemble trace
+of ten disturbed trials, every similarity float included.
 
 The digests hold for one numeric stack only; the test names it and fails,
 never skips, on any other.
@@ -19,6 +20,10 @@ import pathlib
 import numpy as np
 import pytest
 import scipy
+
+from demoforge import campaign
+from demoforge.annotation import scripted_annotate
+from demoforge.simworld import TaskSpec, record_demo
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -88,3 +93,35 @@ def test_seed_one_round_zero_digests(workload, tmp_path, monkeypatch):
         requests = "\n".join(e.request for e in session.gateway.audit_log.entries())
         assert sha256(requests) == LLM_REQUESTS_SHA256
         assert sha256(json.dumps(session.rec.episodes)) == LLM_EPISODES_SHA256
+
+
+ENSEMBLE_TRACES_SHA256 = "367a95bcb96ee9b3c5d6938deda21c7f0b3e103a31a79b72218c09d8f32bac9a"
+
+
+def test_disturbed_ensemble_traces(monkeypatch):
+    """Ten ``ensemble_runner`` trials on pick_place, the block pushed 6.4 cm
+    25 points before the first gripper close (the benchmark's disturbance):
+    the SHA-256 of every step's trace entry, ``similarity`` floats included."""
+    assert numeric_stack() == NUMERIC_STACK, (
+        f"the pinned trace digest was taken on {NUMERIC_STACK}; this stack is {numeric_stack()}"
+    )
+    spec = TaskSpec("pick_place")
+    source = record_demo(spec, 1001)
+
+    def disturb(traj):
+        grasp = next(i for i in range(1, len(traj)) if traj.gripper[i] < traj.gripper[i - 1])
+        return [(max(0, grasp - 25), "block", np.array([0.05, 0.04, 0.0]))]
+
+    traces = []
+    episode = campaign.run_ensemble_episode
+
+    def traced(*args):
+        out = episode(*args)
+        traces.append(out.ensemble.trace)
+        return out
+
+    monkeypatch.setattr(campaign, "run_ensemble_episode", traced)
+    runner = campaign.ensemble_runner(scripted_annotate(source, "pick_place"), source, disturbance=disturb)
+    assert campaign.evaluate_policy(runner, spec, 10, seed=0).successes == 10
+    assert len(traces) == 10
+    assert sha256(json.dumps(traces)) == ENSEMBLE_TRACES_SHA256
