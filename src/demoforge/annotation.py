@@ -23,15 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .demos import Demonstration, Observation
+from .demos import Demonstration, gripper_word
 from .gateway import MalformedResponse, query
-from .geometry import Pose, Rotation, euler_degrees, pose_rows_text, pose_text
+from .geometry import Pose, Rotation, pose_text
 from .simworld import BUNDLED_TASKS
 
 VIEWFRAME_CAP = 8
 MAX_RETRIES = 3
-SUMMARY_CADENCE = 5  # the summary samples every SUMMARY_CADENCE +/- SUMMARY_JITTER timesteps
-SUMMARY_JITTER = 2
 
 
 class AnnotationFailed(RuntimeError):
@@ -160,49 +158,6 @@ class Annotation:
         return [(k.timestep, k.pose) for k in self.keyposes]
 
 
-def summarize_demo(demo: Demonstration) -> str:
-    """The demo as prompt text: a row of robot and object poses about every SUMMARY_CADENCE timesteps.
-
-    Gaps are drawn uniformly from [SUMMARY_CADENCE - SUMMARY_JITTER,
-    SUMMARY_CADENCE + SUMMARY_JITTER] from a fixed seed while always landing
-    exactly on t = 0 and t = T; the jitter keeps downstream consumers from
-    anchoring to exact timestep arithmetic. When the horizon forces it (tiny
-    demos, indivisible remainders) the final gap may fall below the lower
-    bound, never above the upper one.
-
-    Robot rotations are reported relative to the home rotation (the first
-    observation's rotation); object rotations are absolute.
-    """
-    rng = np.random.default_rng(0)
-    horizon = demo.horizon
-    lo, hi = SUMMARY_CADENCE - SUMMARY_JITTER, SUMMARY_CADENCE + SUMMARY_JITTER
-
-    timesteps = [0]
-    while timesteps[-1] < horizon:
-        rem = horizon - timesteps[-1]
-        allowed = [g for g in range(lo, min(hi, rem) + 1) if rem - g == 0 or rem - g >= lo]
-        gap = int(rng.choice(allowed)) if allowed else min(rem, hi)
-        timesteps.append(timesteps[-1] + gap)
-
-    ts, n, m = timesteps, len(timesteps), len(demo.entity_names)
-    positions = np.concatenate([demo.robot.positions[ts], demo.entity_positions[ts].reshape(-1, 3)])
-    # robot rotations relative to home (home^-1 @ r), then the entities'
-    robot = np.matmul(demo.robot.rotations[0].T, demo.robot.rotations[ts])
-    rotations = np.concatenate([robot, demo.entity_rotations[ts].reshape(-1, 3, 3)])
-    texts = pose_rows_text(positions, euler_degrees(rotations))
-    grippers = demo.robot.gripper[ts].tolist()
-    lines = []
-    for i, t in enumerate(ts):
-        objects = dict(zip(demo.entity_names, texts[n + i * m : n + i * m + m]))  # a repeated name: one row, last pose
-        lines += [f"t={t}: robot {texts[i]} gripper {_gripper_word(grippers[i])}"]
-        lines += [f"       {name} {text}" for name, text in objects.items()]
-    return "\n".join(lines)
-
-
-def _gripper_word(g: float) -> str:
-    return "open" if g >= 0.5 else "closed"
-
-
 _INT_TOKEN = re.compile(r"-?\d+")
 
 
@@ -262,12 +217,7 @@ def _parse_annotation_response(text: str, horizon: int) -> tuple[str, list[Keypo
 
 
 def annotate(
-    gateway,
-    demo: Demonstration,
-    frames: list[int],
-    task: TaskDescription,
-    summary: str | None = None,
-    max_retries: int = MAX_RETRIES,
+    gateway, demo: Demonstration, frames: list[int], task: TaskDescription, max_retries: int = MAX_RETRIES
 ) -> Annotation:
     """The annotation query, then repair_annotation on its keyposes.
 
@@ -279,7 +229,7 @@ def annotate(
     prompt = render_prompt(
         "annotate",
         task=task.text,
-        rows=summary if summary is not None else summarize_demo(demo),
+        rows=demo.summary,
         frames=", ".join(str(t) for t in frames),
         horizon=demo.horizon,
     )
@@ -306,7 +256,7 @@ def _keypose_block(keyposes: list[Keypose]) -> str:
         objs = ", ".join(k.relevant_objects) if k.relevant_objects else "none"
         note = f"; note: {k.relation_note}" if k.relation_note else ""
         lines.append(
-            f"t={k.timestep}: {pose_text(k.pose)} gripper {_gripper_word(k.gripper)}"
+            f"t={k.timestep}: {pose_text(k.pose)} gripper {gripper_word(k.gripper)}"
             f"; objects: {objs}{note}"
         )
     return "\n".join(lines)
@@ -364,23 +314,25 @@ def scripted_annotate(demo: Demonstration, task_kind: str) -> Annotation:
         raise ValueError(f"unknown task kind {task_kind!r}; bundled: {sorted(BUNDLED_TASKS)}")
 
     timesteps = sorted(set([0, demo.horizon] + demo.gripper_transition_timesteps()))
+    names, colors = demo.entity_names, demo.entity_colors
     keyposes = []
     for t in timesteps:
-        obs = demo.observation(t)
-        action = demo.action(t)
-        releasing = t > 0 and action.gripper >= 0.5 and demo.action(t - 1).gripper < 0.5
+        action, positions = demo.action(t), demo.entity_positions[t]
+        releasing = t > 0 and action.gripper >= 0.5 and demo.actions.gripper[t - 1] < 0.5
         override = _RELEASE_ANCHOR_OVERRIDE.get(task_kind) if releasing else None
         if override is not None:
-            anchor = next((o for o in obs.objects if o.name == override), None)
+            anchor = names.index(override) if override in names else None
         else:
-            held = _held_candidates(obs) if releasing else set()
-            anchor = _nearest_object(obs, exclude=held)
+            dists = [float(np.linalg.norm(p - demo.robot.positions[t])) for p in positions]
+            held = {n for n, c, d in zip(names, colors, dists) if releasing and c is None and d < 0.015}
+            # the first of equally distant entities wins; goal markers come first, so ties go to the marker
+            anchor = min((j for j, n in enumerate(names) if n not in held), key=dists.__getitem__, default=None)
         objects, note = [], ""
         if anchor is not None:
-            offset_mm = (action.pose.position - anchor.pose.position) * 1000.0
-            objects = [anchor.name]
+            offset_mm = (action.pose.position - positions[anchor]) * 1000.0
+            objects = [names[anchor]]
             note = (
-                f"end-effector offset from {anchor.name}: "
+                f"end-effector offset from {names[anchor]}: "
                 f"[{offset_mm[0]:.1f}, {offset_mm[1]:.1f}, {offset_mm[2]:.1f}] mm"
             )
         keyposes.append(Keypose.from_pose(t, action.pose, action.gripper, objects, note))
@@ -395,45 +347,21 @@ def scripted_annotate(demo: Demonstration, task_kind: str) -> Annotation:
     return repair_annotation(raw, demo)
 
 
-def _held_candidates(obs: Observation) -> set[str]:
-    """Movable entities close enough to the gripper to be the thing it holds."""
-    return {
-        o.name
-        for o in obs.objects
-        if o.color is None
-        and float(np.linalg.norm(o.pose.position - obs.robot_pose.position)) < 0.015
-    }
-
-
-def _nearest_object(obs: Observation, exclude: set[str] = frozenset()):
-    # strict < keeps the first of equally distant entities; observations list
-    # goal markers ahead of movable objects, so ties resolve to the marker
-    best, best_d = None, np.inf
-    for o in obs.objects:
-        if o.name in exclude:
-            continue
-        d = float(np.linalg.norm(o.pose.position - obs.robot_pose.position))
-        if d < best_d:
-            best, best_d = o, d
-    return best
-
-
 def create_annotation(
-    gateway, demo: Demonstration, task: TaskDescription, summary: str | None = None, max_retries: int = MAX_RETRIES
+    gateway, demo: Demonstration, task: TaskDescription, max_retries: int = MAX_RETRIES
 ) -> Annotation:
-    """Summarize (unless given the demo's ``summary``), pick viewframes, then
-    annotate: the whole query pipeline.
+    """Pick viewframes over the demo's summary, then annotate: the whole query
+    pipeline.
 
     Viewframe selection and annotation are separate queries; a malformed
     frame selection restarts only its own stage.
     """
-    summary = summary if summary is not None else summarize_demo(demo)
-    prompt = render_prompt("viewframes", task=task.text, rows=summary, horizon=demo.horizon, cap=VIEWFRAME_CAP)
+    prompt = render_prompt("viewframes", task=task.text, rows=demo.summary, horizon=demo.horizon, cap=VIEWFRAME_CAP)
     frames = query(
         gateway, prompt, lambda text: parse_viewframes(text, demo.horizon),
         temperature=0.2, failure=AnnotationFailed, max_retries=max_retries,
     )
-    return annotate(gateway, demo, frames, task, summary=summary, max_retries=max_retries)
+    return annotate(gateway, demo, frames, task, max_retries=max_retries)
 
 
 def render_prompt(name: str, **fields) -> str:

@@ -25,7 +25,6 @@ from .annotation import (
     TaskDescription,
     create_annotation,
     scripted_annotate,
-    summarize_demo,
 )
 from .bandit import (
     Arm,
@@ -37,7 +36,7 @@ from .bandit import (
     record_outcome,
     thompson_select,
 )
-from .demos import Action, Demonstration, SceneObservation, TrajectorySegment
+from .demos import Action, Demonstration, TrajectorySegment
 from .ensemble import EnsembleState, ensemble_step
 from .gateway import GatewayError
 from .geometry import check_rotation_matrices
@@ -355,12 +354,6 @@ def evaluate_policy(policy, spec: TaskSpec, n_trials: int, seed: int = 0) -> Eva
     return EvalReport(n_trials, wins, wins / n_trials, lo, hi)
 
 
-def _scripted_keyposes(annotation, source_demo, scene, noise_std, rng):
-    first = source_demo.observation(0)
-    old_scene = SceneObservation(first.robot_pose, {o.name: o.pose for o in first.objects})
-    return scripted_retarget(annotation, scene, old_scene, noise_std=noise_std, rng=rng)
-
-
 def _warp(annotation, source_demo, keyposes):
     targets = [(k.timestep, k.pose) for k in keyposes]
     return warp_trajectory_by_keyposes(source_demo, annotation.keypose_pairs(), targets)
@@ -390,7 +383,7 @@ def _warped_runner(execute, annotation, source_demo, noise_std, disturbance):
     def run(spec: TaskSpec, scene_seed: int) -> bool:
         state, scene = reset(spec, scene_seed)
         rng = _seeded(scene_seed, _TAG_NOISE, 0)
-        traj = _warp(annotation, source_demo, _scripted_keyposes(annotation, source_demo, scene, noise_std, rng))
+        traj = _warp(annotation, source_demo, scripted_retarget(annotation, scene, source_demo.scene, noise_std, rng))
         dist = disturbance(traj) if disturbance else None
         return execute(state, traj, dist).success
 
@@ -601,7 +594,7 @@ def _record_source_demos(cfg: CampaignConfig) -> dict[str, Demonstration]:
     return {demo.demo_id: demo for demo in demos}
 
 
-def _mint_arm(cfg: CampaignConfig, state: BanditState, sources: dict, summaries: dict, gateway) -> ArmMeta:
+def _mint_arm(cfg: CampaignConfig, state: BanditState, sources: dict, gateway) -> ArmMeta:
     mint_idx = state.new_arm_attempts
     rng = _seeded(cfg.seed, _TAG_MINT, mint_idx)
     source = sources[sorted(sources)[int(rng.integers(len(sources)))]]
@@ -609,10 +602,8 @@ def _mint_arm(cfg: CampaignConfig, state: BanditState, sources: dict, summaries:
     if cfg.annotator == "scripted":
         ann = scripted_annotate(source, cfg.task)
     else:
-        if source.demo_id not in summaries:  # a summary depends on the demo alone: one per source per campaign
-            summaries[source.demo_id] = summarize_demo(source)
         task = TaskDescription(TASK_DESCRIPTIONS[cfg.task])
-        ann = create_annotation(gateway, source, task, summaries[source.demo_id], max_retries=cfg.max_retries)
+        ann = create_annotation(gateway, source, task, max_retries=cfg.max_retries)
     ann.id = f"{cfg.task}-arm{mint_idx:03d}"
     return ArmMeta(annotation=ann, noise_std=noise)
 
@@ -623,7 +614,7 @@ def _rollout_arm(cfg, meta: ArmMeta, source: Demonstration, scene_seed: int, rol
     state, scene = reset(spec, scene_seed)
     if cfg.retargeter == "scripted":
         rng = _seeded(cfg.seed, _TAG_NOISE, rollout_idx)
-        kps = _scripted_keyposes(meta.annotation, source, scene, meta.noise_std, rng)
+        kps = scripted_retarget(meta.annotation, scene, source.scene, meta.noise_std, rng)
     else:
         kps = retarget(gateway, meta.annotation, TaskDescription(TASK_DESCRIPTIONS[cfg.task]), scene, cfg.max_retries)
     out = rollout(state, _warp(meta.annotation, source, kps))
@@ -780,7 +771,6 @@ def run_campaign(cfg: CampaignConfig, gateway=None, resume: bool = False) -> Cam
             open(cfg.dataset_path, "w").close()
 
     prior_cache: dict = {}
-    summaries: dict = {}
     t0 = time.monotonic()
 
     while state.current_successes < cfg.goal_successes:
@@ -790,7 +780,7 @@ def run_campaign(cfg: CampaignConfig, gateway=None, resume: bool = False) -> Cam
         scene_seed = _derived_seed(cfg.seed, _TAG_SCENE, rollouts)
         try:
             if minted:
-                meta = _mint_arm(cfg, state, sources, summaries, gateway)
+                meta = _mint_arm(cfg, state, sources, gateway)
             else:
                 pull_idx = thompson_select(state, _seeded(cfg.seed, _TAG_THOMPSON, rollouts))
                 meta = arms_meta[pull_idx]

@@ -1,12 +1,13 @@
 """Demonstration containers: dense robot trajectories plus scene snapshots.
 
-A demonstration is the unit everything else consumes: the summarizer reads
+A demonstration is the unit everything else consumes: the annotators read
 it, the warper reshapes it, the dataset writer serializes it. It is held as
 aligned columns, one row per timestep 0..T; poses are meters/radians
-internally. ``Observation`` and ``Action`` are the per-step edge views the
-annotators read, built from the columns on demand. ``SceneObservation`` is
-a scene's initial snapshot, as the world's reset returns it and the
-retargeters read it.
+internally. What is derived from the demo alone, its prompt summary and its
+start scene, is worked out once and cached on it. ``Observation`` and
+``Action`` are per-step edge views built from the columns on demand for
+readers of ``steps``. ``SceneObservation`` is a scene's initial snapshot, as
+the world's reset returns it and the retargeters read it.
 """
 from __future__ import annotations
 
@@ -15,10 +16,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Pose, Rotation, pose_text
+from .geometry import Pose, Rotation, euler_degrees, pose_rows_text, pose_text
 
 GRIPPER_OPEN = 1.0
 GRIPPER_CLOSED = 0.0
+SUMMARY_CADENCE = 5  # the summary samples every SUMMARY_CADENCE +/- SUMMARY_JITTER timesteps
+SUMMARY_JITTER = 2
 
 
 @dataclass
@@ -121,10 +124,60 @@ class Demonstration:
         """(observation, action) view of the columns, built on first read."""
         return tuple((self.observation(t), self.action(t)) for t in range(len(self)))
 
+    @cached_property
+    def scene(self) -> SceneObservation:
+        """The demo's start scene: step 0's robot pose and entity poses (a repeated name: its last pose)."""
+        poses = [Pose(p, Rotation(r.copy())) for p, r in zip(self.entity_positions[0], self.entity_rotations[0])]
+        return SceneObservation(self.robot.pose(0), dict(zip(self.entity_names, poses)))
+
+    @cached_property
+    def summary(self) -> str:
+        """The demo as prompt text: a row of robot and object poses about every SUMMARY_CADENCE timesteps.
+
+        Gaps are drawn uniformly from [SUMMARY_CADENCE - SUMMARY_JITTER,
+        SUMMARY_CADENCE + SUMMARY_JITTER] from a fixed seed while always landing
+        exactly on t = 0 and t = T; the jitter keeps downstream consumers from
+        anchoring to exact timestep arithmetic. When the horizon forces it (tiny
+        demos, indivisible remainders) the final gap may fall below the lower
+        bound, never above the upper one.
+
+        Robot rotations are reported relative to the home rotation (the first
+        observation's rotation); object rotations are absolute.
+        """
+        rng = np.random.default_rng(0)
+        horizon = self.horizon
+        lo, hi = SUMMARY_CADENCE - SUMMARY_JITTER, SUMMARY_CADENCE + SUMMARY_JITTER
+
+        timesteps = [0]
+        while timesteps[-1] < horizon:
+            rem = horizon - timesteps[-1]
+            allowed = [g for g in range(lo, min(hi, rem) + 1) if rem - g == 0 or rem - g >= lo]
+            gap = int(rng.choice(allowed)) if allowed else min(rem, hi)
+            timesteps.append(timesteps[-1] + gap)
+
+        ts, n, m = timesteps, len(timesteps), len(self.entity_names)
+        positions = np.concatenate([self.robot.positions[ts], self.entity_positions[ts].reshape(-1, 3)])
+        # robot rotations relative to home (home^-1 @ r), then the entities'
+        robot = np.matmul(self.robot.rotations[0].T, self.robot.rotations[ts])
+        rotations = np.concatenate([robot, self.entity_rotations[ts].reshape(-1, 3, 3)])
+        texts = pose_rows_text(positions, euler_degrees(rotations))
+        grippers = self.robot.gripper[ts].tolist()
+        lines = []
+        for i, t in enumerate(ts):
+            # a repeated name: one row, last pose
+            objects = dict(zip(self.entity_names, texts[n + i * m : n + i * m + m]))
+            lines += [f"t={t}: robot {texts[i]} gripper {gripper_word(grippers[i])}"]
+            lines += [f"       {name} {text}" for name, text in objects.items()]
+        return "\n".join(lines)
+
     def gripper_transition_timesteps(self) -> list[int]:
         """Timesteps where the commanded gripper changes from the previous step."""
         g = self.actions.gripper
         return (np.flatnonzero(g[1:] != g[:-1]) + 1).tolist()
+
+
+def gripper_word(g: float) -> str:
+    return "open" if g >= 0.5 else "closed"
 
 
 @dataclass

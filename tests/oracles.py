@@ -634,12 +634,12 @@ def parse_annotation_response_oracle(text, demo):
 
 
 def annotate_oracle(gateway, demo, frames, task, summary=None, max_retries=3):
-    from demoforge.annotation import Annotation, AnnotationFailed, render_prompt, repair_annotation, summarize_demo
+    from demoforge.annotation import Annotation, AnnotationFailed, render_prompt, repair_annotation
     from demoforge.gateway import MalformedResponse
 
     if any(t < 0 or t > demo.horizon for t in frames):
         raise ValueError("frames outside demo range")
-    summary = summary if summary is not None else summarize_demo(demo)
+    summary = summary if summary is not None else summarize_demo_oracle(demo)
     prompt = render_prompt(
         "annotate",
         task=task.text,
@@ -667,10 +667,10 @@ def annotate_oracle(gateway, demo, frames, task, summary=None, max_retries=3):
 
 
 def create_annotation_oracle(gateway, demo, task, max_retries=3):
-    from demoforge.annotation import AnnotationFailed, summarize_demo
+    from demoforge.annotation import AnnotationFailed
     from demoforge.gateway import MalformedResponse
 
-    summary = summarize_demo(demo)
+    summary = summarize_demo_oracle(demo)
     last_error = None
     for _ in range(max_retries):
         try:
@@ -744,9 +744,9 @@ def retarget_oracle(gateway, annotation, task, scene, max_retries=3):
 
 
 # -- Demo summary ------------------------------------------------------------
-# summarize_demo and pose_text as they stood before the summary converted all
-# of its sampled rotations in one scipy call: one Observation per sampled
-# timestep and one Euler conversion and format per pose.
+# Demonstration.summary and pose_text as they stood before the summary
+# converted all of its sampled rotations in one scipy call: one Observation
+# per sampled timestep and one Euler conversion and format per pose.
 
 
 def _pose_text_oracle(pose, home=None):
@@ -779,3 +779,64 @@ def summarize_demo_oracle(demo, cadence=5, jitter=2, rng_seed=0):
         lines.append(f"t={t}: robot {robot}")
         lines += [f"       {name} {text}" for name, text in objs.items()]
     return "\n".join(lines)
+
+
+# -- Scripted annotator ------------------------------------------------------
+# scripted_annotate as it stood before it read the demo's columns: one
+# Observation per keypose timestep, the held set and the nearest entity
+# found by walking its objects.
+
+
+def _held_candidates_oracle(obs):
+    return {
+        o.name
+        for o in obs.objects
+        if o.color is None and float(np.linalg.norm(o.pose.position - obs.robot_pose.position)) < 0.015
+    }
+
+
+def _nearest_object_oracle(obs, exclude):
+    # strict < keeps the first of equally distant entities
+    best, best_d = None, np.inf
+    for o in obs.objects:
+        if o.name in exclude:
+            continue
+        d = float(np.linalg.norm(o.pose.position - obs.robot_pose.position))
+        if d < best_d:
+            best, best_d = o, d
+    return best
+
+
+def scripted_annotate_oracle(demo, task_kind):
+    from demoforge.annotation import Annotation, Keypose, repair_annotation
+
+    override_for = {"drawer_mug": "drawer"}
+    timesteps = sorted(set([0, demo.horizon] + demo.gripper_transition_timesteps()))
+    keyposes = []
+    for t in timesteps:
+        obs = demo.observation(t)
+        action = demo.action(t)
+        releasing = t > 0 and action.gripper >= 0.5 and demo.action(t - 1).gripper < 0.5
+        override = override_for.get(task_kind) if releasing else None
+        if override is not None:
+            anchor = next((o for o in obs.objects if o.name == override), None)
+        else:
+            held = _held_candidates_oracle(obs) if releasing else set()
+            anchor = _nearest_object_oracle(obs, exclude=held)
+        objects, note = [], ""
+        if anchor is not None:
+            offset_mm = (action.pose.position - anchor.pose.position) * 1000.0
+            objects = [anchor.name]
+            note = (
+                f"end-effector offset from {anchor.name}: "
+                f"[{offset_mm[0]:.1f}, {offset_mm[1]:.1f}, {offset_mm[2]:.1f}] mm"
+            )
+        keyposes.append(Keypose.from_pose(t, action.pose, action.gripper, objects, note))
+    raw = Annotation(
+        id=f"ann-{uuid.uuid4().hex[:12]}",
+        keyposes=keyposes,
+        description_text=f"Scripted annotation of a {task_kind} demonstration.",
+        source_demo_id=demo.demo_id,
+        created_by="scripted",
+    )
+    return repair_annotation(raw, demo)

@@ -5,10 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from demoforge import annotation, simworld as sw
+from demoforge import demos, simworld as sw
 from demoforge.annotation import (
-    SUMMARY_CADENCE,
-    SUMMARY_JITTER,
     Annotation,
     AnnotationFailed,
     Keypose,
@@ -20,14 +18,13 @@ from demoforge.annotation import (
     render_prompt,
     repair_annotation,
     scripted_annotate,
-    summarize_demo,
 )
 from scipy.spatial.transform import Rotation as SR
 
-from demoforge.demos import Action, Demonstration, Observation, TrajectorySegment
+from demoforge.demos import SUMMARY_CADENCE, SUMMARY_JITTER, Action, Demonstration, Observation, TrajectorySegment
 from demoforge.gateway import MockGateway
 from demoforge.geometry import Pose, Rotation
-from oracles import demo_from_steps, replies, summarize_demo_oracle
+from oracles import demo_from_steps, replies, scripted_annotate_oracle, summarize_demo_oracle
 
 TASK = TaskDescription("Pick up the block and place it on the target region.")
 LONG_INTEGER = "7" * 5000  # past int()'s default limit of 4300 digits
@@ -81,33 +78,33 @@ def good_response(demo, timesteps=(10, 50)):
 
 class TestSummarize:
     def test_zero_jitter_exact_cadence(self, monkeypatch):
-        monkeypatch.setattr(annotation, "SUMMARY_JITTER", 0)
-        rows = sampled_steps(summarize_demo(synthetic_demo(100)))
+        monkeypatch.setattr(demos, "SUMMARY_JITTER", 0)
+        rows = sampled_steps(synthetic_demo(100).summary)
         assert rows == list(range(0, 101, SUMMARY_CADENCE))
         assert len(rows) == 21
 
     def test_endpoints_always_present(self):
         for horizon in range(1, 80):
-            ts = sampled_steps(summarize_demo(synthetic_demo(horizon)))
+            ts = sampled_steps(synthetic_demo(horizon).summary)
             assert ts[0] == 0
             assert ts[-1] == horizon
 
     def test_gaps_within_bounds(self):
         for horizon in range(1, 80):
-            gaps = np.diff(sampled_steps(summarize_demo(synthetic_demo(horizon))))
+            gaps = np.diff(sampled_steps(synthetic_demo(horizon).summary))
             assert gaps.max() <= SUMMARY_CADENCE + SUMMARY_JITTER
             # every gap but possibly the last honors the lower bound
             assert all(g >= SUMMARY_CADENCE - SUMMARY_JITTER for g in gaps[:-1])
             assert gaps[-1] >= 1
 
     def test_deterministic_per_seed(self):
-        a = summarize_demo(synthetic_demo(88))
-        b = summarize_demo(synthetic_demo(88))
+        a = synthetic_demo(88).summary
+        b = synthetic_demo(88).summary
         assert a == b
         assert len(set(np.diff(sampled_steps(a)))) > 1  # the gaps are jittered
 
     def test_robot_rotation_is_home_relative(self):
-        robot = robot_rows(summarize_demo(synthetic_demo(100, yaw_per_step=0.5)))
+        robot = robot_rows(synthetic_demo(100, yaw_per_step=0.5).summary)
         # at t=0 the robot sits at its home rotation: zeros
         assert "rotation_deg [0.00, 0.00, 0.00]" in robot[0]
         # later rows report the offset from home, not the absolute yaw
@@ -115,12 +112,12 @@ class TestSummarize:
         assert f"[0.00, 0.00, {0.5 * t:.2f}]" in robot[t]
 
     def test_gripper_word_in_rows(self):
-        words = [text.rsplit(" ", 1)[-1] for text in robot_rows(summarize_demo(synthetic_demo(90))).values()]
+        words = [text.rsplit(" ", 1)[-1] for text in robot_rows(synthetic_demo(90).summary).values()]
         assert "open" in words and "closed" in words
 
     def test_tiny_demo(self):
         demo = synthetic_demo(1)
-        assert sampled_steps(summarize_demo(demo)) == [0, 1]
+        assert sampled_steps(demo.summary) == [0, 1]
 
 
 def posed_demo(robot_rot, robot_pos, entity_rot, entity_pos):
@@ -159,12 +156,12 @@ def awkward_positions(rng, size):
 
 
 class TestSummaryOracle:
-    """summarize_demo's one batched Euler conversion writes, byte for byte,
+    """Demonstration.summary's one batched Euler conversion writes, byte for byte,
     the rows of the per-pose summariser it replaced."""
 
     @staticmethod
     def assert_same_rows(demo):
-        assert summarize_demo(demo) == summarize_demo_oracle(demo)
+        assert demo.summary == summarize_demo_oracle(demo)
 
     @pytest.mark.parametrize("task", sw.BUNDLED_TASKS)
     def test_recorded_demos(self, task):
@@ -178,9 +175,9 @@ class TestSummaryOracle:
         entity = SR.from_euler("XYZ", ((euler[::-1] * 6)[: 2 * n]), degrees=True).as_matrix().reshape(n, 2, 3, 3)
         robot_pos = np.tile([-1e-7, 0.0, -4e-7], (n, 1))
         demo = posed_demo(robot, robot_pos, entity, np.tile([[-2e-7, 1e-3, 0.0]], (n, 2, 1)))
-        monkeypatch.setattr(annotation, "SUMMARY_CADENCE", 1)  # every row
-        monkeypatch.setattr(annotation, "SUMMARY_JITTER", 0)
-        rows = summarize_demo(demo)
+        monkeypatch.setattr(demos, "SUMMARY_CADENCE", 1)  # every row
+        monkeypatch.setattr(demos, "SUMMARY_JITTER", 0)
+        rows = demo.summary
         assert rows == summarize_demo_oracle(demo, cadence=1, jitter=0)
         assert sampled_steps(rows) == list(range(n))
         assert "-0.00 " not in rows and "-0.00]" not in rows and "-0.000" not in rows
@@ -193,7 +190,7 @@ class TestSummaryOracle:
         demo = posed_demo(robot, awkward_positions(rng, n), awkward_rotations(rng, n).reshape(n, 1, 3, 3),
                           awkward_positions(rng, n).reshape(n, 1, 3))
         self.assert_same_rows(demo)
-        assert "rotation_deg [0.00, 0.00, 0.00]" in robot_rows(summarize_demo(demo))[0]
+        assert "rotation_deg [0.00, 0.00, 0.00]" in robot_rows(demo.summary)[0]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_and_two_step_demos(self, n):
@@ -469,6 +466,60 @@ class TestScriptedAnnotate:
         ann = scripted_annotate(demo, "pick_place")
         assert "Key poses:" in ann.description_text
         assert f"t={demo.horizon}:" in ann.description_text
+
+
+def column_demo(robot_pos, grippers, entities):
+    """A demo with a fixed-rotation robot track at ``robot_pos`` (n, 3) and
+    ``entities`` as (name, colour, (n, 3) positions) triples."""
+    n = len(robot_pos)
+    track = TrajectorySegment(np.asarray(robot_pos, float), np.tile(np.eye(3), (n, 1, 1)), np.asarray(grippers, float))
+    return Demonstration(
+        "pick_place", actions=track, robot=track, entity_names=tuple(e[0] for e in entities),
+        entity_colors=tuple(e[1] for e in entities), entity_positions=np.stack([e[2] for e in entities], axis=1),
+        entity_rotations=np.tile(np.eye(3), (n, len(entities), 1, 1)), demo_id="columns",
+    )
+
+
+class TestScriptedAnnotateOracle:
+    """scripted_annotate, reading the demo's columns, writes the annotation
+    the Observation-walking annotator it replaced wrote, id aside."""
+
+    @staticmethod
+    def same(demo, task_kind):
+        got, want = scripted_annotate(demo, task_kind).to_json(), scripted_annotate_oracle(demo, task_kind).to_json()
+        del got["id"], want["id"]
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("task", sw.BUNDLED_TASKS)
+    def test_recorded_demos(self, task):
+        for seed in range(1000, 1020):
+            self.same(sw.record_demo(sw.TaskSpec(task), seed, demo_id=f"{task}-{seed}"), task)
+
+    def test_exact_distance_tie_goes_to_the_first_entity(self):
+        # every entity sits exactly 25 cm from the gripper (binary-exact
+        # coordinates); at the release the held block drops out and the tie remains
+        n = 6
+        robot = np.tile([0.5, 0.0, 0.25], (n, 1))
+        entities = [
+            ("cup", None, robot + [0.25, 0.0, 0.0]),
+            ("marker", "red", robot - [0.25, 0.0, 0.0]),
+            ("block", None, np.where(np.arange(n)[:, None] == 4, robot, robot + [0.0, 0.25, 0.0])),
+        ]
+        doc = self.same(column_demo(robot, [1, 1, 0, 0, 1, 1], entities), "pick_place")
+        assert [k["objects"] for k in doc["keyposes"]] == [["cup"]] * 4
+
+    def test_release_right_over_a_goal_marker(self):
+        # at the release (t = 4) the block and the marker both sit on the gripper:
+        # the colourless block is held and skipped, the marker wins at distance 0
+        n = 6
+        robot = np.array(
+            [[0.0, 0.0, 0.2], [0.1, 0.0, 0.1], [0.1, 0.0, 0.1], [0.2, 0.1, 0.1], [0.2, 0.1, 0.1], [0.2, 0.1, 0.2]]
+        )
+        block = np.concatenate([np.tile([0.1, 0.0, 0.1], (3, 1)), robot[3:]])
+        entities = [("target_region", "green", np.tile([0.2, 0.1, 0.1], (n, 1))), ("block", None, block)]
+        doc = self.same(column_demo(robot, [1, 1, 0, 0, 1, 1], entities), "pick_place")
+        assert [k["objects"] for k in doc["keyposes"]] == [["block"], ["block"], ["target_region"], ["block"]]
 
 
 class TestSerialization:

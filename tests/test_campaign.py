@@ -1,5 +1,6 @@
 """Dataset persistence, policy evaluation, and the generation campaign."""
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -8,15 +9,14 @@ import re
 import numpy as np
 import pytest
 
-from demoforge import annotation, campaign, ensemble
-from demoforge.annotation import create_annotation, scripted_annotate, summarize_demo
+from demoforge import campaign, ensemble
+from demoforge.annotation import create_annotation, scripted_annotate
 from demoforge.bandit import BanditState
 from demoforge.campaign import (
     CampaignConfig,
     CampaignReport,
     ConfigError,
     SchemaViolation,
-    _scripted_keyposes,
     _warp,
     append_demo,
     audit_dataset,
@@ -53,7 +53,7 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 def scripted_warp(ann, src, scene, noise_std=0.0, rng=None):
     """The source demo warped onto the scripted retarget of ``ann`` to ``scene``."""
-    return _warp(ann, src, _scripted_keyposes(ann, src, scene, noise_std, rng))
+    return _warp(ann, src, scripted_retarget(ann, scene, src.scene, noise_std, rng))
 
 
 def random_demo(rng, n_steps=None, task="pick_place"):
@@ -1284,22 +1284,27 @@ class TestSummaryOncePerSource:
         return rep, [e.request for e in gateway.audit_log.entries()], dataset
 
     def test_once_per_source_and_same_requests(self, tmp_path, monkeypatch, responder):
-        summarised = []
+        built = []
+        summary = Demonstration.__dict__["summary"]
 
-        def counting(demo, *args, **kwargs):
-            summarised.append(demo.demo_id)
-            return summarize_demo(demo, *args, **kwargs)
+        def counting(demo):
+            built.append(demo)
+            return summary.func(demo)
 
+        counted = functools.cached_property(counting)
+        counted.__set_name__(Demonstration, "summary")
         with monkeypatch.context() as patch:
-            patch.setattr(campaign, "summarize_demo", counting)
-            patch.setattr(annotation, "summarize_demo", counting)
+            patch.setattr(Demonstration, "summary", counted)
             rep, requests, dataset = self.run(tmp_path, responder, "once")
         assert rep.new_arm_attempts == rep.total_rollouts >= 6
-        assert sorted(summarised) == ["pick_place-src00", "pick_place-src01"]
+        # one build per source demo object, however many mints read it
+        assert len({id(demo) for demo in built}) == len(built)
+        assert sorted(demo.demo_id for demo in built) == ["pick_place-src00", "pick_place-src01"]
 
-        def per_mint(gateway, demo, task, summary=None, max_retries=3):
+        def per_mint(gateway, demo, task, max_retries=3):
             # the summary rebuilt on every mint, by the per-pose summariser
-            return create_annotation(gateway, demo, task, summary=summarize_demo_oracle(demo), max_retries=max_retries)
+            demo.__dict__["summary"] = summarize_demo_oracle(demo)
+            return create_annotation(gateway, demo, task, max_retries=max_retries)
 
         monkeypatch.setattr(campaign, "create_annotation", per_mint)
         old_rep, old_requests, old_dataset = self.run(tmp_path, responder, "every")
