@@ -103,11 +103,15 @@ class AuditLog:
 
     @staticmethod
     def read(path) -> list[PromptExchange]:
+        """The exchanges of an audit file; a bad line is a ValueError that names its 1-based number."""
         out = []
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    out.append(PromptExchange.from_json(json.loads(line)))
+            for i, line in enumerate(fh, 1):
+                try:
+                    if line.strip():
+                        out.append(PromptExchange.from_json(json.loads(line)))
+                except (ValueError, RecursionError, TypeError) as err:  # not JSON, too deep, not an exchange
+                    raise ValueError(f"line {i}: {err}") from None
         return out
 
 

@@ -61,6 +61,11 @@ def euler_degrees(matrix: np.ndarray) -> np.ndarray:
         return scipy_rotation(matrix).as_euler(EULER_SEQ, degrees=True)
 
 
+def rotvec_matrices(rotvec: np.ndarray) -> np.ndarray:
+    """Rotation matrix of a rotation vector (3,), or the (n, 3, 3) stack of an (n, 3) stack, in one scipy call."""
+    return _SR.from_rotvec(np.asarray(rotvec, dtype=float)).as_matrix()
+
+
 def check_rotation_matrices(matrices: np.ndarray) -> None:
     """Raise ValueError unless every matrix of an (n, 3, 3) stack is a proper rotation: det within _ORTHO_TOL
     of 1 and every entry of M M^T within _ORTHO_TOL of I's."""
@@ -107,7 +112,7 @@ class Rotation:
 
     @classmethod
     def from_rotvec(cls, rotvec: np.ndarray) -> "Rotation":
-        return cls(_SR.from_rotvec(np.asarray(rotvec, dtype=float)).as_matrix())
+        return cls(rotvec_matrices(rotvec))
 
     def euler_deg(self) -> np.ndarray:
         """Intrinsic X-Y-Z Euler angles in degrees.

@@ -14,10 +14,9 @@ equal length.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.transform import Rotation as _SR
 
 from .demos import Demonstration, TrajectorySegment
-from .geometry import Pose, RigidTransform, Rotation
+from .geometry import Pose, RigidTransform, Rotation, rotvec_matrices
 
 EPS_CHORD = 1e-6  # meters; chords shorter than this have no usable direction
 
@@ -127,7 +126,7 @@ def warp_rotations(seg: TrajectorySegment, new_start_rot: Rotation, new_end_rot:
     delta_0 = new_start_rot @ Rotation(seg.rotations[0]).inverse()
     delta_t = new_end_rot @ Rotation(seg.rotations[-1]).inverse()
     rotvec = (delta_0.inverse() @ delta_t).rotvec()
-    partial = _SR.from_rotvec((np.arange(n) / (n - 1))[:, None] * rotvec).as_matrix()
+    partial = rotvec_matrices((np.arange(n) / (n - 1))[:, None] * rotvec)
     rotations = np.matmul(np.matmul(delta_0.as_matrix(), partial), seg.rotations)
     return TrajectorySegment(seg.positions, rotations, seg.gripper)
 

@@ -91,6 +91,43 @@ def test_audit_log_file_round_trip(tmp_path):
         json.loads(line)
 
 
+GOOD_EXCHANGE = {"session_id": "s0", "request": "p", "response": "r", "model": "m", "latency": 0.0, "retries": 0}
+
+
+class TestAuditLogRead:
+    """A bad audit line is a ValueError that names its 1-based line number."""
+
+    @staticmethod
+    def read_bad(tmp_path, bad: str):
+        path = tmp_path / "audit.jsonl"
+        path.write_text(json.dumps(GOOD_EXCHANGE) + "\n\n" + bad + "\n")
+        with pytest.raises(ValueError, match=r"^line 3: "):
+            AuditLog.read(path)
+
+    def test_good_lines_read_around_blank_ones(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        path.write_text("\n" + json.dumps(GOOD_EXCHANGE) + "\n  \n")
+        assert [e.to_json() for e in AuditLog.read(path)] == [{**GOOD_EXCHANGE, "attachments": []}]
+
+    def test_text_that_is_not_json(self, tmp_path):
+        self.read_bad(tmp_path, "{not json")
+
+    def test_nesting_too_deep_to_parse(self, tmp_path):
+        self.read_bad(tmp_path, "[" * 100_000 + "]" * 100_000)
+
+    def test_line_that_is_not_an_object(self, tmp_path):
+        self.read_bad(tmp_path, json.dumps([GOOD_EXCHANGE]))
+
+    def test_extra_key(self, tmp_path):
+        self.read_bad(tmp_path, json.dumps({**GOOD_EXCHANGE, "extra": 1}))
+
+    def test_missing_key(self, tmp_path):
+        self.read_bad(tmp_path, json.dumps({k: v for k, v in GOOD_EXCHANGE.items() if k != "retries"}))
+
+    def test_empty_request(self, tmp_path):
+        self.read_bad(tmp_path, json.dumps({**GOOD_EXCHANGE, "request": ""}))
+
+
 def test_prompt_exchange_requires_request():
     with pytest.raises(ValueError):
         PromptExchange(session_id="s0", request="", response="r", model="m", latency=0.0, retries=0)

@@ -1,12 +1,14 @@
 """Source hygiene: every module-level import in the package is read by its
 module, no package module is imported below module level (where it would
 hide an import cycle), every module-level private name is read somewhere in
-the package, scipy's checked ``Rotation.from_matrix`` is reached only
-through the one guarded helper and ``betaincinv`` only through the certified
-argmax's fallback, only the one query function opens gateway sessions, every
-name the benchmark imports from the package resolves, the names the
-benchmark rebinds in ``demoforge.campaign`` still exist and are read there,
-and the benchmark's own self-tests pass against the package."""
+the package, only ``geometry`` imports scipy's rotations and only the demo
+builds per-step ``Observation`` views, scipy's checked ``Rotation.from_matrix``
+is reached only through the one guarded helper and ``betaincinv`` only
+through the certified argmax's fallback, only the one query function opens
+gateway sessions, every name the benchmark imports from the package
+resolves, the names the benchmark rebinds in ``demoforge.campaign`` still
+exist and are read there, and the benchmark's own self-tests pass against
+the package."""
 import ast
 import importlib
 import inspect
@@ -143,6 +145,72 @@ def test_only_the_guarded_helper_calls_scipy_from_matrix():
     # only where it provably passes, so no other module may pay it again
     reads = {p.stem: scipy_from_matrix_reads(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert {module: found for module, found in reads.items() if found} == {"geometry": ["scipy_rotation"]}
+
+
+def scipy_transform_imports(source: str) -> list[str]:
+    """The enclosing def or class path of each import of ``scipy.spatial.transform``
+    or a module below it, by ``import`` or ``from ... import``."""
+
+    def names_transform(node):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            modules = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            return False
+        return any(m == "scipy.spatial.transform" or m.startswith("scipy.spatial.transform.") for m in modules)
+
+    return scoped_reads(ast.parse(source), names_transform)
+
+
+def test_scipy_transform_checker_flags_every_import_form():
+    source = (
+        "from scipy.spatial.transform import Rotation as _SR\nimport scipy.spatial\nfrom scipy.spatial import distance\n"
+        "def f():\n    from scipy.spatial import transform\n"
+        "class C:\n    def m(self):\n        import scipy.spatial.transform._rotation_cy as cy\n"
+        "from scipy.spatial.transformer import x\n"
+    )
+    assert scipy_transform_imports(source) == ["<module>", "f", "C.m"]
+
+
+def test_only_geometry_imports_scipy_rotations():
+    # one module knows scipy's rotation API, so a change of backend or of
+    # scipy's dispatch touches one file
+    reads = {p.stem: scipy_transform_imports(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {module: found for module, found in reads.items() if found} == {"geometry": ["<module>"]}
+
+
+def observation_constructions(source: str) -> list[str]:
+    """The enclosing def or class path of each call of a name or attribute
+    ``Observation`` or ``ObjectObservation``."""
+
+    def constructs(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+        return name in ("Observation", "ObjectObservation")
+
+    return scoped_reads(ast.parse(source), constructs)
+
+
+def test_observation_checker_flags_calls_only():
+    source = (
+        "from .demos import Observation, SceneObservation\nx = Observation\n"
+        "def f(demos):\n    return demos.ObjectObservation('a', None)\n"
+        "class C:\n    def m(self):\n        return [Observation(p, 0.0), SceneObservation(p)]\n"
+    )
+    assert observation_constructions(source) == ["f", "C.m"]
+
+
+def test_only_the_demo_builds_per_step_observations():
+    # annotators read the demo's columns; the per-step views are built in
+    # one place, for readers of Demonstration.steps
+    reads = {p.stem: observation_constructions(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {module: found for module, found in reads.items() if found} == {
+        "demos": ["Demonstration.observation", "Demonstration.observation"]
+    }
 
 
 def betaincinv_reads(source: str) -> list[str]:
