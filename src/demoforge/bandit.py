@@ -63,10 +63,6 @@ class PriorFit:
         if not (self.alpha_hat > 0 and self.beta_hat > 0):
             raise ValueError("fitted parameters must be positive")
 
-    @property
-    def mean(self) -> float:
-        return self.alpha_hat / (self.alpha_hat + self.beta_hat)
-
 
 def thompson_select(state: BanditState, rng) -> int:
     """One posterior draw per arm; the argmax wins, lowest index on ties."""

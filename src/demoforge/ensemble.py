@@ -26,26 +26,6 @@ COOLDOWN = 5
 _CHORD_SLACK = 4.0 * _ORTHO_TOL
 
 
-@dataclass
-class NormalizedAction:
-    vector: np.ndarray
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(self.vector)):
-            raise ValueError("normalized action must be finite")
-
-
-@dataclass
-class ActionStats:
-    """Per-dimension scales for action deltas, floored so division is safe."""
-
-    scale: np.ndarray
-
-    def __post_init__(self):
-        self.scale = np.maximum(np.asarray(self.scale, dtype=float).reshape(-1), 1e-6)
-
-
 def action_delta(from_pose: Pose, from_grip: float, to_pose: Pose, to_grip: float) -> np.ndarray:
     """Raw 7-vector between two (pose, gripper) states: position delta (3),
     rotation vector delta (3), gripper delta (1)."""
@@ -67,25 +47,21 @@ def _step_deltas(traj: TrajectorySegment) -> np.ndarray:
     return _row_deltas(p[:-1], r[:-1], g[:-1], p[1:], r[1:], g[1:])
 
 
-def normalize(raw: np.ndarray, stats: ActionStats) -> NormalizedAction:
-    return NormalizedAction(np.asarray(raw, dtype=float) / stats.scale)
-
-
-def similarity(a: NormalizedAction, b: NormalizedAction) -> float:
+def similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Magnitude-aware cosine: cosine scaled by L1-norm agreement.
 
     1 means same direction and same size; the sign is the cosine's. Zero
     vectors fall outside the formula: two idle actions agree perfectly (1),
-    an idle action tells nothing about a moving one (0).
+    an idle action tells nothing about a moving one (0). ActionRows.similarity
+    is the batch form; a one-row batch can round differently, so both stay.
     """
-    va, vb = a.vector, b.vector
-    na1, nb1 = float(np.abs(va).sum()), float(np.abs(vb).sum())
+    na1, nb1 = float(np.abs(a).sum()), float(np.abs(b).sum())
     if na1 == 0.0 and nb1 == 0.0:
         return 1.0
     if na1 == 0.0 or nb1 == 0.0:
         return 0.0
     magnitude = 2.0 * min(na1, nb1) / (na1 + nb1)
-    cosine = float(np.dot(va, vb)) / (float(np.linalg.norm(va)) * float(np.linalg.norm(vb)))
+    cosine = float(np.dot(a, b)) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
     return magnitude * max(-1.0, min(1.0, cosine))
 
 
@@ -121,7 +97,7 @@ class ActionRows:
 
 
 def select_reattach(
-    state: EnsembleState, current_pose: Pose, current_gripper: float, a_il: NormalizedAction, tau: float = TAU_REATTACH
+    state: EnsembleState, current_pose: Pose, current_gripper: float, a_il: np.ndarray, tau: float = TAU_REATTACH
 ) -> int | None:
     """Best future trajectory point to resume feedforward at, if any.
 
@@ -138,12 +114,12 @@ def select_reattach(
     traj, start = state.ff_trajectory, state.ff_cursor + 1
     if start >= len(traj):
         return None
-    cand = start + np.flatnonzero(state.recorded[start:].similarity(a_il.vector) > tau)
+    cand = start + np.flatnonzero(state.recorded[start:].similarity(a_il) > tau)
     if not cand.size:
         return None
     p, r, g = traj.positions[cand], traj.rotations[cand], traj.gripper[cand]
-    here, grip, scale = current_pose.rotation.as_matrix(), float(current_gripper), state.stats.scale
-    nb1 = float(np.abs(a_il.vector).sum())
+    here, grip, scale = current_pose.rotation.as_matrix(), float(current_gripper), state.scale
+    nb1 = float(np.abs(a_il).sum())
     if tau > 0.0 and nb1 > 0.0 and trusted_rotation(here):
         # a row scoring above tau has L1 < nb1 (2 - tau) / tau; the 1e-9 covers rounding. An attach row's L1 is
         # at least its position and gripper terms plus |rotvec| / max rotation scale, and |rotvec| is the
@@ -154,7 +130,7 @@ def select_reattach(
         if np.isfinite(low).all() and low.min() >= nb1 * (2.0 - tau) / tau * (1.0 + 1e-9):
             return None  # a non-finite row raises below instead
     att = _row_deltas(current_pose.position, here, grip, p, r, g)
-    att_sims = ActionRows.of(att / scale).similarity(a_il.vector)
+    att_sims = ActionRows.of(att / scale).similarity(a_il)
     feasible = att_sims > tau
     if not feasible.any():
         return None
@@ -164,24 +140,28 @@ def select_reattach(
 @dataclass
 class EnsembleState:
     ff_trajectory: TrajectorySegment
-    stats: ActionStats
+    scale: np.ndarray  # per-dimension std of the trajectory's step actions, floored at 1e-6
     recorded: ActionRows  # the trajectory's own action at each point; the last repeats the final step
     mode: str = "feedforward"
     ff_cursor: int = 0
     cooldown_remaining: int = 0
     disagreement_streak: int = 0
-    step_index: int = 0
     trace: list[dict] = field(default_factory=list)
 
     @classmethod
-    def initial(cls, traj: TrajectorySegment, stats: ActionStats | None = None) -> "EnsembleState":
+    def initial(cls, traj: TrajectorySegment) -> "EnsembleState":
         check_rotation_matrices(traj.rotations)  # the reattach scan's chord bound holds for proper rotations
         raw = _step_deltas(traj)
-        stats = stats or ActionStats(raw.std(axis=0))
-        return cls(traj, stats, ActionRows.of(np.concatenate([raw, raw[-1:]]) / stats.scale))
+        scale = np.maximum(raw.std(axis=0), 1e-6)
+        return cls(traj, scale, ActionRows.of(np.concatenate([raw, raw[-1:]]) / scale))
 
-    def switch_steps(self) -> list[int]:
-        return [e["step"] for e in self.trace if e["switched"]]
+
+def _normalized(state: EnsembleState, pose: Pose, grip: float, goal: Action) -> np.ndarray:
+    """The step from (pose, grip) to goal, divided by the state's scale."""
+    vector = action_delta(pose, grip, goal.pose, goal.gripper) / state.scale
+    if not np.all(np.isfinite(vector)):
+        raise ValueError("normalized action must be finite")
+    return vector
 
 
 def ensemble_step(
@@ -207,19 +187,14 @@ def ensemble_step(
         executed = feedback_action
         flip = False
         if state.cooldown_remaining == 0:
-            a_il = normalize(
-                action_delta(current_pose, current_gripper, feedback_action.pose, feedback_action.gripper), state.stats
-            )
+            a_il = _normalized(state, current_pose, current_gripper, feedback_action)
             t_star = select_reattach(state, current_pose, current_gripper, a_il, TAU_REATTACH)
             if t_star is not None:
                 state.ff_cursor, flip = t_star, True
     elif state.ff_cursor < len(traj):
         executed = traj.action(state.ff_cursor)
-        a_ff = normalize(action_delta(current_pose, current_gripper, executed.pose, executed.gripper), state.stats)
-        a_fb = normalize(
-            action_delta(current_pose, current_gripper, feedback_action.pose, feedback_action.gripper), state.stats
-        )
-        sim = similarity(a_ff, a_fb)
+        a_ff = _normalized(state, current_pose, current_gripper, executed)
+        sim = similarity(a_ff, _normalized(state, current_pose, current_gripper, feedback_action))
         if sim < TAU_SWITCH:
             state.disagreement_streak += 1
         else:
@@ -239,13 +214,12 @@ def ensemble_step(
 
     state.trace.append(
         {
-            "step": state.step_index,
+            "step": len(state.trace),
             "mode": state.mode,
             "similarity": sim,
             "switched": switched,
             "ff_cursor": state.ff_cursor,
         }
     )
-    state.step_index += 1
     return executed, state
 

@@ -188,13 +188,13 @@ def decide_oracle(prob_sets, counts, p_new, T, p_add, eval_seed):
     return e_add > e_stay, e_stay, e_add
 
 
-def select_reattach_oracle(traj, current_pose, current_gripper, t_now, a_il, stats, tau):
+def select_reattach_oracle(traj, current_pose, current_gripper, t_now, a_il, scale, tau):
     """The reattach scan as first shipped: attach rows over the whole rest of
     the trajectory, then the recorded action gathered for each candidate.
 
     ``traj`` needs ``positions``, ``rotations``, ``gripper`` and ``len``;
-    ``current_pose`` a ``position`` and ``rotation.as_matrix()``; ``a_il`` a
-    ``vector``; ``stats`` a ``scale``.
+    ``current_pose`` a ``position`` and ``rotation.as_matrix()``; ``a_il`` and
+    ``scale`` are (7,) vectors.
     """
     start = t_now + 1
     if start >= len(traj):
@@ -202,17 +202,17 @@ def select_reattach_oracle(traj, current_pose, current_gripper, t_now, a_il, sta
     p, r, g = traj.positions, traj.rotations, traj.gripper
     att = reattach_row_deltas(
         current_pose.position, current_pose.rotation.as_matrix(), float(current_gripper), p[start:], r[start:], g[start:]
-    ) / stats.scale
+    ) / scale
     if not np.all(np.isfinite(att)):
         raise ValueError("normalized action must be finite")
-    att_sims = reattach_similarities(att, a_il.vector)
+    att_sims = reattach_similarities(att, a_il)
     cand = start + np.flatnonzero(att_sims > tau)
     if not cand.size:
         return None
     # recorded action at each candidate; the last point repeats the final step
     lo = np.minimum(cand, len(traj) - 2)
-    rec = reattach_row_deltas(p[lo], r[lo], g[lo], p[lo + 1], r[lo + 1], g[lo + 1]) / stats.scale
-    feasible = cand[reattach_similarities(rec, a_il.vector) > tau]
+    rec = reattach_row_deltas(p[lo], r[lo], g[lo], p[lo + 1], r[lo + 1], g[lo + 1]) / scale
+    feasible = cand[reattach_similarities(rec, a_il) > tau]
     if not feasible.size:
         return None
     return int(feasible[np.argmax(att_sims[feasible - start])])  # first max: earliest tie
@@ -258,10 +258,15 @@ def ensemble_step_oracle(state, feedback_action, current_pose, current_gripper):
         TAU_REATTACH,
         TAU_SWITCH,
         action_delta,
-        normalize,
         select_reattach,
         similarity,
     )
+
+    def normalized(goal):
+        vector = action_delta(current_pose, current_gripper, goal.pose, goal.gripper) / state.scale
+        if not np.all(np.isfinite(vector)):
+            raise ValueError("normalized action must be finite")
+        return vector
 
     def trajectory_action(traj, cursor):
         if cursor >= len(traj):
@@ -285,11 +290,7 @@ def ensemble_step_oracle(state, feedback_action, current_pose, current_gripper):
                 state.disagreement_streak = 0
                 switched = True
         else:
-            a_ff = normalize(action_delta(current_pose, current_gripper, executed.pose, executed.gripper), state.stats)
-            a_fb = normalize(
-                action_delta(current_pose, current_gripper, feedback_action.pose, feedback_action.gripper), state.stats
-            )
-            sim = similarity(a_ff, a_fb)
+            sim = similarity(normalized(executed), normalized(feedback_action))
             if sim < TAU_SWITCH:
                 state.disagreement_streak += 1
             else:
@@ -303,10 +304,7 @@ def ensemble_step_oracle(state, feedback_action, current_pose, current_gripper):
     else:
         executed = feedback_action
         if state.cooldown_remaining == 0:
-            a_il = normalize(
-                action_delta(current_pose, current_gripper, feedback_action.pose, feedback_action.gripper), state.stats
-            )
-            t_star = select_reattach(state, current_pose, current_gripper, a_il, TAU_REATTACH)
+            t_star = select_reattach(state, current_pose, current_gripper, normalized(feedback_action), TAU_REATTACH)
             if t_star is not None:
                 state.mode = "feedforward"
                 state.ff_cursor = t_star
@@ -315,14 +313,13 @@ def ensemble_step_oracle(state, feedback_action, current_pose, current_gripper):
 
     state.trace.append(
         {
-            "step": state.step_index,
+            "step": len(state.trace),
             "mode": state.mode,
             "similarity": sim,
             "switched": switched,
             "ff_cursor": state.ff_cursor,
         }
     )
-    state.step_index += 1
     return executed, state
 
 

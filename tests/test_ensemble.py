@@ -8,13 +8,13 @@ from demoforge.demos import Action
 from demoforge.ensemble import (
     _CHORD_SLACK,
     TAU_REATTACH,
+    _normalized,
     _row_deltas,
-    ActionStats,
+    _step_deltas,
+    ActionRows,
     EnsembleState,
-    NormalizedAction,
     action_delta,
     ensemble_step,
-    normalize,
     select_reattach,
     similarity,
 )
@@ -33,7 +33,7 @@ def segment(poses, grips):
 
 
 def vec(*vals):
-    return NormalizedAction(np.asarray(vals, dtype=float))
+    return np.asarray(vals, dtype=float)
 
 
 def line_traj(n=10, step=0.01, grip=1.0):
@@ -41,14 +41,24 @@ def line_traj(n=10, step=0.01, grip=1.0):
     return segment(poses, [grip] * n)
 
 
-UNIT_STATS = ActionStats(np.ones(7))
+def state_with_scale(traj, scale):
+    """EnsembleState.initial(traj) with a chosen scale in place of the trajectory's own, and its table to match."""
+    state = EnsembleState.initial(traj)
+    raw = _step_deltas(traj)
+    state.scale, state.recorded = scale, ActionRows.of(np.concatenate([raw, raw[-1:]]) / scale)
+    return state
 
 
-def reattach_at(traj, current_pose, current_gripper, t_now, a_il, stats, tau=TAU_REATTACH):
-    """select_reattach from a fresh state over traj whose cursor sits at t_now."""
-    state = EnsembleState.initial(traj, stats)
+def reattach_at(traj, current_pose, current_gripper, t_now, a_il, scale, tau=TAU_REATTACH):
+    """select_reattach from a fresh state with the given scale over traj whose cursor sits at t_now."""
+    state = state_with_scale(traj, scale)
     state.ff_cursor = t_now
     return select_reattach(state, current_pose, current_gripper, a_il, tau)
+
+
+def switch_steps(state):
+    """The trace's steps on which the mode flipped."""
+    return [e["step"] for e in state.trace if e["switched"]]
 
 
 class TestSimilarity:
@@ -58,13 +68,11 @@ class TestSimilarity:
 
     def test_double_magnitude_is_two_thirds(self):
         a = vec(1.0, -2.0, 0.5, 0.0, 0.0, 0.0, 1.0)
-        b = NormalizedAction(2.0 * a.vector)
-        assert similarity(a, b) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert similarity(a, 2.0 * a) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_negated_is_minus_one(self):
         a = vec(0.3, 0.0, -0.7, 0.1, 0.0, 0.0, 0.0)
-        b = NormalizedAction(-a.vector)
-        assert similarity(a, b) == pytest.approx(-1.0, abs=1e-12)
+        assert similarity(a, -a) == pytest.approx(-1.0, abs=1e-12)
 
     def test_both_zero_is_one(self):
         assert similarity(vec(0, 0, 0), vec(0, 0, 0)) == 1.0
@@ -77,15 +85,15 @@ class TestSimilarity:
     def test_symmetry_bitwise(self):
         rng = np.random.default_rng(1)
         for _ in range(2000):
-            a = NormalizedAction(rng.normal(0, 1, 7))
-            b = NormalizedAction(rng.normal(0, 1, 7))
+            a = rng.normal(0, 1, 7)
+            b = rng.normal(0, 1, 7)
             assert similarity(a, b) == similarity(b, a)
 
     def test_bounded(self):
         rng = np.random.default_rng(2)
         for _ in range(2000):
-            a = NormalizedAction(rng.normal(0, rng.uniform(0.1, 10), 7))
-            b = NormalizedAction(rng.normal(0, rng.uniform(0.1, 10), 7))
+            a = rng.normal(0, rng.uniform(0.1, 10), 7)
+            b = rng.normal(0, rng.uniform(0.1, 10), 7)
             assert -1.0 - 1e-12 <= similarity(a, b) <= 1.0 + 1e-12
 
     def test_joint_positive_scale_invariance(self):
@@ -94,43 +102,36 @@ class TestSimilarity:
             a = rng.normal(0, 1, 7)
             b = rng.normal(0, 1, 7)
             c = rng.uniform(1e-3, 1e3)
-            s1 = similarity(NormalizedAction(a), NormalizedAction(b))
-            s2 = similarity(NormalizedAction(c * a), NormalizedAction(c * b))
+            s1 = similarity(a, b)
+            s2 = similarity(c * a, c * b)
             assert s1 == pytest.approx(s2, abs=1e-9)
 
     def test_orthogonal_is_zero(self):
         assert similarity(vec(1, 0, 0), vec(0, 1, 0)) == pytest.approx(0.0, abs=1e-15)
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            NormalizedAction(np.array([np.inf, 0.0]))
-
 
 class TestNormalize:
     def test_zero_action_stays_zero(self):
-        out = normalize(np.zeros(7), ActionStats(np.full(7, 0.25)))
-        assert np.array_equal(out.vector, np.zeros(7))
-
-    def test_std_sized_action_becomes_ones(self):
-        scale = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
-        out = normalize(scale.copy(), ActionStats(scale))
-        assert np.array_equal(out.vector, np.ones(7))
+        traj = line_traj(6)
+        out = _normalized(EnsembleState.initial(traj), traj.pose(2), 1.0, Action(traj.pose(2), 1.0))
+        assert np.array_equal(out, np.zeros(7))
 
     def test_floor_protects_constant_dimensions(self):
-        stats = ActionStats(np.zeros(7))
-        assert np.all(stats.scale == 1e-6)
-        out = normalize(np.full(7, 1e-6), stats)
-        assert np.allclose(out.vector, np.ones(7))
+        # a straight line along x at growing steps: every other dimension of its step actions is constant
+        traj = segment([Pose(np.array([0.01 * i * i, 0.0, 0.1])) for i in range(6)], [1.0] * 6)
+        scale = EnsembleState.initial(traj).scale
+        assert scale[0] > 1e-6
+        assert np.all(scale[1:] == 1e-6)
 
     def test_normalized_similarity_scale_invariant(self):
         rng = np.random.default_rng(4)
-        stats = ActionStats(rng.uniform(0.01, 1.0, 7))
+        scale = rng.uniform(0.01, 1.0, 7)
         for _ in range(500):
             a = rng.normal(0, 0.05, 7)
             b = rng.normal(0, 0.05, 7)
             c = rng.uniform(0.01, 100.0)
-            s1 = similarity(normalize(a, stats), normalize(b, stats))
-            s2 = similarity(normalize(c * a, stats), normalize(c * b, stats))
+            s1 = similarity(a / scale, b / scale)
+            s2 = similarity(c * a / scale, c * b / scale)
             assert s1 == pytest.approx(s2, abs=1e-9)
 
     def test_stats_from_trajectory_matches_numpy(self):
@@ -142,7 +143,7 @@ class TestNormalize:
             ]
         )
         want = np.maximum(deltas.std(axis=0), 1e-6)
-        assert np.array_equal(EnsembleState.initial(traj).stats.scale, want)
+        assert np.array_equal(EnsembleState.initial(traj).scale, want)
 
 
 def test_stats_match_per_pose_loop_on_a_turning_trajectory():
@@ -155,7 +156,7 @@ def test_stats_match_per_pose_loop_on_a_turning_trajectory():
     deltas = np.stack(
         [action_delta(traj.pose(i), traj.gripper[i], traj.pose(i + 1), traj.gripper[i + 1]) for i in range(59)]
     )
-    assert np.array_equal(EnsembleState.initial(traj).stats.scale, np.maximum(deltas.std(axis=0), 1e-6))
+    assert np.array_equal(EnsembleState.initial(traj).scale, np.maximum(deltas.std(axis=0), 1e-6))
 
 
 def test_row_deltas_match_plain_scipy_and_single_deltas_bit_for_bit():
@@ -191,12 +192,12 @@ class TestActionDelta:
         assert np.allclose(d[3:6], [0.0, 0.0, np.radians(30.0)], atol=1e-12)
 
 
-def brute_force_reattach(traj, current_pose, current_gripper, t_now, a_il, stats, tau):
+def brute_force_reattach(traj, current_pose, current_gripper, t_now, a_il, scale, tau):
     best_t, best = None, -np.inf
     for t in range(t_now + 1, len(traj)):
-        att = normalize(action_delta(current_pose, current_gripper, traj.pose(t), traj.gripper[t]), stats)
+        att = action_delta(current_pose, current_gripper, traj.pose(t), traj.gripper[t]) / scale
         lo, hi = (t, t + 1) if t + 1 < len(traj) else (t - 1, t)
-        rec = normalize(action_delta(traj.pose(lo), traj.gripper[lo], traj.pose(hi), traj.gripper[hi]), stats)
+        rec = action_delta(traj.pose(lo), traj.gripper[lo], traj.pose(hi), traj.gripper[hi]) / scale
         s_att, s_rec = similarity(att, a_il), similarity(rec, a_il)
         if s_att > tau and s_rec > tau and s_att > best:
             best_t, best = t, s_att
@@ -204,16 +205,16 @@ def brute_force_reattach(traj, current_pose, current_gripper, t_now, a_il, stats
 
 
 class TestSelectReattach:
-    def stats(self):
-        return ActionStats(np.concatenate([np.full(3, 0.01), np.full(3, 0.05), [0.5]]))
+    def scale(self):
+        return np.concatenate([np.full(3, 0.01), np.full(3, 0.05), [0.5]])
 
     def test_on_trajectory_returns_next_point_with_similarity_one(self):
         traj = line_traj(10)
         current = traj.pose(0)
-        a_il = normalize(action_delta(current, 1.0, traj.pose(1), traj.gripper[1]), self.stats())
-        t = reattach_at(traj, current, 1.0, 0, a_il, self.stats())
+        a_il = action_delta(current, 1.0, traj.pose(1), traj.gripper[1]) / self.scale()
+        t = reattach_at(traj, current, 1.0, 0, a_il, self.scale())
         assert t == 1
-        att = normalize(action_delta(current, 1.0, traj.pose(1), traj.gripper[1]), self.stats())
+        att = action_delta(current, 1.0, traj.pose(1), traj.gripper[1]) / self.scale()
         assert similarity(att, a_il) == pytest.approx(1.0, abs=1e-12)
 
     def test_tie_goes_to_earliest(self):
@@ -228,19 +229,19 @@ class TestSelectReattach:
         ]
         traj = segment(poses, [1.0] * 5)
         current = poses[0]
-        a_il = normalize(action_delta(current, 1.0, poses[1], 1.0), self.stats())
-        assert reattach_at(traj, current, 1.0, 0, a_il, self.stats()) == 1
+        a_il = action_delta(current, 1.0, poses[1], 1.0) / self.scale()
+        assert reattach_at(traj, current, 1.0, 0, a_il, self.scale()) == 1
 
     def test_orthogonal_feedback_returns_none(self):
         traj = line_traj(8)
         current = traj.pose(0)
         sideways = Pose(current.position + np.array([0.0, 0.01, 0.0]))
-        a_il = normalize(action_delta(current, 1.0, sideways, 1.0), self.stats())
-        assert reattach_at(traj, current, 1.0, 0, a_il, self.stats(), tau=0.5) is None
+        a_il = action_delta(current, 1.0, sideways, 1.0) / self.scale()
+        assert reattach_at(traj, current, 1.0, 0, a_il, self.scale(), tau=0.5) is None
 
     def test_argmax_prefers_later_higher_similarity(self):
         # two feasible candidates; the later one matches the feedback better
-        stats = ActionStats(np.concatenate([np.full(3, 0.01), np.full(3, 0.05), [0.5]]))
+        scale = self.scale()
         current = Pose(np.array([0.0, 0.0, 0.1]))
         poses = [
             current,
@@ -249,15 +250,15 @@ class TestSelectReattach:
         ]
         traj = segment(poses, [1.0] * 3)
         forward = Pose(current.position + np.array([0.01, 0.0, 0.0]))
-        a_il = normalize(action_delta(current, 1.0, forward, 1.0), stats)
+        a_il = action_delta(current, 1.0, forward, 1.0) / scale
         tau = 0.3
-        got = reattach_at(traj, current, 1.0, 0, a_il, stats, tau=tau)
+        got = reattach_at(traj, current, 1.0, 0, a_il, scale, tau=tau)
         assert got == 2
-        assert got == brute_force_reattach(traj, current, 1.0, 0, a_il, stats, tau)
+        assert got == brute_force_reattach(traj, current, 1.0, 0, a_il, scale, tau)
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(7)
-        stats = self.stats()
+        scale = self.scale()
         for _ in range(200):
             n = int(rng.integers(3, 12))
             poses = [Pose(rng.normal(0, 0.02, 3) + np.array([0, 0, 0.1]))]
@@ -267,18 +268,18 @@ class TestSelectReattach:
             traj = segment(poses, grips)
             current = Pose(rng.normal(0, 0.02, 3) + np.array([0, 0, 0.1]))
             goal = Pose(current.position + rng.normal(0, 0.01, 3))
-            a_il = normalize(action_delta(current, 1.0, goal, float(rng.choice([0.0, 1.0]))), stats)
+            a_il = action_delta(current, 1.0, goal, float(rng.choice([0.0, 1.0]))) / scale
             t_now = int(rng.integers(0, n - 1))
             tau = float(rng.uniform(0.0, 0.9))
-            assert reattach_at(traj, current, 1.0, t_now, a_il, stats, tau=tau) == brute_force_reattach(
-                traj, current, 1.0, t_now, a_il, stats, tau
+            assert reattach_at(traj, current, 1.0, t_now, a_il, scale, tau=tau) == brute_force_reattach(
+                traj, current, 1.0, t_now, a_il, scale, tau
             )
 
     def test_no_candidates_past_end(self):
         traj = line_traj(4)
         current = traj.pose(0)
-        a_il = normalize(action_delta(current, 1.0, traj.pose(1), 1.0), self.stats())
-        assert reattach_at(traj, current, 1.0, 3, a_il, self.stats()) is None
+        a_il = action_delta(current, 1.0, traj.pose(1), 1.0) / self.scale()
+        assert reattach_at(traj, current, 1.0, 3, a_il, self.scale()) is None
 
 
 def fuzz_reattach_instance(rng, t_choice):
@@ -301,9 +302,9 @@ def fuzz_reattach_instance(rng, t_choice):
     traj = segment(poses, grips)
     t_now = [0, n - 3, n - 2, n - 1][t_choice]
     if rng.random() < 0.5:
-        stats = EnsembleState.initial(traj).stats
+        scale = EnsembleState.initial(traj).scale
     else:
-        stats = ActionStats(rng.uniform(0.005, 0.5, 7))
+        scale = rng.uniform(0.005, 0.5, 7)
     if rng.random() < 0.6:
         # feedback roughly follows the recorded motion from near the cursor
         here = poses[t_now]
@@ -314,8 +315,8 @@ def fuzz_reattach_instance(rng, t_choice):
     else:
         current, target = poses[int(rng.integers(0, n))], poses[int(rng.integers(0, n))]
         grip, fb_grip = float(rng.choice([0.0, 1.0])), float(rng.choice([0.0, 1.0]))
-    a_il = normalize(action_delta(current, grip, target, fb_grip), stats)
-    return traj, current, grip, t_now, a_il, stats
+    a_il = action_delta(current, grip, target, fb_grip) / scale
+    return traj, current, grip, t_now, a_il, scale
 
 
 class TestReattachMatchesOracle:
@@ -331,26 +332,26 @@ class TestReattachMatchesOracle:
         picks = {"none": 0, "last": 0, "other": 0}
         ties = 0
         for trial in range(2400):
-            traj, current, grip, t_now, a_il, stats = fuzz_reattach_instance(rng, trial % 4)
+            traj, current, grip, t_now, a_il, scale = fuzz_reattach_instance(rng, trial % 4)
             n, start = len(traj), t_now + 1
-            state = EnsembleState.initial(traj, stats)
+            state = state_with_scale(traj, scale)
             state.ff_cursor = t_now
             taus = [TAU_REATTACH, float(rng.uniform(-0.2, 0.95))]
             if start < n:
                 p, r, g = traj.positions, traj.rotations, traj.gripper
                 att = reattach_row_deltas(
                     current.position, current.rotation.as_matrix(), grip, p[start:], r[start:], g[start:]
-                ) / stats.scale
+                ) / scale
                 lo = np.minimum(np.arange(start, n), n - 2)
-                rec = reattach_row_deltas(p[lo], r[lo], g[lo], p[lo + 1], r[lo + 1], g[lo + 1]) / stats.scale
+                rec = reattach_row_deltas(p[lo], r[lo], g[lo], p[lo + 1], r[lo + 1], g[lo + 1]) / scale
                 # the table holds the recorded rows the first scan gathered, bit for bit
                 assert np.array_equal(state.recorded.rows[start:], rec)
-                att_sims = reattach_similarities(att, a_il.vector)
-                rec_sims = reattach_similarities(rec, a_il.vector)
+                att_sims = reattach_similarities(att, a_il)
+                rec_sims = reattach_similarities(rec, a_il)
                 near = float(rng.choice(np.concatenate([att_sims, rec_sims])))
                 taus.append(near + float(rng.choice([-1e-12, 1e-12])))
             for tau in taus:
-                want = select_reattach_oracle(traj, current, grip, t_now, a_il, stats, tau)
+                want = select_reattach_oracle(traj, current, grip, t_now, a_il, scale, tau)
                 assert select_reattach(state, current, grip, a_il, tau) == want, (trial, tau)
                 picks["none" if want is None else "last" if want == n - 1 else "other"] += 1
                 if want is not None:
@@ -363,12 +364,12 @@ class TestReattachMatchesOracle:
 def candidates(state, a_il, tau):
     """The points past the cursor whose recorded action agrees with a_il above tau."""
     start = state.ff_cursor + 1
-    return start + np.flatnonzero(state.recorded[start:].similarity(a_il.vector) > tau)
+    return start + np.flatnonzero(state.recorded[start:].similarity(a_il) > tau)
 
 
 def attach_l1_floor(state, cand, current, grip):
     """The smallest lower bound select_reattach's certificate puts on a candidate's normalized attach L1."""
-    traj, scale = state.ff_trajectory, state.stats.scale
+    traj, scale = state.ff_trajectory, state.scale
     chord = np.sqrt(np.square(traj.rotations[cand] - current.rotation.as_matrix()).sum(axis=(1, 2)) / 2.0)
     low = (np.abs(traj.positions[cand] - current.position) / scale[:3]).sum(axis=1)
     low += np.abs(traj.gripper[cand] - grip) / scale[6] + (chord - _CHORD_SLACK) / scale[3:6].max()
@@ -377,7 +378,7 @@ def attach_l1_floor(state, cand, current, grip):
 
 def cutoff(a_il, tau):
     """The attach L1 at or past which a row scores no more than tau against a_il, with the certificate's margin."""
-    return float(np.abs(a_il.vector).sum()) * (2.0 - tau) / tau * (1.0 + 1e-9)
+    return float(np.abs(a_il).sum()) * (2.0 - tau) / tau * (1.0 + 1e-9)
 
 
 class TestReattachCertificate:
@@ -407,22 +408,22 @@ class TestReattachCertificate:
         current = Pose(traj.positions[t_now] + rng.normal(0.0, float(rng.choice([0.3, 1.0])), 3), turn)
         j = int(rng.integers(min(t_now + 1, len(traj) - 1), len(traj)))
         row = state.recorded.rows[j] * float(rng.uniform(0.9, 1.1)) + rng.normal(0.0, 0.005, 7)
-        return current, float(rng.choice([0.0, 1.0])), NormalizedAction(row)
+        return current, float(rng.choice([0.0, 1.0])), row
 
     def test_fuzzed_far_near_and_zero_feedback(self, monkeypatch):
         rng = np.random.default_rng(77)
         fired = picked = 0
         for trial in range(600):
-            traj, current, grip, t_now, a_il, stats = fuzz_reattach_instance(rng, trial % 4)
-            state = EnsembleState.initial(traj, stats)
+            traj, current, grip, t_now, a_il, scale = fuzz_reattach_instance(rng, trial % 4)
+            state = state_with_scale(traj, scale)
             state.ff_cursor = t_now
             # the current rotation tripled: scipy projects it back, and its chord to the trajectory means nothing
             tripled = Pose(current.position, Rotation(3.0 * current.rotation.as_matrix()))
             cases = [(current, grip, a_il), self.far_instance(rng, traj, state, t_now), (tripled, grip, a_il)]
-            cases.append((current, grip, NormalizedAction(np.zeros(7))))
+            cases.append((current, grip, np.zeros(7)))
             for current, grip, a_il in cases:
                 for tau in self.TAUS:
-                    want = select_reattach_oracle(traj, current, grip, t_now, a_il, stats, tau)
+                    want = select_reattach_oracle(traj, current, grip, t_now, a_il, scale, tau)
                     got, built = self.scan(monkeypatch, state, current, grip, a_il, tau)
                     assert got == want, (trial, tau)
                     fired += bool(candidates(state, a_il, tau).size) and not built
@@ -436,8 +437,8 @@ class TestReattachCertificate:
         rng = np.random.default_rng(78)
         sides = {-1.0: 0, 1.0: 0}
         for trial in range(300):
-            traj, current, grip, t_now, _, stats = fuzz_reattach_instance(rng, trial % 3)
-            state = EnsembleState.initial(traj, stats)
+            traj, current, grip, t_now, _, scale = fuzz_reattach_instance(rng, trial % 3)
+            state = state_with_scale(traj, scale)
             state.ff_cursor = t_now
             a_il = self.far_instance(rng, traj, state, t_now)[2]
             tau, side = float(rng.choice([0.1, 0.5, 0.95])), float(rng.choice([-1.0, 1.0]))
@@ -459,7 +460,7 @@ class TestReattachCertificate:
                 lo, hi = (mid, hi) if floor_at(mid) < target else (lo, mid)
             lam = hi if side > 0.0 else lo  # at or past the cutoff, or short of it
             assert abs(floor_at(lam) / cutoff(a_il, tau) - 1.0) < 2e-12
-            want = select_reattach_oracle(traj, moved(lam), grip, t_now, a_il, stats, tau)
+            want = select_reattach_oracle(traj, moved(lam), grip, t_now, a_il, scale, tau)
             got, built = self.scan(monkeypatch, state, moved(lam), grip, a_il, tau)
             assert got == want, (trial, tau, side)
             assert built == (side < 0.0), (trial, tau, side)
@@ -474,8 +475,8 @@ class TestReattachCertificate:
         rng = np.random.default_rng(79)
         raised = 0
         for trial in range(40):
-            traj, _, _, t_now, _, stats = fuzz_reattach_instance(rng, 0)
-            state = EnsembleState.initial(traj, stats)
+            traj, _, _, t_now, _, scale = fuzz_reattach_instance(rng, 0)
+            state = state_with_scale(traj, scale)
             current, grip, a_il = self.far_instance(rng, traj, state, t_now)
             cand = candidates(state, a_il, TAU_REATTACH)
             if not cand.size or self.scan(monkeypatch, state, current, grip, a_il, TAU_REATTACH)[1]:
@@ -491,7 +492,7 @@ class TestReattachCertificate:
                 grip = bad
             with np.errstate(invalid="ignore"):  # inf - inf in the matmuls and dets
                 with pytest.raises(ValueError):
-                    select_reattach_oracle(traj, current, grip, t_now, a_il, stats, TAU_REATTACH)
+                    select_reattach_oracle(traj, current, grip, t_now, a_il, scale, TAU_REATTACH)
                 with pytest.raises(ValueError):
                     select_reattach(state, current, grip, a_il, TAU_REATTACH)
             raised += 1
@@ -532,7 +533,7 @@ class TestEnsembleStep:
             executed.append(act)
             pose = act.pose  # kinematic: we land on the goal
         assert all(e["mode"] == "feedforward" for e in state.trace)
-        assert state.switch_steps() == []
+        assert switch_steps(state) == []
         for i, act in enumerate(executed):
             assert np.array_equal(act.pose.position, traj.pose(i).position)
 
@@ -546,7 +547,7 @@ class TestEnsembleStep:
             act, state = ensemble_step(state, backward, pose, grip)
             modes.append(state.mode)
         assert modes == ["feedforward", "feedforward", "feedback", "feedback"]
-        assert state.switch_steps() == [2]
+        assert switch_steps(state) == [2]
 
     def test_agreement_resets_streak(self):
         traj = line_traj(20)
@@ -557,7 +558,7 @@ class TestEnsembleStep:
             fb = backward if step % 2 == 0 else perfect_feedback(traj, state.ff_cursor)
             _, state = ensemble_step(state, fb, pose, grip)
         assert state.mode == "feedforward"
-        assert state.switch_steps() == []
+        assert switch_steps(state) == []
 
     def test_reattach_waits_out_cooldown(self):
         traj = line_traj(40)
@@ -577,7 +578,7 @@ class TestEnsembleStep:
             pose = act.pose
             if state.mode == "feedforward":
                 break
-        switches = state.switch_steps()
+        switches = switch_steps(state)
         assert len(switches) == 2
         assert switches[1] - switches[0] >= 5
 
@@ -595,7 +596,7 @@ class TestEnsembleStep:
         for _ in range(20):
             act, state = ensemble_step(state, fb, pose, grip)
         assert state.mode == "feedback"
-        assert len(state.switch_steps()) == 1
+        assert len(switch_steps(state)) == 1
 
     def test_switch_spacing_invariant_under_fuzz(self):
         rng = np.random.default_rng(11)
@@ -612,7 +613,7 @@ class TestEnsembleStep:
                 act, state = ensemble_step(state, fb, pose, grip)
                 pose = act.pose
                 grip = act.gripper
-            switches = state.switch_steps()
+            switches = switch_steps(state)
             assert all(b - a >= 5 for a, b in zip(switches, switches[1:])), (trial, switches)
 
     def test_trace_records_every_step(self):
@@ -623,6 +624,17 @@ class TestEnsembleStep:
             _, state = ensemble_step(state, perfect_feedback(traj, min(step, 4)), pose, 1.0)
         assert [e["step"] for e in state.trace] == list(range(8))
         assert all(e["mode"] in ("feedforward", "feedback") for e in state.trace)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("mode", ["feedforward", "feedback"])
+    def test_non_finite_feedback_gripper_rejected(self, mode, bad):
+        # feedforward scores the feedback action on every step; feedback, with its cooldown out, scans for a reattach
+        traj = line_traj(8)
+        state = EnsembleState.initial(traj)
+        state.mode = mode
+        pose = traj.pose(0)
+        with pytest.raises(ValueError, match="normalized action must be finite"):
+            ensemble_step(state, Action(traj.pose(1), bad), pose, 1.0)
 
 
 class TestEnsembleStepMatchesOracle:
@@ -669,7 +681,7 @@ class TestEnsembleStepMatchesOracle:
                 assert np.array_equal(act.pose.position, ref.pose.position), where
                 assert np.array_equal(act.pose.rotation.as_matrix(), ref.pose.rotation.as_matrix()), where
                 assert act.gripper == ref.gripper, where
-                for name in ("mode", "ff_cursor", "cooldown_remaining", "disagreement_streak", "step_index"):
+                for name in ("mode", "ff_cursor", "cooldown_remaining", "disagreement_streak"):
                     assert getattr(got, name) == getattr(want, name), (where, name)
                 assert got.trace == want.trace, where
                 flips += got.trace[-1]["switched"]
