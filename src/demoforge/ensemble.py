@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .demos import Action, TrajectorySegment
-from .geometry import _ORTHO_TOL, Pose, check_rotation_matrices, scipy_rotation, trusted_rotation
+from .geometry import _ORTHO_TOL, Pose, check_rotation_matrices, matrix_rotvecs, trusted_rotation
 
 TAU_SWITCH = 0.5
 TAU_REATTACH = 0.5
@@ -36,8 +36,7 @@ def action_delta(from_pose: Pose, from_grip: float, to_pose: Pose, to_grip: floa
 
 def _row_deltas(from_pos, from_rot, from_grip, to_pos, to_rot, to_grip) -> np.ndarray:
     """action_delta row by row; a single from-state broadcasts over the to-rows."""
-    rel = np.matmul(np.swapaxes(from_rot, -1, -2), to_rot)
-    rotvecs = scipy_rotation(rel).as_rotvec().reshape(-1, 3)
+    rotvecs = matrix_rotvecs(np.matmul(np.swapaxes(from_rot, -1, -2), to_rot)).reshape(-1, 3)
     return np.column_stack([to_pos - from_pos, rotvecs, to_grip - from_grip])
 
 

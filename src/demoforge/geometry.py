@@ -10,11 +10,10 @@ in degrees, at every serialization boundary.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.transform import Rotation as _SR
+from scipy.spatial.transform import _rotation_cy as _backend  # scipy's Rotation minus its dispatch; pinned in pyproject
 
 EULER_SEQ = "XYZ"  # intrinsic X-Y-Z
 
@@ -41,8 +40,8 @@ def trusted_rotation(matrix: np.ndarray) -> bool:
     return bool(np.all(np.abs(gram - np.eye(3)) <= tol) and np.all(np.linalg.det(matrix) > 0.0))
 
 
-def scipy_rotation(matrix: np.ndarray) -> _SR:
-    """scipy rotation of a 3x3 matrix or an (n, 3, 3) stack; the package's one call of scipy's from_matrix.
+def matrix_quats(matrix: np.ndarray) -> np.ndarray:
+    """Quaternion (4,) of a 3x3 matrix or (n, 4) of an (n, 3, 3) stack; the package's one call of scipy's from_matrix.
 
     scipy raises on det <= 0 and SVD-projects any matrix whose gramian is not within 1e-12 of I. Every
     trusted_rotation matrix passes that check unprojected, so scipy skips it at no change in bits; any
@@ -51,19 +50,28 @@ def scipy_rotation(matrix: np.ndarray) -> _SR:
     trusted = trusted_rotation(matrix)
     if not trusted and not np.isfinite(matrix).all():  # scipy's SVD never returns on some +inf entries
         raise ValueError("rotation matrix has non-finite entries")
-    return _SR.from_matrix(matrix, assume_valid=trusted)
+    return _backend.from_matrix(np.asarray(matrix, dtype=float), assume_valid=trusted)
+
+
+def _rows(convert, quats: np.ndarray, *args, **kwargs) -> np.ndarray:
+    """Backend convert of an (n, 4) stack; a (4,) quaternion goes in as a (1, 4) row and out as row 0, as in scipy."""
+    return convert(quats[None], *args, **kwargs)[0] if quats.ndim == 1 else convert(quats, *args, **kwargs)
+
+
+def matrix_rotvecs(matrix: np.ndarray) -> np.ndarray:
+    """Rotation vector (3,) of a 3x3 matrix, or the (n, 3) stack of an (n, 3, 3) stack, in one scipy call."""
+    return _rows(_backend.as_rotvec, matrix_quats(matrix))
 
 
 def euler_degrees(matrix: np.ndarray) -> np.ndarray:
-    """Intrinsic X-Y-Z Euler angles in degrees of a 3x3 matrix or an (n, 3, 3) stack, in one scipy call."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="Gimbal lock")
-        return scipy_rotation(matrix).as_euler(EULER_SEQ, degrees=True)
+    """Intrinsic X-Y-Z Euler angles in degrees of a 3x3 matrix or an (n, 3, 3) stack, in one scipy call. At gimbal
+    lock (pitch +/-90 deg), where the triple is not unique, it gives the one with a zero third angle and no warning."""
+    return _rows(_backend.as_euler, matrix_quats(matrix), EULER_SEQ, degrees=True, suppress_warnings=True)
 
 
 def rotvec_matrices(rotvec: np.ndarray) -> np.ndarray:
     """Rotation matrix of a rotation vector (3,), or the (n, 3, 3) stack of an (n, 3) stack, in one scipy call."""
-    return _SR.from_rotvec(np.asarray(rotvec, dtype=float)).as_matrix()
+    return _rows(_backend.as_matrix, _backend.from_rotvec(np.asarray(rotvec, dtype=float)))
 
 
 def check_rotation_matrices(matrices: np.ndarray) -> None:
@@ -101,10 +109,10 @@ class Rotation:
 
         Equals the matrix product Rx(roll) @ Ry(pitch) @ Rz(yaw).
         """
-        angles = np.asarray([roll, pitch, yaw], dtype=float)
-        if not np.all(np.isfinite(angles)):
+        if not all(map(math.isfinite, (roll, pitch, yaw))):
             raise ValueError("euler angles must be finite")
-        return cls(_SR.from_euler(EULER_SEQ, angles, degrees=True).as_matrix())
+        angles = np.asarray([roll, pitch, yaw], dtype=float)
+        return cls(_rows(_backend.as_matrix, _backend.from_euler(EULER_SEQ, angles, degrees=True)))
 
     @classmethod
     def about_z_deg(cls, yaw: float) -> "Rotation":
@@ -115,19 +123,14 @@ class Rotation:
         return cls(rotvec_matrices(rotvec))
 
     def euler_deg(self) -> np.ndarray:
-        """Intrinsic X-Y-Z Euler angles in degrees.
-
-        At gimbal lock (pitch within numerical reach of +/-90 deg) the triple
-        is not unique; the canonical representative with a zero third angle is
-        returned. It still reconstructs the same rotation matrix.
-        """
+        """Intrinsic X-Y-Z Euler angles in degrees, as euler_degrees gives them."""
         return euler_degrees(self._m)
 
     def as_matrix(self) -> np.ndarray:
         return self._m.copy()
 
     def rotvec(self) -> np.ndarray:
-        return scipy_rotation(self._m).as_rotvec()
+        return matrix_rotvecs(self._m)
 
     def inverse(self) -> "Rotation":
         return Rotation(self._m.T)
@@ -146,10 +149,8 @@ class Rotation:
         return np.asarray(v, dtype=float) @ self._m.T
 
     def power(self, fraction: float) -> "Rotation":
-        """Fractional rotation exp(fraction * log R); power(0) is identity."""
-        if fraction == 0.0:
-            return Rotation.identity()
-        return Rotation((scipy_rotation(self._m) ** float(fraction)).as_matrix())
+        """Fractional rotation exp(fraction * log R); power(0) is the exact identity."""
+        return Rotation(_rows(_backend.as_matrix, _rows(_backend.pow, matrix_quats(self._m), float(fraction))))
 
     def angle_rad(self) -> float:
         """Total rotation angle in [0, pi]."""

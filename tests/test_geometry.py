@@ -17,8 +17,11 @@ from demoforge.geometry import (
     RigidTransform,
     Rotation,
     check_rotation_matrices,
+    euler_degrees,
+    matrix_quats,
+    matrix_rotvecs,
     pose_text,
-    scipy_rotation,
+    rotvec_matrices,
 )
 from oracles import angle_rad_oracle
 
@@ -222,32 +225,45 @@ def test_pose_is_immutable():
         pose.position = np.zeros(3)
 
 
-def conversions(convert, matrix):
-    """Rotation vectors and intrinsic XYZ Euler degrees of convert(matrix), or the type it raises."""
+def outcome(call):
+    """call(), or the type it raises."""
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # gimbal lock
-            r = convert(matrix)
-            return r.as_rotvec(), r.as_euler("XYZ", degrees=True)
+            warnings.simplefilter("ignore")  # the public as_euler warns at gimbal lock
+            return call()
     except (ValueError, np.linalg.LinAlgError) as err:
         return type(err)
 
 
-def assert_same_as_plain_scipy(matrix):
-    got, want = conversions(scipy_rotation, matrix), conversions(SciRotation.from_matrix, matrix)
+def assert_same_outcome(call, public_call):
+    """call() and public_call() give the same bits, or raise the same exception type."""
+    got, want = outcome(call), outcome(public_call)
     if isinstance(want, type) or isinstance(got, type):
         assert got is want
     else:
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w, equal_nan=True)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def public_rotvec(matrix):
+    return SciRotation.from_matrix(matrix).as_rotvec()
+
+
+def public_euler(matrix):
+    return SciRotation.from_matrix(matrix).as_euler("XYZ", degrees=True)
+
+
+def assert_same_as_plain_scipy(matrix):
+    assert_same_outcome(
+        lambda: (matrix_rotvecs(matrix), euler_degrees(matrix)), lambda: (public_rotvec(matrix), public_euler(matrix))
+    )
 
 
 def trusted(matrix):
-    """The assume_valid flag scipy_rotation hands scipy for matrix; scipy itself is not called."""
+    """The assume_valid flag matrix_quats hands scipy's backend for matrix; the backend itself is not called."""
     flags = []
     stub = SimpleNamespace(from_matrix=lambda m, assume_valid: flags.append(assume_valid))
-    with mock.patch.object(geometry, "_SR", stub):
-        scipy_rotation(matrix)
+    with mock.patch.object(geometry, "_backend", stub):
+        matrix_quats(matrix)
     return flags == [True]
 
 
@@ -279,7 +295,7 @@ import test_geometry as t
 
 for m in t.non_finite_cases(float(sys.argv[1])):
     try:
-        t.scipy_rotation(m)
+        t.matrix_quats(m)
     except ValueError as err:
         assert "non-finite" in str(err), err
     else:
@@ -305,11 +321,10 @@ class TestScipyRotation:
     def test_stacked_rows_match_single_calls(self):
         rng = np.random.default_rng(43)
         stack = SciRotation.random(2000, random_state=rng).as_matrix() @ SciRotation.random(random_state=rng).as_matrix()
-        rotvecs = scipy_rotation(stack).as_rotvec()
-        eulers = scipy_rotation(stack).as_euler("XYZ", degrees=True)
+        rotvecs, eulers = matrix_rotvecs(stack), euler_degrees(stack)
         for k in range(0, 2000, 7):
-            assert np.array_equal(rotvecs[k], scipy_rotation(stack[k]).as_rotvec())
-            assert np.array_equal(eulers[k], scipy_rotation(stack[k]).as_euler("XYZ", degrees=True))
+            assert np.array_equal(rotvecs[k], matrix_rotvecs(stack[k]))
+            assert np.array_equal(eulers[k], euler_degrees(stack[k]))
 
     @pytest.mark.parametrize("i, j", OFF_DIAGONAL)
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -340,8 +355,8 @@ class TestScipyRotation:
     def test_non_finite_entries_take_the_checked_path(self, bad):
         for m in non_finite_cases(bad):  # refused before scipy is called
             stub = SimpleNamespace(from_matrix=mock.Mock())
-            with mock.patch.object(geometry, "_SR", stub), pytest.raises(ValueError, match="non-finite"):
-                scipy_rotation(m)
+            with mock.patch.object(geometry, "_backend", stub), pytest.raises(ValueError, match="non-finite"):
+                matrix_quats(m)
             stub.from_matrix.assert_not_called()
         # scipy's checked path never returns on some matrices with a +inf entry
         # (its SVD spins), so the real calls run in a child under a timeout
@@ -358,11 +373,131 @@ class TestScipyRotation:
         for m in [np.diag([1.0, 1.0, -1.0]), -np.eye(3), *(-rotations[:20])]:
             assert not trusted(m)  # orthonormal to the guard's tolerance, but det = -1
             with pytest.raises(ValueError):
-                scipy_rotation(m)
+                matrix_quats(m)
         stack = rotations.copy()
         stack[17] = -stack[17]
         assert not trusted(stack)
         with pytest.raises(ValueError):
-            scipy_rotation(stack)
+            matrix_quats(stack)
         with pytest.raises(ValueError):
             Rotation(np.diag([1.0, -1.0, 1.0])).rotvec()
+
+
+def assert_bits(got, want):
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def random_products(n, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (SciRotation.random(n, random_state=rng).as_matrix() for _ in range(2))
+    return np.matmul(np.swapaxes(a, -1, -2), b)
+
+
+def gimbal_triples():
+    """Intrinsic XYZ triples at pitch +/-90 deg, within 1e-7 deg of it, and with -0.0 entries."""
+    triples = []
+    for pole in (90.0, -90.0):
+        for off in (0.0, 1e-7, -1e-7, 1e-9, -1e-9, 5e-8):
+            for roll, yaw in ((25.0, 40.0), (-170.0, 0.0), (0.0, -0.0), (-0.0, 135.0)):
+                triples.append((roll, pole + off, yaw))
+    triples += [(-0.0, -0.0, -0.0), (-0.0, 0.0, 10.0), (0.0, -0.0, -0.0), (-0.0, 45.0, -0.0)]
+    return triples
+
+
+class TestBackendMatchesPublicRotation:
+    """Every geometry entry point against the public scipy Rotation call it replaces, bit for bit."""
+
+    def test_matrix_conversions_single_stacked_one_row_and_transposed(self):
+        products = random_products(500, 59)
+        views = [products, products[:1], products[7:8], np.swapaxes(products, -1, -2), products[::3]]
+        views += [products[0].T, np.eye(3)]
+        views += list(products[:100]) + [m.T for m in products[100:150]]
+        for m in views:
+            assert_bits(matrix_quats(m), SciRotation.from_matrix(m).as_quat())
+            assert_bits(matrix_rotvecs(m), public_rotvec(m))
+            assert_same_outcome(lambda: euler_degrees(m), lambda: public_euler(m))
+            if m.ndim == 2:
+                assert_bits(Rotation(m).rotvec(), public_rotvec(m))
+                assert_same_outcome(lambda: Rotation(m).euler_deg(), lambda: public_euler(m))
+
+    def test_euler_triples_at_and_near_gimbal_lock_and_negative_zero(self):
+        triples = gimbal_triples()
+        for roll, pitch, yaw in triples:
+            got = Rotation.from_euler_deg(roll, pitch, yaw).as_matrix()
+            assert_bits(got, SciRotation.from_euler("XYZ", [roll, pitch, yaw], degrees=True).as_matrix())
+            assert_same_outcome(lambda: euler_degrees(got), lambda: public_euler(got))
+        stack = SciRotation.from_euler("XYZ", triples, degrees=True).as_matrix()
+        assert_same_outcome(lambda: euler_degrees(stack), lambda: public_euler(stack))
+        assert_bits(matrix_rotvecs(stack), public_rotvec(stack))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_euler_angles_raise(self, bad):
+        for triple in ((bad, 0.0, 0.0), (0.0, np.float64(bad), 0.0), (0.0, 0.0, bad)):
+            with pytest.raises(ValueError, match="euler angles must be finite"):
+                Rotation.from_euler_deg(*triple)
+
+    def test_identity(self):
+        eye = np.eye(3)
+        assert_bits(Rotation.identity().rotvec(), public_rotvec(eye))
+        assert_bits(euler_degrees(eye), public_euler(eye))
+        assert_bits(Rotation.from_euler_deg(0.0, 0.0, 0.0).as_matrix(), SciRotation.identity().as_matrix())
+        assert_bits(rotvec_matrices(np.zeros(3)), SciRotation.from_rotvec(np.zeros(3)).as_matrix())
+        for f in (0.5, 1.0, 0.3):
+            assert_bits(Rotation.identity().power(f).as_matrix(), (SciRotation.from_matrix(eye) ** f).as_matrix())
+
+    def test_rotvecs_at_angle_zero_pi_and_just_below_pi(self):
+        rng = np.random.default_rng(61)
+        axes = rng.normal(size=(40, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        axes = np.concatenate([np.eye(3), -np.eye(3), axes])
+        rotvecs = np.concatenate([axes * a for a in (0.0, np.pi, np.pi - 1e-12)] + [np.zeros((1, 3))])
+        want = SciRotation.from_rotvec(rotvecs).as_matrix()
+        assert_bits(rotvec_matrices(rotvecs), want)
+        assert_bits(rotvec_matrices(rotvecs[:1]), want[:1])
+        for v, w in zip(rotvecs, want):
+            assert_bits(rotvec_matrices(v), SciRotation.from_rotvec(v).as_matrix())
+            assert_bits(Rotation.from_rotvec(v).as_matrix(), w)
+            assert_bits(Rotation(w).rotvec(), public_rotvec(w))
+        assert_bits(matrix_rotvecs(want), public_rotvec(want))
+
+    def test_power_at_step_fractions_half_and_one(self):
+        # _step_pose_toward takes the power max_angular / angle (0.1 or 0.09 rad) of a rotation whose angle exceeds it
+        products = random_products(200, 67)
+        for m in products:
+            angle = Rotation(m).angle_rad()
+            for f in (0.1 / angle, 0.09 / angle, 0.5, 1.0, 0.0, -0.0):  # power(0) is the backend's, no shortcut
+                assert_bits(Rotation(m).power(f).as_matrix(), (SciRotation.from_matrix(m) ** f).as_matrix())
+
+    def test_untrusted_finite_matrices_match_or_raise_alike(self):
+        products = random_products(30, 71)
+        flipped = products * np.array([1.0, 1.0, -1.0])  # det -1
+        for m in [*products * 1.001, *flipped, np.diag([1.0, 1.0, -1.0]), products * 1.001, flipped]:
+            assert not trusted(m)
+            assert_same_outcome(lambda: matrix_quats(m), lambda: SciRotation.from_matrix(m).as_quat())
+            assert_same_outcome(lambda: matrix_rotvecs(m), lambda: public_rotvec(m))
+            assert_same_outcome(lambda: euler_degrees(m), lambda: public_euler(m))
+            if m.ndim == 2:
+                assert_same_outcome(
+                    lambda: Rotation(m).power(0.5).as_matrix(), lambda: (SciRotation.from_matrix(m) ** 0.5).as_matrix()
+                )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrices_still_raise_value_error(self, bad):
+        for m in non_finite_cases(bad):
+            for convert in (matrix_quats, matrix_rotvecs, euler_degrees):
+                with pytest.raises(ValueError, match="non-finite"):
+                    convert(m)
+            if m.ndim == 2:
+                with pytest.raises(ValueError, match="non-finite"):
+                    Rotation(m).power(0.5)
+
+    def test_euler_degrees_lets_no_gimbal_lock_warning_escape(self):
+        locked = SciRotation.from_euler("XYZ", [25.0, 90.0, 40.0], degrees=True).as_matrix()
+        stack = SciRotation.from_euler("XYZ", gimbal_triples(), degrees=True).as_matrix()
+        with pytest.warns(UserWarning, match="Gimbal lock"):
+            public_euler(locked)  # the public call warns on this matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            euler_degrees(locked)
+            euler_degrees(stack)
+            Rotation(locked).euler_deg()

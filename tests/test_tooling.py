@@ -2,13 +2,13 @@
 module, no package module is imported below module level (where it would
 hide an import cycle), every module-level private name is read somewhere in
 the package, only ``geometry`` imports scipy's rotations and only the demo
-builds per-step ``Observation`` views, scipy's checked ``Rotation.from_matrix``
-is reached only through the one guarded helper and ``betaincinv`` only
-through the certified argmax's fallback, only the one query function opens
-gateway sessions, every name the benchmark imports from the package
-resolves, the names the benchmark rebinds in ``demoforge.campaign`` still
-exist and are read there, and the benchmark's own self-tests pass against
-the package."""
+builds per-step ``Observation`` views, scipy's checked ``from_matrix`` (on the
+public ``Rotation`` or the compiled backend) is reached only through the one
+guarded helper and ``betaincinv`` only through the certified argmax's
+fallback, only the one query function opens gateway sessions, every name
+the benchmark imports from the package resolves, the names the benchmark
+rebinds in ``demoforge.campaign`` still exist and are read there, and the
+benchmark's own self-tests pass against the package."""
 import ast
 import importlib
 import inspect
@@ -117,18 +117,36 @@ def attribute_reads(tree: ast.AST, attr: str, on=None) -> list[str]:
     )
 
 
+SCIPY_FROM_MATRIX_OWNERS = {"scipy.spatial.transform.Rotation", "scipy.spatial.transform._rotation_cy"}
+
+
 def scipy_from_matrix_reads(source: str) -> list[str]:
-    """The enclosing def or class path of each ``from_matrix`` read on a name
-    the module binds to scipy's ``Rotation``."""
+    """The enclosing def or class path of each ``from_matrix`` read on scipy's
+    ``Rotation`` or on its compiled backend ``_rotation_cy``, reached through a
+    name the module binds by ``import`` or ``from ... import``."""
     tree = ast.parse(source)
-    aliases = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "scipy.spatial.transform"
-        for alias in node.names
-        if alias.name == "Rotation"
-    }
-    return attribute_reads(tree, "from_matrix", aliases)
+    bound = {}  # local name -> the dotted path it names
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            bound.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+        elif isinstance(node, ast.Import):
+            bound.update({a.asname: a.name for a in node.names if a.asname})
+            bound.update({a.name.split(".")[0]: a.name.split(".")[0] for a in node.names if not a.asname})
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            head = dotted(node.value)
+            return head and f"{head}.{node.attr}"
+        return None
+
+    return scoped_reads(
+        tree,
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == "from_matrix"
+        and dotted(node.value) in SCIPY_FROM_MATRIX_OWNERS,
+    )
 
 
 def test_from_matrix_checker_flags_reads_on_scipy_rotation_only():
@@ -140,11 +158,24 @@ def test_from_matrix_checker_flags_reads_on_scipy_rotation_only():
     assert scipy_from_matrix_reads(source) == ["<module>", "C.f"]
 
 
+def test_from_matrix_checker_flags_reads_on_scipy_backend():
+    source = (
+        "from scipy.spatial.transform import _rotation_cy as _backend\n"
+        "import scipy.spatial.transform._rotation_cy as cy\nimport scipy.spatial.transform._rotation_cy\n"
+        "from mine import _rotation_cy\n"
+        "def f(m):\n    return _backend.from_matrix(m, assume_valid=True)\n"
+        "class C:\n    def g(self, m):\n        return cy.from_matrix(m)\n"
+        "    def h(self, m):\n        return scipy.spatial.transform._rotation_cy.from_matrix(m)\n"
+        "def k(m):\n    return _rotation_cy.from_matrix(m), _backend.from_rotvec(m)\n"
+    )
+    assert scipy_from_matrix_reads(source) == ["f", "C.g", "C.h"]
+
+
 def test_only_the_guarded_helper_calls_scipy_from_matrix():
     # scipy re-checks every matrix it is given; the helper skips that check
     # only where it provably passes, so no other module may pay it again
     reads = {p.stem: scipy_from_matrix_reads(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
-    assert {module: found for module, found in reads.items() if found} == {"geometry": ["scipy_rotation"]}
+    assert {module: found for module, found in reads.items() if found} == {"geometry": ["matrix_quats"]}
 
 
 def scipy_transform_imports(source: str) -> list[str]:
