@@ -12,14 +12,15 @@ and out-of-range or unparseable responses restart the whole query against a
 fresh session.
 
 Keypose poses are stored in the prompt units (millimeters / intrinsic X-Y-Z
-degrees) so serialization is exact; meters/Rotation views are derived.
+degrees) so serialization is exact; the meters/Rotation view is derived.
 """
 from __future__ import annotations
 
 import json
+import math
 import re
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,64 +46,36 @@ class TaskDescription:
             raise ValueError("task description must be non-empty")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Keypose:
-    """One key moment of a demo. pos_mm / euler_deg are the stored truth;
-    position (meters) and rotation are derived views for the geometry code."""
+    """One key moment of a demo: a frozen value whose field names are its
+    JSON keys, so ``dataclasses.asdict`` is its wire form. pos_mm / euler_deg
+    are the stored truth; ``pose`` is the meters/Rotation view."""
 
-    timestep: int
-    pos_mm: np.ndarray
-    euler_deg: np.ndarray
+    t: int
+    pos_mm: tuple[float, float, float]
+    euler_deg: tuple[float, float, float]
     gripper: float
-    relevant_objects: list[str] = field(default_factory=list)
-    relation_note: str = ""
+    objects: tuple[str, ...] = ()
+    note: str = ""
 
     def __post_init__(self):
-        self.pos_mm = np.asarray(self.pos_mm, dtype=float).reshape(3)
-        self.euler_deg = np.asarray(self.euler_deg, dtype=float).reshape(3)
-        if self.timestep < 0:
+        if self.t < 0:
             raise ValueError("keypose timestep must be >= 0")
-        if not (np.all(np.isfinite(self.pos_mm)) and np.all(np.isfinite(self.euler_deg))):
-            raise ValueError("keypose pose must be finite")
+        pos_mm, euler_deg = tuple(map(float, self.pos_mm)), tuple(map(float, self.euler_deg))
+        if len(pos_mm) != 3 or len(euler_deg) != 3 or not all(map(math.isfinite, pos_mm + euler_deg)):
+            raise ValueError("keypose pose must be 3 finite numbers for position and for rotation")
+        coerced = dict(pos_mm=pos_mm, euler_deg=euler_deg, gripper=float(self.gripper), objects=tuple(self.objects))
+        for name, value in coerced.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def from_pose(cls, timestep: int, pose: Pose, gripper: float, relevant_objects=None, relation_note="") -> "Keypose":
-        return cls(
-            timestep=timestep,
-            pos_mm=pose.position * 1000.0,
-            euler_deg=pose.rotation.euler_deg(),
-            gripper=gripper,
-            relevant_objects=list(relevant_objects or []),
-            relation_note=relation_note,
-        )
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.pos_mm / 1000.0
-
-    @property
-    def rotation(self) -> Rotation:
-        return Rotation.from_euler_deg(*self.euler_deg)
+    def from_pose(cls, t: int, pose: Pose, gripper: float, objects=(), note="") -> "Keypose":
+        return cls(t, pose.position * 1000.0, pose.rotation.euler_deg(), gripper, objects, note)
 
     @property
     def pose(self) -> Pose:
-        return Pose(self.position, self.rotation)
-
-    def copy(self) -> "Keypose":
-        return Keypose(
-            self.timestep, self.pos_mm.copy(), self.euler_deg.copy(), self.gripper,
-            list(self.relevant_objects), self.relation_note,
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "t": self.timestep,
-            "pos_mm": [float(v) for v in self.pos_mm],
-            "euler_deg": [float(v) for v in self.euler_deg],
-            "gripper": float(self.gripper),
-            "objects": list(self.relevant_objects),
-            "note": self.relation_note,
-        }
+        return Pose(np.divide(self.pos_mm, 1000.0), Rotation.from_euler_deg(*self.euler_deg))
 
     @classmethod
     def from_json(cls, doc: dict) -> "Keypose":
@@ -121,29 +94,26 @@ class Keypose:
         note = doc.get("note", "")
         if not isinstance(note, str):
             raise TypeError(f"keypose note must be a string, got {note!r}")
-        return cls(t, pos_mm, euler_deg, float(gripper), list(objects), note)
+        return cls(t, pos_mm, euler_deg, gripper, objects, note)
 
 
 def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Annotation:
+    """A frozen value; ``dataclasses.asdict`` is the checkpoint's annotation
+    record, keys in field order."""
+
     id: str
-    keyposes: list[Keypose]
-    description_text: str
     source_demo_id: str
     created_by: str  # "scripted" or "llm()"
+    description_text: str
+    keyposes: tuple[Keypose, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "source_demo_id": self.source_demo_id,
-            "created_by": self.created_by,
-            "description_text": self.description_text,
-            "keyposes": [k.to_json() for k in self.keyposes],
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "keyposes", tuple(self.keyposes))
 
     @classmethod
     def from_json(cls, doc: dict) -> "Annotation":
@@ -152,10 +122,6 @@ class Annotation:
         if wrong:
             raise TypeError(f"annotation fields must be strings, got {wrong!r}")
         return cls(keyposes=[Keypose.from_json(k) for k in doc["keyposes"]], **texts)
-
-    def keypose_pairs(self) -> list[tuple[int, Pose]]:
-        """(timestep, Pose) pairs in the shape the warper wants."""
-        return [(k.timestep, k.pose) for k in self.keyposes]
 
 
 _INT_TOKEN = re.compile(r"-?\d+")
@@ -205,8 +171,8 @@ def _parse_annotation_response(text: str, horizon: int) -> tuple[str, list[Keypo
             kp = Keypose.from_json(item)
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise MalformedResponse(f"bad keypose entry {item!r}: {err}") from None
-        if kp.timestep > horizon:
-            raise MalformedResponse(f"keypose timestep {kp.timestep} outside demo range")
+        if kp.t > horizon:
+            raise MalformedResponse(f"keypose timestep {kp.t} outside demo range")
         keyposes.append(kp)
     if not keyposes:
         raise MalformedResponse("empty keypose list")
@@ -253,10 +219,10 @@ _KEYPOSE_BLOCK = re.compile(r"\n*Key poses:\n(?:.*\n?)*", flags=re.MULTILINE)
 def _keypose_block(keyposes: list[Keypose]) -> str:
     lines = ["Key poses:"]
     for k in keyposes:
-        objs = ", ".join(k.relevant_objects) if k.relevant_objects else "none"
-        note = f"; note: {k.relation_note}" if k.relation_note else ""
+        objs = ", ".join(k.objects) if k.objects else "none"
+        note = f"; note: {k.note}" if k.note else ""
         lines.append(
-            f"t={k.timestep}: {pose_text(k.pose)} gripper {gripper_word(k.gripper)}"
+            f"t={k.t}: {pose_text(k.pose)} gripper {gripper_word(k.gripper)}"
             f"; objects: {objs}{note}"
         )
     return "\n".join(lines)
@@ -272,25 +238,19 @@ def repair_annotation(raw: Annotation, demo: Demonstration) -> Annotation:
     Idempotent by construction.
     """
     by_t: dict[int, Keypose] = {}
-    for kp in sorted(raw.keyposes, key=lambda k: k.timestep):
-        by_t.setdefault(kp.timestep, kp)
+    for kp in sorted(raw.keyposes, key=lambda k: k.t):
+        by_t.setdefault(kp.t, kp)
     for t in (0, demo.horizon):
         by_t.setdefault(t, Keypose(t, np.zeros(3), np.zeros(3), 0.0))
 
     repaired = []
     for t, kp in sorted(by_t.items()):
         action = demo.action(t)
-        repaired.append(Keypose.from_pose(t, action.pose, action.gripper, kp.relevant_objects, kp.relation_note))
+        repaired.append(Keypose.from_pose(t, action.pose, action.gripper, kp.objects, kp.note))
 
     body = _KEYPOSE_BLOCK.sub("", raw.description_text).rstrip()
     description = (body + "\n\n" if body else "") + _keypose_block(repaired)
-    return Annotation(
-        id=raw.id,
-        keyposes=repaired,
-        description_text=description,
-        source_demo_id=raw.source_demo_id,
-        created_by=raw.created_by,
-    )
+    return replace(raw, keyposes=repaired, description_text=description)
 
 
 # The container task's place target (the drawer) is observed at its handle,

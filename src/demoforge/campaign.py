@@ -14,7 +14,7 @@ import math
 import os
 import re
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.stats import norm
@@ -355,8 +355,8 @@ def evaluate_policy(policy, spec: TaskSpec, n_trials: int, seed: int = 0) -> Eva
 
 
 def _warp(annotation, source_demo, keyposes):
-    targets = [(k.timestep, k.pose) for k in keyposes]
-    return warp_trajectory_by_keyposes(source_demo, annotation.keypose_pairs(), targets)
+    pairs = [[(k.t, k.pose) for k in kps] for kps in (annotation.keyposes, keyposes)]
+    return warp_trajectory_by_keyposes(source_demo, *pairs)
 
 
 def scripted_runner():
@@ -604,8 +604,7 @@ def _mint_arm(cfg: CampaignConfig, state: BanditState, sources: dict, gateway) -
     else:
         task = TaskDescription(TASK_DESCRIPTIONS[cfg.task])
         ann = create_annotation(gateway, source, task, max_retries=cfg.max_retries)
-    ann.id = f"{cfg.task}-arm{mint_idx:03d}"
-    return ArmMeta(annotation=ann, noise_std=noise)
+    return ArmMeta(annotation=replace(ann, id=f"{cfg.task}-arm{mint_idx:03d}"), noise_std=noise)
 
 
 def _rollout_arm(cfg, meta: ArmMeta, source: Demonstration, scene_seed: int, rollout_idx: int, gateway):
@@ -654,7 +653,7 @@ def _write_checkpoint(cfg, state, arms_meta, rollouts, elapsed) -> None:
     doc = {
         "fingerprint": cfg.fingerprint(),
         "arms": [
-            {"annotation": m.annotation.to_json(), "noise_std": m.noise_std, "n_suc": arm.n_suc, "n_fail": arm.n_fail}
+            {"annotation": asdict(m.annotation), "noise_std": m.noise_std, "n_suc": arm.n_suc, "n_fail": arm.n_fail}
             for arm, m in zip(state.arms, arms_meta)
         ],
         "new_arm_attempts": state.new_arm_attempts,
@@ -712,11 +711,11 @@ def _load_checkpoint(cfg: CampaignConfig, sources: dict):
         if ann.source_demo_id not in sources:
             raise ConfigError(f"checkpoint arm names unknown source demo {ann.source_demo_id!r}")
         # the warp indexes the source demo at these; repair_annotation leaves them rising from 0 to T
-        ts, horizon = [k.timestep for k in ann.keyposes], sources[ann.source_demo_id].horizon
+        ts, horizon = [k.t for k in ann.keyposes], sources[ann.source_demo_id].horizon
         if not ts or ts[0] != 0 or ts[-1] != horizon or any(b <= a for a, b in zip(ts, ts[1:])):
             raise ConfigError(f"checkpoint arm keypose timesteps {ts} do not rise strictly from 0 to {horizon}")
         # scripted retargeting anchors a keypose on its first relevant object, looked up in the source scene
-        anchors = [k.relevant_objects[0] for k in ann.keyposes if k.relevant_objects]
+        anchors = [k.objects[0] for k in ann.keyposes if k.objects]
         unknown = [name for name in anchors if name not in sources[ann.source_demo_id].entity_names]
         if cfg.retargeter == "scripted" and unknown:
             raise ConfigError(f"checkpoint arm keyposes anchor on {unknown}, not in source demo {ann.source_demo_id!r}")

@@ -10,6 +10,7 @@ retargeters of varying quality for the bandit to sort out).
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -27,7 +28,7 @@ class UnknownObject(KeyError):
     """A keypose references an object absent from an observation."""
 
 
-def _parse_retarget_response(text: str, original: list[Keypose]) -> list[Keypose]:
+def _parse_retarget_response(text: str, original: tuple[Keypose, ...]) -> list[Keypose]:
     _, items = reply_keyposes(text)
     if len(items) != len(original):
         raise MalformedResponse(f"expected {len(original)} keyposes, got {len(items)}")
@@ -35,13 +36,11 @@ def _parse_retarget_response(text: str, original: list[Keypose]) -> list[Keypose
     for item, orig in zip(items, original):
         # only poses are trusted from the response; everything else inherits
         try:
-            kp = Keypose.from_json(
-                {**item, "gripper": orig.gripper, "objects": orig.relevant_objects, "note": orig.relation_note}
-            )
+            kp = Keypose.from_json({**item, "gripper": orig.gripper, "objects": list(orig.objects), "note": orig.note})
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise MalformedResponse(f"bad keypose entry {item!r}: {err}") from None
-        if kp.timestep != orig.timestep:
-            raise MalformedResponse(f"timestep drift: got {kp.timestep}, want {orig.timestep}")
+        if kp.t != orig.t:
+            raise MalformedResponse(f"timestep drift: got {kp.t}, want {orig.t}")
         out.append(kp)
     return out
 
@@ -58,7 +57,7 @@ def retarget(
         "retarget",
         task=task.text,
         description=annotation.description_text,
-        keyposes="\n".join(json.dumps(k.to_json()) for k in annotation.keyposes),
+        keyposes="\n".join(json.dumps(asdict(k)) for k in annotation.keyposes),
         observation=scene.text(),
     )
     return query(
@@ -84,19 +83,18 @@ def scripted_retarget(
     rng = np.random.default_rng(rng)
     out = []
     for kp in ann.keyposes:
-        if not kp.relevant_objects:
-            out.append(kp.copy())
+        if not kp.objects:
+            out.append(kp)
             continue
-        name = kp.relevant_objects[0]
+        name = kp.objects[0]
         if name not in obs.objects or name not in old_obs.objects:
             raise UnknownObject(f"{name!r} missing from observation")
         delta = obs.objects[name].position - old_obs.objects[name].position
         dyaw = obs.objects[name].rotation.yaw_deg() - old_obs.objects[name].rotation.yaw_deg()
-        new_pos = kp.position + delta
+        pose = kp.pose
+        new_pos = pose.position + delta
         if noise_std > 0.0:
             new_pos = new_pos + rng.normal(0.0, noise_std, size=3)
-        new_rot = Rotation.about_z_deg(dyaw) @ kp.rotation
-        out.append(
-            Keypose.from_pose(kp.timestep, Pose(new_pos, new_rot), kp.gripper, kp.relevant_objects, kp.relation_note)
-        )
+        new_rot = Rotation.about_z_deg(dyaw) @ pose.rotation
+        out.append(Keypose.from_pose(kp.t, Pose(new_pos, new_rot), kp.gripper, kp.objects, kp.note))
     return out

@@ -8,6 +8,7 @@ scripts the in-process gateway for the LLM tests.
 import json
 import re
 import uuid
+from dataclasses import asdict
 
 import numpy as np
 
@@ -579,12 +580,12 @@ def _keypose_from_json_oracle(doc):
     from demoforge.annotation import Keypose
 
     return Keypose(
-        timestep=int(doc["t"]),
+        t=int(doc["t"]),
         pos_mm=doc["pos_mm"],
         euler_deg=doc["euler_deg"],
         gripper=float(doc["gripper"]),
-        relevant_objects=list(doc.get("objects", [])),
-        relation_note=str(doc.get("note", "")),
+        objects=list(doc.get("objects", [])),
+        note=str(doc.get("note", "")),
     )
 
 
@@ -622,8 +623,8 @@ def parse_annotation_response_oracle(text, demo):
             kp = _keypose_from_json_oracle(item)
         except (KeyError, TypeError, ValueError) as err:
             raise MalformedResponse(f"bad keypose entry {item!r}: {err}") from None
-        if kp.timestep > demo.horizon:
-            raise MalformedResponse(f"keypose timestep {kp.timestep} outside demo range")
+        if kp.t > demo.horizon:
+            raise MalformedResponse(f"keypose timestep {kp.t} outside demo range")
         keyposes.append(kp)
     if not keyposes:
         raise MalformedResponse("empty keypose list")
@@ -700,18 +701,18 @@ def parse_retarget_response_oracle(text, original):
             euler_deg = np.asarray(item["euler_deg"], dtype=float).reshape(3)
         except (KeyError, TypeError, ValueError) as err:
             raise MalformedResponse(f"bad keypose entry {item!r}: {err}") from None
-        if t != orig.timestep:
-            raise MalformedResponse(f"timestep drift: got {t}, want {orig.timestep}")
+        if t != orig.t:
+            raise MalformedResponse(f"timestep drift: got {t}, want {orig.t}")
         if not (np.all(np.isfinite(pos_mm)) and np.all(np.isfinite(euler_deg))):
             raise MalformedResponse(f"non-finite pose in {item!r}")
         out.append(
             Keypose(
-                timestep=orig.timestep,
+                t=orig.t,
                 pos_mm=pos_mm,
                 euler_deg=euler_deg,
                 gripper=orig.gripper,
-                relevant_objects=list(orig.relevant_objects),
-                relation_note=orig.relation_note,
+                objects=list(orig.objects),
+                note=orig.note,
             )
         )
     return out
@@ -722,19 +723,18 @@ def retarget_oracle(gateway, annotation, task, scene, max_retries=3):
     from demoforge.gateway import MalformedResponse
     from demoforge.retargeting import RetargetFailed
 
-    keyposes = [k.copy() for k in annotation.keyposes]
     prompt = render_prompt(
         "retarget",
         task=task.text,
         description=annotation.description_text,
-        keyposes="\n".join(json.dumps(k.to_json()) for k in keyposes),
+        keyposes="\n".join(json.dumps(asdict(k)) for k in annotation.keyposes),
         observation=scene.text(),
     )
     last_error = None
     for _ in range(max_retries):
         text = gateway.fresh_session().complete(prompt, temperature=0.2)
         try:
-            return parse_retarget_response_oracle(text, keyposes)
+            return parse_retarget_response_oracle(text, annotation.keyposes)
         except MalformedResponse as err:
             last_error = err
     raise RetargetFailed(f"no usable retarget after {max_retries} attempts: {last_error}")

@@ -344,15 +344,15 @@ def test_llm_pipeline_runs_on_the_mock_gateway_with_network_blocked(tmp_path):
 
     def responder(prompt):
         if prompt.startswith("You are assisting with analysis"):
-            return ", ".join(str(k.timestep) for k in good.keyposes)
+            return ", ".join(str(k.t) for k in good.keyposes)
         kps = [
             {
-                "t": k.timestep,
+                "t": k.t,
                 "pos_mm": list(k.pos_mm),
                 "euler_deg": list(k.euler_deg),
                 "gripper": k.gripper,
-                "objects": list(k.relevant_objects),
-                "note": k.relation_note,
+                "objects": list(k.objects),
+                "note": k.note,
             }
             for k in good.keyposes
         ]

@@ -1,6 +1,7 @@
 """Annotation pipeline: summarizer, viewframes, LLM parsing, repair, scripted path."""
 import json
 import re
+from dataclasses import FrozenInstanceError, asdict
 
 import numpy as np
 import pytest
@@ -250,10 +251,10 @@ class TestAnnotate:
         demo = synthetic_demo(100)
         gw = MockGateway(replies([good_response(demo)]))
         ann = annotate(gw, demo, [10, 50], TASK)
-        ts = [k.timestep for k in ann.keyposes]
+        ts = [k.t for k in ann.keyposes]
         assert ts == [0, 10, 50, 100]  # endpoints inserted, response frames kept
         for k in ann.keyposes:
-            a = demo.action(k.timestep)
+            a = demo.action(k.t)
             assert np.array_equal(k.pos_mm, a.pose.position * 1000.0)
             assert k.gripper == a.gripper
         assert ann.created_by == "llm()"
@@ -282,7 +283,7 @@ class TestAnnotate:
         )
         gw = MockGateway(replies([bad, good_response(demo)]))
         ann = annotate(gw, demo, [10, 50], TASK)
-        assert [k.timestep for k in ann.keyposes] == [0, 10, 50, 100]
+        assert [k.t for k in ann.keyposes] == [0, 10, 50, 100]
 
     @pytest.mark.parametrize(
         "patch",
@@ -307,8 +308,8 @@ class TestAnnotate:
             doc["keyposes"][0].update(patch)
         gw = MockGateway(replies([json.dumps(doc), good_response(demo)]))
         ann = annotate(gw, demo, [10, 50], TASK)
-        assert [k.timestep for k in ann.keyposes] == [0, 10, 50, 100]
-        assert all(k.relevant_objects in ([], ["block"]) for k in ann.keyposes)
+        assert [k.t for k in ann.keyposes] == [0, 10, 50, 100]
+        assert all(k.objects in ((), ("block",)) for k in ann.keyposes)
         assert len(gw.audit_log.entries()) == 2
 
     def test_overlong_integer_restarts_then_fails(self):
@@ -346,18 +347,18 @@ class TestRepair:
         demo = synthetic_demo(50)
         k1 = Keypose(20, np.array([1.0, 2.0, 3.0]), np.zeros(3), 1.0, ["a"], "first")
         k2 = Keypose(20, np.array([9.0, 9.0, 9.0]), np.zeros(3), 0.0, ["b"], "second")
-        raw = Annotation("ann-x", [k1, k2], "", "d", "scripted")
+        raw = Annotation("ann-x", "d", "scripted", "", [k1, k2])
         fixed = repair_annotation(raw, demo)
-        kept = [k for k in fixed.keyposes if k.timestep == 20]
+        kept = [k for k in fixed.keyposes if k.t == 20]
         assert len(kept) == 1
-        assert kept[0].relevant_objects == ["a"]
-        assert kept[0].relation_note == "first"
+        assert kept[0].objects == ("a",)
+        assert kept[0].note == "first"
 
     def test_poses_overwritten_from_demo(self):
         demo = synthetic_demo(50)
-        raw = Annotation("ann-x", [Keypose(25, np.array([9e6, 9e6, 9e6]), np.array([90.0, 0, 0]), 0.5)], "", "d", "llm()")
+        raw = Annotation("ann-x", "d", "llm()", "", [Keypose(25, np.array([9e6, 9e6, 9e6]), np.array([90.0, 0, 0]), 0.5)])
         fixed = repair_annotation(raw, demo)
-        k = next(k for k in fixed.keyposes if k.timestep == 25)
+        k = next(k for k in fixed.keyposes if k.t == 25)
         a = demo.action(25)
         assert np.array_equal(k.pos_mm, a.pose.position * 1000.0)
         assert np.array_equal(k.euler_deg, a.pose.rotation.euler_deg())
@@ -365,18 +366,18 @@ class TestRepair:
 
     def test_endpoints_inserted(self):
         demo = synthetic_demo(50)
-        raw = Annotation("ann-x", [Keypose(25, np.zeros(3), np.zeros(3), 1.0)], "", "d", "llm()")
+        raw = Annotation("ann-x", "d", "llm()", "", [Keypose(25, np.zeros(3), np.zeros(3), 1.0)])
         fixed = repair_annotation(raw, demo)
-        assert [k.timestep for k in fixed.keyposes] == [0, 25, 50]
+        assert [k.t for k in fixed.keyposes] == [0, 25, 50]
 
     def test_description_block_regenerated(self):
         demo = synthetic_demo(50)
         raw = Annotation(
             "ann-x",
-            [Keypose(25, np.zeros(3), np.zeros(3), 1.0)],
-            "The robot slides right.\n\nKey poses:\nt=7: stale line",
             "d",
             "llm()",
+            "The robot slides right.\n\nKey poses:\nt=7: stale line",
+            [Keypose(25, np.zeros(3), np.zeros(3), 1.0)],
         )
         fixed = repair_annotation(raw, demo)
         assert "stale line" not in fixed.description_text
@@ -400,16 +401,16 @@ class TestRepair:
                 )
                 for _ in range(n)
             ]
-            raw = Annotation("ann-r", kps, "desc", "d", "llm()")
+            raw = Annotation("ann-r", "d", "llm()", "desc", kps)
             once = repair_annotation(raw, demo)
             twice = repair_annotation(once, demo)
-            assert [k.timestep for k in once.keyposes] == [k.timestep for k in twice.keyposes]
+            assert [k.t for k in once.keyposes] == [k.t for k in twice.keyposes]
             for a, b in zip(once.keyposes, twice.keyposes):
                 assert np.array_equal(a.pos_mm, b.pos_mm)
                 assert np.array_equal(a.euler_deg, b.euler_deg)
                 assert a.gripper == b.gripper
             assert once.description_text == twice.description_text
-            ts = [k.timestep for k in once.keyposes]
+            ts = [k.t for k in once.keyposes]
             assert ts[0] == 0 and ts[-1] == 80 and ts == sorted(set(ts))
 
 
@@ -417,7 +418,7 @@ class TestScriptedAnnotate:
     def test_pick_place_keypose_structure(self):
         demo = sw.record_demo(sw.TaskSpec("pick_place"), 0)
         ann = scripted_annotate(demo, "pick_place")
-        ts = [k.timestep for k in ann.keyposes]
+        ts = [k.t for k in ann.keyposes]
         assert len(ts) == 4
         assert ts == sorted(set([0, demo.horizon] + demo.gripper_transition_timesteps()))
         assert ann.created_by == "scripted"
@@ -426,36 +427,36 @@ class TestScriptedAnnotate:
         demo = sw.record_demo(sw.TaskSpec("pick_place"), 0)
         ann = scripted_annotate(demo, "pick_place")
         t_close, t_open = demo.gripper_transition_timesteps()
-        by_t = {k.timestep: k for k in ann.keyposes}
-        assert by_t[t_close].relevant_objects == ["block"]
-        assert by_t[t_open].relevant_objects == ["target_region"]
+        by_t = {k.t: k for k in ann.keyposes}
+        assert by_t[t_close].objects == ("block",)
+        assert by_t[t_open].objects == ("target_region",)
 
     def test_stack_release_anchors_goal_region_both_times(self):
         demo = sw.record_demo(sw.TaskSpec("stack"), 0)
         ann = scripted_annotate(demo, "stack")
         trans = demo.gripper_transition_timesteps()
-        by_t = {k.timestep: k for k in ann.keyposes}
+        by_t = {k.t: k for k in ann.keyposes}
         assert len(ann.keyposes) == 6
-        assert by_t[trans[0]].relevant_objects == ["blue_block"]
-        assert by_t[trans[1]].relevant_objects == ["goal_region"]
-        assert by_t[trans[2]].relevant_objects == ["green_block"]
-        assert by_t[trans[3]].relevant_objects == ["goal_region"]
+        assert by_t[trans[0]].objects == ("blue_block",)
+        assert by_t[trans[1]].objects == ("goal_region",)
+        assert by_t[trans[2]].objects == ("green_block",)
+        assert by_t[trans[3]].objects == ("goal_region",)
 
     def test_drawer_releases_anchor_drawer(self):
         demo = sw.record_demo(sw.TaskSpec("drawer_mug"), 0)
         ann = scripted_annotate(demo, "drawer_mug")
         assert len(ann.keyposes) == 8
         trans = demo.gripper_transition_timesteps()
-        by_t = {k.timestep: k for k in ann.keyposes}
+        by_t = {k.t: k for k in ann.keyposes}
         for t_open in trans[1::2]:
-            assert by_t[t_open].relevant_objects == ["drawer"]
+            assert by_t[t_open].objects == ("drawer",)
 
     def test_no_transition_demo_gets_endpoints_only(self):
         demo = synthetic_demo(40)
         demo.actions.gripper[:] = 1.0  # force constant gripper
         demo.robot.gripper[:] = 1.0
         ann = scripted_annotate(demo, "pick_place")
-        assert [k.timestep for k in ann.keyposes] == [0, 40]
+        assert [k.t for k in ann.keyposes] == [0, 40]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -486,7 +487,7 @@ class TestScriptedAnnotateOracle:
 
     @staticmethod
     def same(demo, task_kind):
-        got, want = scripted_annotate(demo, task_kind).to_json(), scripted_annotate_oracle(demo, task_kind).to_json()
+        got, want = asdict(scripted_annotate(demo, task_kind)), asdict(scripted_annotate_oracle(demo, task_kind))
         del got["id"], want["id"]
         assert got == want
         return got
@@ -507,7 +508,7 @@ class TestScriptedAnnotateOracle:
             ("block", None, np.where(np.arange(n)[:, None] == 4, robot, robot + [0.0, 0.25, 0.0])),
         ]
         doc = self.same(column_demo(robot, [1, 1, 0, 0, 1, 1], entities), "pick_place")
-        assert [k["objects"] for k in doc["keyposes"]] == [["cup"]] * 4
+        assert [k["objects"] for k in doc["keyposes"]] == [("cup",)] * 4
 
     def test_release_right_over_a_goal_marker(self):
         # at the release (t = 4) the block and the marker both sit on the gripper:
@@ -519,26 +520,81 @@ class TestScriptedAnnotateOracle:
         block = np.concatenate([np.tile([0.1, 0.0, 0.1], (3, 1)), robot[3:]])
         entities = [("target_region", "green", np.tile([0.2, 0.1, 0.1], (n, 1))), ("block", None, block)]
         doc = self.same(column_demo(robot, [1, 1, 0, 0, 1, 1], entities), "pick_place")
-        assert [k["objects"] for k in doc["keyposes"]] == [["block"], ["block"], ["target_region"], ["block"]]
+        assert [k["objects"] for k in doc["keyposes"]] == [("block",), ("block",), ("target_region",), ("block",)]
 
 
 class TestSerialization:
-    def test_annotation_json_round_trip_bitwise(self):
-        demo = sw.record_demo(sw.TaskSpec("stack"), 1)
-        ann = scripted_annotate(demo, "stack")
-        wire = json.dumps(ann.to_json())
-        back = Annotation.from_json(json.loads(wire))
-        assert back.id == ann.id
-        assert back.description_text == ann.description_text
-        assert back.created_by == ann.created_by
-        assert len(back.keyposes) == len(ann.keyposes)
-        for a, b in zip(ann.keyposes, back.keyposes):
-            assert a.timestep == b.timestep
-            assert np.array_equal(a.pos_mm, b.pos_mm)
-            assert np.array_equal(a.euler_deg, b.euler_deg)
-            assert a.gripper == b.gripper
-            assert a.relevant_objects == b.relevant_objects
-            assert a.relation_note == b.relation_note
+    @pytest.mark.parametrize("task", sw.BUNDLED_TASKS)
+    def test_annotation_json_round_trip_bitwise(self, task):
+        ann = scripted_annotate(sw.record_demo(sw.TaskSpec(task), 1), task)
+        assert Annotation.from_json(json.loads(json.dumps(asdict(ann)))) == ann
+
+    def test_keypose_round_trip_fuzz(self):
+        # float text round-trips exactly, so equal wire text is equal bits (the sign of -0.0 too)
+        rng = np.random.default_rng(25)
+        specials = [0.0, -0.0, 5e-324, -2.2e-310, 1e308, -1e308, 250, -7, 0]  # ints: integer-valued JSON numbers
+        names = ["block", "tür", "目标"]
+
+        def value():
+            return specials[rng.integers(len(specials))] if rng.random() < 0.6 else float(rng.normal(0.0, 1e3))
+
+        for _ in range(500):
+            doc = {
+                "t": int(rng.integers(0, 10**6)),
+                "pos_mm": [value() for _ in range(3)],
+                "euler_deg": [value() for _ in range(3)],
+                "gripper": value(),
+                "objects": [names[i] for i in rng.integers(len(names), size=rng.integers(0, 3))],
+                "note": "über 3 mm — ok" if rng.random() < 0.5 else "",
+            }
+            kp = Keypose.from_json(json.loads(json.dumps(doc)))
+            assert all(type(v) is float for v in (*kp.pos_mm, *kp.euler_deg, kp.gripper))
+            assert (kp.pos_mm, kp.euler_deg) == (tuple(doc["pos_mm"]), tuple(doc["euler_deg"]))
+            wire = json.dumps(asdict(kp))
+            back = Keypose.from_json(json.loads(wire))
+            assert back == kp and json.dumps(asdict(back)) == wire
+
+    @pytest.mark.parametrize(
+        "patch, error",
+        [
+            ({"t": 0.0}, TypeError), ({"t": "0"}, TypeError), ({"t": True}, TypeError), ({"t": None}, TypeError),
+            ({"t": -1}, ValueError),
+            ({"pos_mm": "0, 0, 0"}, TypeError), ({"pos_mm": {"x": 0}}, TypeError), ({"pos_mm": ["0", 0, 0]}, TypeError),
+            ({"pos_mm": [[0, 0, 0]]}, TypeError), ({"euler_deg": [0, True, 0]}, TypeError),
+            ({"euler_deg": [0, None, 0]}, TypeError),
+            ({"pos_mm": [0, 0]}, ValueError), ({"euler_deg": [0, 0, 0, 0]}, ValueError), ({"pos_mm": []}, ValueError),
+            ({"pos_mm": [float("nan"), 0, 0]}, ValueError), ({"euler_deg": [0, float("-inf"), 0]}, ValueError),
+            ({"pos_mm": [10**400, 0, 0]}, OverflowError), ({"gripper": 10**400}, OverflowError),
+            ({"gripper": True}, TypeError), ({"gripper": "1.0"}, TypeError), ({"gripper": None}, TypeError),
+            ({"note": None}, TypeError), ({"note": 5}, TypeError),
+        ],
+        ids=repr,
+    )
+    def test_keypose_from_json_rejects(self, patch, error):
+        doc = {"t": 3, "pos_mm": [0, 0, 0], "euler_deg": [0, 0, 0], "gripper": 1.0, "objects": [], "note": ""}
+        with pytest.raises(error):
+            Keypose.from_json({**doc, **patch})
+
+    @pytest.mark.parametrize("key", ["t", "pos_mm", "euler_deg", "gripper"])
+    def test_keypose_from_json_needs_its_pose_keys(self, key):
+        doc = {"t": 3, "pos_mm": [0, 0, 0], "euler_deg": [0, 0, 0], "gripper": 1.0}
+        del doc[key]
+        with pytest.raises(KeyError):
+            Keypose.from_json(doc)
+
+    @pytest.mark.parametrize("doc", [[], "keypose", None, 3], ids=repr)
+    def test_keypose_entry_must_be_an_object(self, doc):
+        with pytest.raises(TypeError):
+            Keypose.from_json(doc)
+
+    def test_keypose_and_annotation_are_frozen(self):
+        ann = scripted_annotate(sw.record_demo(sw.TaskSpec("pick_place"), 1), "pick_place")
+        with pytest.raises(FrozenInstanceError):
+            ann.keyposes[0].t = 1
+        with pytest.raises(FrozenInstanceError):
+            ann.id = "other"
+        with pytest.raises(AttributeError):
+            ann.keyposes.append(ann.keyposes[0])
 
     def test_keypose_pose_view_matches_storage(self):
         pose = Pose(np.array([0.12, -0.03, 0.2]), Rotation.from_euler_deg(10.0, -20.0, 30.0))
@@ -547,8 +603,12 @@ class TestSerialization:
         assert np.allclose(kp.pose.rotation.as_matrix(), pose.rotation.as_matrix(), atol=1e-12)
 
     def test_keypose_json_keys_exact(self):
-        kp = Keypose(3, np.ones(3), np.zeros(3), 1.0, ["a"], "x")
-        assert set(kp.to_json()) == {"t", "pos_mm", "euler_deg", "gripper", "objects", "note"}
+        # the retarget prompt's keypose line: key names, key order and float text
+        kp = Keypose(3, (1.5, -0.0, 250.0), (0.0, 90.0, -45.0), 1.0, ("block",), "x")
+        assert json.dumps(asdict(kp)) == (
+            '{"t": 3, "pos_mm": [1.5, -0.0, 250.0], "euler_deg": [0.0, 90.0, -45.0], '
+            '"gripper": 1.0, "objects": ["block"], "note": "x"}'
+        )
 
     @pytest.mark.parametrize("objects", ["block", [1], {"block": 1}, None], ids=repr)
     def test_keypose_objects_must_be_a_list_of_names(self, objects):
@@ -568,7 +628,7 @@ class TestCreateAnnotation:
         demo = synthetic_demo(100)
         gw = MockGateway(replies(["10, 50", good_response(demo)]))
         ann = create_annotation(gw, demo, TASK)
-        assert [k.timestep for k in ann.keyposes] == [0, 10, 50, 100]
+        assert [k.t for k in ann.keyposes] == [0, 10, 50, 100]
         assert len(gw.audit_log.entries()) == 2
 
     def test_viewframe_retry_then_success(self):

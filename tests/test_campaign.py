@@ -1003,15 +1003,15 @@ class TestCampaign:
 
         def responder(prompt):
             if prompt.startswith("You are assisting with analysis"):
-                return ", ".join(str(k.timestep) for k in good_ann.keyposes)
+                return ", ".join(str(k.t) for k in good_ann.keyposes)
             kps = [
                 {
-                    "t": k.timestep,
+                    "t": k.t,
                     "pos_mm": list(k.pos_mm),
                     "euler_deg": list(k.euler_deg),
                     "gripper": k.gripper,
-                    "objects": list(k.relevant_objects),
-                    "note": k.relation_note,
+                    "objects": list(k.objects),
+                    "note": k.note,
                 }
                 for k in good_ann.keyposes
             ]
@@ -1222,6 +1222,37 @@ class TestCheckpoint:
         b.pop("wall_time")
         assert a == b
 
+    # one arm record as checkpoints have always written it: the annotation's
+    # keys are the Annotation and Keypose field names, in field order
+    ONE_ARM = (
+        '{"annotation": {"id": "pick_place-arm000", "source_demo_id": "pick_place-src00", "created_by": "scripted", '
+        '"description_text": "Scripted annotation of a pick_place demonstration.", "keyposes": ['
+        '{"t": 0, "pos_mm": [400.0, 0.0, 250.0], "euler_deg": [180.0, -0.0, 90.0], "gripper": 1.0, '
+        '"objects": [], "note": ""}, '
+        '{"t": 265, "pos_mm": [401.5, -2e-05, 262.5], "euler_deg": [180.0, 0.0, 90.0], "gripper": 1.0, '
+        '"objects": ["block"], "note": "end-effector offset from block: [0.0, 0.0, 12.5] mm"}]}, '
+        '"noise_std": 0.0125, "n_suc": 3, "n_fail": 2}'
+    )
+
+    def test_one_arm_checkpoint_loads_and_rewrites_unchanged(self, tmp_path):
+        cfg = self.cfg(tmp_path, "lit")
+        arm = json.loads(self.ONE_ARM)
+        assert list(arm) == ["annotation", "noise_std", "n_suc", "n_fail"]
+        assert list(arm["annotation"]) == ["id", "source_demo_id", "created_by", "description_text", "keyposes"]
+        doc = {
+            "fingerprint": cfg.fingerprint(), "arms": [arm], "new_arm_attempts": 2, "successes": 3, "rollouts": 6,
+            "elapsed": 1.5,
+        }
+        with open(cfg.checkpoint_path, "w") as fh:
+            fh.write(json.dumps(doc))
+        state, arms_meta, rollouts, elapsed = campaign._load_checkpoint(cfg, campaign._record_source_demos(cfg))
+        assert [(a.annotation_id, a.n_suc, a.n_fail) for a in state.arms] == [("pick_place-arm000", 3, 2)]
+        assert [k.objects for k in arms_meta[0].annotation.keyposes] == [(), ("block",)]
+        os.remove(cfg.checkpoint_path)
+        campaign._write_checkpoint(cfg, state, arms_meta, rollouts, elapsed)
+        with open(cfg.checkpoint_path) as fh:
+            assert fh.read() == json.dumps(doc)  # same keys, key order and number text
+
     def test_every_checkpoint_rebuilds_the_live_state(self, tmp_path, monkeypatch):
         cfg = self.cfg(tmp_path, "rt")
         sources = campaign._record_source_demos(cfg)
@@ -1232,8 +1263,8 @@ class TestCheckpoint:
             write(cfg, state, arms_meta, rollouts, elapsed)
             loaded, loaded_meta, loaded_rollouts, loaded_elapsed = campaign._load_checkpoint(cfg, sources)
             assert loaded == state  # every BanditState field
-            assert [(m.annotation.to_json(), m.noise_std) for m in loaded_meta] == [
-                (m.annotation.to_json(), m.noise_std) for m in arms_meta
+            assert [(m.annotation, m.noise_std) for m in loaded_meta] == [
+                (m.annotation, m.noise_std) for m in arms_meta
             ]
             assert (loaded_rollouts, loaded_elapsed) == (rollouts, elapsed)
             written.append(rollouts)
@@ -1266,8 +1297,8 @@ class TestSummaryOncePerSource:
         def respond(prompt):
             kps = keyposes[int(re.search(r"runs from timestep 0 to (\d+)", prompt).group(1))]
             if prompt.startswith("You are assisting with analysis"):
-                return ", ".join(str(k.timestep) for k in kps)
-            return json.dumps({"description": "pick and place", "keyposes": [k.to_json() for k in kps]})
+                return ", ".join(str(k.t) for k in kps)
+            return json.dumps({"description": "pick and place", "keyposes": [dataclasses.asdict(k) for k in kps]})
 
         return respond
 

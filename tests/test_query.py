@@ -3,6 +3,7 @@ requests, on the same sessions and at the same temperatures, and give the
 same result bits or the same exception class as the loops it replaced (kept
 in tests/oracles.py), over scripted reply sequences."""
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def small_annotation():
         Keypose(30, np.array([120.0, 80.0, 21.0]), np.zeros(3), 1.0, ["region"], "over the region"),
         Keypose(40, np.array([0.0, 0.0, 250.0]), np.zeros(3), 1.0, [], ""),
     ]
-    return Annotation("ann-q", kps, "Pick the block, place it.", "small", "scripted")
+    return Annotation("ann-q", "small", "scripted", "Pick the block, place it.", kps)
 
 
 def small_scene():
@@ -113,7 +114,7 @@ def annotation_reply(rng):
 
 def retarget_reply(rng, annotation):
     kind = rng.integers(9)
-    items = [keypose_doc(rng, k.timestep, objects=["bogus"]) for k in annotation.keyposes]
+    items = [keypose_doc(rng, k.t, objects=["bogus"]) for k in annotation.keyposes]
     if kind == 1:
         return "```\n" + json.dumps({"keyposes": items}) + "\n```"
     if kind == 2:
@@ -144,10 +145,8 @@ def script(rng, reply, most=6):
 
 
 def keypose_bits(kps):
-    return [
-        (k.timestep, k.pos_mm.tobytes(), k.euler_deg.tobytes(), k.gripper, k.relevant_objects, k.relation_note)
-        for k in kps
-    ]
+    # float text round-trips exactly, so equal text is equal bits
+    return [json.dumps(asdict(k)) for k in kps]
 
 
 def outcome(call, responses):

@@ -1,5 +1,6 @@
 """Retargeting: request rendering, LLM parse/retry rules, scripted oracle."""
 import json
+from dataclasses import FrozenInstanceError, asdict
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ def simple_annotation():
         Keypose(20, np.array([120.0, 80.0, 21.0]), np.zeros(3), 1.0, ["target_region"], "over the target"),
         Keypose(30, np.array([0.0, 0.0, 250.0]), np.zeros(3), 1.0, [], ""),
     ]
-    return Annotation("ann-t", kps, "Pick the block, place it.", "demo-1", "scripted")
+    return Annotation("ann-t", "demo-1", "scripted", "Pick the block, place it.", kps)
 
 
 def scene(block=(0.05, -0.02, 0.02), region=(0.12, 0.08, 0.02), block_yaw=15.0):
@@ -97,7 +98,7 @@ class TestRequest:
         assert TASK.text in text
         assert ann.description_text in text
         for kp in ann.keyposes:
-            assert json.dumps(kp.to_json()) in text
+            assert json.dumps(asdict(kp)) in text
         assert "target_region" in text
 
 
@@ -106,13 +107,7 @@ class TestRetarget:
         ann = simple_annotation()
         gw = MockGateway(responder=echo_responder)
         out = retarget(gw, ann, TASK, scene())
-        assert len(out) == len(ann.keyposes)
-        for a, b in zip(ann.keyposes, out):
-            assert b.timestep == a.timestep
-            assert np.array_equal(b.pos_mm, a.pos_mm)
-            assert np.array_equal(b.euler_deg, a.euler_deg)
-            # the result shares no mutable state with the annotation
-            assert b.pos_mm is not a.pos_mm and b.relevant_objects is not a.relevant_objects
+        assert out == list(ann.keyposes)
 
     def test_moved_poses_taken_non_pose_fields_inherited(self):
         ann = simple_annotation()
@@ -131,12 +126,12 @@ class TestRetarget:
         for a, b in zip(ann.keyposes, out):
             assert b.pos_mm[0] == a.pos_mm[0] + 70.0
             assert b.gripper == a.gripper
-            assert b.relevant_objects == a.relevant_objects
-            assert b.relation_note == a.relation_note
+            assert b.objects == a.objects
+            assert b.note == a.note
 
     def test_wrong_count_retries_then_fails(self):
         ann = simple_annotation()
-        short = json.dumps({"keyposes": [ann.keyposes[0].to_json()]})
+        short = json.dumps({"keyposes": [asdict(ann.keyposes[0])]})
         gw = MockGateway(replies([short, short, short, "unused"]))
         with pytest.raises(RetargetFailed):
             retarget(gw, ann, TASK, scene())
@@ -161,17 +156,17 @@ class TestRetarget:
     def test_mistyped_keypose_field_is_retried(self, patch):
         # once coerced by int() and np.asarray: a float or bool t, number strings in a pose
         ann = simple_annotation()
-        good = [k.to_json() for k in ann.keyposes]
+        good = [asdict(k) for k in ann.keyposes]
         bad = [{**good[0], **patch}] + good[1:]
         gw = MockGateway(replies([json.dumps({"keyposes": bad}), json.dumps({"keyposes": good})]))
         out = retarget(gw, ann, TASK, scene())
-        assert [k.timestep for k in out] == [0, 10, 20, 30]
+        assert [k.t for k in out] == [0, 10, 20, 30]
         assert len(gw.audit_log.entries()) == 2
 
     def test_overlong_integer_restarts_then_fails(self):
         # json.loads raises a bare ValueError, not a JSONDecodeError, past int()'s 4300 digits
         ann = simple_annotation()
-        kps = [k.to_json() for k in ann.keyposes]
+        kps = [asdict(k) for k in ann.keyposes]
         reply = json.dumps({"keyposes": kps}).replace('"t": 0', '"t": ' + "7" * 5000, 1)
         gw = MockGateway(replies([reply] * 3 + ["unused"]))
         with pytest.raises(RetargetFailed):
@@ -198,7 +193,7 @@ class TestRetarget:
 
     def test_retry_then_success_uses_fresh_sessions(self):
         ann = simple_annotation()
-        good = json.dumps({"keyposes": [k.to_json() for k in ann.keyposes]})
+        good = json.dumps({"keyposes": [asdict(k) for k in ann.keyposes]})
         gw = MockGateway(replies(["garbage", good]))
         out = retarget(gw, ann, TASK, scene())
         assert len(out) == 4
@@ -213,9 +208,9 @@ class TestScriptedRetarget:
         obs = scene()
         out = scripted_retarget(ann, obs, obs)
         for a, b in zip(ann.keyposes, out):
-            assert np.array_equal(b.position, a.position)
-            assert np.allclose(b.rotation.as_matrix(), a.rotation.as_matrix(), atol=1e-12)
-            assert b.timestep == a.timestep
+            assert np.array_equal(b.pose.position, a.pose.position)
+            assert np.allclose(b.pose.rotation.as_matrix(), a.pose.rotation.as_matrix(), atol=1e-12)
+            assert b.t == a.t
             assert b.gripper == a.gripper
 
     def test_translation_follows_anchor_object(self):
@@ -224,9 +219,9 @@ class TestScriptedRetarget:
         new = scene(block=(0.15, -0.02, 0.02))  # +10 cm in x
         out = scripted_retarget(ann, new, old)
         moved = out[1]  # anchored to block
-        assert np.allclose(moved.position, ann.keyposes[1].position + np.array([0.1, 0.0, 0.0]), atol=1e-12)
+        assert np.allclose(moved.pose.position, ann.keyposes[1].pose.position + np.array([0.1, 0.0, 0.0]), atol=1e-12)
         # region anchor unmoved, so that keypose stays put
-        assert np.array_equal(out[2].position, ann.keyposes[2].position)
+        assert np.array_equal(out[2].pose.position, ann.keyposes[2].pose.position)
 
     def test_unanchored_keyposes_copied_verbatim(self):
         ann = simple_annotation()
@@ -237,29 +232,32 @@ class TestScriptedRetarget:
             assert np.array_equal(out[idx].pos_mm, ann.keyposes[idx].pos_mm)
             assert np.array_equal(out[idx].euler_deg, ann.keyposes[idx].euler_deg)
 
-    def test_unanchored_keyposes_are_independent_copies(self):
-        # the output is the caller's to edit: mutating an unanchored keypose,
-        # its arrays or its object list must leave the annotation untouched
+    def test_unanchored_keyposes_cannot_be_edited(self):
+        # an unanchored keypose is returned as the annotation's own value, so
+        # every edit to it, its poses or its object names must raise
         ann = simple_annotation()
-        before = [k.to_json() for k in ann.keyposes]
+        before = asdict(ann)
         out = scripted_retarget(ann, scene(), scene())
         for idx in (0, 3):
             kp = out[idx]
-            assert kp is not ann.keyposes[idx]
-            kp.pos_mm[:] = -1.0
-            kp.euler_deg[:] = 45.0
-            kp.relevant_objects.append("block")
-            kp.gripper = 0.5
-        assert [k.to_json() for k in ann.keyposes] == before
+            with pytest.raises(FrozenInstanceError):
+                kp.gripper = 0.5
+            with pytest.raises(TypeError):
+                kp.pos_mm[0] = -1.0
+            with pytest.raises(TypeError):
+                kp.euler_deg[0] = 45.0
+            with pytest.raises(AttributeError):
+                kp.objects.append("block")
+        assert asdict(ann) == before
 
     def test_yaw_delta_rotates_orientation_not_position(self):
         ann = simple_annotation()
         old = scene(block_yaw=0.0)
         new = scene(block_yaw=25.0)
         out = scripted_retarget(ann, new, old)
-        want = Rotation.about_z_deg(25.0) @ ann.keyposes[1].rotation
-        assert np.allclose(out[1].rotation.as_matrix(), want.as_matrix(), atol=1e-12)
-        assert np.allclose(out[1].position, ann.keyposes[1].position, atol=1e-15)
+        want = Rotation.about_z_deg(25.0) @ ann.keyposes[1].pose.rotation
+        assert np.allclose(out[1].pose.rotation.as_matrix(), want.as_matrix(), atol=1e-12)
+        assert np.allclose(out[1].pose.position, ann.keyposes[1].pose.position, atol=1e-15)
 
     def test_noise_statistics_match_request(self):
         ann = simple_annotation()
@@ -267,7 +265,7 @@ class TestScriptedRetarget:
         errors = []
         for run in range(1000):
             out = scripted_retarget(ann, obs, obs, noise_std=0.005, rng=run)
-            errors.append(out[1].position - ann.keyposes[1].position)
+            errors.append(out[1].pose.position - ann.keyposes[1].pose.position)
         errors = np.asarray(errors)
         assert np.all(np.abs(errors.mean(axis=0)) < 0.0005)
         assert abs(errors.std() - 0.005) < 0.0005
@@ -276,7 +274,7 @@ class TestScriptedRetarget:
         ann = simple_annotation()
         obs = scene()
         out = scripted_retarget(ann, obs, obs, noise_std=0.0, rng=7)
-        assert np.array_equal(out[1].position, ann.keyposes[1].position)
+        assert np.array_equal(out[1].pose.position, ann.keyposes[1].pose.position)
 
     def test_noise_deterministic_per_seed(self):
         ann = simple_annotation()
@@ -301,5 +299,5 @@ class TestScriptedRetarget:
         old = sw.scene_observation(sw.reset(sw.TaskSpec("stack"), 2)[0])
         new = sw.scene_observation(sw.reset(sw.TaskSpec("stack"), 33)[0])
         out = scripted_retarget(ann, new, old)
-        assert [k.timestep for k in out] == [k.timestep for k in ann.keyposes]
+        assert [k.t for k in out] == [k.t for k in ann.keyposes]
         assert [k.gripper for k in out] == [k.gripper for k in ann.keyposes]
