@@ -30,7 +30,6 @@ from .geometry import Pose, Rotation, pose_text
 from .simworld import BUNDLED_TASKS
 
 VIEWFRAME_CAP = 8
-MAX_RETRIES = 3
 
 
 class AnnotationFailed(RuntimeError):
@@ -182,9 +181,7 @@ def _parse_annotation_response(text: str, horizon: int) -> tuple[str, list[Keypo
     return description, keyposes
 
 
-def annotate(
-    gateway, demo: Demonstration, frames: list[int], task: TaskDescription, max_retries: int = MAX_RETRIES
-) -> Annotation:
+def annotate(gateway, demo: Demonstration, frames: list[int], task: TaskDescription) -> Annotation:
     """The annotation query, then repair_annotation on its keyposes.
 
     A reply that does not parse or lists a timestep past the horizon is
@@ -201,7 +198,7 @@ def annotate(
     )
     description, keyposes = query(
         gateway, prompt, lambda text: _parse_annotation_response(text, demo.horizon),
-        temperature=0.7, failure=AnnotationFailed, max_retries=max_retries,
+        temperature=0.7, failure=AnnotationFailed,
     )
     raw = Annotation(
         id=f"ann-{uuid.uuid4().hex[:12]}",
@@ -307,9 +304,7 @@ def scripted_annotate(demo: Demonstration, task_kind: str) -> Annotation:
     return repair_annotation(raw, demo)
 
 
-def create_annotation(
-    gateway, demo: Demonstration, task: TaskDescription, max_retries: int = MAX_RETRIES
-) -> Annotation:
+def create_annotation(gateway, demo: Demonstration, task: TaskDescription) -> Annotation:
     """Pick viewframes over the demo's summary, then annotate: the whole query
     pipeline.
 
@@ -319,9 +314,9 @@ def create_annotation(
     prompt = render_prompt("viewframes", task=task.text, rows=demo.summary, horizon=demo.horizon, cap=VIEWFRAME_CAP)
     frames = query(
         gateway, prompt, lambda text: parse_viewframes(text, demo.horizon),
-        temperature=0.2, failure=AnnotationFailed, max_retries=max_retries,
+        temperature=0.2, failure=AnnotationFailed,
     )
-    return annotate(gateway, demo, frames, task, max_retries=max_retries)
+    return annotate(gateway, demo, frames, task)
 
 
 def render_prompt(name: str, **fields) -> str:

@@ -468,7 +468,6 @@ class CampaignConfig:
     noise_max: float = 0.020
     decision_samples: int = 1000  # k ground-truth sets per add-arm decision
     prior_samples: int = 1000  # m posterior samples per arm for the prior fit
-    max_retries: int = 3
     source_demo_seeds: tuple = (1001, 1002, 1003)
     max_rollouts: int | None = None
     dataset_path: str | None = None
@@ -489,9 +488,7 @@ class CampaignConfig:
             _check_number(name, getattr(self, name), 0.0)
         if self.noise_min > self.noise_max:
             raise ConfigError("need noise_min <= noise_max")
-        for name, least in (
-            ("goal_successes", 1), ("seed", 0), ("decision_samples", 1), ("prior_samples", 1), ("max_retries", 1)
-        ):
+        for name, least in (("goal_successes", 1), ("seed", 0), ("decision_samples", 1), ("prior_samples", 1)):
             _check_int(name, getattr(self, name), least)
         if self.max_rollouts is not None:
             _check_int("max_rollouts", self.max_rollouts, 0)
@@ -510,7 +507,7 @@ class CampaignConfig:
         known = set(cls.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown, key=repr)}")
         missing = {"task", "goal_successes"} - set(doc)
         if missing:
             raise ConfigError(f"missing required config keys: {sorted(missing)}")
@@ -603,7 +600,7 @@ def _mint_arm(cfg: CampaignConfig, state: BanditState, sources: dict, gateway) -
         ann = scripted_annotate(source, cfg.task)
     else:
         task = TaskDescription(TASK_DESCRIPTIONS[cfg.task])
-        ann = create_annotation(gateway, source, task, max_retries=cfg.max_retries)
+        ann = create_annotation(gateway, source, task)
     return ArmMeta(annotation=replace(ann, id=f"{cfg.task}-arm{mint_idx:03d}"), noise_std=noise)
 
 
@@ -615,7 +612,7 @@ def _rollout_arm(cfg, meta: ArmMeta, source: Demonstration, scene_seed: int, rol
         rng = _seeded(cfg.seed, _TAG_NOISE, rollout_idx)
         kps = scripted_retarget(meta.annotation, scene, source.scene, meta.noise_std, rng)
     else:
-        kps = retarget(gateway, meta.annotation, TaskDescription(TASK_DESCRIPTIONS[cfg.task]), scene, cfg.max_retries)
+        kps = retarget(gateway, meta.annotation, TaskDescription(TASK_DESCRIPTIONS[cfg.task]), scene)
     out = rollout(state, _warp(meta.annotation, source, kps))
     if not out.success:
         return None

@@ -67,7 +67,7 @@ def _parse_config(path: str) -> tuple[CampaignConfig, HttpGateway | None]:
     doc = _load_yaml(path)
     unknown = set(doc) - {"campaign", "gateway"}
     if unknown:
-        raise ConfigError(f"unknown top-level config sections: {sorted(unknown)}")
+        raise ConfigError(f"unknown top-level config sections: {sorted(unknown, key=repr)}")
     if "campaign" not in doc:
         raise ConfigError("config needs a 'campaign' section")
     cfg = CampaignConfig.from_dict(doc["campaign"])

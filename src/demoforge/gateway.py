@@ -37,19 +37,22 @@ class MalformedResponse(ValueError):
     """Gateway answered, but not in a usable shape; caller may restart."""
 
 
-def query(gateway, prompt: str, parse, *, temperature: float, failure: type[Exception], max_retries: int):
+MAX_RETRIES = 3  # attempts per query; a malformed reply costs one
+
+
+def query(gateway, prompt: str, parse, *, temperature: float, failure: type[Exception]):
     """One LLM call: complete ``prompt`` on a fresh session and return
     ``parse(text)``. A MalformedResponse discards the reply and restarts on a
-    new session; after ``max_retries`` attempts ``failure`` is raised.
+    new session; after ``MAX_RETRIES`` attempts ``failure`` is raised.
     GatewayError is never retried here."""
     last_error: Exception | None = None
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         text = gateway.fresh_session().complete(prompt, temperature=temperature)
         try:
             return parse(text)
         except MalformedResponse as err:
             last_error = err
-    raise failure(f"no usable reply after {max_retries} attempts: {last_error}")
+    raise failure(f"no usable reply after {MAX_RETRIES} attempts: {last_error}")
 
 
 @dataclass
@@ -201,7 +204,7 @@ class GatewayConfig:
     def from_dict(cls, doc: dict) -> "GatewayConfig":
         unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown gateway keys: {sorted(unknown)}")
+            raise ValueError(f"unknown gateway keys: {sorted(unknown, key=repr)}")
         return cls(**doc)
 
 

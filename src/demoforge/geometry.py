@@ -1,4 +1,4 @@
-"""Rigid-body poses, rotations, and endpoint-aligning similarity transforms.
+"""Rigid-body poses and rotations.
 
 Internal units are meters and radians everywhere. Millimeters and degrees
 appear only at text/serialization boundaries (see :func:`pose_text`), so
@@ -118,10 +118,6 @@ class Rotation:
     def about_z_deg(cls, yaw: float) -> "Rotation":
         return cls.from_euler_deg(0.0, 0.0, yaw)
 
-    @classmethod
-    def from_rotvec(cls, rotvec: np.ndarray) -> "Rotation":
-        return cls(rotvec_matrices(rotvec))
-
     def euler_deg(self) -> np.ndarray:
         """Intrinsic X-Y-Z Euler angles in degrees, as euler_degrees gives them."""
         return euler_degrees(self._m)
@@ -185,29 +181,6 @@ class Pose:
             raise ValueError("pose position must be finite")
         position.setflags(write=False)
         object.__setattr__(self, "position", position)
-
-
-@dataclass
-class RigidTransform:
-    """The warp's similarity transform p -> scale * R p + t, as compute_warp
-    in the warping module returns it.
-
-    scale == 1.0 is a true rigid transform; compute_warp returns scale != 1
-    only when the two chords it aligns have different lengths.
-    """
-
-    rotation: Rotation = field(default_factory=Rotation.identity)
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    scale: float = 1.0
-
-    def __post_init__(self):
-        self.translation = np.asarray(self.translation, dtype=float).reshape(3)
-        self.scale = float(self.scale)
-        if not self.scale > 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-
-    def transform_point(self, p: np.ndarray) -> np.ndarray:
-        return self.scale * self.rotation.apply(p) + self.translation
 
 
 def pose_rows_text(positions: np.ndarray, euler_deg: np.ndarray) -> list[str]:

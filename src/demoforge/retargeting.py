@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .annotation import MAX_RETRIES, Keypose, TaskDescription, render_prompt, reply_keyposes
+from .annotation import Keypose, TaskDescription, render_prompt, reply_keyposes
 from .demos import SceneObservation
 from .gateway import MalformedResponse, query
 from .geometry import Pose, Rotation
@@ -45,9 +45,7 @@ def _parse_retarget_response(text: str, original: tuple[Keypose, ...]) -> list[K
     return out
 
 
-def retarget(
-    gateway, annotation, task: TaskDescription, scene: SceneObservation, max_retries: int = MAX_RETRIES
-) -> list[Keypose]:
+def retarget(gateway, annotation, task: TaskDescription, scene: SceneObservation) -> list[Keypose]:
     """LLM retargeting of the annotation's keyposes to ``scene``.
 
     A reply that changes the keypose count or a timestep is malformed, and
@@ -62,7 +60,7 @@ def retarget(
     )
     return query(
         gateway, prompt, lambda text: _parse_retarget_response(text, annotation.keyposes),
-        temperature=0.2, failure=RetargetFailed, max_retries=max_retries,
+        temperature=0.2, failure=RetargetFailed,
     )
 
 

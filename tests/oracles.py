@@ -8,6 +8,7 @@ scripts the in-process gateway for the LLM tests.
 import json
 import re
 import uuid
+from collections import namedtuple
 from dataclasses import asdict
 
 import numpy as np
@@ -106,6 +107,125 @@ def _quat_to_mat(q):
             [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
         ]
     )
+
+
+# -- warp --------------------------------------------------------------------
+# The warp as it was written on rotation and transform objects, before it ran
+# on plain arrays. scipy's public Rotation does its rotation-vector
+# conversions. It is kept to pin the array form bit for bit.
+
+
+class WarpRotation:
+    """A 3x3 rotation matrix as an object, with the operations the warp reads."""
+
+    def __init__(self, matrix):
+        self.m = np.asarray(matrix, dtype=float)
+
+    @classmethod
+    def identity(cls):
+        return cls(np.eye(3))
+
+    @classmethod
+    def from_rotvec(cls, rotvec):
+        from scipy.spatial.transform import Rotation
+
+        return cls(Rotation.from_rotvec(rotvec).as_matrix())
+
+    def rotvec(self):
+        from scipy.spatial.transform import Rotation
+
+        return Rotation.from_matrix(self.m).as_rotvec()
+
+    def inverse(self):
+        return WarpRotation(self.m.T)
+
+    def __matmul__(self, other):
+        return WarpRotation(self.m @ other.m)
+
+    def apply(self, v):
+        return np.asarray(v, dtype=float) @ self.m.T
+
+
+# p -> scale * rotation p + translation, rotation a WarpRotation
+WarpTransform = namedtuple("WarpTransform", "rotation translation scale")
+
+
+def _minimal_rotation_oracle(u_from, u_to):
+    cross = np.cross(u_from, u_to)
+    s = np.linalg.norm(cross)
+    d = float(u_from @ u_to)
+    if s < 1e-12:
+        if d > 0.0:
+            return WarpRotation.identity()
+        axis = np.cross(u_from, [1.0, 0.0, 0.0])
+        if np.linalg.norm(axis) < 1e-6:
+            axis = np.cross(u_from, [0.0, 1.0, 0.0])
+        axis = axis / np.linalg.norm(axis)
+        return WarpRotation.from_rotvec(np.pi * axis)
+    return WarpRotation.from_rotvec(np.arctan2(s, d) * (cross / s))
+
+
+def _z_optimal_rotation_oracle(u_old, u_new):
+    r_align = _minimal_rotation_oracle(u_old, u_new)
+    n = u_new
+    w = r_align.apply([0.0, 0.0, 1.0])
+    a = float(w[2] - n[2] * (n @ w))
+    b = float(np.cross(n, w)[2])
+    if np.hypot(a, b) > 1e-12:
+        phi = np.arctan2(b, a)
+    else:
+        m = r_align.m
+        skew = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+        a2 = float(np.trace(m) - n @ m @ n)
+        b2 = float(np.trace(skew @ m))
+        phi = np.arctan2(b2, a2) if np.hypot(a2, b2) > 1e-12 else 0.0
+    return WarpRotation.from_rotvec(phi * n) @ r_align
+
+
+def compute_warp_oracle(old_start, old_end, new_start, new_end):
+    """The WarpTransform mapping the old start/end Pose positions onto the new
+    ones; raises the package's DegenerateChord where the warp must."""
+    from demoforge.warping import EPS_CHORD, DegenerateChord
+
+    c_old = old_end.position - old_start.position
+    c_new = new_end.position - new_start.position
+    len_old = float(np.linalg.norm(c_old))
+    len_new = float(np.linalg.norm(c_new))
+    if len_old <= EPS_CHORD:
+        if len_new > EPS_CHORD:
+            raise DegenerateChord("old chord is a point, new chord is not")
+        return WarpTransform(WarpRotation.identity(), new_start.position - old_start.position, 1.0)
+    if len_new == 0.0:
+        rot, scale = WarpRotation.identity(), 1e-12
+    else:
+        rot = _z_optimal_rotation_oracle(c_old / len_old, c_new / len_new)
+        scale = len_new / len_old
+    return WarpTransform(rot, new_start.position - scale * rot.apply(old_start.position), scale)
+
+
+def warp_trajectory_oracle(demo, old_keyposes, new_keyposes):
+    """(positions, rotations) of the demo's actions warped span by span
+    through (t, Pose) keypose lists that already passed the warp's checks."""
+    src = demo.actions
+    positions, rotations = np.empty_like(src.positions), np.empty_like(src.rotations)
+    for (t0, old_0), (t1, old_1), (_, new_0), (_, new_1) in zip(
+        old_keyposes, old_keyposes[1:], new_keyposes, new_keyposes[1:]
+    ):
+        span = slice(t0, t1 + 1)
+        tf = compute_warp_oracle(old_0, old_1, new_0, new_1)
+        rotated = np.matmul(src.positions[span][:, None, :], tf.rotation.m.T)[:, 0]
+        positions[span] = tf.scale * rotated + tf.translation
+        start, end = WarpRotation(new_0.rotation.as_matrix()), WarpRotation(new_1.rotation.as_matrix())
+        seg_rots = src.rotations[span]
+        n = len(seg_rots)
+        delta_0 = start @ WarpRotation(seg_rots[0]).inverse()
+        delta_t = end @ WarpRotation(seg_rots[-1]).inverse()
+        rotvec = (delta_0.inverse() @ delta_t).rotvec()
+        partial = np.stack([WarpRotation.from_rotvec(u * rotvec).m for u in np.arange(n) / (n - 1)])
+        rotations[span] = np.matmul(np.matmul(delta_0.m, partial), seg_rots)
+        positions[[t0, t1]] = new_0.position, new_1.position
+        rotations[[t0, t1]] = start.m, end.m
+    return positions, rotations
 
 
 def wilson_interval(successes, total, z=1.959963984540054):

@@ -36,9 +36,9 @@ from demoforge.campaign import (
 from demoforge.demos import Action
 from demoforge.ensemble import EnsembleState, action_delta, ensemble_step, similarity
 from demoforge.gateway import MockGateway
-from demoforge.geometry import Pose, Rotation
+from demoforge.geometry import Pose, Rotation, rotvec_matrices
 from demoforge.simworld import TaskSpec, record_demo
-from demoforge.warping import TrajectorySegment, compute_warp, warp_rotations
+from demoforge.warping import TrajectorySegment, compute_warp, warp_positions, warp_rotations
 from oracles import decide_oracle, grid_max_z_alignment
 from test_ensemble import reattach_at, switch_steps
 
@@ -52,8 +52,12 @@ def segment(poses, grips):
     )
 
 
+def random_rotation(rng, scale=1.0):
+    return Rotation(rotvec_matrices(rng.normal(0.0, scale, 3)))
+
+
 def random_pose(rng, span=1.0):
-    return Pose(rng.uniform(-span, span, size=3), Rotation.from_rotvec(rng.normal(size=3)))
+    return Pose(rng.uniform(-span, span, size=3), random_rotation(rng))
 
 
 def test_warp_endpoints_rotations_and_free_dof_on_1000_instances():
@@ -70,20 +74,21 @@ def test_warp_endpoints_rotations_and_free_dof_on_1000_instances():
         c_new = new_end.position - new_start.position
         if min(np.linalg.norm(c_old), np.linalg.norm(c_new)) < 1e-3:
             continue
-        tf = compute_warp(old_start, old_end, new_start, new_end)
-        assert np.linalg.norm(tf.transform_point(old_start.position) - new_start.position) < 1e-9
-        assert np.linalg.norm(tf.transform_point(old_end.position) - new_end.position) < 1e-9
+        tf = compute_warp(old_start.position, old_end.position, new_start.position, new_end.position)
+        ends = warp_positions(np.stack([old_start.position, old_end.position]), *tf)
+        assert np.linalg.norm(ends[0] - new_start.position) < 1e-9
+        assert np.linalg.norm(ends[1] - new_end.position) < 1e-9
 
         best, _ = grid_max_z_alignment(
             c_old / np.linalg.norm(c_old), c_new / np.linalg.norm(c_new), resolution=1e-3
         )
-        assert tf.rotation.as_matrix()[2, 2] >= best - 1e-5
+        assert tf[0][2, 2] >= best - 1e-5
 
-        mid = Pose(0.5 * (old_start.position + old_end.position), Rotation.from_rotvec(rng.normal(size=3)))
-        seg = segment([old_start, mid, old_end], [1.0, 1.0, 1.0])
-        out = warp_rotations(seg, new_start.rotation, new_end.rotation)
-        assert np.max(np.abs(out.pose(0).rotation.as_matrix() - new_start.rotation.as_matrix())) < 1e-9
-        assert np.max(np.abs(out.pose(-1).rotation.as_matrix() - new_end.rotation.as_matrix())) < 1e-9
+        mid = random_rotation(rng).as_matrix()
+        rots = np.stack([old_start.rotation.as_matrix(), mid, old_end.rotation.as_matrix()])
+        out = warp_rotations(rots, new_start.rotation.as_matrix(), new_end.rotation.as_matrix())
+        assert np.max(np.abs(out[0] - new_start.rotation.as_matrix())) < 1e-9
+        assert np.max(np.abs(out[-1] - new_end.rotation.as_matrix())) < 1e-9
         done += 1
     assert time.perf_counter() - t0 < 5.0
 
@@ -96,10 +101,9 @@ def test_equal_chord_warps_preserve_pairwise_distances():
         chord = pts[-1] - pts[0]
         if np.linalg.norm(chord) < 1e-3:
             continue
-        new_start = Pose(rng.uniform(-0.5, 0.5, 3))
-        new_end = Pose(new_start.position + Rotation.from_rotvec(rng.normal(size=3)).apply(chord))
-        tf = compute_warp(Pose(pts[0].copy()), Pose(pts[-1].copy()), new_start, new_end)
-        mapped = np.stack([tf.transform_point(q) for q in pts])
+        new_start = rng.uniform(-0.5, 0.5, 3)
+        new_end = new_start + random_rotation(rng).apply(chord)
+        mapped = warp_positions(pts, *compute_warp(pts[0], pts[-1], new_start, new_end))
         assert np.max(np.abs(pdist(mapped) - pdist(pts))) < 1e-9
         done += 1
 
@@ -216,12 +220,12 @@ def test_reattach_satisfies_thresholds_and_cooldown_under_fuzz():
     accepted = 0
     for _ in range(300):
         n = int(rng.integers(6, 40))
-        poses = [Pose(rng.uniform(-0.2, 0.2, 3), Rotation.from_rotvec(rng.normal(0.0, 0.05, 3)))]
+        poses = [Pose(rng.uniform(-0.2, 0.2, 3), random_rotation(rng, 0.05))]
         for _ in range(n - 1):
             poses.append(
                 Pose(
                     poses[-1].position + rng.normal(0.0, 0.01, 3),
-                    Rotation.from_rotvec(rng.normal(0.0, 0.05, 3)) @ poses[-1].rotation,
+                    random_rotation(rng, 0.05) @ poses[-1].rotation,
                 )
             )
         traj = segment(poses, list(rng.choice([0.0, 1.0], size=n)))

@@ -242,7 +242,7 @@ class TestSelectViewframes:
         # int() refuses more than 4300 digits with a bare ValueError, which once escaped the campaign
         gw = MockGateway(replies([f"frames 10 and {LONG_INTEGER}"] * 3 + ["unused"]))
         with pytest.raises(AnnotationFailed):
-            create_annotation(gw, synthetic_demo(100), TASK, max_retries=3)
+            create_annotation(gw, synthetic_demo(100), TASK)
         assert len(gw.audit_log.entries()) == 3
 
 

@@ -834,8 +834,6 @@ class TestConfig:
             {"goal_successes": True},
             {"decision_samples": 2.5},
             {"prior_samples": 1.5},
-            {"max_retries": 0},
-            {"max_retries": -1},
             {"max_rollouts": -3},
             {"max_rollouts": 2.0},
             {"source_demo_seeds": ["a"]},
@@ -860,10 +858,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="path"):
             CampaignConfig.from_dict({"task": "pick_place", "goal_successes": 1, **patch})
 
-    @pytest.mark.parametrize("patch", [{"seed": 0, "max_rollouts": 0}, {"max_rollouts": None, "max_retries": 1}])
+    @pytest.mark.parametrize("patch", [{"seed": 0, "max_rollouts": 0}, {"max_rollouts": None}])
     def test_boundary_values_accepted(self, patch):
         cfg = CampaignConfig.from_dict({"task": "pick_place", "goal_successes": 1, **patch})
         assert all(getattr(cfg, key) == value for key, value in patch.items())
+
+    def test_max_retries_is_an_unknown_key(self):
+        # every query makes gateway.MAX_RETRIES attempts; the campaign no longer sets it
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['max_retries'\]"):
+            CampaignConfig.from_dict({"task": "pick_place", "goal_successes": 1, "max_retries": 3})
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):
@@ -1060,7 +1063,7 @@ class TestCampaign:
         old_scene = SceneObservation(first.robot_pose, {o.name: o.pose for o in first.objects})
         calls = []
 
-        def retarget_once(gateway, annotation, task, scene, max_retries):
+        def retarget_once(gateway, annotation, task, scene):
             calls.append(scene)
             if len(calls) > 1:
                 raise RetargetFailed("no usable retarget")
@@ -1332,10 +1335,10 @@ class TestSummaryOncePerSource:
         assert len({id(demo) for demo in built}) == len(built)
         assert sorted(demo.demo_id for demo in built) == ["pick_place-src00", "pick_place-src01"]
 
-        def per_mint(gateway, demo, task, max_retries=3):
+        def per_mint(gateway, demo, task):
             # the summary rebuilt on every mint, by the per-pose summariser
             demo.__dict__["summary"] = summarize_demo_oracle(demo)
-            return create_annotation(gateway, demo, task, max_retries=max_retries)
+            return create_annotation(gateway, demo, task)
 
         monkeypatch.setattr(campaign, "create_annotation", per_mint)
         old_rep, old_requests, old_dataset = self.run(tmp_path, responder, "every")

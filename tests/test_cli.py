@@ -79,6 +79,18 @@ class TestGenerate:
         assert result.exit_code == 2
         assert "extra" in result.output
 
+    @pytest.mark.parametrize("section", ["campaign", "top", "gateway"])
+    def test_mixed_type_unknown_keys_exit_2_naming_both(self, runner, tmp_path, section):
+        # int and str keys do not compare, so the unknown keys are sorted by repr
+        extra = {1: "x", "foo": "y"}
+        doc = {"campaign": tiny_campaign(tmp_path, annotator="llm"), "gateway": {"endpoint": "http://localhost:1"}}
+        (doc if section == "top" else doc[section]).update(extra)
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        result = runner.invoke(main, ["generate", "-c", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "['foo', 1]" in result.output and "not supported" not in result.output
+
     def test_non_mapping_config_exits_2(self, runner, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text("- just\n- a list\n")

@@ -18,7 +18,7 @@ from demoforge.ensemble import (
     select_reattach,
     similarity,
 )
-from demoforge.geometry import Pose, Rotation
+from demoforge.geometry import Pose, Rotation, rotvec_matrices
 from demoforge.warping import TrajectorySegment
 from oracles import ensemble_step_oracle, reattach_row_deltas, reattach_similarities, select_reattach_oracle
 
@@ -148,10 +148,10 @@ class TestNormalize:
 
 def test_stats_match_per_pose_loop_on_a_turning_trajectory():
     rng = np.random.default_rng(13)
-    poses = [Pose(np.zeros(3), Rotation.from_rotvec(rng.normal(size=3)))]
+    poses = [Pose(np.zeros(3), Rotation(rotvec_matrices(rng.normal(size=3))))]
     for _ in range(59):
         prev = poses[-1]
-        poses.append(Pose(prev.position + rng.normal(0, 0.01, 3), Rotation.from_rotvec(rng.normal(0, 0.1, 3)) @ prev.rotation))
+        poses.append(Pose(prev.position + rng.normal(0, 0.01, 3), Rotation(rotvec_matrices(rng.normal(0, 0.1, 3))) @ prev.rotation))
     traj = segment(poses, rng.choice([0.0, 1.0], size=60))
     deltas = np.stack(
         [action_delta(traj.pose(i), traj.gripper[i], traj.pose(i + 1), traj.gripper[i + 1]) for i in range(59)]
@@ -163,7 +163,7 @@ def test_row_deltas_match_plain_scipy_and_single_deltas_bit_for_bit():
     rng = np.random.default_rng(17)
     n = 400
     p, g = rng.normal(0.0, 0.3, (n, 3)), rng.choice([0.0, 1.0], n)
-    r = Rotation.from_rotvec(rng.normal(size=3)).as_matrix() @ SciRotation.random(n, random_state=rng).as_matrix()
+    r = rotvec_matrices(rng.normal(size=3)) @ SciRotation.random(n, random_state=rng).as_matrix()
     rows = _row_deltas(p[:-1], r[:-1], g[:-1], p[1:], r[1:], g[1:])
     assert np.array_equal(rows, reattach_row_deltas(p[:-1], r[:-1], g[:-1], p[1:], r[1:], g[1:]))
     here = Pose(p[0], Rotation(r[0]))
@@ -287,9 +287,9 @@ def fuzz_reattach_instance(rng, t_choice):
     0-3 puts the cursor at 0, n-3, n-2 or n-1."""
     n = int(rng.integers(3, 40))
     turn = float(rng.choice([0.05, 0.3]))
-    poses = [Pose(rng.uniform(-0.2, 0.2, 3), Rotation.from_rotvec(rng.normal(0.0, 1.0, 3)))]
+    poses = [Pose(rng.uniform(-0.2, 0.2, 3), Rotation(rotvec_matrices(rng.normal(0.0, 1.0, 3))))]
     for _ in range(n - 1):
-        step = Rotation.from_rotvec(rng.normal(0.0, turn, 3))
+        step = Rotation(rotvec_matrices(rng.normal(0.0, turn, 3)))
         poses.append(Pose(poses[-1].position + rng.normal(0.0, 0.01, 3), step @ poses[-1].rotation))
     grips = list(rng.choice([0.0, 1.0], size=n))
     if n >= 6 and rng.random() < 0.4:
@@ -404,7 +404,7 @@ class TestReattachCertificate:
     @staticmethod
     def far_instance(rng, traj, state, t_now):
         """A state well off the trajectory, fed an action like one recorded past the cursor."""
-        turn = Rotation.from_rotvec(rng.normal(0.0, 1.0, 3))
+        turn = Rotation(rotvec_matrices(rng.normal(0.0, 1.0, 3)))
         current = Pose(traj.positions[t_now] + rng.normal(0.0, float(rng.choice([0.3, 1.0])), 3), turn)
         j = int(rng.integers(min(t_now + 1, len(traj) - 1), len(traj)))
         row = state.recorded.rows[j] * float(rng.uniform(0.9, 1.1)) + rng.normal(0.0, 0.005, 7)
@@ -653,7 +653,7 @@ class TestEnsembleStepMatchesOracle:
                 target = Pose(target.position + rng.normal(0.0, 0.003, 3), target.rotation)
             return Action(target, float(traj.gripper[i]))
         if u < 0.85:
-            turn = Rotation.from_rotvec(rng.normal(0.0, 0.2, 3))
+            turn = Rotation(rotvec_matrices(rng.normal(0.0, 0.2, 3)))
             moved = Pose(pose.position + rng.normal(0.0, 0.02, 3), turn @ pose.rotation)
             return Action(moved, float(rng.choice([0.0, 1.0])))
         return Action(pose, grip)
@@ -663,9 +663,9 @@ class TestEnsembleStepMatchesOracle:
         flips = exhausted = fallbacks = 0
         for episode in range(150):
             n = int(rng.integers(2, 41))
-            poses = [Pose(rng.uniform(-0.2, 0.2, 3), Rotation.from_rotvec(rng.normal(0.0, 1.0, 3)))]
+            poses = [Pose(rng.uniform(-0.2, 0.2, 3), Rotation(rotvec_matrices(rng.normal(0.0, 1.0, 3))))]
             for _ in range(n - 1):
-                step = Rotation.from_rotvec(rng.normal(0.0, 0.1, 3))
+                step = Rotation(rotvec_matrices(rng.normal(0.0, 0.1, 3)))
                 poses.append(Pose(poses[-1].position + rng.normal(0.0, 0.01, 3), step @ poses[-1].rotation))
             traj = segment(poses, list(rng.choice([0.0, 1.0], size=n)))
             got, want = EnsembleState.initial(traj), EnsembleState.initial(traj)

@@ -14,7 +14,6 @@ from scipy.spatial.transform import Rotation as SciRotation
 from demoforge import geometry
 from demoforge.geometry import (
     Pose,
-    RigidTransform,
     Rotation,
     check_rotation_matrices,
     euler_degrees,
@@ -45,7 +44,7 @@ def _rz(deg):
 
 def random_rotation(rng):
     v = rng.normal(size=3)
-    return Rotation.from_rotvec(v)
+    return Rotation(rotvec_matrices(v))
 
 
 class TestRotation:
@@ -176,26 +175,6 @@ def test_slerp_endpoints_and_constant_speed():
         total = r0.angle_to(r1)
         u = rng.uniform()
         assert r0.angle_to(slerp(r0, r1, u)) == pytest.approx(u * total, abs=1e-7)
-
-
-class TestRigidTransform:
-    def test_identity(self):
-        p = np.array([0.1, -0.2, 0.3])
-        assert np.allclose(RigidTransform().transform_point(p), p)
-
-    def test_scale_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RigidTransform(scale=0.0)
-        with pytest.raises(ValueError):
-            RigidTransform(scale=-1.0)
-
-    def test_unit_scale_preserves_distances(self):
-        rng = np.random.default_rng(31)
-        tf = RigidTransform(random_rotation(rng), rng.normal(size=3), 1.0)
-        p, q = rng.normal(size=3), rng.normal(size=3)
-        d0 = np.linalg.norm(p - q)
-        d1 = np.linalg.norm(tf.transform_point(p) - tf.transform_point(q))
-        assert d1 == pytest.approx(d0, abs=1e-12)
 
 
 def test_pose_text_units_and_relative_rotation():
@@ -456,7 +435,6 @@ class TestBackendMatchesPublicRotation:
         assert_bits(rotvec_matrices(rotvecs[:1]), want[:1])
         for v, w in zip(rotvecs, want):
             assert_bits(rotvec_matrices(v), SciRotation.from_rotvec(v).as_matrix())
-            assert_bits(Rotation.from_rotvec(v).as_matrix(), w)
             assert_bits(Rotation(w).rotvec(), public_rotvec(w))
         assert_bits(matrix_rotvecs(want), public_rotvec(want))
 

@@ -206,8 +206,8 @@ def test_annotate_matches_the_old_loop(demo):
     for case in range(300):
         responses = make_script(rng)
         frames = frames_by_case[-1]
-        got = outcome(lambda gw: annotate(gw, demo, frames, TASK, max_retries=2), list(responses))
-        want = outcome(lambda gw: annotate_oracle(gw, demo, frames, TASK, max_retries=2), list(responses))
+        got = outcome(lambda gw: annotate(gw, demo, frames, TASK), list(responses))
+        want = outcome(lambda gw: annotate_oracle(gw, demo, frames, TASK), list(responses))
         assert got == want, case
         seen[got[0][0]] = seen.get(got[0][0], 0) + 1
     assert min(seen.get(k, 0) for k in ("ok", "AnnotationFailed", "GatewayError", "ValueError")) >= 20, seen

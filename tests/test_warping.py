@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from demoforge.demos import Action, Observation
-from demoforge.geometry import Pose, RigidTransform, Rotation
-from demoforge.simworld import TaskSpec, record_demo
+from demoforge.geometry import Pose, Rotation, rotvec_matrices
+from demoforge.simworld import BUNDLED_TASKS, TaskSpec, record_demo
 from demoforge.warping import (
     DegenerateChord,
     KeyposeMismatch,
@@ -14,7 +14,14 @@ from demoforge.warping import (
     warp_trajectory_by_keyposes,
 )
 
-from oracles import demo_from_steps, grid_max_z_alignment, quat_slerp_matrix, slerp_matrix
+from oracles import (
+    compute_warp_oracle,
+    demo_from_steps,
+    grid_max_z_alignment,
+    quat_slerp_matrix,
+    slerp_matrix,
+    warp_trajectory_oracle,
+)
 
 
 def segment(poses, grips):
@@ -30,34 +37,47 @@ def p(x, y, z, rot=None):
     return Pose(np.array([x, y, z], dtype=float), rot or Rotation.identity())
 
 
+def random_rotation(rng, scale=1.0):
+    return Rotation(rotvec_matrices(rng.normal(0.0, scale, size=3)))
+
+
 def random_pose(rng, span=1.0):
-    return Pose(rng.uniform(-span, span, size=3), Rotation.from_rotvec(rng.normal(size=3)))
+    return Pose(rng.uniform(-span, span, size=3), random_rotation(rng))
+
+
+def warp(*poses):
+    """compute_warp on the positions of four poses."""
+    return compute_warp(*(q.position for q in poses))
+
+
+def transform_point(tf, point):
+    """One point through a (rotation, translation, scale) warp."""
+    return warp_positions(np.asarray(point, dtype=float)[None], *tf)[0]
 
 
 class TestComputeWarp:
     def test_identity_when_endpoints_match(self):
         a, b = p(0.1, 0.2, 0.3), p(0.4, 0.5, 0.6)
-        tf = compute_warp(a, b, a, b)
-        assert tf.scale == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(tf.rotation.as_matrix(), np.eye(3), atol=1e-9)
-        assert np.allclose(tf.translation, 0.0, atol=1e-9)
+        rot, translation, scale = warp(a, b, a, b)
+        assert scale == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(rot, np.eye(3), atol=1e-9)
+        assert np.allclose(translation, 0.0, atol=1e-9)
 
     def test_x_chord_to_y_chord_is_90_about_z(self):
         # frozen grid-search oracle (1e-4 resolution): max z.R.z = 1.0 at phi = 0,
         # which lands on exactly Rz(90 deg)
-        tf = compute_warp(p(0, 0, 0), p(1, 0, 0), p(0, 0, 0), p(0, 1, 0))
-        assert np.allclose(tf.rotation.as_matrix(), Rotation.about_z_deg(90.0).as_matrix(), atol=1e-9)
-        m = tf.rotation.as_matrix()
-        assert m[2, 2] == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(tf.translation, 0.0, atol=1e-12)
-        assert tf.scale == pytest.approx(1.0, abs=1e-12)
+        rot, translation, scale = warp(p(0, 0, 0), p(1, 0, 0), p(0, 0, 0), p(0, 1, 0))
+        assert np.allclose(rot, Rotation.about_z_deg(90.0).as_matrix(), atol=1e-9)
+        assert rot[2, 2] == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(translation, 0.0, atol=1e-12)
+        assert scale == pytest.approx(1.0, abs=1e-12)
         oracle_val, _ = grid_max_z_alignment([1.0, 0, 0], [0, 1.0, 0], resolution=1e-4)
-        assert m[2, 2] >= oracle_val - 1e-9
+        assert rot[2, 2] >= oracle_val - 1e-9
 
     def test_collinear_stretch(self):
-        tf = compute_warp(p(0, 0, 0), p(1, 0, 0), p(0, 0, 0), p(2, 0, 0))
-        assert tf.scale == pytest.approx(2.0, abs=1e-12)
-        assert np.allclose(tf.rotation.as_matrix(), np.eye(3), atol=1e-9)
+        rot, _, scale = warp(p(0, 0, 0), p(1, 0, 0), p(0, 0, 0), p(2, 0, 0))
+        assert scale == pytest.approx(2.0, abs=1e-12)
+        assert np.allclose(rot, np.eye(3), atol=1e-9)
 
     def test_endpoint_exactness_random(self):
         rng = np.random.default_rng(42)
@@ -66,9 +86,9 @@ class TestComputeWarp:
             ns, ne = random_pose(rng), random_pose(rng)
             if np.linalg.norm(oe.position - os_.position) < 1e-3:
                 continue
-            tf = compute_warp(os_, oe, ns, ne)
-            assert np.linalg.norm(tf.transform_point(os_.position) - ns.position) < 1e-9
-            assert np.linalg.norm(tf.transform_point(oe.position) - ne.position) < 1e-9
+            tf = warp(os_, oe, ns, ne)
+            assert np.linalg.norm(transform_point(tf, os_.position) - ns.position) < 1e-9
+            assert np.linalg.norm(transform_point(tf, oe.position) - ne.position) < 1e-9
 
     def test_z_alignment_beats_grid(self):
         rng = np.random.default_rng(7)
@@ -79,8 +99,7 @@ class TestComputeWarp:
             c_new = ne.position - ns.position
             if min(np.linalg.norm(c_old), np.linalg.norm(c_new)) < 1e-3:
                 continue
-            tf = compute_warp(os_, oe, ns, ne)
-            got = tf.rotation.as_matrix()[2, 2]
+            got = warp(os_, oe, ns, ne)[0][2, 2]
             best, _ = grid_max_z_alignment(
                 c_old / np.linalg.norm(c_old), c_new / np.linalg.norm(c_new), resolution=1e-3
             )
@@ -94,11 +113,11 @@ class TestComputeWarp:
             oe = Pose(os_.position + d)
             ns = random_pose(rng)
             # rotate the same chord somewhere else: length unchanged
-            ne = Pose(ns.position + Rotation.from_rotvec(rng.normal(size=3)).apply(d))
-            tf = compute_warp(os_, oe, ns, ne)
-            assert tf.scale == pytest.approx(1.0, abs=1e-9)
+            ne = Pose(ns.position + random_rotation(rng).apply(d))
+            tf = warp(os_, oe, ns, ne)
+            assert tf[2] == pytest.approx(1.0, abs=1e-9)
             pts = rng.uniform(-1, 1, size=(4, 3))
-            imgs = np.stack([tf.transform_point(q) for q in pts])
+            imgs = np.stack([transform_point(tf, q) for q in pts])
             for i in range(4):
                 for j in range(i + 1, 4):
                     assert np.linalg.norm(imgs[i] - imgs[j]) == pytest.approx(
@@ -108,104 +127,86 @@ class TestComputeWarp:
     def test_chord_along_z_tie_break_is_deterministic_and_minimal(self):
         # new chord parallel to z: objective is flat, tie-break must pick the
         # smallest total rotation; mapping z-chord onto itself needs none at all
-        tf = compute_warp(p(0, 0, 0), p(0, 0, 1), p(0.2, 0, 0), p(0.2, 0, 1))
-        assert np.allclose(tf.rotation.as_matrix(), np.eye(3), atol=1e-9)
-        tf2 = compute_warp(p(0, 0, 0), p(0, 0, 1), p(0.2, 0, 0), p(0.2, 0, 1))
-        assert np.array_equal(tf.rotation.as_matrix(), tf2.rotation.as_matrix())
+        rot = warp(p(0, 0, 0), p(0, 0, 1), p(0.2, 0, 0), p(0.2, 0, 1))[0]
+        assert np.allclose(rot, np.eye(3), atol=1e-9)
+        rot2 = warp(p(0, 0, 0), p(0, 0, 1), p(0.2, 0, 0), p(0.2, 0, 1))[0]
+        assert np.array_equal(rot, rot2)
 
     def test_degenerate_both_chords(self):
         a = p(0.1, 0.1, 0.1)
-        tf = compute_warp(a, a, p(0.5, 0, 0), p(0.5, 0, 0))
-        assert tf.scale == 1.0
-        assert np.allclose(tf.rotation.as_matrix(), np.eye(3), atol=1e-12)
-        assert np.allclose(tf.transform_point(a.position), [0.5, 0, 0], atol=1e-12)
+        tf = warp(a, a, p(0.5, 0, 0), p(0.5, 0, 0))
+        assert tf[2] == 1.0
+        assert np.allclose(tf[0], np.eye(3), atol=1e-12)
+        assert np.allclose(transform_point(tf, a.position), [0.5, 0, 0], atol=1e-12)
 
     def test_degenerate_old_chord_raises(self):
         a = p(0.1, 0.1, 0.1)
         with pytest.raises(DegenerateChord):
-            compute_warp(a, a, p(0, 0, 0), p(1, 0, 0))
+            warp(a, a, p(0, 0, 0), p(1, 0, 0))
 
 
 class TestWarpPositions:
-    def _seg(self):
-        poses = [p(0, 0, 0), p(0.3, 0, 0), p(1, 0, 0)]
-        return segment(poses, [1.0, 1.0, 0.0])
+    POSITIONS = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
     def test_identity(self):
-        seg = self._seg()
-        out = warp_positions(seg, RigidTransform())
-        assert np.allclose(out.positions, seg.positions)
-        assert out.gripper.tolist() == seg.gripper.tolist()
+        out = warp_positions(self.POSITIONS, np.eye(3), np.zeros(3), 1.0)
+        assert np.allclose(out, self.POSITIONS)
 
     def test_pure_translation(self):
-        seg = self._seg()
-        out = warp_positions(seg, RigidTransform(translation=[0.1, -0.2, 0.3]))
-        assert np.allclose(out.positions, seg.positions + np.array([0.1, -0.2, 0.3]))
+        out = warp_positions(self.POSITIONS, np.eye(3), np.array([0.1, -0.2, 0.3]), 1.0)
+        assert np.allclose(out, self.POSITIONS + np.array([0.1, -0.2, 0.3]))
 
     def test_collinear_ratios_preserved(self):
         # frozen affine-invariance oracle: images of (0,0,0),(0.3,0,0),(1,0,0)
         # under the 90-about-z warp stay collinear with ratio 0.3
-        seg = self._seg()
-        tf = compute_warp(p(0, 0, 0), p(1, 0, 0), p(0, 0, 0), p(0, 1, 0))
-        out = warp_positions(seg, tf).positions
+        tf = warp(p(0, 0, 0), p(1, 0, 0), p(0, 0, 0), p(0, 1, 0))
+        out = warp_positions(self.POSITIONS, *tf)
         v1, v2 = out[1] - out[0], out[2] - out[0]
         assert np.linalg.norm(np.cross(v1, v2)) < 1e-12
         assert np.linalg.norm(v1) / np.linalg.norm(v2) == pytest.approx(0.3, abs=1e-12)
 
-    def test_rotations_untouched(self):
-        from demoforge.geometry import RigidTransform
-
-        rot = Rotation.about_z_deg(33.0)
-        seg = segment([p(0, 0, 0, rot), p(1, 0, 0, rot)], [0.0, 0.0])
-        out = warp_positions(seg, RigidTransform(Rotation.about_z_deg(90.0), np.zeros(3)))
-        for q in map(out.pose, range(len(out))):
-            assert np.allclose(q.rotation.as_matrix(), rot.as_matrix(), atol=1e-12)
-
 
 class TestWarpRotations:
-    def _seg(self, rots):
-        return segment([p(float(i), 0, 0, r) for i, r in enumerate(rots)], [0.0] * len(rots))
+    @staticmethod
+    def _warp(rots, start, end):
+        """warp_rotations on Rotation objects, as a list of matrices."""
+        return list(warp_rotations(np.stack([r.as_matrix() for r in rots]), start.as_matrix(), end.as_matrix()))
 
     def test_unchanged_when_endpoints_match(self):
         rots = [Rotation.about_z_deg(a) for a in (0.0, 20.0, 50.0)]
-        out = warp_rotations(self._seg(rots), rots[0], rots[-1])
-        for got, want in zip(map(out.pose, range(len(out))), rots):
-            assert np.allclose(got.rotation.as_matrix(), want.as_matrix(), atol=1e-9)
+        for got, want in zip(self._warp(rots, rots[0], rots[-1]), rots):
+            assert np.allclose(got, want.as_matrix(), atol=1e-9)
 
     def test_constant_delta(self):
         rots = [Rotation.about_z_deg(a) for a in (0.0, 20.0, 50.0)]
         dz = Rotation.about_z_deg(90.0)
-        out = warp_rotations(self._seg(rots), dz @ rots[0], dz @ rots[-1])
-        for got, base in zip(map(out.pose, range(len(out))), rots):
-            assert np.allclose(got.rotation.as_matrix(), (dz @ base).as_matrix(), atol=1e-9)
+        for got, base in zip(self._warp(rots, dz @ rots[0], dz @ rots[-1]), rots):
+            assert np.allclose(got, (dz @ base).as_matrix(), atol=1e-9)
 
     def test_midpoint_delta_is_half_turn(self):
         # frozen quaternion-slerp oracle: midpoint of I -> Rz(90) is Rz(45)
-        rots = [Rotation.identity()] * 3
-        out = warp_rotations(self._seg(rots), Rotation.identity(), Rotation.about_z_deg(90.0))
-        assert np.allclose(out.pose(1).rotation.as_matrix(), Rotation.about_z_deg(45.0).as_matrix(), atol=1e-6)
+        out = self._warp([Rotation.identity()] * 3, Rotation.identity(), Rotation.about_z_deg(90.0))
+        assert np.allclose(out[1], Rotation.about_z_deg(45.0).as_matrix(), atol=1e-6)
 
     def test_midpoint_matches_quaternion_oracle_random(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
-            rots = [Rotation.from_rotvec(rng.normal(size=3)) for _ in range(3)]
-            new0 = Rotation.from_rotvec(rng.normal(size=3))
-            new2 = Rotation.from_rotvec(rng.normal(size=3))
-            out = warp_rotations(self._seg(rots), new0, new2)
+            rots = [random_rotation(rng) for _ in range(3)]
+            new0, new2 = random_rotation(rng), random_rotation(rng)
+            out = self._warp(rots, new0, new2)
             d0 = new0.as_matrix() @ rots[0].as_matrix().T
             d2 = new2.as_matrix() @ rots[2].as_matrix().T
             want = quat_slerp_matrix(d0, d2, 0.5) @ rots[1].as_matrix()
-            assert np.linalg.norm(out.pose(1).rotation.as_matrix() - want) < 1e-9
+            assert np.linalg.norm(out[1] - want) < 1e-9
 
     def test_endpoint_rotations_exact(self):
         rng = np.random.default_rng(29)
         for _ in range(200):
-            rots = [Rotation.from_rotvec(rng.normal(size=3)) for _ in range(5)]
-            new0 = Rotation.from_rotvec(rng.normal(size=3))
-            new4 = Rotation.from_rotvec(rng.normal(size=3))
-            out = warp_rotations(self._seg(rots), new0, new4)
-            assert np.linalg.norm(out.pose(0).rotation.as_matrix() - new0.as_matrix()) < 1e-9
-            assert np.linalg.norm(out.pose(-1).rotation.as_matrix() - new4.as_matrix()) < 1e-9
+            rots = [random_rotation(rng) for _ in range(5)]
+            new0, new4 = random_rotation(rng), random_rotation(rng)
+            out = self._warp(rots, new0, new4)
+            assert np.linalg.norm(out[0] - new0.as_matrix()) < 1e-9
+            assert np.linalg.norm(out[-1] - new4.as_matrix()) < 1e-9
 
 
 def test_span_warp_matches_per_pose_loop_bitwise():
@@ -213,16 +214,15 @@ def test_span_warp_matches_per_pose_loop_bitwise():
     # the same config and seed must keep giving the same dataset bytes
     seg = record_demo(TaskSpec("stack"), 1001).actions
     rng = np.random.default_rng(31)
-    tf = compute_warp(seg.pose(0), seg.pose(-1), random_pose(rng), random_pose(rng))
-    new0, new1 = Rotation.from_rotvec(rng.normal(size=3)), Rotation.from_rotvec(rng.normal(size=3))
-    out = warp_rotations(warp_positions(seg, tf), new0, new1)
+    rot, translation, scale = compute_warp(seg.positions[0], seg.positions[-1], *rng.uniform(-1, 1, size=(2, 3)))
+    new0, new1 = rotvec_matrices(rng.normal(size=3)), rotvec_matrices(rng.normal(size=3))
+    positions = warp_positions(seg.positions, rot, translation, scale)
+    rotations = warp_rotations(seg.rotations, new0, new1)
     n = len(seg)
-    d0 = (new0 @ seg.pose(0).rotation.inverse()).as_matrix()
-    d1 = (new1 @ seg.pose(-1).rotation.inverse()).as_matrix()
+    d0, d1 = new0 @ seg.rotations[0].T, new1 @ seg.rotations[-1].T
     for t in range(n - 1):  # the last point is snapped to its keypose by the caller
-        q = seg.pose(t)
-        assert np.array_equal(out.positions[t], tf.transform_point(q.position))
-        assert np.array_equal(out.rotations[t], slerp_matrix(d0, d1, t / (n - 1)) @ q.rotation.as_matrix())
+        assert np.array_equal(positions[t], scale * (seg.positions[t] @ rot.T) + translation)
+        assert np.array_equal(rotations[t], slerp_matrix(d0, d1, t / (n - 1)) @ seg.rotations[t])
 
 
 def make_demo(positions, rots=None, grippers=None, task="pick_place"):
@@ -333,3 +333,83 @@ def test_segment_validation():
         segment([p(0, 0, 0), p(1, 0, 0)], [1.0])
     with pytest.raises(ValueError):
         TrajectorySegment(np.zeros((2, 3)), np.zeros((2, 3)), np.ones(2))
+
+
+# -- bit-for-bit against the object-form warp --------------------------------
+
+BRANCHES = (
+    "random", "both_collapsed", "new_chord_zero", "parallel", "antiparallel", "antiparallel_x", "new_chord_along_z",
+    "z_chord_reversed", "old_collapsed",
+)
+
+
+def branch_chords(kind, rng):
+    """(old chord, new chord) that send the warp of one span down one branch."""
+    chord = rng.normal(size=3) * rng.uniform(0.01, 0.3)
+    tiny = rng.uniform(-5e-7, 5e-7, size=3)  # under EPS_CHORD but not zero
+    length = rng.uniform(0.01, 0.3)
+    return {
+        "random": lambda: (chord, rng.normal(size=3) * rng.uniform(0.01, 0.3)),
+        "both_collapsed": lambda: (tiny, rng.uniform(-5e-7, 5e-7, size=3)),
+        "new_chord_zero": lambda: (chord, np.zeros(3)),
+        "parallel": lambda: (chord, 2.0 * chord),  # a power of two keeps the unit chords exactly equal
+        "antiparallel": lambda: (chord, -2.0 * chord),
+        "antiparallel_x": lambda: (np.array([length, 0.0, 0.0]), np.array([-0.5 * length, 0.0, 0.0])),
+        "new_chord_along_z": lambda: (chord, np.array([0.0, 0.0, rng.choice([-1.0, 1.0]) * length])),
+        "z_chord_reversed": lambda: (np.array([0.0, 0.0, -length]), np.array([0.0, 0.0, 2.0 * length])),
+        "old_collapsed": lambda: (tiny, chord),
+    }[kind]()
+
+
+def branch_keyposes(rng, demo, kind):
+    """Old and new (t, Pose) keypose lists over the demo; one random span takes
+    the chords of ``kind``, every other span a random retarget."""
+    inner = rng.choice(np.arange(1, demo.horizon), size=int(rng.integers(0, 6)), replace=False)
+    ts = [0, *sorted(int(t) for t in inner), demo.horizon]
+    old = [demo.actions.pose(t) for t in ts]
+    new = [Pose(q.position + rng.normal(0.0, 0.05, 3), random_rotation(rng, 0.3) @ q.rotation) for q in old]
+    i = int(rng.integers(len(ts) - 1))
+    c_old, c_new = branch_chords(kind, rng)
+    old[i + 1] = Pose(old[i].position + c_old, old[i + 1].rotation)
+    new[i + 1] = Pose(new[i].position + c_new, new[i + 1].rotation)
+    return list(zip(ts, old)), list(zip(ts, new)), i
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def source_demos():
+    return [record_demo(TaskSpec(task), 1001 + k) for k, task in enumerate(BUNDLED_TASKS)]
+
+
+@pytest.mark.parametrize("kind", BRANCHES)
+def test_warp_matches_object_form_oracle_bit_for_bit(kind, source_demos):
+    # the array warp must keep the bits the object form gave, on every branch,
+    # or the same config and seed would stop giving the same dataset bytes
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for trial in range(20):
+        demo = source_demos[trial % len(source_demos)]
+        old, new, i = branch_keyposes(rng, demo, kind)
+        span = (old[i][1], old[i + 1][1], new[i][1], new[i + 1][1])
+        if kind == "old_collapsed":
+            runs = (
+                lambda: compute_warp(*(q.position for q in span)),
+                lambda: compute_warp_oracle(*span),
+                lambda: warp_trajectory_by_keyposes(demo, old, new),
+                lambda: warp_trajectory_oracle(demo, old, new),
+            )
+            for run in runs:
+                with pytest.raises(DegenerateChord):
+                    run()
+            continue
+        rot, translation, scale = compute_warp(*(q.position for q in span))
+        want = compute_warp_oracle(*span)
+        assert same_bits(rot, want.rotation.m) and same_bits(translation, want.translation)
+        assert type(scale) is float and scale == want.scale
+        out = warp_trajectory_by_keyposes(demo, old, new)
+        positions, rotations = warp_trajectory_oracle(demo, old, new)
+        assert same_bits(out.positions, positions) and same_bits(out.rotations, rotations)
+        assert same_bits(out.gripper, demo.actions.gripper)
