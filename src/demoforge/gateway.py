@@ -86,23 +86,19 @@ class PromptExchange:
 
 
 class AuditLog:
-    """Append-only JSONL of every prompt/response pair; safe across threads."""
+    """Append-only JSONL file of every prompt/response pair; safe across
+    threads. The file is the only record: with no ``path`` nothing is kept."""
 
     def __init__(self, path=None):
         self.path = path
         self._lock = threading.Lock()
-        self._entries: list[PromptExchange] = []
 
     def append(self, exchange: PromptExchange) -> None:
-        with self._lock:
-            self._entries.append(exchange)
-            if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(exchange.to_json()) + "\n")
-
-    def entries(self) -> list[PromptExchange]:
-        with self._lock:
-            return list(self._entries)
+        if self.path is None:
+            return
+        line = json.dumps(exchange.to_json()) + "\n"
+        with self._lock, open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(line)
 
     @staticmethod
     def read(path) -> list[PromptExchange]:

@@ -4,11 +4,17 @@ Gateway traffic in tests goes through the in-process MockGateway, which
 answers through a responder (``oracles.replies`` scripts one), or through
 HttpGateway over a stubbed ``requests.post``; an attempted AF_INET/AF_INET6
 connect anywhere in the run is a bug and fails loudly.
+
+A test that reads what a gateway logged gives it the ``audit_log`` fixture
+and reads the file back with ``AuditLog.read``: the file is the log's only
+record.
 """
 
 import socket
 
 import pytest
+
+from demoforge.gateway import AuditLog
 
 
 class NetworkBlocked(RuntimeError):
@@ -31,3 +37,8 @@ def _no_network():
         yield
     finally:
         socket.socket.connect = _real_connect
+
+
+@pytest.fixture
+def audit_log(tmp_path):
+    return AuditLog(tmp_path / "audit.jsonl")

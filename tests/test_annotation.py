@@ -23,7 +23,7 @@ from demoforge.annotation import (
 from scipy.spatial.transform import Rotation as SR
 
 from demoforge.demos import SUMMARY_CADENCE, SUMMARY_JITTER, Action, Demonstration, Observation, TrajectorySegment
-from demoforge.gateway import MockGateway
+from demoforge.gateway import AuditLog, MockGateway
 from demoforge.geometry import Pose, Rotation
 from oracles import demo_from_steps, replies, scripted_annotate_oracle, summarize_demo_oracle
 
@@ -238,12 +238,12 @@ class TestSelectViewframes:
     def test_prose_with_numbers_accepted(self):
         assert self.run("Frames 10 and 35 look key; maybe 90 too.") == [10, 35, 90]
 
-    def test_overlong_integer_restarts_then_fails(self):
+    def test_overlong_integer_restarts_then_fails(self, audit_log):
         # int() refuses more than 4300 digits with a bare ValueError, which once escaped the campaign
-        gw = MockGateway(replies([f"frames 10 and {LONG_INTEGER}"] * 3 + ["unused"]))
+        gw = MockGateway(replies([f"frames 10 and {LONG_INTEGER}"] * 3 + ["unused"]), audit_log)
         with pytest.raises(AnnotationFailed):
             create_annotation(gw, synthetic_demo(100), TASK)
-        assert len(gw.audit_log.entries()) == 3
+        assert len(AuditLog.read(audit_log.path)) == 3
 
 
 class TestAnnotate:
@@ -260,21 +260,21 @@ class TestAnnotate:
         assert ann.created_by == "llm()"
         assert ann.source_demo_id == "synthetic"
 
-    def test_malformed_then_good_retries_on_fresh_session(self):
+    def test_malformed_then_good_retries_on_fresh_session(self, audit_log):
         demo = synthetic_demo(100)
-        gw = MockGateway(replies(["not json at all", good_response(demo)]))
+        gw = MockGateway(replies(["not json at all", good_response(demo)]), audit_log)
         ann = annotate(gw, demo, [10, 50], TASK)
         assert len(ann.keyposes) == 4
-        entries = gw.audit_log.entries()
+        entries = AuditLog.read(audit_log.path)
         assert len(entries) == 2
         assert entries[0].session_id != entries[1].session_id
 
-    def test_exhaustion_after_three_attempts(self):
+    def test_exhaustion_after_three_attempts(self, audit_log):
         demo = synthetic_demo(100)
-        gw = MockGateway(replies(["nope", "{}", '{"keyposes": []}', "unused"]))
+        gw = MockGateway(replies(["nope", "{}", '{"keyposes": []}', "unused"]), audit_log)
         with pytest.raises(AnnotationFailed):
             annotate(gw, demo, [10], TASK)
-        assert len(gw.audit_log.entries()) == 3
+        assert len(AuditLog.read(audit_log.path)) == 3
 
     def test_out_of_range_keypose_is_retried(self):
         demo = synthetic_demo(100)
@@ -294,7 +294,7 @@ class TestAnnotate:
          {"description": None}, {"description": ["pick"]}],
         ids=repr,
     )
-    def test_bad_reply_shape_is_retried(self, patch):
+    def test_bad_reply_shape_is_retried(self, audit_log, patch):
         # each of these once escaped annotate (TypeError, OverflowError), broke
         # repair_annotation, split "block" into letters, took a mapping's keys or
         # was coerced (10.7 and "10" to 10, True to 1); a keypose entry that is
@@ -306,26 +306,26 @@ class TestAnnotate:
             doc.update(patch)
         else:
             doc["keyposes"][0].update(patch)
-        gw = MockGateway(replies([json.dumps(doc), good_response(demo)]))
+        gw = MockGateway(replies([json.dumps(doc), good_response(demo)]), audit_log)
         ann = annotate(gw, demo, [10, 50], TASK)
         assert [k.t for k in ann.keyposes] == [0, 10, 50, 100]
         assert all(k.objects in ((), ("block",)) for k in ann.keyposes)
-        assert len(gw.audit_log.entries()) == 2
+        assert len(AuditLog.read(audit_log.path)) == 2
 
-    def test_overlong_integer_restarts_then_fails(self):
+    def test_overlong_integer_restarts_then_fails(self, audit_log):
         # json.loads raises a bare ValueError, not a JSONDecodeError, past int()'s 4300 digits
         reply = '{"keyposes": [{"t": %s, "pos_mm": [0, 0, 0], "euler_deg": [0, 0, 0], "gripper": 1.0}]}' % LONG_INTEGER
-        gw = MockGateway(replies([reply] * 3 + ["unused"]))
+        gw = MockGateway(replies([reply] * 3 + ["unused"]), audit_log)
         with pytest.raises(AnnotationFailed):
             annotate(gw, synthetic_demo(100), [10], TASK)
-        assert len(gw.audit_log.entries()) == 3
+        assert len(AuditLog.read(audit_log.path)) == 3
 
-    def test_deeply_nested_reply_restarts_then_fails(self):
+    def test_deeply_nested_reply_restarts_then_fails(self, audit_log):
         # json.loads recurses once per nesting level: a RecursionError once escaped the campaign
-        gw = MockGateway(replies(["[" * 100_000] * 3 + ["unused"]))
+        gw = MockGateway(replies(["[" * 100_000] * 3 + ["unused"]), audit_log)
         with pytest.raises(AnnotationFailed):
             annotate(gw, synthetic_demo(100), [10], TASK)
-        assert len(gw.audit_log.entries()) == 3
+        assert len(AuditLog.read(audit_log.path)) == 3
 
     def test_code_fenced_json_accepted(self):
         demo = synthetic_demo(100)
@@ -334,12 +334,12 @@ class TestAnnotate:
         ann = annotate(gw, demo, [10, 50], TASK)
         assert len(ann.keyposes) == 4
 
-    def test_frames_outside_range_rejected_before_any_call(self):
+    def test_frames_outside_range_rejected_before_any_call(self, audit_log):
         demo = synthetic_demo(100)
-        gw = MockGateway(replies(["never used"]))
+        gw = MockGateway(replies(["never used"]), audit_log)
         with pytest.raises(ValueError):
             annotate(gw, demo, [500], TASK)
-        assert gw.audit_log.entries() == []
+        assert not audit_log.path.exists()
 
 
 class TestRepair:
@@ -624,19 +624,19 @@ class TestSerialization:
 
 
 class TestCreateAnnotation:
-    def test_end_to_end_with_scripted_responses(self):
+    def test_end_to_end_with_scripted_responses(self, audit_log):
         demo = synthetic_demo(100)
-        gw = MockGateway(replies(["10, 50", good_response(demo)]))
+        gw = MockGateway(replies(["10, 50", good_response(demo)]), audit_log)
         ann = create_annotation(gw, demo, TASK)
         assert [k.t for k in ann.keyposes] == [0, 10, 50, 100]
-        assert len(gw.audit_log.entries()) == 2
+        assert len(AuditLog.read(audit_log.path)) == 2
 
-    def test_viewframe_retry_then_success(self):
+    def test_viewframe_retry_then_success(self, audit_log):
         demo = synthetic_demo(100)
-        gw = MockGateway(replies(["no frames here", "10, 50", good_response(demo)]))
+        gw = MockGateway(replies(["no frames here", "10, 50", good_response(demo)]), audit_log)
         ann = create_annotation(gw, demo, TASK)
         assert len(ann.keyposes) == 4
-        assert len(gw.audit_log.entries()) == 3
+        assert len(AuditLog.read(audit_log.path)) == 3
 
     def test_viewframe_exhaustion(self):
         demo = synthetic_demo(100)

@@ -34,7 +34,7 @@ from demoforge.campaign import (
     write_dataset,
 )
 from demoforge.demos import Action, Demonstration, Observation, ObjectObservation, SceneObservation, TrajectorySegment
-from demoforge.gateway import GatewayError, MockGateway
+from demoforge.gateway import AuditLog, GatewayError, MockGateway
 from demoforge.geometry import Pose, Rotation
 from demoforge.retargeting import RetargetFailed, scripted_retarget
 from demoforge.simworld import BUNDLED_TASKS, ObjectAttached, TaskSpec, record_demo, reset
@@ -1311,11 +1311,11 @@ class TestSummaryOncePerSource:
             noise_min=0.0, noise_max=0.002, source_demo_seeds=self.SEEDS,
             dataset_path=str(tmp_path / f"{tag}.jsonl"), checkpoint_path=str(tmp_path / f"{tag}.ckpt.json"),
         )
-        gateway = MockGateway(responder=responder)
-        rep = run_campaign(cfg, gateway=gateway)
+        audit_path = tmp_path / f"{tag}.audit.jsonl"
+        rep = run_campaign(cfg, gateway=MockGateway(responder, AuditLog(audit_path)))
         with open(cfg.dataset_path, "rb") as fh:
             dataset = fh.read()
-        return rep, [e.request for e in gateway.audit_log.entries()], dataset
+        return rep, [e.request for e in AuditLog.read(audit_path)], dataset
 
     def test_once_per_source_and_same_requests(self, tmp_path, monkeypatch, responder):
         built = []

@@ -14,6 +14,7 @@ never skips, on any other.
 """
 import hashlib
 import importlib
+import itertools
 import json
 import pathlib
 
@@ -21,8 +22,9 @@ import numpy as np
 import pytest
 import scipy
 
-from demoforge import campaign
+from demoforge import campaign, gateway
 from demoforge.annotation import scripted_annotate
+from demoforge.gateway import AuditLog
 from demoforge.simworld import TaskSpec, record_demo
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
@@ -69,6 +71,10 @@ def run_round_zero(workload, out_dir, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     bench_session = importlib.import_module("session")
     tracing = importlib.import_module("tracing")
+    # every gateway the session builds without a log gets its own audit file,
+    # in place before set-up's first request
+    numbers = itertools.count()
+    monkeypatch.setattr(gateway, "AuditLog", lambda: AuditLog(out_dir / f"audit-{next(numbers)}.jsonl"))
     clock = CountingClock()
     session = bench_session.Session(workload, 1, str(out_dir), clock, tracing.Recorder(clock, trace=False))
     session.setup()
@@ -90,7 +96,7 @@ def test_seed_one_round_zero_digests(workload, tmp_path, monkeypatch):
     assert session.problems == []
     assert session.digests == [f"digest {workload} {name} sha256={digest}" for name, digest in DIGESTS[workload]]
     if workload == "llm_fresh":
-        requests = "\n".join(e.request for e in session.gateway.audit_log.entries())
+        requests = "\n".join(e.request for e in AuditLog.read(session.gateway.audit_log.path))
         assert sha256(requests) == LLM_REQUESTS_SHA256
         assert sha256(json.dumps(session.rec.episodes)) == LLM_EPISODES_SHA256
 

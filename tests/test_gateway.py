@@ -1,8 +1,11 @@
 import json
+import threading
+import tracemalloc
 
 import pytest
 import requests
 
+from demoforge import gateway
 from demoforge.gateway import (
     Attachment,
     AuditLog,
@@ -11,20 +14,21 @@ from demoforge.gateway import (
     HttpGateway,
     MockGateway,
     PromptExchange,
+    query,
 )
 from oracles import replies
 
 
 class TestMockGateway:
-    def test_canned_response_zero_retries(self):
-        gw = MockGateway(replies(["A"]))
+    def test_canned_response_zero_retries(self, audit_log):
+        gw = MockGateway(replies(["A"]), audit_log)
         assert gw.fresh_session().complete("hello", temperature=0.0) == "A"
-        [entry] = gw.audit_log.entries()
+        [entry] = AuditLog.read(audit_log.path)
         assert entry.retries == 0
         assert entry.response == "A"
         assert entry.model == "mock"
 
-    def test_dead_transport_is_not_retried(self):
+    def test_dead_transport_is_not_retried(self, audit_log):
         # only HttpGateway retries: a responder's GatewayError passes straight out
         calls = []
 
@@ -32,24 +36,24 @@ class TestMockGateway:
             calls.append(prompt)
             raise GatewayError("connection refused", kind="transport")
 
-        gw = MockGateway(dead)
+        gw = MockGateway(dead, audit_log)
         with pytest.raises(GatewayError) as err:
             gw.fresh_session().complete("hello", temperature=0.0)
         assert err.value.kind == "transport"
         assert calls == ["hello"]
-        assert gw.audit_log.entries() == []
+        assert not audit_log.path.exists()
 
     def test_sessions_are_stateless(self):
         gw = MockGateway(responder=lambda prompt: f"echo:{prompt}")
         s1, s2 = gw.fresh_session(), gw.fresh_session()
         assert s1.complete("same", temperature=0.0) == s2.complete("same", temperature=0.0) == "echo:same"
 
-    def test_session_ids_distinct_and_logged(self):
-        gw = MockGateway(replies(["x", "y"]))
+    def test_session_ids_distinct_and_logged(self, audit_log):
+        gw = MockGateway(replies(["x", "y"]), audit_log)
         s1, s2 = gw.fresh_session(), gw.fresh_session()
         s1.complete("p1", temperature=0.0)
         s2.complete("p2", temperature=0.0)
-        ids = [e.session_id for e in gw.audit_log.entries()]
+        ids = [e.session_id for e in AuditLog.read(audit_log.path)]
         assert len(set(ids)) == 2
         assert ids[0] == s1.session_id and ids[1] == s2.session_id
 
@@ -66,29 +70,64 @@ class TestMockGateway:
         with pytest.raises(ValueError):
             gw.fresh_session().complete("", temperature=0.0)
 
-    def test_temperature_is_required(self):
-        gw = MockGateway(replies(["x"]))
+    def test_temperature_is_required(self, audit_log):
+        gw = MockGateway(replies(["x"]), audit_log)
         with pytest.raises(TypeError, match="temperature"):
             gw.fresh_session().complete("hello")
         with pytest.raises(TypeError):
             gw.fresh_session().complete("hello", top_p=0.9, temperature=0.0)
-        assert gw.audit_log.entries() == []
+        assert not audit_log.path.exists()
 
 
-def test_audit_log_file_round_trip(tmp_path):
-    path = tmp_path / "audit.jsonl"
-    gw = MockGateway(replies(["first", "second"]), audit_log=AuditLog(path))
+def test_audit_log_file_round_trip(audit_log, monkeypatch):
+    monkeypatch.setattr(gateway.time, "monotonic", lambda: 7.0)  # every latency reads 0.0
+    gw = MockGateway(replies(["first", "second"]), audit_log)
     s = gw.fresh_session()
     s.complete("p1", attachments=[Attachment(b"\x89PNG", "image/png")], temperature=0.0)
     gw.fresh_session().complete("p2", temperature=0.0)
-    back = AuditLog.read(path)
-    assert [e.to_json() for e in back] == [e.to_json() for e in gw.audit_log.entries()]
+    # the audit line's bytes: key order, separators and float text are part of the format
+    assert audit_log.path.read_text() == (
+        '{"session_id": "s000000", "request": "p1", "response": "first", "model": "mock", "latency": 0.0, '
+        '"retries": 0, "attachments": [{"media_type": "image/png", "bytes": 4}]}\n'
+        '{"session_id": "s000001", "request": "p2", "response": "second", "model": "mock", "latency": 0.0, '
+        '"retries": 0, "attachments": []}\n'
+    )
+    back = AuditLog.read(audit_log.path)
+    assert [(e.session_id, e.request, e.response) for e in back] == [("s000000", "p1", "first"), ("s000001", "p2", "second")]
     assert back[0].attachments == [{"media_type": "image/png", "bytes": 4}]
-    # file is valid JSONL
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 2
-    for line in lines:
-        json.loads(line)
+
+
+def test_audit_log_without_a_path_keeps_nothing():
+    # a gateway with no audit file must not hold its exchanges: a long campaign would grow by every prompt
+    gw = MockGateway(responder=lambda prompt: "ok")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(300):
+            query(gw, f"{i:05d}" + "x" * 50_000, str, temperature=0.0, failure=RuntimeError)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 2**20
+
+
+def test_audit_log_is_safe_across_threads(audit_log):
+    gw = MockGateway(responder=lambda prompt: f"echo:{prompt}", audit_log=audit_log)
+
+    def work(k):
+        for i in range(50):
+            gw.fresh_session().complete(f"thread {k} call {i}", temperature=0.0)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    back = AuditLog.read(audit_log.path)  # an interleaved write would not parse
+    assert len(back) == 400
+    assert len({e.session_id for e in back}) == 400
+    assert all(e.response == f"echo:{e.request}" for e in back)
+    assert {e.request for e in back} == {f"thread {k} call {i}" for k in range(8) for i in range(50)}
 
 
 GOOD_EXCHANGE = {"session_id": "s0", "request": "p", "response": "r", "model": "m", "latency": 0.0, "retries": 0}
@@ -177,28 +216,30 @@ def http_env(monkeypatch):
     return install
 
 
-def _gw(**over):
+def _gw(audit_log=None, **over):
     cfg = GatewayConfig(endpoint="https://example.invalid/v1/chat", model="m-test", backoff_base=0.0, **over)
-    return HttpGateway(cfg)
+    return HttpGateway(cfg, audit_log)
 
 
 class TestHttpGateway:
-    def test_success(self, http_env):
+    def test_success(self, http_env, audit_log):
         calls = http_env([200])
-        gw = _gw()
+        gw = _gw(audit_log)
         assert gw.fresh_session().complete("hello", temperature=0.2) == "answer"
         assert calls[0]["headers"]["Authorization"] == "Bearer sk-test"
         assert calls[0]["json"]["temperature"] == 0.2
         assert calls[0]["json"]["model"] == "m-test"
-        assert gw.audit_log.entries()[0].retries == 0
-        assert gw.audit_log.entries()[0].model == "m-test"
+        [entry] = AuditLog.read(audit_log.path)
+        assert entry.retries == 0
+        assert entry.model == "m-test"
 
-    def test_transient_then_success(self, http_env):
+    def test_transient_then_success(self, http_env, audit_log):
         calls = http_env([500, 429, 200])
-        gw = _gw()
+        gw = _gw(audit_log)
         assert gw.fresh_session().complete("hello", temperature=0.0) == "answer"
         assert len(calls) == 3
-        assert gw.audit_log.entries()[0].retries == 2
+        [entry] = AuditLog.read(audit_log.path)
+        assert entry.retries == 2
 
     def test_missing_credential_no_network(self, http_env, monkeypatch):
         calls = http_env([200])

@@ -3,14 +3,16 @@ requests, on the same sessions and at the same temperatures, and give the
 same result bits or the same exception class as the loops it replaced (kept
 in tests/oracles.py), over scripted reply sequences."""
 import json
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from demoforge.annotation import Annotation, Keypose, TaskDescription, annotate, create_annotation
 from demoforge.demos import Action, ObjectObservation, Observation, SceneObservation
-from demoforge.gateway import GatewayError, MockGateway
+from demoforge.gateway import AuditLog, GatewayError, MockGateway
 from demoforge.geometry import Pose, Rotation
 from demoforge.retargeting import retarget
 from oracles import annotate_oracle, create_annotation_oracle, demo_from_steps, replies, retarget_oracle
@@ -22,8 +24,8 @@ HORIZON = 40
 class TemperatureGateway(MockGateway):
     """A scripted gateway that also records each completion's temperature."""
 
-    def __init__(self, responses):
-        super().__init__(replies(responses))
+    def __init__(self, responses, audit_log):
+        super().__init__(replies(responses), audit_log)
         self.temperatures = []
 
     def _transport(self, prompt, attachments, temperature):
@@ -150,20 +152,23 @@ def keypose_bits(kps):
 
 
 def outcome(call, responses):
-    """What ``call(gateway)`` gives, and what its gateway saw."""
-    gw = TemperatureGateway(responses)
-    try:
-        out = call(gw)
-    except GatewayError as err:
-        result = ("GatewayError", err.kind)
-    except Exception as err:  # noqa: BLE001 - the class is what is compared
-        result = (type(err).__name__,)
-    else:
-        if isinstance(out, Annotation):
-            result = ("ok", keypose_bits(out.keyposes), out.description_text, out.source_demo_id, out.created_by)
+    """What ``call(gateway)`` gives, and what its gateway logged."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "audit.jsonl"
+        gw = TemperatureGateway(responses, AuditLog(path))
+        try:
+            out = call(gw)
+        except GatewayError as err:
+            result = ("GatewayError", err.kind)
+        except Exception as err:  # noqa: BLE001 - the class is what is compared
+            result = (type(err).__name__,)
         else:
-            result = ("ok", keypose_bits(out))
-    exchanges = [(e.session_id, e.request, e.response, e.retries) for e in gw.audit_log.entries()]
+            if isinstance(out, Annotation):
+                result = ("ok", keypose_bits(out.keyposes), out.description_text, out.source_demo_id, out.created_by)
+            else:
+                result = ("ok", keypose_bits(out))
+        logged = AuditLog.read(path) if path.exists() else []
+    exchanges = [(e.session_id, e.request, e.response, e.retries) for e in logged]
     return result, exchanges, gw.temperatures
 
 

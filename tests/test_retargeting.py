@@ -8,7 +8,7 @@ import pytest
 from demoforge import simworld as sw
 from demoforge.annotation import Annotation, Keypose, TaskDescription, scripted_annotate
 from demoforge.demos import SceneObservation
-from demoforge.gateway import MockGateway
+from demoforge.gateway import AuditLog, MockGateway
 from demoforge.geometry import Pose, Rotation
 from demoforge.retargeting import (
     RetargetFailed,
@@ -90,11 +90,11 @@ class TestSceneObservation:
 
 
 class TestRequest:
-    def test_render_carries_description_keyposes_observation(self):
+    def test_render_carries_description_keyposes_observation(self, audit_log):
         ann = simple_annotation()
-        gw = MockGateway(responder=echo_responder)
+        gw = MockGateway(responder=echo_responder, audit_log=audit_log)
         retarget(gw, ann, TASK, scene())
-        text = gw.audit_log.entries()[0].request
+        text = AuditLog.read(audit_log.path)[0].request
         assert TASK.text in text
         assert ann.description_text in text
         for kp in ann.keyposes:
@@ -129,13 +129,13 @@ class TestRetarget:
             assert b.objects == a.objects
             assert b.note == a.note
 
-    def test_wrong_count_retries_then_fails(self):
+    def test_wrong_count_retries_then_fails(self, audit_log):
         ann = simple_annotation()
         short = json.dumps({"keyposes": [asdict(ann.keyposes[0])]})
-        gw = MockGateway(replies([short, short, short, "unused"]))
+        gw = MockGateway(replies([short, short, short, "unused"]), audit_log)
         with pytest.raises(RetargetFailed):
             retarget(gw, ann, TASK, scene())
-        assert len(gw.audit_log.entries()) == 3
+        assert len(AuditLog.read(audit_log.path)) == 3
 
     def test_wrong_timestep_is_malformed(self):
         ann = simple_annotation()
@@ -153,31 +153,31 @@ class TestRetarget:
         "patch", [{"t": 0.0}, {"t": "0"}, {"t": False}, {"pos_mm": ["0", "0", "250"]}, {"euler_deg": [0, True, 0]}],
         ids=repr,
     )
-    def test_mistyped_keypose_field_is_retried(self, patch):
+    def test_mistyped_keypose_field_is_retried(self, audit_log, patch):
         # once coerced by int() and np.asarray: a float or bool t, number strings in a pose
         ann = simple_annotation()
         good = [asdict(k) for k in ann.keyposes]
         bad = [{**good[0], **patch}] + good[1:]
-        gw = MockGateway(replies([json.dumps({"keyposes": bad}), json.dumps({"keyposes": good})]))
+        gw = MockGateway(replies([json.dumps({"keyposes": bad}), json.dumps({"keyposes": good})]), audit_log)
         out = retarget(gw, ann, TASK, scene())
         assert [k.t for k in out] == [0, 10, 20, 30]
-        assert len(gw.audit_log.entries()) == 2
+        assert len(AuditLog.read(audit_log.path)) == 2
 
-    def test_overlong_integer_restarts_then_fails(self):
+    def test_overlong_integer_restarts_then_fails(self, audit_log):
         # json.loads raises a bare ValueError, not a JSONDecodeError, past int()'s 4300 digits
         ann = simple_annotation()
         kps = [asdict(k) for k in ann.keyposes]
         reply = json.dumps({"keyposes": kps}).replace('"t": 0', '"t": ' + "7" * 5000, 1)
-        gw = MockGateway(replies([reply] * 3 + ["unused"]))
+        gw = MockGateway(replies([reply] * 3 + ["unused"]), audit_log)
         with pytest.raises(RetargetFailed):
             retarget(gw, ann, TASK, scene())
-        assert len(gw.audit_log.entries()) == 3
+        assert len(AuditLog.read(audit_log.path)) == 3
 
-    def test_deeply_nested_reply_restarts_then_fails(self):
-        gw = MockGateway(replies(['{"keyposes": ' + "[" * 100_000] * 3 + ["unused"]))
+    def test_deeply_nested_reply_restarts_then_fails(self, audit_log):
+        gw = MockGateway(replies(['{"keyposes": ' + "[" * 100_000] * 3 + ["unused"]), audit_log)
         with pytest.raises(RetargetFailed):
             retarget(gw, simple_annotation(), TASK, scene())
-        assert len(gw.audit_log.entries()) == 3
+        assert len(AuditLog.read(audit_log.path)) == 3
 
     def test_non_finite_pose_is_malformed(self):
         ann = simple_annotation()
@@ -191,13 +191,13 @@ class TestRetarget:
         with pytest.raises(RetargetFailed):
             retarget(gw, ann, TASK, scene())
 
-    def test_retry_then_success_uses_fresh_sessions(self):
+    def test_retry_then_success_uses_fresh_sessions(self, audit_log):
         ann = simple_annotation()
         good = json.dumps({"keyposes": [asdict(k) for k in ann.keyposes]})
-        gw = MockGateway(replies(["garbage", good]))
+        gw = MockGateway(replies(["garbage", good]), audit_log)
         out = retarget(gw, ann, TASK, scene())
         assert len(out) == 4
-        entries = gw.audit_log.entries()
+        entries = AuditLog.read(audit_log.path)
         assert len(entries) == 2
         assert entries[0].session_id != entries[1].session_id
 

@@ -142,16 +142,11 @@ def test_public_checker_flags_only_unread_names():
     ]
 
 
-# read only by tests/test_digests.py until the audit log is reworked
-UNREAD_PUBLIC_EXCEPTIONS = ["gateway.AuditLog.entries"]
-
-
 def test_every_public_name_is_read_by_the_package_or_the_benchmark():
     # a public name that only tests read is code kept alive for its tests
     package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     bench = {f"bench/{p.name}": p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))}
-    unread = [entry.split(" ")[0] for entry in unread_public_names(package, package | bench)]
-    assert unread == UNREAD_PUBLIC_EXCEPTIONS
+    assert unread_public_names(package, package | bench) == []
 
 
 def scoped_reads(tree: ast.AST, matches) -> list[str]:
@@ -451,13 +446,13 @@ def test_bench_selftest_passes():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-def test_bench_traced_gateway_spans_a_completion(monkeypatch):
+def test_bench_traced_gateway_spans_a_completion(monkeypatch, audit_log):
     # under --trace 1 the benchmark wraps each session's complete and passes
     # attachments by position: a change to that signature must fail here, not
     # in a traced benchmark run
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     tracing = importlib.import_module("tracing")
-    from demoforge.gateway import MockGateway, query
+    from demoforge.gateway import AuditLog, MockGateway, query
 
     class Clock:
         ticks = iter(range(1000))
@@ -466,8 +461,8 @@ def test_bench_traced_gateway_spans_a_completion(monkeypatch):
             return float(next(self.ticks))
 
     recorder = tracing.Recorder(Clock(), trace=True)
-    gateway = MockGateway(responder=lambda prompt: "reply")
+    gateway = MockGateway(responder=lambda prompt: "reply", audit_log=audit_log)
     recorder.instrument_gateway(gateway)
     assert query(gateway, "prompt", str.upper, temperature=0.0, failure=RuntimeError) == "REPLY"
     assert [(span.name, span.t0 < span.t1) for span in recorder.spans] == [("gateway.complete", True)]
-    assert [e.request for e in gateway.audit_log.entries()] == ["prompt"]
+    assert [e.request for e in AuditLog.read(audit_log.path)] == ["prompt"]
