@@ -17,7 +17,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .annotation import (
     Annotation,
@@ -62,7 +62,7 @@ TASK_DESCRIPTIONS = {
     "drawer_mug": "Open the drawer, put the mug inside, and close it.",
 }
 
-_Z95 = float(norm.ppf(0.975))
+_Z95 = float(ndtri(0.975))
 SCRIPTED_MAX_STEPS = 5000  # env steps a scripted_runner trial gets
 
 # seed-stream tags: every random decision derives from (campaign seed, tag,
@@ -367,10 +367,7 @@ def scripted_runner():
         for _ in range(SCRIPTED_MAX_STEPS):
             if success(state):
                 return True
-            act = scripted_action(state)
-            if act is None:
-                break
-            step(state, act)
+            step(state, scripted_action(state))
         return success(state)
 
     return run
@@ -413,29 +410,24 @@ class EpisodeOutcome:
 
 
 def run_ensemble_episode(state, traj: TrajectorySegment, disturbances=None) -> EpisodeOutcome:
-    """Step the world under the feedforward/feedback switching machine.
+    """Step ``state`` in place under the feedforward/feedback switching machine.
 
     The scripted controller provides the feedback action each step; when it
     has nothing to say (it believes the task is done) the ensemble is fed a
-    hold-position action. ``disturbances`` are (env step, object, delta).
+    hold-position action. ``disturbances`` are (env step, object, delta),
+    applied in list order just before their step.
     """
-    state = state.copy()
     es = EnsembleState.initial(traj)
-    by_step: dict[int, list[tuple[str, np.ndarray]]] = {}
-    for idx, obj, delta in disturbances or []:
-        by_step.setdefault(idx, []).append((obj, delta))
-
-    steps = 0
     for i in range(2 * len(traj) + 400):
         if success(state):
             break
-        for obj, delta in by_step.get(i, []):
-            inject_disturbance(state, obj, delta)
+        for idx, obj, delta in disturbances or ():
+            if idx == i:
+                inject_disturbance(state, obj, delta)
         fb = scripted_action(state) or Action(state.robot_pose, state.gripper)
         act, es = ensemble_step(es, fb, state.robot_pose, state.gripper)
         step(state, act)
-        steps += 1
-    return EpisodeOutcome(success=success(state), steps=steps, ensemble=es)
+    return EpisodeOutcome(success=success(state), steps=len(es.trace), ensemble=es)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Rigid-body poses and rotations.
 
-Internal units are meters and radians everywhere. Millimeters and degrees
-appear only at text/serialization boundaries (see :func:`pose_text`), so
-there is exactly one conversion point in the package.
+Poses hold meters and rotation matrices. A pose becomes millimeters and
+degrees, for text a person or an LLM reads, only in the Euler-degree helpers
+and ``pose_text``/``pose_rows_text`` here, and in ``Keypose.from_pose`` and
+``Keypose.pose`` in ``annotation``.
 
 Euler angles use the intrinsic X-Y-Z (roll-pitch-yaw) convention,
 in degrees, at every serialization boundary.

@@ -19,7 +19,7 @@ demo solver and as the recovering feedback policy for ensembles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,14 +82,6 @@ class WorldState:
     attach_offset: Pose | None = None  # the held object's pose in the gripper frame
     frozen: set[str] = field(default_factory=set)
     task_metadata: dict = field(default_factory=dict)
-
-    def copy(self) -> "WorldState":
-        rng = np.random.default_rng()
-        rng.bit_generator.state = self.rng.bit_generator.state
-        return replace(
-            self, objects=dict(self.objects), goal_regions=dict(self.goal_regions), rng=rng,
-            frozen=set(self.frozen), task_metadata=dict(self.task_metadata),
-        )
 
 
 def _sample_in_region(rng, extents) -> np.ndarray:
@@ -226,7 +218,7 @@ def step(state: WorldState, action: Action) -> WorldState:
             old = state.objects["drawer"]
             dx = new_x - old.position[0]
             # containment judged against the drawer pose before this step's slide
-            carries_mug = state.attached_object != "mug" and _mug_in_drawer(state)
+            carries_mug = _mug_in_drawer(state)
             state.objects["drawer"] = Pose(old.position + np.array([dx, 0.0, 0.0]), old.rotation)
             if carries_mug:
                 mug = state.objects["mug"]
@@ -377,23 +369,19 @@ def rollout(
     traj: TrajectorySegment,
     disturbances: list[tuple[int, str, np.ndarray]] | None = None,
 ) -> RolloutOutcome:
-    """Execute a trajectory point-by-point as goal actions.
+    """Execute a trajectory point-by-point as goal actions, stepping ``state`` in place.
 
     Each point gets one env step, then up to CONVERGENCE_CAP extra steps of
     the same action until the end-effector lands on it. ``disturbances`` is
-    a list of (point_index, object_id, delta) applied just before that
-    point executes. Every env step is recorded; ``recording.demonstration``
-    turns the run into a dataset demonstration.
+    a list of (point_index, object_id, delta), each applied in list order
+    just before its point executes. Every env step is recorded;
+    ``recording.demonstration`` turns the run into a dataset demonstration.
     """
-    state = state.copy()
-    by_point: dict[int, list[tuple[str, np.ndarray]]] = {}
-    for idx, obj, delta in disturbances or []:
-        by_point.setdefault(idx, []).append((obj, delta))
-
     rec = Recording(state)
     for i in range(len(traj)):
-        for obj, delta in by_point.get(i, []):
-            inject_disturbance(state, obj, delta)
+        for idx, obj, delta in disturbances or ():
+            if idx == i:
+                inject_disturbance(state, obj, delta)
         action = traj.action(i)
         for _ in range(1 + CONVERGENCE_CAP):
             rec.record(action)
@@ -486,8 +474,6 @@ def _drawer_mug_goal(state: WorldState):
     meta = state.task_metadata
     opening = _drawer_opening(state)
     handle = state.objects["drawer"].position
-    if drawer_mug_stage(state) == 4:
-        return _home_or_done(state)
     if _mug_in_drawer(state) and state.attached_object is None:
         # close the drawer: grab the handle and push it back in
         if opening <= 0.02:

@@ -5,6 +5,7 @@ textbook quaternion slerp, brute-force grids) and deliberately avoids
 importing the package's own math, so a shared bug cannot hide. ``replies``
 scripts the in-process gateway for the LLM tests.
 """
+import copy
 import json
 import re
 import uuid
@@ -507,7 +508,7 @@ def rollout_steps_oracle(state, traj, disturbances=None):
     from demoforge import simworld as sw
     from demoforge.demos import Action
 
-    state = state.copy()
+    state = copy.deepcopy(state)
     by_point = {}
     for idx, obj, delta in disturbances or []:
         by_point.setdefault(idx, []).append((obj, delta))

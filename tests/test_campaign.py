@@ -663,10 +663,15 @@ class TestWilson:
 
 
 class TestEvaluate:
-    def test_scripted_policy_is_perfect(self):
-        rep = evaluate_policy(scripted_runner(), TaskSpec("pick_place"), 10, seed=1)
+    @pytest.mark.parametrize("kind", BUNDLED_TASKS)
+    def test_scripted_policy_is_perfect(self, kind):
+        rep = evaluate_policy(scripted_runner(), TaskSpec(kind), 10, seed=1)
         assert rep.rate == 1.0
         assert rep.ci_high == pytest.approx(1.0, abs=1e-12)
+
+    def test_scripted_trial_fails_at_its_step_cap(self, monkeypatch):
+        monkeypatch.setattr(campaign, "SCRIPTED_MAX_STEPS", 10)
+        assert evaluate_policy(scripted_runner(), TaskSpec("pick_place"), 3, seed=1).successes == 0
 
     def test_same_seed_same_scenes(self):
         seen = [[], []]

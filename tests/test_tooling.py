@@ -8,8 +8,9 @@ public ``Rotation`` or the compiled backend) is reached only through the one
 guarded helper and ``betaincinv`` only through the certified argmax's
 fallback, only the one query function opens gateway sessions, every name
 the benchmark imports from the package resolves, the names the benchmark
-rebinds in ``demoforge.campaign`` still exist and are read there, and the
-benchmark's own self-tests pass against the package."""
+rebinds in ``demoforge.campaign`` still exist and are read there, importing
+the package leaves ``scipy.stats`` unloaded, and the benchmark's own
+self-tests pass against the package."""
 import ast
 import importlib
 import inspect
@@ -434,6 +435,14 @@ def test_bench_rebinding_targets_exist(monkeypatch):
         assert name in loaded, f"campaign.py never reads {name}"
     assert {"state", "T", "prior", "k", "rng"} <= set(inspect.signature(campaign.decide_new_arm).parameters)
     assert "path" in inspect.signature(campaign.read_dataset).parameters
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow and large to import, and the package needs none of it
+    code = "import sys, demoforge.campaign, demoforge.cli; assert 'scipy.stats' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_bench_selftest_passes():
