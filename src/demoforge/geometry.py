@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.transform import _rotation_cy as _backend  # scipy's Rotation minus its dispatch; pinned in pyproject
@@ -86,19 +87,27 @@ def check_rotation_matrices(matrices: np.ndarray) -> None:
         raise ValueError("matrix is not orthonormal")
 
 
+def matrix_angle(m: np.ndarray) -> float:
+    """Total rotation angle in [0, pi] of a 3x3 rotation matrix."""
+    # np.trace's left-to-right sum and np.clip (NaN stays NaN) on Python floats; not math.acos: its bits differ
+    c = ((m.item(0) + m.item(4)) + m.item(8) - 1.0) / 2.0
+    return float(np.arccos(min(max(c, -1.0), 1.0)))
+
+
 class Rotation:
-    """A proper rotation in SO(3), stored as a 3x3 matrix.
+    """A proper rotation in SO(3), stored as a 3x3 matrix that is never written.
 
     Construct via the classmethods; the raw constructor trusts its input.
     """
 
-    __slots__ = ("_m",)
+    __slots__ = ("_m", "_own_angle")
 
     def __init__(self, matrix: np.ndarray):
         m = np.asarray(matrix, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
         self._m = m
+        self._own_angle = None  # angle_to(self), worked out on first use
 
     @classmethod
     def identity(cls) -> "Rotation":
@@ -149,15 +158,13 @@ class Rotation:
         """Fractional rotation exp(fraction * log R); power(0) is the exact identity."""
         return Rotation(_rows(_backend.as_matrix, _rows(_backend.pow, matrix_quats(self._m), float(fraction))))
 
-    def angle_rad(self) -> float:
-        """Total rotation angle in [0, pi]."""
-        # np.trace's left-to-right sum and np.clip (NaN stays NaN) on Python floats; not math.acos: its bits differ
-        m = self._m
-        c = ((m.item(0) + m.item(4)) + m.item(8) - 1.0) / 2.0
-        return float(np.arccos(min(max(c, -1.0), 1.0)))
-
     def angle_to(self, other: "Rotation") -> float:
-        return Rotation(self._m.T @ other._m).angle_rad()  # the matmul of inverse() @ other
+        """matrix_angle of inverse() @ other; the angle to itself (R^T R's round-off) is worked out once."""
+        if other is not self:
+            return matrix_angle(self._m.T @ other._m)
+        if self._own_angle is None:
+            self._own_angle = matrix_angle(self._m.T @ self._m)
+        return self._own_angle
 
     def __repr__(self) -> str:
         e = self.euler_deg()
@@ -168,8 +175,8 @@ class Rotation:
 class Pose:
     """Position (meters) plus rotation of a rigid body or end-effector.
 
-    A value: the position is the pose's own read-only copy and the rotation
-    is never written, so holders share a pose instead of copying it.
+    A value: the position is read-only and the rotation is never written,
+    so holders share a pose instead of copying it.
     """
 
     position: np.ndarray
@@ -182,6 +189,19 @@ class Pose:
             raise ValueError("pose position must be finite")
         position.setflags(write=False)
         object.__setattr__(self, "position", position)
+
+    @classmethod
+    def unchecked(cls, position: np.ndarray, rotation: Rotation) -> "Pose":
+        """A pose of a finite (3,) float position that nothing else writes, made read-only: no copy, no check."""
+        position.setflags(write=False)
+        pose = object.__new__(cls)
+        pose.__dict__.update(position=position, rotation=rotation)
+        return pose
+
+    @cached_property
+    def heading(self) -> Rotation:
+        """The rotation about z alone by this pose's yaw, worked out once per pose."""
+        return Rotation.about_z_deg(self.rotation.yaw_deg())
 
 
 def pose_rows_text(positions: np.ndarray, euler_deg: np.ndarray) -> list[str]:

@@ -159,13 +159,13 @@ def scene_observation(state: WorldState) -> SceneObservation:
 def _step_pose_toward(current: Pose, goal: Pose, max_step: float, max_angular: float) -> Pose:
     delta = goal.position - current.position
     dist = _norm(delta)
-    rel = Rotation(current.rotation._m.T @ goal.rotation._m)  # inverse() @ goal.rotation, unwrapped
-    angle = rel.angle_rad()
+    angle = current.rotation.angle_to(goal.rotation)
     if dist <= max_step and angle <= max_angular:
         return goal
     new_pos = goal.position if dist <= max_step else current.position + delta * (max_step / dist)
-    new_rot = goal.rotation if angle <= max_angular else current.rotation @ rel.power(max_angular / angle)
-    return Pose(new_pos, new_rot)
+    rot = current.rotation
+    new_rot = goal.rotation if angle <= max_angular else rot @ (rot.inverse() @ goal.rotation).power(max_angular / angle)
+    return Pose.unchecked(new_pos, new_rot)
 
 
 def _rest_z(state: WorldState, name: str, xy: np.ndarray) -> float:
@@ -219,13 +219,13 @@ def step(state: WorldState, action: Action) -> WorldState:
             dx = new_x - old.position[0]
             # containment judged against the drawer pose before this step's slide
             carries_mug = _mug_in_drawer(state)
-            state.objects["drawer"] = Pose(old.position + np.array([dx, 0.0, 0.0]), old.rotation)
+            state.objects["drawer"] = Pose.unchecked(old.position + np.array([dx, 0.0, 0.0]), old.rotation)
             if carries_mug:
                 mug = state.objects["mug"]
-                state.objects["mug"] = Pose(mug.position + np.array([dx, 0.0, 0.0]), mug.rotation)
+                state.objects["mug"] = Pose.unchecked(mug.position + np.array([dx, 0.0, 0.0]), mug.rotation)
         else:
             ee, off = state.robot_pose, state.attach_offset
-            state.objects[name] = Pose(ee.rotation.apply(off.position) + ee.position, ee.rotation @ off.rotation)
+            state.objects[name] = Pose.unchecked(ee.rotation.apply(off.position) + ee.position, ee.rotation @ off.rotation)
 
     closing = action.gripper < 0.5
     if closing and state.attached_object is None:
@@ -234,7 +234,7 @@ def step(state: WorldState, action: Action) -> WorldState:
             state.frozen.add(name)
             ee, obj = state.robot_pose, state.objects[name]
             inv = ee.rotation.inverse()
-            state.attach_offset = Pose(inv.apply(obj.position) - inv.apply(ee.position), inv @ obj.rotation)
+            state.attach_offset = Pose.unchecked(inv.apply(obj.position) - inv.apply(ee.position), inv @ obj.rotation)
             state.attached_object = name
     elif not closing and state.attached_object is not None:
         name = state.attached_object
@@ -244,7 +244,7 @@ def step(state: WorldState, action: Action) -> WorldState:
             pose = state.objects[name]
             rest = pose.position.copy()
             rest[2] = _rest_z(state, name, pose.position[:2])
-            state.objects[name] = Pose(rest, pose.rotation)
+            state.objects[name] = Pose.unchecked(rest, pose.rotation)
     state.gripper = action.gripper
 
     if state.spec.kind == "stack_walking":
@@ -254,7 +254,7 @@ def step(state: WorldState, action: Action) -> WorldState:
             theta = state.rng.uniform(0.0, 2.0 * np.pi)
             drift = WALK_STEP * np.array([np.cos(theta), np.sin(theta), 0.0])
             pose = state.objects[name]
-            state.objects[name] = Pose(pose.position + drift, pose.rotation)
+            state.objects[name] = Pose.unchecked(pose.position + drift, pose.rotation)
 
     return state
 
@@ -376,13 +376,17 @@ def rollout(
     a list of (point_index, object_id, delta), each applied in list order
     just before its point executes. Every env step is recorded;
     ``recording.demonstration`` turns the run into a dataset demonstration.
+    Raises ValueError, before any step, when a position is not finite.
     """
+    positions, rotations = traj.positions.copy(), traj.rotations.copy()  # each point's pose holds its rows
+    if not np.isfinite(positions).all():
+        raise ValueError("pose position must be finite")
     rec = Recording(state)
-    for i in range(len(traj)):
+    for i, grip in enumerate(traj.gripper.tolist()):
         for idx, obj, delta in disturbances or ():
             if idx == i:
                 inject_disturbance(state, obj, delta)
-        action = traj.action(i)
+        action = Action(Pose.unchecked(positions[i], Rotation(rotations[i])), grip)
         for _ in range(1 + CONVERGENCE_CAP):
             rec.record(action)
             step(state, action)
@@ -462,10 +466,8 @@ def _stack_goal(state: WorldState):
     if state.attached_object in targets:
         return _carry_to(state, targets[state.attached_object])
     for name in order:
-        placed = _norm(
-            state.objects[name].position - (targets[name] - np.array([0.0, 0.0, 0.001]))
-        ) <= POSITION_TOLERANCE / 2.0
-        if not placed:
+        rest = targets[name] - np.array([0.0, 0.0, 0.001])
+        if not _norm(state.objects[name].position - rest) <= POSITION_TOLERANCE / 2.0:  # not placed yet
             return _fetch(state, name)
     return _home_or_done(state)
 
@@ -483,10 +485,7 @@ def _drawer_mug_goal(state: WorldState):
             return grabbed
         return Pose(np.array([meta["drawer_closed_x"], handle[1], handle[2]])), GRIPPER_CLOSED
     if state.attached_object == "drawer":
-        if _mug_in_drawer(state):
-            target_x = meta["drawer_closed_x"]
-        else:
-            target_x = meta["drawer_closed_x"] - meta["drawer_travel"]
+        target_x = meta["drawer_closed_x"] if _mug_in_drawer(state) else meta["drawer_closed_x"] - meta["drawer_travel"]
         if abs(handle[0] - target_x) < 1e-6:
             return state.robot_pose, GRIPPER_OPEN
         return Pose(np.array([target_x, handle[1], handle[2]])), GRIPPER_CLOSED
@@ -508,33 +507,23 @@ def _fetch(state: WorldState, name: str, grasp_only: bool = False):
     """Approach above, descend, close. Returns None (grasp_only) once held."""
     if state.attached_object == name:
         return None if grasp_only else _carry_to(state, state.objects[name].position)
-    obj = state.objects[name]
-    rot = Rotation.about_z_deg(obj.rotation.yaw_deg()) if name != "drawer" else Rotation.identity()
-    above = Pose(np.array([obj.position[0], obj.position[1], obj.position[2] + APPROACH_HEIGHT]), rot)
-    grasp = Pose(obj.position, rot)
-    d_xy = _norm(state.robot_pose.position[:2] - obj.position[:2])
-    d = _norm(state.robot_pose.position - obj.position)
-    if d <= 0.008:
-        return grasp, GRIPPER_CLOSED
-    if d_xy <= 0.003 and state.robot_pose.position[2] <= obj.position[2] + APPROACH_HEIGHT + 1e-6:
-        return grasp, GRIPPER_OPEN
-    return above, GRIPPER_OPEN
+    pose, ee = state.objects[name], state.robot_pose.position
+    obj, rot = pose.position, pose.heading if name != "drawer" else Rotation.identity()
+    close = _norm(ee - obj) <= 0.008
+    if close or _norm(ee[:2] - obj[:2]) <= 0.003 and ee[2] <= obj[2] + APPROACH_HEIGHT + 1e-6:
+        return Pose.unchecked(obj, rot), GRIPPER_CLOSED if close else GRIPPER_OPEN
+    return Pose.unchecked(np.array([obj[0], obj[1], obj[2] + APPROACH_HEIGHT]), rot), GRIPPER_OPEN
 
 
 def _carry_to(state: WorldState, place: np.ndarray):
     """Lift, traverse at carry height, descend, release on arrival."""
-    ee = state.robot_pose.position
+    ee, rot = state.robot_pose.position, state.robot_pose.rotation
     d_xy = _norm(ee[:2] - place[:2])
-    if d_xy <= 1e-9 and abs(ee[2] - place[2]) <= 1e-9:
-        return Pose(place, state.robot_pose.rotation), GRIPPER_OPEN
     if d_xy <= 0.003:
-        return Pose(place, state.robot_pose.rotation), GRIPPER_CLOSED
-    if ee[2] < CARRY_HEIGHT - 1e-6:
-        return Pose(np.array([ee[0], ee[1], CARRY_HEIGHT]), state.robot_pose.rotation), GRIPPER_CLOSED
-    return (
-        Pose(np.array([place[0], place[1], CARRY_HEIGHT]), state.robot_pose.rotation),
-        GRIPPER_CLOSED,
-    )
+        arrived = d_xy <= 1e-9 and abs(ee[2] - place[2]) <= 1e-9
+        return Pose.unchecked(place, rot), GRIPPER_OPEN if arrived else GRIPPER_CLOSED
+    xy = ee if ee[2] < CARRY_HEIGHT - 1e-6 else place  # lift where it is, then traverse
+    return Pose.unchecked(np.array([xy[0], xy[1], CARRY_HEIGHT]), rot), GRIPPER_CLOSED
 
 
 def record_demo(spec: TaskSpec, seed, demo_id: str = "") -> Demonstration:

@@ -660,6 +660,33 @@ def converged_oracle(current, goal, pos_tol=1e-9, ang_tol=1e-7):
     )
 
 
+def fetch_oracle(state, name, grasp_only=False):
+    """simworld._fetch as first shipped: the grasp rotation rebuilt from the
+    object's yaw on every call, and both the approach and the grasp pose built."""
+    from scipy.spatial.transform import Rotation as SciRotation
+
+    from demoforge import simworld as sw
+    from demoforge.demos import GRIPPER_CLOSED, GRIPPER_OPEN
+    from demoforge.geometry import Pose, Rotation
+
+    if state.attached_object == name:
+        return None if grasp_only else sw._carry_to(state, state.objects[name].position)
+    obj = state.objects[name]
+    m = obj.rotation.as_matrix()
+    yaw = float(np.degrees(np.arctan2(m[1, 0], m[0, 0])))
+    turn = SciRotation.from_euler("XYZ", [0.0, 0.0, yaw], degrees=True).as_matrix()
+    rot = Rotation(turn) if name != "drawer" else Rotation(np.eye(3))
+    above = Pose(np.array([obj.position[0], obj.position[1], obj.position[2] + sw.APPROACH_HEIGHT]), rot)
+    grasp = Pose(obj.position.copy(), rot)
+    d_xy = float(np.linalg.norm(state.robot_pose.position[:2] - obj.position[:2]))
+    d = float(np.linalg.norm(state.robot_pose.position - obj.position))
+    if d <= 0.008:
+        return grasp, GRIPPER_CLOSED
+    if d_xy <= 0.003 and state.robot_pose.position[2] <= obj.position[2] + sw.APPROACH_HEIGHT + 1e-6:
+        return grasp, GRIPPER_OPEN
+    return above, GRIPPER_OPEN
+
+
 # -- LLM replies -------------------------------------------------------------
 
 

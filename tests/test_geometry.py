@@ -17,6 +17,7 @@ from demoforge.geometry import (
     Rotation,
     check_rotation_matrices,
     euler_degrees,
+    matrix_angle,
     matrix_quats,
     matrix_rotvecs,
     pose_text,
@@ -107,7 +108,7 @@ class TestRotation:
 
 
 class TestAngleMatchesOracle:
-    """angle_rad runs on Python floats; it must return the bits of the numpy
+    """matrix_angle runs on Python floats; it must return the bits of the numpy
     version it replaced, kept in tests/oracles.py."""
 
     @staticmethod
@@ -143,9 +144,9 @@ class TestAngleMatchesOracle:
                 c = (np.trace(m) - 1.0) / 2.0
             past_one += bool(c > 1.0)
             past_minus_one += bool(c < -1.0)
-            assert np.float64(Rotation(m).angle_rad()).tobytes() == np.float64(want).tobytes(), m
+            assert np.float64(matrix_angle(m)).tobytes() == np.float64(want).tobytes(), m
         assert past_one > 100 and past_minus_one > 100
-        assert np.isnan(Rotation(np.full((3, 3), np.nan)).angle_rad())
+        assert np.isnan(matrix_angle(np.full((3, 3), np.nan)))
 
     def test_angle_to_bits_equal(self):
         rng = np.random.default_rng(31)
@@ -153,6 +154,7 @@ class TestAngleMatchesOracle:
             r0, r1 = Rotation(m0), Rotation(m1)
             assert r0.angle_to(r1) == angle_rad_oracle((r0.inverse() @ r1).as_matrix())
             assert r0.angle_to(r0) == angle_rad_oracle((r0.inverse() @ r0).as_matrix())
+            assert r0.angle_to(r0) == angle_rad_oracle((r0.inverse() @ r0).as_matrix())  # the kept angle
 
 
 def slerp(r0, r1, fraction):
@@ -197,11 +199,27 @@ def test_pose_keeps_its_own_copy_of_the_position():
 
 
 def test_pose_is_immutable():
-    pose = Pose(np.array([0.1, 0.2, 0.3]))
-    with pytest.raises(ValueError):
-        pose.position[0] = 1.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        pose.position = np.zeros(3)
+    for pose in (Pose(np.array([0.1, 0.2, 0.3])), Pose.unchecked(np.array([0.1, 0.2, 0.3]), Rotation.identity())):
+        with pytest.raises(ValueError):
+            pose.position[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pose.position = np.zeros(3)
+
+
+def test_unchecked_pose_holds_its_parts_as_given():
+    position, rotation = np.array([0.1, -0.2, 0.3]), Rotation.about_z_deg(20.0)
+    pose = Pose.unchecked(position, rotation)
+    assert pose.position is position and pose.rotation is rotation
+    assert pose_text(pose) == pose_text(Pose(position, rotation))
+
+
+def test_heading_is_the_yaw_rotation_worked_out_once():
+    rng = np.random.default_rng(37)
+    for m in SciRotation.random(200, random_state=rng).as_matrix():
+        pose = Pose(rng.normal(size=3), Rotation(m))
+        want = Rotation.about_z_deg(pose.rotation.yaw_deg()).as_matrix()
+        assert pose.heading.as_matrix().tobytes() == want.tobytes()
+        assert pose.heading is pose.heading
 
 
 def outcome(call):
@@ -442,7 +460,7 @@ class TestBackendMatchesPublicRotation:
         # _step_pose_toward takes the power max_angular / angle (0.1 or 0.09 rad) of a rotation whose angle exceeds it
         products = random_products(200, 67)
         for m in products:
-            angle = Rotation(m).angle_rad()
+            angle = matrix_angle(m)
             for f in (0.1 / angle, 0.09 / angle, 0.5, 1.0, 0.0, -0.0):  # power(0) is the backend's, no shortcut
                 assert_bits(Rotation(m).power(f).as_matrix(), (SciRotation.from_matrix(m) ** f).as_matrix())
 

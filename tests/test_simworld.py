@@ -13,8 +13,10 @@ from demoforge.warping import TrajectorySegment
 from oracles import (
     converged_oracle,
     demo_from_steps,
+    fetch_oracle,
     grasp_offset_oracle,
     held_pose_oracle,
+    observation_oracle,
     record_demo_steps_oracle,
     rollout_steps_oracle,
     step_pose_toward_oracle,
@@ -122,7 +124,7 @@ class TestStep:
         state, _ = sw.reset(sw.TaskSpec("pick_place"), 3)
         goal = Pose(state.robot_pose.position.copy(), Rotation.about_z_deg(180.0))
         sw.step(state, Action(goal, GRIPPER_OPEN))
-        assert state.robot_pose.rotation.angle_rad() == pytest.approx(0.1, abs=1e-8)
+        assert Rotation.identity().angle_to(state.robot_pose.rotation) == pytest.approx(0.1, abs=1e-8)
 
     def test_reachable_goal_hit_exactly(self):
         state, _ = sw.reset(sw.TaskSpec("pick_place"), 3)
@@ -307,6 +309,30 @@ class TestRollout:
         assert len(trace) == out.steps
         assert all(isinstance(a.gripper, float) for _, a in trace)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_raises_before_any_step(self, bad):
+        spec = sw.TaskSpec("pick_place")
+        traj = sw.record_demo(spec, 4).actions
+        positions = traj.positions.copy()
+        positions[len(positions) // 2, 1] = bad
+        state, _ = sw.reset(spec, 4)
+        with pytest.raises(ValueError, match="pose position must be finite"):
+            sw.rollout(state, TrajectorySegment(positions, traj.rotations, traj.gripper))
+        assert state.robot_pose is sw.HOME_POSE and state.gripper == GRIPPER_OPEN
+
+    def test_recording_keeps_the_trajectory_as_it_ran(self):
+        # every point's pose holds a row of the rollout's own copy, not of the caller's arrays
+        spec = sw.TaskSpec("pick_place")
+        traj = sw.record_demo(spec, 4).actions
+        positions, rotations = traj.positions.copy(), traj.rotations.copy()
+        state, _ = sw.reset(spec, 4)
+        out = sw.rollout(state, traj)
+        traj.positions[:], traj.rotations[:] = 0.0, 0.0
+        actions = out.recording.demonstration(spec.kind).actions
+        assert out.steps == len(positions)  # a dense replay lands on every point in one step
+        assert actions.positions.tobytes() == positions.tobytes() and actions.rotations.tobytes() == rotations.tobytes()
+        assert state.robot_pose.position.tobytes() == positions[-1].tobytes()
+
     def test_rollout_and_ensemble_episode_step_the_state_they_are_handed(self):
         spec = sw.TaskSpec("pick_place")
         demo = sw.record_demo(spec, 4)
@@ -346,6 +372,7 @@ def under_oracle(monkeypatch, fn, *args):
     with monkeypatch.context() as m:
         m.setattr(sw, "_step_pose_toward", step_pose_toward_oracle)
         m.setattr(sw, "_converged", converged_oracle)
+        m.setattr(sw, "_fetch", fetch_oracle)
         return fn(*args)
 
 
@@ -513,6 +540,94 @@ class TestRecordingMatchesPerStepOracle:
         want = under_oracle(monkeypatch, rollout_steps_oracle, state, traj, disturbances)
         out = sw.rollout(state, traj, disturbances)
         assert_columns_bitwise(out.recording.demonstration(kind), want)
+
+
+def scripted_steps(state, events=()):
+    """(observation, action) pairs of the scripted controller run from ``state``
+    until it is done; each (step, event) calls event(state) just before its step."""
+    steps = []
+    for i in range(sw.RECORD_MAX_STEPS):
+        for at, event in events:
+            if at == i:
+                event(state)
+        act = sw.scripted_action(state)
+        if act is None:
+            break
+        steps.append((observation_oracle(state), act))
+        sw.step(state, act)
+    return steps
+
+
+def fetched_poses(monkeypatch):
+    """Every object pose ``_fetch`` reads, from now on: the list holds them, so no id is reused."""
+    fetch, read = sw._fetch, []
+
+    def reading(state, name, grasp_only=False):
+        if state.attached_object != name:
+            read.append(state.objects[name])
+        return fetch(state, name, grasp_only)
+
+    monkeypatch.setattr(sw, "_fetch", reading)
+    return read
+
+
+def push(delta):
+    return lambda state: sw.inject_disturbance(state, "block", np.asarray(delta))
+
+
+def turn(yaw_deg):
+    rotation = Rotation.about_z_deg(yaw_deg)
+    return lambda state: state.objects.update(block=Pose(state.objects["block"].position, rotation))
+
+
+# a pick_place block pushed up to 3.6 cm, or turned in place, while the arm approaches it
+APPROACH_EVENTS = {
+    **{f"seed{seed}-push-at{at}": (seed, [(at, push([0.02, 0.01 * seed - 0.03, 0.0]))]) for seed in range(4) for at in (15, 30)},
+    **{f"seed{seed}-turn-at{at}": (seed, [(at, turn(40.0 - 30.0 * seed))]) for seed in range(2) for at in (15, 30)},
+}
+
+
+class TestScriptedMatchesOracle:
+    """The grasp rotation is worked out once per object pose; the oracle
+    rebuilds it on every control step, as first shipped (tests/oracles.py).
+    Where the object moves under the controller, their bits must agree."""
+
+    @pytest.mark.parametrize("seed, events", APPROACH_EVENTS.values(), ids=APPROACH_EVENTS.keys())
+    def test_pick_place_block_moved_mid_approach(self, seed, events, monkeypatch):
+        spec = sw.TaskSpec("pick_place")
+        want = under_oracle(monkeypatch, scripted_steps, sw.reset(spec, seed)[0], events)
+        state, _ = sw.reset(spec, seed)
+        read = fetched_poses(monkeypatch)
+        got = scripted_steps(state, events)
+        assert sw.success(state)
+        assert len({id(p) for p in read}) == 2  # the controller saw the block before and after the move
+        assert_columns_bitwise(demo_from_steps(got), want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stack_walking_drift(self, seed, monkeypatch):
+        spec = sw.TaskSpec("stack_walking")
+        want = under_oracle(monkeypatch, scripted_steps, sw.reset(spec, seed)[0])
+        state, _ = sw.reset(spec, seed)
+        read = fetched_poses(monkeypatch)
+        got = scripted_steps(state)
+        assert sw.success(state)
+        assert len({id(p) for p in read}) > 50  # each drift step replaces the unheld blocks' poses
+        assert_columns_bitwise(demo_from_steps(got, task=spec.kind), want)
+
+
+class TestGraspRotationOncePerObjectPose:
+    @pytest.mark.parametrize(
+        "seed, events", [(seed, []) for seed in range(4)] + [APPROACH_EVENTS["seed0-push-at15"], APPROACH_EVENTS["seed1-turn-at30"]]
+    )
+    def test_pick_place_trial(self, seed, events, monkeypatch):
+        # the first-shipped controller made about 67 from_euler_deg calls a trial, one per control step
+        state, _ = sw.reset(sw.TaskSpec("pick_place"), seed)
+        from_euler, calls = Rotation.from_euler_deg.__func__, []
+        monkeypatch.setattr(Rotation, "from_euler_deg", classmethod(lambda cls, *a: calls.append(a) or from_euler(cls, *a)))
+        read = fetched_poses(monkeypatch)
+        scripted_steps(state, events)
+        assert sw.success(state)
+        assert 0 < len(calls) <= len({id(p) for p in read}) == 1 + len(events)
 
 
 class TestStepMatchesOracle:

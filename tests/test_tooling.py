@@ -9,8 +9,9 @@ guarded helper and ``betaincinv`` only through the certified argmax's
 fallback, only the one query function opens gateway sessions, every name
 the benchmark imports from the package resolves, the names the benchmark
 rebinds in ``demoforge.campaign`` still exist and are read there, importing
-the package leaves ``scipy.stats`` unloaded, and the benchmark's own
-self-tests pass against the package."""
+the package leaves ``scipy.stats`` unloaded, the benchmark's own
+self-tests pass against the package, and only the world builds unchecked
+poses."""
 import ast
 import importlib
 import inspect
@@ -355,6 +356,25 @@ def test_only_the_query_function_opens_sessions():
     # only the one query loop mints sessions
     reads = {p.stem: attribute_reads(ast.parse(p.read_text()), "fresh_session") for p in sorted(PACKAGE.glob("*.py"))}
     assert {module: found for module, found in reads.items() if found} == {"gateway": ["query"]}
+
+
+def test_unchecked_pose_checker_flags_every_read():
+    source = (
+        "def step(p, r):\n    return Pose.unchecked(p, r)\n"
+        "class World:\n    def move(self, p, r):\n        make = geometry.Pose.unchecked\n        return make(p, r)\n"
+        "def checked(p):\n    return Pose(p)\n"
+    )
+    assert attribute_reads(ast.parse(source), "unchecked") == ["step", "World.move"]
+
+
+def test_only_the_world_builds_unchecked_poses():
+    # outside input (a dataset line, an LLM reply, a config, a caller's pose) enters through
+    # campaign, annotation, retargeting, gateway and ensemble, so every pose built there takes
+    # Pose(...)'s copy and finiteness check; geometry defines the unchecked build, the world uses it
+    reads = {p.stem: attribute_reads(ast.parse(p.read_text()), "unchecked") for p in sorted(PACKAGE.glob("*.py"))}
+    callers = {module for module, found in reads.items() if found}
+    assert callers <= {"geometry", "simworld"} and "simworld" in callers
+    assert not callers & {"campaign", "annotation", "retargeting", "gateway", "ensemble"}
 
 
 def package_imports(source: str) -> list[tuple[str, str | None]]:
