@@ -13,6 +13,11 @@ Bundled tasks:
   stack_walking  stack, but blocks random-walk 0.4 mm/step until first grasp
   drawer_mug     open a prismatic drawer, put the mug in, close it
 
+The four block tasks are one placement task: pick_place is a one-block
+stack. ``reset`` works out each block's resting slot in its goal region
+once (regions never move), and ``success`` and the scripted solver read
+those slots.
+
 The scripted controller is stateless over world state, so it doubles as the
 demo solver and as the recovering feedback policy for ensembles.
 """
@@ -65,10 +70,6 @@ class Region:
     pose: Pose  # center, identity rotation
     color: str
 
-    @property
-    def center(self) -> np.ndarray:
-        return self.pose.position
-
 
 @dataclass
 class WorldState:
@@ -82,6 +83,7 @@ class WorldState:
     attach_offset: Pose | None = None  # the held object's pose in the gripper frame
     frozen: set[str] = field(default_factory=set)
     task_metadata: dict = field(default_factory=dict)
+    slots: dict[str, np.ndarray] = field(default_factory=dict)  # block -> resting position, bottom first
 
 
 def _sample_in_region(rng, extents) -> np.ndarray:
@@ -107,29 +109,29 @@ def reset(spec: TaskSpec, seed) -> tuple[WorldState, SceneObservation]:
         yaw = rng.uniform(-YAW_RANGE_DEG, YAW_RANGE_DEG)
         return Pose(pos, Rotation.about_z_deg(yaw))
 
-    if spec.kind == "pick_place":
-        objects["block"] = block_pose()
+    def clear_of_blocks(xy) -> bool:
+        return all(_norm(xy - o.position[:2]) >= 0.06 for o in objects.values())
+
+    slots: dict[str, np.ndarray] = {}
+    if spec.kind != "drawer_mug":
+        order = ["block"] if spec.kind == "pick_place" else ["blue_block", "green_block"]
+        for name in order:  # each block 6 cm clear of the earlier ones
+            pose = block_pose()
+            while not clear_of_blocks(pose.position[:2]):
+                pose = block_pose()
+            objects[name] = pose
         center = _sample_in_region(rng, REGION_EXTENTS) + np.array([0.0, 0.0, BLOCK_HALF])
-        while _norm(center[:2] - objects["block"].position[:2]) < 0.06:
+        while not clear_of_blocks(center[:2]):
             center = _sample_in_region(rng, REGION_EXTENTS) + np.array([0.0, 0.0, BLOCK_HALF])
-        regions["target_region"] = Region(Pose(center), "target")
-    elif spec.kind in ("stack", "stack_flipped", "stack_walking"):
-        objects["blue_block"] = block_pose()
-        objects["green_block"] = block_pose()
-        while _norm(objects["green_block"].position[:2] - objects["blue_block"].position[:2]) < 0.06:
-            objects["green_block"] = block_pose()
-        center = _sample_in_region(rng, REGION_EXTENTS) + np.array([0.0, 0.0, BLOCK_HALF])
-        while min(
-            _norm(center[:2] - objects[n].position[:2]) for n in ("blue_block", "green_block")
-        ) < 0.06:
-            center = _sample_in_region(rng, REGION_EXTENTS) + np.array([0.0, 0.0, BLOCK_HALF])
-        order = ["blue_block", "green_block"]
         if spec.kind == "stack_flipped" and rng.random() < 0.5:
             order = order[::-1]
-        color = ",".join(order)
-        regions["goal_region"] = Region(Pose(center), color)
-        metadata["goal_colors"] = {"goal_region": color}
-    elif spec.kind == "drawer_mug":
+        if spec.kind == "pick_place":
+            regions["target_region"] = Region(Pose(center), "target")
+        else:
+            regions["goal_region"] = Region(Pose(center), ",".join(order))
+            metadata["goal_colors"] = {"goal_region": ",".join(order)}
+        slots = {name: center + np.array([0.0, 0.0, i * BLOCK_SIZE]) for i, name in enumerate(order)}
+    else:
         handle = np.array([0.20, rng.uniform(-0.10, 0.10), 0.05])
         objects["drawer"] = Pose(handle, Rotation.identity())
         metadata["drawer_closed_x"] = float(handle[0])
@@ -145,6 +147,7 @@ def reset(spec: TaskSpec, seed) -> tuple[WorldState, SceneObservation]:
         goal_regions=regions,
         rng=rng,
         task_metadata=metadata,
+        slots=slots,
     )
     return state, scene_observation(state)
 
@@ -279,46 +282,16 @@ def inject_disturbance(state: WorldState, object_id: str, delta) -> WorldState:
 
 
 def success(state: WorldState) -> bool:
-    """Pure predicate on the world state."""
-    kind, tol = state.spec.kind, POSITION_TOLERANCE
-    if kind == "pick_place":
-        if state.attached_object is not None or state.gripper < 0.5:
+    """Pure predicate on the world state: nothing held, gripper open, and
+    either the mug shut in the drawer or every block within tolerance of its slot."""
+    if state.attached_object is not None or state.gripper < 0.5:
+        return False
+    if state.spec.kind == "drawer_mug":
+        return _drawer_opening(state) <= 0.02 and _mug_in_drawer(state)
+    for name, slot in state.slots.items():
+        if not _norm(state.objects[name].position - slot) <= POSITION_TOLERANCE:
             return False
-        block = state.objects["block"].position
-        return _norm(block - state.goal_regions["target_region"].center) <= tol
-    if kind in ("stack", "stack_flipped", "stack_walking"):
-        if state.attached_object is not None or state.gripper < 0.5:
-            return False
-        order = state.goal_regions["goal_region"].color.split(",")
-        base = state.goal_regions["goal_region"].center
-        bottom = state.objects[order[0]].position
-        top = state.objects[order[1]].position
-        return (
-            _norm(bottom - base) <= tol
-            and _norm(top - (base + np.array([0.0, 0.0, BLOCK_SIZE]))) <= tol
-        )
-    if kind == "drawer_mug":
-        return drawer_mug_stage(state) == 4
-    raise ValueError(kind)
-
-
-def drawer_mug_stage(state: WorldState) -> int:
-    """How far the drawer task has progressed in the current state:
-    1 drawer opened, 2 mug held, 3 mug inside (drawer open), 4 closed with
-    the mug inside and the gripper free."""
-    opening = _drawer_opening(state)
-    open_enough = opening >= 0.8 * state.task_metadata["drawer_travel"]
-    closed = opening <= 0.02
-    inside = _mug_in_drawer(state)
-    if inside and closed and state.attached_object is None and state.gripper >= 0.5:
-        return 4
-    if inside and state.attached_object is None:
-        return 3
-    if state.attached_object == "mug":
-        return 2
-    if open_enough:
-        return 1
-    return 0
+    return True
 
 
 class Recording:
@@ -419,17 +392,12 @@ def scripted_action(state: WorldState) -> Action | None:
     """The closed-loop solver's next action for ``state.spec``'s task.
 
     Reads the current state only; nothing is remembered between calls.
-    Returns None when the task is done and the arm is back at home hover.
+    Returns None when the task's tree has put everything in place and the
+    arm is back at home hover. It does not test ``success`` itself: each
+    tree ends in its own home-or-done step, and the callers that stop on
+    success test it once per step.
     """
-    kind = state.spec.kind
-    if kind == "pick_place":
-        goal = _pick_place_goal(state)
-    elif kind in ("stack", "stack_flipped", "stack_walking"):
-        goal = _stack_goal(state)
-    elif kind == "drawer_mug":
-        goal = _drawer_mug_goal(state)
-    else:
-        raise ValueError(kind)
+    goal = _drawer_mug_goal(state) if state.spec.kind == "drawer_mug" else _place_goal(state)
     if goal is None:
         return None
     goal_pose, grip = goal
@@ -445,29 +413,13 @@ def _home_or_done(state: WorldState) -> tuple[Pose, float] | None:
     return HOME_POSE, GRIPPER_OPEN
 
 
-def _pick_place_goal(state: WorldState):
-    target = state.goal_regions["target_region"].center
-    if success(state):
-        return _home_or_done(state)
-    if state.attached_object == "block":
-        return _carry_to(state, np.array([target[0], target[1], BLOCK_HALF + 0.001]))
-    return _fetch(state, "block")
-
-
-def _stack_goal(state: WorldState):
-    if success(state):
-        return _home_or_done(state)
-    order = state.goal_regions["goal_region"].color.split(",")
-    base = state.goal_regions["goal_region"].center
-    targets = {
-        order[0]: np.array([base[0], base[1], BLOCK_HALF + 0.001]),
-        order[1]: np.array([base[0], base[1], BLOCK_HALF + BLOCK_SIZE + 0.001]),
-    }
-    if state.attached_object in targets:
-        return _carry_to(state, targets[state.attached_object])
-    for name in order:
-        rest = targets[name] - np.array([0.0, 0.0, 0.001])
-        if not _norm(state.objects[name].position - rest) <= POSITION_TOLERANCE / 2.0:  # not placed yet
+def _place_goal(state: WorldState):
+    """Carry a held block to just above its slot; else fetch the first
+    block, bottom up, not yet placed; else go home."""
+    if state.attached_object is not None:
+        return _carry_to(state, state.slots[state.attached_object] + np.array([0.0, 0.0, 0.001]))
+    for name, slot in state.slots.items():
+        if not _norm(state.objects[name].position - slot) <= POSITION_TOLERANCE / 2.0:  # not placed yet
             return _fetch(state, name)
     return _home_or_done(state)
 
@@ -478,12 +430,7 @@ def _drawer_mug_goal(state: WorldState):
     handle = state.objects["drawer"].position
     if _mug_in_drawer(state) and state.attached_object is None:
         # close the drawer: grab the handle and push it back in
-        if opening <= 0.02:
-            return _home_or_done(state)
-        grabbed = _fetch(state, "drawer", grasp_only=True)
-        if grabbed is not None:
-            return grabbed
-        return Pose(np.array([meta["drawer_closed_x"], handle[1], handle[2]])), GRIPPER_CLOSED
+        return _home_or_done(state) if opening <= 0.02 else _fetch(state, "drawer")
     if state.attached_object == "drawer":
         target_x = meta["drawer_closed_x"] if _mug_in_drawer(state) else meta["drawer_closed_x"] - meta["drawer_travel"]
         if abs(handle[0] - target_x) < 1e-6:
@@ -492,21 +439,14 @@ def _drawer_mug_goal(state: WorldState):
     if state.attached_object == "mug":
         interior = _drawer_interior_center(state)
         return _carry_to(state, np.array([interior[0], interior[1], MUG_HALF + 0.001]))
-    if opening < 0.8 * meta["drawer_travel"]:
-        return _fetch(state, "drawer", grasp_only=True) or (
-            Pose(np.array([meta["drawer_closed_x"] - meta["drawer_travel"], handle[1], handle[2]])),
-            GRIPPER_CLOSED,
-        )
-    return _fetch(state, "mug")
+    return _fetch(state, "drawer" if opening < 0.8 * meta["drawer_travel"] else "mug")
 
 
 # -- shared motion primitives -----------------------------------------------
 
 
-def _fetch(state: WorldState, name: str, grasp_only: bool = False):
-    """Approach above, descend, close. Returns None (grasp_only) once held."""
-    if state.attached_object == name:
-        return None if grasp_only else _carry_to(state, state.objects[name].position)
+def _fetch(state: WorldState, name: str):
+    """Approach above, descend, close, on an object that is not held."""
     pose, ee = state.objects[name], state.robot_pose.position
     obj, rot = pose.position, pose.heading if name != "drawer" else Rotation.identity()
     close = _norm(ee - obj) <= 0.008

@@ -660,6 +660,33 @@ def converged_oracle(current, goal, pos_tol=1e-9, ang_tol=1e-7):
     )
 
 
+def success_oracle(state):
+    """simworld.success as first shipped: one formula per task, each block's
+    goal read from the goal region's pose and colour on every call."""
+    from demoforge import simworld as sw
+
+    kind, tol = state.spec.kind, sw.POSITION_TOLERANCE
+    free = state.attached_object is None and state.gripper >= 0.5
+    if kind == "pick_place":
+        block = state.objects["block"].position
+        return free and float(np.linalg.norm(block - state.goal_regions["target_region"].pose.position)) <= tol
+    if kind in ("stack", "stack_flipped", "stack_walking"):
+        order = state.goal_regions["goal_region"].color.split(",")
+        base = state.goal_regions["goal_region"].pose.position
+        bottom = state.objects[order[0]].position
+        top = state.objects[order[1]].position
+        return (
+            free
+            and float(np.linalg.norm(bottom - base)) <= tol
+            and float(np.linalg.norm(top - (base + np.array([0.0, 0.0, sw.BLOCK_SIZE])))) <= tol
+        )
+    drawer, mug = state.objects["drawer"].position, state.objects["mug"].position
+    closed = state.task_metadata["drawer_closed_x"] - drawer[0] <= 0.02
+    rel = mug - np.array([drawer[0] + sw.DRAWER_INTERIOR_DX, drawer[1], sw.MUG_HALF])
+    inside = abs(rel[0]) < 0.04 and abs(rel[1]) < 0.04
+    return bool(inside and closed and free)
+
+
 def fetch_oracle(state, name, grasp_only=False):
     """simworld._fetch as first shipped: the grasp rotation rebuilt from the
     object's yaw on every call, and both the approach and the grasp pose built."""

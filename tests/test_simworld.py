@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation as SciRotation
 
-from demoforge import simworld as sw
+from demoforge import campaign, simworld as sw
 from demoforge.campaign import run_ensemble_episode
 from demoforge.demos import Action, GRIPPER_CLOSED, GRIPPER_OPEN
 from demoforge.geometry import Pose, Rotation
@@ -20,6 +20,7 @@ from oracles import (
     record_demo_steps_oracle,
     rollout_steps_oracle,
     step_pose_toward_oracle,
+    success_oracle,
 )
 
 
@@ -54,7 +55,7 @@ class TestReset:
                 )
             assert s1.task_metadata == s2.task_metadata
             for rid in s1.goal_regions:
-                assert np.array_equal(s1.goal_regions[rid].center, s2.goal_regions[rid].center)
+                assert np.array_equal(s1.goal_regions[rid].pose.position, s2.goal_regions[rid].pose.position)
                 assert s1.goal_regions[rid].color == s2.goal_regions[rid].color
             assert o1.text() == o2.text()
 
@@ -344,7 +345,7 @@ class TestRollout:
 
     def test_pick_place_predicate_hand_constructed(self):
         state, _ = sw.reset(sw.TaskSpec("pick_place"), 8)
-        center = state.goal_regions["target_region"].center
+        center = state.goal_regions["target_region"].pose.position
         state.objects["block"] = Pose(center + np.array([0.01, 0.0, 0.0]))
         state.gripper = GRIPPER_OPEN
         assert sw.success(state)
@@ -562,10 +563,9 @@ def fetched_poses(monkeypatch):
     """Every object pose ``_fetch`` reads, from now on: the list holds them, so no id is reused."""
     fetch, read = sw._fetch, []
 
-    def reading(state, name, grasp_only=False):
-        if state.attached_object != name:
-            read.append(state.objects[name])
-        return fetch(state, name, grasp_only)
+    def reading(state, name):
+        read.append(state.objects[name])
+        return fetch(state, name)
 
     monkeypatch.setattr(sw, "_fetch", reading)
     return read
@@ -628,6 +628,158 @@ class TestGraspRotationOncePerObjectPose:
         scripted_steps(state, events)
         assert sw.success(state)
         assert 0 < len(calls) <= len({id(p) for p in read}) == 1 + len(events)
+
+
+TOL = sw.POSITION_TOLERANCE
+# multiples of the tolerance that straddle both edges: placed (tol/2) and success (tol)
+EDGES = (0.5 + 1e-9, 0.75, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.005)
+
+
+def success_probes(state, rng):
+    """Copies of ``state`` on the edges of ``success``: one unheld block, or
+    all of them, at each EDGES multiple of the tolerance from its slot (for
+    the drawer task: the drawer at that multiple of 2 cm from shut, the mug
+    at that multiple of 4 cm from the interior's center), each also with
+    the gripper closed, on nothing when nothing is held."""
+
+    def probe(**moves):
+        got = copy.copy(state)
+        got.objects = {**state.objects, **{n: Pose(p, state.objects[n].rotation) for n, p in moves.items()}}
+        return got
+
+    probes = [state]
+    for edge in EDGES:
+        if state.spec.kind == "drawer_mug":
+            drawer, mug = state.objects["drawer"].position, state.objects["mug"].position
+            slide = np.array([state.task_metadata["drawer_closed_x"] - 0.02 * edge - drawer[0], 0.0, 0.0])
+            interior = drawer + np.array([sw.DRAWER_INTERIOR_DX, 0.0, 0.0])
+            axis = np.eye(3)[rng.integers(2)] * rng.choice([-1.0, 1.0])
+            probes += [probe(drawer=drawer + slide, mug=mug + slide), probe(mug=interior + 0.04 * edge * axis)]
+        else:
+            unheld = [n for n in state.slots if n != state.attached_object]
+            away = {n: state.slots[n] + TOL * edge * unit for n, unit in zip(unheld, unit_vectors(rng, len(unheld)))}
+            probes += [probe(**{n: p}) for n, p in away.items()] + [probe(**away)]
+    for got in probes[:]:
+        closed = copy.copy(got)
+        closed.gripper = GRIPPER_CLOSED
+        probes.append(closed)
+    return probes
+
+
+def unit_vectors(rng, n):
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+class TestSuccessMatchesOracle:
+    """One ``success`` covers every task, with the blocks' slots worked out in
+    ``reset``; the first-shipped per-task formulas are kept in tests/oracles.py."""
+
+    @pytest.mark.parametrize("kind", sw.BUNDLED_TASKS)
+    def test_perturbed_scripted_runs(self, kind):
+        seen = set()
+        for seed in range(3):
+            rng = np.random.default_rng([seed, 30])
+            state, _ = sw.reset(sw.TaskSpec(kind), seed)
+            movable = [n for n in state.objects if n != "drawer"]
+            pushes = {int(rng.integers(400)): (movable[int(rng.integers(len(movable)))], rng.uniform(-0.03, 0.03, 2)) for _ in range(3)}
+            for i in range(sw.RECORD_MAX_STEPS):
+                name, delta = pushes.get(i, (None, None))
+                if name is not None and name != state.attached_object:
+                    sw.inject_disturbance(state, name, [*delta, 0.0])
+                act = sw.scripted_action(state)
+                if i % 9 == 0 or act is None:
+                    for probe in success_probes(state, rng):
+                        want = success_oracle(probe)
+                        assert sw.success(probe) == want, (seed, i)
+                        seen.add(want)
+                if act is None:
+                    break
+                sw.step(state, act)
+        assert seen == {False, True}
+
+
+class TestSuccessOncePerStep:
+    """``scripted_action`` does not test ``success``: every tree ends in its
+    own home-or-done step, and the loops that stop on success test it once
+    per step. The first-shipped block trees tested it again, twice a step."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = {"success": 0, "step": 0}
+        success, step = sw.success, sw.step
+
+        def counting_success(state):
+            calls["success"] += 1
+            return success(state)
+
+        def counting_step(state, action):
+            calls["step"] += 1
+            return step(state, action)
+
+        for module in (sw, campaign):
+            monkeypatch.setattr(module, "success", counting_success)
+        monkeypatch.setattr(campaign, "step", counting_step)
+        return calls
+
+    @pytest.mark.parametrize("kind", sw.BUNDLED_TASKS)
+    def test_scripted_runner(self, kind, monkeypatch):
+        calls = self.counting(monkeypatch)
+        assert campaign.scripted_runner()(sw.TaskSpec(kind), 5)
+        assert calls["step"] > 100
+        assert calls["success"] == calls["step"] + 1  # before each step, and the test that finds it done
+
+    @pytest.mark.parametrize("kind", ["pick_place", "stack"])
+    def test_ensemble_episode(self, kind, monkeypatch):
+        spec = sw.TaskSpec(kind)
+        demo = sw.record_demo(spec, 4)
+        first = {"pick_place": "block", "stack": "blue_block"}[kind]  # the bottom block
+        grasp = demo.gripper_transition_timesteps()[0]
+        state, _ = sw.reset(spec, 4)
+        calls = self.counting(monkeypatch)
+        out = run_ensemble_episode(state, demo_segment(demo), [(grasp - 25, first, np.array([0.05, 0.04, 0.0]))])
+        assert out.success
+        assert any(row["mode"] == "feedback" for row in out.ensemble.trace)  # the push hands control to the scripted feedback
+        assert calls["success"] == calls["step"] + 2  # before each step, the test that ends the loop, the outcome
+
+
+def parting_state(case):
+    """A pick_place state, the arm at home, where the one placement tree and
+    the first-shipped pick_place tree answer differently."""
+    state, _ = sw.reset(sw.TaskSpec("pick_place"), 8)
+    block, slot = state.objects["block"], state.slots["block"]
+    if case == "closed-on-nothing":
+        state.objects["block"], state.gripper = Pose(slot.copy(), block.rotation), GRIPPER_CLOSED
+    else:
+        state.objects["block"] = Pose(slot + np.array([0.75 * TOL, 0.0, 0.0]), block.rotation)
+    return state
+
+
+class TestWhereTheTreesPart:
+    """Two states no caller reaches: ``scripted_runner`` and
+    ``run_ensemble_episode`` test ``success`` before they ask the tree, and a
+    recorded demo releases each block exactly on its slot. Both are pinned
+    here so that a change to either answer is a decision, not an accident."""
+
+    @pytest.mark.parametrize("case", ["closed-on-nothing", "placed-within-tol"])
+    def test_pick_place(self, case):
+        state = parting_state(case)
+        block = state.objects["block"].position
+        act = sw.scripted_action(state)
+        assert act.gripper == GRIPPER_OPEN
+        if case == "closed-on-nothing":
+            # (a) the block sits in its slot: the tree opens the gripper and stays home, where
+            # the first-shipped tree, not yet successful, opened it and went back for the block;
+            # either way the task is done once the gripper is open
+            assert not sw.success(state)
+            assert act.pose is sw.HOME_POSE
+            assert sw.success(sw.step(state, act))
+        else:
+            # (b) success holds, but a block counts as placed only within tol/2 of its slot: the
+            # tree fetches the block again, where the first-shipped tree tested success and was done
+            assert sw.success(state)
+            home = sw.HOME_POSE.position
+            assert sw._norm(act.pose.position[:2] - block[:2]) < sw._norm(home[:2] - block[:2])
 
 
 class TestStepMatchesOracle:
@@ -724,6 +876,28 @@ class TestDeterminism:
                 assert np.array_equal(e1.pose.position, e2.pose.position)
 
 
+def drawer_opening(state):
+    return state.task_metadata["drawer_closed_x"] - state.objects["drawer"].position[0]
+
+
+def mug_inside(state):
+    """The mug within 4 cm, in x and y, of the interior center behind the handle."""
+    rel = state.objects["mug"].position - state.objects["drawer"].position
+    return abs(rel[0] - sw.DRAWER_INTERIOR_DX) < 0.04 and abs(rel[1]) < 0.04
+
+
+def drawer_progress(state):
+    """(drawer opened, mug held, mug inside an open drawer, drawer shut on the
+    mug with the gripper open and free), read off the state."""
+    opening, free = drawer_opening(state), state.attached_object is None
+    return (
+        opening >= 0.8 * state.task_metadata["drawer_travel"],
+        state.attached_object == "mug",
+        mug_inside(state) and free and opening > 0.02,
+        mug_inside(state) and free and opening <= 0.02 and state.gripper == GRIPPER_OPEN,
+    )
+
+
 class TestDrawer:
     def open_drawer(self, seed=3):
         spec = sw.TaskSpec("drawer_mug")
@@ -778,23 +952,25 @@ class TestDrawer:
             mug_rel, abs=1e-9
         )
         sw.step(state, hold_action(state, GRIPPER_OPEN))
-        assert sw.drawer_mug_stage(state) == 4
+        assert drawer_opening(state) <= 0.02 and mug_inside(state)
+        assert state.attached_object is None and state.gripper == GRIPPER_OPEN
         assert sw.success(state)
 
     def test_stage_progression_in_scripted_demo(self):
+        # the solver opens the drawer, picks the mug up, puts it inside, then shuts the drawer, in that order
         spec = sw.TaskSpec("drawer_mug")
         state, _ = sw.reset(spec, 1)
-        stages = [sw.drawer_mug_stage(state)]
+        rows = [drawer_progress(state)]
         for _ in range(5000):
             act = sw.scripted_action(state)
             if act is None:
                 break
             sw.step(state, act)
-            stages.append(sw.drawer_mug_stage(state))
-        assert stages[0] == 0
-        assert stages[-1] == 4
-        for want in (1, 2, 3):
-            assert want in stages
+            rows.append(drawer_progress(state))
+        assert not any(rows[0])
+        assert rows[-1][3] and sw.success(state)
+        firsts = [[row[k] for row in rows].index(True) for k in range(4)]
+        assert firsts == sorted(set(firsts))
 
 
 class TestScriptedDemos:
