@@ -9,6 +9,7 @@ thrashing.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +96,16 @@ class ActionRows:
         return out
 
 
+def _attach_floor(state: EnsembleState, start: int, position: np.ndarray, here: np.ndarray, grip: float) -> np.ndarray:
+    """A lower bound on each point's normalized attach L1 from start on: its position and gripper terms plus
+    |rotvec| / max rotation scale, and |rotvec| is the angle theta >= the chord 2 sin(theta / 2). Each term is
+    1-Lipschitz in the current position, rotation matrix and gripper, in the distance select_reattach's anchor uses."""
+    traj, s = state.ff_trajectory, state.scale
+    low = (np.abs(traj.positions[start:] - position) / s[:3]).sum(axis=1) + np.abs(traj.gripper[start:] - grip) / s[6]
+    chord = np.sqrt(np.square(traj.rotations[start:] - here).sum(axis=(1, 2)) / 2.0) - _CHORD_SLACK
+    return low + chord / s[3:6].max()
+
+
 def select_reattach(
     state: EnsembleState, current_pose: Pose, current_gripper: float, a_il: np.ndarray, tau: float = TAU_REATTACH
 ) -> int | None:
@@ -104,31 +115,40 @@ def select_reattach(
     action along the trajectory at t and the reattach action (from here to
     the trajectory pose at t) agree with the feedback action above tau.
     Returns the feasible t with the highest reattach similarity, earliest on
-    ties. The recorded filter reads the state's per-trajectory table, so
-    reattach actions are built only for the points that pass it, and only
-    once no bound without rotations proves them all infeasible. Such a
-    proof never drops single points: a row's similarity bits can depend on
-    the batch it is scored in.
+    ties. A bound without rotations first tries to prove the whole suffix
+    infeasible, and the state keeps its minimum as an anchor: while that
+    minimum, less how far the arm has moved since, clears the cutoff, the
+    scan is empty with no array work. Otherwise the recorded filter reads the
+    state's per-trajectory table, and reattach actions are built only for
+    the points that pass it and the bound. Such a proof never drops single
+    points: a row's similarity bits can depend on the batch it is scored in.
     """
     traj, start = state.ff_trajectory, state.ff_cursor + 1
     if start >= len(traj):
         return None
+    x, here, grip, scale = current_pose.position, current_pose.rotation.as_matrix(), float(current_gripper), state.scale
+    nb1 = float(np.abs(a_il).sum())
+    low = None
+    if tau > 0.0 and nb1 > 0.0 and trusted_rotation(here):
+        # a row scoring above tau has L1 < nb1 (2 - tau) / tau; the 1e-9s cover rounding
+        cut = nb1 * (2.0 - tau) / tau * (1.0 + 1e-9)
+        if state.anchor is not None and start >= state.anchor[0]:  # a later suffix start drops rows only
+            _, floor, x0, h0, g0 = state.anchor
+            s = scale.tolist()  # how far the arm moved since, in the bound's terms; NaN or inf on a non-finite grip
+            moved = sum(abs(a - b) / c for a, b, c in zip(x.tolist(), x0, s)) + abs(grip - g0) / s[6]
+            moved += math.dist(here.ravel().tolist(), h0) / math.sqrt(2.0) / max(s[3:6])
+            if floor - moved >= cut + 1e-9 * (abs(floor) + moved):
+                return None
+        bound = _attach_floor(state, start, x, here, grip)
+        if np.isfinite(bound).all():  # a non-finite row raises below instead
+            low, state.anchor = bound, (start, float(bound.min()), x.tolist(), here.ravel().tolist(), grip)
+            if state.anchor[1] >= cut:
+                return None
     cand = start + np.flatnonzero(state.recorded[start:].similarity(a_il) > tau)
-    if not cand.size:
+    if not cand.size or low is not None and low[cand - start].min() >= cut:
         return None
     p, r, g = traj.positions[cand], traj.rotations[cand], traj.gripper[cand]
-    here, grip, scale = current_pose.rotation.as_matrix(), float(current_gripper), state.scale
-    nb1 = float(np.abs(a_il).sum())
-    if tau > 0.0 and nb1 > 0.0 and trusted_rotation(here):
-        # a row scoring above tau has L1 < nb1 (2 - tau) / tau; the 1e-9 covers rounding. An attach row's L1 is
-        # at least its position and gripper terms plus |rotvec| / max rotation scale, and |rotvec| is the
-        # angle theta >= the chord 2 sin(theta / 2)
-        chord = np.sqrt(np.square(r - here).sum(axis=(1, 2)) / 2.0) - _CHORD_SLACK
-        low = (np.abs(p - current_pose.position) / scale[:3]).sum(axis=1) + np.abs(g - grip) / scale[6]
-        low += chord / scale[3:6].max()
-        if np.isfinite(low).all() and low.min() >= nb1 * (2.0 - tau) / tau * (1.0 + 1e-9):
-            return None  # a non-finite row raises below instead
-    att = _row_deltas(current_pose.position, here, grip, p, r, g)
+    att = _row_deltas(x, here, grip, p, r, g)
     att_sims = ActionRows.of(att / scale).similarity(a_il)
     feasible = att_sims > tau
     if not feasible.any():
@@ -138,7 +158,7 @@ def select_reattach(
 
 @dataclass
 class EnsembleState:
-    ff_trajectory: TrajectorySegment
+    ff_trajectory: TrajectorySegment  # read-only: the recorded table and the reattach anchor hold while it does
     scale: np.ndarray  # per-dimension std of the trajectory's step actions, floored at 1e-6
     recorded: ActionRows  # the trajectory's own action at each point; the last repeats the final step
     mode: str = "feedforward"
@@ -146,9 +166,14 @@ class EnsembleState:
     cooldown_remaining: int = 0
     disagreement_streak: int = 0
     trace: list[dict] = field(default_factory=list)
+    # select_reattach's last suffix bound: (suffix start, its minimum, position, rotation matrix, gripper)
+    anchor: tuple | None = None
 
     @classmethod
     def initial(cls, traj: TrajectorySegment) -> "EnsembleState":
+        traj = TrajectorySegment(*(np.array(a) for a in (traj.positions, traj.rotations, traj.gripper)))
+        for a in (traj.positions, traj.rotations, traj.gripper):
+            a.setflags(write=False)  # a copy no caller can write
         check_rotation_matrices(traj.rotations)  # the reattach scan's chord bound holds for proper rotations
         raw = _step_deltas(traj)
         scale = np.maximum(raw.std(axis=0), 1e-6)

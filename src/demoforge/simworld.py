@@ -171,14 +171,14 @@ def _step_pose_toward(current: Pose, goal: Pose, max_step: float, max_angular: f
     return Pose.unchecked(new_pos, new_rot)
 
 
-def _rest_z(state: WorldState, name: str, xy: np.ndarray) -> float:
-    """Resting height at xy: ground, or on top of a block underneath."""
+def _rest_z(state: WorldState, name: str, position: np.ndarray) -> float:
+    """Resting height under position: ground, or on top of a block whose centre lies below it."""
     half = MUG_HALF if name == "mug" else BLOCK_HALF
     top = half
     for other, pose in state.objects.items():
         if other in (name, "drawer", state.attached_object):
             continue
-        if _norm(pose.position[:2] - xy) < 0.03:
+        if pose.position[2] < position[2] and _norm(pose.position[:2] - position[:2]) < 0.03:
             other_half = MUG_HALF if other == "mug" else BLOCK_HALF
             top = max(top, pose.position[2] + other_half + half)
     return top
@@ -246,7 +246,7 @@ def step(state: WorldState, action: Action) -> WorldState:
         if name != "drawer":
             pose = state.objects[name]
             rest = pose.position.copy()
-            rest[2] = _rest_z(state, name, pose.position[:2])
+            rest[2] = _rest_z(state, name, pose.position)
             state.objects[name] = Pose.unchecked(rest, pose.rotation)
     state.gripper = action.gripper
 
@@ -278,6 +278,11 @@ def inject_disturbance(state: WorldState, object_id: str, delta) -> WorldState:
         raise ObjectAttached(f"{object_id!r} is held by the gripper")
     pose = state.objects[object_id]
     state.objects[object_id] = Pose(pose.position + np.asarray(delta, dtype=float), pose.rotation)
+    # a block whose support was pushed away falls onto what now lies below it, bottom up
+    for name in sorted(state.objects, key=lambda n: state.objects[n].position[2]):
+        pose, rest = state.objects[name], _rest_z(state, name, state.objects[name].position)
+        if name not in (object_id, "drawer", state.attached_object) and rest < pose.position[2]:
+            state.objects[name] = Pose.unchecked(np.array([*pose.position[:2], rest]), pose.rotation)
     return state
 
 

@@ -766,7 +766,8 @@ class TestEnsembleEpisode:
             return out
 
         picks, built, scans = [], [], []  # scans: whether each shipped scan built attach rows
-        real_scan, real_rows = ensemble.select_reattach, ensemble._row_deltas
+        floors = []  # one entry per suffix bound the shipped scans computed
+        real_scan, real_rows, real_floor = ensemble.select_reattach, ensemble._row_deltas, ensemble._attach_floor
 
         def oracle(state, pose, grip, a_il, tau):
             picks.append(select_reattach_oracle(state.ff_trajectory, pose, grip, state.ff_cursor, a_il, state.scale, tau))
@@ -779,6 +780,7 @@ class TestEnsembleEpisode:
             return pick
 
         monkeypatch.setattr(ensemble, "_row_deltas", lambda *args: built.append(1) or real_rows(*args))
+        monkeypatch.setattr(ensemble, "_attach_floor", lambda *args: floors.append(1) or real_floor(*args))
         monkeypatch.setattr(ensemble, "select_reattach", counted)
         shipped = traces()
         monkeypatch.setattr(ensemble, "select_reattach", oracle)
@@ -787,6 +789,8 @@ class TestEnsembleEpisode:
         assert sum(p is not None for p in picks) >= 2, picks
         # the emptiness certificate spares most scans their rotations
         assert sum(scans) < 0.2 * len(scans), (sum(scans), len(scans))
+        # and the anchor most scans their suffix bound: 513 of 3608 scans computed one when this was written
+        assert len(floors) < 0.25 * len(scans), (len(floors), len(scans))
 
     def test_disturbing_held_object_rejected(self):
         state, scene = reset(self.spec, 5)

@@ -470,10 +470,11 @@ class TestReattachCertificate:
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
     @pytest.mark.parametrize("where", ["position", "rotation", "gripper", "current gripper"])
     def test_non_finite_attach_row_still_raises(self, monkeypatch, bad, where):
-        # the trajectory goes bad after its recorded table is built, in a far scan the certificate proves
-        # empty while the trajectory is finite
+        # a non-finite current gripper, in a far scan the bound proves empty while the gripper is finite, raises
+        # as the first scan does. The trajectory cannot go bad after the state checked it: the state holds a
+        # read-only copy, so a write into it raises, and a caller's later write to its own arrays misses it
         rng = np.random.default_rng(79)
-        raised = 0
+        checked = 0
         for trial in range(40):
             traj, _, _, t_now, _, scale = fuzz_reattach_instance(rng, 0)
             state = state_with_scale(traj, scale)
@@ -482,21 +483,24 @@ class TestReattachCertificate:
             if not cand.size or self.scan(monkeypatch, state, current, grip, a_il, TAU_REATTACH)[1]:
                 continue
             k = int(rng.choice(cand))
-            if where == "position":
-                traj.positions[k, 1] = bad
-            elif where == "rotation":
-                traj.rotations[k, 1, 2] = bad  # scipy spins on +inf in column 0
-            elif where == "gripper":
-                traj.gripper[k] = bad
+            if where == "current gripper":
+                with np.errstate(invalid="ignore"):  # inf - inf in the matmuls and dets
+                    with pytest.raises(ValueError):
+                        select_reattach_oracle(traj, current, bad, t_now, a_il, scale, TAU_REATTACH)
+                    with pytest.raises(ValueError):
+                        select_reattach(state, current, bad, a_il, TAU_REATTACH)
             else:
-                grip = bad
-            with np.errstate(invalid="ignore"):  # inf - inf in the matmuls and dets
-                with pytest.raises(ValueError):
-                    select_reattach_oracle(traj, current, grip, t_now, a_il, scale, TAU_REATTACH)
-                with pytest.raises(ValueError):
-                    select_reattach(state, current, grip, a_il, TAU_REATTACH)
-            raised += 1
-        assert raised >= 10, raised
+                name, index = {"position": ("positions", (k, 1)), "rotation": ("rotations", (k, 1, 2))}.get(
+                    where, ("gripper", k)
+                )
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(state.ff_trajectory, name)[index] = bad
+                getattr(traj, name)[index] = bad
+                assert np.isfinite(getattr(state.ff_trajectory, name)).all()
+                want = select_reattach_oracle(state.ff_trajectory, current, grip, t_now, a_il, scale, TAU_REATTACH)
+                assert select_reattach(state, current, grip, a_il, TAU_REATTACH) == want
+            checked += 1
+        assert checked >= 10, checked
 
     def test_trajectory_rotations_must_be_proper(self):
         traj = line_traj(5)
@@ -514,6 +518,113 @@ class TestReattachCertificate:
         else:
             with pytest.raises(ValueError, match="orthonormal"):
                 EnsembleState.initial(traj)
+
+
+def counting_floors(monkeypatch):
+    """A list that gains an entry each time select_reattach bounds a suffix."""
+    calls = []
+    real = ensemble._attach_floor
+    monkeypatch.setattr(ensemble, "_attach_floor", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+class TestReattachAnchor:
+    """Across scans of one state, the suffix bound's minimum less how far the arm has moved since proves a scan
+    empty; a scan it cannot prove empty is the full scan, and every pick is the first-shipped scan's."""
+
+    def test_scan_sequences_match_the_oracle(self, monkeypatch):
+        # the current position, rotation and gripper walk, the cursor jumps now and then (back as well as on),
+        # and the feedback action is now one recorded past the cursor, now the step to a trajectory point
+        rng = np.random.default_rng(80)
+        floors = counting_floors(monkeypatch)
+        scans = picked = 0
+        for trial in range(80):
+            traj, current, grip, t_now, a_il, scale = fuzz_reattach_instance(rng, 0)
+            state = state_with_scale(traj, scale)
+            n = len(traj)
+            if trial % 2:
+                current, grip, _ = TestReattachCertificate.far_instance(rng, traj, state, t_now)
+            x, rot = current.position, current.rotation
+            step = float(rng.choice([0.002, 0.02]))
+            for _ in range(40):
+                x = x + rng.normal(0.0, step, 3)
+                rot = Rotation(rotvec_matrices(rng.normal(0.0, 5.0 * step, 3))) @ rot
+                grip = grip if rng.random() < 0.8 else float(rng.choice([0.0, 1.0, rng.uniform()]))
+                if rng.random() < 0.1:
+                    state.ff_cursor = int(rng.integers(0, n))
+                pose, j = Pose(x, rot), int(rng.integers(min(state.ff_cursor + 1, n - 1), n))
+                if rng.random() < 0.5:
+                    a_il = state.recorded.rows[j] * float(rng.uniform(0.5, 1.5))
+                else:
+                    a_il = action_delta(pose, grip, traj.pose(j), float(traj.gripper[j])) / scale
+                tau = float(rng.choice([0.1, 0.5, 0.95]))
+                want = select_reattach_oracle(traj, pose, grip, state.ff_cursor, a_il, scale, tau)
+                assert select_reattach(state, pose, grip, a_il, tau) == want, (trial, tau)
+                scans += 1
+                picked += want is not None
+        assert picked >= 300 and scans - len(floors) >= 600, (picked, len(floors), scans)
+
+    def test_cursor_moved_back_bounds_the_longer_suffix(self, monkeypatch):
+        # anchored on the last point alone, far from the arm; with the cursor back at the start the point just
+        # ahead of the arm is a perfect reattach, which an anchor over the shorter suffix would hide
+        traj = line_traj(10)
+        state = EnsembleState.initial(traj)
+        a_il = state.recorded.rows[1]
+        floors = counting_floors(monkeypatch)
+        state.ff_cursor = 8
+        assert select_reattach(state, traj.pose(1), 1.0, a_il) is None and len(floors) == 1
+        state.ff_cursor = 0
+        assert select_reattach_oracle(traj, traj.pose(1), 1.0, 0, a_il, state.scale, TAU_REATTACH) == 2
+        assert select_reattach(state, traj.pose(1), 1.0, a_il) == 2 and len(floors) == 2
+
+    def test_anchor_never_fires_within_1e12_of_the_cutoff(self, monkeypatch):
+        # a state far off the trajectory is anchored, then moved in position, rotation and gripper until the
+        # anchor's minimum less the distance moved sits 1e-12 (relative) either side of the cutoff: the anchor
+        # must not prove that scan empty, and the full scan picks what the first-shipped scan picks; halfway
+        # there, it must
+        rng = np.random.default_rng(81)
+        sides, fired = {-1.0: 0, 1.0: 0}, 0
+        for trial in range(200):
+            traj, _, _, t_now, _, scale = fuzz_reattach_instance(rng, trial % 3)
+            state = state_with_scale(traj, scale)
+            state.ff_cursor = t_now
+            current, grip, row = TestReattachCertificate.far_instance(rng, traj, state, t_now)
+            suffix = np.arange(t_now + 1, len(traj))
+            if not suffix.size or not np.abs(row).sum() > 0.0:
+                continue
+            tau, side = float(rng.choice([0.1, 0.5, 0.95])), float(rng.choice([-1.0, 1.0]))
+            floor = attach_l1_floor(state, suffix, current, grip)
+            # the cutoff somewhere below the floor
+            a_il = row * (floor * float(rng.uniform(0.2, 0.8)) / cutoff(row, tau))
+            target = cutoff(a_il, tau) * (1.0 + side * 1e-12)
+            dx, dw, dg = rng.normal(0.0, 0.1, 3), rng.normal(0.0, 0.2, 3), float(rng.normal(0.0, 0.3))
+
+            def moved(lam):
+                return Pose(current.position + lam * dx, Rotation(rotvec_matrices(lam * dw)) @ current.rotation)
+
+            def lead(lam):  # the anchor's minimum less the distance moved, in select_reattach's terms
+                m = (np.abs(moved(lam).position - current.position) / scale[:3]).sum() + abs(lam * dg) / scale[6]
+                chord = np.linalg.norm(moved(lam).rotation.as_matrix() - current.rotation.as_matrix())
+                return floor - m - chord / np.sqrt(2.0) / scale[3:6].max()
+
+            floors = counting_floors(monkeypatch)
+            assert select_reattach(state, current, grip, a_il, tau) is None and len(floors) == 1
+            lo, hi = 0.0, 1.0
+            while lead(hi) > target:
+                hi *= 2.0
+            while lo < (mid := (lo + hi) / 2.0) < hi:  # the lead falls continuously in lam: bisect to adjacent floats
+                lo, hi = (mid, hi) if lead(mid) > target else (lo, mid)
+            lam = lo if side > 0.0 else hi  # just above the cutoff, or just below it
+            assert abs(lead(lam) / cutoff(a_il, tau) - 1.0) < 2e-12
+            if lead(lam / 2.0) > target * (1.0 + 1e-6):
+                assert select_reattach(state, moved(lam / 2.0), grip + lam / 2.0 * dg, a_il, tau) is None
+                assert len(floors) == 1, trial  # proved empty by the anchor alone
+                fired += 1
+            want = select_reattach_oracle(traj, moved(lam), grip + lam * dg, t_now, a_il, scale, tau)
+            assert select_reattach(state, moved(lam), grip + lam * dg, a_il, tau) == want, (trial, tau, side)
+            assert len(floors) == 2, (trial, tau, side)
+            sides[side] += 1
+        assert min(sides.values()) >= 60 and fired >= 100, (sides, fired)
 
 
 def perfect_feedback(traj, cursor):
