@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import betainc, betaincinv, betaln, ndtri
 
 
@@ -97,13 +96,14 @@ def estimate_horizon(state: BanditState) -> int:
     return max(1, math.ceil((state.goal_successes - state.current_successes) / best))
 
 
-def _beta_neg_loglik(log_params: np.ndarray, samples: np.ndarray) -> float:
+def _beta_neg_loglik(log_params: np.ndarray, n: int, log_sum: float, log1m_sum: float) -> float:
     a, b = np.exp(log_params)
-    return float(len(samples) * betaln(a, b) - (a - 1) * np.sum(np.log(samples)) - (b - 1) * np.sum(np.log1p(-samples)))
+    return float(n * betaln(a, b) - (a - 1) * log_sum - (b - 1) * log1m_sum)
 
 
 def fit_arm_prior(arms: list[Arm], m: int = 1000, rng=None) -> PriorFit:
     """MLE Beta fit over m posterior samples pooled from every arm."""
+    from scipy.optimize import minimize  # slow to import, and only a fit needs it
     if not arms:
         raise NoArms("fit_arm_prior needs at least one arm")
     rng = np.random.default_rng(rng)
@@ -114,7 +114,8 @@ def fit_arm_prior(arms: list[Arm], m: int = 1000, rng=None) -> PriorFit:
     mu, var = float(np.mean(pooled)), float(np.var(pooled))
     common = max(mu * (1 - mu) / max(var, 1e-12) - 1.0, 1e-3)
     x0 = np.log(np.clip([mu * common, (1 - mu) * common], 1e-3, 1e6))
-    res = minimize(_beta_neg_loglik, x0, args=(pooled,), method="Nelder-Mead", options={"xatol": 1e-8, "fatol": 1e-10})
+    sums = (len(pooled), np.sum(np.log(pooled)), np.sum(np.log1p(-pooled)))  # the loglik's sums, once per fit
+    res = minimize(_beta_neg_loglik, x0, args=sums, method="Nelder-Mead", options={"xatol": 1e-8, "fatol": 1e-10})
     alpha_hat, beta_hat = np.exp(res.x)
     return PriorFit(float(alpha_hat), float(beta_hat), m)
 

@@ -106,6 +106,22 @@ def _attach_floor(state: EnsembleState, start: int, position: np.ndarray, here: 
     return low + chord / s[3:6].max()
 
 
+def _cutoff(nb1: float, tau: float) -> float:  # a row above tau has L1 < nb1 (2 - tau) / tau; 1e-9 for rounding
+    return nb1 * (2.0 - tau) / tau * (1.0 + 1e-9)  # rounding keeps it monotone in nb1
+
+
+def _anchor_clears(state: EnsembleState, start: int, position: list, here: list, grip: float, cut: float) -> bool:
+    """Whether the anchor's minimum, less how far the arm (position, flat rotation matrix and gripper as Python
+    floats) has moved since in the bound's terms, clears cut: then no point from start on scores above tau."""
+    if state.anchor is None or start < state.anchor[0]:  # a later suffix start drops rows only
+        return False
+    _, floor, x0, h0, g0 = state.anchor
+    s = state.scale.tolist()  # NaN or inf on a non-finite input, and the comparison fails
+    moved = sum(abs(a - b) / c for a, b, c in zip(position, x0, s)) + abs(grip - g0) / s[6]
+    moved += math.dist(here, h0) / math.sqrt(2.0) / max(s[3:6])
+    return floor - moved >= cut + 1e-9 * (abs(floor) + moved)
+
+
 def select_reattach(
     state: EnsembleState, current_pose: Pose, current_gripper: float, a_il: np.ndarray, tau: float = TAU_REATTACH
 ) -> int | None:
@@ -130,18 +146,12 @@ def select_reattach(
     nb1 = float(np.abs(a_il).sum())
     low = None
     if tau > 0.0 and nb1 > 0.0 and trusted_rotation(here):
-        # a row scoring above tau has L1 < nb1 (2 - tau) / tau; the 1e-9s cover rounding
-        cut = nb1 * (2.0 - tau) / tau * (1.0 + 1e-9)
-        if state.anchor is not None and start >= state.anchor[0]:  # a later suffix start drops rows only
-            _, floor, x0, h0, g0 = state.anchor
-            s = scale.tolist()  # how far the arm moved since, in the bound's terms; NaN or inf on a non-finite grip
-            moved = sum(abs(a - b) / c for a, b, c in zip(x.tolist(), x0, s)) + abs(grip - g0) / s[6]
-            moved += math.dist(here.ravel().tolist(), h0) / math.sqrt(2.0) / max(s[3:6])
-            if floor - moved >= cut + 1e-9 * (abs(floor) + moved):
-                return None
+        cut, xs, hs = _cutoff(nb1, tau), x.tolist(), here.ravel().tolist()
+        if _anchor_clears(state, start, xs, hs, grip, cut):
+            return None
         bound = _attach_floor(state, start, x, here, grip)
         if np.isfinite(bound).all():  # a non-finite row raises below instead
-            low, state.anchor = bound, (start, float(bound.min()), x.tolist(), here.ravel().tolist(), grip)
+            low, state.anchor = bound, (start, float(bound.min()), xs, hs, grip)
             if state.anchor[1] >= cut:
                 return None
     cand = start + np.flatnonzero(state.recorded[start:].similarity(a_il) > tau)
@@ -188,6 +198,21 @@ def _normalized(state: EnsembleState, pose: Pose, grip: float, goal: Action) -> 
     return vector
 
 
+def _scan_proved_empty(state: EnsembleState, pose: Pose, grip: float, goal: Action) -> bool:
+    """select_reattach's anchor exit before the feedback action a is built, on a bound of a's L1: its position and
+    gripper quotients plus theta sqrt(sum s_rot^-2) (Cauchy-Schwarz), theta <= (pi / 2) 2 sin(theta / 2) the chord.
+    Only a position or gripper move proves a != 0; on a NaN or inf a comparison fails and building a raises."""
+    start, here, there = state.ff_cursor + 1, pose.rotation.as_matrix(), goal.pose.rotation.as_matrix()
+    if not (start < len(state.ff_trajectory) and trusted_rotation(here) and trusted_rotation(there)):
+        return False
+    s, x, g, p = state.scale.tolist(), pose.position.tolist(), float(grip), goal.pose.position.tolist()
+    linear = sum(abs(b - a) / c for a, b, c in zip(x, p, s)) + abs(float(goal.gripper) - g) / s[6]
+    here = here.ravel().tolist()
+    chord = math.dist(here, there.ravel().tolist()) / math.sqrt(2.0) + _CHORD_SLACK
+    nb1 = (linear + math.pi / 2.0 * chord * math.hypot(1.0 / s[3], 1.0 / s[4], 1.0 / s[5])) * (1.0 + 1e-9)
+    return linear > 0.0 and _anchor_clears(state, start, x, here, g, _cutoff(nb1, TAU_REATTACH))
+
+
 def ensemble_step(
     state: EnsembleState, feedback_action: Action, current_pose: Pose, current_gripper: float
 ) -> tuple[Action, EnsembleState]:
@@ -210,7 +235,7 @@ def ensemble_step(
     if state.mode == "feedback":
         executed = feedback_action
         flip = False
-        if state.cooldown_remaining == 0:
+        if state.cooldown_remaining == 0 and not _scan_proved_empty(state, current_pose, current_gripper, executed):
             a_il = _normalized(state, current_pose, current_gripper, feedback_action)
             t_star = select_reattach(state, current_pose, current_gripper, a_il, TAU_REATTACH)
             if t_star is not None:

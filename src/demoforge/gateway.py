@@ -21,8 +21,6 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field
 
-import requests
-
 
 class GatewayError(RuntimeError):
     """Completion failed. ``kind`` is one of 'auth', 'timeout', 'transport',
@@ -223,6 +221,7 @@ class HttpGateway(Gateway):
         return key
 
     def _transport(self, prompt: str, attachments, temperature) -> tuple[str, int]:
+        import requests  # only HTTP traffic needs it, and it is slow to import
         key = self._credential()  # before any network traffic
         content: list[dict] | str
         if attachments:

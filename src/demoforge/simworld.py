@@ -278,10 +278,10 @@ def inject_disturbance(state: WorldState, object_id: str, delta) -> WorldState:
         raise ObjectAttached(f"{object_id!r} is held by the gripper")
     pose = state.objects[object_id]
     state.objects[object_id] = Pose(pose.position + np.asarray(delta, dtype=float), pose.rotation)
-    # a block whose support was pushed away falls onto what now lies below it, bottom up
+    # the pushed block, and any whose support was pushed away, falls onto what now lies below it, bottom up
     for name in sorted(state.objects, key=lambda n: state.objects[n].position[2]):
         pose, rest = state.objects[name], _rest_z(state, name, state.objects[name].position)
-        if name not in (object_id, "drawer", state.attached_object) and rest < pose.position[2]:
+        if name not in ("drawer", state.attached_object) and rest < pose.position[2]:
             state.objects[name] = Pose.unchecked(np.array([*pose.position[:2], rest]), pose.rotation)
     return state
 

@@ -627,6 +627,94 @@ class TestReattachAnchor:
         assert min(sides.values()) >= 60 and fired >= 100, (sides, fired)
 
 
+def precheck_cutoff(state, pose, grip, goal):
+    """The cutoff at TAU_REATTACH of the pre-check's bound on the feedback action's L1, in numpy."""
+    s, here, there = state.scale, pose.rotation.as_matrix(), goal.pose.rotation.as_matrix()
+    linear = (np.abs(goal.pose.position - pose.position) / s[:3]).sum() + abs(goal.gripper - grip) / s[6]
+    chord = np.linalg.norm(here - there) / np.sqrt(2.0) + _CHORD_SLACK
+    nb1 = (linear + np.pi / 2.0 * chord * np.sqrt(np.sum(1.0 / s[3:6] ** 2))) * (1.0 + 1e-9)
+    return nb1 * (2.0 - TAU_REATTACH) / TAU_REATTACH * (1.0 + 1e-9)
+
+
+def anchor_lead(state, pose, grip):
+    """The anchor's minimum less how far the arm has moved since and less the rounding margin, in numpy."""
+    _, floor, x0, h0, g0 = state.anchor
+    s = state.scale
+    moved = (np.abs(pose.position - x0) / s[:3]).sum() + abs(grip - g0) / s[6]
+    moved += np.linalg.norm(pose.rotation.as_matrix().ravel() - h0) / np.sqrt(2.0) / s[3:6].max()
+    return floor - moved - 1e-9 * (abs(floor) + moved)
+
+
+class TestScanPrecheck:
+    """ensemble_step proves a feedback scan empty before it builds the feedback action, from a bound on the
+    action's L1; whenever that proof fires, select_reattach on the built action takes its anchor exit."""
+
+    @staticmethod
+    def fires(state, pose, grip, goal, floors):
+        """Whether the pre-check fires; if it does, the scan on the built action must return None on the anchor
+        alone and leave the anchor as it was."""
+        if not ensemble._scan_proved_empty(state, pose, grip, goal):
+            return False
+        anchor, before = state.anchor, len(floors)
+        assert select_reattach(state, pose, grip, _normalized(state, pose, grip, goal), TAU_REATTACH) is None
+        assert state.anchor is anchor and len(floors) == before
+        return True
+
+    def test_fuzzed_bounds_1e12_either_side_of_the_anchor(self, monkeypatch):
+        # an anchored state moves a little, and a feedback action, moving or turning or both, is stretched until
+        # the bound's cutoff sits 1e-12 (relative) either side of the anchor's lead: below it the pre-check must
+        # fire, above it not; rotation-only and hold actions, untrusted rotations, a cursor before the anchor's
+        # start or at the end, and a non-finite feedback gripper never let it fire
+        rng = np.random.default_rng(82)
+        floors = counting_floors(monkeypatch)
+        sides, refused = {-1.0: 0, 1.0: 0}, 0
+        for trial in range(300):
+            traj, _, _, t_now, _, scale = fuzz_reattach_instance(rng, trial % 3)
+            state = state_with_scale(traj, scale)
+            state.ff_cursor = t_now
+            current, grip, row = TestReattachCertificate.far_instance(rng, traj, state, t_now)
+            select_reattach(state, current, grip, row, TAU_REATTACH)
+            if state.anchor is None:
+                continue
+            nudge = Rotation(rotvec_matrices(rng.normal(0.0, 0.05, 3)))
+            pose = Pose(current.position + rng.normal(0.0, 0.01, 3), nudge @ current.rotation)
+            turn = Rotation(rotvec_matrices(rng.normal(0.0, 0.2, 3))) @ pose.rotation
+            goal_rot = turn if trial % 2 else pose.rotation
+            d, dg = rng.normal(0.0, 0.01, 3), float(rng.choice([0.0, rng.normal(0.0, 0.3)]))
+            side, lead = float(rng.choice([-1.0, 1.0])), anchor_lead(state, pose, grip)
+            target = lead * (1.0 + side * 1e-12)
+
+            def goal(lam, rot=goal_rot, g=grip):
+                return Action(Pose(pose.position + lam * d, rot), g + lam * dg)
+
+            for refuse in (Action(Pose(pose.position, turn), grip), Action(pose, grip)):  # rotation-only, hold
+                assert not self.fires(state, pose, grip, refuse, floors)
+            if not lead > 0.0 or precheck_cutoff(state, pose, grip, goal(0.0)) >= target:
+                continue
+            lo, hi = 0.0, 1.0
+            while precheck_cutoff(state, pose, grip, goal(hi)) < target:
+                hi *= 2.0
+            while lo < (mid := (lo + hi) / 2.0) < hi:  # the cutoff grows continuously in lam: bisect to adjacent floats
+                lo, hi = (mid, hi) if precheck_cutoff(state, pose, grip, goal(mid)) < target else (lo, mid)
+            assert abs(precheck_cutoff(state, pose, grip, goal(lo)) / lead - 1.0) < 2e-12
+            assert self.fires(state, pose, grip, goal(lo), floors) == (side < 0.0), (trial, side)
+            sides[side] += 1
+            if side > 0.0:
+                continue
+            # what fired above may not fire with an untrusted rotation, a cursor it cannot cover or a bad gripper
+            skewed = Rotation(pose.rotation.as_matrix() * (1.0 + 1e-10))
+            assert not self.fires(state, Pose(pose.position, skewed), grip, goal(lo), floors)
+            assert not self.fires(state, pose, grip, goal(lo, rot=Rotation(goal_rot.as_matrix() * (1.0 + 1e-10))), floors)
+            for bad in (np.nan, np.inf):
+                assert not ensemble._scan_proved_empty(state, pose, grip, goal(lo, g=bad))
+                assert not ensemble._scan_proved_empty(state, pose, bad, goal(lo))
+            for cursor in (t_now - 1, len(traj) - 1) if t_now else (len(traj) - 1,):
+                state.ff_cursor = cursor
+                assert not self.fires(state, pose, grip, goal(lo), floors)
+            refused += 1
+        assert min(sides.values()) >= 60 and refused >= 60, (sides, refused)
+
+
 def perfect_feedback(traj, cursor):
     """The trajectory's own action: a feedback policy in exact agreement."""
     i = min(cursor, len(traj) - 1)

@@ -266,12 +266,16 @@ class TestDisturbance:
         out = sw.rollout(state, demo_segment(demo), disturbances=[(5, "block", np.array([0.08, 0.08, 0.0]))])
         assert not out.success
 
-    def test_load_falls_when_its_support_is_pushed_away(self):
+    @pytest.mark.parametrize("pushed", ["blue_block", "green_block"], ids=["support", "load"])
+    def test_load_falls_when_its_support_is_pushed_away(self, pushed):
+        # push the bottom block out from under the top one, or the top block off the bottom one: either way the
+        # top block ends on the ground, 5 cm from the other, and the bottom block stays on the ground
         state, _ = sw.reset(sw.TaskSpec("stack"), 0)
         bottom = state.objects["blue_block"].position
         state.objects["green_block"] = Pose(bottom + np.array([0.0, 0.0, sw.BLOCK_SIZE]))
-        sw.inject_disturbance(state, "blue_block", np.array([0.05, 0.0, 0.0]))
-        assert state.objects["green_block"].position.tolist() == [*bottom[:2], sw.BLOCK_HALF]
+        sw.inject_disturbance(state, pushed, np.array([0.05, 0.0, 0.0]))
+        top_x = bottom[0] + (0.05 if pushed == "green_block" else 0.0)
+        assert state.objects["green_block"].position.tolist() == [top_x, bottom[1], sw.BLOCK_HALF]
         assert state.objects["blue_block"].position[2] == sw.BLOCK_HALF
 
     @staticmethod
