@@ -61,10 +61,10 @@ class Keypose:
     def __post_init__(self):
         if self.t < 0:
             raise ValueError("keypose timestep must be >= 0")
-        pos_mm, euler_deg = tuple(map(float, self.pos_mm)), tuple(map(float, self.euler_deg))
-        if len(pos_mm) != 3 or len(euler_deg) != 3 or not all(map(math.isfinite, pos_mm + euler_deg)):
-            raise ValueError("keypose pose must be 3 finite numbers for position and for rotation")
-        coerced = dict(pos_mm=pos_mm, euler_deg=euler_deg, gripper=float(self.gripper), objects=tuple(self.objects))
+        pos_mm, euler_deg, gripper = tuple(map(float, self.pos_mm)), tuple(map(float, self.euler_deg)), float(self.gripper)
+        if len(pos_mm) != 3 or len(euler_deg) != 3 or not all(map(math.isfinite, (*pos_mm, *euler_deg, gripper))):
+            raise ValueError("keypose needs 3 finite numbers for position, 3 for rotation and a finite gripper")
+        coerced = dict(pos_mm=pos_mm, euler_deg=euler_deg, gripper=gripper, objects=tuple(self.objects))
         for name, value in coerced.items():
             object.__setattr__(self, name, value)
 

@@ -99,7 +99,7 @@ class ActionRows:
 def _attach_floor(state: EnsembleState, start: int, position: np.ndarray, here: np.ndarray, grip: float) -> np.ndarray:
     """A lower bound on each point's normalized attach L1 from start on: its position and gripper terms plus
     |rotvec| / max rotation scale, and |rotvec| is the angle theta >= the chord 2 sin(theta / 2). Each term is
-    1-Lipschitz in the current position, rotation matrix and gripper, in the distance select_reattach's anchor uses."""
+    1-Lipschitz in the current position, rotation matrix and gripper, in _scan_proved_empty's distance moved."""
     traj, s = state.ff_trajectory, state.scale
     low = (np.abs(traj.positions[start:] - position) / s[:3]).sum(axis=1) + np.abs(traj.gripper[start:] - grip) / s[6]
     chord = np.sqrt(np.square(traj.rotations[start:] - here).sum(axis=(1, 2)) / 2.0) - _CHORD_SLACK
@@ -108,18 +108,6 @@ def _attach_floor(state: EnsembleState, start: int, position: np.ndarray, here: 
 
 def _cutoff(nb1: float, tau: float) -> float:  # a row above tau has L1 < nb1 (2 - tau) / tau; 1e-9 for rounding
     return nb1 * (2.0 - tau) / tau * (1.0 + 1e-9)  # rounding keeps it monotone in nb1
-
-
-def _anchor_clears(state: EnsembleState, start: int, position: list, here: list, grip: float, cut: float) -> bool:
-    """Whether the anchor's minimum, less how far the arm (position, flat rotation matrix and gripper as Python
-    floats) has moved since in the bound's terms, clears cut: then no point from start on scores above tau."""
-    if state.anchor is None or start < state.anchor[0]:  # a later suffix start drops rows only
-        return False
-    _, floor, x0, h0, g0 = state.anchor
-    s = state.scale.tolist()  # NaN or inf on a non-finite input, and the comparison fails
-    moved = sum(abs(a - b) / c for a, b, c in zip(position, x0, s)) + abs(grip - g0) / s[6]
-    moved += math.dist(here, h0) / math.sqrt(2.0) / max(s[3:6])
-    return floor - moved >= cut + 1e-9 * (abs(floor) + moved)
 
 
 def select_reattach(
@@ -132,34 +120,30 @@ def select_reattach(
     the trajectory pose at t) agree with the feedback action above tau.
     Returns the feasible t with the highest reattach similarity, earliest on
     ties. A bound without rotations first tries to prove the whole suffix
-    infeasible, and the state keeps its minimum as an anchor: while that
-    minimum, less how far the arm has moved since, clears the cutoff, the
-    scan is empty with no array work. Otherwise the recorded filter reads the
-    state's per-trajectory table, and reattach actions are built only for
-    the points that pass it and the bound. Such a proof never drops single
-    points: a row's similarity bits can depend on the batch it is scored in.
+    infeasible, and the state keeps its minimum as the anchor _scan_proved_empty
+    reads. Otherwise the recorded filter reads the state's per-trajectory
+    table, and reattach actions are built for the points that pass it. The
+    proof never drops single points: a row's similarity bits can depend on
+    the batch it is scored in.
     """
     traj, start = state.ff_trajectory, state.ff_cursor + 1
     if start >= len(traj):
         return None
-    x, here, grip, scale = current_pose.position, current_pose.rotation.as_matrix(), float(current_gripper), state.scale
+    x, here, grip = current_pose.position, current_pose.rotation.as_matrix(), float(current_gripper)
     nb1 = float(np.abs(a_il).sum())
-    low = None
     if tau > 0.0 and nb1 > 0.0 and trusted_rotation(here):
-        cut, xs, hs = _cutoff(nb1, tau), x.tolist(), here.ravel().tolist()
-        if _anchor_clears(state, start, xs, hs, grip, cut):
-            return None
         bound = _attach_floor(state, start, x, here, grip)
         if np.isfinite(bound).all():  # a non-finite row raises below instead
-            low, state.anchor = bound, (start, float(bound.min()), xs, hs, grip)
-            if state.anchor[1] >= cut:
+            floor = float(bound.min())
+            state.anchor = (start, floor, x.tolist(), here.ravel().tolist(), grip)
+            if floor >= _cutoff(nb1, tau):
                 return None
     cand = start + np.flatnonzero(state.recorded[start:].similarity(a_il) > tau)
-    if not cand.size or low is not None and low[cand - start].min() >= cut:
+    if not cand.size:
         return None
     p, r, g = traj.positions[cand], traj.rotations[cand], traj.gripper[cand]
     att = _row_deltas(x, here, grip, p, r, g)
-    att_sims = ActionRows.of(att / scale).similarity(a_il)
+    att_sims = ActionRows.of(att / state.scale).similarity(a_il)
     feasible = att_sims > tau
     if not feasible.any():
         return None
@@ -176,7 +160,7 @@ class EnsembleState:
     cooldown_remaining: int = 0
     disagreement_streak: int = 0
     trace: list[dict] = field(default_factory=list)
-    # select_reattach's last suffix bound: (suffix start, its minimum, position, rotation matrix, gripper)
+    # select_reattach's last suffix bound, for _scan_proved_empty: (start, its minimum, position, rotation, gripper)
     anchor: tuple | None = None
 
     @classmethod
@@ -199,18 +183,23 @@ def _normalized(state: EnsembleState, pose: Pose, grip: float, goal: Action) -> 
 
 
 def _scan_proved_empty(state: EnsembleState, pose: Pose, grip: float, goal: Action) -> bool:
-    """select_reattach's anchor exit before the feedback action a is built, on a bound of a's L1: its position and
-    gripper quotients plus theta sqrt(sum s_rot^-2) (Cauchy-Schwarz), theta <= (pi / 2) 2 sin(theta / 2) the chord.
-    Only a position or gripper move proves a != 0; on a NaN or inf a comparison fails and building a raises."""
+    """Whether the anchor (select_reattach's last suffix minimum) less how far the arm has moved since clears the
+    cutoff of a bound on the feedback action a's L1, before a is built: its position and gripper quotients plus
+    theta sqrt(sum s_rot^-2) (Cauchy-Schwarz), theta <= (pi / 2) 2 sin(theta / 2) the chord. A later start drops
+    rows only. Only a position or gripper move proves a != 0. A NaN or inf fails a comparison; building a raises."""
     start, here, there = state.ff_cursor + 1, pose.rotation.as_matrix(), goal.pose.rotation.as_matrix()
-    if not (start < len(state.ff_trajectory) and trusted_rotation(here) and trusted_rotation(there)):
+    anchored = state.anchor is not None and state.anchor[0] <= start < len(state.ff_trajectory)
+    if not (anchored and trusted_rotation(here) and trusted_rotation(there)):
         return False
+    _, floor, x0, h0, g0 = state.anchor
     s, x, g, p = state.scale.tolist(), pose.position.tolist(), float(grip), goal.pose.position.tolist()
     linear = sum(abs(b - a) / c for a, b, c in zip(x, p, s)) + abs(float(goal.gripper) - g) / s[6]
     here = here.ravel().tolist()
     chord = math.dist(here, there.ravel().tolist()) / math.sqrt(2.0) + _CHORD_SLACK
     nb1 = (linear + math.pi / 2.0 * chord * math.hypot(1.0 / s[3], 1.0 / s[4], 1.0 / s[5])) * (1.0 + 1e-9)
-    return linear > 0.0 and _anchor_clears(state, start, x, here, g, _cutoff(nb1, TAU_REATTACH))
+    moved = sum(abs(a - b) / c for a, b, c in zip(x, x0, s)) + abs(g - g0) / s[6]
+    moved += math.dist(here, h0) / math.sqrt(2.0) / max(s[3:6])
+    return linear > 0.0 and floor - moved >= _cutoff(nb1, TAU_REATTACH) + 1e-9 * (abs(floor) + moved)
 
 
 def ensemble_step(

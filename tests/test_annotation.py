@@ -565,6 +565,7 @@ class TestSerialization:
             ({"pos_mm": [0, 0]}, ValueError), ({"euler_deg": [0, 0, 0, 0]}, ValueError), ({"pos_mm": []}, ValueError),
             ({"pos_mm": [float("nan"), 0, 0]}, ValueError), ({"euler_deg": [0, float("-inf"), 0]}, ValueError),
             ({"pos_mm": [10**400, 0, 0]}, OverflowError), ({"gripper": 10**400}, OverflowError),
+            ({"gripper": float("nan")}, ValueError), ({"gripper": float("inf")}, ValueError),
             ({"gripper": True}, TypeError), ({"gripper": "1.0"}, TypeError), ({"gripper": None}, TypeError),
             ({"note": None}, TypeError), ({"note": 5}, TypeError),
         ],

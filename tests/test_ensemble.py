@@ -1,4 +1,6 @@
 """Similarity algebra, reattachment selection, and the switching machine."""
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation as SciRotation
@@ -367,12 +369,12 @@ def candidates(state, a_il, tau):
     return start + np.flatnonzero(state.recorded[start:].similarity(a_il) > tau)
 
 
-def attach_l1_floor(state, cand, current, grip):
-    """The smallest lower bound select_reattach's certificate puts on a candidate's normalized attach L1."""
+def attach_l1_floor(state, points, current, grip):
+    """The smallest lower bound select_reattach's certificate puts on the points' normalized attach L1."""
     traj, scale = state.ff_trajectory, state.scale
-    chord = np.sqrt(np.square(traj.rotations[cand] - current.rotation.as_matrix()).sum(axis=(1, 2)) / 2.0)
-    low = (np.abs(traj.positions[cand] - current.position) / scale[:3]).sum(axis=1)
-    low += np.abs(traj.gripper[cand] - grip) / scale[6] + (chord - _CHORD_SLACK) / scale[3:6].max()
+    chord = np.sqrt(np.square(traj.rotations[points] - current.rotation.as_matrix()).sum(axis=(1, 2)) / 2.0)
+    low = (np.abs(traj.positions[points] - current.position) / scale[:3]).sum(axis=1)
+    low += np.abs(traj.gripper[points] - grip) / scale[6] + (chord - _CHORD_SLACK) / scale[3:6].max()
     return float(low.min())
 
 
@@ -431,9 +433,9 @@ class TestReattachCertificate:
         assert fired >= 600 and picked >= 800, (fired, picked)
 
     def test_bound_within_1e12_of_the_cutoff(self, monkeypatch):
-        # a state near the trajectory moved off along a ray until the certificate's bound sits 1e-12
-        # (relative) either side of its cutoff: below it the scan must build attach rows, at or above it it
-        # may not; a_il, and with it the recorded filter's candidates, stays as it is
+        # a state near the trajectory moved off along a ray until the certificate's bound over the whole suffix
+        # sits 1e-12 (relative) either side of its cutoff: below it the scan must build attach rows for the
+        # recorded filter's candidates, at or above it it may not; a_il, and with it the candidates, stays as it is
         rng = np.random.default_rng(78)
         sides = {-1.0: 0, 1.0: 0}
         for trial in range(300):
@@ -443,13 +445,13 @@ class TestReattachCertificate:
             a_il = self.far_instance(rng, traj, state, t_now)[2]
             tau, side = float(rng.choice([0.1, 0.5, 0.95])), float(rng.choice([-1.0, 1.0]))
             cand, target = candidates(state, a_il, tau), cutoff(a_il, tau) * (1.0 + side * 1e-12)
-            ray = rng.normal(0.0, 0.1, 3)
+            suffix, ray = np.arange(t_now + 1, len(traj)), rng.normal(0.0, 0.1, 3)
 
             def moved(lam):
                 return Pose(current.position + lam * ray, current.rotation)
 
             def floor_at(lam):
-                return attach_l1_floor(state, cand, moved(lam), grip)
+                return attach_l1_floor(state, suffix, moved(lam), grip)
 
             if not cand.size or not target > 0.0 or floor_at(0.0) >= target:
                 continue
@@ -529,16 +531,18 @@ def counting_floors(monkeypatch):
 
 
 class TestReattachAnchor:
-    """Across scans of one state, the suffix bound's minimum less how far the arm has moved since proves a scan
-    empty; a scan it cannot prove empty is the full scan, and every pick is the first-shipped scan's."""
+    """Across scans of one state, the anchor select_reattach leaves, less how far the arm has moved since, lets the
+    pre-check prove a feedback step's scan empty; a scan it cannot prove empty is the full scan, and every pick is
+    the first-shipped scan's."""
 
-    def test_scan_sequences_match_the_oracle(self, monkeypatch):
+    def test_scan_sequences_match_the_oracle(self):
         # the current position, rotation and gripper walk, the cursor jumps now and then (back as well as on),
-        # and the feedback action is now one recorded past the cursor, now the step to a trajectory point
+        # and the feedback action is now one recorded past the cursor, now a step all or part of the way to a
+        # trajectory point; that step goes through the pre-check first, as in ensemble_step, and the scan runs only
+        # where it does not fire (never the whole way to a point past the cursor: that point's attach row is the action)
         rng = np.random.default_rng(80)
-        floors = counting_floors(monkeypatch)
-        scans = picked = 0
-        for trial in range(80):
+        scans = picked = proved = 0
+        for trial in range(140):
             traj, current, grip, t_now, a_il, scale = fuzz_reattach_instance(rng, 0)
             state = state_with_scale(traj, scale)
             n = len(traj)
@@ -553,16 +557,25 @@ class TestReattachAnchor:
                 if rng.random() < 0.1:
                     state.ff_cursor = int(rng.integers(0, n))
                 pose, j = Pose(x, rot), int(rng.integers(min(state.ff_cursor + 1, n - 1), n))
+                tau = float(rng.choice([0.1, 0.5, 0.95]))
                 if rng.random() < 0.5:
                     a_il = state.recorded.rows[j] * float(rng.uniform(0.5, 1.5))
                 else:
-                    a_il = action_delta(pose, grip, traj.pose(j), float(traj.gripper[j])) / scale
-                tau = float(rng.choice([0.1, 0.5, 0.95]))
+                    f, tau = float(rng.choice([1.0, 0.2, 0.05])), TAU_REATTACH
+                    turn = (rot.inverse() @ traj.pose(j).rotation).power(f)
+                    toward = Pose(x + f * (traj.positions[j] - x), rot @ turn)
+                    goal = Action(toward, grip + f * (traj.gripper[j] - grip))
+                    a_il = action_delta(pose, grip, goal.pose, goal.gripper) / scale
+                    if ensemble._scan_proved_empty(state, pose, grip, goal):
+                        assert select_reattach_oracle(traj, pose, grip, state.ff_cursor, a_il, scale, tau) is None
+                        proved += 1
+                        continue
                 want = select_reattach_oracle(traj, pose, grip, state.ff_cursor, a_il, scale, tau)
                 assert select_reattach(state, pose, grip, a_il, tau) == want, (trial, tau)
                 scans += 1
                 picked += want is not None
-        assert picked >= 300 and scans - len(floors) >= 600, (picked, len(floors), scans)
+        # the pre-check ended 870 of the 2809 steps toward a trajectory point (31 %) when this was written
+        assert picked >= 300 and proved >= 600, (picked, proved, scans)
 
     def test_cursor_moved_back_bounds_the_longer_suffix(self, monkeypatch):
         # anchored on the last point alone, far from the arm; with the cursor back at the start the point just
@@ -576,55 +589,6 @@ class TestReattachAnchor:
         state.ff_cursor = 0
         assert select_reattach_oracle(traj, traj.pose(1), 1.0, 0, a_il, state.scale, TAU_REATTACH) == 2
         assert select_reattach(state, traj.pose(1), 1.0, a_il) == 2 and len(floors) == 2
-
-    def test_anchor_never_fires_within_1e12_of_the_cutoff(self, monkeypatch):
-        # a state far off the trajectory is anchored, then moved in position, rotation and gripper until the
-        # anchor's minimum less the distance moved sits 1e-12 (relative) either side of the cutoff: the anchor
-        # must not prove that scan empty, and the full scan picks what the first-shipped scan picks; halfway
-        # there, it must
-        rng = np.random.default_rng(81)
-        sides, fired = {-1.0: 0, 1.0: 0}, 0
-        for trial in range(200):
-            traj, _, _, t_now, _, scale = fuzz_reattach_instance(rng, trial % 3)
-            state = state_with_scale(traj, scale)
-            state.ff_cursor = t_now
-            current, grip, row = TestReattachCertificate.far_instance(rng, traj, state, t_now)
-            suffix = np.arange(t_now + 1, len(traj))
-            if not suffix.size or not np.abs(row).sum() > 0.0:
-                continue
-            tau, side = float(rng.choice([0.1, 0.5, 0.95])), float(rng.choice([-1.0, 1.0]))
-            floor = attach_l1_floor(state, suffix, current, grip)
-            # the cutoff somewhere below the floor
-            a_il = row * (floor * float(rng.uniform(0.2, 0.8)) / cutoff(row, tau))
-            target = cutoff(a_il, tau) * (1.0 + side * 1e-12)
-            dx, dw, dg = rng.normal(0.0, 0.1, 3), rng.normal(0.0, 0.2, 3), float(rng.normal(0.0, 0.3))
-
-            def moved(lam):
-                return Pose(current.position + lam * dx, Rotation(rotvec_matrices(lam * dw)) @ current.rotation)
-
-            def lead(lam):  # the anchor's minimum less the distance moved, in select_reattach's terms
-                m = (np.abs(moved(lam).position - current.position) / scale[:3]).sum() + abs(lam * dg) / scale[6]
-                chord = np.linalg.norm(moved(lam).rotation.as_matrix() - current.rotation.as_matrix())
-                return floor - m - chord / np.sqrt(2.0) / scale[3:6].max()
-
-            floors = counting_floors(monkeypatch)
-            assert select_reattach(state, current, grip, a_il, tau) is None and len(floors) == 1
-            lo, hi = 0.0, 1.0
-            while lead(hi) > target:
-                hi *= 2.0
-            while lo < (mid := (lo + hi) / 2.0) < hi:  # the lead falls continuously in lam: bisect to adjacent floats
-                lo, hi = (mid, hi) if lead(mid) > target else (lo, mid)
-            lam = lo if side > 0.0 else hi  # just above the cutoff, or just below it
-            assert abs(lead(lam) / cutoff(a_il, tau) - 1.0) < 2e-12
-            if lead(lam / 2.0) > target * (1.0 + 1e-6):
-                assert select_reattach(state, moved(lam / 2.0), grip + lam / 2.0 * dg, a_il, tau) is None
-                assert len(floors) == 1, trial  # proved empty by the anchor alone
-                fired += 1
-            want = select_reattach_oracle(traj, moved(lam), grip + lam * dg, t_now, a_il, scale, tau)
-            assert select_reattach(state, moved(lam), grip + lam * dg, a_il, tau) == want, (trial, tau, side)
-            assert len(floors) == 2, (trial, tau, side)
-            sides[side] += 1
-        assert min(sides.values()) >= 60 and fired >= 100, (sides, fired)
 
 
 def precheck_cutoff(state, pose, grip, goal):
@@ -646,27 +610,25 @@ def anchor_lead(state, pose, grip):
 
 
 class TestScanPrecheck:
-    """ensemble_step proves a feedback scan empty before it builds the feedback action, from a bound on the
-    action's L1; whenever that proof fires, select_reattach on the built action takes its anchor exit."""
+    """ensemble_step proves a feedback scan empty before it builds the feedback action, from the anchor and a
+    bound on the action's L1; whenever that proof fires, select_reattach on the built action returns None."""
 
     @staticmethod
-    def fires(state, pose, grip, goal, floors):
-        """Whether the pre-check fires; if it does, the scan on the built action must return None on the anchor
-        alone and leave the anchor as it was."""
+    def fires(state, pose, grip, goal):
+        """Whether the pre-check fires; if it does, the scan on the built action must return None. It runs on a
+        copy of the state, whose anchor it rewrites."""
         if not ensemble._scan_proved_empty(state, pose, grip, goal):
             return False
-        anchor, before = state.anchor, len(floors)
-        assert select_reattach(state, pose, grip, _normalized(state, pose, grip, goal), TAU_REATTACH) is None
-        assert state.anchor is anchor and len(floors) == before
+        copy = dataclasses.replace(state)
+        assert select_reattach(copy, pose, grip, _normalized(copy, pose, grip, goal), TAU_REATTACH) is None
         return True
 
-    def test_fuzzed_bounds_1e12_either_side_of_the_anchor(self, monkeypatch):
-        # an anchored state moves a little, and a feedback action, moving or turning or both, is stretched until
-        # the bound's cutoff sits 1e-12 (relative) either side of the anchor's lead: below it the pre-check must
-        # fire, above it not; rotation-only and hold actions, untrusted rotations, a cursor before the anchor's
-        # start or at the end, and a non-finite feedback gripper never let it fire
+    def test_fuzzed_bounds_1e12_either_side_of_the_anchor(self):
+        # an anchored state moves a little in position, rotation and gripper, and a feedback action, moving or
+        # turning or both, is stretched until the bound's cutoff sits 1e-12 (relative) either side of the anchor's
+        # lead: below it the pre-check must fire, above it not; rotation-only and hold actions, untrusted rotations,
+        # a cursor before the anchor's start or at the end, and a non-finite feedback gripper never let it fire
         rng = np.random.default_rng(82)
-        floors = counting_floors(monkeypatch)
         sides, refused = {-1.0: 0, 1.0: 0}, 0
         for trial in range(300):
             traj, _, _, t_now, _, scale = fuzz_reattach_instance(rng, trial % 3)
@@ -678,6 +640,7 @@ class TestScanPrecheck:
                 continue
             nudge = Rotation(rotvec_matrices(rng.normal(0.0, 0.05, 3)))
             pose = Pose(current.position + rng.normal(0.0, 0.01, 3), nudge @ current.rotation)
+            grip += float(rng.normal(0.0, 0.05))
             turn = Rotation(rotvec_matrices(rng.normal(0.0, 0.2, 3))) @ pose.rotation
             goal_rot = turn if trial % 2 else pose.rotation
             d, dg = rng.normal(0.0, 0.01, 3), float(rng.choice([0.0, rng.normal(0.0, 0.3)]))
@@ -688,7 +651,7 @@ class TestScanPrecheck:
                 return Action(Pose(pose.position + lam * d, rot), g + lam * dg)
 
             for refuse in (Action(Pose(pose.position, turn), grip), Action(pose, grip)):  # rotation-only, hold
-                assert not self.fires(state, pose, grip, refuse, floors)
+                assert not self.fires(state, pose, grip, refuse)
             if not lead > 0.0 or precheck_cutoff(state, pose, grip, goal(0.0)) >= target:
                 continue
             lo, hi = 0.0, 1.0
@@ -697,20 +660,20 @@ class TestScanPrecheck:
             while lo < (mid := (lo + hi) / 2.0) < hi:  # the cutoff grows continuously in lam: bisect to adjacent floats
                 lo, hi = (mid, hi) if precheck_cutoff(state, pose, grip, goal(mid)) < target else (lo, mid)
             assert abs(precheck_cutoff(state, pose, grip, goal(lo)) / lead - 1.0) < 2e-12
-            assert self.fires(state, pose, grip, goal(lo), floors) == (side < 0.0), (trial, side)
+            assert self.fires(state, pose, grip, goal(lo)) == (side < 0.0), (trial, side)
             sides[side] += 1
             if side > 0.0:
                 continue
             # what fired above may not fire with an untrusted rotation, a cursor it cannot cover or a bad gripper
             skewed = Rotation(pose.rotation.as_matrix() * (1.0 + 1e-10))
-            assert not self.fires(state, Pose(pose.position, skewed), grip, goal(lo), floors)
-            assert not self.fires(state, pose, grip, goal(lo, rot=Rotation(goal_rot.as_matrix() * (1.0 + 1e-10))), floors)
+            assert not self.fires(state, Pose(pose.position, skewed), grip, goal(lo))
+            assert not self.fires(state, pose, grip, goal(lo, rot=Rotation(goal_rot.as_matrix() * (1.0 + 1e-10))))
             for bad in (np.nan, np.inf):
                 assert not ensemble._scan_proved_empty(state, pose, grip, goal(lo, g=bad))
                 assert not ensemble._scan_proved_empty(state, pose, bad, goal(lo))
             for cursor in (t_now - 1, len(traj) - 1) if t_now else (len(traj) - 1,):
                 state.ff_cursor = cursor
-                assert not self.fires(state, pose, grip, goal(lo), floors)
+                assert not self.fires(state, pose, grip, goal(lo))
             refused += 1
         assert min(sides.values()) >= 60 and refused >= 60, (sides, refused)
 

@@ -10,8 +10,9 @@ fallback, only the one query function opens gateway sessions, every name
 the benchmark imports from the package resolves, the names the benchmark
 rebinds in ``demoforge.campaign`` still exist and are read there, importing
 the package leaves ``scipy.stats`` unloaded, the benchmark's own
-self-tests pass against the package, and only the world builds unchecked
-poses."""
+self-tests pass against the package, only the world builds unchecked
+poses, and only the reattach scan writes the ensemble's anchor and only its
+pre-check reads it."""
 import ast
 import importlib
 import inspect
@@ -167,13 +168,15 @@ def scoped_reads(tree: ast.AST, matches) -> list[str]:
     return reads
 
 
-def attribute_reads(tree: ast.AST, attr: str, on=None) -> list[str]:
+def attribute_reads(tree: ast.AST, attr: str, on=None, ctx=ast.expr_context) -> list[str]:
     """The enclosing def or class path of each read of ``.attr``, on any
-    object or, given the set ``on``, only on a bare name in it."""
+    object or, given the set ``on``, only on a bare name in it; given
+    ``ctx`` (``ast.Load`` or ``ast.Store``), only its loads or its stores."""
     return scoped_reads(
         tree,
         lambda node: isinstance(node, ast.Attribute)
         and node.attr == attr
+        and isinstance(node.ctx, ctx)
         and (on is None or isinstance(node.value, ast.Name) and node.value.id in on),
     )
 
@@ -375,6 +378,30 @@ def test_only_the_world_builds_unchecked_poses():
     callers = {module for module, found in reads.items() if found}
     assert callers <= {"geometry", "simworld"} and "simworld" in callers
     assert not callers & {"campaign", "annotation", "retargeting", "gateway", "ensemble"}
+
+
+def test_anchor_checker_tells_stores_from_loads():
+    source = (
+        "def scan(state):\n    state.anchor = (0, 1.0)\n    return state.anchor[1]\n"
+        "class Step:\n    def check(self):\n        return self.state.anchor is None\n"
+        "def anchor(state):\n    return state\n"
+    )
+    tree = ast.parse(source)
+    assert attribute_reads(tree, "anchor", ctx=ast.Store) == ["scan"]
+    assert attribute_reads(tree, "anchor", ctx=ast.Load) == ["scan", "Step.check"]
+
+
+def test_only_the_scan_writes_the_anchor_and_only_the_precheck_reads_it():
+    # EnsembleState.anchor is a proof: select_reattach stores a suffix bound's minimum there and
+    # _scan_proved_empty spends it, with the margins for the arm's moves since; any other writer or
+    # reader would hold or spend a proof those two functions do not check
+    found = {}
+    for p in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(p.read_text())
+        for ctx in (ast.Store, ast.Load):
+            if scopes := attribute_reads(tree, "anchor", ctx=ctx):
+                found[p.stem, ctx.__name__] = sorted(set(scopes))
+    assert found == {("ensemble", "Store"): ["select_reattach"], ("ensemble", "Load"): ["_scan_proved_empty"]}
 
 
 def package_imports(source: str) -> list[tuple[str, str | None]]:
