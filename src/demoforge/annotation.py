@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import uuid
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -201,7 +200,7 @@ def annotate(gateway, demo: Demonstration, frames: list[int], task: TaskDescript
         temperature=0.7, failure=AnnotationFailed,
     )
     raw = Annotation(
-        id=f"ann-{uuid.uuid4().hex[:12]}",
+        id=f"ann-{demo.demo_id}",
         keyposes=keyposes,
         description_text=description,
         source_demo_id=demo.demo_id,
@@ -295,7 +294,7 @@ def scripted_annotate(demo: Demonstration, task_kind: str) -> Annotation:
         keyposes.append(Keypose.from_pose(t, action.pose, action.gripper, objects, note))
 
     raw = Annotation(
-        id=f"ann-{uuid.uuid4().hex[:12]}",
+        id=f"ann-{demo.demo_id}",
         keyposes=keyposes,
         description_text=f"Scripted annotation of a {task_kind} demonstration.",
         source_demo_id=demo.demo_id,

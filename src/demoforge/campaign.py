@@ -14,22 +14,23 @@ import math
 import os
 import re
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 from scipy.special import ndtri
 
+from . import simworld
 from .annotation import (
     Annotation,
     AnnotationFailed,
     TaskDescription,
     create_annotation,
+    repair_annotation,
     scripted_annotate,
 )
 from .bandit import (
     Arm,
     BanditState,
-    PriorFit,
     decide_new_arm,
     estimate_horizon,
     fit_arm_prior,
@@ -63,7 +64,6 @@ TASK_DESCRIPTIONS = {
 }
 
 _Z95 = float(ndtri(0.975))
-SCRIPTED_MAX_STEPS = 5000  # env steps a scripted_runner trial gets
 
 # seed-stream tags: every random decision derives from (campaign seed, tag,
 # counter), so a resumed campaign replays the identical stream
@@ -88,8 +88,8 @@ class SchemaViolation(ValueError):
         super().__init__(f"line {line}: {why}")
 
 
-def _seeded(seed: int, tag: int, n: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), tag, int(n)]))
+def _seeded(seed: int, tag: int, *counters: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([int(seed), tag, *map(int, counters)]))
 
 
 def _derived_seed(seed: int, tag: int, n: int) -> int:
@@ -345,8 +345,6 @@ def evaluate_policy(policy, spec: TaskSpec, n_trials: int, seed: int = 0) -> Eva
     Scene seeds depend only on (seed, trial index), so two policies
     evaluated with the same seed face identical scenes, trial for trial.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
     wins = 0
     for i in range(n_trials):
         wins += bool(policy(spec, _derived_seed(seed, _TAG_EVAL, i)))
@@ -364,7 +362,7 @@ def scripted_runner():
 
     def run(spec: TaskSpec, scene_seed: int) -> bool:
         state, _ = reset(spec, scene_seed)
-        for _ in range(SCRIPTED_MAX_STEPS):
+        for _ in range(simworld.RECORD_MAX_STEPS):
             if success(state):
                 return True
             step(state, scripted_action(state))
@@ -513,14 +511,10 @@ class CampaignConfig:
         cfg.validate()
         return cfg
 
-    STREAM_FIELDS = (
-        "task", "goal_successes", "seed", "mode", "annotator", "retargeter",
-        "noise_min", "noise_max", "decision_samples", "prior_samples",
-    )
-
     def fingerprint(self) -> dict:
-        """The fields that determine the campaign's random stream."""
-        doc = {name: getattr(self, name) for name in self.STREAM_FIELDS}
+        """Every field but the run's cap and paths: the fields that determine the campaign's random stream."""
+        run = ("max_rollouts", "dataset_path", "checkpoint_path")
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in run}
         return doc | {"source_demo_seeds": list(self.source_demo_seeds)}
 
 
@@ -613,24 +607,15 @@ def _rollout_arm(cfg, meta: ArmMeta, source: Demonstration, scene_seed: int, rol
     return out.recording.demonstration(cfg.task, demo_id=demo_id, seed=scene_seed, provenance=provenance)
 
 
-def _cached_prior(cfg: CampaignConfig, state: BanditState, cache: dict) -> PriorFit:
-    # keyed by posterior counts: the fit only changes when an outcome lands,
-    # and seeding off the counts keeps a resumed campaign on the same stream
-    key = tuple((a.n_suc, a.n_fail) for a in state.arms)
-    if key not in cache:
-        entropy = [cfg.seed, _TAG_PRIOR] + [c for pair in key for c in pair]
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
-        cache[key] = fit_arm_prior(state.arms, m=cfg.prior_samples, rng=rng)
-    return cache[key]
-
-
-def _should_mint(cfg: CampaignConfig, state: BanditState, rollout_idx: int, prior_cache: dict) -> bool:
+def _should_mint(cfg: CampaignConfig, state: BanditState, rollout_idx: int) -> bool:
     if not state.arms or cfg.mode == "no_optimization":
         return True
     if cfg.mode == "fixed_first":
         return False
     T = estimate_horizon(state)
-    prior = _cached_prior(cfg, state, prior_cache)
+    # seeded off the posterior counts, all the fit reads, so a resumed campaign fits the same prior
+    counts = [c for a in state.arms for c in (a.n_suc, a.n_fail)]
+    prior = fit_arm_prior(state.arms, m=cfg.prior_samples, rng=_seeded(cfg.seed, _TAG_PRIOR, *counts))
     return decide_new_arm(
         state, T, prior, k=cfg.decision_samples, rng=_seeded(cfg.seed, _TAG_DECIDE, rollout_idx)
     )
@@ -699,10 +684,13 @@ def _load_checkpoint(cfg: CampaignConfig, sources: dict):
     for ann in [m.annotation for m in arms_meta]:
         if ann.source_demo_id not in sources:
             raise ConfigError(f"checkpoint arm names unknown source demo {ann.source_demo_id!r}")
-        # the warp indexes the source demo at these; repair_annotation leaves them rising from 0 to T
-        ts, horizon = [k.t for k in ann.keyposes], sources[ann.source_demo_id].horizon
-        if not ts or ts[0] != 0 or ts[-1] != horizon or any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ConfigError(f"checkpoint arm keypose timesteps {ts} do not rise strictly from 0 to {horizon}")
+        # every arm was minted through repair_annotation, which indexes the source demo at each keypose's t
+        try:
+            repaired = repair_annotation(ann, sources[ann.source_demo_id])
+        except IndexError as err:
+            raise ConfigError(f"checkpoint arm {ann.id!r} has a keypose past its source demo: {err}") from err
+        if repaired != ann:
+            raise ConfigError(f"checkpoint arm {ann.id!r} is not its own repair against {ann.source_demo_id!r}")
         # scripted retargeting anchors a keypose on its first relevant object, looked up in the source scene
         anchors = [k.objects[0] for k in ann.keyposes if k.objects]
         unknown = [name for name in anchors if name not in sources[ann.source_demo_id].entity_names]
@@ -758,13 +746,12 @@ def run_campaign(cfg: CampaignConfig, gateway=None, resume: bool = False) -> Cam
         if cfg.dataset_path is not None:
             open(cfg.dataset_path, "w").close()
 
-    prior_cache: dict = {}
     t0 = time.monotonic()
 
     while state.current_successes < cfg.goal_successes:
         if cfg.max_rollouts is not None and rollouts >= cfg.max_rollouts:
             break
-        minted = _should_mint(cfg, state, rollouts, prior_cache)
+        minted = _should_mint(cfg, state, rollouts)
         scene_seed = _derived_seed(cfg.seed, _TAG_SCENE, rollouts)
         try:
             if minted:

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from demoforge import campaign, ensemble
+from demoforge import campaign, ensemble, simworld
 from demoforge.annotation import create_annotation, scripted_annotate
 from demoforge.bandit import BanditState
 from demoforge.campaign import (
@@ -670,7 +670,8 @@ class TestEvaluate:
         assert rep.ci_high == pytest.approx(1.0, abs=1e-12)
 
     def test_scripted_trial_fails_at_its_step_cap(self, monkeypatch):
-        monkeypatch.setattr(campaign, "SCRIPTED_MAX_STEPS", 10)
+        # a trial gets the steps the recorder gets
+        monkeypatch.setattr(simworld, "RECORD_MAX_STEPS", 10)
         assert evaluate_policy(scripted_runner(), TaskSpec("pick_place"), 3, seed=1).successes == 0
 
     def test_same_seed_same_scenes(self):
@@ -887,6 +888,17 @@ class TestConfig:
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):
             CampaignConfig.from_dict([1, 2])
+
+    def test_fingerprint_is_every_field_but_the_run_fields(self):
+        # a new config field is fingerprinted unless it is named here; the literal is the checkpoint's bytes
+        cfg = CampaignConfig(task="pick_place", goal_successes=10)
+        run = {"max_rollouts", "dataset_path", "checkpoint_path"}
+        assert list(cfg.fingerprint()) == [f.name for f in dataclasses.fields(cfg) if f.name not in run]
+        assert json.dumps(cfg.fingerprint()) == (
+            '{"task": "pick_place", "goal_successes": 10, "seed": 0, "mode": "bandit", "annotator": "scripted", '
+            '"retargeter": "scripted", "noise_min": 0.001, "noise_max": 0.02, "decision_samples": 1000, '
+            '"prior_samples": 1000, "source_demo_seeds": [1001, 1002, 1003]}'
+        )
 
 
 class TestCampaign:
@@ -1242,13 +1254,17 @@ class TestCheckpoint:
         assert a == b
 
     # one arm record as checkpoints have always written it: the annotation's
-    # keys are the Annotation and Keypose field names, in field order
+    # keys are the Annotation and Keypose field names, in field order, and its
+    # poses and key-pose block are source demo 00's, as repair_annotation writes them
     ONE_ARM = (
         '{"annotation": {"id": "pick_place-arm000", "source_demo_id": "pick_place-src00", "created_by": "scripted", '
-        '"description_text": "Scripted annotation of a pick_place demonstration.", "keyposes": ['
-        '{"t": 0, "pos_mm": [400.0, 0.0, 250.0], "euler_deg": [180.0, -0.0, 90.0], "gripper": 1.0, '
-        '"objects": [], "note": ""}, '
-        '{"t": 265, "pos_mm": [401.5, -2e-05, 262.5], "euler_deg": [180.0, 0.0, 90.0], "gripper": 1.0, '
+        '"description_text": "Scripted annotation of a pick_place demonstration.\\n\\nKey poses:\\n'
+        't=0: position_mm [2.077, 1.966, 247.204] rotation_deg [0.00, 0.00, 5.16] gripper open; objects: none\\n'
+        't=265: position_mm [0.000, 0.000, 250.000] rotation_deg [0.00, 0.00, 0.00] gripper open; objects: block; '
+        'note: end-effector offset from block: [0.0, 0.0, 12.5] mm", "keyposes": ['
+        '{"t": 0, "pos_mm": [2.077380871307255, 1.9658139568441333, 247.2035622297996], '
+        '"euler_deg": [-0.0, 0.0, 5.156620156177407], "gripper": 1.0, "objects": [], "note": ""}, '
+        '{"t": 265, "pos_mm": [0.0, 0.0, 250.0], "euler_deg": [-0.0, 0.0, 0.0], "gripper": 1.0, '
         '"objects": ["block"], "note": "end-effector offset from block: [0.0, 0.0, 12.5] mm"}]}, '
         '"noise_std": 0.0125, "n_suc": 3, "n_fail": 2}'
     )

@@ -234,21 +234,35 @@ class TestGenerate:
         "attempts inflated": (("new_arm_attempts",), 3),
         "current off by one": (("successes",), 0),
     }
-    # edits of the one arm's keypose list
+    # edits of the one arm's annotation: its keypose list, or the key-pose block that ends its description
     KEYPOSE_DAMAGE = {
-        "keypose past the horizon": lambda kps: kps[-1].update(t=99999),
-        "two keyposes swapped": lambda kps: kps.insert(1, kps.pop(2)),
-        "keypose anchored on an absent object": lambda kps: kps[1].update(objects=["mug"]),
-        "keypose objects not all names": lambda kps: kps[1].update(objects=["block", 5]),
-        "keypose objects a mapping": lambda kps: kps[1].update(objects={"block": 1}),
-        "keypose timestep infinite": lambda kps: kps[1].update(t=float("inf")),
-        "keypose not an object": lambda kps: kps.__setitem__(1, 1),
-        "keypose timestep fractional": lambda kps: kps[1].update(t=kps[1]["t"] + 0.7),
-        "keypose timestep a string": lambda kps: kps[1].update(t=str(kps[1]["t"])),
-        "keypose timestep a bool": lambda kps: kps[0].update(t=False),
-        "keypose position strings": lambda kps: kps[1].update(pos_mm=[str(v) for v in kps[1]["pos_mm"]]),
-        "keypose gripper a bool": lambda kps: kps[1].update(gripper=kps[1]["gripper"] >= 0.5),
-        "keypose note null": lambda kps: kps[1].update(note=None),
+        "keypose past the horizon": lambda ann: ann["keyposes"][-1].update(t=99999),
+        "two keyposes swapped": lambda ann: ann["keyposes"].insert(1, ann["keyposes"].pop(2)),
+        "keypose anchored on an absent object": lambda ann: ann["keyposes"][1].update(objects=["mug"]),
+        "keypose objects not all names": lambda ann: ann["keyposes"][1].update(objects=["block", 5]),
+        "keypose objects a mapping": lambda ann: ann["keyposes"][1].update(objects={"block": 1}),
+        "keypose timestep infinite": lambda ann: ann["keyposes"][1].update(t=float("inf")),
+        "keypose not an object": lambda ann: ann["keyposes"].__setitem__(1, 1),
+        "keypose timestep fractional": lambda ann: ann["keyposes"][1].update(t=ann["keyposes"][1]["t"] + 0.7),
+        "keypose timestep a string": lambda ann: ann["keyposes"][1].update(t=str(ann["keyposes"][1]["t"])),
+        "keypose timestep a bool": lambda ann: ann["keyposes"][0].update(t=False),
+        "keypose position strings": lambda ann: ann["keyposes"][1].update(
+            pos_mm=[str(v) for v in ann["keyposes"][1]["pos_mm"]]
+        ),
+        "keypose gripper a bool": lambda ann: ann["keyposes"][1].update(
+            gripper=ann["keyposes"][1]["gripper"] >= 0.5
+        ),
+        "keypose note null": lambda ann: ann["keyposes"][1].update(note=None),
+        # an arm must equal its own repair: the demo's recorded poses and the key-pose block written from them
+        "keypose position edited": lambda ann: ann["keyposes"][1]["pos_mm"].append(
+            ann["keyposes"][1]["pos_mm"].pop() + 30.0
+        ),
+        "keypose rotation edited": lambda ann: ann["keyposes"][1]["euler_deg"].append(
+            ann["keyposes"][1]["euler_deg"].pop() + 10.0
+        ),
+        "description key-pose block edited": lambda ann: ann.update(
+            description_text=ann["description_text"].replace("gripper open", "gripper closed", 1)
+        ),
     }
 
     @pytest.mark.parametrize(
@@ -271,7 +285,7 @@ class TestGenerate:
             (tmp_path / "ckpt.json").write_text(json.dumps(doc))
         elif damage in self.KEYPOSE_DAMAGE:
             doc = json.loads((tmp_path / "ckpt.json").read_text())
-            self.KEYPOSE_DAMAGE[damage](doc["arms"][0]["annotation"]["keyposes"])
+            self.KEYPOSE_DAMAGE[damage](doc["arms"][0]["annotation"])
             (tmp_path / "ckpt.json").write_text(json.dumps(doc))
         elif damage == "checkpoint nested too deep":
             (tmp_path / "ckpt.json").write_text('{"fingerprint": ' + "[" * 100_000 + "]" * 100_000 + "}")

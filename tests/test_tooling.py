@@ -11,8 +11,9 @@ the benchmark imports from the package resolves, the names the benchmark
 rebinds in ``demoforge.campaign`` still exist and are read there, importing
 the package leaves ``scipy.stats`` unloaded, the benchmark's own
 self-tests pass against the package, only the world builds unchecked
-poses, and only the reattach scan writes the ensemble's anchor and only its
-pre-check reads it."""
+poses, only the reattach scan writes the ensemble's anchor and only its
+pre-check reads it, and no package module imports an unseeded source of
+randomness."""
 import ast
 import importlib
 import inspect
@@ -452,6 +453,18 @@ def test_nested_import_checker_flags_package_modules_only():
 def test_no_function_level_package_import(path):
     # a package import deferred into a function hides an import cycle
     assert nested_package_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unseeded_randomness_import(path):
+    # every draw comes from a numpy generator seeded off the config, so a campaign's bytes are its config's
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert not imported & {"uuid", "random", "secrets"}
 
 
 def test_bench_package_imports_resolve():
