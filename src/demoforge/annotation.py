@@ -209,7 +209,8 @@ def annotate(gateway, demo: Demonstration, frames: list[int], task: TaskDescript
     return repair_annotation(raw, demo)
 
 
-_KEYPOSE_BLOCK = re.compile(r"\n*Key poses:\n(?:.*\n?)*", flags=re.MULTILINE)
+# a "Key poses:" header that ends its line, through the end of the text
+_KEYPOSE_BLOCK = re.compile(r"\n*Key poses:(?:\n.*)*\Z")
 
 
 def _keypose_block(keyposes: list[Keypose]) -> str:
@@ -231,7 +232,8 @@ def repair_annotation(raw: Annotation, demo: Demonstration) -> Annotation:
     recorded commanded pose at that timestep, endpoints (t=0, t=T) are
     inserted when missing, duplicates collapse to the first mention, and
     the description's "Key poses:" block is regenerated to match.
-    Idempotent by construction.
+    Idempotent: the body is stripped until no block is left in it, so the
+    only block in the result is the regenerated one.
     """
     by_t: dict[int, Keypose] = {}
     for kp in sorted(raw.keyposes, key=lambda k: k.t):
@@ -244,7 +246,9 @@ def repair_annotation(raw: Annotation, demo: Demonstration) -> Annotation:
         action = demo.action(t)
         repaired.append(Keypose.from_pose(t, action.pose, action.gripper, kp.objects, kp.note))
 
-    body = _KEYPOSE_BLOCK.sub("", raw.description_text).rstrip()
+    body = raw.description_text
+    while (stripped := _KEYPOSE_BLOCK.sub("", body).rstrip()) != body:
+        body = stripped
     description = (body + "\n\n" if body else "") + _keypose_block(repaired)
     return replace(raw, keyposes=repaired, description_text=description)
 

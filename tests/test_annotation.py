@@ -413,6 +413,31 @@ class TestRepair:
             ts = [k.t for k in once.keyposes]
             assert ts[0] == 0 and ts[-1] == 80 and ts == sorted(set(ts))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "The robot lifts the cube. Key poses:",
+            "The robot lifts the cube. Key poses: ",
+            "Key poses: \nKey poses:\nt=3: stale",
+            "Key poses: Key poses:\nt=3: stale",
+            "Lift.\n\nKey poses:\n\nKey poses:\nt=3: stale\n",
+        ],
+    )
+    def test_idempotent_on_descriptions_with_a_trailing_header(self, text):
+        demo = synthetic_demo(50)
+        once = repair_annotation(Annotation("ann-x", "d", "llm()", text, [Keypose(25, np.zeros(3), np.zeros(3), 1.0)]), demo)
+        assert repair_annotation(once, demo) == once
+        assert once.description_text.count("Key poses:") == 1
+
+    def test_idempotent_on_randomized_descriptions(self):
+        demo = synthetic_demo(30)
+        rng = np.random.default_rng(7)
+        pieces = ["Key poses:", "Key poses: ", "\n", " ", "lift", "t=3: stale"]
+        for _ in range(300):
+            text = "".join(pieces[i] for i in rng.integers(0, len(pieces), int(rng.integers(0, 9))))
+            once = repair_annotation(Annotation("ann-x", "d", "llm()", text, []), demo)
+            assert repair_annotation(once, demo) == once, repr(text)
+
 
 class TestScriptedAnnotate:
     def test_pick_place_keypose_structure(self):

@@ -1276,7 +1276,7 @@ class TestCheckpoint:
         assert list(arm["annotation"]) == ["id", "source_demo_id", "created_by", "description_text", "keyposes"]
         doc = {
             "fingerprint": cfg.fingerprint(), "arms": [arm], "new_arm_attempts": 2, "successes": 3, "rollouts": 6,
-            "elapsed": 1.5,
+            "elapsed": 2e-05,  # exponent number text
         }
         with open(cfg.checkpoint_path, "w") as fh:
             fh.write(json.dumps(doc))
