@@ -577,11 +577,16 @@ def _record_source_demos(cfg: CampaignConfig) -> dict[str, Demonstration]:
     return {demo.demo_id: demo for demo in demos}
 
 
+def _mint_draw(cfg: CampaignConfig, sources: dict, mint_idx: int) -> tuple[str, float]:
+    """Mint mint_idx's seeded draw: the id of its source demo and its retarget noise."""
+    rng = _seeded(cfg.seed, _TAG_MINT, mint_idx)
+    return sorted(sources)[int(rng.integers(len(sources)))], float(rng.uniform(cfg.noise_min, cfg.noise_max))
+
+
 def _mint_arm(cfg: CampaignConfig, state: BanditState, sources: dict, gateway) -> ArmMeta:
     mint_idx = state.new_arm_attempts
-    rng = _seeded(cfg.seed, _TAG_MINT, mint_idx)
-    source = sources[sorted(sources)[int(rng.integers(len(sources)))]]
-    noise = float(rng.uniform(cfg.noise_min, cfg.noise_max))
+    source_id, noise = _mint_draw(cfg, sources, mint_idx)
+    source = sources[source_id]
     if cfg.annotator == "scripted":
         ann = scripted_annotate(source, cfg.task)
     else:
@@ -681,9 +686,16 @@ def _load_checkpoint(cfg: CampaignConfig, sources: dict):
         _check_int(f"checkpoint {name}", value, least)
     for name, value in [("elapsed", elapsed)] + [("arm noise_std", m.noise_std) for m in arms_meta]:
         _check_number(f"checkpoint {name}", value, 0.0)
-    for ann in [m.annotation for m in arms_meta]:
-        if ann.source_demo_id not in sources:
-            raise ConfigError(f"checkpoint arm names unknown source demo {ann.source_demo_id!r}")
+    last = -1  # each arm is the mint its id names, _mint_arm's f"{task}-arm{i:03d}", in mint order
+    for ann, noise in [(m.annotation, m.noise_std) for m in arms_meta]:
+        digits = ann.id.removeprefix(f"{cfg.task}-arm")
+        i = int(digits) if digits.isascii() and digits.isdigit() and len(digits) <= 18 else -1
+        if ann.id != f"{cfg.task}-arm{i:03d}" or not last < i < doc["new_arm_attempts"]:
+            raise ConfigError(f"checkpoint arm id {ann.id!r} names no mint in ({last}, {doc['new_arm_attempts']})")
+        source_id, drawn = _mint_draw(cfg, sources, i)
+        if (ann.source_demo_id, repr(noise)) != (source_id, repr(drawn)):  # repr: an int 0 or -0.0 is not 0.0
+            raise ConfigError(f"checkpoint arm {ann.id!r} does not hold mint {i}'s source demo and noise")
+        last = i
         # every arm was minted through repair_annotation, which indexes the source demo at each keypose's t
         try:
             repaired = repair_annotation(ann, sources[ann.source_demo_id])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .demos import Action, TrajectorySegment
-from .geometry import _ORTHO_TOL, Pose, check_rotation_matrices, matrix_rotvecs, trusted_rotation
+from .geometry import _ORTHO_TOL, Pose, check_rotation_matrices, matrix_rotvecs
 
 TAU_SWITCH = 0.5
 TAU_REATTACH = 0.5
@@ -131,7 +131,7 @@ def select_reattach(
         return None
     x, here, grip = current_pose.position, current_pose.rotation.as_matrix(), float(current_gripper)
     nb1 = float(np.abs(a_il).sum())
-    if tau > 0.0 and nb1 > 0.0 and trusted_rotation(here):
+    if tau > 0.0 and nb1 > 0.0 and current_pose.rotation.trusted:
         bound = _attach_floor(state, start, x, here, grip)
         if np.isfinite(bound).all():  # a non-finite row raises below instead
             floor = float(bound.min())
@@ -187,10 +187,11 @@ def _scan_proved_empty(state: EnsembleState, pose: Pose, grip: float, goal: Acti
     cutoff of a bound on the feedback action a's L1, before a is built: its position and gripper quotients plus
     theta sqrt(sum s_rot^-2) (Cauchy-Schwarz), theta <= (pi / 2) 2 sin(theta / 2) the chord. A later start drops
     rows only. Only a position or gripper move proves a != 0. A NaN or inf fails a comparison; building a raises."""
-    start, here, there = state.ff_cursor + 1, pose.rotation.as_matrix(), goal.pose.rotation.as_matrix()
+    start = state.ff_cursor + 1
     anchored = state.anchor is not None and state.anchor[0] <= start < len(state.ff_trajectory)
-    if not (anchored and trusted_rotation(here) and trusted_rotation(there)):
+    if not (anchored and pose.rotation.trusted and goal.pose.rotation.trusted):
         return False
+    here, there = pose.rotation.as_matrix(), goal.pose.rotation.as_matrix()
     _, floor, x0, h0, g0 = state.anchor
     s, x, g, p = state.scale.tolist(), pose.position.tolist(), float(grip), goal.pose.position.tolist()
     linear = sum(abs(b - a) / c for a, b, c in zip(x, p, s)) + abs(float(goal.gripper) - g) / s[6]

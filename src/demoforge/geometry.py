@@ -100,7 +100,7 @@ class Rotation:
     Construct via the classmethods; the raw constructor trusts its input.
     """
 
-    __slots__ = ("_m", "_own_angle")
+    __slots__ = ("_m", "_own_angle", "_trusted")
 
     def __init__(self, matrix: np.ndarray):
         m = np.asarray(matrix, dtype=float)
@@ -108,6 +108,7 @@ class Rotation:
             raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
         self._m = m
         self._own_angle = None  # angle_to(self), worked out on first use
+        self._trusted = None  # trusted_rotation of the matrix, likewise
 
     @classmethod
     def identity(cls) -> "Rotation":
@@ -157,6 +158,13 @@ class Rotation:
     def power(self, fraction: float) -> "Rotation":
         """Fractional rotation exp(fraction * log R); power(0) is the exact identity."""
         return Rotation(_rows(_backend.as_matrix, _rows(_backend.pow, matrix_quats(self._m), float(fraction))))
+
+    @property
+    def trusted(self) -> bool:
+        """trusted_rotation of the matrix, worked out once."""
+        if self._trusted is None:
+            self._trusted = trusted_rotation(self._m)
+        return self._trusted
 
     def angle_to(self, other: "Rotation") -> float:
         """matrix_angle of inverse() @ other; the angle to itself (R^T R's round-off) is worked out once."""

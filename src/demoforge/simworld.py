@@ -84,6 +84,15 @@ class WorldState:
     frozen: set[str] = field(default_factory=set)
     task_metadata: dict = field(default_factory=dict)
     slots: dict[str, np.ndarray] = field(default_factory=dict)  # block -> resting position, bottom first
+    # Caches a reset starts empty: the carry targets, worked out from the slots once, and entries that hold first
+    # the objects they were worked out from, reused while those are the same objects (``is``: poses are immutable)
+    _carry_targets: dict[str, np.ndarray] = field(init=False, repr=False)  # block -> 1 mm above its slot
+    _held: tuple | None = field(default=None, init=False, repr=False)  # ee rotation, offset, R p_off, R @ R_off
+    _slot_gaps: dict = field(default_factory=dict, init=False, repr=False)  # block -> its Pose, distance to its slot
+    _hovers: dict = field(default_factory=dict, init=False, repr=False)  # object -> its Pose, _fetch's hover Pose
+
+    def __post_init__(self):
+        self._carry_targets = {name: slot + np.array([0.0, 0.0, 0.001]) for name, slot in self.slots.items()}
 
 
 def _sample_in_region(rng, extents) -> np.ndarray:
@@ -227,8 +236,10 @@ def step(state: WorldState, action: Action) -> WorldState:
                 mug = state.objects["mug"]
                 state.objects["mug"] = Pose.unchecked(mug.position + np.array([dx, 0.0, 0.0]), mug.rotation)
         else:
-            ee, off = state.robot_pose, state.attach_offset
-            state.objects[name] = Pose.unchecked(ee.rotation.apply(off.position) + ee.position, ee.rotation @ off.rotation)
+            ee, off, held = state.robot_pose, state.attach_offset, state._held
+            if held is None or held[0] is not ee.rotation or held[1] is not off:  # a carry keeps one Rotation
+                held = state._held = (ee.rotation, off, ee.rotation.apply(off.position), ee.rotation @ off.rotation)
+            state.objects[name] = Pose.unchecked(held[2] + ee.position, held[3])
 
     closing = action.gripper < 0.5
     if closing and state.attached_object is None:
@@ -254,7 +265,7 @@ def step(state: WorldState, action: Action) -> WorldState:
         for name in sorted(state.objects):
             if name in state.frozen or name == state.attached_object:
                 continue
-            theta = state.rng.uniform(0.0, 2.0 * np.pi)
+            theta = 2.0 * np.pi * state.rng.random()  # uniform(0, 2 pi)'s draw and bits, without its checks
             drift = WALK_STEP * np.array([np.cos(theta), np.sin(theta), 0.0])
             pose = state.objects[name]
             state.objects[name] = Pose.unchecked(pose.position + drift, pose.rotation)
@@ -286,6 +297,14 @@ def inject_disturbance(state: WorldState, object_id: str, delta) -> WorldState:
     return state
 
 
+def _slot_gap(state: WorldState, name: str) -> float:
+    """A block's distance to its slot, worked out once per block Pose (slots never move)."""
+    pose, hit = state.objects[name], state._slot_gaps.get(name)
+    if hit is None or hit[0] is not pose:
+        hit = state._slot_gaps[name] = (pose, _norm(pose.position - state.slots[name]))
+    return hit[1]
+
+
 def success(state: WorldState) -> bool:
     """Pure predicate on the world state: nothing held, gripper open, and
     either the mug shut in the drawer or every block within tolerance of its slot."""
@@ -293,8 +312,8 @@ def success(state: WorldState) -> bool:
         return False
     if state.spec.kind == "drawer_mug":
         return _drawer_opening(state) <= 0.02 and _mug_in_drawer(state)
-    for name, slot in state.slots.items():
-        if not _norm(state.objects[name].position - slot) <= POSITION_TOLERANCE:
+    for name in state.slots:
+        if not _slot_gap(state, name) <= POSITION_TOLERANCE:
             return False
     return True
 
@@ -422,9 +441,9 @@ def _place_goal(state: WorldState):
     """Carry a held block to just above its slot; else fetch the first
     block, bottom up, not yet placed; else go home."""
     if state.attached_object is not None:
-        return _carry_to(state, state.slots[state.attached_object] + np.array([0.0, 0.0, 0.001]))
-    for name, slot in state.slots.items():
-        if not _norm(state.objects[name].position - slot) <= POSITION_TOLERANCE / 2.0:  # not placed yet
+        return _carry_to(state, state._carry_targets[state.attached_object])
+    for name in state.slots:
+        if not _slot_gap(state, name) <= POSITION_TOLERANCE / 2.0:  # not placed yet
             return _fetch(state, name)
     return _home_or_done(state)
 
@@ -450,14 +469,21 @@ def _drawer_mug_goal(state: WorldState):
 # -- shared motion primitives -----------------------------------------------
 
 
+_IDENTITY = Rotation.identity()  # the drawer's grasp rotation
+
+
 def _fetch(state: WorldState, name: str):
     """Approach above, descend, close, on an object that is not held."""
-    pose, ee = state.objects[name], state.robot_pose.position
-    obj, rot = pose.position, pose.heading if name != "drawer" else Rotation.identity()
+    pose, ee, hit = state.objects[name], state.robot_pose.position, state._hovers.get(name)
+    obj = pose.position
+    if hit is None or hit[0] is not pose:  # the hover pose, once per object Pose
+        rot = pose.heading if name != "drawer" else _IDENTITY
+        hit = state._hovers[name] = (pose, Pose.unchecked(np.array([obj[0], obj[1], obj[2] + APPROACH_HEIGHT]), rot))
+    hover = hit[1]
     close = _norm(ee - obj) <= 0.008
     if close or _norm(ee[:2] - obj[:2]) <= 0.003 and ee[2] <= obj[2] + APPROACH_HEIGHT + 1e-6:
-        return Pose.unchecked(obj, rot), GRIPPER_CLOSED if close else GRIPPER_OPEN
-    return Pose.unchecked(np.array([obj[0], obj[1], obj[2] + APPROACH_HEIGHT]), rot), GRIPPER_OPEN
+        return Pose.unchecked(obj, hover.rotation), GRIPPER_CLOSED if close else GRIPPER_OPEN
+    return hover, GRIPPER_OPEN
 
 
 def _carry_to(state: WorldState, place: np.ndarray):

@@ -714,6 +714,19 @@ def fetch_oracle(state, name, grasp_only=False):
     return above, GRIPPER_OPEN
 
 
+def place_goal_oracle(state):
+    """simworld._place_goal as first shipped: each block's distance to its slot,
+    the carry target and (through fetch_oracle) the hover pose rebuilt on every call."""
+    from demoforge import simworld as sw
+
+    if state.attached_object is not None:
+        return sw._carry_to(state, state.slots[state.attached_object] + np.array([0.0, 0.0, 0.001]))
+    for name, slot in state.slots.items():
+        if not float(np.linalg.norm(state.objects[name].position - slot)) <= sw.POSITION_TOLERANCE / 2.0:
+            return fetch_oracle(state, name)
+    return sw._home_or_done(state)
+
+
 # -- LLM replies -------------------------------------------------------------
 
 

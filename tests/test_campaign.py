@@ -1255,7 +1255,8 @@ class TestCheckpoint:
 
     # one arm record as checkpoints have always written it: the annotation's
     # keys are the Annotation and Keypose field names, in field order, and its
-    # poses and key-pose block are source demo 00's, as repair_annotation writes them
+    # poses and key-pose block are source demo 00's, as repair_annotation writes them;
+    # its source demo and noise are mint 0's seeded draw, as its id says
     ONE_ARM = (
         '{"annotation": {"id": "pick_place-arm000", "source_demo_id": "pick_place-src00", "created_by": "scripted", '
         '"description_text": "Scripted annotation of a pick_place demonstration.\\n\\nKey poses:\\n'
@@ -1266,7 +1267,7 @@ class TestCheckpoint:
         '"euler_deg": [-0.0, 0.0, 5.156620156177407], "gripper": 1.0, "objects": [], "note": ""}, '
         '{"t": 265, "pos_mm": [0.0, 0.0, 250.0], "euler_deg": [-0.0, 0.0, 0.0], "gripper": 1.0, '
         '"objects": ["block"], "note": "end-effector offset from block: [0.0, 0.0, 12.5] mm"}]}, '
-        '"noise_std": 0.0125, "n_suc": 3, "n_fail": 2}'
+        '"noise_std": 0.014375196856435419, "n_suc": 3, "n_fail": 2}'
     )
 
     def test_one_arm_checkpoint_loads_and_rewrites_unchanged(self, tmp_path):

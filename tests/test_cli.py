@@ -228,6 +228,10 @@ class TestGenerate:
         "arm source demo a list": (("arms", 0, "annotation", "source_demo_id"), ["pick_place-src00"]),
         "arm records missing": (("arms",), []),
         "bandit arm id a list": (("arms", 0, "annotation", "id"), [1]),
+        "annotation id edited": (("arms", 0, "annotation", "id"), "edited-id"),
+        "annotation id past the mints": (("arms", 0, "annotation", "id"), "pick_place-arm001"),  # one attempt made
+        "arm noise an int zero": (("arms", 0, "noise_std"), 0),  # the mint drew 0.0
+        "arm noise a negative zero": (("arms", 0, "noise_std"), -0.0),
         "arm description null": (("arms", 0, "annotation", "description_text"), None),
         "arm creator a number": (("arms", 0, "annotation", "created_by"), 5),
         "arm n_suc zero": (("arms", 0, "n_suc"), 0),

@@ -1,5 +1,6 @@
 """World mechanics: resets, step caps, attachment, walking, rollouts."""
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -17,11 +18,15 @@ from oracles import (
     grasp_offset_oracle,
     held_pose_oracle,
     observation_oracle,
+    place_goal_oracle,
     record_demo_steps_oracle,
     rollout_steps_oracle,
     step_pose_toward_oracle,
     success_oracle,
 )
+
+
+WALKING_SHA256 = "f7d60e2d2968253ed4e0c61f91c73fe09be48437ccce39aa99860bcb30999ac7"
 
 
 def segment(poses, grips):
@@ -232,6 +237,21 @@ class TestWalking:
         for _ in range(50):
             sw.step(state, hold_action(state))
         assert np.array_equal(state.objects["blue_block"].position, rest)
+
+    def test_walking_bits_pinned(self):
+        # the drift's draws, angles and sums, over a recorded demo and a
+        # feedforward replay of its actions on the next seed's drifting scene
+        digest = hashlib.sha256()
+        spec = sw.TaskSpec("stack_walking")
+        for seed in (3, 11, 17, 29):
+            demo = sw.record_demo(spec, seed)
+            state, _ = sw.reset(spec, seed + 1)
+            out = sw.rollout(state, demo.actions)
+            for d in (demo, out.recording.demonstration("stack_walking")):
+                for column in (d.entity_positions, d.entity_rotations, d.robot.positions, d.actions.positions):
+                    digest.update(column.tobytes())
+            digest.update(f"{out.success} {out.steps}".encode())
+        assert digest.hexdigest() == WALKING_SHA256
 
     def test_static_tasks_do_not_walk(self):
         state, _ = sw.reset(sw.TaskSpec("stack"), 17)
@@ -546,6 +566,92 @@ class TestGraspMatchesOracle:
                         state.robot_pose = Pose(ee_position, Rotation(turn.copy()))
                         sw.step(state, hold_action(state, GRIPPER_CLOSED))
                         assert assert_grasp_matches_oracle("block", state) == "held"
+
+
+def checked_action(state):
+    """scripted_action on a block task, bit for bit the uncached place tree's step toward its goal."""
+    act, goal = sw.scripted_action(state), place_goal_oracle(state)
+    if goal is None:
+        assert act is None
+        return None
+    want = step_pose_toward_oracle(state.robot_pose, goal[0], sw.POLICY_STEP, sw.POLICY_ANGULAR_STEP)
+    assert (pose_bits(act.pose), act.gripper) == (pose_bits(want), goal[1])
+    return act
+
+
+def checked_step(state, action):
+    """One world step, its end-effector, grasp or held pose and success bit for bit the uncached oracles'."""
+    held = state.attached_object
+    want = step_pose_toward_oracle(state.robot_pose, action.pose, sw.MAX_STEP, sw.MAX_ANGULAR_STEP)
+    sw.step(state, action)
+    assert pose_bits(state.robot_pose) == pose_bits(want)
+    assert_grasp_matches_oracle(held, state)
+    assert sw.success(state) == success_oracle(state)
+
+
+def push(name, dx, dy):
+    return lambda state: sw.inject_disturbance(state, name, [dx, dy, 0.0])
+
+
+def shift_robot(state):  # a new Pose that keeps the end-effector's Rotation object
+    state.robot_pose = Pose(state.robot_pose.position + np.array([0.004, -0.003, 0.002]), state.robot_pose.rotation)
+
+
+def shift_offset(state):
+    off = state.attach_offset
+    state.attach_offset = Pose(off.position + np.array([0.001, 0.0, -0.002]), off.rotation)
+
+
+def release_and_regrasp(state):
+    """Open and close where the arm stands: the dropped block is grasped again, at a new offset, by the same Rotation."""
+    name, rotation = state.attached_object, state.robot_pose.rotation
+    checked_step(state, Action(state.robot_pose, GRIPPER_OPEN))
+    assert state.attached_object is None
+    checked_step(state, Action(state.robot_pose, GRIPPER_CLOSED))
+    assert state.attached_object == name and state.robot_pose.rotation is rotation
+
+
+class TestCachesServeNoStaleValue:
+    """The world reuses the held object's rotated offset, each block's distance
+    to its slot, the fetch's hover pose and the carry target while their
+    operands are the same objects. Scripted episodes edited between steps
+    match the uncached oracles (tests/oracles.py) at every step."""
+
+    EDITS = {  # (held object or None, the n-th step with it held) -> edit made before that step
+        "pick_place": {
+            (None, 30): push("block", 0.03, -0.02),  # mid-fetch, on the way to the hover pose
+            (None, 55): push("block", -0.02, 0.01),  # mid-fetch, on the way down to the block
+            (None, 100): push("block", 0.0, 0.015),  # the placed block, on the way home
+            ("block", 2): release_and_regrasp,
+            ("block", 20): shift_robot,  # mid-carry
+            ("block", 30): shift_offset,
+        },
+        "stack": {
+            (None, 30): push("blue_block", 0.02, 0.02),
+            ("blue_block", 15): push("green_block", -0.02, 0.03),  # mid-carry, the block still to fetch
+            ("blue_block", 25): shift_robot,
+            ("blue_block", 35): shift_offset,
+            ("green_block", 2): release_and_regrasp,
+            ("green_block", 20): push("blue_block", 0.03, 0.0),  # mid-carry, the placed block
+        },
+    }
+
+    @pytest.mark.parametrize("kind", sorted(EDITS))
+    @pytest.mark.parametrize("seed", [4, 11])
+    def test_edited_scripted_episode(self, kind, seed):
+        edits, counts = dict(self.EDITS[kind]), {}
+        state, _ = sw.reset(sw.TaskSpec(kind), seed)
+        for _ in range(sw.RECORD_MAX_STEPS):
+            key = (state.attached_object, counts.get(state.attached_object, 0) + 1)
+            counts[state.attached_object] = key[1]
+            if key in edits:
+                edits.pop(key)(state)
+            act = checked_action(state)
+            if act is None:
+                break
+            checked_step(state, act)
+        assert act is None and sw.success(state)
+        assert not edits  # every edit was made
 
 
 class TestRecordingMatchesPerStepOracle:
